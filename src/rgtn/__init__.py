@@ -1,55 +1,13 @@
 """Recurrent graph tensor networks for multi-way sequence modelling.
 
-Dense tensor engine, tensor-train machinery, time-graph filtering layers,
-a vanilla RNN baseline, reverse-mode differentiation, and training plus
-CLI tooling for desk-scale comparisons.
+The graph-filter sequence models (grgtn, srgtn) and a vanilla RNN baseline
+on a reverse-mode tape, tensor-train decomposition and heads, and training
+plus CLI tooling for desk-scale comparisons.
 """
 
-from .tensor import (
-    DenseTensor,
-    Shape,
-    ShapeError,
-    add,
-    contract,
-    contract_multi,
-    from_array,
-    kronecker,
-    make_tensor,
-    matrix_power,
-    scale,
-    tensorize,
-    vectorize,
-)
-from .tt import (
-    TTLinearLayer,
-    TTNetwork,
-    dense_param_count,
-    tt_layer_forward,
-    tt_param_count,
-    tt_reconstruct,
-    tt_svd,
-)
-from .graph import (
-    Graph,
-    GraphFilterSpec,
-    TimeGraph,
-    build_time_adjacency,
-    normalize_adjacency,
-    spatial_graph_filter,
-)
-from .layers import (
-    RGTNLayerParams,
-    RGTNLayerSpec,
-    RNNParams,
-    RecurrentCoupling,
-    build_block_r,
-    build_coupling,
-    grgtn_filter,
-    layer_forward,
-    rnn_forward,
-    rnn_output,
-    srgtn_filter,
-)
+from .tensor import DenseTensor, Shape, ShapeError, from_array
+from .tt import TTNetwork, dense_param_count, tt_param_count, tt_reconstruct, tt_svd
+from .graph import build_time_adjacency
 from .autodiff import TapeNode, backward, cross_entropy_loss, mae_loss, mse_loss
 from .models import HeadConfig, ModelConfig, forward, init_params, param_count, predict
 from .training import Param, ParamStore, TrainConfig, adam_step, evaluate, train

@@ -1,12 +1,14 @@
-"""Reverse-mode differentiation tape over dense tensors.
+"""Reverse-mode differentiation tape over plain numpy arrays.
 
 Each operation records its inputs and one gradient-push closure per input;
 ``backward`` walks the graph in reverse topological order from a scalar
-root and accumulates gradients into every reachable node.  Values are
-immutable, so a node can appear as input to any number of operations.
+root and accumulates gradients into every reachable node.  A node can
+appear as input to any number of operations.
 
-Axis arguments here are 0-based numpy axes: the tape is internal plumbing
-for the trainable models, not part of the 1-based mode interface.
+Nodes hold their arrays without copying, and a node's gradient may be the
+very array its child received, so value and gradient arrays are shared:
+no operation, push or caller may write into one in place.  Axis arguments
+are 0-based numpy axes.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .tensor import DenseTensor, ShapeError, from_array
+from .tensor import ShapeError
 
 __all__ = [
     "TapeNode",
@@ -48,36 +50,32 @@ __all__ = [
 class TapeNode:
     """One value in the computation graph, with its local gradient rules."""
 
-    __slots__ = ("value", "parents", "pushes", "grad")
+    __slots__ = ("array", "parents", "pushes", "grad")
 
     def __init__(
         self,
-        value: np.ndarray,
+        array: np.ndarray,
         parents: tuple["TapeNode", ...] = (),
         pushes: tuple[Callable[[np.ndarray], np.ndarray], ...] = (),
     ) -> None:
-        self.value = from_array(value)
+        self.array = array
         self.parents = parents
         self.pushes = pushes
         self.grad: np.ndarray | None = None
 
     @property
-    def array(self) -> np.ndarray:
-        return self.value.array
-
-    @property
     def shape(self) -> tuple[int, ...]:
-        return self.value.shape
+        return self.array.shape
 
 
-def constant(value: DenseTensor | np.ndarray | float) -> TapeNode:
-    arr = value.array if isinstance(value, DenseTensor) else np.asarray(value, float)
-    return TapeNode(arr)
+def constant(value: np.ndarray | float) -> TapeNode:
+    """Leaf node over ``value`` as float64; a float64 array is not copied."""
+    return TapeNode(np.asarray(value, float))
 
 
 def backward(root: TapeNode) -> None:
     """Populate ``grad`` on every node reachable from a scalar root."""
-    if root.value.size != 1:
+    if root.array.size != 1:
         raise ShapeError(f"backward needs a scalar root, got shape {root.shape}")
     order: list[TapeNode] = []
     seen: set[int] = set()
@@ -101,8 +99,9 @@ def backward(root: TapeNode) -> None:
         for parent, push in zip(node.parents, node.pushes):
             contribution = push(node.grad)
             if parent.grad is None:
-                parent.grad = np.zeros_like(parent.array)
-            parent.grad = parent.grad + contribution
+                parent.grad = contribution
+            else:
+                parent.grad = parent.grad + contribution
 
 
 def _binary_same_shape(a: TapeNode, b: TapeNode, name: str) -> None:
@@ -248,7 +247,7 @@ def sum_all(a: TapeNode) -> TapeNode:
 
 
 def mean_all(a: TapeNode) -> TapeNode:
-    return scale_by(sum_all(a), 1.0 / a.value.size)
+    return scale_by(sum_all(a), 1.0 / a.array.size)
 
 
 def log_softmax(a: TapeNode) -> TapeNode:
@@ -264,14 +263,14 @@ def log_softmax(a: TapeNode) -> TapeNode:
 
 def mae_loss(pred: TapeNode, target: TapeNode | np.ndarray) -> TapeNode:
     target = target if isinstance(target, TapeNode) else constant(target)
-    if pred.value.size == 0:
+    if pred.array.size == 0:
         raise ValueError("mae_loss on an empty batch")
     return mean_all(absolute(subtract(pred, target)))
 
 
 def mse_loss(pred: TapeNode, target: TapeNode | np.ndarray) -> TapeNode:
     target = target if isinstance(target, TapeNode) else constant(target)
-    if pred.value.size == 0:
+    if pred.array.size == 0:
         raise ValueError("mse_loss on an empty batch")
     return mean_all(square(subtract(pred, target)))
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
+from math import prod
 from typing import Mapping
 
 import numpy as np
@@ -75,6 +76,32 @@ def save_checkpoint(path: str, arrays: Mapping[str, np.ndarray], meta: dict) -> 
         fh.write(payload)
 
 
+def _is_index(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def _header_problem(header) -> str | None:
+    """What makes a parsed header unreadable, or None if it is well formed."""
+    if not isinstance(header, dict):
+        return "header is not a JSON object"
+    if not isinstance(header.get("meta"), dict) or not isinstance(header.get("params"), list):
+        return "header lacks its meta object or params list"
+    for entry in header["params"]:
+        if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
+            return "a params entry is not an object with a name"
+        shape, count = entry.get("shape"), entry.get("count")
+        if not (
+            _is_index(entry.get("offset"))
+            and _is_index(count)
+            and isinstance(shape, list)
+            and all(_is_index(d) for d in shape)
+        ):
+            return f"entry {entry['name']!r} needs non-negative integer offset, count and shape"
+        if prod(shape) != count:
+            return f"entry {entry['name']!r} has count {count} but shape {shape}"
+    return None
+
+
 def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], dict]:
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -93,6 +120,9 @@ def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], dict]:
         header = json.loads(blob[pos : pos + head_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"{path}: corrupted header ({exc})") from None
+    problem = _header_problem(header)
+    if problem is not None:
+        raise CheckpointError(f"{path}: malformed header: {problem}")
     payload = blob[pos + head_len :]
     digest = hashlib.sha256(payload).hexdigest()
     if digest != header.get("payload_sha256"):
@@ -132,5 +162,8 @@ def load_tt(path: str) -> tuple[list[np.ndarray], dict]:
     arrays, meta = load_checkpoint(path)
     if meta.get("kind") != "tt":
         raise CheckpointError(f"{path}: not a tensor-train file")
-    cores = [arrays[f"core{k}"] for k in range(int(meta["n_cores"]))]
+    n_cores = meta.get("n_cores")
+    if not _is_index(n_cores) or any(f"core{k}" not in arrays for k in range(n_cores)):
+        raise CheckpointError(f"{path}: n_cores missing or not matching the stored cores")
+    cores = [arrays[f"core{k}"] for k in range(n_cores)]
     return cores, meta

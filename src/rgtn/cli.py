@@ -27,6 +27,7 @@ from .config import (
     build_dataset,
     load_run_config,
     model_for_variant,
+    run_config_from_dict,
 )
 from .data import CsvFormatError, CsvSchemaError
 from .models import ModelConfig, param_count, param_shapes
@@ -122,8 +123,10 @@ def cmd_eval(args) -> int:
         raise CheckpointError(f"{args.checkpoint}: not a model checkpoint")
     if args.config:
         run = load_run_config(args.config, seed_override=args.seed)
+    elif isinstance(meta.get("config"), dict):
+        run = run_config_from_dict(meta["config"], args.seed)
     else:
-        run = _run_from_snapshot(meta["config"], args.seed)
+        raise CheckpointError(f"{args.checkpoint}: model checkpoint has no config snapshot")
     expected = param_shapes(run.model)
     for name, shape in expected.items():
         if name not in arrays:
@@ -149,20 +152,6 @@ def cmd_eval(args) -> int:
         os.makedirs(args.out, exist_ok=True)
         _write_lines(os.path.join(args.out, "eval.txt"), pairs)
     return 0
-
-
-def _run_from_snapshot(snapshot: dict, seed_override: int | None) -> RunConfig:
-    import tempfile
-
-    import yaml
-
-    with tempfile.NamedTemporaryFile("w", suffix=".yaml", delete=False) as fh:
-        yaml.safe_dump(snapshot, fh)
-        path = fh.name
-    try:
-        return load_run_config(path, seed_override=seed_override)
-    finally:
-        os.unlink(path)
 
 
 def cmd_bench(args) -> int:

@@ -25,7 +25,14 @@ from .data import (
 from .models import HeadConfig, ModelConfig
 from .training import TrainConfig
 
-__all__ = ["ConfigError", "RunConfig", "load_run_config", "build_dataset", "model_for_variant"]
+__all__ = [
+    "ConfigError",
+    "RunConfig",
+    "load_run_config",
+    "run_config_from_dict",
+    "build_dataset",
+    "model_for_variant",
+]
 
 
 class ConfigError(ValueError):
@@ -55,9 +62,11 @@ def _get(section: dict, path: str, key: str, kind, default=None, required=False)
             raise ConfigError(f"{path}.{key}: required field missing")
         return default
     value = section[key]
-    if kind is float and isinstance(value, int):
+    # YAML's true/false load as bool, a subclass of int: no field takes one
+    is_bool = isinstance(value, bool)
+    if kind is float and isinstance(value, int) and not is_bool:
         value = float(value)
-    if kind is not None and not isinstance(value, kind):
+    if kind is not None and (is_bool or not isinstance(value, kind)):
         raise ConfigError(
             f"{path}.{key}: expected {getattr(kind, '__name__', kind)}, got {value!r}"
         )
@@ -118,6 +127,7 @@ def _train_config(raw: dict, seed_override: int | None) -> TrainConfig:
 
 
 def load_run_config(path: str, seed_override: int | None = None) -> RunConfig:
+    """Read a YAML config file and validate it."""
     if not os.path.exists(path):
         raise ConfigError(f"config file {path!r} does not exist")
     with open(path) as fh:
@@ -125,6 +135,11 @@ def load_run_config(path: str, seed_override: int | None = None) -> RunConfig:
             raw = yaml.safe_load(fh)
         except yaml.YAMLError as exc:
             raise ConfigError(f"cannot parse {path!r}: {exc}") from None
+    return run_config_from_dict(raw, seed_override)
+
+
+def run_config_from_dict(raw, seed_override: int | None = None) -> RunConfig:
+    """Validate a parsed config document, such as a checkpoint's snapshot."""
     if not isinstance(raw, dict):
         raise ConfigError("top level of the config must be a mapping")
     model = _model_config(raw)

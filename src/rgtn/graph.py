@@ -1,116 +1,25 @@
-"""Graphs over time steps, adjacency normalization, spatial graph filters.
+"""The time graph over a window of tau successive steps.
 
-The window of tau successive time steps is treated as a directed graph:
-step s influences step t > s with weight c^(t-s), where 0 < c < 1.  Stacked
-in descending-time order that adjacency is strictly upper triangular with
-c^p on the p-th super-diagonal; the toolkit stacks sequences in ascending
-time, so filters use the transposed (strictly lower triangular) view.
+Step s influences step t > s with weight c^(t-s), where 0 < c < 1.  With
+the window stacked in ascending time (row t is step t), the adjacency is
+strictly lower triangular with c^p on the p-th sub-diagonal, so row t of
+``A @ X`` gathers only from strictly earlier rows of X.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .tensor import DenseTensor, ShapeError, from_array
-
-__all__ = [
-    "Graph",
-    "TimeGraph",
-    "GraphFilterSpec",
-    "build_time_adjacency",
-    "normalize_adjacency",
-    "spatial_graph_filter",
-]
+__all__ = ["build_time_adjacency"]
 
 
-@dataclass(frozen=True)
-class Graph:
-    """Weighted directed graph given by a nonnegative adjacency matrix."""
-
-    adjacency: DenseTensor
-
-    def __post_init__(self) -> None:
-        a = self.adjacency
-        if a.order != 2 or a.shape[0] != a.shape[1]:
-            raise ShapeError(f"adjacency must be square, got shape {a.shape}")
-        if np.any(a.array < 0):
-            raise ValueError("adjacency entries must be nonnegative")
-
-    @property
-    def n_vertices(self) -> int:
-        return self.adjacency.shape[0]
-
-
-@dataclass(frozen=True)
-class TimeGraph:
-    """Directed influence graph over tau successive time steps.
-
-    ``adjacency`` holds the descending-time orientation (c^p on the p-th
-    super-diagonal); :meth:`ascending` gives the transpose used when rows
-    are stacked in ascending time.
-    """
-
-    tau: int
-    c: float
-    adjacency: DenseTensor
-
-    def ascending(self) -> DenseTensor:
-        return from_array(self.adjacency.array.T)
-
-
-def build_time_adjacency(tau: int, c: float) -> TimeGraph:
-    """Adjacency over a window of tau steps with decay constant c in (0, 1)."""
+def build_time_adjacency(tau: int, c: float) -> np.ndarray:
+    """Ascending-time (tau, tau) adjacency with decay constant c in (0, 1)."""
     if tau < 1:
         raise ValueError(f"tau must be >= 1, got {tau}")
     if not 0.0 < c < 1.0:
         raise ValueError(f"c must lie strictly between 0 and 1, got {c}")
     a = np.zeros((tau, tau))
     for p in range(1, tau):
-        a += np.diag(np.full(tau - p, c**p), k=p)
-    return TimeGraph(tau=tau, c=float(c), adjacency=from_array(a))
-
-
-def normalize_adjacency(g: Graph) -> DenseTensor:
-    """Symmetric degree normalization; zero-degree vertices stay all-zero."""
-    a = g.adjacency.array
-    degrees = a.sum(axis=1)
-    with np.errstate(divide="ignore"):
-        inv_sqrt = np.where(degrees > 0, 1.0 / np.sqrt(degrees), 0.0)
-    return from_array(inv_sqrt[:, None] * a * inv_sqrt[None, :])
-
-
-@dataclass(frozen=True)
-class GraphFilterSpec:
-    """Coefficients (alpha_0, ..., alpha_{K-1}) of a polynomial shift filter."""
-
-    coefficients: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        coeffs = tuple(float(c) for c in self.coefficients)
-        if not coeffs:
-            raise ValueError("a graph filter needs at least one coefficient")
-        object.__setattr__(self, "coefficients", coeffs)
-
-    @property
-    def order(self) -> int:
-        return len(self.coefficients)
-
-
-def spatial_graph_filter(
-    a: DenseTensor, x: DenseTensor, spec: GraphFilterSpec
-) -> DenseTensor:
-    """Linear combination of shifted signals: sum_k alpha_k A^k X."""
-    if a.order != 2 or a.shape[0] != a.shape[1]:
-        raise ShapeError(f"shift operator must be square, got {a.shape}")
-    if x.order != 2 or x.shape[0] != a.shape[0]:
-        raise ShapeError(
-            f"signal rows ({x.shape}) must match the {a.shape[0]} graph vertices"
-        )
-    shifted = x.array
-    y = spec.coefficients[0] * shifted
-    for alpha in spec.coefficients[1:]:
-        shifted = a.array @ shifted
-        y = y + alpha * shifted
-    return from_array(y)
+        a += np.diag(np.full(tau - p, c**p), k=-p)
+    return a

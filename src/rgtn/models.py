@@ -14,8 +14,9 @@ rnn: the matched baseline flattens physical x feature per step, runs the
 recurrence, and applies the dense equivalent of the head to the full
 hidden-state block.
 
-Flattened vector layouts follow the package-wide first-mode-fastest
-convention.
+Flattened vectors put the first mode fastest: a (tau, physical, hidden)
+block flattens with the time index varying fastest, as a checkpoint
+payload does.
 """
 
 from __future__ import annotations
@@ -241,7 +242,7 @@ def forward(
             steps.append(h_prev)
         h = ad.stack_rows(steps, axis=1)
         return _head(config, nodes, h)
-    a_asc = build_time_adjacency(config.tau, config.c).ascending().array
+    a_asc = build_time_adjacency(config.tau, config.c)
     xhat = ad.tensordot(ad.constant(x), nodes["w_x"], (3,), (1,))
     mixed = ad.moveaxis(ad.tensordot(ad.constant(a_asc), xhat, (1,), (1,)), 0, 1)
     if config.variant == "grgtn":

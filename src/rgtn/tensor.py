@@ -1,61 +1,29 @@
-"""Dense multi-way arrays with first-mode-fastest flat storage.
+"""Immutable dense arrays for the tensor-train routines.
 
-Every value in the toolkit is a :class:`DenseTensor`: an immutable order-N
-array of float64 entries.  The flat buffer orders entries so that the first
-mode varies fastest, i.e. entry (i_1, ..., i_N) with 1-based indices sits at
-flat position (i_1 - 1) + (i_2 - 1) * I_1 + (i_3 - 1) * I_1 I_2 + ...
-
-Mode arguments in the public functions are 1-based.  There is no implicit
-broadcasting: every shape mismatch raises :class:`ShapeError`.
+A :class:`DenseTensor` is an order-N array of float64 entries that cannot
+be written to; ``tt_svd`` takes one and ``tt_reconstruct`` returns one, and
+each tensor-train core is one.  :class:`ShapeError` is the package's error
+for operands whose shapes or axes do not conform.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import prod
-from typing import Iterable, Sequence
 
 import numpy as np
 
-__all__ = [
-    "Shape",
-    "ShapeError",
-    "DenseTensor",
-    "make_tensor",
-    "from_array",
-    "zeros",
-    "identity",
-    "vectorize",
-    "tensorize",
-    "contract",
-    "contract_multi",
-    "kronecker",
-    "add",
-    "scale",
-    "matrix_power",
-]
+__all__ = ["Shape", "ShapeError", "DenseTensor", "from_array"]
 
 Shape = tuple[int, ...]
 
 
 class ShapeError(ValueError):
-    """Shapes or mode indices of the operands do not conform."""
-
-
-def _check_shape(shape: Iterable[int]) -> Shape:
-    dims = tuple(int(d) for d in shape)
-    if any(d < 1 for d in dims):
-        raise ShapeError(f"every extent must be >= 1, got {dims}")
-    return dims
+    """Shapes or axes of the operands do not conform."""
 
 
 @dataclass(frozen=True)
 class DenseTensor:
-    """Immutable order-N array of 64-bit reals.
-
-    ``array`` holds the entries with its natural numpy shape; the
-    first-mode-fastest flat view is exposed through :attr:`data`.
-    """
+    """Immutable order-N array of 64-bit reals, held in ``array``."""
 
     array: np.ndarray
 
@@ -77,132 +45,10 @@ class DenseTensor:
     def size(self) -> int:
         return self.array.size
 
-    @property
-    def data(self) -> np.ndarray:
-        """Flat entries in first-mode-fastest order."""
-        return self.array.ravel(order="F")
-
-    def tolist(self) -> list:
-        return self.array.tolist()
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"DenseTensor(shape={self.shape})"
 
 
-def make_tensor(shape: Iterable[int], values: Sequence[float]) -> DenseTensor:
-    """Build a tensor from its shape and flat first-mode-fastest entries."""
-    dims = _check_shape(shape)
-    vals = np.asarray(values, dtype=np.float64)
-    if vals.ndim != 1:
-        raise ShapeError(f"values must be a flat list, got ndim={vals.ndim}")
-    if vals.size != prod(dims):
-        raise ShapeError(
-            f"shape {dims} needs {prod(dims)} values, got {vals.size}"
-        )
-    return DenseTensor(vals.reshape(dims, order="F"))
-
-
 def from_array(array: np.ndarray | float) -> DenseTensor:
     """Wrap a numpy array (copied) as a DenseTensor."""
-    return DenseTensor(np.array(array, dtype=np.float64))
-
-
-def zeros(shape: Iterable[int]) -> DenseTensor:
-    return DenseTensor(np.zeros(_check_shape(shape)))
-
-
-def identity(n: int) -> DenseTensor:
-    return DenseTensor(np.eye(n))
-
-
-def vectorize(t: DenseTensor) -> DenseTensor:
-    """Flatten to an order-1 tensor in first-mode-fastest order."""
-    return DenseTensor(t.data.copy())
-
-
-def tensorize(v: DenseTensor, shape: Iterable[int]) -> DenseTensor:
-    """Reshape an order-1 tensor; inverse of :func:`vectorize`."""
-    dims = _check_shape(shape)
-    if v.order != 1:
-        raise ShapeError(f"tensorize expects an order-1 tensor, got order {v.order}")
-    if v.size != prod(dims):
-        raise ShapeError(f"cannot tensorize {v.size} entries into shape {dims}")
-    return DenseTensor(v.array.reshape(dims, order="F"))
-
-
-def _check_mode(t: DenseTensor, mode: int, name: str) -> int:
-    if not 1 <= mode <= t.order:
-        raise ShapeError(f"{name}={mode} out of range for order-{t.order} tensor")
-    return mode - 1
-
-
-def contract(a: DenseTensor, b: DenseTensor, n: int, m: int) -> DenseTensor:
-    """Contract mode ``n`` of ``a`` against mode ``m`` of ``b`` (1-based).
-
-    The result keeps a's remaining modes first, in order, then b's.
-    For matrices, contract(a, b, 2, 1) is the matrix product.
-    """
-    ax_a = _check_mode(a, n, "n")
-    ax_b = _check_mode(b, m, "m")
-    if a.shape[ax_a] != b.shape[ax_b]:
-        raise ShapeError(
-            f"contracted extents differ: a mode {n} has {a.shape[ax_a]}, "
-            f"b mode {m} has {b.shape[ax_b]}"
-        )
-    return DenseTensor(np.tensordot(a.array, b.array, axes=(ax_a, ax_b)))
-
-
-def contract_multi(
-    a: DenseTensor,
-    b: DenseTensor,
-    a_modes: Sequence[int],
-    b_modes: Sequence[int],
-) -> DenseTensor:
-    """Contract several mode pairs at once; equals iterated single contractions."""
-    if len(a_modes) != len(b_modes):
-        raise ShapeError("a_modes and b_modes must have the same length")
-    if len(set(a_modes)) != len(a_modes) or len(set(b_modes)) != len(b_modes):
-        raise ShapeError("duplicate modes in a contraction list")
-    ax_a = [_check_mode(a, n, "a_mode") for n in a_modes]
-    ax_b = [_check_mode(b, m, "b_mode") for m in b_modes]
-    for n, m, i, j in zip(a_modes, b_modes, ax_a, ax_b):
-        if a.shape[i] != b.shape[j]:
-            raise ShapeError(
-                f"contracted extents differ: a mode {n} has {a.shape[i]}, "
-                f"b mode {m} has {b.shape[j]}"
-            )
-    return DenseTensor(np.tensordot(a.array, b.array, axes=(ax_a, ax_b)))
-
-
-def kronecker(a: DenseTensor, b: DenseTensor) -> DenseTensor:
-    """Kronecker product with paired-mode extents I_n * J_n.
-
-    Within paired mode n the second operand's index varies fastest:
-    entry (i_n - 1) * J_n + j_n of the result mode carries a[i] * b[j].
-    Operands of unequal order are promoted by appending size-1 modes.
-    """
-    arr_a, arr_b = a.array, b.array
-    if arr_a.ndim < arr_b.ndim:
-        arr_a = arr_a.reshape(arr_a.shape + (1,) * (arr_b.ndim - arr_a.ndim))
-    elif arr_b.ndim < arr_a.ndim:
-        arr_b = arr_b.reshape(arr_b.shape + (1,) * (arr_a.ndim - arr_b.ndim))
-    return DenseTensor(np.kron(arr_a, arr_b))
-
-
-def add(a: DenseTensor, b: DenseTensor) -> DenseTensor:
-    if a.shape != b.shape:
-        raise ShapeError(f"add needs equal shapes, got {a.shape} and {b.shape}")
-    return DenseTensor(a.array + b.array)
-
-
-def scale(a: DenseTensor, s: float) -> DenseTensor:
-    return DenseTensor(a.array * float(s))
-
-
-def matrix_power(a: DenseTensor, k: int) -> DenseTensor:
-    """k-th matrix power of a square matrix, with the 0th power the identity."""
-    if a.order != 2 or a.shape[0] != a.shape[1]:
-        raise ShapeError(f"matrix_power needs a square matrix, got shape {a.shape}")
-    if k < 0:
-        raise ShapeError("matrix_power needs k >= 0")
-    return DenseTensor(np.linalg.matrix_power(a.array, k))
+    return DenseTensor(array)

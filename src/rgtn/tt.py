@@ -1,14 +1,10 @@
-"""Tensor-train decomposition, reconstruction, and compressed linear layers.
+"""Tensor-train decomposition and reconstruction.
 
 A tensor-train network stores an order-N tensor as a chain of N order-3
 cores G_n of shape (R_{n-1}, I_n, R_n) with boundary ranks R_0 = R_N = 1.
 Entry counts drop from prod(I_n) for the dense tensor to
-sum(R_{n-1} I_n R_n) for the chain.
-
-``TTLinearLayer`` uses the same chain to hold a compressed weight matrix:
-core n carries the paired extent I_n_in * I_n_out (input index fastest
-within the pair), so a matrix of shape (prod in, prod out) never has to be
-materialized during the forward pass.
+sum(R_{n-1} I_n R_n) for the chain.  The models' trainable TT head uses
+the same chain with one (in, out) mode pair per core; see ``models``.
 """
 
 from __future__ import annotations
@@ -23,12 +19,10 @@ from .tensor import DenseTensor, Shape, ShapeError, from_array
 
 __all__ = [
     "TTNetwork",
-    "TTLinearLayer",
     "tt_svd",
     "tt_reconstruct",
     "tt_param_count",
     "dense_param_count",
-    "tt_layer_forward",
 ]
 
 
@@ -141,55 +135,3 @@ def tt_reconstruct(tt: TTNetwork) -> DenseTensor:
         result = np.tensordot(result, core.array, axes=(result.ndim - 1, 0))
     return from_array(result[0, ..., 0])
 
-
-def _paired_core(core: DenseTensor, in_size: int, out_size: int) -> np.ndarray:
-    r0, mid, r1 = core.shape
-    if mid != in_size * out_size:
-        raise ShapeError(
-            f"core middle extent {mid} does not factor as {in_size} * {out_size}"
-        )
-    return core.array.reshape(r0, in_size, out_size, r1, order="F")
-
-
-@dataclass(frozen=True)
-class TTLinearLayer:
-    """Weight matrix of shape (prod in_shape, prod out_shape) in TT form."""
-
-    tt: TTNetwork
-    in_shape: Shape
-    out_shape: Shape
-    bias: DenseTensor | None = None
-
-    def __post_init__(self) -> None:
-        in_dims = tuple(int(d) for d in self.in_shape)
-        out_dims = tuple(int(d) for d in self.out_shape)
-        object.__setattr__(self, "in_shape", in_dims)
-        object.__setattr__(self, "out_shape", out_dims)
-        if len(in_dims) != len(out_dims) or len(in_dims) != len(self.tt.cores):
-            raise ShapeError("in_shape, out_shape and cores must pair one-to-one")
-        for k, core in enumerate(self.tt.cores):
-            _paired_core(core, in_dims[k], out_dims[k])
-        if self.bias is not None and self.bias.shape != out_dims:
-            raise ShapeError(
-                f"bias shape {self.bias.shape} does not match out_shape {out_dims}"
-            )
-
-
-def tt_layer_forward(layer: TTLinearLayer, x: DenseTensor) -> DenseTensor:
-    """Apply the compressed weight to x without materializing it.
-
-    Equals y = ten(W^T vec(x)) + bias where W is the dense reconstruction
-    reshaped to (prod in, prod out).
-    """
-    if x.shape != layer.in_shape:
-        raise ShapeError(f"input shape {x.shape} != layer in_shape {layer.in_shape}")
-    # Invariant: z has shape (rank, remaining in modes, emitted out modes).
-    z = x.array[None, ...]
-    for k, core in enumerate(layer.tt.cores):
-        paired = _paired_core(core, layer.in_shape[k], layer.out_shape[k])
-        z = np.tensordot(z, paired, axes=([0, 1], [0, 1]))
-        z = np.moveaxis(z, -1, 0)
-    y = z[0]
-    if layer.bias is not None:
-        y = y + layer.bias.array
-    return from_array(y)

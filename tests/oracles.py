@@ -1,0 +1,125 @@
+"""Independent references for the tests, and helpers to run models headless.
+
+The model references evaluate what the paper defines by plain loops or by
+building the dense matrix, and ``raw_checkpoint`` writes the checkpoint
+layout byte by byte; none of them calls ``rgtn``.  ``headless`` and
+``hidden_states`` run ``rgtn.models.forward`` without an output head so a
+test can compare the filtered hidden-state block against a reference.
+"""
+
+import hashlib
+import json
+import struct
+
+import numpy as np
+
+from rgtn.models import HeadConfig, ModelConfig, forward
+
+
+def random_idempotent(rng, m, rank=None):
+    """Random (oblique) projection matrix: W @ W = W."""
+    r = rank or int(rng.integers(1, m + 1))
+    while True:
+        b = rng.standard_normal((m, r))
+        c = rng.standard_normal((r, m))
+        core = c @ b
+        if abs(np.linalg.det(core)) > 1e-3:
+            return b @ np.linalg.inv(core) @ c
+
+
+def time_adjacency(tau, c):
+    """A[t, s] = c^(t-s) for s < t and 0 otherwise, entry by entry."""
+    a = np.zeros((tau, tau))
+    for t in range(tau):
+        for s in range(t):
+            a[t, s] = c ** (t - s)
+    return a
+
+
+def unrolled_recurrence(c, w_r, w_x, x):
+    """Step-by-step h_t = c W_r h_{t-1} + W_x x_t with h_0 = 0; x is (tau, n)."""
+    h = np.zeros(w_x.shape[0])
+    rows = []
+    for t in range(x.shape[0]):
+        h = c * w_r @ h + w_x @ x[t]
+        rows.append(h.copy())
+    return np.stack(rows)
+
+
+def block_map(a, w_r, xhat):
+    """(I + A kron W_r) vec(xhat) for one (tau, m) block, hidden index fastest."""
+    tau, m = xhat.shape
+    big = np.eye(tau * m) + np.kron(a, w_r)
+    return (big @ xhat.reshape(-1)).reshape(tau, m)
+
+
+def rnn_loop(w_h, w_x, b_h, x, act=np.tanh):
+    """Entrywise scalar-loop vanilla RNN over one window x of shape (tau, n)."""
+    m = w_h.shape[0]
+    h_prev = [0.0] * m
+    out = []
+    for t in range(x.shape[0]):
+        h = []
+        for i in range(m):
+            acc = b_h[i]
+            for j in range(m):
+                acc += w_h[i, j] * h_prev[j]
+            for j in range(x.shape[1]):
+                acc += w_x[i, j] * x[t, j]
+            h.append(act(acc))
+        out.append(h)
+        h_prev = h
+    return np.array(out)
+
+
+def tt_head_matrix(cores):
+    """Dense (prod in, prod out) matrix of a three-core TT head.
+
+    Cores are (r0, in, out, r1); both sides flatten first mode fastest.
+    """
+    full = np.einsum("aipb,bjqc,ckrd->ijkpqr", *cores)
+    n_in = full.shape[0] * full.shape[1] * full.shape[2]
+    return full.reshape(n_in, -1, order="F")
+
+
+def headless(variant, tau, d_phys, d_feat, hidden, c=0.5, activation="identity"):
+    """A model config with no output head: it emits the flattened hidden block."""
+    block = tau * hidden if variant == "rnn" else tau * d_phys * hidden
+    return ModelConfig(
+        variant=variant,
+        tau=tau,
+        d_phys=d_phys,
+        d_feat=d_feat,
+        hidden=hidden,
+        out_dim=block,
+        c=c,
+        activation=activation,
+        head=HeadConfig(kind="none", bias=False),
+    )
+
+
+def unflatten(flat, block):
+    """Invert the per-sample first-mode-fastest flatten of a feature block."""
+    rev = flat.reshape((flat.shape[0],) + tuple(reversed(block)))
+    return rev.transpose((0,) + tuple(range(rev.ndim - 1, 0, -1)))
+
+
+def hidden_states(config, values, x):
+    """models.forward of a headless config as (batch,) + config.feature_block."""
+    return unflatten(forward(config, values, x).array, config.feature_block)
+
+
+def raw_checkpoint(header, payload=b""):
+    """Checkpoint file bytes for any JSON header: magic, version 1, length, header, payload."""
+    head = json.dumps(header).encode("utf-8")
+    return b"RGTNCKPT" + struct.pack("<I", 1) + struct.pack("<Q", len(head)) + head + payload
+
+
+def payload_header(entries, payload, meta=None):
+    """A header for ``payload`` with the given params entries and its digest."""
+    return {
+        "version": 1,
+        "meta": {"kind": "model"} if meta is None else meta,
+        "params": entries,
+        "payload_sha256": hashlib.sha256(payload).hexdigest(),
+    }

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from oracles import payload_header, raw_checkpoint
 from rgtn.checkpoint import (
     CheckpointError,
     load_checkpoint,
@@ -92,3 +93,26 @@ class TestIntegrity:
         save_tensor(path, np.ones(3))
         with pytest.raises(CheckpointError):
             load_tt(path)
+
+    def test_header_not_an_object(self, tmp_path):
+        path = tmp_path / "list.rgtn"
+        path.write_bytes(raw_checkpoint([1, 2, 3]))
+        with pytest.raises(CheckpointError, match="not a JSON object"):
+            load_checkpoint(str(path))
+
+    def test_count_disagrees_with_shape(self, tmp_path):
+        payload = np.arange(6.0).astype("<f8").tobytes()
+        entries = [{"name": "w", "shape": [2, 2], "offset": 0, "count": 6}]
+        path = tmp_path / "count.rgtn"
+        path.write_bytes(raw_checkpoint(payload_header(entries, payload), payload))
+        with pytest.raises(CheckpointError, match="'w' has count 6"):
+            load_checkpoint(str(path))
+
+    def test_tt_file_without_n_cores(self, tmp_path):
+        payload = np.ones(3).astype("<f8").tobytes()
+        entries = [{"name": "core0", "shape": [1, 3, 1], "offset": 0, "count": 3}]
+        header = payload_header(entries, payload, meta={"kind": "tt"})
+        path = tmp_path / "tt.rgtn"
+        path.write_bytes(raw_checkpoint(header, payload))
+        with pytest.raises(CheckpointError, match="n_cores"):
+            load_tt(str(path))

@@ -98,11 +98,17 @@ class TestTrainCommand:
         assert "error:" in capsys.readouterr().err
 
     def test_invalid_field_exits_2_with_field_name(self, tmp_path, capsys):
-        cfg = base_config(tmp_path / "x")
-        cfg["training"]["epochs"] = "many"
-        path = write_config(tmp_path, cfg)
-        assert main(["train", "--config", path]) == 2
-        assert "training.epochs" in capsys.readouterr().err
+        # YAML true is a bool, which must not pass for an int or a float
+        for section, key, value in (
+            ("training", "epochs", "many"),
+            ("model", "tau", True),
+            ("model", "c", False),
+        ):
+            cfg = base_config(tmp_path / "x")
+            cfg[section][key] = value
+            path = write_config(tmp_path, cfg)
+            assert main(["train", "--config", path]) == 2
+            assert f"{section}.{key}" in capsys.readouterr().err
 
 
 class TestEvalCommand:

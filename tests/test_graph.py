@@ -1,52 +1,62 @@
-"""Time-graph construction, normalization, and spatial filtering tests."""
+"""The time graph, and the models' filtering of a window through it."""
 
 import numpy as np
 import pytest
 
-from rgtn.graph import (
-    Graph,
-    GraphFilterSpec,
-    TimeGraph,
-    build_time_adjacency,
-    normalize_adjacency,
-    spatial_graph_filter,
-)
-from rgtn.tensor import from_array
+from oracles import headless, hidden_states
+from rgtn.graph import build_time_adjacency
+from rgtn.models import forward
+
+
+def srgtn_states(x, w_x, c=0.5):
+    """srgtn hidden states of a (batch, tau, physical, n) input, identity activation."""
+    _, tau, p, n = x.shape
+    cfg = headless("srgtn", tau, p, n, w_x.shape[0], c=c)
+    return hidden_states(cfg, {"w_x": w_x}, x)
+
+
+def rnn_states(x, w_x, w_h):
+    _, tau, p, n = x.shape
+    m = w_h.shape[0]
+    cfg = headless("rnn", tau, p, n, m)
+    return hidden_states(cfg, {"w_x": w_x, "w_h": w_h, "b_h": np.zeros(m)}, x)
 
 
 class TestTimeAdjacency:
     def test_pinned_example(self):
-        tg = build_time_adjacency(3, 0.5)
-        expected = [[0, 0.5, 0.25], [0, 0, 0.5], [0, 0, 0]]
-        np.testing.assert_allclose(tg.adjacency.array, expected, atol=1e-15)
+        a = build_time_adjacency(3, 0.5)
+        expected = [[0, 0, 0], [0.5, 0, 0], [0.25, 0.5, 0]]
+        np.testing.assert_allclose(a, expected, atol=1e-15)
 
     def test_tau_one(self):
-        tg = build_time_adjacency(1, 0.3)
-        np.testing.assert_array_equal(tg.adjacency.array, [[0.0]])
+        np.testing.assert_array_equal(build_time_adjacency(1, 0.3), [[0.0]])
 
     def test_nilpotent(self):
-        tg = build_time_adjacency(3, 0.5)
-        cubed = np.linalg.matrix_power(tg.adjacency.array, 3)
+        cubed = np.linalg.matrix_power(build_time_adjacency(3, 0.5), 3)
         np.testing.assert_array_equal(cubed, np.zeros((3, 3)))
 
     @pytest.mark.parametrize("tau", [1, 2, 5, 8])
     def test_strictly_triangular_and_nilpotency_index(self, tau):
-        tg = build_time_adjacency(tau, 0.7)
-        a = tg.adjacency.array
-        assert np.array_equal(np.tril(a), np.zeros_like(a))
+        a = build_time_adjacency(tau, 0.7)
+        assert np.array_equal(np.triu(a), np.zeros_like(a))
         assert np.array_equal(np.linalg.matrix_power(a, tau), np.zeros_like(a))
 
     def test_ascending_is_transpose(self):
-        tg = build_time_adjacency(4, 0.5)
-        np.testing.assert_array_equal(tg.ascending().array, tg.adjacency.array.T)
-        # ascending orientation: row t gathers from strictly earlier rows
-        assert np.array_equal(np.triu(tg.ascending().array), np.zeros((4, 4)))
+        # the descending-time graph has c^(t-s) at (s, t) for every t > s;
+        # stacked in ascending time, row t gathers from strictly earlier rows
+        descending = np.zeros((4, 4))
+        for s in range(4):
+            for t in range(s + 1, 4):
+                descending[s, t] = 0.5 ** (t - s)
+        a = build_time_adjacency(4, 0.5)
+        np.testing.assert_array_equal(a, descending.T)
+        assert np.array_equal(np.triu(a), np.zeros((4, 4)))
 
     def test_band_entries_are_powers(self):
         c = 0.9
-        tg = build_time_adjacency(5, c)
+        a = build_time_adjacency(5, c)
         for p in range(1, 5):
-            np.testing.assert_allclose(np.diag(tg.adjacency.array, k=p), c**p)
+            np.testing.assert_allclose(np.diag(a, k=-p), c**p)
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
@@ -59,100 +69,61 @@ class TestTimeAdjacency:
             build_time_adjacency(3, -0.2)
 
 
-class TestNormalizeAdjacency:
-    def test_complete_pair(self):
-        g = Graph(from_array(2.0 * (np.ones((2, 2)) - np.eye(2))))
-        np.testing.assert_allclose(
-            normalize_adjacency(g).array, [[0, 1], [1, 0]], atol=1e-15
-        )
-
-    def test_single_weighted_edge(self):
-        a = np.zeros((2, 2))
-        a[0, 1] = a[1, 0] = 4.0
-        got = normalize_adjacency(Graph(from_array(a)))
-        np.testing.assert_allclose(got.array, [[0, 1], [1, 0]], atol=1e-15)
-
-    def test_isolated_vertex(self):
-        a = np.zeros((3, 3))
-        a[0, 1] = a[1, 0] = 1.0
-        got = normalize_adjacency(Graph(from_array(a))).array
-        assert np.all(np.isfinite(got))
-        np.testing.assert_array_equal(got[2], np.zeros(3))
-        np.testing.assert_array_equal(got[:, 2], np.zeros(3))
-
-    def test_symmetry_preserved(self):
-        rng = np.random.default_rng(0)
-        a = rng.uniform(0, 1, size=(5, 5))
-        a = a + a.T
-        got = normalize_adjacency(Graph(from_array(a))).array
-        np.testing.assert_allclose(got, got.T, atol=1e-14)
-
-    def test_negative_entries_rejected(self):
-        with pytest.raises(ValueError):
-            Graph(from_array(np.array([[0.0, -1.0], [0.0, 0.0]])))
-
-
 class TestSpatialFilter:
     def test_identity_filter(self):
+        # a one-step window has no edges: the filter passes X_hat through exactly
         rng = np.random.default_rng(1)
-        a = from_array(rng.uniform(0, 1, (4, 4)))
-        x = from_array(rng.standard_normal((4, 3)))
-        y = spatial_graph_filter(a, x, GraphFilterSpec((1.0,)))
-        np.testing.assert_array_equal(y.array, x.array)
+        x = rng.standard_normal((4, 1, 3, 2))
+        np.testing.assert_array_equal(srgtn_states(x, np.eye(2)), x)
 
     def test_two_tap_on_time_graph(self):
         rng = np.random.default_rng(2)
-        tg = build_time_adjacency(3, 0.5)
-        a = tg.ascending()
-        x = from_array(rng.standard_normal((3, 2)))
-        y = spatial_graph_filter(a, x, GraphFilterSpec((1.0, 1.0)))
-        np.testing.assert_allclose(
-            y.array, (np.eye(3) + a.array) @ x.array, atol=1e-14
-        )
+        x = rng.standard_normal((1, 3, 1, 2))
+        a = build_time_adjacency(3, 0.5)
+        y = srgtn_states(x, np.eye(2))[0, :, 0]
+        np.testing.assert_allclose(y, (np.eye(3) + a) @ x[0, :, 0], atol=1e-14)
 
     def test_against_power_sum_oracle(self):
+        # I + A is the power series sum_k c^k S^k of the one-step shift S
         rng = np.random.default_rng(3)
-        a = rng.standard_normal((5, 5))
-        x = rng.standard_normal((5, 4))
-        alphas = (0.7, -0.2, 1.3)
-        got = spatial_graph_filter(
-            from_array(a), from_array(x), GraphFilterSpec(alphas)
-        ).array
-        expected = np.zeros_like(x)
-        for k, alpha in enumerate(alphas):
-            expected += alpha * np.linalg.matrix_power(a, k) @ x
+        tau, c = 5, 0.7
+        x = rng.standard_normal((1, tau, 1, 4))
+        w_x = rng.standard_normal((3, 4))
+        got = srgtn_states(x, w_x, c=c)[0, :, 0]
+        shift = np.eye(tau, k=-1)
+        xhat = x[0, :, 0] @ w_x.T
+        expected = np.zeros_like(xhat)
+        for k in range(tau):
+            expected += c**k * np.linalg.matrix_power(shift, k) @ xhat
         np.testing.assert_allclose(got, expected, atol=1e-12)
 
     def test_linearity_in_signal(self):
         rng = np.random.default_rng(4)
-        a = from_array(rng.uniform(0, 1, (4, 4)))
-        x1 = rng.standard_normal((4, 3))
-        x2 = rng.standard_normal((4, 3))
-        spec = GraphFilterSpec((0.5, 1.0, -0.3))
-        lhs = spatial_graph_filter(a, from_array(2.0 * x1 - 3.0 * x2), spec).array
-        rhs = (
-            2.0 * spatial_graph_filter(a, from_array(x1), spec).array
-            - 3.0 * spatial_graph_filter(a, from_array(x2), spec).array
-        )
+        w_x = rng.standard_normal((3, 6))
+        w_h = rng.standard_normal((3, 3)) * 0.5
+        x1 = rng.standard_normal((2, 4, 2, 3))
+        x2 = rng.standard_normal((2, 4, 2, 3))
+        lhs = rnn_states(2.0 * x1 - 3.0 * x2, w_x, w_h)
+        rhs = 2.0 * rnn_states(x1, w_x, w_h) - 3.0 * rnn_states(x2, w_x, w_h)
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
     def test_causality_of_time_graph(self):
         rng = np.random.default_rng(5)
         tau = 5
-        a = build_time_adjacency(tau, 0.5).ascending()
-        x = rng.standard_normal((tau, 3))
-        spec = GraphFilterSpec((1.0, 1.0, 0.5))
-        base = spatial_graph_filter(a, from_array(x), spec).array
+        w_x = rng.standard_normal((3, 6))
+        w_h = rng.standard_normal((3, 3))
+        x = rng.standard_normal((1, tau, 2, 3))
+        base = rnn_states(x, w_x, w_h)[0]
         for s in range(tau):
             bumped = x.copy()
-            bumped[s] += 1.0
-            out = spatial_graph_filter(a, from_array(bumped), spec).array
+            bumped[0, s] += 1.0
+            out = rnn_states(bumped, w_x, w_h)[0]
             changed = np.any(out != base, axis=1)
             assert not np.any(changed[:s])
 
     def test_shape_errors(self):
-        a = from_array(np.zeros((3, 3)))
-        with pytest.raises(Exception):
-            spatial_graph_filter(a, from_array(np.zeros((4, 2))), GraphFilterSpec((1.0,)))
+        cfg = headless("srgtn", 3, 1, 2, 2)
         with pytest.raises(ValueError):
-            GraphFilterSpec(())
+            forward(cfg, {"w_x": np.eye(2)}, np.zeros((1, 4, 1, 2)))
+        with pytest.raises(ValueError):
+            forward(cfg, {"w_x": np.eye(2)}, np.zeros((3, 1, 2)))

@@ -1,11 +1,10 @@
-"""Model assemblies: equivalence with the pure layers, counts, gradients."""
+"""Model assemblies: equivalence with the oracles, counts, gradients, aliasing."""
 
 import numpy as np
 import pytest
 
+from oracles import block_map, rnn_loop, time_adjacency, tt_head_matrix, unflatten
 from rgtn import autodiff as ad
-from rgtn.graph import build_time_adjacency
-from rgtn.layers import RNNParams, build_coupling, grgtn_filter, rnn_forward, srgtn_filter
 from rgtn.models import (
     HeadConfig,
     ModelConfig,
@@ -15,8 +14,6 @@ from rgtn.models import (
     param_shapes,
     predict,
 )
-from rgtn.tensor import from_array, make_tensor
-from rgtn.tt import TTLinearLayer, TTNetwork, tt_layer_forward
 
 
 def small_config(variant, head_kind="tt", activation="tanh", tau=3, d=2, f=3, m=4, out=4):
@@ -36,29 +33,6 @@ def small_config(variant, head_kind="tt", activation="tanh", tau=3, d=2, f=3, m=
         out_dim=out,
         activation=activation,
         head=head,
-    )
-
-
-def unflatten_features(flat, block):
-    """Invert the per-sample first-mode-fastest flatten."""
-    b = flat.shape[0]
-    rev = flat.reshape((b,) + tuple(reversed(block)))
-    perm = (0,) + tuple(range(rev.ndim - 1, 0, -1))
-    return rev.transpose(perm)
-
-
-def layer_from_params(config, values):
-    """Build the pure TT layer equivalent of a model's head parameters."""
-    cores = []
-    for k in range(3):
-        arr = values[f"head.core{k}"]
-        r0, i, o, r1 = arr.shape
-        cores.append(from_array(arr.transpose(0, 2, 1, 3).reshape(r0, i * o, r1)))
-    bias = None
-    if config.head.bias:
-        bias = make_tensor(config.head.out_modes, values["head.bias"])
-    return TTLinearLayer(
-        TTNetwork(tuple(cores)), config.in_modes, config.head.out_modes, bias
     )
 
 
@@ -145,19 +119,12 @@ class TestForwardEquivalence:
             cfg = small_config(variant, head_kind="none", activation="identity")
             values = init_params(cfg, seed=1)
             x = rng.standard_normal((5, cfg.tau, cfg.d_phys, cfg.d_feat))
-            out = predict(cfg, values, x)
-            h = unflatten_features(out, cfg.feature_block)
-            tg = build_time_adjacency(cfg.tau, cfg.c)
-            w_x = from_array(values["w_x"])
+            h = unflatten(predict(cfg, values, x), cfg.feature_block)
+            a = time_adjacency(cfg.tau, cfg.c)
+            w_r = values["w_r"] if variant == "grgtn" else np.eye(cfg.hidden)
             for b in range(5):
                 for d in range(cfg.d_phys):
-                    xs = from_array(x[b, :, d, :])
-                    if variant == "grgtn":
-                        expect = grgtn_filter(
-                            build_coupling(tg, from_array(values["w_r"])), xs, w_x
-                        ).array
-                    else:
-                        expect = srgtn_filter(tg, xs, w_x).array
+                    expect = block_map(a, w_r, x[b, :, d, :] @ values["w_x"].T)
                     np.testing.assert_allclose(h[b, :, d, :], expect, atol=1e-12)
 
     def test_rnn_matches_pure_recurrence(self):
@@ -166,20 +133,11 @@ class TestForwardEquivalence:
         values = init_params(cfg, seed=2)
         values["b_h"] = rng.standard_normal(cfg.hidden) * 0.1
         x = rng.standard_normal((4, cfg.tau, cfg.d_phys, cfg.d_feat))
-        out = predict(cfg, values, x)
-        h = unflatten_features(out, cfg.feature_block)
-        params = RNNParams(
-            w_h=from_array(values["w_h"]),
-            w_x=from_array(values["w_x"]),
-            w_y=from_array(np.eye(cfg.hidden)),
-            b_h=from_array(values["b_h"]),
-            hidden_activation="tanh",
-        )
+        h = unflatten(predict(cfg, values, x), cfg.feature_block)
         for b in range(4):
-            flat = np.stack(
-                [x[b, t].ravel(order="F") for t in range(cfg.tau)], axis=0
-            )
-            expect = rnn_forward(params, from_array(flat)).array
+            # each step flattens (physical, feature) with the physical index fastest
+            flat = np.stack([x[b, t].ravel(order="F") for t in range(cfg.tau)], axis=0)
+            expect = rnn_loop(values["w_h"], values["w_x"], values["b_h"], flat)
             np.testing.assert_allclose(h[b], expect, atol=1e-12)
 
     def test_tt_head_matches_pure_layer(self):
@@ -190,12 +148,9 @@ class TestForwardEquivalence:
         x = rng.standard_normal((3, cfg.tau, cfg.d_phys, cfg.d_feat))
         got = predict(cfg, values, x)
         headless = small_config("srgtn", head_kind="none", activation="identity")
-        hvalues = {"w_x": values["w_x"]}
-        h = unflatten_features(predict(headless, hvalues, x), cfg.in_modes)
-        layer = layer_from_params(cfg, values)
-        for b in range(3):
-            expect = tt_layer_forward(layer, from_array(h[b]))
-            np.testing.assert_allclose(got[b], expect.data, atol=1e-12)
+        flat = predict(headless, {"w_x": values["w_x"]}, x)
+        w = tt_head_matrix([values[f"head.core{k}"] for k in range(3)])
+        np.testing.assert_allclose(got, flat @ w + values["head.bias"], atol=1e-12)
 
     def test_dense_head_matches_flat_matmul(self):
         rng = np.random.default_rng(3)
@@ -258,3 +213,30 @@ class TestModelGradients:
             assert got is not None, name
             scale = max(np.abs(fd).max(), np.abs(got).max(), 1e-8)
             assert np.abs(got - fd).max() / scale <= 1e-5, name
+
+
+class TestNoAliasing:
+    """Tape nodes share the caller's arrays, so nothing may write into them."""
+
+    @pytest.mark.parametrize("variant,head", [
+        ("grgtn", "tt"),
+        ("srgtn", "tt"),
+        ("rnn", "dense"),
+        ("grgtn", "none"),
+    ])
+    def test_forward_backward_leave_inputs_unchanged(self, variant, head):
+        rng = np.random.default_rng(7)
+        cfg = small_config(variant, head_kind=head)
+        values = init_params(cfg, seed=8)
+        values = {k: v + rng.standard_normal(v.shape) * 0.1 for k, v in values.items()}
+        x = rng.standard_normal((3, cfg.tau, cfg.d_phys, cfg.d_feat))
+        before = {k: v.copy() for k, v in values.items()}
+        x_before = x.copy()
+        nodes = {name: ad.constant(v) for name, v in values.items()}
+        for name, node in nodes.items():
+            assert node.array is values[name]
+        ad.backward(ad.mse_loss(forward(cfg, nodes, x), rng.standard_normal((3, cfg.out_dim))))
+        for name in values:
+            assert np.array_equal(values[name], before[name]), name
+            assert nodes[name].grad is not None, name
+        assert np.array_equal(x, x_before)

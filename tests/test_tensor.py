@@ -1,24 +1,27 @@
-"""Dense tensor engine tests against independent nested-loop oracles."""
+"""Array conventions the package relies on, against independent oracles.
+
+Contractions run through the tape's ``tensordot`` (0-based axes) and are
+checked against nested loops; the Kronecker structure of the grgtn map
+I + A kron W_r and its powers are read off ``models.forward`` by probing
+it with unit inputs; first-mode-fastest flattening is checked on the
+models' flattened feature block and on the checkpoint payload.
+"""
 
 import numpy as np
 import pytest
 
-from rgtn.tensor import (
-    DenseTensor,
-    ShapeError,
-    add,
-    contract,
-    contract_multi,
-    from_array,
-    identity,
-    kronecker,
-    make_tensor,
-    matrix_power,
-    scale,
-    tensorize,
-    vectorize,
-    zeros,
+from oracles import (
+    block_map,
+    headless,
+    hidden_states,
+    payload_header,
+    raw_checkpoint,
+    time_adjacency,
 )
+from rgtn import autodiff as ad
+from rgtn.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from rgtn.models import forward
+from rgtn.tensor import ShapeError, from_array
 
 
 def le_position(index, shape):
@@ -54,109 +57,135 @@ def contract_oracle(a, b, ax_a, ax_b):
     return out
 
 
-def kron_oracle(a, b):
-    """Entrywise Kronecker product via the paired-index rule (0-based)."""
-    out = np.zeros([ia * jb for ia, jb in zip(a.shape, b.shape)])
-    for i in np.ndindex(*a.shape):
-        for j in np.ndindex(*b.shape):
-            pos = tuple(ii * jj_ext + jj for ii, jj, jj_ext in zip(i, j, b.shape))
-            out[pos] = a[i] * b[j]
-    return out
+def contract(a, b, axes_a, axes_b):
+    """Forward value of the tape contraction on plain arrays."""
+    return ad.tensordot(ad.constant(a), ad.constant(b), axes_a, axes_b).array
+
+
+def grgtn_states(x, w_r, c=0.5):
+    """grgtn hidden block of a (batch, tau, physical, m) input with W_x = I."""
+    _, tau, p, m = x.shape
+    cfg = headless("grgtn", tau, p, m, m, c=c)
+    return hidden_states(cfg, {"w_x": np.eye(m), "w_r": w_r}, x)
+
+
+def grgtn_matrix(w_r, tau, c=0.5):
+    """The grgtn map on one slice as a (tau*m, tau*m) matrix, hidden index fastest."""
+    m = w_r.shape[0]
+    probes = np.eye(tau * m).reshape(tau * m, tau, 1, m)
+    return grgtn_states(probes, w_r, c).reshape(tau * m, tau * m).T
+
+
+def checkpoint_payload(path):
+    """The float64 payload of a checkpoint with a single entry."""
+    blob = open(path, "rb").read()
+    (head_len,) = np.frombuffer(blob[12:20], dtype="<u8")
+    return np.frombuffer(blob[20 + int(head_len) :], dtype="<f8")
 
 
 class TestConstruction:
-    def test_matrix_layout_first_mode_fastest(self):
-        t = make_tensor((2, 2), [1, 3, 2, 4])
-        np.testing.assert_array_equal(t.array, [[1, 2], [3, 4]])
+    def test_matrix_layout_first_mode_fastest(self, tmp_path):
+        path = str(tmp_path / "m.rgtn")
+        save_checkpoint(path, {"m": np.array([[1.0, 2.0], [3.0, 4.0]])}, {})
+        np.testing.assert_array_equal(checkpoint_payload(path), [1, 3, 2, 4])
 
     def test_scalar(self):
-        t = make_tensor((), [7])
+        t = from_array(7.0)
         assert t.order == 0
         assert t.array == 7.0
 
-    def test_length_mismatch(self):
-        with pytest.raises(ShapeError):
-            make_tensor((2, 3), [1, 2, 3, 4, 5])
-
-    def test_bad_extent(self):
-        with pytest.raises(ShapeError):
-            make_tensor((2, 0), [])
-
-    def test_nested_values_rejected(self):
-        with pytest.raises(ShapeError):
-            make_tensor((2, 2), [[1, 2], [3, 4]])
-
     def test_immutable(self):
-        t = make_tensor((2,), [1, 2])
+        source = np.array([1.0, 2.0])
+        t = from_array(source)
         with pytest.raises(ValueError):
             t.array[0] = 5.0
+        source[0] = 5.0
+        assert t.array[0] == 1.0
 
 
 class TestVectorizeTensorize:
     def test_matrix_vectorize(self):
-        t = make_tensor((2, 2), [1, 3, 2, 4])
-        np.testing.assert_array_equal(vectorize(t).array, [1, 3, 2, 4])
+        # one time step: the (physical, hidden) block flattens physical-fastest
+        x = np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(1, 1, 2, 2)
+        cfg = headless("srgtn", 1, 2, 2, 2)
+        out = forward(cfg, {"w_x": np.eye(2)}, x).array
+        np.testing.assert_array_equal(out, [[1, 3, 2, 4]])
 
-    def test_scalar_vectorize(self):
-        np.testing.assert_array_equal(vectorize(make_tensor((), [5])).array, [5])
+    def test_scalar_vectorize(self, tmp_path):
+        path = str(tmp_path / "s.rgtn")
+        save_checkpoint(path, {"s": np.asarray(5.0)}, {})
+        np.testing.assert_array_equal(checkpoint_payload(path), [5])
+        assert load_checkpoint(path)[0]["s"].shape == ()
 
     def test_order3_linear_positions(self):
         rng = np.random.default_rng(0)
-        t = from_array(rng.standard_normal((3, 4, 5)))
-        flat = vectorize(t).array
-        for idx in np.ndindex(3, 4, 5):
-            assert flat[le_position(idx, (3, 4, 5))] == t.array[idx]
+        tau, p, m = 3, 4, 5
+        cfg = headless("grgtn", tau, p, 2, m)
+        values = {"w_x": rng.standard_normal((m, 2)), "w_r": rng.standard_normal((m, m))}
+        x = rng.standard_normal((1, tau, p, 2))
+        flat = forward(cfg, values, x).array[0]
+        a = time_adjacency(tau, 0.5)
+        for d in range(p):
+            h = block_map(a, values["w_r"], x[0, :, d] @ values["w_x"].T)
+            for t, i in np.ndindex(tau, m):
+                assert abs(flat[le_position((t, d, i), (tau, p, m))] - h[t, i]) < 1e-12
 
-    def test_tensorize_examples(self):
-        v = make_tensor((4,), [1, 3, 2, 4])
-        np.testing.assert_array_equal(tensorize(v, (2, 2)).array, [[1, 2], [3, 4]])
-        assert tensorize(make_tensor((1,), [5]), ()).array == 5.0
+    def test_tensorize_examples(self, tmp_path):
+        payload = np.array([1.0, 3.0, 2.0, 4.0, 5.0]).astype("<f8").tobytes()
+        entries = [
+            {"name": "m", "shape": [2, 2], "offset": 0, "count": 4},
+            {"name": "s", "shape": [], "offset": 4, "count": 1},
+        ]
+        path = tmp_path / "raw.rgtn"
+        path.write_bytes(raw_checkpoint(payload_header(entries, payload), payload))
+        arrays, _ = load_checkpoint(str(path))
+        np.testing.assert_array_equal(arrays["m"], [[1, 2], [3, 4]])
+        assert arrays["s"] == 5.0
 
-    def test_length_mismatch(self):
-        with pytest.raises(ShapeError):
-            tensorize(make_tensor((4,), [1, 2, 3, 4]), (3, 2))
+    def test_length_mismatch(self, tmp_path):
+        # a payload too short for its entry, with a matching digest
+        payload = np.arange(3.0).astype("<f8").tobytes()
+        entries = [{"name": "m", "shape": [2, 2], "offset": 0, "count": 4}]
+        path = tmp_path / "short.rgtn"
+        path.write_bytes(raw_checkpoint(payload_header(entries, payload), payload))
+        with pytest.raises(CheckpointError, match="truncated"):
+            load_checkpoint(str(path))
 
     @pytest.mark.parametrize("shape", [(), (4,), (2, 3), (3, 4, 5), (2, 2, 2, 2), (2, 1, 3, 2, 2)])
-    def test_round_trip_exact(self, shape):
+    def test_round_trip_exact(self, shape, tmp_path):
         rng = np.random.default_rng(1)
-        t = from_array(rng.standard_normal(shape))
-        back = tensorize(vectorize(t), shape)
-        assert np.array_equal(back.array, t.array)
+        t = rng.standard_normal(shape)
+        path = str(tmp_path / "t.rgtn")
+        save_checkpoint(path, {"t": t}, {})
+        flat = checkpoint_payload(path)
+        assert np.array_equal(flat, t.ravel(order="F"))
+        back = load_checkpoint(path)[0]["t"]
+        assert back.shape == shape
+        assert np.array_equal(back, t)
 
 
 class TestContract:
     def test_matrix_multiplication(self):
-        a = make_tensor((2, 2), [1, 3, 2, 4])
-        b = make_tensor((2, 2), [5, 7, 6, 8])
-        c = contract(a, b, 2, 1)
-        np.testing.assert_array_equal(c.array, [[19, 22], [43, 50]])
+        a = np.array([[1.0, 2.0], [3.0, 4.0]])
+        b = np.array([[5.0, 6.0], [7.0, 8.0]])
+        np.testing.assert_array_equal(contract(a, b, (1,), (0,)), [[19, 22], [43, 50]])
 
     def test_identity(self):
         rng = np.random.default_rng(2)
-        a = from_array(rng.standard_normal((3, 3)))
-        c = contract(a, identity(3), 2, 1)
-        np.testing.assert_allclose(c.array, a.array, atol=1e-12)
+        a = rng.standard_normal((3, 3))
+        np.testing.assert_allclose(contract(a, np.eye(3), (1,), (0,)), a, atol=1e-12)
 
     def test_against_loop_oracle(self):
         rng = np.random.default_rng(3)
-        a = from_array(rng.standard_normal((2, 3, 4)))
-        b = from_array(rng.standard_normal((4, 5)))
-        c = contract(a, b, 3, 1)
+        a = rng.standard_normal((2, 3, 4))
+        b = rng.standard_normal((4, 5))
+        c = contract(a, b, (2,), (0,))
         assert c.shape == (2, 3, 5)
-        np.testing.assert_allclose(c.array, contract_oracle(a.array, b.array, [2], [0]), atol=1e-12)
+        np.testing.assert_allclose(c, contract_oracle(a, b, [2], [0]), atol=1e-12)
 
     def test_dimension_mismatch(self):
-        a = from_array(np.ones((2, 3)))
-        b = from_array(np.ones((4, 2)))
         with pytest.raises(ShapeError):
-            contract(a, b, 2, 1)
-
-    def test_mode_out_of_range(self):
-        a = from_array(np.ones((2, 3)))
-        with pytest.raises(ShapeError):
-            contract(a, a, 3, 1)
-        with pytest.raises(ShapeError):
-            contract(a, a, 0, 1)
+            contract(np.ones((2, 3)), np.ones((4, 2)), (1,), (0,))
 
     def test_random_shapes_vs_oracle(self):
         rng = np.random.default_rng(4)
@@ -167,13 +196,14 @@ class TestContract:
             sb = list(rng.integers(1, 4, size=nb))
             ax_b = int(rng.integers(0, nb))
             sb[ax_b] = sa[ax_a]
-            a = from_array(rng.standard_normal(sa))
-            b = from_array(rng.standard_normal(tuple(sb)))
+            a = rng.standard_normal(sa)
+            b = rng.standard_normal(tuple(sb))
             if a.size * b.size > 200 * 200:
                 continue
-            c = contract(a, b, ax_a + 1, ax_b + 1)
             np.testing.assert_allclose(
-                c.array, contract_oracle(a.array, b.array, [ax_a], [ax_b]), atol=1e-12
+                contract(a, b, (ax_a,), (ax_b,)),
+                contract_oracle(a, b, [ax_a], [ax_b]),
+                atol=1e-12,
             )
 
 
@@ -181,104 +211,106 @@ class TestContractMulti:
     def test_coupling_shape_contract(self):
         rng = np.random.default_rng(5)
         tau, m = 3, 2
-        r4 = from_array(rng.standard_normal((tau, m, tau, m)))
-        x = from_array(rng.standard_normal((tau, m)))
-        h = contract_multi(r4, x, (3, 4), (1, 2))
-        assert h.shape == (tau, m)
+        r4 = rng.standard_normal((tau, m, tau, m))
+        x = rng.standard_normal((tau, m))
+        assert contract(r4, x, (2, 3), (0, 1)).shape == (tau, m)
 
     def test_single_pair_reduces_to_contract(self):
         rng = np.random.default_rng(6)
-        a = from_array(rng.standard_normal((2, 3, 4)))
-        b = from_array(rng.standard_normal((3, 5)))
+        a = rng.standard_normal((2, 3, 4))
+        b = rng.standard_normal((3, 5))
         np.testing.assert_array_equal(
-            contract_multi(a, b, (2,), (1,)).array, contract(a, b, 2, 1).array
+            contract(a, b, (1,), (0,)), np.tensordot(a, b, axes=(1, 0))
         )
 
     def test_double_contraction_vs_oracle(self):
         rng = np.random.default_rng(7)
-        a = from_array(rng.standard_normal((2, 3, 2, 3)))
-        b = from_array(rng.standard_normal((2, 3)))
-        c = contract_multi(a, b, (3, 4), (1, 2))
+        a = rng.standard_normal((2, 3, 2, 3))
+        b = rng.standard_normal((2, 3))
         np.testing.assert_allclose(
-            c.array, contract_oracle(a.array, b.array, [2, 3], [0, 1]), atol=1e-12
+            contract(a, b, (2, 3), (0, 1)), contract_oracle(a, b, [2, 3], [0, 1]), atol=1e-12
         )
 
     def test_equals_iterated_single_contractions(self):
-        # Two pairs: one library contraction followed by a partial trace over
-        # the renumbered second pair must agree with the double contraction.
+        # One single contraction followed by a partial trace over the
+        # renumbered second pair must agree with the double contraction.
         rng = np.random.default_rng(8)
         for _ in range(10):
-            a = from_array(rng.standard_normal((2, 4, 3, 4)))
-            b = from_array(rng.standard_normal((4, 5, 4)))
-            got = contract_multi(a, b, (2, 4), (1, 3))
-            c1 = contract(a, b, 2, 1)  # modes: a(1,3,4) then b(2,3)
-            # a mode 4 is now position 3; b mode 3 is now position 5
-            iterated = np.trace(c1.array, axis1=2, axis2=4)
-            np.testing.assert_allclose(got.array, iterated, atol=1e-12)
+            a = rng.standard_normal((2, 4, 3, 4))
+            b = rng.standard_normal((4, 5, 4))
+            got = contract(a, b, (1, 3), (0, 2))
+            c1 = contract(a, b, (1,), (0,))  # axes: a(0, 2, 3) then b(1, 2)
+            iterated = np.trace(c1, axis1=2, axis2=4)
+            np.testing.assert_allclose(got, iterated, atol=1e-12)
 
     def test_full_contraction_of_b(self):
         rng = np.random.default_rng(9)
-        a = from_array(rng.standard_normal((2, 3, 4)))
-        b = from_array(rng.standard_normal((3, 4)))
-        c = contract_multi(a, b, (2, 3), (1, 2))
+        a = rng.standard_normal((2, 3, 4))
+        b = rng.standard_normal((3, 4))
+        c = contract(a, b, (1, 2), (0, 1))
         assert c.shape == (2,)
-        np.testing.assert_allclose(
-            c.array, contract_oracle(a.array, b.array, [1, 2], [0, 1]), atol=1e-12
-        )
+        np.testing.assert_allclose(c, contract_oracle(a, b, [1, 2], [0, 1]), atol=1e-12)
 
     def test_duplicate_mode_error(self):
-        a = from_array(np.ones((2, 2)))
-        with pytest.raises(ShapeError):
-            contract_multi(a, a, (1, 1), (1, 2))
+        with pytest.raises(ValueError):
+            contract(np.ones((2, 2)), np.ones((2, 2)), (0, 0), (0, 1))
 
     def test_length_mismatch_error(self):
-        a = from_array(np.ones((2, 2)))
         with pytest.raises(ShapeError):
-            contract_multi(a, a, (1, 2), (1,))
+            contract(np.ones((2, 2)), np.ones((2, 2)), (0, 1), (0,))
 
 
 class TestKronecker:
     def test_identity_kron_identity(self):
-        c = kronecker(identity(2), identity(2))
-        np.testing.assert_array_equal(c.array, np.eye(4))
+        tau, m = 3, 2
+        a = time_adjacency(tau, 0.5)
+        got = grgtn_matrix(np.eye(m), tau)
+        np.testing.assert_allclose(got, np.eye(tau * m) + np.kron(a, np.eye(m)), atol=1e-15)
 
     def test_block_matrix_example(self):
-        a = make_tensor((2, 2), [1, 3, 2, 4])
-        b = make_tensor((2, 2), [0, 1, 1, 0])
-        c = kronecker(a, b)
+        w_r = np.array([[0.0, 1.0], [1.0, 0.0]])
         expected = [
-            [0, 1, 0, 2],
-            [1, 0, 2, 0],
-            [0, 3, 0, 4],
-            [3, 0, 4, 0],
+            [1, 0, 0, 0],
+            [0, 1, 0, 0],
+            [0, 0.5, 1, 0],
+            [0.5, 0, 0, 1],
         ]
-        np.testing.assert_array_equal(c.array, expected)
+        np.testing.assert_array_equal(grgtn_matrix(w_r, 2), expected)
 
     def test_order3_vs_index_rule_oracle(self):
+        # h[t, p, m] = x[t, p, m] + sum_{s, k} A[t, s] W_r[m, k] x[s, p, k]
         rng = np.random.default_rng(10)
-        a = from_array(rng.standard_normal((2, 3, 2)))
-        b = from_array(rng.standard_normal((3, 2, 2)))
-        c = kronecker(a, b)
-        np.testing.assert_allclose(c.array, kron_oracle(a.array, b.array), atol=1e-12)
+        tau, p, m = 3, 2, 3
+        w_r = rng.standard_normal((m, m))
+        x = rng.standard_normal((1, tau, p, m))
+        a = time_adjacency(tau, 0.5)
+        expected = x[0].copy()
+        for t, d, i in np.ndindex(tau, p, m):
+            for s, k in np.ndindex(tau, m):
+                expected[t, d, i] += a[t, s] * w_r[i, k] * x[0, s, d, k]
+        np.testing.assert_allclose(grgtn_states(x, w_r)[0], expected, atol=1e-12)
 
     def test_block_structure_for_matrices(self):
         rng = np.random.default_rng(11)
-        a = from_array(rng.standard_normal((3, 2)))
-        b = from_array(rng.standard_normal((2, 4)))
-        c = kronecker(a, b).array
-        for i in range(3):
-            for j in range(2):
-                block = c[2 * i : 2 * i + 2, 4 * j : 4 * j + 4]
-                np.testing.assert_allclose(block, a.array[i, j] * b.array, atol=1e-12)
+        tau, m = 4, 3
+        w_r = rng.standard_normal((m, m))
+        a = time_adjacency(tau, 0.5)
+        got = grgtn_matrix(w_r, tau)
+        for t in range(tau):
+            for s in range(tau):
+                block = got[m * t : m * t + m, m * s : m * s + m]
+                expect = a[t, s] * w_r + (np.eye(m) if t == s else 0.0)
+                np.testing.assert_allclose(block, expect, atol=1e-12)
 
     def test_unequal_order_promotion(self):
-        a = from_array(np.ones((2, 2)))
-        v = from_array(np.array([1.0, 2.0]))
-        c = kronecker(a, v)
-        assert c.shape == (4, 2)
-        np.testing.assert_allclose(
-            c.array, kron_oracle(a.array, v.array.reshape(2, 1)), atol=1e-12
-        )
+        # on the (tau, physical, hidden) block the map is I + A kron I_P kron W_r
+        rng = np.random.default_rng(12)
+        tau, p, m = 3, 2, 2
+        w_r = rng.standard_normal((m, m))
+        x = rng.standard_normal((1, tau, p, m))
+        big = np.eye(tau * p * m) + np.kron(time_adjacency(tau, 0.5), np.kron(np.eye(p), w_r))
+        expected = (big @ x[0].reshape(-1)).reshape(tau, p, m)
+        np.testing.assert_allclose(grgtn_states(x, w_r)[0], expected, atol=1e-12)
 
 
 class TestElementwiseAndPowers:
@@ -286,34 +318,39 @@ class TestElementwiseAndPowers:
         rng = np.random.default_rng(12)
         a = rng.standard_normal((3, 2, 2))
         b = rng.standard_normal((3, 2, 2))
-        c = add(from_array(a), from_array(b))
+        c = ad.add(ad.constant(a), ad.constant(b)).array
         for idx in np.ndindex(3, 2, 2):
-            assert c.array[idx] == a[idx] + b[idx]
+            assert c[idx] == a[idx] + b[idx]
 
     def test_add_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            add(zeros((2, 2)), zeros((2, 3)))
+            ad.add(ad.constant(np.zeros((2, 2))), ad.constant(np.zeros((2, 3))))
 
     def test_scale(self):
-        t = make_tensor((2,), [1, -2])
-        np.testing.assert_array_equal(scale(t, -3.0).array, [-3, 6])
+        got = ad.scale_by(ad.constant(np.array([1.0, -2.0])), -3.0).array
+        np.testing.assert_array_equal(got, [-3, 6])
 
     def test_power_zero_is_identity(self):
+        # a step's own input reaches it through the zeroth power: identity blocks
         rng = np.random.default_rng(13)
-        a = from_array(rng.standard_normal((4, 4)))
-        np.testing.assert_array_equal(matrix_power(a, 0).array, np.eye(4))
+        m, tau = 4, 3
+        got = grgtn_matrix(rng.standard_normal((m, m)), tau)
+        for t in range(tau):
+            np.testing.assert_array_equal(got[m * t : m * t + m, m * t : m * t + m], np.eye(m))
 
     def test_nilpotent_power(self):
-        a = from_array(np.triu(np.ones((3, 3)), k=1))
-        np.testing.assert_array_equal(matrix_power(a, 3).array, np.zeros((3, 3)))
+        # the coupling part A kron W_r is nilpotent: no input outlives the window
+        rng = np.random.default_rng(14)
+        m, tau = 2, 3
+        coupling = grgtn_matrix(rng.standard_normal((m, m)), tau) - np.eye(tau * m)
+        np.testing.assert_allclose(
+            np.linalg.matrix_power(coupling, tau), np.zeros((tau * m, tau * m)), atol=1e-14
+        )
 
     def test_power_requires_square(self):
-        with pytest.raises(ShapeError):
-            matrix_power(zeros((2, 3)), 2)
-
-    def test_negative_power_rejected(self):
-        with pytest.raises(ShapeError):
-            matrix_power(identity(2), -1)
+        cfg = headless("grgtn", 2, 1, 2, 2)
+        with pytest.raises(ValueError):
+            forward(cfg, {"w_x": np.eye(2), "w_r": np.zeros((2, 3))}, np.zeros((1, 2, 1, 2)))
 
 
 class TestMatrixSpecialization:
@@ -323,5 +360,4 @@ class TestMatrixSpecialization:
             i, k, j = rng.integers(1, 7, size=3)
             a = rng.standard_normal((i, k))
             b = rng.standard_normal((k, j))
-            c = contract(from_array(a), from_array(b), 2, 1)
-            np.testing.assert_allclose(c.array, a @ b, atol=1e-12)
+            np.testing.assert_allclose(contract(a, b, (1,), (0,)), a @ b, atol=1e-12)

@@ -116,6 +116,19 @@ class TestTrainLoop:
         _, trace_b = train(model, ds, config)
         assert trace_a == trace_b
 
+    def test_caller_arrays_unchanged(self):
+        # tape nodes hold the caller's arrays without copying them
+        model, ds, config = regression_setup(epochs=2)
+        inputs, targets = ds.inputs.copy(), ds.targets.copy()
+        store, _ = train(model, ds, config)
+        assert np.array_equal(ds.inputs, inputs)
+        assert np.array_equal(ds.targets, targets)
+        values = store.values()
+        before = {k: v.copy() for k, v in values.items()}
+        evaluate(model, values, ds, split="test")
+        for name, arr in values.items():
+            assert np.array_equal(arr, before[name]), name
+
     def test_trace_fields(self):
         model, ds, config = regression_setup(epochs=2)
         _, trace = train(model, ds, config)

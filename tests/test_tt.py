@@ -1,18 +1,11 @@
-"""Tensor-train tests: decomposition accuracy, counting, compressed layers."""
+"""Tensor-train tests: decomposition accuracy, counting, the models' TT head."""
 
 import numpy as np
 import pytest
 
-from rgtn.tensor import ShapeError, from_array, make_tensor, vectorize
-from rgtn.tt import (
-    TTLinearLayer,
-    TTNetwork,
-    dense_param_count,
-    tt_layer_forward,
-    tt_param_count,
-    tt_reconstruct,
-    tt_svd,
-)
+from rgtn.models import HeadConfig, ModelConfig, forward, param_shapes
+from rgtn.tensor import ShapeError, from_array
+from rgtn.tt import TTNetwork, dense_param_count, tt_param_count, tt_reconstruct, tt_svd
 
 
 def reconstruct_loop(tt):
@@ -32,43 +25,40 @@ def reconstruct_loop(tt):
     return out
 
 
-def dense_layer_weight(layer):
-    """Reconstruct the layer weight as a (prod in, prod out) matrix."""
-    chain = None
-    for k, core in enumerate(layer.tt.cores):
-        r0, _, r1 = core.shape
-        paired = core.array.reshape(
-            r0, layer.in_shape[k], layer.out_shape[k], r1, order="F"
-        )
-        if chain is None:
-            chain = paired
-        else:
-            chain = np.tensordot(chain, paired, axes=(chain.ndim - 1, 0))
-    chain = chain[0, ..., 0]
-    n = len(layer.in_shape)
-    perm = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
-    grouped = chain.transpose(perm)
-    return grouped.reshape(
-        int(np.prod(layer.in_shape)), int(np.prod(layer.out_shape)), order="F"
+def head_config(d_phys, out_modes, ranks, bias=True):
+    """An srgtn over one step with hidden = d_feat = 2, run with W_x = I.
+
+    With tau = 1 and W_x = I the body passes its input through unchanged,
+    so ``forward`` applies the TT head to the (1, d_phys, 2) block x.
+    """
+    return ModelConfig(
+        "srgtn", 1, d_phys, 2, 2, int(np.prod(out_modes)), activation="identity",
+        head=HeadConfig(kind="tt", ranks=ranks, out_modes=out_modes, bias=bias),
     )
 
 
-def random_layer(rng, in_shape, out_shape, ranks, with_bias=True):
-    full = (1,) + tuple(ranks) + (1,)
-    cores = tuple(
-        from_array(rng.standard_normal((full[k], i * o, full[k + 1])))
-        for k, (i, o) in enumerate(zip(in_shape, out_shape))
-    )
-    bias = from_array(rng.standard_normal(out_shape)) if with_bias else None
-    return TTLinearLayer(TTNetwork(cores), in_shape, out_shape, bias)
+def head_values(rng, cfg):
+    values = {name: rng.standard_normal(shape) for name, shape in param_shapes(cfg).items()}
+    values["w_x"] = np.eye(2)
+    return values
 
 
-def identity_layer(mode_sizes):
-    cores = tuple(
-        from_array(np.eye(i).ravel(order="F").reshape(1, i * i, 1))
-        for i in mode_sizes
-    )
-    return TTLinearLayer(TTNetwork(cores), mode_sizes, mode_sizes, None)
+def head_matrix_via_reconstruct(values):
+    """Dense (prod in, prod out) head matrix from tt_reconstruct of the paired cores.
+
+    Core k of the head is (r0, in_k, out_k, r1); with the mode pair merged
+    (in index fastest) it is an ordinary TT core, so the chain reconstructs
+    to the (in_1 out_1, in_2 out_2, in_3 out_3) tensor of the weight.
+    """
+    cores = [values[f"head.core{k}"] for k in range(3)]
+    paired = [c.reshape(c.shape[0], -1, c.shape[3], order="F") for c in cores]
+    dense = tt_reconstruct(TTNetwork(tuple(from_array(c) for c in paired))).array
+    ins = [c.shape[1] for c in cores]
+    outs = [c.shape[2] for c in cores]
+    split = dense.reshape(
+        (ins[0], outs[0], ins[1], outs[1], ins[2], outs[2]), order="F"
+    ).transpose(0, 2, 4, 1, 3, 5)
+    return split.reshape(int(np.prod(ins)), int(np.prod(outs)), order="F")
 
 
 class TestNetworkValidation:
@@ -118,7 +108,7 @@ class TestSVD:
             tt_svd(x)
 
     def test_order1(self):
-        x = make_tensor((4,), [1, 2, 3, 4])
+        x = from_array(np.array([1.0, 2.0, 3.0, 4.0]))
         tt = tt_svd(x)
         assert tt.ranks == (1, 1)
         np.testing.assert_allclose(tt_reconstruct(tt).array, x.array, atol=1e-14)
@@ -213,42 +203,55 @@ class TestParamCount:
 
 
 class TestLinearLayer:
+    """The models' TT head (see ``rgtn.models``) against dense references."""
+
     def test_identity_layer(self):
         rng = np.random.default_rng(9)
-        layer = identity_layer((2, 3, 2))
-        x = from_array(rng.standard_normal((2, 3, 2)))
-        np.testing.assert_allclose(tt_layer_forward(layer, x).array, x.array, atol=1e-14)
+        cfg = head_config(3, (1, 3, 2), ranks=(1, 1), bias=False)
+        values = {"w_x": np.eye(2)}
+        for k, n in enumerate((1, 3, 2)):
+            values[f"head.core{k}"] = np.eye(n).reshape(1, n, n, 1)
+        h = rng.standard_normal((4, 1, 3, 2))
+        got = forward(cfg, values, h).array
+        np.testing.assert_allclose(got, h.reshape(4, -1, order="F"), atol=1e-14)
 
     def test_matches_dense_oracle(self):
         rng = np.random.default_rng(10)
         for _ in range(5):
-            layer = random_layer(rng, (3, 2, 4), (2, 2, 3), ranks=(2, 3))
-            x = from_array(rng.standard_normal((3, 2, 4)))
-            got = tt_layer_forward(layer, x)
-            w = dense_layer_weight(layer)
-            expect = w.T @ vectorize(x).array + layer.bias.data
-            rel = np.linalg.norm(got.data - expect) / np.linalg.norm(expect)
+            cfg = head_config(2, (2, 2, 3), ranks=(2, 3))
+            values = head_values(rng, cfg)
+            h = rng.standard_normal((3, 1, 2, 2))
+            got = forward(cfg, values, h).array
+            w = head_matrix_via_reconstruct(values)
+            expect = h.reshape(3, -1, order="F") @ w + values["head.bias"]
+            rel = np.linalg.norm(got - expect) / np.linalg.norm(expect)
             assert rel <= 1e-10
-            assert got.shape == (2, 2, 3)
+            assert got.shape == (3, 12)
 
     def test_zero_input_zero_bias(self):
         rng = np.random.default_rng(11)
-        layer = random_layer(rng, (2, 2), (3, 2), ranks=(2,), with_bias=False)
-        y = tt_layer_forward(layer, from_array(np.zeros((2, 2))))
-        np.testing.assert_array_equal(y.array, np.zeros((3, 2)))
+        cfg = head_config(2, (3, 2, 1), ranks=(2, 2), bias=False)
+        y = forward(cfg, head_values(rng, cfg), np.zeros((2, 1, 2, 2))).array
+        np.testing.assert_array_equal(y, np.zeros((2, 6)))
 
     def test_input_shape_mismatch(self):
         rng = np.random.default_rng(12)
-        layer = random_layer(rng, (2, 2), (3, 2), ranks=(2,))
-        with pytest.raises(ShapeError):
-            tt_layer_forward(layer, from_array(np.zeros((2, 3))))
+        cfg = head_config(2, (3, 2, 1), ranks=(2, 2))
+        with pytest.raises(ValueError):
+            forward(cfg, head_values(rng, cfg), np.zeros((2, 1, 3, 2)))
 
     def test_middle_extent_must_factor(self):
-        cores = (from_array(np.ones((1, 5, 1))),)
-        with pytest.raises(ShapeError):
-            TTLinearLayer(TTNetwork(cores), (2,), (2,), None)
+        rng = np.random.default_rng(13)
+        cfg = head_config(2, (3, 2, 1), ranks=(2, 2))
+        values = head_values(rng, cfg)
+        values["head.core1"] = np.ones((2, 4, 1, 2))
+        with pytest.raises(ValueError):
+            forward(cfg, values, np.zeros((1, 1, 2, 2)))
 
     def test_bias_shape_checked(self):
-        cores = (from_array(np.ones((1, 4, 1))),)
-        with pytest.raises(ShapeError):
-            TTLinearLayer(TTNetwork(cores), (2,), (2,), from_array(np.ones(3)))
+        rng = np.random.default_rng(14)
+        cfg = head_config(2, (3, 2, 1), ranks=(2, 2))
+        values = head_values(rng, cfg)
+        values["head.bias"] = np.ones(3)
+        with pytest.raises(ValueError):
+            forward(cfg, values, np.zeros((1, 1, 2, 2)))
