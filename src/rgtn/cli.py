@@ -30,7 +30,7 @@ from .config import (
     run_config_from_dict,
 )
 from .data import CsvFormatError, CsvSchemaError
-from .models import ModelConfig, param_count, param_shapes
+from .models import ModelConfig
 from .tensor import from_array
 from .training import TrainingDiverged, evaluate, train
 from .tt import dense_param_count, tt_param_count, tt_reconstruct, tt_svd
@@ -77,7 +77,7 @@ def _summary_pairs(run: RunConfig, model: ModelConfig, metrics: dict, wall: floa
         ("parameter_count", metrics["parameter_count"]),
         ("epochs", run.training.epochs),
         ("train_seed", run.training.seed),
-        ("data_seed", int(run.data.get("seed", 0))),
+        ("data_seed", run.data.seed),
         ("wall_time_s", wall),
     ]
 
@@ -127,15 +127,6 @@ def cmd_eval(args) -> int:
         run = run_config_from_dict(meta["config"], args.seed)
     else:
         raise CheckpointError(f"{args.checkpoint}: model checkpoint has no config snapshot")
-    expected = param_shapes(run.model)
-    for name, shape in expected.items():
-        if name not in arrays:
-            raise ValueError(f"checkpoint lacks parameter {name!r} required by the model")
-        if tuple(arrays[name].shape) != shape:
-            raise ValueError(
-                f"parameter {name!r}: checkpoint shape {tuple(arrays[name].shape)} "
-                f"does not match model shape {shape}"
-            )
     dataset = build_dataset(run)
     metrics = evaluate(run.model, arrays, dataset, split="test")
     key, value = _metric_pair(metrics)

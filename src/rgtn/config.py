@@ -1,16 +1,22 @@
 """Run configuration: one YAML file fully determines a run.
 
-Sections: ``model`` (variant and layer sizes), ``data`` (csv path and
-schema, or a synthetic generator), ``training`` (optimizer and schedule),
-``output`` (directory), and optionally ``bench`` (variant list for
-side-by-side comparisons).  Validation errors carry the dotted field path.
+The dataclasses are the schema: one reader builds each section from the
+dataclass that consumes it, taking keys, types and defaults from its fields.
+``model`` and ``model.head`` belong to ``models.ModelConfig`` and
+``models.HeadConfig``, ``training`` to ``training.TrainConfig`` and ``data``
+to ``DataConfig`` (consumed by ``build_dataset``); ``output.dir`` and the
+optional ``bench.variants`` are read here.  Each value is checked once: its
+type on reading, its range in ``__post_init__``.  Errors name the dotted
+field; unknown keys are ignored.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
-from typing import Any
+from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
+from functools import cache
+from types import UnionType
+from typing import Any, get_args, get_origin, get_type_hints
 
 import yaml
 
@@ -22,11 +28,12 @@ from .data import (
     synth_linear_dynamics,
     window,
 )
-from .models import HeadConfig, ModelConfig
+from .models import VARIANTS, HeadConfig, ModelConfig
 from .training import TrainConfig
 
 __all__ = [
     "ConfigError",
+    "DataConfig",
     "RunConfig",
     "load_run_config",
     "run_config_from_dict",
@@ -40,90 +47,110 @@ class ConfigError(ValueError):
 
 
 @dataclass(frozen=True)
+class DataConfig:
+    """The ``data`` section: a csv file and its schema, or a generator."""
+
+    kind: str
+    path: str | None = None
+    schema: dict | None = None
+    seed: int = 0
+    split: tuple[float, float, float] = (0.7, 0.15, 0.15)
+    normalize: str = "zscore"
+    horizon: int = 1
+    n_steps: int = 2000
+    n_samples: int = 2000
+    # None takes the generator's default: 0.05 for classification, else 0.1
+    noise: float | None = None
+    spectral_radius: float = 0.85
+
+    def __post_init__(self) -> None:
+        if self.kind not in ("csv", "synthetic_regression", "synthetic_classification"):
+            raise ConfigError(f"data.kind: unknown kind {self.kind!r}")
+        if self.kind == "csv" and (self.path is None or not os.path.exists(self.path)):
+            raise ConfigError(f"data.path: csv data needs an existing file, got {self.path!r}")
+        if self.kind == "csv" and self.schema is None:
+            raise ConfigError("data.schema: required mapping missing")
+        if any(f < 0 for f in self.split) or sum(self.split) > 1 + 1e-9:
+            raise ConfigError(
+                f"data.split: fractions must be >= 0 and sum to at most 1, got {self.split}"
+            )
+        if self.normalize not in ("zscore", "minmax", "none"):
+            raise ConfigError(f"data.normalize: unknown method {self.normalize!r}")
+        if self.noise is None:
+            default = 0.05 if self.kind == "synthetic_classification" else 0.1
+            object.__setattr__(self, "noise", default)
+        for name, low in (("seed", 0), ("horizon", 1), ("n_steps", 1), ("n_samples", 1),
+                          ("noise", 0), ("spectral_radius", 0)):
+            if getattr(self, name) < low:
+                raise ConfigError(f"data.{name}: must be >= {low}")
+
+
+@dataclass(frozen=True)
 class RunConfig:
     model: ModelConfig
-    data: dict
+    data: DataConfig
     training: TrainConfig
     output_dir: str
     bench_variants: tuple[str, ...] | None
     raw: dict
 
 
-def _section(raw: dict, name: str) -> dict:
-    value = raw.get(name)
-    if not isinstance(value, dict):
-        raise ConfigError(f"{name}: section missing or not a mapping")
-    return value
+@cache
+def _fields(cls) -> tuple[tuple[str, Any, bool], ...]:
+    """(name, type, required) for each field of the dataclass ``cls``."""
+    hints = get_type_hints(cls)
+    return tuple(
+        (f.name, hints[f.name], f.default is MISSING and f.default_factory is MISSING)
+        for f in fields(cls)
+    )
 
 
-def _get(section: dict, path: str, key: str, kind, default=None, required=False):
-    if key not in section:
-        if required:
-            raise ConfigError(f"{path}.{key}: required field missing")
-        return default
-    value = section[key]
-    # YAML's true/false load as bool, a subclass of int: no field takes one
-    is_bool = isinstance(value, bool)
-    if kind is float and isinstance(value, int) and not is_bool:
-        value = float(value)
-    if kind is not None and (is_bool or not isinstance(value, kind)):
-        raise ConfigError(
-            f"{path}.{key}: expected {getattr(kind, '__name__', kind)}, got {value!r}"
+@cache
+def _unpack(hint) -> tuple[bool, Any, tuple | None]:
+    """Whether ``hint`` admits None, its other type, and a tuple's item types."""
+    nullable = get_origin(hint) is UnionType and type(None) in get_args(hint)
+    if nullable:
+        (hint,) = (arg for arg in get_args(hint) if arg is not type(None))
+    return nullable, hint, get_args(hint) if get_origin(hint) is tuple else None
+
+
+def _check(value, hint, path: str):
+    """``value`` as the type ``hint`` names; a YAML list becomes a tuple."""
+    nullable, hint, items = _unpack(hint)
+    if value is None and nullable:
+        return None
+    if items is not None:
+        if not isinstance(value, list) or len(value) != len(items):
+            raise ConfigError(f"{path}: expected a list of {len(items)}, got {value!r}")
+        return tuple(
+            _check(v, item, f"{path}[{i}]") for i, (v, item) in enumerate(zip(value, items))
         )
-    return value
+    if hint is float and type(value) is int:
+        return float(value)
+    # YAML's true/false load as bool, a subclass of int: only a bool field takes one
+    if isinstance(value, hint) and (hint is bool or not isinstance(value, bool)):
+        return value
+    if is_dataclass(hint):
+        if isinstance(value, dict):
+            return _read(hint, value, path)
+        raise ConfigError(f"{path}: must be a mapping")
+    raise ConfigError(f"{path}: expected {hint.__name__}, got {value!r}")
 
 
-def _model_config(raw: dict) -> ModelConfig:
-    section = _section(raw, "model")
-    head_raw = section.get("head", {})
-    if not isinstance(head_raw, dict):
-        raise ConfigError("model.head: must be a mapping")
-    kind = _get(head_raw, "model.head", "kind", str, default="tt")
-    ranks = head_raw.get("ranks", [2, 2])
-    out_modes = head_raw.get("out_modes")
+def _read(cls, section: dict, path: str):
+    """Build the dataclass ``cls`` from a YAML mapping; unknown keys are ignored."""
+    kwargs = {}
+    for name, hint, required in _fields(cls):
+        if name in section:
+            kwargs[name] = _check(section[name], hint, f"{path}.{name}")
+        elif required:
+            raise ConfigError(f"{path}.{name}: required field missing")
     try:
-        head = HeadConfig(
-            kind=kind,
-            ranks=tuple(ranks),
-            out_modes=tuple(out_modes) if out_modes is not None else None,
-            bias=bool(head_raw.get("bias", True)),
-        )
-        return ModelConfig(
-            variant=_get(section, "model", "variant", str, default="grgtn"),
-            tau=_get(section, "model", "tau", int, required=True),
-            d_phys=_get(section, "model", "d_phys", int, required=True),
-            d_feat=_get(section, "model", "d_feat", int, required=True),
-            hidden=_get(section, "model", "hidden", int, required=True),
-            out_dim=_get(section, "model", "out_dim", int, required=True),
-            task=_get(section, "model", "task", str, default="regression"),
-            c=_get(section, "model", "c", float, default=0.5),
-            activation=_get(section, "model", "activation", str, default="tanh"),
-            head=head,
-        )
+        return cls(**kwargs)
+    except ConfigError:
+        raise
     except ValueError as exc:
-        raise ConfigError(f"model: {exc}") from None
-
-
-def _train_config(raw: dict, seed_override: int | None) -> TrainConfig:
-    section = _section(raw, "training")
-    seed = _get(section, "training", "seed", int, default=0)
-    if seed_override is not None:
-        seed = seed_override
-    clip = section.get("clip_norm")
-    try:
-        return TrainConfig(
-            epochs=_get(section, "training", "epochs", int, required=True),
-            learning_rate=_get(section, "training", "learning_rate", float, default=1e-3),
-            beta1=_get(section, "training", "beta1", float, default=0.9),
-            beta2=_get(section, "training", "beta2", float, default=0.999),
-            eps=_get(section, "training", "eps", float, default=1e-8),
-            batch_size=_get(section, "training", "batch_size", int, default=32),
-            seed=seed,
-            loss=_get(section, "training", "loss", str, default="mae"),
-            clip_norm=float(clip) if clip is not None else None,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"training: {exc}") from None
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def load_run_config(path: str, seed_override: int | None = None) -> RunConfig:
@@ -142,44 +169,37 @@ def run_config_from_dict(raw, seed_override: int | None = None) -> RunConfig:
     """Validate a parsed config document, such as a checkpoint's snapshot."""
     if not isinstance(raw, dict):
         raise ConfigError("top level of the config must be a mapping")
-    model = _model_config(raw)
-    data = _section(raw, "data")
-    kind = _get(data, "data", "kind", str, required=True)
-    if kind not in ("csv", "synthetic_regression", "synthetic_classification"):
-        raise ConfigError(f"data.kind: unknown kind {kind!r}")
-    if kind == "csv":
-        csv_path = _get(data, "data", "path", str, required=True)
-        if not os.path.exists(csv_path):
-            raise ConfigError(f"data.path: file {csv_path!r} does not exist")
-        if not isinstance(data.get("schema"), dict):
-            raise ConfigError("data.schema: required mapping missing")
-    norm = data.get("normalize", "zscore")
-    if norm not in ("zscore", "minmax", "none"):
-        raise ConfigError(f"data.normalize: unknown method {norm!r}")
-    training = _train_config(raw, seed_override)
+    model = raw.get("model")
+    # variant leads ModelConfig's positional fields, so the class cannot default it
+    model = {"variant": "grgtn", **model} if isinstance(model, dict) else model
+    model = _check(model, ModelConfig, "model")
+    data = _check(raw.get("data"), DataConfig, "data")
+    training = _check(raw.get("training"), TrainConfig, "training")
+    if seed_override is not None:
+        training = replace(training, seed=seed_override)
     output = raw.get("output", {})
     if not isinstance(output, dict):
         raise ConfigError("output: must be a mapping")
-    output_dir = output.get("dir", "runs/latest")
+    output_dir = _check(output.get("dir", "runs/latest"), str, "output.dir")
     bench_variants = None
     if "bench" in raw:
-        bench = _section(raw, "bench")
-        variants = bench.get("variants")
+        bench = raw["bench"]
+        variants = bench.get("variants") if isinstance(bench, dict) else None
         if not isinstance(variants, list) or len(variants) < 2:
             raise ConfigError("bench.variants: need a list of at least two variants")
         for v in variants:
-            if v not in ("grgtn", "srgtn", "rnn"):
+            if v not in VARIANTS:
                 raise ConfigError(f"bench.variants: unknown variant {v!r}")
         if len(set(variants)) != len(variants):
             raise ConfigError("bench.variants: variants must be distinct")
         bench_variants = tuple(variants)
-    if model.task == "classification" and kind == "synthetic_regression":
-        raise ConfigError("model.task: classification needs classification data")
-    if model.task == "regression" and kind == "synthetic_classification":
+    if model.task == "classification" and data.kind != "synthetic_classification":
+        raise ConfigError("model.task: classification needs synthetic_classification data")
+    if model.task == "regression" and data.kind == "synthetic_classification":
         raise ConfigError("model.task: regression needs regression data")
     return RunConfig(
         model=model,
-        data=dict(data),
+        data=data,
         training=training,
         output_dir=output_dir,
         bench_variants=bench_variants,
@@ -198,58 +218,34 @@ def model_for_variant(run: RunConfig, variant: str) -> ModelConfig:
             "bench: the shared model section must describe the tt head "
             "(rnn derives its dense equivalent)"
         )
-    return ModelConfig(
-        variant=variant,
-        tau=m.tau,
-        d_phys=m.d_phys,
-        d_feat=m.d_feat,
-        hidden=m.hidden,
-        out_dim=m.out_dim,
-        task=m.task,
-        c=m.c,
-        activation=m.activation,
-        head=head,
-    )
+    return replace(m, variant=variant, head=head)
 
 
 def build_dataset(run: RunConfig) -> WindowedDataset:
     """Materialize the dataset a config describes; deterministic in its seeds."""
     data = run.data
     model = run.model
-    kind = data["kind"]
-    split = tuple(data.get("split", (0.7, 0.15, 0.15)))
-    data_seed = int(data.get("seed", 0))
-    if kind == "synthetic_classification":
+    dims = {"tau": model.tau, "d_phys": model.d_phys, "d_feat": model.d_feat}
+    if data.kind == "synthetic_classification":
         ds = synth_classification(
-            tau=model.tau,
-            d_phys=model.d_phys,
-            d_feat=model.d_feat,
-            n_samples=int(data.get("n_samples", 2000)),
-            noise=float(data.get("noise", 0.05)),
-            seed=data_seed,
-            split=split,
+            **dims,
+            n_samples=data.n_samples,
+            noise=data.noise,
+            seed=data.seed,
+            split=data.split,
         )
     else:
-        if kind == "synthetic_regression":
+        if data.kind == "synthetic_regression":
             table = synth_linear_dynamics(
-                tau=model.tau,
-                d_phys=model.d_phys,
-                d_feat=model.d_feat,
-                n_steps=int(data.get("n_steps", 2000)),
-                noise=float(data.get("noise", 0.1)),
-                seed=data_seed,
-                spectral_radius=float(data.get("spectral_radius", 0.85)),
+                **dims,
+                n_steps=data.n_steps,
+                noise=data.noise,
+                seed=data.seed,
+                spectral_radius=data.spectral_radius,
             )
         else:
-            table = load_csv(data["path"], data["schema"])
-        ds = window(
-            table,
-            tau=model.tau,
-            horizon=int(data.get("horizon", 1)),
-            task=model.task,
-            split=split,
-            seed=data_seed,
-        )
+            table = load_csv(data.path, data.schema)
+        ds = window(table, tau=model.tau, horizon=data.horizon, split=data.split)
     if ds.window_shape != (model.tau, model.d_phys, model.d_feat):
         raise ConfigError(
             f"data: windows have shape {ds.window_shape} but the model expects "
@@ -265,7 +261,6 @@ def build_dataset(run: RunConfig) -> WindowedDataset:
             raise ConfigError(
                 f"data.split: the {split_name} split is empty; the series is too short"
             )
-    method = data.get("normalize", "zscore")
-    if method != "none":
-        ds = normalize(ds, method=method)
+    if data.normalize != "none":
+        ds = normalize(ds, method=data.normalize)
     return ds

@@ -163,11 +163,11 @@ def load_csv(path: str, schema: dict) -> SeriesTable:
     t_index = {t: i for i, t in enumerate(times)}
     p_index = {k: i for i, k in enumerate(phys_labels)}
     values = np.full((len(times), len(phys_labels), len(feat_cols)), np.nan)
+    seen: set[tuple[float, str]] = set()
     for t, key, feats in rows:
-        if not np.all(np.isnan(values[t_index[t], p_index[key]])):
-            raise CsvFormatError(
-                f"duplicate entry for time {t} and key {key!r}"
-            )
+        if (t, key) in seen:
+            raise CsvFormatError(f"duplicate entry for time {t} and key {key!r}")
+        seen.add((t, key))
         values[t_index[t], p_index[key]] = feats
 
     if missing == "ffill":
@@ -224,14 +224,11 @@ def window(
     table: SeriesTable,
     tau: int,
     horizon: int = 1,
-    task: str = "regression",
-    labels: np.ndarray | None = None,
     split: tuple[float, float, float] = (0.7, 0.15, 0.15),
-    seed: int = 0,
 ) -> WindowedDataset:
-    """Slice the series into overlapping windows with strictly later targets."""
-    if task not in ("regression", "classification"):
-        raise ValueError(f"unknown task {task!r}")
+    """Slice the series into windows with strictly later targets, split in time order."""
+    if horizon < 1:
+        raise ValueError(f"horizon must be >= 1, got {horizon}")
     t_total = table.values.shape[0]
     n = t_total - tau - horizon + 1
     if n < 3:
@@ -240,17 +237,9 @@ def window(
         )
     inputs = np.stack([table.values[i : i + tau] for i in range(n)], axis=0)
     target_rows = np.arange(n) + tau + horizon - 1
-    if task == "regression":
-        targets = np.stack(
-            [table.values[r].ravel(order="F") for r in target_rows], axis=0
-        )
-        splits = _chronological_split(n, split)
-    else:
-        if labels is None:
-            raise ValueError("classification windowing needs per-timestep labels")
-        targets = np.asarray(labels)[target_rows].astype(int)
-        splits = _stratified_split(targets, split, seed)
-    return WindowedDataset(inputs=inputs, targets=targets, task=task, splits=splits)
+    targets = np.stack([table.values[r].ravel(order="F") for r in target_rows], axis=0)
+    splits = _chronological_split(n, split)
+    return WindowedDataset(inputs=inputs, targets=targets, task="regression", splits=splits)
 
 
 def normalize(ds: WindowedDataset, method: str = "zscore") -> WindowedDataset:

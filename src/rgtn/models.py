@@ -63,11 +63,9 @@ class HeadConfig:
     def __post_init__(self) -> None:
         if self.kind not in ("tt", "dense", "none"):
             raise ValueError(f"unknown head kind {self.kind!r}")
-        object.__setattr__(self, "ranks", tuple(int(r) for r in self.ranks))
-        if self.out_modes is not None:
-            object.__setattr__(
-                self, "out_modes", tuple(int(d) for d in self.out_modes)
-            )
+        for name in ("ranks", "out_modes"):
+            if min(getattr(self, name) or (1,)) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -187,9 +185,11 @@ def _flatten_samples(node: ad.TapeNode) -> ad.TapeNode:
 
 def _check_param_shapes(config: ModelConfig, nodes: Mapping[str, ad.TapeNode]) -> None:
     expected = param_shapes(config)
+    if nodes.keys() != expected.keys():
+        raise ValueError(
+            f"{config.variant} takes parameters {sorted(expected)}, got {sorted(nodes)}"
+        )
     for name, shape in expected.items():
-        if name not in nodes:
-            raise ValueError(f"missing parameter {name!r}")
         if nodes[name].shape != shape:
             raise ValueError(
                 f"parameter {name!r} has shape {nodes[name].shape}, expected {shape}"

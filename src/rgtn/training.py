@@ -87,8 +87,9 @@ class TrainConfig:
     clip_norm: float | None = None
 
     def __post_init__(self) -> None:
-        if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
+        for name in ("epochs", "seed"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
         if self.learning_rate < 0 or self.eps <= 0 or self.batch_size < 1:
             raise ValueError("rates must be positive and batch_size >= 1")
         if not (0.0 < self.beta1 < 1.0 and 0.0 < self.beta2 < 1.0):

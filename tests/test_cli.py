@@ -1,8 +1,13 @@
 """End-to-end command-line tests: every command, exit codes, round trips."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rgtn.checkpoint import save_tensor
 from rgtn.cli import main
@@ -38,6 +43,27 @@ def base_config(out_dir, epochs=3, variant="grgtn", seed=0):
         },
         "output": {"dir": str(out_dir)},
     }
+
+
+def set_field(cfg, dotted, value):
+    *sections, key = dotted.split(".")
+    for name in sections:
+        cfg = cfg[name]
+    cfg[key] = value
+
+
+def field_names(cfg, prefix=""):
+    for key, value in cfg.items():
+        if isinstance(value, dict):
+            yield from field_names(value, f"{prefix}{key}.")
+        else:
+            yield prefix + key
+
+
+# small enough that no drawn config allocates a large model or series
+SMALL_VALUES = (
+    st.booleans() | st.none() | st.text(max_size=3) | st.floats(-2, 2) | st.integers(-2, 3)
+)
 
 
 def write_config(tmp_path, cfg, name="run.yaml"):
@@ -99,16 +125,64 @@ class TestTrainCommand:
 
     def test_invalid_field_exits_2_with_field_name(self, tmp_path, capsys):
         # YAML true is a bool, which must not pass for an int or a float
-        for section, key, value in (
-            ("training", "epochs", "many"),
-            ("model", "tau", True),
-            ("model", "c", False),
+        for field, value in (
+            ("training.epochs", "many"),
+            ("model.tau", True),
+            ("model.c", False),
+            ("training.clip_norm", True),
+            ("model.head.ranks", [True, 2]),
+            ("model.head.ranks", [2.7, 2]),
+            ("model.head.ranks", ["2", 2]),
+            ("model.head.bias", "no"),
+            ("data.seed", "abc"),
+            ("data.seed", True),
+            ("data.seed", -1),
+            ("data.n_steps", 2500.9),
+            ("data.noise", True),
+            ("data.split", "abc"),
+            # horizon 0 makes the target the window's own last step
+            ("data.horizon", 0),
+            ("data.split", [-0.1, 0.6, 0.5]),
+            ("data.split", [0.7, 0.3, 0.3]),
+            ("output.dir", 3),
         ):
             cfg = base_config(tmp_path / "x")
-            cfg[section][key] = value
+            set_field(cfg, field, value)
             path = write_config(tmp_path, cfg)
-            assert main(["train", "--config", path]) == 2
-            assert f"{section}.{key}" in capsys.readouterr().err
+            assert main(["train", "--config", path]) == 2, (field, value)
+            assert field in capsys.readouterr().err
+        # range errors come from the dataclass, which names its section
+        for key, value in (("ranks", [0, 2]), ("out_modes", [-1, -2, 3])):
+            cfg = base_config(tmp_path / "x")
+            cfg["model"]["head"][key] = value
+            assert main(["train", "--config", write_config(tmp_path, cfg)]) == 2, key
+            err = capsys.readouterr().err
+            assert "model.head" in err and key in err
+
+    def test_classification_on_csv_exits_2(self, tmp_path, capsys):
+        cfg = base_config(tmp_path / "x")
+        cfg["model"]["task"] = "classification"
+        cfg["data"] = {
+            "kind": "csv",
+            "path": str(Path(__file__).parents[1] / "data" / "example_series.csv"),
+            "schema": {"time": "time", "phys": "site", "features": ["temperature"]},
+        }
+        path = write_config(tmp_path, cfg)
+        assert main(["train", "--config", path]) == 2
+        assert "model.task" in capsys.readouterr().err
+
+    # output.dir is not drawn: a relative path would be created in the working directory
+    @settings(derandomize=True, database=None, max_examples=50, deadline=None)
+    @given(
+        field=st.sampled_from(sorted(set(field_names(base_config("x"))) - {"output.dir"})),
+        value=SMALL_VALUES | st.lists(SMALL_VALUES, max_size=3),
+    )
+    def test_any_field_value_gives_an_exit_code(self, field, value):
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = base_config(Path(tmp) / "run", epochs=1)
+            set_field(cfg, field, value)
+            path = write_config(Path(tmp), cfg)
+            assert main(["train", "--config", path]) in (0, 1, 2)
 
 
 class TestEvalCommand:
@@ -149,6 +223,15 @@ class TestEvalCommand:
         ])
         assert code == 1
         assert "shape" in capsys.readouterr().err
+
+    def test_config_of_another_variant_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        main(["train", "--config", write_config(tmp_path, base_config(out))])
+        srgtn = write_config(tmp_path, base_config(tmp_path / "s", variant="srgtn"), "s.yaml")
+        capsys.readouterr()
+        code = main(["eval", "--checkpoint", str(out / "checkpoint.rgtn"), "--config", srgtn])
+        assert code == 1
+        assert "w_r" in capsys.readouterr().err
 
     def test_rejects_non_model_checkpoint(self, tmp_path, capsys):
         path = tmp_path / "t.rgtn"

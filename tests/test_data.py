@@ -70,9 +70,12 @@ class TestLoadCsv:
             load_csv(path, WIDE_SCHEMA)
 
     def test_duplicate_timestamp_rejected(self, tmp_path):
-        path = write(tmp_path, "t,a,b\n1,1.0,2.0\n1,3.0,4.0\n")
-        with pytest.raises(CsvFormatError, match="duplicate"):
-            load_csv(path, WIDE_SCHEMA)
+        # the second case's first copy has no values: a NaN test would miss it
+        for text in ("t,a,b\n1,1.0,2.0\n1,3.0,4.0\n", "time,a,b\n0,,\n0,1,2\n"):
+            path = write(tmp_path, text)
+            schema = {**WIDE_SCHEMA, "time": text.split(",")[0]}
+            with pytest.raises(CsvFormatError, match="duplicate"):
+                load_csv(path, schema)
 
     def test_long_format_pivot(self, tmp_path):
         rows = ["t,site,a,b"]
@@ -133,17 +136,11 @@ class TestWindowing:
         total = len(ds.splits.train) + len(ds.splits.val) + len(ds.splits.test)
         assert total == ds.n_samples
 
-    def test_classification_needs_labels(self):
-        with pytest.raises(ValueError):
-            window(toy_table(), tau=4, task="classification")
-
-    def test_classification_stratified(self):
-        table = toy_table(t=60)
-        labels = np.arange(60) % 2
-        ds = window(table, tau=4, task="classification", labels=labels, seed=1)
-        train_labels = ds.targets[ds.splits.train]
-        balance = np.abs(train_labels.mean() - 0.5)
-        assert balance < 0.1
+    def test_horizon_below_one_rejected(self):
+        # horizon 0 would make the target the window's own last step
+        for horizon in (0, -1):
+            with pytest.raises(ValueError, match="horizon"):
+                window(toy_table(), tau=4, horizon=horizon)
 
 
 class TestNormalize:
@@ -235,3 +232,7 @@ class TestGenerators:
         np.testing.assert_array_equal(a.targets, b.targets)
         total = len(a.splits.train) + len(a.splits.val) + len(a.splits.test)
         assert total == 60
+        # the split is stratified: each split keeps the overall class balance
+        overall = a.targets.mean()
+        for split in (a.splits.train, a.splits.val, a.splits.test):
+            assert abs(a.targets[split].mean() - overall) < 0.1

@@ -173,9 +173,13 @@ class TestForwardEquivalence:
     def test_missing_parameter(self):
         cfg = small_config("grgtn")
         values = init_params(cfg, seed=0)
+        x = np.zeros((1, cfg.tau, cfg.d_phys, cfg.d_feat))
         values.pop("w_r")
         with pytest.raises(ValueError):
-            predict(cfg, values, np.zeros((1, cfg.tau, cfg.d_phys, cfg.d_feat)))
+            predict(cfg, values, x)
+        # a parameter the variant does not use must not be silently ignored
+        with pytest.raises(ValueError, match="w_r"):
+            predict(small_config("srgtn"), init_params(cfg, seed=0), x)
 
 
 class TestModelGradients:
