@@ -2,8 +2,19 @@
 
 Each operation records its inputs and one gradient-push closure per input;
 ``backward`` walks the graph in reverse topological order from a scalar
-root and accumulates gradients into every reachable node.  A node can
-appear as input to any number of operations.
+root and accumulates gradients into the reachable nodes.  A node can
+appear as input to any number of operations.  ``backward`` keeps only the
+gradients of leaves (nodes with no inputs, such as the parameters made by
+``constant``): an inner node's gradient is dropped as soon as its pushes
+have run, so it is freed while the walk goes on.
+
+``matmul`` and ``linear`` also take a plain ndarray operand.  That operand
+is data: it gets no node, no push and no gradient, so a constant input (a
+batch of windows, the time adjacency) costs the tape nothing.
+
+Under ``no_tape()`` operations compute the same arrays with the same
+kernels but keep no inputs or pushes, so each intermediate is freed once
+its consumer returns; ``backward`` then has nothing to walk.
 
 Nodes hold their arrays without copying, and a node's gradient may be the
 very array its child received, so value and gradient arrays are shared:
@@ -13,7 +24,8 @@ are 0-based numpy axes.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from contextlib import contextmanager
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -21,6 +33,7 @@ from .tensor import ShapeError
 
 __all__ = [
     "TapeNode",
+    "no_tape",
     "constant",
     "backward",
     "add",
@@ -28,10 +41,13 @@ __all__ = [
     "multiply",
     "scale_by",
     "tensordot",
+    "matmul",
+    "linear",
     "moveaxis",
     "transpose",
     "reshape",
     "stack_rows",
+    "unstack",
     "add_bias",
     "tanh",
     "sigmoid",
@@ -47,6 +63,20 @@ __all__ = [
 ]
 
 
+_recording = True
+
+
+@contextmanager
+def no_tape() -> Iterator[None]:
+    """Run operations without recording their inputs or gradient rules."""
+    global _recording
+    outer, _recording = _recording, False
+    try:
+        yield
+    finally:
+        _recording = outer
+
+
 class TapeNode:
     """One value in the computation graph, with its local gradient rules."""
 
@@ -59,8 +89,8 @@ class TapeNode:
         pushes: tuple[Callable[[np.ndarray], np.ndarray], ...] = (),
     ) -> None:
         self.array = array
-        self.parents = parents
-        self.pushes = pushes
+        self.parents = parents if _recording else ()
+        self.pushes = pushes if _recording else ()
         self.grad: np.ndarray | None = None
 
     @property
@@ -74,7 +104,11 @@ def constant(value: np.ndarray | float) -> TapeNode:
 
 
 def backward(root: TapeNode) -> None:
-    """Populate ``grad`` on every node reachable from a scalar root."""
+    """Populate ``grad`` on every leaf reachable from a scalar root.
+
+    A push returns either the gradient of its whole input or, for
+    ``unstack``, a ``(row, gradient)`` pair that adds into one row of it.
+    """
     if root.array.size != 1:
         raise ShapeError(f"backward needs a scalar root, got shape {root.shape}")
     order: list[TapeNode] = []
@@ -93,15 +127,29 @@ def backward(root: TapeNode) -> None:
             if id(parent) not in seen:
                 stack.append((parent, False))
     root.grad = np.ones_like(root.array)
+    # gradients allocated here rather than received from a push: only these
+    # may be written in place
+    owned: set[int] = set()
     for node in reversed(order):
         if node.grad is None:
             continue
         for parent, push in zip(node.parents, node.pushes):
             contribution = push(node.grad)
-            if parent.grad is None:
+            if isinstance(contribution, tuple):
+                row, value = contribution
+                if id(parent) not in owned:
+                    parent.grad = (
+                        np.zeros_like(parent.array) if parent.grad is None else parent.grad.copy()
+                    )
+                    owned.add(id(parent))
+                parent.grad[row] += value
+            elif parent.grad is None:
                 parent.grad = contribution
             else:
                 parent.grad = parent.grad + contribution
+                owned.add(id(parent))
+        if node.parents:
+            node.grad = None
 
 
 def _binary_same_shape(a: TapeNode, b: TapeNode, name: str) -> None:
@@ -177,6 +225,71 @@ def tensordot(
     return TapeNode(out, (a, b), (push_a, push_b))
 
 
+def _operand(a: TapeNode | np.ndarray, transpose: bool) -> np.ndarray:
+    v = a.array if isinstance(a, TapeNode) else np.asarray(a, float)
+    if not transpose:
+        return v
+    if v.ndim != 2:
+        raise ShapeError(f"a transposed operand must be 2-D, got shape {v.shape}")
+    return v.T
+
+
+def matmul(
+    a: TapeNode | np.ndarray, b: TapeNode | np.ndarray, transpose_a: bool = False
+) -> TapeNode:
+    """``a @ b`` with numpy semantics, where one operand is 2-D.
+
+    With a 2-D right operand the left one's leading axes fold into the rows
+    of one GEMM; with a 2-D left operand the product is batched over the
+    right one's leading axes.  ``transpose_a`` multiplies by ``a.T`` for a
+    2-D ``a``, so a parameter stored in its own layout enters the product
+    as it is and BLAS reads it transposed.  A plain ndarray operand is data
+    and gets no gradient.
+    """
+    return _matmul(a, b, transpose_a, False)
+
+
+def linear(x: TapeNode | np.ndarray, w: TapeNode | np.ndarray) -> TapeNode:
+    """``x @ w.T`` for a 2-D ``w``: one GEMM over all leading axes of ``x``."""
+    return _matmul(x, w, False, True)
+
+
+def _matmul(a, b, transpose_a: bool, transpose_b: bool) -> TapeNode:
+    av = _operand(a, transpose_a)
+    bv = _operand(b, transpose_b)
+    if min(av.ndim, bv.ndim) < 2 or 2 not in (av.ndim, bv.ndim):
+        raise ShapeError(f"matmul needs a 2-D operand and no 1-D one, got {av.shape} @ {bv.shape}")
+    if av.shape[-1] != bv.shape[-2]:
+        raise ShapeError(f"matmul extents differ: {av.shape} @ {bv.shape}")
+    if bv.ndim == 2:
+        k, n = bv.shape
+        a2 = av.reshape(-1, k)
+        out = (a2 @ bv).reshape(av.shape[:-1] + (n,))
+
+        def push_a(g: np.ndarray) -> np.ndarray:
+            g2 = g.reshape(-1, n)
+            return bv @ g2.T if transpose_a else (g2 @ bv.T).reshape(av.shape)
+
+        def push_b(g: np.ndarray) -> np.ndarray:
+            g2 = g.reshape(-1, n)
+            return g2.T @ a2 if transpose_b else a2.T @ g2
+    else:
+        batch = tuple(range(bv.ndim - 2))
+        out = av @ bv
+
+        def push_a(g: np.ndarray) -> np.ndarray:
+            if transpose_a:
+                return (bv @ np.swapaxes(g, -1, -2)).sum(axis=batch)
+            return (g @ np.swapaxes(bv, -1, -2)).sum(axis=batch)
+
+        def push_b(g: np.ndarray) -> np.ndarray:
+            return av.T @ g
+
+    inputs = [(node, push) for node, push in ((a, push_a), (b, push_b))
+              if isinstance(node, TapeNode)]
+    return TapeNode(out, tuple(node for node, _ in inputs), tuple(push for _, push in inputs))
+
+
 def moveaxis(a: TapeNode, source: int, destination: int) -> TapeNode:
     out = np.moveaxis(a.array, source, destination)
     return TapeNode(out, (a,), (lambda g: np.moveaxis(g, destination, source),))
@@ -203,6 +316,14 @@ def stack_rows(nodes: Sequence[TapeNode], axis: int = 0) -> TapeNode:
     return TapeNode(out, tuple(nodes), pushes)
 
 
+def unstack(a: TapeNode) -> list[TapeNode]:
+    """The rows of ``a`` along axis 0 as separate nodes (views, not copies)."""
+    return [
+        TapeNode(a.array[i], (a,), ((lambda i: lambda g: (i, g))(i),))
+        for i in range(a.shape[0])
+    ]
+
+
 def add_bias(x: TapeNode, b: TapeNode) -> TapeNode:
     """Add a bias over the trailing axes of x, summing its gradient back."""
     k = len(b.shape)
@@ -218,7 +339,15 @@ def add_bias(x: TapeNode, b: TapeNode) -> TapeNode:
 
 def tanh(a: TapeNode) -> TapeNode:
     out = np.tanh(a.array)
-    return TapeNode(out, (a,), (lambda g: g * (1.0 - out * out),))
+
+    def push(g: np.ndarray) -> np.ndarray:
+        # g * (1 - out^2) in one fresh array instead of three
+        d = out * out
+        np.subtract(1.0, d, out=d)
+        d *= g
+        return d
+
+    return TapeNode(out, (a,), (push,))
 
 
 def sigmoid(a: TapeNode) -> TapeNode:

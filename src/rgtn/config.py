@@ -150,7 +150,8 @@ def _read(cls, section: dict, path: str):
     except ConfigError:
         raise
     except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+        # a dataclass range error starts with the field it names
+        raise ConfigError(f"{path}.{exc}") from None
 
 
 def load_run_config(path: str, seed_override: int | None = None) -> RunConfig:

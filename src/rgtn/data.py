@@ -189,14 +189,22 @@ def load_csv(path: str, schema: dict) -> SeriesTable:
     )
 
 
-def _chronological_split(n: int, fractions: tuple[float, float, float]) -> SplitIndices:
+def _split_sizes(n: int, fractions: tuple[float, float, float]) -> tuple[int, int, int]:
+    """Train, val and test counts of n; the int(n (1 - sum)) left over go unused."""
     n_train = int(n * fractions[0])
     n_val = int(n * fractions[1])
+    # a split summing to 1 leaves a float residue whose product with n truncates to 0
+    n_unused = int(n * (1.0 - sum(fractions)))
+    return n_train, n_val, n - n_train - n_val - n_unused
+
+
+def _chronological_split(n: int, fractions: tuple[float, float, float]) -> SplitIndices:
+    n_train, n_val, n_test = _split_sizes(n, fractions)
     idx = np.arange(n)
     return SplitIndices(
         train=idx[:n_train],
         val=idx[n_train : n_train + n_val],
-        test=idx[n_train + n_val :],
+        test=idx[n_train + n_val : n_train + n_val + n_test],
     )
 
 
@@ -208,11 +216,10 @@ def _stratified_split(
     for cls in np.unique(labels):
         members = np.nonzero(labels == cls)[0]
         members = members[rng.permutation(len(members))]
-        n_train = int(len(members) * fractions[0])
-        n_val = int(len(members) * fractions[1])
+        n_train, n_val, n_test = _split_sizes(len(members), fractions)
         train.append(members[:n_train])
         val.append(members[n_train : n_train + n_val])
-        test.append(members[n_train + n_val :])
+        test.append(members[n_train + n_val : n_train + n_val + n_test])
     return SplitIndices(
         train=np.sort(np.concatenate(train)),
         val=np.sort(np.concatenate(val)),

@@ -17,6 +17,26 @@ hidden-state block.
 Flattened vectors put the first mode fastest: a (tau, physical, hidden)
 block flattens with the time index varying fastest, as a checkpoint
 payload does.
+
+Every contraction is one ``autodiff.matmul``/``linear`` call on a reshape
+that needs no copy.  The window x and the time adjacency A are plain
+arrays, so neither is a tape node and no gradient is computed for them.
+Each parameter node goes straight into the product that consumes it.
+
+* projection: ``x @ W_x^T`` over all (batch, tau, physical) rows at once;
+* time mix: one batched ``A @ xhat`` on xhat viewed as (batch, tau,
+  physical * hidden), with no axis moved;
+* propagation (grgtn): ``mixed @ W_r^T``, again one GEMM;
+* TT head: the time mode first, as a left product of core 0 on h viewed as
+  (batch, tau, physical * hidden); then (rank, physical) with core 1 and
+  (rank, hidden) with core 2.  Contracting the mode that shrinks the block
+  most first (Novikov et al. 2015, arXiv:1509.06569) means h itself is
+  never copied and cores 1 and 2 see a block tau / (o0 r1) times smaller.
+  Contracting the hidden mode first would copy h into a transposed layout.
+
+The rnn projects the inputs of all steps in one ``linear`` before the
+recurrence.  ``predict`` runs this same code under ``autodiff.no_tape``,
+so it returns exactly ``forward(...).array`` without keeping a tape.
 """
 
 from __future__ import annotations
@@ -62,10 +82,10 @@ class HeadConfig:
 
     def __post_init__(self) -> None:
         if self.kind not in ("tt", "dense", "none"):
-            raise ValueError(f"unknown head kind {self.kind!r}")
+            raise ValueError(f"kind: unknown head kind {self.kind!r}")
         for name in ("ranks", "out_modes"):
             if min(getattr(self, name) or (1,)) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+                raise ValueError(f"{name}: must be >= 1, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -83,31 +103,31 @@ class ModelConfig:
 
     def __post_init__(self) -> None:
         if self.variant not in VARIANTS:
-            raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
+            raise ValueError(f"variant: must be one of {VARIANTS}, got {self.variant!r}")
         if self.task not in ("regression", "classification"):
-            raise ValueError(f"unknown task {self.task!r}")
+            raise ValueError(f"task: unknown task {self.task!r}")
         for name in ("tau", "d_phys", "d_feat", "hidden", "out_dim"):
             if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+                raise ValueError(f"{name}: must be >= 1, got {getattr(self, name)}")
         if self.activation not in _TAPE_ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
+            raise ValueError(f"activation: unknown activation {self.activation!r}")
         if self.variant != "rnn" and not 0.0 < self.c < 1.0:
-            raise ValueError(f"c must lie strictly between 0 and 1, got {self.c}")
+            raise ValueError(f"c: must lie strictly between 0 and 1, got {self.c}")
         if self.variant == "rnn" and self.head.kind == "tt":
-            raise ValueError("the rnn baseline uses a dense head, not tt")
+            raise ValueError("head.kind: the rnn baseline uses a dense head, not tt")
         if self.head.kind == "tt":
             modes = self.head.out_modes
             if modes is None:
-                raise ValueError("a tt head needs out_modes (no auto-factoring)")
+                raise ValueError("head.out_modes: a tt head needs out_modes (no auto-factoring)")
             if len(modes) != 3:
-                raise ValueError("out_modes must pair with (tau, physical, hidden)")
+                raise ValueError("head.out_modes: must pair with (tau, physical, hidden)")
             if prod(modes) != self.out_dim:
                 raise ValueError(
-                    f"out_modes {modes} do not multiply to out_dim {self.out_dim}"
+                    f"head.out_modes: {modes} do not multiply to out_dim {self.out_dim}"
                 )
         if self.head.kind == "none" and self.out_dim != prod(self.feature_block):
             raise ValueError(
-                "with no head, out_dim must equal the flattened feature block "
+                "out_dim: with no head, it must equal the flattened feature block "
                 f"{prod(self.feature_block)}"
             )
 
@@ -201,14 +221,22 @@ def _head(config: ModelConfig, nodes: Mapping[str, ad.TapeNode], h: ad.TapeNode)
     if head.kind == "none":
         return _flatten_samples(h)
     if head.kind == "dense":
-        out = ad.tensordot(_flatten_samples(h), nodes["head.w"], (1,), (1,))
+        out = ad.linear(_flatten_samples(h), nodes["head.w"])
     else:
-        # z invariant: (batch, rank, remaining in modes, emitted out modes)
-        z = ad.reshape(h, (h.shape[0], 1) + config.in_modes)
-        for k in range(3):
-            z = ad.tensordot(z, nodes[f"head.core{k}"], (1, 2), (0, 1))
-            z = ad.moveaxis(z, -1, 1)
-        out = _flatten_samples(z)
+        # core k, (r_k, i_k, o_k, r_k+1), is the matrix (r_k i_k, o_k r_k+1)
+        batch, (tau, phys, hidden), (o0, o1, o2) = h.shape[0], config.in_modes, head.out_modes
+        r1, r2 = head.ranks
+        cores = [
+            ad.reshape(nodes[f"head.core{k}"], (rows, -1))
+            for k, rows in enumerate((tau, r1 * phys, r2 * hidden))
+        ]
+        # time first, as a left product on h's time axis: (batch, o0 r1, phys hidden)
+        z = ad.matmul(cores[0], ad.reshape(h, (batch, tau, phys * hidden)), transpose_a=True)
+        # then (r1, phys): (batch o0, o1 r2, hidden)
+        z = ad.matmul(cores[1], ad.reshape(z, (batch * o0, r1 * phys, hidden)), transpose_a=True)
+        # then (r2, hidden): (batch o0 o1, o2)
+        z = ad.matmul(ad.reshape(z, (batch * o0 * o1, r2 * hidden)), cores[2])
+        out = _flatten_samples(ad.reshape(z, (batch, o0, o1, o2)))
     if head.bias:
         out = ad.add_bias(out, nodes["head.bias"])
     return out
@@ -229,24 +257,22 @@ def forward(
     nodes = _as_nodes(values)
     _check_param_shapes(config, nodes)
     act = _TAPE_ACTIVATIONS[config.activation]
+    batch, tau = x.shape[:2]
     if config.variant == "rnn":
-        # flatten physical x feature per step, physical index fastest
-        flat = x.transpose(0, 1, 3, 2).reshape(x.shape[0], config.tau, -1)
-        h_prev = ad.constant(np.zeros((x.shape[0], config.hidden)))
+        # time-major, physical index fastest within a step; one GEMM for all steps
+        flat = x.transpose(1, 0, 3, 2).reshape(tau, batch, -1)
+        inputs = ad.unstack(ad.linear(flat, nodes["w_x"]))
         steps = []
-        for t in range(config.tau):
-            z = ad.tensordot(ad.constant(flat[:, t]), nodes["w_x"], (1,), (1,))
-            z = ad.add(z, ad.tensordot(h_prev, nodes["w_h"], (1,), (1,)))
-            z = ad.add_bias(z, nodes["b_h"])
-            h_prev = act(z)
-            steps.append(h_prev)
+        for t in range(tau):
+            z = inputs[t] if t == 0 else ad.add(inputs[t], ad.linear(steps[-1], nodes["w_h"]))
+            steps.append(act(ad.add_bias(z, nodes["b_h"])))
         h = ad.stack_rows(steps, axis=1)
         return _head(config, nodes, h)
     a_asc = build_time_adjacency(config.tau, config.c)
-    xhat = ad.tensordot(ad.constant(x), nodes["w_x"], (3,), (1,))
-    mixed = ad.moveaxis(ad.tensordot(ad.constant(a_asc), xhat, (1,), (1,)), 0, 1)
+    xhat = ad.linear(x, nodes["w_x"])
+    mixed = ad.reshape(ad.matmul(a_asc, ad.reshape(xhat, (batch, tau, -1))), xhat.shape)
     if config.variant == "grgtn":
-        mixed = ad.tensordot(mixed, nodes["w_r"], (3,), (1,))
+        mixed = ad.linear(mixed, nodes["w_r"])
     h = act(ad.add(xhat, mixed))
     return _head(config, nodes, h)
 
@@ -256,5 +282,6 @@ def predict(
     values: Mapping[str, np.ndarray],
     x: np.ndarray,
 ) -> np.ndarray:
-    """Forward pass without gradient bookkeeping exposed to the caller."""
-    return forward(config, values, x).array
+    """``forward(...).array``, computed without a tape."""
+    with ad.no_tape():
+        return forward(config, values, x).array

@@ -87,17 +87,20 @@ class TrainConfig:
     clip_norm: float | None = None
 
     def __post_init__(self) -> None:
-        for name in ("epochs", "seed"):
+        for name in ("epochs", "seed", "learning_rate"):
             if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
-        if self.learning_rate < 0 or self.eps <= 0 or self.batch_size < 1:
-            raise ValueError("rates must be positive and batch_size >= 1")
-        if not (0.0 < self.beta1 < 1.0 and 0.0 < self.beta2 < 1.0):
-            raise ValueError("beta1 and beta2 must lie strictly between 0 and 1")
+                raise ValueError(f"{name}: must be >= 0, got {getattr(self, name)}")
+        if self.eps <= 0:
+            raise ValueError(f"eps: must be positive, got {self.eps}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size: must be >= 1, got {self.batch_size}")
+        for name in ("beta1", "beta2"):
+            if not 0.0 < getattr(self, name) < 1.0:
+                raise ValueError(f"{name}: must lie strictly between 0 and 1")
         if self.loss not in LOSSES:
-            raise ValueError(f"loss must be one of {LOSSES}, got {self.loss!r}")
+            raise ValueError(f"loss: must be one of {LOSSES}, got {self.loss!r}")
         if self.clip_norm is not None and self.clip_norm <= 0:
-            raise ValueError("clip_norm must be positive when set")
+            raise ValueError("clip_norm: must be positive when set")
 
 
 class TrainingDiverged(RuntimeError):
@@ -148,8 +151,8 @@ def _split_loss(
     inputs: np.ndarray,
     targets: np.ndarray,
 ) -> float:
-    preds = forward(model, values, inputs)
-    return float(_loss_node(loss, preds, targets).array)
+    with ad.no_tape():
+        return float(_loss_node(loss, forward(model, values, inputs), targets).array)
 
 
 def train(

@@ -154,6 +154,106 @@ class TestTensordot:
             ad.tensordot(ad.constant(np.ones((2, 3))), ad.constant(np.ones((2, 4))), (1,), (1,))
 
 
+class TestMatmul:
+    """The GEMM op: numpy semantics, one operand 2-D, ndarray operands as data."""
+
+    def test_right_operand_2d(self):
+        rng = np.random.default_rng(30)
+        a = rng.standard_normal((2, 3, 4))
+        b = rng.standard_normal((4, 5))
+        check_gradients(lambda x, y: ad.sum_all(ad.square(ad.matmul(x, y))), [a, b])
+        np.testing.assert_allclose(ad.matmul(a, b).array, a @ b, atol=1e-12)
+
+    def test_batched_right_operand_under_2d_left(self):
+        rng = np.random.default_rng(31)
+        a = rng.standard_normal((3, 4))
+        b = rng.standard_normal((2, 2, 4, 5))
+        check_gradients(lambda x, y: ad.sum_all(ad.square(ad.matmul(x, y))), [a, b])
+        np.testing.assert_allclose(ad.matmul(a, b).array, a @ b, atol=1e-12)
+
+    def test_transposed_left_operand(self):
+        rng = np.random.default_rng(32)
+        a = rng.standard_normal((4, 3))
+        b = rng.standard_normal((2, 4, 5))
+        np.testing.assert_allclose(ad.matmul(a, b, transpose_a=True).array, a.T @ b, atol=1e-12)
+        check_gradients(
+            lambda x, y: ad.sum_all(ad.square(ad.matmul(x, y, transpose_a=True))), [a, b]
+        )
+
+    def test_linear_is_product_with_transpose(self):
+        rng = np.random.default_rng(33)
+        x = rng.standard_normal((2, 4, 3))
+        w = rng.standard_normal((5, 3))
+        np.testing.assert_allclose(ad.linear(x, w).array, x @ w.T, atol=1e-12)
+        check_gradients(lambda u, v: ad.sum_all(ad.square(ad.linear(u, v))), [x, w])
+
+    @pytest.mark.parametrize("data_left", [True, False])
+    @pytest.mark.parametrize("left,right", [((2, 3), (4, 3, 5)), ((3, 2, 4), (4, 5))])
+    def test_ndarray_operand_is_data(self, data_left, left, right):
+        rng = np.random.default_rng(34)
+        a, b = rng.standard_normal(left), rng.standard_normal(right)
+        data, value = (a, b) if data_left else (b, a)
+
+        def product(node):
+            return ad.matmul(data, node) if data_left else ad.matmul(node, data)
+
+        check_gradients(lambda node: ad.sum_all(ad.square(product(node))), [value])
+        node = ad.constant(value)
+        out = product(node)
+        np.testing.assert_allclose(out.array, a @ b, atol=1e-12)
+        assert out.parents == (node,) and len(out.pushes) == 1
+
+    def test_non_contiguous_input(self):
+        rng = np.random.default_rng(34)
+        a = rng.standard_normal((4, 3, 2)).transpose(2, 1, 0)  # (2, 3, 4), not contiguous
+        w = rng.standard_normal((5, 4))
+        assert not a.flags.c_contiguous
+        check_gradients(lambda x, y: ad.sum_all(ad.square(ad.linear(x, y))), [a, w])
+        x = ad.constant(a)
+        ad.backward(ad.sum_all(ad.linear(x, ad.constant(w))))
+        np.testing.assert_allclose(x.grad, np.broadcast_to(w.sum(0), a.shape), atol=1e-12)
+
+    def test_shape_errors(self):
+        with pytest.raises(ShapeError):
+            ad.matmul(np.ones((2, 3)), np.ones((4, 2)))
+        with pytest.raises(ShapeError):
+            ad.matmul(np.ones((2, 2, 3)), np.ones((2, 3, 4)))
+        with pytest.raises(ShapeError):
+            ad.matmul(np.ones(3), np.ones((3, 4)))
+        with pytest.raises(ShapeError):
+            ad.matmul(np.ones((2, 3, 4)), np.ones((2, 4, 5)), transpose_a=True)
+
+
+class TestTapeLifetime:
+    def test_backward_keeps_only_leaf_gradients(self):
+        rng = np.random.default_rng(35)
+        w = ad.constant(rng.standard_normal((3, 4)))
+        inner = ad.tanh(ad.linear(rng.standard_normal((5, 4)), w))
+        root = ad.sum_all(ad.square(inner))
+        ad.backward(root)
+        assert w.grad is not None
+        assert inner.grad is None and root.grad is None
+
+    def test_unstack_rows_gather_into_one_gradient(self):
+        rng = np.random.default_rng(36)
+        a = rng.standard_normal((4, 3))
+        check_gradients(
+            lambda x: ad.sum_all(ad.multiply(ad.unstack(x)[1], ad.unstack(x)[3])), [a]
+        )
+        check_gradients(
+            lambda x: ad.sum_all(ad.add(ad.square(ad.unstack(x)[0]), ad.unstack(ad.tanh(x))[0])),
+            [a],
+        )
+
+    def test_no_tape_keeps_no_inputs(self):
+        w = ad.constant(np.ones((2, 2)))
+        with ad.no_tape():
+            out = ad.tanh(ad.linear(np.ones((3, 2)), w))
+        assert out.parents == () and out.pushes == ()
+        again = ad.tanh(ad.linear(np.ones((3, 2)), w))
+        assert again.parents and np.array_equal(again.array, out.array)
+
+
 class TestStructuralOps:
     def test_moveaxis(self):
         rng = np.random.default_rng(13)

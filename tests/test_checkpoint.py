@@ -1,7 +1,12 @@
 """Binary container round trips and integrity checks."""
 
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import payload_header, raw_checkpoint
 from rgtn.checkpoint import (
@@ -116,3 +121,62 @@ class TestIntegrity:
         path.write_bytes(raw_checkpoint(header, payload))
         with pytest.raises(CheckpointError, match="n_cores"):
             load_tt(str(path))
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 40) | st.floats(-1e3, 1e3) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(
+        st.sampled_from(["name", "shape", "offset", "count", "meta", "params"]), inner, max_size=4
+    ),
+    max_leaves=10,
+)
+ENTRIES = st.lists(
+    st.fixed_dictionaries({
+        "name": st.text(max_size=2),
+        "shape": st.lists(st.integers(-1, 3), max_size=3),
+        "offset": st.integers(-1, 6),
+        "count": st.integers(-1, 8),
+    }),
+    max_size=3,
+)
+
+
+@st.composite
+def checkpoint_bytes(draw):
+    """Any bytes, from noise to a well-formed file with one byte changed."""
+    kind = draw(st.sampled_from(["noise", "magic", "header", "mutated"]))
+    if kind == "noise":
+        return draw(st.binary(max_size=64))
+    if kind == "magic":
+        return b"RGTNCKPT" + draw(st.binary(max_size=64))
+    payload = draw(st.binary(max_size=48))
+    entries = draw(ENTRIES)
+    if entries and draw(st.booleans()):
+        field = draw(st.sampled_from(["name", "shape", "offset", "count"]))
+        entries[0][field] = draw(JSON_VALUES)
+    meta = draw(st.dictionaries(st.text(max_size=3), JSON_VALUES, max_size=2) | JSON_VALUES)
+    header = payload_header(entries, payload, meta)
+    if draw(st.integers(0, 3)) == 0:
+        header = draw(st.dictionaries(st.sampled_from(sorted(header)), JSON_VALUES, max_size=4))
+    blob = raw_checkpoint(header, payload)
+    if kind == "mutated" and blob:
+        at = draw(st.integers(0, len(blob) - 1))
+        blob = blob[:at] + bytes([draw(st.integers(0, 255))]) + blob[at + 1 :]
+        if draw(st.booleans()):
+            blob = blob[: draw(st.integers(0, len(blob)))]
+    return blob
+
+
+class TestAnyBytes:
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(blob=checkpoint_bytes())
+    def test_load_raises_only_checkpoint_error(self, blob):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "any.rgtn")
+            with open(path, "wb") as fh:
+                fh.write(blob)
+            try:
+                load_checkpoint(path)
+            except CheckpointError:
+                pass

@@ -145,19 +145,21 @@ class TestTrainCommand:
             ("data.split", [-0.1, 0.6, 0.5]),
             ("data.split", [0.7, 0.3, 0.3]),
             ("output.dir", 3),
+            # range errors of the model and training dataclasses
+            ("training.seed", -1),
+            ("model.tau", 0),
+            ("training.batch_size", 0),
         ):
             cfg = base_config(tmp_path / "x")
             set_field(cfg, field, value)
             path = write_config(tmp_path, cfg)
             assert main(["train", "--config", path]) == 2, (field, value)
             assert field in capsys.readouterr().err
-        # range errors come from the dataclass, which names its section
         for key, value in (("ranks", [0, 2]), ("out_modes", [-1, -2, 3])):
             cfg = base_config(tmp_path / "x")
             cfg["model"]["head"][key] = value
             assert main(["train", "--config", write_config(tmp_path, cfg)]) == 2, key
-            err = capsys.readouterr().err
-            assert "model.head" in err and key in err
+            assert f"model.head.{key}" in capsys.readouterr().err
 
     def test_classification_on_csv_exits_2(self, tmp_path, capsys):
         cfg = base_config(tmp_path / "x")

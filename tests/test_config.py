@@ -8,10 +8,12 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
-from rgtn.config import build_dataset, run_config_from_dict
+from rgtn.config import DataConfig, build_dataset, run_config_from_dict
+from rgtn.data import _chronological_split, _stratified_split
 
 ROOT = Path(__file__).parents[1]
 
@@ -40,3 +42,26 @@ def test_parses_and_builds(name, raw):
     run = run_config_from_dict(raw)
     ds = build_dataset(run)
     assert ds.window_shape == (run.model.tau, run.model.d_phys, run.model.d_feat)
+
+
+def shipped_splits():
+    """Each distinct ``data.split`` a shipped config or workload uses, or the default."""
+    splits = {
+        tuple(raw.get("data", {}).get("split", DataConfig.split)) for _, raw in documents()
+    }
+    return sorted(splits)
+
+
+@pytest.mark.parametrize("split", shipped_splits())
+def test_shipped_splits_use_every_window(split):
+    # these sum to 1, so the test split is everything after train and val,
+    # as it was before the third fraction was read
+    assert abs(sum(split) - 1.0) < 1e-12
+    rng = np.random.default_rng(0)
+    for n in (1, 7, 60, 100, 1024, 3000, 9973):
+        old_train, old_val = int(n * split[0]), int(n * split[1])
+        chrono = _chronological_split(n, split)
+        np.testing.assert_array_equal(chrono.test, np.arange(old_train + old_val, n))
+        labels = rng.integers(0, 3, size=n)
+        strat = _stratified_split(labels, split, seed=n)
+        assert len(strat.train) + len(strat.val) + len(strat.test) == n

@@ -5,6 +5,8 @@ import pytest
 
 from rgtn.data import (
     CsvFormatError,
+    _chronological_split,
+    _stratified_split,
     CsvSchemaError,
     SeriesTable,
     inverse_transform_predictions,
@@ -236,3 +238,27 @@ class TestGenerators:
         overall = a.targets.mean()
         for split in (a.splits.train, a.splits.val, a.splits.test):
             assert abs(a.targets[split].mean() - overall) < 0.1
+
+
+class TestSplitFractions:
+    """The third fraction sizes the test split; what the three leave is unused."""
+
+    def test_chronological_holds_out_the_remainder(self):
+        splits = _chronological_split(100, (0.5, 0.1, 0.1))
+        np.testing.assert_array_equal(splits.train, np.arange(50))
+        np.testing.assert_array_equal(splits.val, np.arange(50, 60))
+        np.testing.assert_array_equal(splits.test, np.arange(60, 70))
+
+    def test_stratified_holds_out_the_remainder_per_class(self):
+        labels = np.repeat([0, 1, 2], [100, 50, 30])
+        splits = _stratified_split(labels, (0.5, 0.1, 0.1), seed=3)
+        for cls, counts in ((0, [50, 10, 10]), (1, [25, 5, 5]), (2, [15, 3, 3])):
+            got = [int((labels[s] == cls).sum()) for s in (splits.train, splits.val, splits.test)]
+            assert got == counts, cls
+        assert len(splits.test) == 10 + 5 + 3
+
+    def test_window_and_generator_read_the_test_fraction(self):
+        ds = window(toy_table(t=106), tau=6, split=(0.5, 0.1, 0.1))
+        assert (len(ds.splits.train), len(ds.splits.val), len(ds.splits.test)) == (50, 10, 10)
+        ds = synth_classification(8, 2, 2, 60, 0.05, seed=5, split=(0.5, 0.1, 0.1))
+        assert len(ds.splits.train) + len(ds.splits.val) + len(ds.splits.test) < 60

@@ -127,3 +127,19 @@ class TestSpatialFilter:
             forward(cfg, {"w_x": np.eye(2)}, np.zeros((1, 4, 1, 2)))
         with pytest.raises(ValueError):
             forward(cfg, {"w_x": np.eye(2)}, np.zeros((3, 1, 2)))
+
+
+class TestAdjacencyCache:
+    def test_same_read_only_array_per_call(self):
+        a = build_time_adjacency(7, 0.6)
+        assert build_time_adjacency(7, 0.6) is a
+        assert build_time_adjacency(7, 0.5) is not a
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[1, 0] = 1.0
+        np.testing.assert_allclose(np.diag(build_time_adjacency(7, 0.6), k=-1), 0.6)
+
+    def test_bad_arguments_still_raise(self):
+        for tau, c in ((0, 0.5), (3, 1.0), (3, 0.0)):
+            with pytest.raises(ValueError):
+                build_time_adjacency(tau, c)

@@ -5,6 +5,7 @@ import pytest
 
 from oracles import block_map, rnn_loop, time_adjacency, tt_head_matrix, unflatten
 from rgtn import autodiff as ad
+from rgtn.graph import build_time_adjacency
 from rgtn.models import (
     HeadConfig,
     ModelConfig,
@@ -244,3 +245,105 @@ class TestNoAliasing:
             assert np.array_equal(values[name], before[name]), name
             assert nodes[name].grad is not None, name
         assert np.array_equal(x, x_before)
+
+
+def _walk(root):
+    """Every node reachable from ``root`` through its inputs."""
+    seen, stack = {id(root): root}, [root]
+    while stack:
+        for parent in stack.pop().parents:
+            if id(parent) not in seen:
+                seen[id(parent)] = parent
+                stack.append(parent)
+    return list(seen.values())
+
+
+class TestTape:
+    """What the forward records, and what backward leaves behind."""
+
+    @pytest.mark.parametrize("variant,head", [("grgtn", "tt"), ("srgtn", "tt"), ("rnn", "dense")])
+    def test_data_is_off_the_tape(self, variant, head):
+        rng = np.random.default_rng(9)
+        cfg = small_config(variant, head_kind=head)
+        nodes = {k: ad.constant(v) for k, v in init_params(cfg, seed=1).items()}
+        x = rng.standard_normal((2, cfg.tau, cfg.d_phys, cfg.d_feat))
+        adjacency = build_time_adjacency(cfg.tau, cfg.c)
+        for node in _walk(forward(cfg, nodes, x)):
+            assert not np.shares_memory(node.array, x)
+            assert not np.shares_memory(node.array, adjacency)
+
+    @pytest.mark.parametrize("variant,head", [("grgtn", "tt"), ("srgtn", "tt"), ("rnn", "dense")])
+    def test_backward_leaves_gradients_on_parameters_only(self, variant, head):
+        rng = np.random.default_rng(10)
+        cfg = small_config(variant, head_kind=head)
+        nodes = {k: ad.constant(v) for k, v in init_params(cfg, seed=2).items()}
+        x = rng.standard_normal((2, cfg.tau, cfg.d_phys, cfg.d_feat))
+        root = ad.mse_loss(forward(cfg, nodes, x), rng.standard_normal((2, cfg.out_dim)))
+        graph = _walk(root)
+        ad.backward(root)
+        params = {id(n) for n in nodes.values()}
+        for node in graph:
+            if id(node) in params:
+                assert node.grad is not None
+            elif node.parents:
+                assert node.grad is None
+
+    @pytest.mark.parametrize("variant,head", [("grgtn", "tt"), ("srgtn", "tt"), ("rnn", "dense")])
+    def test_predict_is_forward_without_a_tape(self, variant, head):
+        rng = np.random.default_rng(11)
+        cfg = small_config(variant, head_kind=head)
+        values = init_params(cfg, seed=3)
+        x = rng.standard_normal((5, cfg.tau, cfg.d_phys, cfg.d_feat))
+        assert np.array_equal(predict(cfg, values, x), forward(cfg, values, x).array)
+        with ad.no_tape():
+            assert forward(cfg, values, x).parents == ()
+
+
+class TestTTHeadContractionOrder:
+    """Every mode > 1, tau > 1 and unequal ranks, so no reshape can pass by accident."""
+
+    @pytest.mark.parametrize("variant", ["grgtn", "srgtn"])
+    def test_matches_dense_matrix(self, variant):
+        rng = np.random.default_rng(12)
+        tau, d, f, m = 3, 2, 3, 4
+        out_modes = (2, 3, 2)
+        cfg = ModelConfig(
+            variant=variant, tau=tau, d_phys=d, d_feat=f, hidden=m, out_dim=12,
+            activation="tanh", head=HeadConfig(kind="tt", ranks=(2, 3), out_modes=out_modes),
+        )
+        values = init_params(cfg, seed=4)
+        values["head.bias"] = rng.standard_normal(12)
+        x = rng.standard_normal((4, tau, d, f))
+        got = predict(cfg, values, x)
+        body = ModelConfig(
+            variant=variant, tau=tau, d_phys=d, d_feat=f, hidden=m, out_dim=tau * d * m,
+            activation="tanh", head=HeadConfig(kind="none", bias=False),
+        )
+        flat = predict(body, {k: v for k, v in values.items() if not k.startswith("head.")}, x)
+        w = tt_head_matrix([values[f"head.core{k}"] for k in range(3)])
+        np.testing.assert_allclose(got, flat @ w + values["head.bias"], atol=1e-12)
+
+    def test_gradients_match_finite_differences(self):
+        rng = np.random.default_rng(13)
+        cfg = ModelConfig(
+            variant="grgtn", tau=3, d_phys=2, d_feat=2, hidden=2, out_dim=12,
+            activation="tanh", head=HeadConfig(kind="tt", ranks=(2, 3), out_modes=(2, 3, 2)),
+        )
+        values = init_params(cfg, seed=5)
+        x = rng.standard_normal((3, 3, 2, 2))
+        target = rng.standard_normal((3, 12))
+        nodes = {k: ad.constant(v) for k, v in values.items()}
+        ad.backward(ad.mse_loss(forward(cfg, nodes, x), target))
+        h = 1e-6
+        for name in ("head.core0", "head.core1", "head.core2"):
+            base = values[name]
+            for flat_index in range(0, base.size, 5):
+                mi = np.unravel_index(flat_index, base.shape)
+                losses = []
+                for sign in (1.0, -1.0):
+                    trial = dict(values)
+                    trial[name] = base.copy()
+                    trial[name][mi] += sign * h
+                    losses.append(float(ad.mse_loss(forward(cfg, trial, x), target).array))
+                fd = (losses[0] - losses[1]) / (2 * h)
+                np.testing.assert_allclose(nodes[name].grad[mi], fd, rtol=1e-5, atol=1e-8)
