@@ -10,7 +10,10 @@ have run, so it is freed while the walk goes on.
 
 ``matmul`` and ``linear`` also take a plain ndarray operand.  That operand
 is data: it gets no node, no push and no gradient, so a constant input (a
-batch of windows, the time adjacency) costs the tape nothing.
+batch of windows, the time adjacency) costs the tape nothing.  Targets and
+labels are data in the same way: each loss is one node whose only input is
+the prediction (or the logits), and its push returns the loss's gradient in
+closed form.
 
 Under ``no_tape()`` operations compute the same arrays with the same
 kernels but keep no inputs or pushes, so each intermediate is freed once
@@ -37,13 +40,8 @@ __all__ = [
     "constant",
     "backward",
     "add",
-    "subtract",
-    "multiply",
-    "scale_by",
-    "tensordot",
     "matmul",
     "linear",
-    "moveaxis",
     "transpose",
     "reshape",
     "stack_rows",
@@ -52,11 +50,6 @@ __all__ = [
     "tanh",
     "sigmoid",
     "relu",
-    "absolute",
-    "square",
-    "sum_all",
-    "mean_all",
-    "log_softmax",
     "mae_loss",
     "mse_loss",
     "cross_entropy_loss",
@@ -152,77 +145,10 @@ def backward(root: TapeNode) -> None:
             node.grad = None
 
 
-def _binary_same_shape(a: TapeNode, b: TapeNode, name: str) -> None:
-    if a.shape != b.shape:
-        raise ShapeError(f"{name} needs equal shapes, got {a.shape} and {b.shape}")
-
-
 def add(a: TapeNode, b: TapeNode) -> TapeNode:
-    _binary_same_shape(a, b, "add")
+    if a.shape != b.shape:
+        raise ShapeError(f"add needs equal shapes, got {a.shape} and {b.shape}")
     return TapeNode(a.array + b.array, (a, b), (lambda g: g, lambda g: g))
-
-
-def subtract(a: TapeNode, b: TapeNode) -> TapeNode:
-    _binary_same_shape(a, b, "subtract")
-    return TapeNode(a.array - b.array, (a, b), (lambda g: g, lambda g: -g))
-
-
-def multiply(a: TapeNode, b: TapeNode) -> TapeNode:
-    _binary_same_shape(a, b, "multiply")
-    av, bv = a.array, b.array
-    return TapeNode(av * bv, (a, b), (lambda g: g * bv, lambda g: g * av))
-
-
-def scale_by(a: TapeNode, s: float) -> TapeNode:
-    s = float(s)
-    return TapeNode(a.array * s, (a,), (lambda g: g * s,))
-
-
-def tensordot(
-    a: TapeNode,
-    b: TapeNode,
-    axes_a: Sequence[int],
-    axes_b: Sequence[int],
-) -> TapeNode:
-    """Contraction over paired axes, with exact adjoints for both inputs."""
-    axes_a = tuple(int(i) for i in axes_a)
-    axes_b = tuple(int(i) for i in axes_b)
-    av, bv = a.array, b.array
-    if len(axes_a) != len(axes_b):
-        raise ShapeError("axes_a and axes_b must pair up")
-    for i, j in zip(axes_a, axes_b):
-        if av.shape[i] != bv.shape[j]:
-            raise ShapeError(
-                f"contracted extents differ: a axis {i} has {av.shape[i]}, "
-                f"b axis {j} has {bv.shape[j]}"
-            )
-    out = np.tensordot(av, bv, axes=(axes_a, axes_b))
-    free_a = [i for i in range(av.ndim) if i not in axes_a]
-    free_b = [j for j in range(bv.ndim) if j not in axes_b]
-
-    def push_a(g: np.ndarray) -> np.ndarray:
-        gb = np.tensordot(g, bv, axes=(tuple(range(len(free_a), g.ndim)), tuple(free_b)))
-        # gb axes: a's free axes in order, then b's contracted axes ascending
-        rem_b = sorted(axes_b)
-        src = [0] * av.ndim
-        for pos, ax in enumerate(free_a):
-            src[ax] = pos
-        for ax_a, ax_b in zip(axes_a, axes_b):
-            src[ax_a] = len(free_a) + rem_b.index(ax_b)
-        return np.transpose(gb, src)
-
-    def push_b(g: np.ndarray) -> np.ndarray:
-        ga = np.tensordot(av, g, axes=(tuple(free_a), tuple(range(len(free_a)))))
-        # ga axes: a's contracted axes ascending, then b's free axes in order
-        rem_a = sorted(axes_a)
-        src = [0] * bv.ndim
-        for pos, ax in enumerate(free_b):
-            src[ax] = len(rem_a) + pos
-        for ax_a, ax_b in zip(axes_a, axes_b):
-            src[ax_b] = rem_a.index(ax_a)
-        return np.transpose(ga, src)
-
-    return TapeNode(out, (a, b), (push_a, push_b))
 
 
 def _operand(a: TapeNode | np.ndarray, transpose: bool) -> np.ndarray:
@@ -290,11 +216,6 @@ def _matmul(a, b, transpose_a: bool, transpose_b: bool) -> TapeNode:
     return TapeNode(out, tuple(node for node, _ in inputs), tuple(push for _, push in inputs))
 
 
-def moveaxis(a: TapeNode, source: int, destination: int) -> TapeNode:
-    out = np.moveaxis(a.array, source, destination)
-    return TapeNode(out, (a,), (lambda g: np.moveaxis(g, destination, source),))
-
-
 def transpose(a: TapeNode, axes: Sequence[int]) -> TapeNode:
     axes = tuple(int(i) for i in axes)
     inverse = tuple(int(i) for i in np.argsort(axes))
@@ -360,52 +281,33 @@ def relu(a: TapeNode) -> TapeNode:
     return TapeNode(np.maximum(av, 0.0), (a,), (lambda g: g * (av > 0.0),))
 
 
-def absolute(a: TapeNode) -> TapeNode:
-    av = a.array
-    return TapeNode(np.abs(av), (a,), (lambda g: g * np.sign(av),))
-
-
-def square(a: TapeNode) -> TapeNode:
-    av = a.array
-    return TapeNode(av * av, (a,), (lambda g: g * 2.0 * av,))
-
-
-def sum_all(a: TapeNode) -> TapeNode:
-    shape = a.shape
-    return TapeNode(np.asarray(a.array.sum()), (a,), (lambda g: np.broadcast_to(g, shape).copy(),))
-
-
-def mean_all(a: TapeNode) -> TapeNode:
-    return scale_by(sum_all(a), 1.0 / a.array.size)
-
-
-def log_softmax(a: TapeNode) -> TapeNode:
-    """Row-stable log-softmax over the last axis."""
-    z = a.array
-    shifted = z - z.max(axis=-1, keepdims=True)
-    out = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    soft = np.exp(out)
-    return TapeNode(
-        out, (a,), (lambda g: g - soft * g.sum(axis=-1, keepdims=True),)
-    )
-
-
-def mae_loss(pred: TapeNode, target: TapeNode | np.ndarray) -> TapeNode:
-    target = target if isinstance(target, TapeNode) else constant(target)
+def _residual(pred: TapeNode, target: np.ndarray, name: str) -> tuple[np.ndarray, float]:
+    """``pred - target`` and ``1 / n`` for a loss over n entries."""
+    target = np.asarray(target, float)
     if pred.array.size == 0:
-        raise ValueError("mae_loss on an empty batch")
-    return mean_all(absolute(subtract(pred, target)))
+        raise ValueError(f"{name} on an empty batch")
+    if target.shape != pred.shape:
+        raise ShapeError(f"{name} needs a target of shape {pred.shape}, got {target.shape}")
+    return pred.array - target, 1.0 / pred.array.size
 
 
-def mse_loss(pred: TapeNode, target: TapeNode | np.ndarray) -> TapeNode:
-    target = target if isinstance(target, TapeNode) else constant(target)
-    if pred.array.size == 0:
-        raise ValueError("mse_loss on an empty batch")
-    return mean_all(square(subtract(pred, target)))
+def mae_loss(pred: TapeNode, target: np.ndarray) -> TapeNode:
+    """Mean absolute error; its gradient is ``sign(pred - target) / n``."""
+    d, inv_n = _residual(pred, target, "mae_loss")
+    return TapeNode(np.abs(d).sum() * inv_n, (pred,), (lambda g: np.sign(d) * (g * inv_n),))
+
+
+def mse_loss(pred: TapeNode, target: np.ndarray) -> TapeNode:
+    """Mean squared error; its gradient is ``2 (pred - target) / n``."""
+    d, inv_n = _residual(pred, target, "mse_loss")
+    return TapeNode((d * d).sum() * inv_n, (pred,), (lambda g: d * (g * inv_n * 2.0),))
 
 
 def cross_entropy_loss(logits: TapeNode, labels: np.ndarray) -> TapeNode:
-    """Mean negative log-likelihood of integer labels under row softmax."""
+    """Mean negative log-likelihood of integer labels under row softmax.
+
+    Its gradient is ``(softmax(logits) - onehot(labels)) / n``.
+    """
     labels = np.asarray(labels)
     n, k = logits.shape
     if labels.shape != (n,):
@@ -414,7 +316,16 @@ def cross_entropy_loss(logits: TapeNode, labels: np.ndarray) -> TapeNode:
         raise ValueError("cross_entropy_loss on an empty batch")
     if labels.min() < 0 or labels.max() >= k:
         raise ValueError(f"labels must lie in [0, {k})")
-    onehot = np.zeros((n, k))
-    onehot[np.arange(n), labels] = 1.0
-    picked = multiply(log_softmax(logits), constant(onehot))
-    return scale_by(sum_all(picked), -1.0 / n)
+    z = logits.array
+    shifted = z - z.max(axis=-1, keepdims=True)
+    log_probs = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    rows = np.arange(n)
+    scale = -1.0 / n
+
+    def push(g: np.ndarray) -> np.ndarray:
+        c = g * scale
+        grad = np.exp(log_probs) * -c
+        grad[rows, labels] += c
+        return grad
+
+    return TapeNode(log_probs[rows, labels].sum() * scale, (logits,), (push,))

@@ -179,11 +179,24 @@ def cmd_bench(args) -> int:
 def cmd_decompose(args) -> int:
     if args.max_ranks is None and args.tol is None:
         raise ConfigError("decompose: provide --max-ranks and/or --tol")
-    array = load_tensor(args.tensor)
+    if args.tol is not None and not (np.isfinite(args.tol) and args.tol >= 0):
+        raise ConfigError(f"--tol: must be a finite number >= 0, got {args.tol!r}")
     caps = None
-    if args.max_ranks:
-        parsed = [int(r) for r in args.max_ranks.split(",")]
-        caps = parsed[0] if len(parsed) == 1 else parsed
+    if args.max_ranks is not None:
+        fields = args.max_ranks.split(",")
+        if not all(f.strip().isdecimal() and int(f) >= 1 for f in fields):
+            raise ConfigError(
+                f"--max-ranks: expected comma-separated integers >= 1, got {args.max_ranks!r}"
+            )
+        caps = [int(f) for f in fields]
+    array = load_tensor(args.tensor)
+    if caps is not None and len(caps) == 1:
+        caps = caps[0]
+    elif caps is not None and len(caps) != array.ndim - 1:
+        raise ConfigError(
+            f"--max-ranks: an order-{array.ndim} tensor takes 1 or {array.ndim - 1} "
+            f"rank caps, got {len(caps)}"
+        )
     tt = tt_svd(from_array(array), max_ranks=caps, rel_tolerance=args.tol)
     recon = tt_reconstruct(tt).array
     denom = np.linalg.norm(array)

@@ -175,9 +175,10 @@ def run_config_from_dict(raw, seed_override: int | None = None) -> RunConfig:
     model = {"variant": "grgtn", **model} if isinstance(model, dict) else model
     model = _check(model, ModelConfig, "model")
     data = _check(raw.get("data"), DataConfig, "data")
-    training = _check(raw.get("training"), TrainConfig, "training")
-    if seed_override is not None:
-        training = replace(training, seed=seed_override)
+    training = raw.get("training")
+    if seed_override is not None and isinstance(training, dict):
+        training = {**training, "seed": seed_override}
+    training = _check(training, TrainConfig, "training")
     output = raw.get("output", {})
     if not isinstance(output, dict):
         raise ConfigError("output: must be a mapping")

@@ -27,7 +27,6 @@ __all__ = [
     "window",
     "normalize",
     "inverse_transform_predictions",
-    "linear_dynamics_matrix",
     "synth_linear_dynamics",
     "synth_classification",
 ]
@@ -174,9 +173,7 @@ def load_csv(path: str, schema: dict) -> SeriesTable:
         for t in range(1, len(times)):
             mask = np.isnan(values[t])
             values[t][mask] = values[t - 1][mask]
-        keep = ~np.isnan(values).any(axis=(1, 2))
-    else:
-        keep = ~np.isnan(values).any(axis=(1, 2))
+    keep = ~np.isnan(values).any(axis=(1, 2))
     values = values[keep]
     timestamps = np.asarray(times, dtype=float)[keep]
     if values.shape[0] == 0:
@@ -290,20 +287,6 @@ def _stable_matrix(rng: np.random.Generator, n: int, radius: float) -> np.ndarra
     m = rng.standard_normal((n, n))
     eig = np.max(np.abs(np.linalg.eigvals(m)))
     return m * (radius / eig)
-
-
-def linear_dynamics_matrix(
-    d_phys: int, d_feat: int, seed: int, spectral_radius: float = 0.85
-) -> np.ndarray:
-    """State matrix used by :func:`synth_linear_dynamics` for a given seed.
-
-    Acts on states flattened physical-index-fastest: one factor couples
-    physical slots, the other couples features.
-    """
-    rng = np.random.default_rng(seed)
-    g_p = _stable_matrix(rng, d_phys, np.sqrt(spectral_radius))
-    g_f = _stable_matrix(rng, d_feat, np.sqrt(spectral_radius))
-    return np.kron(g_f, g_p)
 
 
 def synth_linear_dynamics(

@@ -27,6 +27,21 @@ def random_idempotent(rng, m, rank=None):
             return b @ np.linalg.inv(core) @ c
 
 
+def linear_dynamics_matrix(d_phys, d_feat, seed, spectral_radius=0.85):
+    """The state matrix ``synth_linear_dynamics`` draws for ``seed``.
+
+    Its generator's first two draws, a physical and a feature factor, each
+    rescaled to spectral radius sqrt(spectral_radius); their Kronecker
+    product acts on states flattened physical-index-fastest.
+    """
+    rng = np.random.default_rng(seed)
+    factors = []
+    for n in (d_phys, d_feat):
+        m = rng.standard_normal((n, n))
+        factors.append(m * (np.sqrt(spectral_radius) / np.max(np.abs(np.linalg.eigvals(m)))))
+    return np.kron(factors[1], factors[0])
+
+
 def time_adjacency(tau, c):
     """A[t, s] = c^(t-s) for s < t and 0 otherwise, entry by entry."""
     a = np.zeros((tau, tau))

@@ -55,12 +55,13 @@ def test_param_store_and_activations():
 def test_tape_node_attributes():
     from rgtn import autodiff
 
-    root = autodiff.sum_all(autodiff.constant(np.ones((2, 3))))
+    # |1 - (-5)| = 6 on each of the 6 entries
+    root = autodiff.mae_loss(autodiff.constant(np.ones((2, 3))), np.full((2, 3), -5.0))
     autodiff.backward(root)
     assert root.shape == ()
     assert float(root.array) == 6.0
     assert len(root.parents) == len(root.pushes) == 1
-    np.testing.assert_array_equal(root.parents[0].grad, np.ones((2, 3)))
+    np.testing.assert_array_equal(root.parents[0].grad, np.full((2, 3), 1.0 / 6.0))
 
 
 def test_tt_round_trip_on_a_small_tensor():

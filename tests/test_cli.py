@@ -9,7 +9,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rgtn.checkpoint import save_tensor
+from rgtn.checkpoint import save_checkpoint, save_tensor
 from rgtn.cli import main
 
 
@@ -187,6 +187,22 @@ class TestTrainCommand:
             assert main(["train", "--config", path]) in (0, 1, 2)
 
 
+@pytest.mark.parametrize(
+    "command,with_config", [("train", True), ("eval", False), ("eval", True), ("bench", True)]
+)
+def test_negative_seed_flag_exits_2_naming_the_field(tmp_path, capsys, command, with_config):
+    cfg = base_config(tmp_path / "x")
+    cfg["bench"] = {"variants": ["grgtn", "srgtn"]}
+    path = write_config(tmp_path, cfg)
+    checkpoint = str(tmp_path / "model.rgtn")
+    save_checkpoint(checkpoint, {"w_x": np.zeros((8, 3))}, {"kind": "model", "config": cfg})
+    source = ["--checkpoint", checkpoint] if command == "eval" else []
+    if with_config:
+        source += ["--config", path]
+    assert main([command, *source, "--seed", "-1"]) == 2
+    assert "training.seed" in capsys.readouterr().err
+
+
 class TestEvalCommand:
     def test_matches_train_metric_exactly(self, tmp_path, capsys):
         out = tmp_path / "run"
@@ -312,6 +328,23 @@ class TestDecomposeCommand:
         path = tmp_path / "junk.rgtn"
         path.write_bytes(b"garbage")
         assert main(["decompose", "--tensor", str(path), "--tol", "0.1"]) == 1
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--max-ranks", "a"),
+        ("--max-ranks", "2,2,2"),
+        ("--max-ranks", "-3"),
+        ("--max-ranks", "0"),
+        ("--max-ranks", ""),
+        ("--tol", "-1"),
+        ("--tol", "nan"),
+    ])
+    def test_bad_flag_exits_2_naming_it(self, tmp_path, capsys, flag, value):
+        tensor_path = str(tmp_path / "x.rgtn")
+        save_tensor(tensor_path, np.ones((2, 3, 2)))
+        out = tmp_path / "dec"
+        assert main(["decompose", "--tensor", tensor_path, flag, value, "--out", str(out)]) == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
 
     def test_no_criteria_exits_2(self, tmp_path):
         tensor_path = str(tmp_path / "x.rgtn")

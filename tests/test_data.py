@@ -1,8 +1,16 @@
 """CSV ingestion, windowing, normalization, and generator tests."""
 
+import csv
+import os
+import string
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import linear_dynamics_matrix
 from rgtn.data import (
     CsvFormatError,
     _chronological_split,
@@ -10,7 +18,6 @@ from rgtn.data import (
     CsvSchemaError,
     SeriesTable,
     inverse_transform_predictions,
-    linear_dynamics_matrix,
     load_csv,
     normalize,
     synth_classification,
@@ -95,6 +102,78 @@ class TestLoadCsv:
         path = write(tmp_path, "")
         with pytest.raises(CsvFormatError):
             load_csv(path, WIDE_SCHEMA)
+
+
+# upper case, so no label can collide with the lower-case time and key columns;
+# the comma and the quote make the writer quote a field
+LABELS = st.text(alphabet=string.ascii_uppercase + string.digits + ',"', min_size=1, max_size=4)
+
+
+@st.composite
+def series_tables(draw, phys_labels=None):
+    """A small SeriesTable with finite values and any distinct labels."""
+    t = draw(st.integers(1, 5))
+    if phys_labels is None:
+        phys_labels = draw(st.lists(LABELS, min_size=1, max_size=3, unique=True))
+    feat_labels = draw(st.lists(LABELS, min_size=1, max_size=3, unique=True))
+    stamps = draw(st.lists(st.floats(-1e6, 1e6), min_size=t, max_size=t, unique=True))
+    cells = t * len(phys_labels) * len(feat_labels)
+    values = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                           min_size=cells, max_size=cells))
+    return SeriesTable(
+        timestamps=np.array(sorted(stamps)),
+        values=np.array(values).reshape(t, len(phys_labels), len(feat_labels)),
+        phys_labels=tuple(phys_labels),
+        feat_labels=tuple(feat_labels),
+    )
+
+
+def cells(values):
+    """Numbers as CSV text that parses back to the same float64."""
+    return [repr(float(v)) for v in np.ravel(values)]
+
+
+def round_trip(table, rows, schema):
+    """Write ``rows`` under a header from ``schema`` and read them back."""
+    header = [schema["time"]] + ([schema["phys"]] if "phys" in schema else []) + list(
+        table.feat_labels
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "series.csv")
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows([header] + rows)
+        return load_csv(path, {**schema, "features": list(table.feat_labels)})
+
+
+def assert_same_series(got, table):
+    order = np.argsort(table.phys_labels)
+    assert got.phys_labels == tuple(sorted(table.phys_labels))
+    assert got.feat_labels == table.feat_labels
+    np.testing.assert_array_equal(got.timestamps, table.timestamps)
+    np.testing.assert_array_equal(got.values, table.values[:, order])
+
+
+class TestCsvRoundTrip:
+    """A table written to CSV reads back with its shape, values and labels."""
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(table=series_tables(), missing=st.sampled_from(["drop", "ffill"]), data=st.data())
+    def test_long_format(self, table, missing, data):
+        rows = [
+            [*cells(t), key, *cells(table.values[i, j])]
+            for i, t in enumerate(table.timestamps)
+            for j, key in enumerate(table.phys_labels)
+        ]
+        rows = data.draw(st.permutations(rows))
+        got = round_trip(table, rows, {"time": "time", "phys": "key", "missing": missing})
+        assert_same_series(got, table)
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(table=series_tables(phys_labels=["all"]), missing=st.sampled_from(["drop", "ffill"]))
+    def test_wide_format(self, table, missing):
+        rows = [[*cells(t), *cells(table.values[i])] for i, t in enumerate(table.timestamps)]
+        got = round_trip(table, rows, {"time": "time", "missing": missing})
+        assert_same_series(got, table)
 
 
 class TestWindowing:

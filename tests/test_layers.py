@@ -17,7 +17,7 @@ from oracles import (
     time_adjacency,
     unrolled_recurrence,
 )
-from rgtn.autodiff import log_softmax
+from rgtn import autodiff as ad
 from rgtn.models import HeadConfig, ModelConfig, forward
 
 
@@ -108,8 +108,11 @@ class TestRNN:
     def test_output_softmax_rows_sum_to_one(self):
         rng = np.random.default_rng(4)
         cfg, values = rnn_with_dense_head(rng, 3, 2, 3, out=4)
-        logits = forward(cfg, values, rng.standard_normal((6, 3, 1, 2)))
-        probs = np.exp(log_softmax(logits).array)
+        logits = ad.constant(forward(cfg, values, rng.standard_normal((6, 3, 1, 2))).array)
+        labels = np.array([0, 1, 2, 3, 0, 1])
+        # the cross-entropy gradient is (softmax - onehot) / n
+        ad.backward(ad.cross_entropy_loss(logits, labels))
+        probs = logits.grad * 6 + np.eye(4)[labels]
         np.testing.assert_allclose(probs.sum(axis=1), np.ones(6), atol=1e-12)
 
     def test_output_vs_per_row_oracle(self):
