@@ -13,7 +13,8 @@ is data: it gets no node, no push and no gradient, so a constant input (a
 batch of windows, the time adjacency) costs the tape nothing.  Targets and
 labels are data in the same way: each loss is one node whose only input is
 the prediction (or the logits), and its push returns the loss's gradient in
-closed form.
+closed form.  ``recurrence`` is one node for a whole RNN recurrence, its
+pushes backpropagation through time, so the tape does not grow with tau.
 
 Under ``no_tape()`` operations compute the same arrays with the same
 kernels but keep no inputs or pushes, so each intermediate is freed once
@@ -44,9 +45,8 @@ __all__ = [
     "linear",
     "transpose",
     "reshape",
-    "stack_rows",
-    "unstack",
     "add_bias",
+    "recurrence",
     "tanh",
     "sigmoid",
     "relu",
@@ -97,11 +97,7 @@ def constant(value: np.ndarray | float) -> TapeNode:
 
 
 def backward(root: TapeNode) -> None:
-    """Populate ``grad`` on every leaf reachable from a scalar root.
-
-    A push returns either the gradient of its whole input or, for
-    ``unstack``, a ``(row, gradient)`` pair that adds into one row of it.
-    """
+    """Populate ``grad`` on every leaf reachable from a scalar root."""
     if root.array.size != 1:
         raise ShapeError(f"backward needs a scalar root, got shape {root.shape}")
     order: list[TapeNode] = []
@@ -120,27 +116,12 @@ def backward(root: TapeNode) -> None:
             if id(parent) not in seen:
                 stack.append((parent, False))
     root.grad = np.ones_like(root.array)
-    # gradients allocated here rather than received from a push: only these
-    # may be written in place
-    owned: set[int] = set()
     for node in reversed(order):
         if node.grad is None:
             continue
         for parent, push in zip(node.parents, node.pushes):
             contribution = push(node.grad)
-            if isinstance(contribution, tuple):
-                row, value = contribution
-                if id(parent) not in owned:
-                    parent.grad = (
-                        np.zeros_like(parent.array) if parent.grad is None else parent.grad.copy()
-                    )
-                    owned.add(id(parent))
-                parent.grad[row] += value
-            elif parent.grad is None:
-                parent.grad = contribution
-            else:
-                parent.grad = parent.grad + contribution
-                owned.add(id(parent))
+            parent.grad = contribution if parent.grad is None else parent.grad + contribution
         if node.parents:
             node.grad = None
 
@@ -229,22 +210,6 @@ def reshape(a: TapeNode, shape: Sequence[int]) -> TapeNode:
     return TapeNode(a.array.reshape(shape), (a,), (lambda g: g.reshape(old),))
 
 
-def stack_rows(nodes: Sequence[TapeNode], axis: int = 0) -> TapeNode:
-    out = np.stack([n.array for n in nodes], axis=axis)
-    pushes = tuple(
-        (lambda i: lambda g: np.take(g, i, axis=axis))(i) for i in range(len(nodes))
-    )
-    return TapeNode(out, tuple(nodes), pushes)
-
-
-def unstack(a: TapeNode) -> list[TapeNode]:
-    """The rows of ``a`` along axis 0 as separate nodes (views, not copies)."""
-    return [
-        TapeNode(a.array[i], (a,), ((lambda i: lambda g: (i, g))(i),))
-        for i in range(a.shape[0])
-    ]
-
-
 def add_bias(x: TapeNode, b: TapeNode) -> TapeNode:
     """Add a bias over the trailing axes of x, summing its gradient back."""
     k = len(b.shape)
@@ -258,27 +223,68 @@ def add_bias(x: TapeNode, b: TapeNode) -> TapeNode:
     )
 
 
-def tanh(a: TapeNode) -> TapeNode:
-    out = np.tanh(a.array)
-
-    def push(g: np.ndarray) -> np.ndarray:
-        # g * (1 - out^2) in one fresh array instead of three
-        d = out * out
-        np.subtract(1.0, d, out=d)
-        d *= g
-        return d
-
-    return TapeNode(out, (a,), (push,))
+def _tanh_push(g: np.ndarray, out: np.ndarray) -> np.ndarray:
+    # g * (1 - out^2) in one fresh array instead of three
+    d = out * out
+    np.subtract(1.0, d, out=d)
+    d *= g
+    return d
 
 
-def sigmoid(a: TapeNode) -> TapeNode:
-    out = 1.0 / (1.0 + np.exp(-a.array))
-    return TapeNode(out, (a,), (lambda g: g * out * (1.0 - out),))
+# name -> (function, push from the output: input gradient for output gradient g)
+_ACTIVATIONS = {
+    "tanh": (np.tanh, _tanh_push),
+    "sigmoid": (lambda z: 1.0 / (1.0 + np.exp(-z)), lambda g, out: g * out * (1.0 - out)),
+    "relu": (lambda z: np.maximum(z, 0.0), lambda g, out: g * (out > 0.0)),
+    "identity": (lambda z: z, lambda g, out: g),
+}
 
 
-def relu(a: TapeNode) -> TapeNode:
-    av = a.array
-    return TapeNode(np.maximum(av, 0.0), (a,), (lambda g: g * (av > 0.0),))
+def _activation(name: str) -> Callable[[TapeNode], TapeNode]:
+    fn, push = _ACTIVATIONS[name]
+
+    def op(a: TapeNode) -> TapeNode:
+        out = fn(a.array)
+        return TapeNode(out, (a,), (lambda g: push(g, out),))
+
+    return op
+
+
+tanh, sigmoid, relu = (_activation(name) for name in ("tanh", "sigmoid", "relu"))
+
+
+def recurrence(u: TapeNode, w_h: TapeNode, b_h: TapeNode, activation: str) -> TapeNode:
+    """``h_t = act(u_t + h_{t-1} w_h^T + b_h)`` from ``h_{-1} = 0``, as one node.
+
+    ``u`` and the result are time-major, ``(tau, batch, hidden)``.  The three
+    pushes share one reverse loop of backpropagation through time, which
+    gives the pre-activation gradients: these are ``u``'s gradient, ``w_h``'s
+    is one GEMM of them over all steps and ``b_h``'s is their sum.
+    """
+    if len(u.shape) != 3 or w_h.shape != u.shape[2:] * 2 or b_h.shape != u.shape[2:]:
+        raise ShapeError(f"recurrence needs (tau, batch, H), (H, H), (H,), got "
+                         f"{u.shape}, {w_h.shape}, {b_h.shape}")
+    fn, push = _ACTIVATIONS[activation]
+    uv, w = u.array, w_h.array
+    h = np.empty_like(uv)
+    for t in range(len(uv)):
+        h[t] = fn((uv[t] if t == 0 else uv[t] + h[t - 1] @ w.T) + b_h.array)
+    last = [None, None]  # the output gradient of the last loop and its result
+
+    def bptt(g: np.ndarray) -> np.ndarray:
+        if last[0] is not g:
+            dz, dh = np.empty_like(h), g[-1]
+            for t in range(len(h) - 1, -1, -1):
+                dz[t] = push(dh, h[t])
+                if t:
+                    dh = g[t - 1] + dz[t] @ w
+            last[:] = g, dz
+        return last[1]
+
+    def push_w(g: np.ndarray) -> np.ndarray:
+        return bptt(g)[1:].reshape(-1, len(w)).T @ h[:-1].reshape(-1, len(w))
+
+    return TapeNode(h, (u, w_h, b_h), (bptt, push_w, lambda g: bptt(g).sum(axis=(0, 1))))
 
 
 def _residual(pred: TapeNode, target: np.ndarray, name: str) -> tuple[np.ndarray, float]:

@@ -227,28 +227,28 @@ def cmd_decompose(args) -> int:
 
 def cmd_inspect(args) -> int:
     arrays, meta = load_checkpoint(args.checkpoint)
-    print(f"format_version: {meta['format_version']}")
-    print(f"kind: {meta.get('kind', 'unknown')}")
-    if meta.get("kind") == "model":
-        model_raw = meta.get("config", {}).get("model", {})
-        for key in ("variant", "task", "tau", "d_phys", "d_feat", "hidden", "out_dim"):
-            if key in model_raw:
-                print(f"{key}: {model_raw[key]}")
-    total = 0
-    tt_ranks: list[int] = []
+    config = meta.get("config", {}) if meta.get("kind") == "model" else {}
+    model_raw = config.get("model", {}) if isinstance(config, dict) else None
+    if not isinstance(model_raw, dict):
+        raise CheckpointError(f"{args.checkpoint}: meta.config: not an object with a model object")
+    n_cores = sum(name.startswith("head.core") for name in arrays)
+    cores = [arrays.get(f"head.core{k}") for k in range(n_cores)]
+    if any(core is None or core.ndim != 4 for core in cores):
+        raise CheckpointError(
+            f"{args.checkpoint}: params head.core*: need 4-D head.core0..head.core{n_cores - 1}"
+        )
+    pairs = [("format_version", meta["format_version"]), ("kind", meta.get("kind", "unknown"))]
+    keys = ("variant", "task", "tau", "d_phys", "d_feat", "hidden", "out_dim")
+    pairs += [(key, model_raw[key]) for key in keys if key in model_raw]
     for name, arr in arrays.items():
-        print(f"param {name}: shape={tuple(arr.shape)} count={arr.size}")
-        total += arr.size
-        if name.startswith("head.core"):
-            tt_ranks.append(arr.shape[0])
-    if tt_ranks:
-        last = arrays[f"head.core{len(tt_ranks) - 1}"].shape[-1]
-        print(f"head_tt_ranks: {tuple(tt_ranks) + (last,)}")
-    print(f"total_parameters: {total}")
+        pairs.append((f"param {name}", f"shape={arr.shape} count={arr.size}"))
+    if cores:
+        pairs.append(("head_tt_ranks", tuple(c.shape[0] for c in cores) + (cores[-1].shape[-1],)))
+    pairs.append(("total_parameters", sum(arr.size for arr in arrays.values())))
     if "w_r" in arrays:
         w_r = arrays["w_r"]
-        residual = float(np.linalg.norm(w_r @ w_r - w_r))
-        print(f"w_r_idempotency_residual: {residual!r}")
+        pairs.append(("w_r_idempotency_residual", float(np.linalg.norm(w_r @ w_r - w_r))))
+    _print_pairs(pairs)
     return 0
 
 

@@ -11,8 +11,8 @@ with otherwise identical configuration the two differ by exactly
 hidden^2 parameters.
 
 rnn: the matched baseline flattens physical x feature per step, runs the
-recurrence, and applies the dense equivalent of the head to the full
-hidden-state block.
+recurrence h_t = act(W_x x_t + W_h h_{t-1} + b_h), and applies the dense
+equivalent of the head to the full hidden-state block.
 
 Flattened vectors put the first mode fastest: a (tau, physical, hidden)
 block flattens with the time index varying fastest, as a checkpoint
@@ -34,9 +34,10 @@ Each parameter node goes straight into the product that consumes it.
   never copied and cores 1 and 2 see a block tau / (o0 r1) times smaller.
   Contracting the hidden mode first would copy h into a transposed layout.
 
-The rnn projects the inputs of all steps in one ``linear`` before the
-recurrence.  ``predict`` runs this same code under ``autodiff.no_tape``,
-so it returns exactly ``forward(...).array`` without keeping a tape.
+The rnn projects the inputs of all steps in one ``linear`` on a time-major
+copy of x and runs the recurrence as one ``autodiff.recurrence`` node, so
+its tape does not grow with tau.  ``predict`` runs this same code under
+``autodiff.no_tape``, so it returns exactly ``forward(...).array``.
 """
 
 from __future__ import annotations
@@ -256,24 +257,19 @@ def forward(
         )
     nodes = _as_nodes(values)
     _check_param_shapes(config, nodes)
-    act = _TAPE_ACTIVATIONS[config.activation]
     batch, tau = x.shape[:2]
     if config.variant == "rnn":
         # time-major, physical index fastest within a step; one GEMM for all steps
         flat = x.transpose(1, 0, 3, 2).reshape(tau, batch, -1)
-        inputs = ad.unstack(ad.linear(flat, nodes["w_x"]))
-        steps = []
-        for t in range(tau):
-            z = inputs[t] if t == 0 else ad.add(inputs[t], ad.linear(steps[-1], nodes["w_h"]))
-            steps.append(act(ad.add_bias(z, nodes["b_h"])))
-        h = ad.stack_rows(steps, axis=1)
-        return _head(config, nodes, h)
+        u = ad.linear(flat, nodes["w_x"])
+        h = ad.recurrence(u, nodes["w_h"], nodes["b_h"], config.activation)
+        return _head(config, nodes, ad.transpose(h, (1, 0, 2)))
     a_asc = build_time_adjacency(config.tau, config.c)
     xhat = ad.linear(x, nodes["w_x"])
     mixed = ad.reshape(ad.matmul(a_asc, ad.reshape(xhat, (batch, tau, -1))), xhat.shape)
     if config.variant == "grgtn":
         mixed = ad.linear(mixed, nodes["w_r"])
-    h = act(ad.add(xhat, mixed))
+    h = _TAPE_ACTIVATIONS[config.activation](ad.add(xhat, mixed))
     return _head(config, nodes, h)
 
 

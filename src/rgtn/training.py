@@ -3,12 +3,16 @@
 Training is deterministic given the configuration seed: initialization and
 batch shuffling derive independent child seeds from it, and every update
 is a plain single-threaded numpy computation.
+
+Parameters, gradients and Adam moments live in four flat buffers, so
+``adam_step`` is one vectorised update.  ``ParamStore.values()`` returns
+views that the next ``adam_step`` updates in place: to keep them, copy.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -30,48 +34,54 @@ __all__ = [
 LOSSES = ("mae", "mse", "cross_entropy")
 
 
-@dataclass
 class Param:
-    """One named trainable tensor with its gradient and Adam state."""
+    """Views of one parameter's slice of its store; ``grad`` is None until set."""
 
-    name: str
-    value: np.ndarray
-    grad: np.ndarray | None = None
-    m: np.ndarray | None = None
-    v: np.ndarray | None = None
+    def __init__(self, name: str, value, grad, active) -> None:
+        self.name, self.value, self._grad, self._active = name, value, grad, active
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        return self._grad if self._active[0] else None
+
+    @grad.setter
+    def grad(self, g: np.ndarray | None) -> None:
+        self._active[:] = g is not None
+        self._grad[...] = 0.0 if g is None else g
 
 
 class ParamStore:
-    """Ordered collection of named parameters with a shared step counter."""
+    """Named parameters over four flat float64 buffers, one slice per name.
 
-    def __init__(self, params: dict[str, Param], step: int = 0) -> None:
-        self.params = params
-        self.step = step
+    ``flat`` holds the values, ``grads`` the gradients and ``m``/``v`` the
+    Adam moments; ``active`` marks the entries that have a gradient.
+    """
+
+    def __init__(self, values: Mapping[str, np.ndarray]) -> None:
+        arrays = {name: np.asarray(arr, dtype=float) for name, arr in values.items()}
+        ends = np.cumsum([0] + [arr.size for arr in arrays.values()])
+        self.flat, self.grads, self.m, self.v = (np.zeros(ends[-1]) for _ in range(4))
+        self.active = np.zeros(ends[-1], dtype=bool)
+        self.params: dict[str, Param] = {}
+        for (name, arr), i, j in zip(arrays.items(), ends, ends[1:]):
+            self.flat[i:j] = arr.ravel()
+            views = (buf[i:j].reshape(arr.shape) for buf in (self.flat, self.grads))
+            self.params[name] = Param(name, *views, self.active[i:j])
+        self.step = 0
 
     @classmethod
     def from_values(cls, values: Mapping[str, np.ndarray]) -> "ParamStore":
-        return cls(
-            {
-                name: Param(name=name, value=np.array(arr, dtype=float))
-                for name, arr in values.items()
-            }
-        )
+        return cls(values)
 
     def values(self) -> dict[str, np.ndarray]:
         return {name: p.value for name, p in self.params.items()}
 
     def zero_grads(self) -> None:
-        for p in self.params.values():
-            p.grad = None
-
-    def total_count(self) -> int:
-        return sum(p.value.size for p in self.params.values())
+        self.grads.fill(0.0)
+        self.active.fill(False)
 
     def __getitem__(self, name: str) -> Param:
         return self.params[name]
-
-    def __iter__(self):
-        return iter(self.params.values())
 
 
 @dataclass(frozen=True)
@@ -112,28 +122,24 @@ class TrainingDiverged(RuntimeError):
 
 
 def adam_step(store: ParamStore, config: TrainConfig) -> None:
-    """One bias-corrected Adam update; parameters without gradients stay put."""
-    active = [p for p in store if p.grad is not None]
-    for p in active:
-        if not np.all(np.isfinite(p.grad)):
-            raise FloatingPointError(f"non-finite gradient for parameter {p.name!r}")
-    if config.clip_norm is not None and active:
-        total = float(np.sqrt(sum(float((p.grad**2).sum()) for p in active)))
+    """In-place bias-corrected Adam on the flat buffers; gradient-less entries stay put."""
+    g = store.grads
+    if not np.isfinite(g).all():
+        bad = next(p.name for p in store.params.values() if not np.isfinite(p._grad).all())
+        raise FloatingPointError(f"non-finite gradient for parameter {bad!r}")
+    if config.clip_norm is not None:
+        total = float(np.sqrt(g @ g))
         if total > config.clip_norm:
-            factor = config.clip_norm / total
-            for p in active:
-                p.grad = p.grad * factor
+            g *= config.clip_norm / total
     store.step += 1
     t = store.step
-    for p in active:
-        if p.m is None:
-            p.m = np.zeros_like(p.value)
-            p.v = np.zeros_like(p.value)
-        p.m = config.beta1 * p.m + (1.0 - config.beta1) * p.grad
-        p.v = config.beta2 * p.v + (1.0 - config.beta2) * p.grad**2
-        m_hat = p.m / (1.0 - config.beta1**t)
-        v_hat = p.v / (1.0 - config.beta2**t)
-        p.value = p.value - config.learning_rate * m_hat / (np.sqrt(v_hat) + config.eps)
+    active = store.active
+    np.copyto(store.m, config.beta1 * store.m + (1.0 - config.beta1) * g, where=active)
+    np.copyto(store.v, config.beta2 * store.v + (1.0 - config.beta2) * g**2, where=active)
+    m_hat = store.m / (1.0 - config.beta1**t)
+    v_hat = store.v / (1.0 - config.beta2**t)
+    update = config.learning_rate * m_hat / (np.sqrt(v_hat) + config.eps)
+    np.copyto(store.flat, store.flat - update, where=active)
 
 
 def _loss_node(loss: str, preds: ad.TapeNode, targets: np.ndarray) -> ad.TapeNode:
@@ -160,7 +166,7 @@ def train(
 ) -> tuple[ParamStore, list[dict]]:
     """Fit the model on the train split, tracking train/validation loss."""
     seeds = np.random.SeedSequence(config.seed).generate_state(2)
-    store = ParamStore.from_values(init_params(model, int(seeds[0])))
+    store = ParamStore(init_params(model, int(seeds[0])))
     shuffle_rng = np.random.default_rng(int(seeds[1]))
     train_idx = dataset.splits.train
     val_inputs, val_targets = dataset.subset(dataset.splits.val)

@@ -87,6 +87,26 @@ def rnn_loop(w_h, w_x, b_h, x, act=np.tanh):
     return np.array(out)
 
 
+def adam_per_tensor(values, grads, state, step, config):
+    """One Adam step tensor by tensor, as separate arrays; returns the new step.
+
+    ``grads`` maps a name to its gradient or None; a tensor with None keeps
+    its value and moments.  ``state`` maps a name to its ``[m, v]``.
+    """
+    step += 1
+    for name, g in grads.items():
+        if g is None:
+            continue
+        m, v = state.setdefault(name, [np.zeros_like(values[name]), np.zeros_like(values[name])])
+        m = config.beta1 * m + (1.0 - config.beta1) * g
+        v = config.beta2 * v + (1.0 - config.beta2) * g**2
+        state[name] = [m, v]
+        m_hat = m / (1.0 - config.beta1**step)
+        v_hat = v / (1.0 - config.beta2**step)
+        values[name] = values[name] - config.learning_rate * m_hat / (np.sqrt(v_hat) + config.eps)
+    return step
+
+
 def tt_head_matrix(cores):
     """Dense (prod in, prod out) matrix of a three-core TT head.
 

@@ -261,14 +261,6 @@ class TestTapeLifetime:
         assert w.grad is not None
         assert inner.grad is None and root.grad is None
 
-    def test_unstack_rows_gather_into_one_gradient(self):
-        rng = np.random.default_rng(36)
-        a = rng.standard_normal((4, 3))
-        check_gradients(lambda x: square_mean(ad.add(ad.unstack(x)[1], ad.unstack(x)[3])), [a])
-        check_gradients(
-            lambda x: square_mean(ad.add(ad.unstack(x)[0], ad.unstack(ad.tanh(x))[0])), [a]
-        )
-
     def test_no_tape_keeps_no_inputs(self):
         w = ad.constant(np.ones((2, 2)))
         with ad.no_tape():
@@ -291,14 +283,6 @@ class TestStructuralOps:
         a = rng.standard_normal((2, 6))
         check_gradients(lambda x: square_mean(ad.reshape(x, (3, 4))), [a])
 
-    def test_stack_rows(self):
-        rng = np.random.default_rng(15)
-        a = rng.standard_normal((3,))
-        b = rng.standard_normal((3,))
-        check_gradients(
-            lambda x, y: square_mean(ad.stack_rows([x, y], axis=0)), [a, b]
-        )
-
     def test_add_bias(self):
         rng = np.random.default_rng(16)
         x = rng.standard_normal((4, 2, 3))
@@ -314,6 +298,35 @@ class TestStructuralOps:
     def test_add_bias_shape_error(self):
         with pytest.raises(ShapeError):
             ad.add_bias(ad.constant(np.ones((2, 3))), ad.constant(np.ones(2)))
+
+
+class TestRecurrence:
+    @pytest.mark.parametrize("activation", ["tanh", "sigmoid", "relu", "identity"])
+    @pytest.mark.parametrize("tau", [1, 2, 7])
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_gradients_match_finite_differences(self, activation, tau, batch):
+        rng = np.random.default_rng(37)
+        u = rng.standard_normal((tau, batch, 3))
+        w = rng.standard_normal((3, 3)) * 0.6
+        b = rng.standard_normal(3) * 0.3
+        check_gradients(
+            lambda u, w, b: square_mean(ad.recurrence(u, w, b, activation)), [u, w, b]
+        )
+
+    def test_one_loop_serves_all_three_pushes(self):
+        rng = np.random.default_rng(39)
+        u, w, b = (ad.constant(rng.standard_normal(s)) for s in ((3, 2, 4), (4, 4), (4,)))
+        node = ad.recurrence(u, w, b, "tanh")
+        g = rng.standard_normal(node.shape)
+        du = node.pushes[0](g)
+        assert node.pushes[0](g) is du
+        np.testing.assert_array_equal(node.pushes[2](g), du.sum(axis=(0, 1)))
+
+    def test_shape_errors(self):
+        u, w, b = np.ones((3, 2, 4)), np.ones((4, 4)), np.ones(4)
+        for bad in ((np.ones((2, 4)), w, b), (u, np.ones((4, 3)), b), (u, w, np.ones(3))):
+            with pytest.raises(ShapeError):
+                ad.recurrence(*(ad.constant(a) for a in bad), "tanh")
 
 
 class TestLosses:

@@ -392,3 +392,17 @@ class TestInspectCommand:
         path.write_bytes(bytes(blob))
         assert main(["inspect", "--checkpoint", str(path)]) == 1
         assert "digest" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("meta,arrays,field", [
+        ({"kind": "model", "config": [1, 2]}, {"w_x": np.ones((2, 2))}, "meta.config"),
+        ({"kind": "model", "config": {"model": "rnn"}}, {"w_x": np.ones((2, 2))}, "meta.config"),
+        ({"kind": "model"}, {"head.core0": np.ones((1, 2, 1, 2)),
+                             "head.core2": np.ones((2, 2, 1, 1))}, "head.core1"),
+        ({"kind": "model"}, {"head.core0": np.ones(3)}, "head.core0"),
+    ])
+    def test_malformed_model_checkpoint_exits_1(self, tmp_path, capsys, meta, arrays, field):
+        path = str(tmp_path / "bad.rgtn")
+        save_checkpoint(path, arrays, meta)
+        assert main(["inspect", "--checkpoint", path]) == 1
+        captured = capsys.readouterr()
+        assert field in captured.err and captured.out == ""

@@ -134,12 +134,14 @@ class TestForwardEquivalence:
         values = init_params(cfg, seed=2)
         values["b_h"] = rng.standard_normal(cfg.hidden) * 0.1
         x = rng.standard_normal((4, cfg.tau, cfg.d_phys, cfg.d_feat))
-        h = unflatten(predict(cfg, values, x), cfg.feature_block)
-        for b in range(4):
-            # each step flattens (physical, feature) with the physical index fastest
-            flat = np.stack([x[b, t].ravel(order="F") for t in range(cfg.tau)], axis=0)
-            expect = rnn_loop(values["w_h"], values["w_x"], values["b_h"], flat)
-            np.testing.assert_allclose(h[b], expect, atol=1e-12)
+        # without a tape (predict) and on one
+        for out in (predict(cfg, values, x), forward(cfg, values, x).array):
+            h = unflatten(out, cfg.feature_block)
+            for b in range(4):
+                # each step flattens (physical, feature) with the physical index fastest
+                flat = np.stack([x[b, t].ravel(order="F") for t in range(cfg.tau)], axis=0)
+                expect = rnn_loop(values["w_h"], values["w_x"], values["b_h"], flat)
+                np.testing.assert_allclose(h[b], expect, atol=1e-12)
 
     def test_tt_head_matches_pure_layer(self):
         rng = np.random.default_rng(2)
@@ -287,6 +289,16 @@ class TestTape:
                 assert node.grad is not None
             elif node.parents:
                 assert node.grad is None
+
+    def test_rnn_tape_size_does_not_grow_with_tau(self):
+        rng = np.random.default_rng(12)
+        counts = []
+        for tau in (2, 32):
+            cfg = small_config("rnn", head_kind="dense", tau=tau)
+            x = rng.standard_normal((2, tau, cfg.d_phys, cfg.d_feat))
+            root = ad.mse_loss(forward(cfg, init_params(cfg, seed=1), x), np.zeros((2, 4)))
+            counts.append(len(_walk(root)))
+        assert counts[0] == counts[1]
 
     @pytest.mark.parametrize("variant,head", [("grgtn", "tt"), ("srgtn", "tt"), ("rnn", "dense")])
     def test_predict_is_forward_without_a_tape(self, variant, head):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from oracles import adam_per_tensor
 from rgtn.data import normalize, synth_classification, synth_linear_dynamics, window
 from rgtn.models import HeadConfig, ModelConfig, init_params, predict
 from rgtn.training import (
@@ -68,6 +69,32 @@ class TestAdam:
             adam_step(store, config)
         expect = scalar_adam_oracle(g, 25)
         np.testing.assert_allclose(float(store["theta"].value), expect, atol=1e-12)
+
+    def test_flat_update_equals_per_tensor_oracle(self):
+        rng = np.random.default_rng(6)
+        values = {"a": rng.standard_normal((2, 3)), "b": rng.standard_normal(4),
+                  "c": rng.standard_normal(())}
+        store = ParamStore.from_values(values)
+        config = TrainConfig(epochs=1, learning_rate=0.05)
+        expect, state, step = dict(values), {}, 0
+        for k in range(25):
+            grads = {name: rng.standard_normal(v.shape) for name, v in values.items()}
+            grads["b"] = None if k % 2 else grads["b"]
+            store.zero_grads()
+            for name, g in grads.items():
+                store[name].grad = g
+            adam_step(store, config)
+            step = adam_per_tensor(expect, grads, state, step, config)
+            for name in values:
+                assert np.array_equal(store[name].value, expect[name]), (k, name)
+        assert store.step == step == 25
+
+    def test_values_are_views_updated_in_place(self):
+        store = ParamStore.from_values({"w": np.ones(2)})
+        kept = store.values()["w"]
+        store["w"].grad = np.ones(2)
+        adam_step(store, TrainConfig(epochs=1))
+        assert kept is store["w"].value and not np.array_equal(kept, np.ones(2))
 
     def test_zero_learning_rate(self):
         store = ParamStore.from_values({"w": np.ones(4)})
@@ -210,7 +237,7 @@ class TestEvaluate:
             ).mean()
         )
         np.testing.assert_allclose(metrics["mae"], expect, atol=1e-12)
-        assert metrics["parameter_count"] == store.total_count()
+        assert metrics["parameter_count"] == store.flat.size
 
     def test_perfect_classifier_accuracy(self):
         ds = synth_classification(6, 2, 2, 80, 0.0, seed=2)
