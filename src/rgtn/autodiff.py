@@ -142,18 +142,22 @@ def _operand(a: TapeNode | np.ndarray, transpose: bool) -> np.ndarray:
 
 
 def matmul(
-    a: TapeNode | np.ndarray, b: TapeNode | np.ndarray, transpose_a: bool = False
+    a: TapeNode | np.ndarray,
+    b: TapeNode | np.ndarray,
+    transpose_a: bool = False,
+    transpose_b: bool = False,
 ) -> TapeNode:
     """``a @ b`` with numpy semantics, where one operand is 2-D.
 
     With a 2-D right operand the left one's leading axes fold into the rows
     of one GEMM; with a 2-D left operand the product is batched over the
     right one's leading axes.  ``transpose_a`` multiplies by ``a.T`` for a
-    2-D ``a``, so a parameter stored in its own layout enters the product
-    as it is and BLAS reads it transposed.  A plain ndarray operand is data
-    and gets no gradient.
+    2-D ``a`` and ``transpose_b`` by ``b.T`` for a 2-D ``b``, so a parameter
+    stored in its own layout enters the product as it is and BLAS reads it
+    transposed; the result is C-contiguous either way.  A plain ndarray
+    operand is data and gets no gradient.
     """
-    return _matmul(a, b, transpose_a, False)
+    return _matmul(a, b, transpose_a, transpose_b)
 
 
 def linear(x: TapeNode | np.ndarray, w: TapeNode | np.ndarray) -> TapeNode:

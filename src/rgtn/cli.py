@@ -237,6 +237,11 @@ def cmd_inspect(args) -> int:
         raise CheckpointError(
             f"{args.checkpoint}: params head.core*: need 4-D head.core0..head.core{n_cores - 1}"
         )
+    w_r = arrays.get("w_r")
+    if w_r is not None and (w_r.ndim != 2 or w_r.shape[0] != w_r.shape[1]):
+        raise CheckpointError(
+            f"{args.checkpoint}: params w_r: need a square matrix, got shape {w_r.shape}"
+        )
     pairs = [("format_version", meta["format_version"]), ("kind", meta.get("kind", "unknown"))]
     keys = ("variant", "task", "tau", "d_phys", "d_feat", "hidden", "out_dim")
     pairs += [(key, model_raw[key]) for key in keys if key in model_raw]
@@ -245,8 +250,7 @@ def cmd_inspect(args) -> int:
     if cores:
         pairs.append(("head_tt_ranks", tuple(c.shape[0] for c in cores) + (cores[-1].shape[-1],)))
     pairs.append(("total_parameters", sum(arr.size for arr in arrays.values())))
-    if "w_r" in arrays:
-        w_r = arrays["w_r"]
+    if w_r is not None:
         pairs.append(("w_r_idempotency_residual", float(np.linalg.norm(w_r @ w_r - w_r))))
     _print_pairs(pairs)
     return 0

@@ -239,9 +239,11 @@ def window(
         raise ValueError(
             f"series of length {t_total} is too short for tau={tau}, horizon={horizon}"
         )
-    inputs = np.stack([table.values[i : i + tau] for i in range(n)], axis=0)
+    # C order whatever the table's layout, so no batch of windows needs a copy to reshape
+    values = np.ascontiguousarray(table.values)
+    inputs = np.stack([values[i : i + tau] for i in range(n)], axis=0)
     target_rows = np.arange(n) + tau + horizon - 1
-    targets = np.stack([table.values[r].ravel(order="F") for r in target_rows], axis=0)
+    targets = np.stack([values[r].ravel(order="F") for r in target_rows], axis=0)
     splits = _chronological_split(n, split)
     return WindowedDataset(inputs=inputs, targets=targets, task="regression", splits=splits)
 

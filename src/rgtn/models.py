@@ -21,12 +21,15 @@ payload does.
 Every contraction is one ``autodiff.matmul``/``linear`` call on a reshape
 that needs no copy.  The window x and the time adjacency A are plain
 arrays, so neither is a tape node and no gradient is computed for them.
-Each parameter node goes straight into the product that consumes it.
 
-* projection: ``x @ W_x^T`` over all (batch, tau, physical) rows at once;
-* time mix: one batched ``A @ xhat`` on xhat viewed as (batch, tau,
-  physical * hidden), with no axis moved;
-* propagation (grgtn): ``mixed @ W_r^T``, again one GEMM;
+* time mix, on the input: A acts on the time mode and W_x on the feature
+  mode, so ``A (x W_x^T) = (A x) W_x^T``.  ``A x`` is one batched GEMM on
+  x viewed as (batch, tau, physical * feature), tau^2 physical feature
+  multiply-adds per window; x and A are data, so it has no backward;
+* projection: srgtn is ``(x + A x) @ W_x^T``; grgtn is ``x @ W_x^T +
+  (A x) @ (W_r W_x)^T``, with W_r folded into one (feature, hidden) tape
+  product.  It is built as ``W_x^T W_r^T`` so that it comes out
+  C-contiguous: OpenBLAS runs the tall product 3x slower on a ``.T`` view;
 * TT head: the time mode first, as a left product of core 0 on h viewed as
   (batch, tau, physical * hidden); then (rank, physical) with core 1 and
   (rank, hidden) with core 2.  Contracting the mode that shrinks the block
@@ -139,10 +142,6 @@ class ModelConfig:
             return (self.tau, self.hidden)
         return (self.tau, self.d_phys, self.hidden)
 
-    @property
-    def in_modes(self) -> tuple[int, int, int]:
-        return (self.tau, self.d_phys, self.hidden)
-
 
 def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     """Ordered trainable parameter shapes for a configuration."""
@@ -158,7 +157,7 @@ def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     head = config.head
     if head.kind == "tt":
         full = (1,) + head.ranks + (1,)
-        for k, (i, o) in enumerate(zip(config.in_modes, head.out_modes)):
+        for k, (i, o) in enumerate(zip(config.feature_block, head.out_modes)):
             shapes[f"head.core{k}"] = (full[k], i, o, full[k + 1])
     elif head.kind == "dense":
         shapes["head.w"] = (config.out_dim, prod(config.feature_block))
@@ -225,7 +224,7 @@ def _head(config: ModelConfig, nodes: Mapping[str, ad.TapeNode], h: ad.TapeNode)
         out = ad.linear(_flatten_samples(h), nodes["head.w"])
     else:
         # core k, (r_k, i_k, o_k, r_k+1), is the matrix (r_k i_k, o_k r_k+1)
-        batch, (tau, phys, hidden), (o0, o1, o2) = h.shape[0], config.in_modes, head.out_modes
+        batch, (tau, phys, hidden), (o0, o1, o2) = h.shape[0], config.feature_block, head.out_modes
         r1, r2 = head.ranks
         cores = [
             ad.reshape(nodes[f"head.core{k}"], (rows, -1))
@@ -265,12 +264,13 @@ def forward(
         h = ad.recurrence(u, nodes["w_h"], nodes["b_h"], config.activation)
         return _head(config, nodes, ad.transpose(h, (1, 0, 2)))
     a_asc = build_time_adjacency(config.tau, config.c)
-    xhat = ad.linear(x, nodes["w_x"])
-    mixed = ad.reshape(ad.matmul(a_asc, ad.reshape(xhat, (batch, tau, -1))), xhat.shape)
+    ax = ad.matmul(a_asc, x.reshape(batch, tau, -1)).array.reshape(x.shape)  # off the tape
     if config.variant == "grgtn":
-        mixed = ad.linear(mixed, nodes["w_r"])
-    h = _TAPE_ACTIVATIONS[config.activation](ad.add(xhat, mixed))
-    return _head(config, nodes, h)
+        w_xr = ad.matmul(nodes["w_x"], nodes["w_r"], transpose_a=True, transpose_b=True)
+        pre = ad.add(ad.linear(x, nodes["w_x"]), ad.matmul(ax, w_xr))
+    else:
+        pre = ad.linear(x + ax, nodes["w_x"])
+    return _head(config, nodes, _TAPE_ACTIVATIONS[config.activation](pre))
 
 
 def predict(

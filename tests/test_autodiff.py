@@ -205,6 +205,18 @@ class TestMatmul:
             lambda x, y: square_mean(ad.matmul(x, y, transpose_a=True)), [a, b]
         )
 
+    def test_both_operands_transposed(self):
+        rng = np.random.default_rng(35)
+        a = rng.standard_normal((4, 3))
+        b = rng.standard_normal((5, 4))
+        out = ad.matmul(a, b, transpose_a=True, transpose_b=True).array
+        np.testing.assert_allclose(out, a.T @ b.T, atol=1e-12)
+        assert out.flags.c_contiguous
+        check_gradients(
+            lambda x, y: square_mean(ad.matmul(x, y, transpose_a=True, transpose_b=True)),
+            [a, b],
+        )
+
     def test_linear_is_product_with_transpose(self):
         rng = np.random.default_rng(33)
         x = rng.standard_normal((2, 4, 3))

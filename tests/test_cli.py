@@ -399,6 +399,8 @@ class TestInspectCommand:
         ({"kind": "model"}, {"head.core0": np.ones((1, 2, 1, 2)),
                              "head.core2": np.ones((2, 2, 1, 1))}, "head.core1"),
         ({"kind": "model"}, {"head.core0": np.ones(3)}, "head.core0"),
+        ({"kind": "model"}, {"w_r": np.ones(3)}, "params w_r"),
+        ({"kind": "model"}, {"w_r": np.ones((2, 3))}, "params w_r"),
     ])
     def test_malformed_model_checkpoint_exits_1(self, tmp_path, capsys, meta, arrays, field):
         path = str(tmp_path / "bad.rgtn")

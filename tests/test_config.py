@@ -44,6 +44,40 @@ def test_parses_and_builds(name, raw):
     assert ds.window_shape == (run.model.tau, run.model.d_phys, run.model.d_feat)
 
 
+def csv_document(path):
+    """A regression run on a long-format CSV of 40 steps, 2 sites and 3 features."""
+    rng = np.random.default_rng(0)
+    lines = ["time,site,a,b,c"] + [
+        f"{t},{site}," + ",".join(f"{v:.6f}" for v in rng.standard_normal(3))
+        for t in range(40) for site in ("north", "south")
+    ]
+    path.write_text("\n".join(lines) + "\n")
+    schema = {"time": "time", "phys": "site", "features": ["a", "b", "c"]}
+    return {
+        "model": {"variant": "grgtn", "tau": 4, "d_phys": 2, "d_feat": 3, "hidden": 5,
+                  "out_dim": 6, "head": {"kind": "dense"}},
+        "data": {"kind": "csv", "path": str(path), "schema": schema},
+        "training": {"epochs": 1},
+    }
+
+
+@pytest.mark.parametrize("normalize", ["zscore", "minmax", "none"])
+def test_every_dataset_path_gives_c_contiguous_windows(tmp_path, normalize):
+    # a batch of windows reshapes to (rows, feature) in every model without a copy
+    raws = [raw for _, raw in documents()] + [csv_document(tmp_path / "series.csv")]
+    assert {raw["data"]["kind"] for raw in raws} == {
+        "synthetic_regression", "synthetic_classification", "csv"
+    }
+    rng = np.random.default_rng(1)
+    for raw in raws:
+        data = {**raw["data"], "normalize": normalize}
+        ds = build_dataset(run_config_from_dict({**raw, "data": data}))
+        batch = rng.permutation(ds.splits.train)[:16]
+        assert ds.inputs.flags.c_contiguous
+        assert ds.inputs[batch].flags.c_contiguous
+        assert ds.subset(ds.splits.test)[0].flags.c_contiguous
+
+
 def shipped_splits():
     """Each distinct ``data.split`` a shipped config or workload uses, or the default."""
     splits = {

@@ -128,6 +128,45 @@ class TestForwardEquivalence:
                     expect = block_map(a, w_r, x[b, :, d, :] @ values["w_x"].T)
                     np.testing.assert_allclose(h[b, :, d, :], expect, atol=1e-12)
 
+    @pytest.mark.parametrize("variant", ["grgtn", "srgtn"])
+    @pytest.mark.parametrize("head_kind", ["tt", "dense", "none"])
+    def test_filters_match_block_map_with_input_side_mix(self, variant, head_kind):
+        # F < H, a long window and a W_r far from idempotent: the mix runs on
+        # the input and W_r folds into the projection, which must not matter
+        rng = np.random.default_rng(14)
+        tau, d, f, m = 9, 3, 2, 5
+        head = {
+            "tt": HeadConfig(kind="tt", ranks=(2, 3), out_modes=(2, 1, 3)),
+            "dense": HeadConfig(kind="dense"),
+            "none": HeadConfig(kind="none", bias=False),
+        }[head_kind]
+        cfg = ModelConfig(
+            variant=variant, tau=tau, d_phys=d, d_feat=f, hidden=m,
+            out_dim=tau * d * m if head_kind == "none" else 6, c=0.8, head=head,
+        )
+        values = init_params(cfg, seed=6)
+        if variant == "grgtn":
+            values["w_r"] = rng.standard_normal((m, m))
+            assert np.linalg.norm(values["w_r"] @ values["w_r"] - values["w_r"]) > 1.0
+        if head.bias:
+            values["head.bias"] = rng.standard_normal(cfg.out_dim)
+        x = rng.standard_normal((4, tau, d, f))
+        a = time_adjacency(tau, cfg.c)
+        w_r = values["w_r"] if variant == "grgtn" else np.eye(m)
+        h = np.empty((4, tau, d, m))
+        for b in range(4):
+            for p in range(d):
+                h[b, :, p, :] = np.tanh(block_map(a, w_r, x[b, :, p, :] @ values["w_x"].T))
+        expect = h.transpose(0, 3, 2, 1).reshape(4, -1)
+        if head_kind == "tt":
+            expect = expect @ tt_head_matrix([values[f"head.core{k}"] for k in range(3)])
+        elif head_kind == "dense":
+            expect = expect @ values["head.w"].T
+        if head.bias:
+            expect = expect + values["head.bias"]
+        for got in (predict(cfg, values, x), forward(cfg, values, x).array):
+            assert np.linalg.norm(got - expect) <= 1e-12 * np.linalg.norm(expect)
+
     def test_rnn_matches_pure_recurrence(self):
         rng = np.random.default_rng(1)
         cfg = small_config("rnn", head_kind="none", activation="tanh")
@@ -289,6 +328,18 @@ class TestTape:
                 assert node.grad is not None
             elif node.parents:
                 assert node.grad is None
+
+    @pytest.mark.parametrize("variant,expected", [("grgtn", 4), ("srgtn", 2)])
+    def test_time_mix_runs_below_hidden_width(self, variant, expected):
+        # hidden-width nodes: the projection, grgtn's folded W_r product and
+        # their sum, and the activation; the mix itself is not on the tape
+        rng = np.random.default_rng(15)
+        cfg = small_config(variant, tau=7, d=2, f=3, m=5)
+        x = rng.standard_normal((6, cfg.tau, cfg.d_phys, cfg.d_feat))
+        nodes = {k: ad.constant(v) for k, v in init_params(cfg, seed=4).items()}
+        graph = _walk(forward(cfg, nodes, x))
+        hidden_block = (6, cfg.tau, cfg.d_phys, cfg.hidden)
+        assert sum(node.shape == hidden_block for node in graph) == expected
 
     def test_rnn_tape_size_does_not_grow_with_tau(self):
         rng = np.random.default_rng(12)
