@@ -22,8 +22,11 @@ its consumer returns; ``backward`` then has nothing to walk.
 
 Nodes hold their arrays without copying, and a node's gradient may be the
 very array its child received, so value and gradient arrays are shared:
-no operation, push or caller may write into one in place.  Axis arguments
-are 0-based numpy axes.
+no operation, push or caller may write into one in place.  The one
+exception is ``linear``'s activation, which runs in place on the GEMM's
+output.  That is safe because the array is one the op has just allocated
+and no other node holds, so the block is written once and not twice.  Axis
+arguments are 0-based numpy axes.
 """
 
 from __future__ import annotations
@@ -40,9 +43,9 @@ __all__ = [
     "no_tape",
     "constant",
     "backward",
-    "add",
     "matmul",
     "linear",
+    "concat",
     "transpose",
     "reshape",
     "add_bias",
@@ -126,48 +129,48 @@ def backward(root: TapeNode) -> None:
             node.grad = None
 
 
-def add(a: TapeNode, b: TapeNode) -> TapeNode:
-    if a.shape != b.shape:
-        raise ShapeError(f"add needs equal shapes, got {a.shape} and {b.shape}")
-    return TapeNode(a.array + b.array, (a, b), (lambda g: g, lambda g: g))
+def _value(a: TapeNode | np.ndarray) -> np.ndarray:
+    return a.array if isinstance(a, TapeNode) else np.asarray(a, float)
 
 
-def _operand(a: TapeNode | np.ndarray, transpose: bool) -> np.ndarray:
-    v = a.array if isinstance(a, TapeNode) else np.asarray(a, float)
-    if not transpose:
-        return v
-    if v.ndim != 2:
-        raise ShapeError(f"a transposed operand must be 2-D, got shape {v.shape}")
-    return v.T
+def _shared(first: Callable[[np.ndarray], np.ndarray], consumers) -> tuple[Callable, ...]:
+    """One push per consumer, each applied to ``first(g)``, which runs once per ``g``.
+
+    ``backward`` runs a node's pushes one after another on the same ``g``;
+    the last push drops the shared result, so a finished node keeps none.
+    """
+    memo: list = [None, None]  # the output gradient of the last call and first() of it
+
+    def make(consume, last: bool) -> Callable[[np.ndarray], np.ndarray]:
+        def push(g: np.ndarray) -> np.ndarray:
+            if memo[0] is not g:
+                memo[:] = g, first(g)
+            shared = memo[1]
+            if last:
+                memo[:] = None, None
+            return consume(shared)
+
+        return push
+
+    return tuple(make(c, i == len(consumers) - 1) for i, c in enumerate(consumers))
 
 
 def matmul(
-    a: TapeNode | np.ndarray,
-    b: TapeNode | np.ndarray,
-    transpose_a: bool = False,
-    transpose_b: bool = False,
+    a: TapeNode | np.ndarray, b: TapeNode | np.ndarray, transpose_a: bool = False
 ) -> TapeNode:
     """``a @ b`` with numpy semantics, where one operand is 2-D.
 
     With a 2-D right operand the left one's leading axes fold into the rows
     of one GEMM; with a 2-D left operand the product is batched over the
     right one's leading axes.  ``transpose_a`` multiplies by ``a.T`` for a
-    2-D ``a`` and ``transpose_b`` by ``b.T`` for a 2-D ``b``, so a parameter
-    stored in its own layout enters the product as it is and BLAS reads it
-    transposed; the result is C-contiguous either way.  A plain ndarray
-    operand is data and gets no gradient.
+    2-D ``a``, so a parameter stored in its own layout enters the product
+    as it is.  A plain ndarray operand is data and gets no gradient.
     """
-    return _matmul(a, b, transpose_a, transpose_b)
-
-
-def linear(x: TapeNode | np.ndarray, w: TapeNode | np.ndarray) -> TapeNode:
-    """``x @ w.T`` for a 2-D ``w``: one GEMM over all leading axes of ``x``."""
-    return _matmul(x, w, False, True)
-
-
-def _matmul(a, b, transpose_a: bool, transpose_b: bool) -> TapeNode:
-    av = _operand(a, transpose_a)
-    bv = _operand(b, transpose_b)
+    av, bv = _value(a), _value(b)
+    if transpose_a:
+        if av.ndim != 2:
+            raise ShapeError(f"a transposed operand must be 2-D, got shape {av.shape}")
+        av = av.T
     if min(av.ndim, bv.ndim) < 2 or 2 not in (av.ndim, bv.ndim):
         raise ShapeError(f"matmul needs a 2-D operand and no 1-D one, got {av.shape} @ {bv.shape}")
     if av.shape[-1] != bv.shape[-2]:
@@ -182,8 +185,7 @@ def _matmul(a, b, transpose_a: bool, transpose_b: bool) -> TapeNode:
             return bv @ g2.T if transpose_a else (g2 @ bv.T).reshape(av.shape)
 
         def push_b(g: np.ndarray) -> np.ndarray:
-            g2 = g.reshape(-1, n)
-            return g2.T @ a2 if transpose_b else a2.T @ g2
+            return a2.T @ g.reshape(-1, n)
     else:
         batch = tuple(range(bv.ndim - 2))
         out = av @ bv
@@ -199,6 +201,49 @@ def _matmul(a, b, transpose_a: bool, transpose_b: bool) -> TapeNode:
     inputs = [(node, push) for node, push in ((a, push_a), (b, push_b))
               if isinstance(node, TapeNode)]
     return TapeNode(out, tuple(node for node, _ in inputs), tuple(push for _, push in inputs))
+
+
+def linear(
+    x: TapeNode | np.ndarray, w: TapeNode | np.ndarray, activation: str = "identity"
+) -> TapeNode:
+    """``act(x @ w.T)`` for a 2-D ``w``: one GEMM over all leading axes of ``x``.
+
+    The GEMM writes one fresh array and the activation, named as for
+    ``recurrence``, runs in place on it, so the node is the only array of
+    its size that the op writes.  ``w`` enters the GEMM as a
+    C-contiguous copy of ``w.T``, a ``(K, N)`` array: OpenBLAS multiplies by
+    a small weight read through its transposed flag about twice as slowly.
+    Both pushes start from one activation push.
+    """
+    xv, wv = _value(x), _value(w)
+    if wv.ndim != 2 or xv.ndim < 2 or xv.shape[-1] != wv.shape[1]:
+        raise ShapeError(f"linear needs x (..., K) of 2 or more axes and w (N, K), "
+                         f"got {xv.shape} and {wv.shape}")
+    n, k = wv.shape
+    fn, act_push = _ACTIVATIONS[activation]
+    x2 = xv.reshape(-1, k)
+    z = x2 @ np.ascontiguousarray(wv.T)
+    fn(z, out=z)
+    inputs = [(node, consume) for node, consume in (
+        (x, lambda dz: (dz @ wv).reshape(xv.shape)),
+        (w, lambda dz: dz.T @ x2),
+    ) if isinstance(node, TapeNode)]
+    pushes = _shared(lambda g: act_push(g.reshape(-1, n), z), [c for _, c in inputs])
+    return TapeNode(z.reshape(xv.shape[:-1] + (n,)), tuple(node for node, _ in inputs), pushes)
+
+
+def concat(nodes: Sequence[TapeNode], axis: int) -> TapeNode:
+    """Join nodes along an existing axis; each one's gradient is its slice of ``g``."""
+    try:
+        out = np.concatenate([node.array for node in nodes], axis=axis)
+    except ValueError as exc:
+        raise ShapeError(f"concat: {exc}") from None
+    lead, pushes, lo = (slice(None),) * (axis % out.ndim), [], 0
+    for node in nodes:
+        hi = lo + node.shape[axis]
+        pushes.append(lambda g, cut=lead + (slice(lo, hi),): g[cut])
+        lo = hi
+    return TapeNode(out, tuple(nodes), tuple(pushes))
 
 
 def transpose(a: TapeNode, axes: Sequence[int]) -> TapeNode:
@@ -235,12 +280,21 @@ def _tanh_push(g: np.ndarray, out: np.ndarray) -> np.ndarray:
     return d
 
 
-# name -> (function, push from the output: input gradient for output gradient g)
+def _sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    # 1 / (1 + exp(-z)), one ufunc at a time so that out may be z itself
+    out = np.negative(z, out=out)
+    np.exp(out, out=out)
+    np.add(1.0, out, out=out)
+    return np.divide(1.0, out, out=out)
+
+
+# name -> (function(z, out=None), push from the output: input gradient for
+# output gradient g); each function gives the same bits with out=z as without
 _ACTIVATIONS = {
     "tanh": (np.tanh, _tanh_push),
-    "sigmoid": (lambda z: 1.0 / (1.0 + np.exp(-z)), lambda g, out: g * out * (1.0 - out)),
-    "relu": (lambda z: np.maximum(z, 0.0), lambda g, out: g * (out > 0.0)),
-    "identity": (lambda z: z, lambda g, out: g),
+    "sigmoid": (_sigmoid, lambda g, out: g * out * (1.0 - out)),
+    "relu": (lambda z, out=None: np.maximum(z, 0.0, out=out), lambda g, out: g * (out > 0.0)),
+    "identity": (lambda z, out=None: z, lambda g, out: g),
 }
 
 
@@ -273,22 +327,20 @@ def recurrence(u: TapeNode, w_h: TapeNode, b_h: TapeNode, activation: str) -> Ta
     h = np.empty_like(uv)
     for t in range(len(uv)):
         h[t] = fn((uv[t] if t == 0 else uv[t] + h[t - 1] @ w.T) + b_h.array)
-    last = [None, None]  # the output gradient of the last loop and its result
 
     def bptt(g: np.ndarray) -> np.ndarray:
-        if last[0] is not g:
-            dz, dh = np.empty_like(h), g[-1]
-            for t in range(len(h) - 1, -1, -1):
-                dz[t] = push(dh, h[t])
-                if t:
-                    dh = g[t - 1] + dz[t] @ w
-            last[:] = g, dz
-        return last[1]
+        dz, dh = np.empty_like(h), g[-1]
+        for t in range(len(h) - 1, -1, -1):
+            dz[t] = push(dh, h[t])
+            if t:
+                dh = g[t - 1] + dz[t] @ w
+        return dz
 
-    def push_w(g: np.ndarray) -> np.ndarray:
-        return bptt(g)[1:].reshape(-1, len(w)).T @ h[:-1].reshape(-1, len(w))
+    def push_w(dz: np.ndarray) -> np.ndarray:
+        return dz[1:].reshape(-1, len(w)).T @ h[:-1].reshape(-1, len(w))
 
-    return TapeNode(h, (u, w_h, b_h), (bptt, push_w, lambda g: bptt(g).sum(axis=(0, 1))))
+    pushes = _shared(bptt, (lambda dz: dz, push_w, lambda dz: dz.sum(axis=(0, 1))))
+    return TapeNode(h, (u, w_h, b_h), pushes)
 
 
 def _residual(pred: TapeNode, target: np.ndarray, name: str) -> tuple[np.ndarray, float]:

@@ -6,12 +6,13 @@ dataclass that consumes it, taking keys, types and defaults from its fields.
 ``models.HeadConfig``, ``training`` to ``training.TrainConfig`` and ``data``
 to ``DataConfig`` (consumed by ``build_dataset``); ``output.dir`` and the
 optional ``bench.variants`` are read here.  Each value is checked once: its
-type on reading, its range in ``__post_init__``.  Errors name the dotted
-field; unknown keys are ignored.
+type on reading (a float must also be finite), its range in
+``__post_init__``.  Errors name the dotted field; unknown keys are ignored.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 from functools import cache
@@ -125,8 +126,15 @@ def _check(value, hint, path: str):
         return tuple(
             _check(v, item, f"{path}[{i}]") for i, (v, item) in enumerate(zip(value, items))
         )
-    if hint is float and type(value) is int:
-        return float(value)
+    if hint is float and type(value) in (int, float):
+        try:
+            number = float(value)
+        except OverflowError:
+            number = math.inf
+        # every range check is a comparison, and NaN passes them all
+        if not math.isfinite(number):
+            raise ConfigError(f"{path}: must be a finite number, got {value!r}")
+        return number
     # YAML's true/false load as bool, a subclass of int: only a bool field takes one
     if isinstance(value, hint) and (hint is bool or not isinstance(value, bool)):
         return value

@@ -22,14 +22,13 @@ Every contraction is one ``autodiff.matmul``/``linear`` call on a reshape
 that needs no copy.  The window x and the time adjacency A are plain
 arrays, so neither is a tape node and no gradient is computed for them.
 
-* time mix, on the input: A acts on the time mode and W_x on the feature
-  mode, so ``A (x W_x^T) = (A x) W_x^T``.  ``A x`` is one batched GEMM on
-  x viewed as (batch, tau, physical * feature), tau^2 physical feature
-  multiply-adds per window; x and A are data, so it has no backward;
-* projection: srgtn is ``(x + A x) @ W_x^T``; grgtn is ``x @ W_x^T +
-  (A x) @ (W_r W_x)^T``, with W_r folded into one (feature, hidden) tape
-  product.  It is built as ``W_x^T W_r^T`` so that it comes out
-  C-contiguous: OpenBLAS runs the tall product 3x slower on a ``.T`` view;
+* time mix, on the input: A acts on time and W_x on features, so
+  ``A (x W_x^T) = (A x) W_x^T``, one GEMM on x as (batch, tau, phys * feat);
+* projection: one ``linear`` node, whose GEMM writes the hidden block once
+  and whose activation runs in place: ``act((x + A x) W_x^T)`` for srgtn,
+  ``act([x | A x] [W_x | W_r W_x]^T)`` for grgtn, data joined at the narrow
+  feature width, not summed after two hidden-width GEMMs.  The weight is a
+  C-contiguous copy of its transpose: OpenBLAS is slower on a ``.T`` view;
 * TT head: the time mode first, as a left product of core 0 on h viewed as
   (batch, tau, physical * hidden); then (rank, physical) with core 1 and
   (rank, hidden) with core 2.  Contracting the mode that shrinks the block
@@ -203,6 +202,15 @@ def _flatten_samples(node: ad.TapeNode) -> ad.TapeNode:
     return ad.reshape(ad.transpose(node, perm), (batch, -1))
 
 
+def _join_features(x: np.ndarray, ax: np.ndarray) -> np.ndarray:
+    """``concatenate((x, ax), -1)``, copying F-float rows as single items (2x faster)."""
+    row = np.dtype((np.void, x.shape[-1] * x.itemsize))
+    out = np.empty(x.shape[:-1] + (2 * x.shape[-1],))
+    halves = out.view(row)
+    halves[..., :1], halves[..., 1:] = np.ascontiguousarray(x).view(row), ax.view(row)
+    return out
+
+
 def _check_param_shapes(config: ModelConfig, nodes: Mapping[str, ad.TapeNode]) -> None:
     expected = param_shapes(config)
     if nodes.keys() != expected.keys():
@@ -266,11 +274,12 @@ def forward(
     a_asc = build_time_adjacency(config.tau, config.c)
     ax = ad.matmul(a_asc, x.reshape(batch, tau, -1)).array.reshape(x.shape)  # off the tape
     if config.variant == "grgtn":
-        w_xr = ad.matmul(nodes["w_x"], nodes["w_r"], transpose_a=True, transpose_b=True)
-        pre = ad.add(ad.linear(x, nodes["w_x"]), ad.matmul(ax, w_xr))
+        w = ad.concat((nodes["w_x"], ad.matmul(nodes["w_r"], nodes["w_x"])), axis=1)
+        x = _join_features(x, ax)
     else:
-        pre = ad.linear(x + ax, nodes["w_x"])
-    return _head(config, nodes, _TAPE_ACTIVATIONS[config.activation](pre))
+        x, w = x + ax, nodes["w_x"]
+    del ax  # freed before the GEMM writes the hidden block
+    return _head(config, nodes, ad.linear(x, w, config.activation))
 
 
 def predict(

@@ -1,6 +1,7 @@
 """Tape gradients verified against central finite differences."""
 
 import ast
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -73,27 +74,22 @@ class TestBackwardMechanics:
         rng = np.random.default_rng(1)
         x = rng.standard_normal(4)
         node = ad.constant(x)
-        # mean((x + x)^2) over 4 entries has gradient 8x / 4
-        loss = square_mean(ad.add(node, node))
+        # mean over 8 entries of [x, x]^2: each copy pushes 2x / 8 into x
+        loss = square_mean(ad.concat((node, node), axis=0))
         ad.backward(loss)
-        np.testing.assert_allclose(node.grad, 2.0 * x, atol=1e-12)
+        np.testing.assert_allclose(node.grad, 0.5 * x, atol=1e-12)
 
     def test_diamond_graph(self):
         x = ad.constant(np.array([[2.0]]))
         a = ad.matmul(x, np.array([[3.0]]))
         b = ad.matmul(x, x)
-        loss = ad.mae_loss(ad.add(a, b), np.zeros((1, 1)))
+        # mean(|3x|, |x^2|) has gradient (3 + 2x) / 2
+        loss = ad.mae_loss(ad.concat((a, b), axis=1), np.zeros((1, 2)))
         ad.backward(loss)
-        np.testing.assert_allclose(x.grad, 3.0 + 4.0, atol=1e-12)
+        np.testing.assert_allclose(x.grad, (3.0 + 4.0) / 2, atol=1e-12)
 
 
 class TestElementwiseOps:
-    def test_add(self):
-        rng = np.random.default_rng(2)
-        a = rng.standard_normal((3, 2))
-        b = rng.standard_normal((3, 2))
-        check_gradients(lambda x, y: square_mean(ad.add(ad.tanh(x), y)), [a, b])
-
     def test_tanh(self):
         rng = np.random.default_rng(4)
         check_gradients(lambda x: square_mean(ad.tanh(x)), [rng.standard_normal((3, 3))])
@@ -113,10 +109,6 @@ class TestElementwiseOps:
         a = rng.standard_normal((6,))
         a = np.where(np.abs(a) < 0.1, -0.7, a)
         check_gradients(lambda x: ad.mae_loss(x, np.zeros(a.shape)), [a])
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ShapeError):
-            ad.add(ad.constant(np.ones(2)), ad.constant(np.ones(3)))
 
 
 class TestTensordot:
@@ -206,15 +198,15 @@ class TestMatmul:
         )
 
     def test_both_operands_transposed(self):
+        # a.T @ b.T as linear on a transposed view: the weight enters transposed too
         rng = np.random.default_rng(35)
         a = rng.standard_normal((4, 3))
         b = rng.standard_normal((5, 4))
-        out = ad.matmul(a, b, transpose_a=True, transpose_b=True).array
+        out = ad.linear(a.T, b).array
         np.testing.assert_allclose(out, a.T @ b.T, atol=1e-12)
         assert out.flags.c_contiguous
         check_gradients(
-            lambda x, y: square_mean(ad.matmul(x, y, transpose_a=True, transpose_b=True)),
-            [a, b],
+            lambda x, y: square_mean(ad.linear(ad.transpose(x, (1, 0)), y)), [a, b]
         )
 
     def test_linear_is_product_with_transpose(self):
@@ -261,6 +253,112 @@ class TestMatmul:
             ad.matmul(np.ones(3), np.ones((3, 4)))
         with pytest.raises(ShapeError):
             ad.matmul(np.ones((2, 3, 4)), np.ones((2, 4, 5)), transpose_a=True)
+
+
+ACTIVATIONS = ["tanh", "sigmoid", "relu", "identity"]
+
+
+class TestLinear:
+    """``linear(x, w, activation)``: one GEMM, the activation in place on its output."""
+
+    @pytest.mark.parametrize("activation", ACTIVATIONS)
+    @pytest.mark.parametrize("x_is_node", [True, False])
+    def test_gradients_match_finite_differences(self, activation, x_is_node):
+        rng = np.random.default_rng(43)
+        w = rng.standard_normal((5, 4))
+        x = rng.standard_normal((2, 3, 4))
+        assert np.abs(x @ w.T).min() > 0.05  # relu's kink is beyond the finite-difference step
+        if x_is_node:
+            check_gradients(lambda u, v: square_mean(ad.linear(u, v, activation)), [x, w])
+        else:
+            check_gradients(lambda v: square_mean(ad.linear(x, v, activation)), [w])
+
+    @pytest.mark.parametrize("activation", ACTIVATIONS)
+    def test_equals_the_activation_of_a_plain_linear(self, activation):
+        rng = np.random.default_rng(41)
+        x, w = rng.standard_normal((6, 3)), rng.standard_normal((4, 3))
+        target = rng.standard_normal((6, 4))
+        act = getattr(ad, activation, lambda node: node)
+        results = []
+        for build in (lambda u, v: ad.linear(u, v, activation),
+                      lambda u, v: act(ad.linear(u, v))):
+            u, v = ad.constant(x), ad.constant(w)
+            out = build(u, v)
+            ad.backward(ad.mse_loss(out, target))
+            results.append((out.array, u.grad, v.grad))
+        for fused, composed in zip(*results):
+            np.testing.assert_array_equal(fused, composed)
+
+    def test_pushes_share_one_activation_push_and_release_it(self, monkeypatch):
+        rng = np.random.default_rng(42)
+        fn, push = ad._ACTIVATIONS["tanh"]
+        calls = []
+
+        def counted(g, out):
+            calls.append(1)
+            return push(g, out)
+
+        monkeypatch.setitem(ad._ACTIVATIONS, "tanh", (fn, counted))
+        node = ad.linear(ad.constant(rng.standard_normal((3, 2))),
+                         ad.constant(rng.standard_normal((4, 2))), "tanh")
+        g = rng.standard_normal(node.shape)
+        for node_push in node.pushes:
+            node_push(g)
+        assert len(node.pushes) == 2 and len(calls) == 1
+        ref = weakref.ref(g)
+        del g
+        assert ref() is None  # the last push dropped the shared gradient
+
+    @pytest.mark.parametrize("layout", ["fortran", "transposed_view"])
+    def test_weight_layout_does_not_change_the_result(self, layout):
+        rng = np.random.default_rng(43)
+        x, w = rng.standard_normal((7, 5)), rng.standard_normal((3, 5))
+        other = np.asfortranarray(w) if layout == "fortran" else np.ascontiguousarray(w.T).T
+        assert not other.flags.c_contiguous and np.array_equal(other, w)
+        results = []
+        for weight in (w, other):
+            u, v = ad.constant(x), ad.constant(weight)
+            out = ad.linear(u, v, "tanh")
+            ad.backward(square_mean(out))
+            results.append((out.array, u.grad, v.grad))
+        for c_order, other_order in zip(*results):
+            np.testing.assert_array_equal(c_order, other_order)
+
+    def test_shape_errors(self):
+        for x, w in ((np.ones(3), np.ones((2, 3))), (np.ones((2, 3)), np.ones((1, 2, 3))),
+                     (np.ones((2, 3)), np.ones((2, 4)))):
+            with pytest.raises(ShapeError):
+                ad.linear(x, ad.constant(w))
+
+
+class TestConcat:
+    @pytest.mark.parametrize("shape,axis", [((2, 3), 0), ((2, 3), 1), ((2, 3), -1),
+                                            ((2, 3, 4), 0), ((2, 3, 4), 1), ((2, 3, 4), 2)])
+    def test_gradients_along_each_axis(self, shape, axis):
+        rng = np.random.default_rng(44)
+        other = list(shape)
+        other[axis] += 1
+        a, b = rng.standard_normal(shape), rng.standard_normal(other)
+        check_gradients(lambda u, v: square_mean(ad.concat((ad.tanh(u), v), axis)), [a, b])
+        out = ad.concat((ad.constant(a), ad.constant(b)), axis)
+        np.testing.assert_array_equal(out.array, np.concatenate((a, b), axis))
+
+    def test_pushes_are_slices_of_the_gradient(self):
+        nodes = [ad.constant(np.ones((2, k))) for k in (1, 3, 2)]
+        out = ad.concat(nodes, axis=1)
+        g = np.arange(12.0).reshape(2, 6)
+        pieces = [push(g) for push in out.pushes]
+        for piece, (lo, hi) in zip(pieces, ((0, 1), (1, 4), (4, 6))):
+            np.testing.assert_array_equal(piece, g[:, lo:hi])
+            assert np.shares_memory(piece, g)
+
+    def test_shape_errors(self):
+        for nodes, axis in (((np.ones((2, 3)), np.ones((3, 3))), 1),
+                            ((np.ones((2, 3)), np.ones((2, 3))), 2),
+                            ((np.ones(2), np.ones((1, 2))), 0),
+                            ((), 0)):
+            with pytest.raises(ShapeError):
+                ad.concat([ad.constant(a) for a in nodes], axis)
 
 
 class TestTapeLifetime:

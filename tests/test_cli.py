@@ -1,6 +1,10 @@
 """End-to-end command-line tests: every command, exit codes, round trips."""
 
+import dataclasses
+import math
 import tempfile
+import types
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +15,9 @@ from hypothesis import strategies as st
 
 from rgtn.checkpoint import save_checkpoint, save_tensor
 from rgtn.cli import main
+from rgtn.config import DataConfig
+from rgtn.models import ModelConfig
+from rgtn.training import TrainConfig
 
 
 def base_config(out_dir, epochs=3, variant="grgtn", seed=0):
@@ -185,6 +192,51 @@ class TestTrainCommand:
             set_field(cfg, field, value)
             path = write_config(Path(tmp), cfg)
             assert main(["train", "--config", path]) in (0, 1, 2)
+
+
+def float_fields(cls, prefix):
+    """(dotted field, list index or None) for every float a config dataclass reads."""
+    hints = typing.get_type_hints(cls)
+    for f in dataclasses.fields(cls):
+        hint, path = hints[f.name], f"{prefix}.{f.name}"
+        if isinstance(hint, types.UnionType):
+            (hint,) = set(typing.get_args(hint)) - {type(None)}
+        if dataclasses.is_dataclass(hint):
+            yield from float_fields(hint, path)
+        elif hint is float:
+            yield path, None
+        elif typing.get_origin(hint) is tuple:
+            yield from ((path, i) for i, item in enumerate(typing.get_args(hint)) if item is float)
+
+
+FLOAT_FIELDS = [
+    *float_fields(ModelConfig, "model"),
+    *float_fields(TrainConfig, "training"),
+    *float_fields(DataConfig, "data"),
+]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=[".nan", ".inf", "-.inf"])
+@pytest.mark.parametrize(
+    "field,index", FLOAT_FIELDS, ids=[f if i is None else f"{f}[{i}]" for f, i in FLOAT_FIELDS]
+)
+def test_non_finite_float_exits_2_naming_the_field(tmp_path, capsys, field, index, value):
+    assert {"training.learning_rate", "data.noise", "data.split"} <= {f for f, _ in FLOAT_FIELDS}
+    cfg = base_config(tmp_path / "x", epochs=1)
+    if index is not None:
+        entries = {"data.split": [0.7, 0.15, 0.15]}[field]
+        entries[index] = value
+        value = entries
+    set_field(cfg, field, value)
+    assert main(["train", "--config", write_config(tmp_path, cfg)]) == 2
+    assert field in capsys.readouterr().err
+
+
+def test_int_beyond_float_range_exits_2(tmp_path, capsys):
+    cfg = base_config(tmp_path / "x", epochs=1)
+    cfg["training"]["learning_rate"] = 10**400
+    assert main(["train", "--config", write_config(tmp_path, cfg)]) == 2
+    assert "training.learning_rate" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

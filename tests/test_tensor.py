@@ -325,18 +325,6 @@ class TestKronecker:
 
 
 class TestElementwiseAndPowers:
-    def test_add_vs_oracle(self):
-        rng = np.random.default_rng(12)
-        a = rng.standard_normal((3, 2, 2))
-        b = rng.standard_normal((3, 2, 2))
-        c = ad.add(ad.constant(a), ad.constant(b)).array
-        for idx in np.ndindex(3, 2, 2):
-            assert c[idx] == a[idx] + b[idx]
-
-    def test_add_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            ad.add(ad.constant(np.zeros((2, 2))), ad.constant(np.zeros((2, 3))))
-
     def test_power_zero_is_identity(self):
         # a step's own input reaches it through the zeroth power: identity blocks
         rng = np.random.default_rng(13)
