@@ -22,11 +22,14 @@ its consumer returns; ``backward`` then has nothing to walk.
 
 Nodes hold their arrays without copying, and a node's gradient may be the
 very array its child received, so value and gradient arrays are shared:
-no operation, push or caller may write into one in place.  The one
-exception is ``linear``'s activation, which runs in place on the GEMM's
-output.  That is safe because the array is one the op has just allocated
-and no other node holds, so the block is written once and not twice.  Axis
-arguments are 0-based numpy axes.
+no operation, push or caller may write into one in place.  The exceptions
+are arrays an op has just allocated and no other node holds: ``linear``'s
+activation runs in place on each row block of the GEMM's output, so the
+block is written once and not twice, and its backward writes each block's
+activation push into one scratch block that it allocates and drops, and
+the gradient of ``x`` straight into its result; ``recurrence`` writes each
+step's push straight into its gradient.  Axis arguments are 0-based numpy
+axes.
 """
 
 from __future__ import annotations
@@ -206,14 +209,19 @@ def matmul(
 def linear(
     x: TapeNode | np.ndarray, w: TapeNode | np.ndarray, activation: str = "identity"
 ) -> TapeNode:
-    """``act(x @ w.T)`` for a 2-D ``w``: one GEMM over all leading axes of ``x``.
+    """``act(x @ w.T)`` for a 2-D ``w``, over all leading axes of ``x`` as rows.
 
-    The GEMM writes one fresh array and the activation, named as for
-    ``recurrence``, runs in place on it, so the node is the only array of
-    its size that the op writes.  ``w`` enters the GEMM as a
-    C-contiguous copy of ``w.T``, a ``(K, N)`` array: OpenBLAS multiplies by
-    a small weight read through its transposed flag about twice as slowly.
-    Both pushes start from one activation push.
+    The output is allocated once and filled one row block of ``_BLOCK_BYTES``
+    at a time: the block's GEMM writes it and the activation, named as for
+    ``recurrence``, runs in place on it while it is still in cache.  The
+    backward walks the same blocks with one scratch block: the activation
+    push of the block's gradient goes into it, ``w``'s gradient adds up its
+    GEMM against the block of ``x`` and ``x``'s gradient block is written in
+    place, so no output-sized temporary is made.  Both pushes share that
+    walk.  The layout of ``w`` follows from its shape alone: below
+    ``_SHORT_K`` columns it enters as a C-contiguous copy of ``w.T``, since
+    OpenBLAS multiplies by a ``.T`` view with a short inner dimension about
+    twice as slowly, and from there on as that view, which saves the copy.
     """
     xv, wv = _value(x), _value(w)
     if wv.ndim != 2 or xv.ndim < 2 or xv.shape[-1] != wv.shape[1]:
@@ -221,14 +229,38 @@ def linear(
                          f"got {xv.shape} and {wv.shape}")
     n, k = wv.shape
     fn, act_push = _ACTIVATIONS[activation]
-    x2 = xv.reshape(-1, k)
-    z = x2 @ np.ascontiguousarray(wv.T)
-    fn(z, out=z)
+    x2, wc = xv.reshape(-1, k), np.ascontiguousarray(wv)
+    wt = np.ascontiguousarray(wc.T) if k < _SHORT_K else wc.T
+    rows, step = len(x2), max(1, _BLOCK_BYTES // (8 * max(n, 1)))
+    z = np.empty((rows, n))
+    for lo in range(0, rows, step):
+        zb = z[lo : lo + step]
+        np.matmul(x2[lo : lo + step], wt, out=zb)
+        fn(zb, out=zb)
+    x_is_node = isinstance(x, TapeNode)
+
+    def grads(g: np.ndarray) -> tuple[np.ndarray | None, np.ndarray]:
+        g2, dx = g.reshape(-1, n), np.empty((rows, k)) if x_is_node else None
+        scratch = np.empty((min(rows, step), n))
+
+        def block(lo: int) -> np.ndarray:
+            blk = slice(lo, lo + step)
+            zb = z[blk]
+            d = act_push(g2[blk], zb, out=scratch[: len(zb)])
+            if x_is_node:
+                np.matmul(d, wc, out=dx[blk])
+            return d.T @ x2[blk]
+
+        dw = block(0)  # also the (N, K) zeros of an empty x
+        for lo in range(step, rows, step):
+            dw += block(lo)
+        return dx, dw
+
     inputs = [(node, consume) for node, consume in (
-        (x, lambda dz: (dz @ wv).reshape(xv.shape)),
-        (w, lambda dz: dz.T @ x2),
+        (x, lambda d: d[0].reshape(xv.shape)),
+        (w, lambda d: d[1]),
     ) if isinstance(node, TapeNode)]
-    pushes = _shared(lambda g: act_push(g.reshape(-1, n), z), [c for _, c in inputs])
+    pushes = _shared(grads, [c for _, c in inputs])
     return TapeNode(z.reshape(xv.shape[:-1] + (n,)), tuple(node for node, _ in inputs), pushes)
 
 
@@ -272,9 +304,9 @@ def add_bias(x: TapeNode, b: TapeNode) -> TapeNode:
     )
 
 
-def _tanh_push(g: np.ndarray, out: np.ndarray) -> np.ndarray:
-    # g * (1 - out^2) in one fresh array instead of three
-    d = out * out
+def _tanh_push(g: np.ndarray, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    # g * (1 - y^2), one ufunc at a time in one array
+    d = np.multiply(y, y, out=out)
     np.subtract(1.0, d, out=d)
     d *= g
     return d
@@ -288,14 +320,34 @@ def _sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.divide(1.0, out, out=out)
 
 
-# name -> (function(z, out=None), push from the output: input gradient for
-# output gradient g); each function gives the same bits with out=z as without
+def _sigmoid_push(g: np.ndarray, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    # g * y * (1 - y), left to right
+    d = np.multiply(g, y, out=out)
+    d *= 1.0 - y
+    return d
+
+
+# name -> (function(z, out=None), push(g, y, out=None): the input gradient for
+# output gradient g given the output y, written into out if one is given,
+# except that the identity returns g itself); each function gives the same
+# bits with out=z as without, and each push the same bits with out as without
 _ACTIVATIONS = {
     "tanh": (np.tanh, _tanh_push),
-    "sigmoid": (_sigmoid, lambda g, out: g * out * (1.0 - out)),
-    "relu": (lambda z, out=None: np.maximum(z, 0.0, out=out), lambda g, out: g * (out > 0.0)),
-    "identity": (lambda z, out=None: z, lambda g, out: g),
+    "sigmoid": (_sigmoid, _sigmoid_push),
+    "relu": (lambda z, out=None: np.maximum(z, 0.0, out=out),
+             lambda g, y, out=None: np.multiply(g, y > 0.0, out=out)),
+    "identity": (lambda z, out=None: z, lambda g, y, out=None: g),
 }
+
+# Output bytes per row block of ``linear``: the block of the output, of its
+# gradient and the push scratch (three arrays this size) fit in a 2 MB L2.
+# Timed from 32 KiB to 2 MiB: 128-512 KiB were fastest, smaller blocks pay
+# the per-block calls and larger ones spill out of L2.
+_BLOCK_BYTES = 1 << 18
+# ``linear`` copies a weight with fewer columns than this into the layout
+# BLAS reads fastest (timed on one OpenBLAS thread: K <= 36 faster copied,
+# K >= 48 mostly faster read through the transposed flag)
+_SHORT_K = 48
 
 
 def _activation(name: str) -> Callable[[TapeNode], TapeNode]:
@@ -329,11 +381,12 @@ def recurrence(u: TapeNode, w_h: TapeNode, b_h: TapeNode, activation: str) -> Ta
         h[t] = fn((uv[t] if t == 0 else uv[t] + h[t - 1] @ w.T) + b_h.array)
 
     def bptt(g: np.ndarray) -> np.ndarray:
-        dz, dh = np.empty_like(h), g[-1]
+        dz, dh, buf = np.empty_like(h), g[-1], np.empty_like(h[0])
         for t in range(len(h) - 1, -1, -1):
-            dz[t] = push(dh, h[t])
+            # a no-op assignment unless the push returned dh itself (identity)
+            dz[t] = push(dh, h[t], out=dz[t])
             if t:
-                dh = g[t - 1] + dz[t] @ w
+                dh = np.add(g[t - 1], np.matmul(dz[t], w, out=buf), out=buf)
         return dz
 
     def push_w(dz: np.ndarray) -> np.ndarray:

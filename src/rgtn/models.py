@@ -25,10 +25,12 @@ arrays, so neither is a tape node and no gradient is computed for them.
 * time mix, on the input: A acts on time and W_x on features, so
   ``A (x W_x^T) = (A x) W_x^T``, one GEMM on x as (batch, tau, phys * feat);
 * projection: one ``linear`` node, whose GEMM writes the hidden block once
-  and whose activation runs in place: ``act((x + A x) W_x^T)`` for srgtn,
-  ``act([x | A x] [W_x | W_r W_x]^T)`` for grgtn, data joined at the narrow
-  feature width, not summed after two hidden-width GEMMs.  The weight is a
-  C-contiguous copy of its transpose: OpenBLAS is slower on a ``.T`` view;
+  and whose activation runs in place, one cache-sized row block at a time:
+  ``act((x + A x) W_x^T)`` for srgtn, ``act([x | A x] [W_x | W_r W_x]^T)``
+  for grgtn, data joined at the narrow feature width, not summed after two
+  hidden-width GEMMs.  A weight as short as K = F or 2F enters as a
+  C-contiguous copy of its transpose: OpenBLAS is slower on a ``.T`` view
+  with so short an inner dimension;
 * TT head: the time mode first, as a left product of core 0 on h viewed as
   (batch, tau, physical * hidden); then (rank, physical) with core 1 and
   (rank, hidden) with core 2.  Contracting the mode that shrinks the block
@@ -198,8 +200,7 @@ def _flatten_samples(node: ad.TapeNode) -> ad.TapeNode:
     """Per-sample first-mode-fastest flatten of all trailing axes."""
     ndim = len(node.shape)
     perm = (0,) + tuple(range(ndim - 1, 0, -1))
-    batch = node.shape[0]
-    return ad.reshape(ad.transpose(node, perm), (batch, -1))
+    return ad.reshape(ad.transpose(node, perm), (node.shape[0], prod(node.shape[1:])))
 
 
 def _join_features(x: np.ndarray, ax: np.ndarray) -> np.ndarray:
@@ -264,15 +265,15 @@ def forward(
         )
     nodes = _as_nodes(values)
     _check_param_shapes(config, nodes)
-    batch, tau = x.shape[:2]
+    batch, tau, phys, feat = x.shape  # sizes, not -1: numpy cannot infer one for 0 windows
     if config.variant == "rnn":
         # time-major, physical index fastest within a step; one GEMM for all steps
-        flat = x.transpose(1, 0, 3, 2).reshape(tau, batch, -1)
+        flat = x.transpose(1, 0, 3, 2).reshape(tau, batch, phys * feat)
         u = ad.linear(flat, nodes["w_x"])
         h = ad.recurrence(u, nodes["w_h"], nodes["b_h"], config.activation)
         return _head(config, nodes, ad.transpose(h, (1, 0, 2)))
     a_asc = build_time_adjacency(config.tau, config.c)
-    ax = ad.matmul(a_asc, x.reshape(batch, tau, -1)).array.reshape(x.shape)  # off the tape
+    ax = ad.matmul(a_asc, x.reshape(batch, tau, phys * feat)).array.reshape(x.shape)  # off the tape
     if config.variant == "grgtn":
         w = ad.concat((nodes["w_x"], ad.matmul(nodes["w_r"], nodes["w_x"])), axis=1)
         x = _join_features(x, ax)

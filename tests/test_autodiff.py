@@ -1,6 +1,7 @@
 """Tape gradients verified against central finite differences."""
 
 import ast
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -294,9 +295,9 @@ class TestLinear:
         fn, push = ad._ACTIVATIONS["tanh"]
         calls = []
 
-        def counted(g, out):
+        def counted(g, y, out=None):
             calls.append(1)
-            return push(g, out)
+            return push(g, y, out=out)
 
         monkeypatch.setitem(ad._ACTIVATIONS, "tanh", (fn, counted))
         node = ad.linear(ad.constant(rng.standard_normal((3, 2))),
@@ -304,7 +305,7 @@ class TestLinear:
         g = rng.standard_normal(node.shape)
         for node_push in node.pushes:
             node_push(g)
-        assert len(node.pushes) == 2 and len(calls) == 1
+        assert len(node.pushes) == 2 and len(calls) == 1  # one row block, one push
         ref = weakref.ref(g)
         del g
         assert ref() is None  # the last push dropped the shared gradient
@@ -312,23 +313,106 @@ class TestLinear:
     @pytest.mark.parametrize("layout", ["fortran", "transposed_view"])
     def test_weight_layout_does_not_change_the_result(self, layout):
         rng = np.random.default_rng(43)
-        x, w = rng.standard_normal((7, 5)), rng.standard_normal((3, 5))
-        other = np.asfortranarray(w) if layout == "fortran" else np.ascontiguousarray(w.T).T
-        assert not other.flags.c_contiguous and np.array_equal(other, w)
-        results = []
-        for weight in (w, other):
-            u, v = ad.constant(x), ad.constant(weight)
-            out = ad.linear(u, v, "tanh")
-            ad.backward(square_mean(out))
-            results.append((out.array, u.grad, v.grad))
-        for c_order, other_order in zip(*results):
-            np.testing.assert_array_equal(c_order, other_order)
+        # (N, K) weights read through BLAS's transposed flag (K >= _SHORT_K) and copied
+        for shape in ((3, 5), (2, ad._SHORT_K), (16, 4)):
+            w = rng.standard_normal(shape)
+            x = rng.standard_normal((7, shape[1]))
+            other = np.asfortranarray(w) if layout == "fortran" else np.ascontiguousarray(w.T).T
+            assert not other.flags.c_contiguous and np.array_equal(other, w)
+            results = []
+            for weight in (w, other):
+                u, v = ad.constant(x), ad.constant(weight)
+                out = ad.linear(u, v, "tanh")
+                ad.backward(square_mean(out))
+                results.append((out.array, u.grad, v.grad))
+            for c_order, other_order in zip(*results):
+                np.testing.assert_array_equal(c_order, other_order)
 
     def test_shape_errors(self):
         for x, w in ((np.ones(3), np.ones((2, 3))), (np.ones((2, 3)), np.ones((1, 2, 3))),
                      (np.ones((2, 3)), np.ones((2, 4)))):
             with pytest.raises(ShapeError):
                 ad.linear(x, ad.constant(w))
+
+
+def block_rows(n):
+    """Rows per block of ``linear`` with N outputs, from the module constant."""
+    return max(1, ad._BLOCK_BYTES // (8 * n))
+
+
+class TestBlockedLinear:
+    """``linear`` over more rows than one block: the blocks stitch into one product."""
+
+    N, K = 32, 3
+
+    @pytest.mark.parametrize("activation", ACTIVATIONS)
+    @pytest.mark.parametrize("x_is_node", [True, False])
+    @pytest.mark.parametrize("blocks,extra", [(0, 1), (1, -1), (1, 0), (1, 1), (2, 3)],
+                             ids=["1", "R-1", "R", "R+1", "2R+3"])
+    def test_gradients_match_finite_differences(self, blocks, extra, x_is_node, activation):
+        rows = blocks * block_rows(self.N) + extra
+        rng = np.random.default_rng(45)
+        # rows of w of one sign each, so every |x @ w.T| >= 0.01 K: far from relu's kink
+        w = rng.uniform(0.1, 0.5, (self.N, self.K)) * np.where(np.arange(self.N) % 2, -1, 1)[:, None]
+        x = rng.uniform(0.1, 0.5, (rows, self.K))
+        target = rng.standard_normal((rows, self.N))
+
+        def loss(xv, wv):
+            return ad.mse_loss(ad.linear(xv, wv, activation), target)
+
+        u, v = ad.constant(x), ad.constant(w)
+        ad.backward(loss(u if x_is_node else x, v))
+        assert (u.grad is not None) == x_is_node
+        h = 1e-6
+        # every weight, and x at the first and last row of each block
+        coords = [(1, idx) for idx in np.ndindex(w.shape)]
+        if x_is_node:
+            step = block_rows(self.N)
+            edges = {r for lo in range(0, rows, step) for r in (lo, min(lo + step, rows) - 1)}
+            coords += [(0, (r, j)) for r in sorted(edges) for j in range(self.K)]
+        for which, idx in coords:
+            value = (x, w)[which]
+            shifted = []
+            for sign in (1.0, -1.0):
+                trial = value.copy()
+                trial[idx] += sign * h
+                args = (trial, w) if which == 0 else (x, trial)
+                shifted.append(float(loss(*args).array))
+            fd = (shifted[0] - shifted[1]) / (2 * h)
+            got = (u, v)[which].grad[idx]
+            assert abs(got - fd) <= 1e-8 + 1e-5 * abs(fd), (which, idx)
+
+    @pytest.mark.parametrize("activation", ACTIVATIONS)
+    def test_forward_equals_one_gemm(self, activation):
+        rng = np.random.default_rng(46)
+        w = rng.standard_normal((self.N, 16))
+        x = rng.standard_normal((3 * block_rows(self.N) + 5, 16))
+        fn = ad._ACTIVATIONS[activation][0]
+        np.testing.assert_allclose(ad.linear(x, w, activation).array, fn(x @ w.T), rtol=1e-14)
+
+    def test_zero_rows(self):
+        u, w = ad.constant(np.empty((0, self.K))), ad.constant(np.ones((self.N, self.K)))
+        out = ad.linear(u, w, "tanh")
+        assert out.shape == (0, self.N)
+        dx, dw = (push(np.empty((0, self.N))) for push in out.pushes)
+        assert dx.shape == (0, self.K)
+        np.testing.assert_array_equal(dw, np.zeros((self.N, self.K)))
+
+    def test_backward_makes_no_output_sized_temporary(self):
+        rows = 8 * block_rows(self.N) + 1
+        rng = np.random.default_rng(47)
+        u = ad.constant(rng.standard_normal((rows, 8)))
+        node = ad.linear(u, ad.constant(rng.standard_normal((self.N, 8))), "tanh")
+        g = rng.standard_normal(node.shape)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            grads = [push(g) for push in node.pushes]
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert grads[0].shape == u.shape
+        assert peak < g.nbytes  # x's gradient and one scratch block, not a (rows, N) array
 
 
 class TestConcat:

@@ -218,6 +218,16 @@ class TestForwardEquivalence:
         expect = flat @ values["head.w"].T + values["head.bias"]
         np.testing.assert_allclose(got, expect, atol=1e-12)
 
+    @pytest.mark.parametrize("variant,head", [
+        (v, h) for v in ("grgtn", "srgtn") for h in ("tt", "dense", "none")
+    ] + [("rnn", "dense"), ("rnn", "none")])
+    def test_zero_windows(self, variant, head):
+        cfg = small_config(variant, head_kind=head)
+        values = init_params(cfg, seed=0)
+        x = np.empty((0, cfg.tau, cfg.d_phys, cfg.d_feat))
+        for got in (predict(cfg, values, x), forward(cfg, values, x).array):
+            assert got.shape == (0, cfg.out_dim)
+
     def test_bad_input_shape(self):
         cfg = small_config("srgtn")
         values = init_params(cfg, seed=0)
