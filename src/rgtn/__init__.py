@@ -10,7 +10,7 @@ from .tt import TTNetwork, dense_param_count, tt_param_count, tt_reconstruct, tt
 from .graph import build_time_adjacency
 from .autodiff import TapeNode, backward, cross_entropy_loss, mae_loss, mse_loss
 from .models import HeadConfig, ModelConfig, forward, init_params, param_count, predict
-from .training import Param, ParamStore, TrainConfig, adam_step, evaluate, train
+from .training import ParamStore, TrainConfig, adam_step, evaluate, train
 from .data import (
     SeriesTable,
     WindowedDataset,

@@ -235,10 +235,11 @@ def build_dataset(run: RunConfig) -> WindowedDataset:
     """Materialize the dataset a config describes; deterministic in its seeds."""
     data = run.data
     model = run.model
-    dims = {"tau": model.tau, "d_phys": model.d_phys, "d_feat": model.d_feat}
     if data.kind == "synthetic_classification":
         ds = synth_classification(
-            **dims,
+            tau=model.tau,
+            d_phys=model.d_phys,
+            d_feat=model.d_feat,
             n_samples=data.n_samples,
             noise=data.noise,
             seed=data.seed,
@@ -247,7 +248,8 @@ def build_dataset(run: RunConfig) -> WindowedDataset:
     else:
         if data.kind == "synthetic_regression":
             table = synth_linear_dynamics(
-                **dims,
+                d_phys=model.d_phys,
+                d_feat=model.d_feat,
                 n_steps=data.n_steps,
                 noise=data.noise,
                 seed=data.seed,

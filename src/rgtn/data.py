@@ -292,7 +292,6 @@ def _stable_matrix(rng: np.random.Generator, n: int, radius: float) -> np.ndarra
 
 
 def synth_linear_dynamics(
-    tau: int,
     d_phys: int,
     d_feat: int,
     n_steps: int,

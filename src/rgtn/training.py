@@ -4,9 +4,11 @@ Training is deterministic given the configuration seed: initialization and
 batch shuffling derive independent child seeds from it, and every update
 is a plain single-threaded numpy computation.
 
-Parameters, gradients and Adam moments live in four flat buffers, so
-``adam_step`` is one vectorised update.  ``ParamStore.values()`` returns
-views that the next ``adam_step`` updates in place: to keep them, copy.
+Parameters, gradients and Adam moments live in four flat buffers.  A
+forward uses every parameter it is given, so each step writes every
+gradient and ``adam_step`` is one in-place update of every entry.
+``ParamStore.values()`` returns views that the next ``adam_step`` updates
+in place: to keep them, copy.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from .data import WindowedDataset, inverse_transform_predictions
 from .models import ModelConfig, forward, init_params, param_count, predict
 
 __all__ = [
-    "Param",
     "ParamStore",
     "TrainConfig",
     "TrainingDiverged",
@@ -34,54 +35,31 @@ __all__ = [
 LOSSES = ("mae", "mse", "cross_entropy")
 
 
-class Param:
-    """Views of one parameter's slice of its store; ``grad`` is None until set."""
-
-    def __init__(self, name: str, value, grad, active) -> None:
-        self.name, self.value, self._grad, self._active = name, value, grad, active
-
-    @property
-    def grad(self) -> np.ndarray | None:
-        return self._grad if self._active[0] else None
-
-    @grad.setter
-    def grad(self, g: np.ndarray | None) -> None:
-        self._active[:] = g is not None
-        self._grad[...] = 0.0 if g is None else g
-
-
 class ParamStore:
     """Named parameters over four flat float64 buffers, one slice per name.
 
     ``flat`` holds the values, ``grads`` the gradients and ``m``/``v`` the
-    Adam moments; ``active`` marks the entries that have a gradient.
+    Adam moments.  ``views`` and ``grad_views`` map each name to its slice
+    of ``flat`` and ``grads``, shaped like the parameter.
     """
 
     def __init__(self, values: Mapping[str, np.ndarray]) -> None:
         arrays = {name: np.asarray(arr, dtype=float) for name, arr in values.items()}
         ends = np.cumsum([0] + [arr.size for arr in arrays.values()])
         self.flat, self.grads, self.m, self.v = (np.zeros(ends[-1]) for _ in range(4))
-        self.active = np.zeros(ends[-1], dtype=bool)
-        self.params: dict[str, Param] = {}
+        self.views: dict[str, np.ndarray] = {}
+        self.grad_views: dict[str, np.ndarray] = {}
         for (name, arr), i, j in zip(arrays.items(), ends, ends[1:]):
             self.flat[i:j] = arr.ravel()
-            views = (buf[i:j].reshape(arr.shape) for buf in (self.flat, self.grads))
-            self.params[name] = Param(name, *views, self.active[i:j])
+            self.views[name] = self.flat[i:j].reshape(arr.shape)
+            self.grad_views[name] = self.grads[i:j].reshape(arr.shape)
         self.step = 0
 
-    @classmethod
-    def from_values(cls, values: Mapping[str, np.ndarray]) -> "ParamStore":
-        return cls(values)
-
     def values(self) -> dict[str, np.ndarray]:
-        return {name: p.value for name, p in self.params.items()}
+        return dict(self.views)
 
     def zero_grads(self) -> None:
         self.grads.fill(0.0)
-        self.active.fill(False)
-
-    def __getitem__(self, name: str) -> Param:
-        return self.params[name]
 
 
 @dataclass(frozen=True)
@@ -122,10 +100,10 @@ class TrainingDiverged(RuntimeError):
 
 
 def adam_step(store: ParamStore, config: TrainConfig) -> None:
-    """In-place bias-corrected Adam on the flat buffers; gradient-less entries stay put."""
+    """In-place bias-corrected Adam over every entry of the flat buffers."""
     g = store.grads
     if not np.isfinite(g).all():
-        bad = next(p.name for p in store.params.values() if not np.isfinite(p._grad).all())
+        bad = next(n for n, gv in store.grad_views.items() if not np.isfinite(gv).all())
         raise FloatingPointError(f"non-finite gradient for parameter {bad!r}")
     if config.clip_norm is not None:
         total = float(np.sqrt(g @ g))
@@ -133,13 +111,13 @@ def adam_step(store: ParamStore, config: TrainConfig) -> None:
             g *= config.clip_norm / total
     store.step += 1
     t = store.step
-    active = store.active
-    np.copyto(store.m, config.beta1 * store.m + (1.0 - config.beta1) * g, where=active)
-    np.copyto(store.v, config.beta2 * store.v + (1.0 - config.beta2) * g**2, where=active)
+    store.m *= config.beta1
+    store.m += (1.0 - config.beta1) * g
+    store.v *= config.beta2
+    store.v += (1.0 - config.beta2) * g**2
     m_hat = store.m / (1.0 - config.beta1**t)
     v_hat = store.v / (1.0 - config.beta2**t)
-    update = config.learning_rate * m_hat / (np.sqrt(v_hat) + config.eps)
-    np.copyto(store.flat, store.flat - update, where=active)
+    store.flat -= config.learning_rate * m_hat / (np.sqrt(v_hat) + config.eps)
 
 
 def _loss_node(loss: str, preds: ad.TapeNode, targets: np.ndarray) -> ad.TapeNode:
@@ -178,7 +156,7 @@ def train(
             batch = order[start : start + config.batch_size]
             x, y = dataset.inputs[batch], dataset.targets[batch]
             store.zero_grads()
-            nodes = {name: ad.constant(p.value) for name, p in store.params.items()}
+            nodes = {name: ad.constant(value) for name, value in store.views.items()}
             loss = _loss_node(config.loss, forward(model, nodes, x), y)
             value = float(loss.array)
             if not np.isfinite(value):
@@ -187,7 +165,7 @@ def train(
                 )
             ad.backward(loss)
             for name, node in nodes.items():
-                store[name].grad = node.grad
+                store.grad_views[name][...] = node.grad
             adam_step(store, config)
             loss_sum += value * len(batch)
             seen += len(batch)

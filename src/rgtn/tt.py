@@ -100,7 +100,7 @@ def tt_svd(
         tol = float(rel_tolerance) * float(np.linalg.norm(x.array)) / np.sqrt(n - 1)
 
     cores: list[DenseTensor] = []
-    current = x.array.copy()
+    current = x.array
     rank = 1
     for k in range(n - 1):
         mat = current.reshape(rank * dims[k], -1, order="F")

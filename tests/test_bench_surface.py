@@ -49,6 +49,8 @@ def test_param_store_and_activations():
     from rgtn.training import ParamStore
 
     assert callable(ParamStore.zero_grads)
+    # perfbench/harness.py reads the trained parameters through values()
+    assert callable(ParamStore.values)
     assert set(_TAPE_ACTIVATIONS) >= {"tanh", "identity"}
 
 

@@ -274,12 +274,12 @@ class TestNormalize:
 
 class TestGenerators:
     def test_regression_deterministic_under_seed(self):
-        a = synth_linear_dynamics(6, 2, 3, 50, 0.1, seed=9)
-        b = synth_linear_dynamics(6, 2, 3, 50, 0.1, seed=9)
+        a = synth_linear_dynamics(2, 3, 50, 0.1, seed=9)
+        b = synth_linear_dynamics(2, 3, 50, 0.1, seed=9)
         np.testing.assert_array_equal(a.values, b.values)
 
     def test_noiseless_regression_is_exactly_linear(self):
-        table = synth_linear_dynamics(6, 3, 2, 40, 0.0, seed=3)
+        table = synth_linear_dynamics(3, 2, 40, 0.0, seed=3)
         g = linear_dynamics_matrix(3, 2, seed=3)
         flat = np.stack([row.ravel(order="F") for row in table.values])
         for t in range(flat.shape[0] - 1):
@@ -287,7 +287,7 @@ class TestGenerators:
 
     def test_noise_floor_matches_analytic_value(self):
         sigma = 0.1
-        table = synth_linear_dynamics(6, 4, 3, 3000, sigma, seed=7)
+        table = synth_linear_dynamics(4, 3, 3000, sigma, seed=7)
         g = linear_dynamics_matrix(4, 3, seed=7)
         flat = np.stack([row.ravel(order="F") for row in table.values])
         residuals = flat[1:] - flat[:-1] @ g.T

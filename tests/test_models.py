@@ -1,5 +1,7 @@
 """Model assemblies: equivalence with the oracles, counts, gradients, aliasing."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -350,6 +352,25 @@ class TestTape:
                 assert node.grad is not None
             elif node.parents:
                 assert node.grad is None
+
+    @pytest.mark.parametrize("bias", [True, False])
+    @pytest.mark.parametrize("variant,head", [
+        *((v, h) for v in ("grgtn", "srgtn") for h in ("tt", "dense", "none")),
+        ("rnn", "dense"),
+        ("rnn", "none"),
+    ])
+    def test_every_parameter_gets_a_gradient(self, variant, head, bias):
+        # training updates every entry of the parameter store, so one step
+        # must reach every parameter it passes to forward
+        rng = np.random.default_rng(16)
+        cfg = small_config(variant, head_kind=head)
+        cfg = replace(cfg, head=replace(cfg.head, bias=bias))
+        nodes = {k: ad.constant(v) for k, v in init_params(cfg, seed=3).items()}
+        x = rng.standard_normal((2, cfg.tau, cfg.d_phys, cfg.d_feat))
+        ad.backward(ad.mse_loss(forward(cfg, nodes, x), rng.standard_normal((2, cfg.out_dim))))
+        for name, node in nodes.items():
+            assert node.grad is not None, name
+            assert node.grad.shape == node.shape, name
 
     @pytest.mark.parametrize("variant", ["grgtn", "srgtn"])
     def test_one_hidden_width_node_per_forward(self, variant):
