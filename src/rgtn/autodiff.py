@@ -14,7 +14,8 @@ batch of windows, the time adjacency) costs the tape nothing.  Targets and
 labels are data in the same way: each loss is one node whose only input is
 the prediction (or the logits), and its push returns the loss's gradient in
 closed form.  ``recurrence`` is one node for a whole RNN recurrence, its
-pushes backpropagation through time, so the tape does not grow with tau.
+pushes backpropagation through time, so the tape does not grow with tau,
+and ``tt_head`` is one node for the three GEMMs of a tensor-train head.
 
 Under ``no_tape()`` operations compute the same arrays with the same
 kernels but keep no inputs or pushes, so each intermediate is freed once
@@ -53,9 +54,7 @@ __all__ = [
     "reshape",
     "add_bias",
     "recurrence",
-    "tanh",
-    "sigmoid",
-    "relu",
+    "tt_head",
     "mae_loss",
     "mse_loss",
     "cross_entropy_loss",
@@ -158,51 +157,31 @@ def _shared(first: Callable[[np.ndarray], np.ndarray], consumers) -> tuple[Calla
     return tuple(make(c, i == len(consumers) - 1) for i, c in enumerate(consumers))
 
 
-def matmul(
-    a: TapeNode | np.ndarray, b: TapeNode | np.ndarray, transpose_a: bool = False
-) -> TapeNode:
+def matmul(a: TapeNode | np.ndarray, b: TapeNode | np.ndarray) -> TapeNode:
     """``a @ b`` with numpy semantics, where one operand is 2-D.
 
     With a 2-D right operand the left one's leading axes fold into the rows
-    of one GEMM; with a 2-D left operand the product is batched over the
-    right one's leading axes.  ``transpose_a`` multiplies by ``a.T`` for a
-    2-D ``a``, so a parameter stored in its own layout enters the product
-    as it is.  A plain ndarray operand is data and gets no gradient.
+    of one GEMM.  A 2-D left operand times a batched right one takes data
+    only, such as the time adjacency times a batch of windows: it records no
+    push.  A plain ndarray operand is data and gets no gradient.
     """
     av, bv = _value(a), _value(b)
-    if transpose_a:
-        if av.ndim != 2:
-            raise ShapeError(f"a transposed operand must be 2-D, got shape {av.shape}")
-        av = av.T
     if min(av.ndim, bv.ndim) < 2 or 2 not in (av.ndim, bv.ndim):
         raise ShapeError(f"matmul needs a 2-D operand and no 1-D one, got {av.shape} @ {bv.shape}")
     if av.shape[-1] != bv.shape[-2]:
         raise ShapeError(f"matmul extents differ: {av.shape} @ {bv.shape}")
-    if bv.ndim == 2:
-        k, n = bv.shape
-        a2 = av.reshape(-1, k)
-        out = (a2 @ bv).reshape(av.shape[:-1] + (n,))
-
-        def push_a(g: np.ndarray) -> np.ndarray:
-            g2 = g.reshape(-1, n)
-            return bv @ g2.T if transpose_a else (g2 @ bv.T).reshape(av.shape)
-
-        def push_b(g: np.ndarray) -> np.ndarray:
-            return a2.T @ g.reshape(-1, n)
-    else:
-        batch = tuple(range(bv.ndim - 2))
-        out = av @ bv
-
-        def push_a(g: np.ndarray) -> np.ndarray:
-            if transpose_a:
-                return (bv @ np.swapaxes(g, -1, -2)).sum(axis=batch)
-            return (g @ np.swapaxes(bv, -1, -2)).sum(axis=batch)
-
-        def push_b(g: np.ndarray) -> np.ndarray:
-            return av.T @ g
-
-    inputs = [(node, push) for node, push in ((a, push_a), (b, push_b))
-              if isinstance(node, TapeNode)]
+    if bv.ndim != 2:
+        if isinstance(a, TapeNode) or isinstance(b, TapeNode):
+            raise ShapeError(f"a batched matmul takes data only, got a node in "
+                             f"{av.shape} @ {bv.shape}")
+        return TapeNode(av @ bv)
+    k, n = bv.shape
+    a2 = av.reshape(-1, k)
+    out = (a2 @ bv).reshape(av.shape[:-1] + (n,))
+    inputs = [(node, push) for node, push in (
+        (a, lambda g: (g.reshape(-1, n) @ bv.T).reshape(av.shape)),
+        (b, lambda g: a2.T @ g.reshape(-1, n)),
+    ) if isinstance(node, TapeNode)]
     return TapeNode(out, tuple(node for node, _ in inputs), tuple(push for _, push in inputs))
 
 
@@ -350,19 +329,6 @@ _BLOCK_BYTES = 1 << 18
 _SHORT_K = 48
 
 
-def _activation(name: str) -> Callable[[TapeNode], TapeNode]:
-    fn, push = _ACTIVATIONS[name]
-
-    def op(a: TapeNode) -> TapeNode:
-        out = fn(a.array)
-        return TapeNode(out, (a,), (lambda g: push(g, out),))
-
-    return op
-
-
-tanh, sigmoid, relu = (_activation(name) for name in ("tanh", "sigmoid", "relu"))
-
-
 def recurrence(u: TapeNode, w_h: TapeNode, b_h: TapeNode, activation: str) -> TapeNode:
     """``h_t = act(u_t + h_{t-1} w_h^T + b_h)`` from ``h_{-1} = 0``, as one node.
 
@@ -394,6 +360,46 @@ def recurrence(u: TapeNode, w_h: TapeNode, b_h: TapeNode, activation: str) -> Ta
 
     pushes = _shared(bptt, (lambda dz: dz, push_w, lambda dz: dz.sum(axis=(0, 1))))
     return TapeNode(h, (u, w_h, b_h), pushes)
+
+
+def tt_head(h: TapeNode, cores: Sequence[TapeNode]) -> TapeNode:
+    """The three-core tensor-train map of each ``(tau, P, H)`` block of ``h``, as one node.
+
+    Core k, ``(r_k, n_k, o_k, r_k+1)`` with ``r_0 = r_3 = 1``, is the matrix
+    ``(r_k n_k, o_k r_k+1)``.  Three GEMMs contract the time mode first, as a
+    left product on h viewed as ``(batch, tau, P H)``, then ``(r1, P)`` and
+    then ``(r2, H)``.  The result is ``(batch, o0 o1 o2)``, first output mode
+    fastest.  The four pushes share one backward: the same GEMMs in reverse.
+    """
+    shapes = [c.shape for c in cores]
+    if (len(h.shape) != 4 or len(shapes) != 3 or any(len(s) != 4 for s in shapes)
+            or tuple(s[1] for s in shapes) != h.shape[1:]
+            or [1] + [s[3] for s in shapes] != [s[0] for s in shapes] + [1]):
+        raise ShapeError(f"tt_head needs h (batch, tau, P, H) and cores (r_k, n_k, o_k, r_k+1) "
+                         f"chained from rank 1 to rank 1, got {h.shape} and {shapes}")
+    (batch, tau, phys, hidden), (o0, o1, o2) = h.shape, (s[2] for s in shapes)
+    r1, r2 = shapes[1][0], shapes[2][0]
+    a0, a1, a2 = (c.array.reshape(n, -1) for c, n in zip(cores, (tau, r1 * phys, r2 * hidden)))
+    h3 = h.array.reshape(batch, tau, phys * hidden)
+    z1 = (a0.T @ h3).reshape(batch * o0, r1 * phys, hidden)
+    z2 = (a1.T @ z1).reshape(batch * o0 * o1, r2 * hidden)
+    if not _recording:
+        del z1  # no push reads it
+    out = (z2 @ a2).reshape(batch, o0, o1, o2).transpose(0, 3, 2, 1).reshape(batch, o2 * o1 * o0)
+
+    def grads(g: np.ndarray) -> tuple[np.ndarray, ...]:
+        g3 = g.reshape(batch, o2, o1, o0).transpose(0, 3, 2, 1).reshape(batch * o0 * o1, o2)
+        dz = (g3 @ a2.T).reshape(batch * o0, o1 * r2, hidden)
+        d2 = z2.T @ g3
+        del g3
+        d1 = (z1 @ np.swapaxes(dz, -1, -2)).sum(axis=0)
+        dz = (a1 @ dz).reshape(batch, o0 * r1, phys * hidden)
+        d0 = (h3 @ np.swapaxes(dz, -1, -2)).sum(axis=0)
+        return (a0 @ dz).reshape(h.shape), d0, d1, d2
+
+    pushes = _shared(grads, [lambda d, k=k, s=s: d[k].reshape(s) for k, s in
+                             enumerate([h.shape] + shapes)])
+    return TapeNode(out, (h, *cores), pushes)
 
 
 def _residual(pred: TapeNode, target: np.ndarray, name: str) -> tuple[np.ndarray, float]:

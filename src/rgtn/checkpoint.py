@@ -24,7 +24,6 @@ __all__ = [
     "save_tensor",
     "load_tensor",
     "save_tt",
-    "load_tt",
 ]
 
 MAGIC = b"RGTNCKPT"
@@ -157,13 +156,3 @@ def save_tt(path: str, cores: list[np.ndarray], meta: dict | None = None) -> Non
     info.update(meta or {})
     save_checkpoint(path, arrays, info)
 
-
-def load_tt(path: str) -> tuple[list[np.ndarray], dict]:
-    arrays, meta = load_checkpoint(path)
-    if meta.get("kind") != "tt":
-        raise CheckpointError(f"{path}: not a tensor-train file")
-    n_cores = meta.get("n_cores")
-    if not _is_index(n_cores) or any(f"core{k}" not in arrays for k in range(n_cores)):
-        raise CheckpointError(f"{path}: n_cores missing or not matching the stored cores")
-    cores = [arrays[f"core{k}"] for k in range(n_cores)]
-    return cores, meta

@@ -18,9 +18,10 @@ Flattened vectors put the first mode fastest: a (tau, physical, hidden)
 block flattens with the time index varying fastest, as a checkpoint
 payload does.
 
-Every contraction is one ``autodiff.matmul``/``linear`` call on a reshape
-that needs no copy.  The window x and the time adjacency A are plain
-arrays, so neither is a tape node and no gradient is computed for them.
+Each stage is one tape op: ``linear`` (projection), a data ``matmul``
+(time mix), ``matmul`` (grgtn's W_r W_x), ``tt_head`` or ``linear`` (head).
+The window x and the time adjacency A are plain arrays, so neither is a
+tape node and no gradient is computed for them.
 
 * time mix, on the input: A acts on time and W_x on features, so
   ``A (x W_x^T) = (A x) W_x^T``, one GEMM on x as (batch, tau, phys * feat);
@@ -40,7 +41,8 @@ arrays, so neither is a tape node and no gradient is computed for them.
 
 The rnn projects the inputs of all steps in one ``linear`` on a time-major
 copy of x and runs the recurrence as one ``autodiff.recurrence`` node, so
-its tape does not grow with tau.  ``predict`` runs this same code under
+its tape does not grow with tau; its time-major h reaches the dense head
+through one transposing flatten.  ``predict`` runs this same code under
 ``autodiff.no_tape``, so it returns exactly ``forward(...).array``.
 """
 
@@ -67,13 +69,6 @@ __all__ = [
 ]
 
 VARIANTS = ("grgtn", "srgtn", "rnn")
-
-_TAPE_ACTIVATIONS = {
-    "tanh": ad.tanh,
-    "sigmoid": ad.sigmoid,
-    "relu": ad.relu,
-    "identity": lambda node: node,
-}
 
 
 @dataclass(frozen=True)
@@ -114,7 +109,7 @@ class ModelConfig:
         for name in ("tau", "d_phys", "d_feat", "hidden", "out_dim"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name}: must be >= 1, got {getattr(self, name)}")
-        if self.activation not in _TAPE_ACTIVATIONS:
+        if self.activation not in ad._ACTIVATIONS:
             raise ValueError(f"activation: unknown activation {self.activation!r}")
         if self.variant != "rnn" and not 0.0 < self.c < 1.0:
             raise ValueError(f"c: must lie strictly between 0 and 1, got {self.c}")
@@ -196,11 +191,12 @@ def _as_nodes(values: Mapping[str, ad.TapeNode | np.ndarray]) -> dict[str, ad.Ta
     }
 
 
-def _flatten_samples(node: ad.TapeNode) -> ad.TapeNode:
-    """Per-sample first-mode-fastest flatten of all trailing axes."""
-    ndim = len(node.shape)
-    perm = (0,) + tuple(range(ndim - 1, 0, -1))
-    return ad.reshape(ad.transpose(node, perm), (node.shape[0], prod(node.shape[1:])))
+def _flatten_samples(config: ModelConfig, h: ad.TapeNode) -> ad.TapeNode:
+    """Per-window first-mode-fastest flatten of the hidden block: (batch, block size)."""
+    # the rnn's h is time-major, (tau, batch, hidden)
+    axes = (1, 2, 0) if config.variant == "rnn" else (0, 3, 2, 1)
+    flat = ad.transpose(h, axes)
+    return ad.reshape(flat, (flat.shape[0], prod(config.feature_block)))
 
 
 def _join_features(x: np.ndarray, ax: np.ndarray) -> np.ndarray:
@@ -227,25 +223,12 @@ def _check_param_shapes(config: ModelConfig, nodes: Mapping[str, ad.TapeNode]) -
 
 def _head(config: ModelConfig, nodes: Mapping[str, ad.TapeNode], h: ad.TapeNode) -> ad.TapeNode:
     head = config.head
-    if head.kind == "none":
-        return _flatten_samples(h)
-    if head.kind == "dense":
-        out = ad.linear(_flatten_samples(h), nodes["head.w"])
+    if head.kind == "tt":
+        out = ad.tt_head(h, [nodes[f"head.core{k}"] for k in range(3)])
+    elif head.kind == "dense":
+        out = ad.linear(_flatten_samples(config, h), nodes["head.w"])
     else:
-        # core k, (r_k, i_k, o_k, r_k+1), is the matrix (r_k i_k, o_k r_k+1)
-        batch, (tau, phys, hidden), (o0, o1, o2) = h.shape[0], config.feature_block, head.out_modes
-        r1, r2 = head.ranks
-        cores = [
-            ad.reshape(nodes[f"head.core{k}"], (rows, -1))
-            for k, rows in enumerate((tau, r1 * phys, r2 * hidden))
-        ]
-        # time first, as a left product on h's time axis: (batch, o0 r1, phys hidden)
-        z = ad.matmul(cores[0], ad.reshape(h, (batch, tau, phys * hidden)), transpose_a=True)
-        # then (r1, phys): (batch o0, o1 r2, hidden)
-        z = ad.matmul(cores[1], ad.reshape(z, (batch * o0, r1 * phys, hidden)), transpose_a=True)
-        # then (r2, hidden): (batch o0 o1, o2)
-        z = ad.matmul(ad.reshape(z, (batch * o0 * o1, r2 * hidden)), cores[2])
-        out = _flatten_samples(ad.reshape(z, (batch, o0, o1, o2)))
+        return _flatten_samples(config, h)
     if head.bias:
         out = ad.add_bias(out, nodes["head.bias"])
     return out
@@ -270,8 +253,7 @@ def forward(
         # time-major, physical index fastest within a step; one GEMM for all steps
         flat = x.transpose(1, 0, 3, 2).reshape(tau, batch, phys * feat)
         u = ad.linear(flat, nodes["w_x"])
-        h = ad.recurrence(u, nodes["w_h"], nodes["b_h"], config.activation)
-        return _head(config, nodes, ad.transpose(h, (1, 0, 2)))
+        return _head(config, nodes, ad.recurrence(u, nodes["w_h"], nodes["b_h"], config.activation))
     a_asc = build_time_adjacency(config.tau, config.c)
     ax = ad.matmul(a_asc, x.reshape(batch, tau, phys * feat)).array.reshape(x.shape)  # off the tape
     if config.variant == "grgtn":

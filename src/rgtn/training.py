@@ -58,9 +58,6 @@ class ParamStore:
     def values(self) -> dict[str, np.ndarray]:
         return dict(self.views)
 
-    def zero_grads(self) -> None:
-        self.grads.fill(0.0)
-
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -155,7 +152,6 @@ def train(
         for start in range(0, len(order), config.batch_size):
             batch = order[start : start + config.batch_size]
             x, y = dataset.inputs[batch], dataset.targets[batch]
-            store.zero_grads()
             nodes = {name: ad.constant(value) for name, value in store.views.items()}
             loss = _loss_node(config.loss, forward(model, nodes, x), y)
             value = float(loss.array)

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import tt_head_matrix
 from rgtn import autodiff as ad
 from rgtn.tensor import ShapeError
 
@@ -91,20 +92,6 @@ class TestBackwardMechanics:
 
 
 class TestElementwiseOps:
-    def test_tanh(self):
-        rng = np.random.default_rng(4)
-        check_gradients(lambda x: square_mean(ad.tanh(x)), [rng.standard_normal((3, 3))])
-
-    def test_sigmoid(self):
-        rng = np.random.default_rng(5)
-        check_gradients(lambda x: square_mean(ad.sigmoid(x)), [rng.standard_normal((5,))])
-
-    def test_relu_away_from_kink(self):
-        rng = np.random.default_rng(6)
-        a = rng.standard_normal((4, 4))
-        a = np.where(np.abs(a) < 0.1, 0.5, a)
-        check_gradients(lambda x: square_mean(ad.relu(x)), [a])
-
     def test_absolute_away_from_kink(self):
         rng = np.random.default_rng(7)
         a = rng.standard_normal((6,))
@@ -183,20 +170,16 @@ class TestMatmul:
         np.testing.assert_allclose(ad.matmul(a, b).array, a @ b, atol=1e-12)
 
     def test_batched_right_operand_under_2d_left(self):
+        # data only, as the time adjacency meets a batch of windows: no push
         rng = np.random.default_rng(31)
         a = rng.standard_normal((3, 4))
         b = rng.standard_normal((2, 2, 4, 5))
-        check_gradients(lambda x, y: square_mean(ad.matmul(x, y)), [a, b])
-        np.testing.assert_allclose(ad.matmul(a, b).array, a @ b, atol=1e-12)
-
-    def test_transposed_left_operand(self):
-        rng = np.random.default_rng(32)
-        a = rng.standard_normal((4, 3))
-        b = rng.standard_normal((2, 4, 5))
-        np.testing.assert_allclose(ad.matmul(a, b, transpose_a=True).array, a.T @ b, atol=1e-12)
-        check_gradients(
-            lambda x, y: square_mean(ad.matmul(x, y, transpose_a=True)), [a, b]
-        )
+        out = ad.matmul(a, b)
+        np.testing.assert_array_equal(out.array, a @ b)
+        assert out.parents == () and out.pushes == ()
+        for left, right in ((ad.constant(a), b), (a, ad.constant(b))):
+            with pytest.raises(ShapeError, match="data only"):
+                ad.matmul(left, right)
 
     def test_both_operands_transposed(self):
         # a.T @ b.T as linear on a transposed view: the weight enters transposed too
@@ -218,7 +201,7 @@ class TestMatmul:
         check_gradients(lambda u, v: square_mean(ad.linear(u, v)), [x, w])
 
     @pytest.mark.parametrize("data_left", [True, False])
-    @pytest.mark.parametrize("left,right", [((2, 3), (4, 3, 5)), ((3, 2, 4), (4, 5))])
+    @pytest.mark.parametrize("left,right", [((2, 3), (3, 5)), ((3, 2, 4), (4, 5))])
     def test_ndarray_operand_is_data(self, data_left, left, right):
         rng = np.random.default_rng(34)
         a, b = rng.standard_normal(left), rng.standard_normal(right)
@@ -253,7 +236,7 @@ class TestMatmul:
         with pytest.raises(ShapeError):
             ad.matmul(np.ones(3), np.ones((3, 4)))
         with pytest.raises(ShapeError):
-            ad.matmul(np.ones((2, 3, 4)), np.ones((2, 4, 5)), transpose_a=True)
+            ad.matmul(ad.constant(np.ones((4, 2))), np.ones((3, 2, 5)))
 
 
 ACTIVATIONS = ["tanh", "sigmoid", "relu", "identity"]
@@ -279,16 +262,18 @@ class TestLinear:
         rng = np.random.default_rng(41)
         x, w = rng.standard_normal((6, 3)), rng.standard_normal((4, 3))
         target = rng.standard_normal((6, 4))
-        act = getattr(ad, activation, lambda node: node)
-        results = []
-        for build in (lambda u, v: ad.linear(u, v, activation),
-                      lambda u, v: act(ad.linear(u, v))):
-            u, v = ad.constant(x), ad.constant(w)
-            out = build(u, v)
-            ad.backward(ad.mse_loss(out, target))
-            results.append((out.array, u.grad, v.grad))
-        for fused, composed in zip(*results):
-            np.testing.assert_array_equal(fused, composed)
+        u, v = ad.constant(x), ad.constant(w)
+        out = ad.linear(u, v, activation)
+        ad.backward(ad.mse_loss(out, target))
+        # the same steps composed: a plain linear, then the activation and its push
+        fn, push = ad._ACTIVATIONS[activation]
+        plain = ad.linear(ad.constant(x), ad.constant(w))
+        y = ad.constant(fn(plain.array.copy()))
+        ad.backward(ad.mse_loss(y, target))
+        dz = push(y.grad, y.array)
+        composed = (y.array, *(node_push(dz) for node_push in plain.pushes))
+        for fused, expect in zip((out.array, u.grad, v.grad), composed):
+            np.testing.assert_array_equal(fused, expect)
 
     def test_pushes_share_one_activation_push_and_release_it(self, monkeypatch):
         rng = np.random.default_rng(42)
@@ -423,7 +408,7 @@ class TestConcat:
         other = list(shape)
         other[axis] += 1
         a, b = rng.standard_normal(shape), rng.standard_normal(other)
-        check_gradients(lambda u, v: square_mean(ad.concat((ad.tanh(u), v), axis)), [a, b])
+        check_gradients(lambda u, v: square_mean(ad.concat((u, v), axis)), [a, b])
         out = ad.concat((ad.constant(a), ad.constant(b)), axis)
         np.testing.assert_array_equal(out.array, np.concatenate((a, b), axis))
 
@@ -449,7 +434,7 @@ class TestTapeLifetime:
     def test_backward_keeps_only_leaf_gradients(self):
         rng = np.random.default_rng(35)
         w = ad.constant(rng.standard_normal((3, 4)))
-        inner = ad.tanh(ad.linear(rng.standard_normal((5, 4)), w))
+        inner = ad.linear(rng.standard_normal((5, 4)), w, "tanh")
         root = square_mean(inner)
         ad.backward(root)
         assert w.grad is not None
@@ -458,9 +443,9 @@ class TestTapeLifetime:
     def test_no_tape_keeps_no_inputs(self):
         w = ad.constant(np.ones((2, 2)))
         with ad.no_tape():
-            out = ad.tanh(ad.linear(np.ones((3, 2)), w))
+            out = ad.linear(np.ones((3, 2)), w, "tanh")
         assert out.parents == () and out.pushes == ()
-        again = ad.tanh(ad.linear(np.ones((3, 2)), w))
+        again = ad.linear(np.ones((3, 2)), w, "tanh")
         assert again.parents and np.array_equal(again.array, out.array)
 
 
@@ -521,6 +506,66 @@ class TestRecurrence:
         for bad in ((np.ones((2, 4)), w, b), (u, np.ones((4, 3)), b), (u, w, np.ones(3))):
             with pytest.raises(ShapeError):
                 ad.recurrence(*(ad.constant(a) for a in bad), "tanh")
+
+
+class TestTTHead:
+    """``tt_head``: every mode > 1 and unequal ranks, so no reshape can pass by accident."""
+
+    BLOCK, OUT, RANKS = (3, 2, 4), (2, 3, 2), (2, 3)
+
+    def arrays(self, rng, batch):
+        full = (1,) + self.RANKS + (1,)
+        cores = [rng.standard_normal((full[k], n, o, full[k + 1]))
+                 for k, (n, o) in enumerate(zip(self.BLOCK, self.OUT))]
+        return rng.standard_normal((batch,) + self.BLOCK), cores
+
+    def test_forward_equals_the_dense_matrix(self):
+        h, cores = self.arrays(np.random.default_rng(50), batch=5)
+        out = ad.tt_head(ad.constant(h), [ad.constant(c) for c in cores]).array
+        flat = h.transpose(0, 3, 2, 1).reshape(5, -1)  # first mode fastest
+        np.testing.assert_allclose(out, flat @ tt_head_matrix(cores), atol=1e-12)
+
+    def test_gradients_match_finite_differences(self):
+        h, cores = self.arrays(np.random.default_rng(51), batch=2)
+        check_gradients(lambda u, *c: square_mean(ad.tt_head(u, c)), [h, *cores])
+
+    def test_zero_windows(self):
+        h, cores = self.arrays(np.random.default_rng(52), batch=0)
+        u, c = ad.constant(h), [ad.constant(a) for a in cores]
+        out = ad.tt_head(u, c)
+        assert out.shape == (0, 12) and out.parents == (u, *c)
+        grads = [push(np.zeros(out.shape)) for push in out.pushes]
+        assert grads[0].shape == h.shape
+        for got, core in zip(grads[1:], cores):
+            np.testing.assert_array_equal(got, np.zeros(core.shape))
+
+    def test_pushes_share_one_backward_and_release_it(self):
+        h, cores = self.arrays(np.random.default_rng(53), batch=3)
+        out = ad.tt_head(ad.constant(h), [ad.constant(c) for c in cores])
+        g = np.ones(out.shape)
+        dh = out.pushes[0](g)
+        assert np.shares_memory(out.pushes[0](g), dh)  # computed once for this g
+        for push in out.pushes[1:]:
+            push(g)
+        ref = weakref.ref(g)  # the last push dropped the shared result
+        del g
+        assert ref() is None
+
+    def test_no_tape_keeps_no_inputs(self):
+        h, cores = self.arrays(np.random.default_rng(54), batch=2)
+        nodes = [ad.constant(c) for c in cores]
+        with ad.no_tape():
+            out = ad.tt_head(ad.constant(h), nodes)
+        assert out.parents == () and out.pushes == ()
+        np.testing.assert_array_equal(out.array, ad.tt_head(ad.constant(h), nodes).array)
+
+    def test_shape_errors(self):
+        h, cores = self.arrays(np.random.default_rng(55), batch=2)
+        for bad_h, bad_cores in ((h[0], cores), (h, cores[:2]), (h[:, :2], cores),
+                                 (h, [cores[0], cores[1][:1], cores[2]]),
+                                 (h, [cores[0][0], *cores[1:]])):
+            with pytest.raises(ShapeError):
+                ad.tt_head(ad.constant(bad_h), [ad.constant(c) for c in bad_cores])
 
 
 class TestLosses:

@@ -13,7 +13,6 @@ from rgtn.checkpoint import (
     CheckpointError,
     load_checkpoint,
     load_tensor,
-    load_tt,
     save_checkpoint,
     save_tensor,
     save_tt,
@@ -60,9 +59,10 @@ class TestRoundTrip:
         cores = [rng.standard_normal((1, 3, 2)), rng.standard_normal((2, 4, 1))]
         path = str(tmp_path / "tt.rgtn")
         save_tt(path, cores, {"ranks": [1, 2, 1]})
-        loaded, meta = load_tt(path)
-        assert meta["ranks"] == [1, 2, 1]
-        for got, expect in zip(loaded, cores):
+        loaded, meta = load_checkpoint(path)
+        assert meta["kind"] == "tt" and meta["n_cores"] == 2 and meta["ranks"] == [1, 2, 1]
+        assert list(loaded) == ["core0", "core1"]
+        for got, expect in zip(loaded.values(), cores):
             assert np.array_equal(got, expect)
 
 
@@ -95,9 +95,9 @@ class TestIntegrity:
 
     def test_wrong_kind_helpers(self, tmp_path):
         path = str(tmp_path / "t.rgtn")
-        save_tensor(path, np.ones(3))
-        with pytest.raises(CheckpointError):
-            load_tt(path)
+        save_tt(path, [np.ones((1, 3, 1))])
+        with pytest.raises(CheckpointError, match="not a tensor file"):
+            load_tensor(path)
 
     def test_header_not_an_object(self, tmp_path):
         path = tmp_path / "list.rgtn"
@@ -112,15 +112,6 @@ class TestIntegrity:
         path.write_bytes(raw_checkpoint(payload_header(entries, payload), payload))
         with pytest.raises(CheckpointError, match="'w' has count 6"):
             load_checkpoint(str(path))
-
-    def test_tt_file_without_n_cores(self, tmp_path):
-        payload = np.ones(3).astype("<f8").tobytes()
-        entries = [{"name": "core0", "shape": [1, 3, 1], "offset": 0, "count": 3}]
-        header = payload_header(entries, payload, meta={"kind": "tt"})
-        path = tmp_path / "tt.rgtn"
-        path.write_bytes(raw_checkpoint(header, payload))
-        with pytest.raises(CheckpointError, match="n_cores"):
-            load_tt(str(path))
 
 
 JSON_VALUES = st.recursive(

@@ -434,6 +434,19 @@ class TestInspectCommand:
         text = capsys.readouterr().out
         assert f"total_parameters: {summary['parameter_count']}" in text
 
+    def test_decomposed_cores_file_lists_every_core(self, tmp_path, capsys):
+        rng = np.random.default_rng(3)
+        tensor_path = str(tmp_path / "x.rgtn")
+        save_tensor(tensor_path, rng.standard_normal((3, 4, 2, 3)))
+        out = tmp_path / "dec"
+        assert main(["decompose", "--tensor", tensor_path, "--tol", "0.5", "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["inspect", "--checkpoint", str(out / "cores.rgtn")]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "kind: tt" in lines
+        params = [line.split(":")[0] for line in lines if line.startswith("param ")]
+        assert params == [f"param core{k}" for k in range(4)]
+
     def test_corrupted_file_exits_1(self, tmp_path, capsys):
         out = tmp_path / "run"
         cfg = write_config(tmp_path, base_config(out))

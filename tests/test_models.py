@@ -384,6 +384,23 @@ class TestTape:
         hidden_block = (6, cfg.tau, cfg.d_phys, cfg.hidden)
         assert sum(node.shape == hidden_block for node in graph) == 1
 
+    # nodes per training forward+loss at the bench_synth shape, parameters included:
+    # each stage is one op, and a head without bias has one node less
+    @pytest.mark.parametrize("variant,head,nodes", [
+        ("grgtn", "tt", 12), ("srgtn", "tt", 9), ("rnn", "dense", 12),
+        ("grgtn", "dense", 12), ("srgtn", "dense", 9),
+        ("grgtn", "none", 8), ("srgtn", "none", 5), ("rnn", "none", 8),
+    ])
+    def test_nodes_per_step(self, variant, head, nodes):
+        cfg = small_config(variant, head_kind="dense" if head == "tt" else head,
+                           activation="identity", tau=6, d=4, f=3, m=8, out=12)
+        if head == "tt":
+            cfg = replace(cfg, head=HeadConfig(kind="tt", ranks=(2, 2), out_modes=(1, 4, 3)))
+        x = np.random.default_rng(17).standard_normal((64, cfg.tau, cfg.d_phys, cfg.d_feat))
+        params = {k: ad.constant(v) for k, v in init_params(cfg, seed=5).items()}
+        root = ad.mae_loss(forward(cfg, params, x), np.zeros((64, cfg.out_dim)))
+        assert len(_walk(root)) == nodes
+
     def test_rnn_tape_size_does_not_grow_with_tau(self):
         rng = np.random.default_rng(12)
         counts = []

@@ -71,7 +71,6 @@ class TestAdam:
         expect, state, step = dict(values), {}, 0
         for k in range(25):
             grads = {name: rng.standard_normal(v.shape) for name, v in values.items()}
-            store.zero_grads()
             for name, g in grads.items():
                 store.grad_views[name][...] = g
             adam_step(store, config)
