@@ -68,51 +68,38 @@ def _metric_pair(metrics: dict) -> tuple[str, float]:
     return "test_accuracy", metrics["accuracy"]
 
 
-def _summary_pairs(run: RunConfig, model: ModelConfig, metrics: dict, wall: float) -> list:
-    key, value = _metric_pair(metrics)
-    return [
-        ("variant", model.variant),
-        ("task", model.task),
-        (key, value),
-        ("parameter_count", metrics["parameter_count"]),
-        ("epochs", run.training.epochs),
-        ("train_seed", run.training.seed),
-        ("data_seed", run.data.seed),
-        ("wall_time_s", wall),
-    ]
+def _train_one(run: RunConfig, model: ModelConfig, dataset, out_dir: str, suffix: str = ""):
+    """Train, write ``trace{suffix}.tsv`` and ``checkpoint{suffix}.rgtn``, then evaluate.
 
-
-def _train_one(run: RunConfig, model: ModelConfig, dataset):
+    Returns the test metrics and the training wall time.
+    """
     started = time.perf_counter()
     store, trace = train(model, dataset, run.training)
     wall = time.perf_counter() - started
-    metrics = evaluate(model, store.values(), dataset, split="test")
-    return store, trace, metrics, wall
-
-
-def _snapshot(run: RunConfig, model: ModelConfig) -> dict:
-    raw = dict(run.raw)
-    raw["model"] = dict(raw.get("model", {}))
-    raw["model"]["variant"] = model.variant
-    raw["training"] = dict(raw.get("training", {}))
-    raw["training"]["seed"] = run.training.seed
-    return raw
+    _write_trace(os.path.join(out_dir, f"trace{suffix}.tsv"), trace)
+    model_raw = {**run.raw["model"], "variant": model.variant}
+    training_raw = {**run.raw["training"], "seed": run.training.seed}
+    meta = {"kind": "model", "config": {**run.raw, "model": model_raw, "training": training_raw}}
+    save_checkpoint(os.path.join(out_dir, f"checkpoint{suffix}.rgtn"), store.values(), meta)
+    return evaluate(model, store.values(), dataset, split="test"), wall
 
 
 def cmd_train(args) -> int:
     run = load_run_config(args.config, seed_override=args.seed)
     out_dir = args.out or run.output_dir
     os.makedirs(out_dir, exist_ok=True)
-    dataset = build_dataset(run)
-    store, trace, metrics, wall = _train_one(run, run.model, dataset)
-    pairs = _summary_pairs(run, run.model, metrics, wall)
-    _write_trace(os.path.join(out_dir, "trace.tsv"), trace)
+    metrics, wall = _train_one(run, run.model, build_dataset(run), out_dir)
+    pairs = [
+        ("variant", run.model.variant),
+        ("task", metrics["task"]),
+        _metric_pair(metrics),
+        ("parameter_count", metrics["parameter_count"]),
+        ("epochs", run.training.epochs),
+        ("train_seed", run.training.seed),
+        ("data_seed", run.data.seed),
+        ("wall_time_s", wall),
+    ]
     _write_lines(os.path.join(out_dir, "summary.txt"), pairs)
-    save_checkpoint(
-        os.path.join(out_dir, "checkpoint.rgtn"),
-        store.values(),
-        {"kind": "model", "config": _snapshot(run, run.model)},
-    )
     _print_pairs(pairs)
     return 0
 
@@ -129,11 +116,10 @@ def cmd_eval(args) -> int:
         raise CheckpointError(f"{args.checkpoint}: model checkpoint has no config snapshot")
     dataset = build_dataset(run)
     metrics = evaluate(run.model, arrays, dataset, split="test")
-    key, value = _metric_pair(metrics)
     pairs = [
         ("variant", run.model.variant),
-        ("task", run.model.task),
-        (key, value),
+        ("task", metrics["task"]),
+        _metric_pair(metrics),
         ("parameter_count", metrics["parameter_count"]),
         ("n_samples", metrics["n_samples"]),
         ("wall_time_s", metrics["wall_time_s"]),
@@ -155,16 +141,9 @@ def cmd_bench(args) -> int:
     rows = []
     for variant in run.bench_variants:
         model = model_for_variant(run, variant)
-        store, trace, metrics, wall = _train_one(run, model, dataset)
-        key, value = _metric_pair(metrics)
+        metrics, wall = _train_one(run, model, dataset, out_dir, f"_{variant}")
+        metric_name, value = _metric_pair(metrics)
         rows.append((variant, value, metrics["parameter_count"], wall))
-        _write_trace(os.path.join(out_dir, f"trace_{variant}.tsv"), trace)
-        save_checkpoint(
-            os.path.join(out_dir, f"checkpoint_{variant}.rgtn"),
-            store.values(),
-            {"kind": "model", "config": _snapshot(run, model)},
-        )
-    metric_name = "test_mae" if run.model.task == "regression" else "test_accuracy"
     header = f"{'variant':<10} {metric_name:>14} {'parameters':>12} {'wall_time_s':>12}"
     lines = [header]
     for variant, value, params, wall in rows:
@@ -243,7 +222,7 @@ def cmd_inspect(args) -> int:
             f"{args.checkpoint}: params w_r: need a square matrix, got shape {w_r.shape}"
         )
     pairs = [("format_version", meta["format_version"]), ("kind", meta.get("kind", "unknown"))]
-    keys = ("variant", "task", "tau", "d_phys", "d_feat", "hidden", "out_dim")
+    keys = ("variant", "tau", "d_phys", "d_feat", "hidden", "out_dim")
     pairs += [(key, model_raw[key]) for key in keys if key in model_raw]
     for name, arr in arrays.items():
         pairs.append((f"param {name}", f"shape={arr.shape} count={arr.size}"))

@@ -8,6 +8,8 @@ to ``DataConfig`` (consumed by ``build_dataset``); ``output.dir`` and the
 optional ``bench.variants`` are read here.  Each value is checked once: its
 type on reading (a float must also be finite), its range in
 ``__post_init__``.  Errors name the dotted field; unknown keys are ignored.
+The dataset decides the task, so the checks between sections live in
+``build_dataset``: window shape, ``training.loss`` and ``model.out_dim``.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .data import (
     window,
 )
 from .models import VARIANTS, HeadConfig, ModelConfig
-from .training import TrainConfig
+from .training import LOSS_TASKS, TrainConfig
 
 __all__ = [
     "ConfigError",
@@ -203,10 +205,6 @@ def run_config_from_dict(raw, seed_override: int | None = None) -> RunConfig:
         if len(set(variants)) != len(variants):
             raise ConfigError("bench.variants: variants must be distinct")
         bench_variants = tuple(variants)
-    if model.task == "classification" and data.kind != "synthetic_classification":
-        raise ConfigError("model.task: classification needs synthetic_classification data")
-    if model.task == "regression" and data.kind == "synthetic_classification":
-        raise ConfigError("model.task: regression needs regression data")
     return RunConfig(
         model=model,
         data=data,
@@ -263,10 +261,16 @@ def build_dataset(run: RunConfig) -> WindowedDataset:
             f"data: windows have shape {ds.window_shape} but the model expects "
             f"(tau, d_phys, d_feat) = {(model.tau, model.d_phys, model.d_feat)}"
         )
-    if model.task == "regression" and ds.targets.shape[1] != model.out_dim:
+    if LOSS_TASKS[run.training.loss] != ds.task:
+        raise ConfigError(f"training.loss: {run.training.loss} does not suit {ds.task} data")
+    if ds.task == "regression" and ds.targets.shape[1] != model.out_dim:
         raise ConfigError(
             f"model.out_dim: targets have dimension {ds.targets.shape[1]}, "
             f"model emits {model.out_dim}"
+        )
+    if ds.task == "classification" and ds.targets.max() >= model.out_dim:
+        raise ConfigError(
+            f"model.out_dim: labels need {ds.targets.max() + 1} classes, model emits {model.out_dim}"
         )
     for split_name in ("train", "val", "test"):
         if len(getattr(ds.splits, split_name)) == 0:

@@ -103,11 +103,14 @@ def _parse_cell(raw: str, line_no: int, column: str) -> float:
     if text == "" or text.lower() in ("nan", "na"):
         return np.nan
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise CsvFormatError(
             f"line {line_no}: cannot parse {column!r} value {raw!r} as a number"
         ) from None
+    if np.isinf(value):
+        raise CsvFormatError(f"line {line_no}: {column!r} value {raw!r} is not finite")
+    return value
 
 
 def load_csv(path: str, schema: dict) -> SeriesTable:
@@ -126,33 +129,33 @@ def load_csv(path: str, schema: dict) -> SeriesTable:
     if missing not in ("drop", "ffill"):
         raise CsvSchemaError(f"unknown missing-value policy {missing!r}")
 
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise CsvFormatError("line 1: file is empty, header row required") from None
-        header = [h.strip() for h in header]
-        declared = [time_col] + ([phys_col] if phys_col else []) + feat_cols
-        for col in declared:
-            if col not in header:
-                raise CsvSchemaError(f"declared column {col!r} not in header {header}")
-        idx = {col: header.index(col) for col in declared}
+    # utf-8-sig drops the byte-order mark spreadsheet programs write
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            records = list(csv.reader(fh))
+    except UnicodeDecodeError as exc:
+        raise CsvFormatError(f"{path}: not UTF-8 text ({exc})") from None
+    if not records:
+        raise CsvFormatError("line 1: file is empty, header row required")
+    header = [h.strip() for h in records[0]]
+    declared = [time_col] + ([phys_col] if phys_col else []) + feat_cols
+    for col in declared:
+        if col not in header:
+            raise CsvSchemaError(f"declared column {col!r} not in header {header}")
+    idx = {col: header.index(col) for col in declared}
 
-        rows: list[tuple[float, str, list[float]]] = []
-        for line_no, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != len(header):
-                raise CsvFormatError(
-                    f"line {line_no}: expected {len(header)} fields, got {len(row)}"
-                )
-            t = _parse_cell(row[idx[time_col]], line_no, time_col)
-            if np.isnan(t):
-                raise CsvFormatError(f"line {line_no}: missing timestamp")
-            key = row[idx[phys_col]].strip() if phys_col else "all"
-            feats = [_parse_cell(row[idx[c]], line_no, c) for c in feat_cols]
-            rows.append((t, key, feats))
+    rows: list[tuple[float, str, list[float]]] = []
+    for line_no, row in enumerate(records[1:], start=2):
+        if not row or all(not cell.strip() for cell in row):
+            continue
+        if len(row) != len(header):
+            raise CsvFormatError(f"line {line_no}: expected {len(header)} fields, got {len(row)}")
+        t = _parse_cell(row[idx[time_col]], line_no, time_col)
+        if np.isnan(t):
+            raise CsvFormatError(f"line {line_no}: missing timestamp")
+        key = row[idx[phys_col]].strip() if phys_col else "all"
+        feats = [_parse_cell(row[idx[c]], line_no, c) for c in feat_cols]
+        rows.append((t, key, feats))
 
     if not rows:
         raise CsvFormatError("line 2: no data rows")

@@ -96,7 +96,6 @@ class ModelConfig:
     d_feat: int
     hidden: int
     out_dim: int
-    task: str = "regression"
     c: float = 0.5
     activation: str = "tanh"
     head: HeadConfig = field(default_factory=HeadConfig)
@@ -104,8 +103,6 @@ class ModelConfig:
     def __post_init__(self) -> None:
         if self.variant not in VARIANTS:
             raise ValueError(f"variant: must be one of {VARIANTS}, got {self.variant!r}")
-        if self.task not in ("regression", "classification"):
-            raise ValueError(f"task: unknown task {self.task!r}")
         for name in ("tau", "d_phys", "d_feat", "hidden", "out_dim"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name}: must be >= 1, got {getattr(self, name)}")

@@ -32,7 +32,8 @@ __all__ = [
     "evaluate",
 ]
 
-LOSSES = ("mae", "mse", "cross_entropy")
+# the task each loss serves; ``config.build_dataset`` checks it against the data
+LOSS_TASKS = {"mae": "regression", "mse": "regression", "cross_entropy": "classification"}
 
 
 class ParamStore:
@@ -82,8 +83,8 @@ class TrainConfig:
         for name in ("beta1", "beta2"):
             if not 0.0 < getattr(self, name) < 1.0:
                 raise ValueError(f"{name}: must lie strictly between 0 and 1")
-        if self.loss not in LOSSES:
-            raise ValueError(f"loss: must be one of {LOSSES}, got {self.loss!r}")
+        if self.loss not in LOSS_TASKS:
+            raise ValueError(f"loss: must be one of {tuple(LOSS_TASKS)}, got {self.loss!r}")
         if self.clip_norm is not None and self.clip_norm <= 0:
             raise ValueError("clip_norm: must be positive when set")
 

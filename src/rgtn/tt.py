@@ -80,8 +80,8 @@ def tt_svd(
     additionally caps the kept ranks.  With neither given the chain is
     exact up to floating-point rounding.
     """
-    if x.order < 1:
-        raise ShapeError("tt_svd needs an order >= 1 tensor")
+    if x.order < 1 or 0 in x.shape:
+        raise ShapeError(f"tt_svd needs an order >= 1 tensor with no empty mode, got {x.shape}")
     if not np.all(np.isfinite(x.array)):
         raise ValueError("tt_svd input contains non-finite entries")
     dims = x.shape

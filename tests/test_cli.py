@@ -13,7 +13,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rgtn.checkpoint import save_checkpoint, save_tensor
+from rgtn.checkpoint import load_checkpoint, save_checkpoint, save_tensor
 from rgtn.cli import main
 from rgtn.config import DataConfig
 from rgtn.models import ModelConfig
@@ -31,7 +31,6 @@ def base_config(out_dir, epochs=3, variant="grgtn", seed=0):
             "c": 0.5,
             "activation": "identity",
             "out_dim": 6,
-            "task": "regression",
             "head": {"kind": "tt", "ranks": [2, 2], "out_modes": [1, 2, 3], "bias": True},
         },
         "data": {
@@ -50,6 +49,15 @@ def base_config(out_dir, epochs=3, variant="grgtn", seed=0):
         },
         "output": {"dir": str(out_dir)},
     }
+
+
+def classification_config(out_dir, epochs=2):
+    cfg = base_config(out_dir, epochs)
+    cfg["model"]["out_dim"] = 2
+    cfg["model"]["head"]["out_modes"] = [1, 1, 2]
+    cfg["data"] = {"kind": "synthetic_classification", "n_samples": 120, "seed": 5}
+    cfg["training"]["loss"] = "cross_entropy"
+    return cfg
 
 
 def set_field(cfg, dotted, value):
@@ -169,16 +177,73 @@ class TestTrainCommand:
             assert f"model.head.{key}" in capsys.readouterr().err
 
     def test_classification_on_csv_exits_2(self, tmp_path, capsys):
+        # the model fits the csv (4 complete steps, 2 sites, 3 features): only the loss is wrong
         cfg = base_config(tmp_path / "x")
-        cfg["model"]["task"] = "classification"
+        cfg["model"]["tau"] = 1
+        cfg["training"]["loss"] = "cross_entropy"
         cfg["data"] = {
             "kind": "csv",
             "path": str(Path(__file__).parents[1] / "data" / "example_series.csv"),
-            "schema": {"time": "time", "phys": "site", "features": ["temperature"]},
+            "schema": {"time": "time", "phys": "site",
+                       "features": ["temperature", "humidity", "pressure"]},
+            "split": [0.34, 0.34, 0.32],
         }
         path = write_config(tmp_path, cfg)
         assert main(["train", "--config", path]) == 2
-        assert "model.task" in capsys.readouterr().err
+        assert "training.loss" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("make,field,value", [
+        (base_config, "training.loss", "cross_entropy"),
+        (classification_config, "training.loss", "mae"),
+        (classification_config, "training.loss", "mse"),
+        # two classes do not fit one output
+        (classification_config, "model.out_dim", 1),
+    ])
+    def test_loss_or_width_unfit_for_the_data_exits_2(self, tmp_path, capsys, make, field, value):
+        cfg = make(tmp_path / "x")
+        set_field(cfg, field, value)
+        if field == "model.out_dim":
+            cfg["model"]["head"]["out_modes"] = [1, 1, value]
+        assert main(["train", "--config", write_config(tmp_path, cfg)]) == 2
+        assert field in capsys.readouterr().err
+        assert not (tmp_path / "x" / "checkpoint.rgtn").exists()
+
+    def test_classifier_with_spare_outputs_trains(self, tmp_path):
+        cfg = classification_config(tmp_path / "x")
+        cfg["model"]["out_dim"] = 3
+        cfg["model"]["head"]["out_modes"] = [1, 1, 3]
+        assert main(["train", "--config", write_config(tmp_path, cfg)]) == 0
+        summary = read_pairs(tmp_path / "x" / "summary.txt")
+        assert summary["task"] == "classification"
+        assert 0.0 <= float(summary["test_accuracy"]) <= 1.0
+
+    @pytest.mark.parametrize("make,task", [
+        (base_config, "regression"), (classification_config, "classification")
+    ])
+    def test_legacy_model_task_is_ignored(self, tmp_path, capsys, make, task):
+        # configs and checkpoint snapshots from before the dataset decided the
+        # task carry model.task: they train and evaluate as they did
+        summaries, params = {}, {}
+        for name in ("new", "old"):
+            cfg = make(tmp_path / name)
+            if name == "old":
+                cfg["model"]["task"] = task
+            assert main(["train", "--config", write_config(tmp_path, cfg, f"{name}.yaml")]) == 0
+            summaries[name] = read_pairs(tmp_path / name / "summary.txt")
+            summaries[name].pop("wall_time_s")
+            params[name], meta = load_checkpoint(str(tmp_path / name / "checkpoint.rgtn"))
+        assert summaries["old"] == summaries["new"]
+        assert summaries["old"]["task"] == task
+        assert params["old"].keys() == params["new"].keys()
+        for key, value in params["new"].items():
+            np.testing.assert_array_equal(params["old"][key], value)
+        assert meta["config"]["model"]["task"] == task
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(tmp_path / "old" / "checkpoint.rgtn")]) == 0
+        pairs = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
+        metric = "test_mae" if task == "regression" else "test_accuracy"
+        assert pairs["task"] == task
+        assert pairs[metric] == summaries["old"][metric]
 
     # output.dir is not drawn: a relative path would be created in the working directory
     @settings(derandomize=True, database=None, max_examples=50, deadline=None)
@@ -326,6 +391,19 @@ class TestBenchCommand:
         assert grgtn_params - srgtn_params == 64
         assert rnn_params > srgtn_params
 
+    def test_classification_table_reports_accuracy(self, tmp_path):
+        out = tmp_path / "bench"
+        cfg = classification_config(out, epochs=1)
+        cfg["bench"] = {"variants": ["grgtn", "srgtn", "rnn"]}
+        assert main(["bench", "--config", write_config(tmp_path, cfg)]) == 0
+        table = (out / "bench.txt").read_text().splitlines()
+        assert table[0].split() == ["variant", "test_accuracy", "parameters", "wall_time_s"]
+        assert [line.split()[0] for line in table[1:]] == ["grgtn", "srgtn", "rnn"]
+        assert all(0.0 <= float(line.split()[1]) <= 1.0 for line in table[1:])
+        for variant in ("grgtn", "srgtn", "rnn"):
+            assert (out / f"trace_{variant}.tsv").exists()
+            assert (out / f"checkpoint_{variant}.rgtn").exists()
+
     def test_single_variant_rejected(self, tmp_path, capsys):
         cfg = base_config(tmp_path / "x")
         cfg["bench"] = {"variants": ["grgtn"]}
@@ -396,6 +474,14 @@ class TestDecomposeCommand:
         out = tmp_path / "dec"
         assert main(["decompose", "--tensor", tensor_path, flag, value, "--out", str(out)]) == 2
         assert flag in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_empty_mode_exits_1_naming_the_shape(self, tmp_path, capsys):
+        tensor_path = str(tmp_path / "x.rgtn")
+        save_tensor(tensor_path, np.zeros((0, 3)))
+        out = tmp_path / "dec"
+        assert main(["decompose", "--tensor", tensor_path, "--tol", "0.1", "--out", str(out)]) == 1
+        assert "(0, 3)" in capsys.readouterr().err
         assert not out.exists()
 
     def test_no_criteria_exits_2(self, tmp_path):

@@ -103,6 +103,24 @@ class TestLoadCsv:
         with pytest.raises(CsvFormatError):
             load_csv(path, WIDE_SCHEMA)
 
+    @pytest.mark.parametrize("cell", ["inf", "-inf", "Infinity", "1e400"])
+    def test_infinite_cell_reports_line_and_column(self, tmp_path, cell):
+        path = write(tmp_path, f"t,a,b\n1,1.0,2.0\n2,3.0,{cell}\n3,5.0,6.0\n")
+        with pytest.raises(CsvFormatError, match="line 3: 'b'"):
+            load_csv(path, WIDE_SCHEMA)
+
+    def test_byte_order_mark_is_not_part_of_the_header(self, tmp_path):
+        path = tmp_path / "series.csv"
+        path.write_bytes(b"\xef\xbb\xbft,a,b\n1,1.0,2.0\n2,3.0,4.0\n")
+        table = load_csv(str(path), WIDE_SCHEMA)
+        np.testing.assert_array_equal(table.timestamps, [1, 2])
+
+    def test_non_utf8_bytes_name_the_file(self, tmp_path):
+        path = tmp_path / "series.csv"
+        path.write_bytes(b"t,a,b\n1,1.0,2.0\n2,\xff,4.0\n")
+        with pytest.raises(CsvFormatError, match="series.csv: not UTF-8"):
+            load_csv(str(path), WIDE_SCHEMA)
+
 
 # upper case, so no label can collide with the lower-case time and key columns;
 # the comma and the quote make the writer quote a field

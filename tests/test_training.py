@@ -254,7 +254,6 @@ class TestEvaluate:
             d_feat=2,
             hidden=4,
             out_dim=2,
-            task="classification",
             head=HeadConfig(kind="tt", ranks=(2, 2), out_modes=(1, 1, 2)),
         )
         config = TrainConfig(epochs=40, learning_rate=1e-2, batch_size=16, seed=0, loss="cross_entropy")

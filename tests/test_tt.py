@@ -1,5 +1,7 @@
 """Tensor-train tests: decomposition accuracy, counting, the models' TT head."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -106,6 +108,11 @@ class TestSVD:
         x = from_array(np.array([[1.0, np.nan], [0.0, 1.0]]))
         with pytest.raises(ValueError):
             tt_svd(x)
+
+    @pytest.mark.parametrize("shape", [(0, 3), (2, 0, 2), (0,)])
+    def test_empty_mode_rejected_naming_the_shape(self, shape):
+        with pytest.raises(ShapeError, match=re.escape(str(shape))):
+            tt_svd(from_array(np.zeros(shape)))
 
     def test_order1(self):
         x = from_array(np.array([1.0, 2.0, 3.0, 4.0]))
