@@ -9,7 +9,10 @@ optional ``bench.variants`` are read here.  Each value is checked once: its
 type on reading (a float must also be finite), its range in
 ``__post_init__``.  Errors name the dotted field; unknown keys are ignored.
 The dataset decides the task, so the checks between sections live in
-``build_dataset``: window shape, ``training.loss`` and ``model.out_dim``.
+``build_dataset``: window shape, series length, ``training.loss`` and
+``model.out_dim``.  A deleted setting keeps the one value ``FIXED`` gives
+it: a config or checkpoint snapshot may still set it to that value, and
+any other value is an error naming the key.
 """
 
 from __future__ import annotations
@@ -31,8 +34,8 @@ from .data import (
     synth_linear_dynamics,
     window,
 )
-from .models import VARIANTS, HeadConfig, ModelConfig
-from .training import LOSS_TASKS, TrainConfig
+from .models import VARIANTS, ModelConfig
+from .training import BETA1, BETA2, EPS, LOSS_TASKS, TrainConfig
 
 __all__ = [
     "ConfigError",
@@ -43,6 +46,14 @@ __all__ = [
     "build_dataset",
     "model_for_variant",
 ]
+
+# Deleted settings at the one value each now has.  The head follows the variant
+# (an rnn also takes "dense"; ``rgtn bench`` snapshots share the tt section).
+FIXED = {
+    "model.head.kind": "tt", "model.head.bias": True, "data.normalize": "zscore",
+    "training.clip_norm": None, "training.beta1": BETA1, "training.beta2": BETA2,
+    "training.eps": EPS,
+}
 
 
 class ConfigError(ValueError):
@@ -58,7 +69,6 @@ class DataConfig:
     schema: dict | None = None
     seed: int = 0
     split: tuple[float, float, float] = (0.7, 0.15, 0.15)
-    normalize: str = "zscore"
     horizon: int = 1
     n_steps: int = 2000
     n_samples: int = 2000
@@ -77,8 +87,6 @@ class DataConfig:
             raise ConfigError(
                 f"data.split: fractions must be >= 0 and sum to at most 1, got {self.split}"
             )
-        if self.normalize not in ("zscore", "minmax", "none"):
-            raise ConfigError(f"data.normalize: unknown method {self.normalize!r}")
         if self.noise is None:
             default = 0.05 if self.kind == "synthetic_classification" else 0.1
             object.__setattr__(self, "noise", default)
@@ -137,8 +145,8 @@ def _check(value, hint, path: str):
         if not math.isfinite(number):
             raise ConfigError(f"{path}: must be a finite number, got {value!r}")
         return number
-    # YAML's true/false load as bool, a subclass of int: only a bool field takes one
-    if isinstance(value, hint) and (hint is bool or not isinstance(value, bool)):
+    # YAML's true/false load as bool, a subclass of int, and no field takes one
+    if isinstance(value, hint) and not isinstance(value, bool):
         return value
     if is_dataclass(hint):
         if isinstance(value, dict):
@@ -166,13 +174,13 @@ def _read(cls, section: dict, path: str):
 
 def load_run_config(path: str, seed_override: int | None = None) -> RunConfig:
     """Read a YAML config file and validate it."""
-    if not os.path.exists(path):
-        raise ConfigError(f"config file {path!r} does not exist")
-    with open(path) as fh:
-        try:
+    try:
+        with open(path, encoding="utf-8") as fh:
             raw = yaml.safe_load(fh)
-        except yaml.YAMLError as exc:
-            raise ConfigError(f"cannot parse {path!r}: {exc}") from None
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"cannot parse {path!r}: {exc}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path!r}: {exc}") from None
     return run_config_from_dict(raw, seed_override)
 
 
@@ -184,6 +192,16 @@ def run_config_from_dict(raw, seed_override: int | None = None) -> RunConfig:
     # variant leads ModelConfig's positional fields, so the class cannot default it
     model = {"variant": "grgtn", **model} if isinstance(model, dict) else model
     model = _check(model, ModelConfig, "model")
+    for key, fixed in FIXED.items():
+        section, (*path, name) = raw, key.split(".")
+        for part in path:
+            section = section.get(part) if isinstance(section, dict) else None
+        value = section.get(name, fixed) if isinstance(section, dict) else fixed
+        rnn_kind = key == "model.head.kind" and model.variant == "rnn"
+        allowed = (fixed, "dense") if rnn_kind else (fixed,)
+        if not any(type(value) is type(a) and value == a for a in allowed):  # YAML's 1 is not true
+            accepted = " or ".join(map(repr, allowed))
+            raise ConfigError(f"{key}: deleted setting, it may only be {accepted}; got {value!r}")
     data = _check(raw.get("data"), DataConfig, "data")
     training = raw.get("training")
     if seed_override is not None and isinstance(training, dict):
@@ -216,17 +234,11 @@ def run_config_from_dict(raw, seed_override: int | None = None) -> RunConfig:
 
 
 def model_for_variant(run: RunConfig, variant: str) -> ModelConfig:
-    """The run's model with only the variant (and head family) swapped."""
-    m = run.model
-    if variant == m.variant:
-        return m
-    head = m.head if variant != "rnn" else HeadConfig(kind="dense", bias=m.head.bias)
-    if m.variant == "rnn" and variant != "rnn":
-        raise ConfigError(
-            "bench: the shared model section must describe the tt head "
-            "(rnn derives its dense equivalent)"
-        )
-    return replace(m, variant=variant, head=head)
+    """The run's model with only the variant swapped; the head follows the variant."""
+    try:
+        return replace(run.model, variant=variant)
+    except ValueError as exc:
+        raise ConfigError(f"model.{exc}") from None
 
 
 def build_dataset(run: RunConfig) -> WindowedDataset:
@@ -255,7 +267,10 @@ def build_dataset(run: RunConfig) -> WindowedDataset:
             )
         else:
             table = load_csv(data.path, data.schema)
-        ds = window(table, tau=model.tau, horizon=data.horizon, split=data.split)
+        try:
+            ds = window(table, tau=model.tau, horizon=data.horizon, split=data.split)
+        except ValueError as exc:
+            raise ConfigError(f"model.tau, data.horizon: {exc}") from None
     if ds.window_shape != (model.tau, model.d_phys, model.d_feat):
         raise ConfigError(
             f"data: windows have shape {ds.window_shape} but the model expects "
@@ -277,6 +292,4 @@ def build_dataset(run: RunConfig) -> WindowedDataset:
             raise ConfigError(
                 f"data.split: the {split_name} split is empty; the series is too short"
             )
-    if data.normalize != "none":
-        ds = normalize(ds, method=data.normalize)
-    return ds
+    return normalize(ds)

@@ -73,7 +73,6 @@ class SplitIndices:
 
 @dataclass(frozen=True)
 class NormStats:
-    method: str
     mean: np.ndarray   # (D_phys, D_feat)
     scale: np.ndarray  # (D_phys, D_feat), never zero
 
@@ -142,6 +141,8 @@ def load_csv(path: str, schema: dict) -> SeriesTable:
     for col in declared:
         if col not in header:
             raise CsvSchemaError(f"declared column {col!r} not in header {header}")
+        if header.count(col) > 1:
+            raise CsvSchemaError(f"declared column {col!r} appears more than once in {header}")
     idx = {col: header.index(col) for col in declared}
 
     rows: list[tuple[float, str, list[float]]] = []
@@ -251,20 +252,13 @@ def window(
     return WindowedDataset(inputs=inputs, targets=targets, task="regression", splits=splits)
 
 
-def normalize(ds: WindowedDataset, method: str = "zscore") -> WindowedDataset:
-    """Rescale inputs (and regression targets) with train-split statistics."""
-    if method not in ("zscore", "minmax"):
-        raise ValueError(f"unknown normalization {method!r}")
+def normalize(ds: WindowedDataset) -> WindowedDataset:
+    """Z-score inputs (and regression targets) with train-split statistics."""
     if ds.norm is not None:
         raise ValueError("dataset is already normalized")
     train_inputs = ds.inputs[ds.splits.train]
-    if method == "zscore":
-        mean = train_inputs.mean(axis=(0, 1))
-        scale = train_inputs.std(axis=(0, 1))
-    else:
-        lo = train_inputs.min(axis=(0, 1))
-        hi = train_inputs.max(axis=(0, 1))
-        mean, scale = lo, hi - lo
+    mean = train_inputs.mean(axis=(0, 1))
+    scale = train_inputs.std(axis=(0, 1))
     flat_zero = scale <= 1e-12 * (1.0 + np.abs(mean))
     if np.any(flat_zero):
         warnings.warn(
@@ -272,7 +266,7 @@ def normalize(ds: WindowedDataset, method: str = "zscore") -> WindowedDataset:
             stacklevel=2,
         )
         scale = np.where(flat_zero, 1.0, scale)
-    stats = NormStats(method=method, mean=mean, scale=scale)
+    stats = NormStats(mean=mean, scale=scale)
     inputs = (ds.inputs - mean) / scale
     if ds.task == "regression":
         targets = (ds.targets - mean.ravel(order="F")) / scale.ravel(order="F")

@@ -1,14 +1,15 @@
 """Trainable sequence models: the two graph-filter variants and the RNN.
 
 A model reads a batch of order-3 windows (batch, tau, physical, feature)
-and emits one output vector per window.
+and emits one output vector per window through an output head that
+follows the variant; every head adds a bias.
 
 grgtn / srgtn: the input projection maps the feature mode to the hidden
 mode, the time graph couples the window, and a three-core tensor-train
-head contracts the filtered (tau, physical, hidden) block down to the
-outputs.  The general variant adds the trainable propagation matrix W_r;
-with otherwise identical configuration the two differ by exactly
-hidden^2 parameters.
+head (``model.head``) contracts the filtered (tau, physical, hidden) block
+down to the outputs.  The general variant adds the trainable propagation
+matrix W_r; with otherwise identical configuration the two differ by
+exactly hidden^2 parameters.
 
 rnn: the matched baseline flattens physical x feature per step, runs the
 recurrence h_t = act(W_x x_t + W_h h_{t-1} + b_h), and applies the dense
@@ -73,16 +74,12 @@ VARIANTS = ("grgtn", "srgtn", "rnn")
 
 @dataclass(frozen=True)
 class HeadConfig:
-    """Output head: tensor-train, dense, or none (raw flattened features)."""
+    """The graph variants' tensor-train head; the rnn ignores it."""
 
-    kind: str = "tt"
     ranks: tuple[int, int] = (2, 2)
     out_modes: tuple[int, int, int] | None = None
-    bias: bool = True
 
     def __post_init__(self) -> None:
-        if self.kind not in ("tt", "dense", "none"):
-            raise ValueError(f"kind: unknown head kind {self.kind!r}")
         for name in ("ranks", "out_modes"):
             if min(getattr(self, name) or (1,)) < 1:
                 raise ValueError(f"{name}: must be >= 1, got {getattr(self, name)}")
@@ -108,11 +105,9 @@ class ModelConfig:
                 raise ValueError(f"{name}: must be >= 1, got {getattr(self, name)}")
         if self.activation not in ad._ACTIVATIONS:
             raise ValueError(f"activation: unknown activation {self.activation!r}")
-        if self.variant != "rnn" and not 0.0 < self.c < 1.0:
-            raise ValueError(f"c: must lie strictly between 0 and 1, got {self.c}")
-        if self.variant == "rnn" and self.head.kind == "tt":
-            raise ValueError("head.kind: the rnn baseline uses a dense head, not tt")
-        if self.head.kind == "tt":
+        if self.variant != "rnn":
+            if not 0.0 < self.c < 1.0:
+                raise ValueError(f"c: must lie strictly between 0 and 1, got {self.c}")
             modes = self.head.out_modes
             if modes is None:
                 raise ValueError("head.out_modes: a tt head needs out_modes (no auto-factoring)")
@@ -122,11 +117,6 @@ class ModelConfig:
                 raise ValueError(
                     f"head.out_modes: {modes} do not multiply to out_dim {self.out_dim}"
                 )
-        if self.head.kind == "none" and self.out_dim != prod(self.feature_block):
-            raise ValueError(
-                "out_dim: with no head, it must equal the flattened feature block "
-                f"{prod(self.feature_block)}"
-            )
 
     @property
     def feature_block(self) -> tuple[int, ...]:
@@ -143,19 +133,15 @@ def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
         shapes["w_x"] = (config.hidden, config.d_phys * config.d_feat)
         shapes["w_h"] = (config.hidden, config.hidden)
         shapes["b_h"] = (config.hidden,)
+        shapes["head.w"] = (config.out_dim, prod(config.feature_block))
     else:
         shapes["w_x"] = (config.hidden, config.d_feat)
         if config.variant == "grgtn":
             shapes["w_r"] = (config.hidden, config.hidden)
-    head = config.head
-    if head.kind == "tt":
-        full = (1,) + head.ranks + (1,)
-        for k, (i, o) in enumerate(zip(config.feature_block, head.out_modes)):
+        full = (1,) + config.head.ranks + (1,)
+        for k, (i, o) in enumerate(zip(config.feature_block, config.head.out_modes)):
             shapes[f"head.core{k}"] = (full[k], i, o, full[k + 1])
-    elif head.kind == "dense":
-        shapes["head.w"] = (config.out_dim, prod(config.feature_block))
-    if head.kind != "none" and head.bias:
-        shapes["head.bias"] = (config.out_dim,)
+    shapes["head.bias"] = (config.out_dim,)
     return shapes
 
 
@@ -188,14 +174,6 @@ def _as_nodes(values: Mapping[str, ad.TapeNode | np.ndarray]) -> dict[str, ad.Ta
     }
 
 
-def _flatten_samples(config: ModelConfig, h: ad.TapeNode) -> ad.TapeNode:
-    """Per-window first-mode-fastest flatten of the hidden block: (batch, block size)."""
-    # the rnn's h is time-major, (tau, batch, hidden)
-    axes = (1, 2, 0) if config.variant == "rnn" else (0, 3, 2, 1)
-    flat = ad.transpose(h, axes)
-    return ad.reshape(flat, (flat.shape[0], prod(config.feature_block)))
-
-
 def _join_features(x: np.ndarray, ax: np.ndarray) -> np.ndarray:
     """``concatenate((x, ax), -1)``, copying F-float rows as single items (2x faster)."""
     row = np.dtype((np.void, x.shape[-1] * x.itemsize))
@@ -218,17 +196,23 @@ def _check_param_shapes(config: ModelConfig, nodes: Mapping[str, ad.TapeNode]) -
             )
 
 
-def _head(config: ModelConfig, nodes: Mapping[str, ad.TapeNode], h: ad.TapeNode) -> ad.TapeNode:
-    head = config.head
-    if head.kind == "tt":
-        out = ad.tt_head(h, [nodes[f"head.core{k}"] for k in range(3)])
-    elif head.kind == "dense":
-        out = ad.linear(_flatten_samples(config, h), nodes["head.w"])
+def _hidden(config: ModelConfig, nodes: Mapping[str, ad.TapeNode], x: np.ndarray) -> ad.TapeNode:
+    """The head's input: (batch, tau, physical, hidden), or the rnn's (tau, batch, hidden)."""
+    batch, tau, phys, feat = x.shape  # sizes, not -1: numpy cannot infer one for 0 windows
+    if config.variant == "rnn":
+        # time-major, physical index fastest within a step; one GEMM for all steps
+        flat = x.transpose(1, 0, 3, 2).reshape(tau, batch, phys * feat)
+        u = ad.linear(flat, nodes["w_x"])
+        return ad.recurrence(u, nodes["w_h"], nodes["b_h"], config.activation)
+    a_asc = build_time_adjacency(config.tau, config.c)
+    ax = ad.matmul(a_asc, x.reshape(batch, tau, phys * feat)).array.reshape(x.shape)  # off the tape
+    if config.variant == "grgtn":
+        w = ad.concat((nodes["w_x"], ad.matmul(nodes["w_r"], nodes["w_x"])), axis=1)
+        x = _join_features(x, ax)
     else:
-        return _flatten_samples(config, h)
-    if head.bias:
-        out = ad.add_bias(out, nodes["head.bias"])
-    return out
+        x, w = x + ax, nodes["w_x"]
+    del ax  # freed before the GEMM writes the hidden block
+    return ad.linear(x, w, config.activation)
 
 
 def forward(
@@ -245,21 +229,14 @@ def forward(
         )
     nodes = _as_nodes(values)
     _check_param_shapes(config, nodes)
-    batch, tau, phys, feat = x.shape  # sizes, not -1: numpy cannot infer one for 0 windows
+    h = _hidden(config, nodes, x)
     if config.variant == "rnn":
-        # time-major, physical index fastest within a step; one GEMM for all steps
-        flat = x.transpose(1, 0, 3, 2).reshape(tau, batch, phys * feat)
-        u = ad.linear(flat, nodes["w_x"])
-        return _head(config, nodes, ad.recurrence(u, nodes["w_h"], nodes["b_h"], config.activation))
-    a_asc = build_time_adjacency(config.tau, config.c)
-    ax = ad.matmul(a_asc, x.reshape(batch, tau, phys * feat)).array.reshape(x.shape)  # off the tape
-    if config.variant == "grgtn":
-        w = ad.concat((nodes["w_x"], ad.matmul(nodes["w_r"], nodes["w_x"])), axis=1)
-        x = _join_features(x, ax)
+        # each window's (tau, hidden) block, flattened with time fastest
+        flat = ad.reshape(ad.transpose(h, (1, 2, 0)), (x.shape[0], prod(config.feature_block)))
+        out = ad.linear(flat, nodes["head.w"])
     else:
-        x, w = x + ax, nodes["w_x"]
-    del ax  # freed before the GEMM writes the hidden block
-    return _head(config, nodes, ad.linear(x, w, config.activation))
+        out = ad.tt_head(h, [nodes[f"head.core{k}"] for k in range(3)])
+    return ad.add_bias(out, nodes["head.bias"])
 
 
 def predict(

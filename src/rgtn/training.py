@@ -35,6 +35,9 @@ __all__ = [
 # the task each loss serves; ``config.build_dataset`` checks it against the data
 LOSS_TASKS = {"mae": "regression", "mse": "regression", "cross_entropy": "classification"}
 
+# Adam's decay rates and denominator guard (Kingma & Ba 2015), fixed for every run
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
 
 class ParamStore:
     """Named parameters over four flat float64 buffers, one slice per name.
@@ -64,29 +67,16 @@ class ParamStore:
 class TrainConfig:
     epochs: int
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     batch_size: int = 32
     seed: int = 0
     loss: str = "mae"
-    clip_norm: float | None = None
 
     def __post_init__(self) -> None:
-        for name in ("epochs", "seed", "learning_rate"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name}: must be >= 0, got {getattr(self, name)}")
-        if self.eps <= 0:
-            raise ValueError(f"eps: must be positive, got {self.eps}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size: must be >= 1, got {self.batch_size}")
-        for name in ("beta1", "beta2"):
-            if not 0.0 < getattr(self, name) < 1.0:
-                raise ValueError(f"{name}: must lie strictly between 0 and 1")
+        for name, low in (("epochs", 0), ("seed", 0), ("learning_rate", 0), ("batch_size", 1)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name}: must be >= {low}, got {getattr(self, name)}")
         if self.loss not in LOSS_TASKS:
             raise ValueError(f"loss: must be one of {tuple(LOSS_TASKS)}, got {self.loss!r}")
-        if self.clip_norm is not None and self.clip_norm <= 0:
-            raise ValueError("clip_norm: must be positive when set")
 
 
 class TrainingDiverged(RuntimeError):
@@ -103,19 +93,15 @@ def adam_step(store: ParamStore, config: TrainConfig) -> None:
     if not np.isfinite(g).all():
         bad = next(n for n, gv in store.grad_views.items() if not np.isfinite(gv).all())
         raise FloatingPointError(f"non-finite gradient for parameter {bad!r}")
-    if config.clip_norm is not None:
-        total = float(np.sqrt(g @ g))
-        if total > config.clip_norm:
-            g *= config.clip_norm / total
     store.step += 1
     t = store.step
-    store.m *= config.beta1
-    store.m += (1.0 - config.beta1) * g
-    store.v *= config.beta2
-    store.v += (1.0 - config.beta2) * g**2
-    m_hat = store.m / (1.0 - config.beta1**t)
-    v_hat = store.v / (1.0 - config.beta2**t)
-    store.flat -= config.learning_rate * m_hat / (np.sqrt(v_hat) + config.eps)
+    store.m *= BETA1
+    store.m += (1.0 - BETA1) * g
+    store.v *= BETA2
+    store.v += (1.0 - BETA2) * g**2
+    m_hat = store.m / (1.0 - BETA1**t)
+    v_hat = store.v / (1.0 - BETA2**t)
+    store.flat -= config.learning_rate * m_hat / (np.sqrt(v_hat) + EPS)
 
 
 def _loss_node(loss: str, preds: ad.TapeNode, targets: np.ndarray) -> ad.TapeNode:

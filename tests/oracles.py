@@ -1,19 +1,23 @@
-"""Independent references for the tests, and helpers to run models headless.
+"""Independent references for the tests, and helpers to read a model's hidden block.
 
 The model references evaluate what the paper defines by plain loops or by
 building the dense matrix, and ``raw_checkpoint`` writes the checkpoint
-layout byte by byte; none of them calls ``rgtn``.  ``headless`` and
-``hidden_states`` run ``rgtn.models.forward`` without an output head so a
-test can compare the filtered hidden-state block against a reference.
+layout byte by byte; none of them calls ``rgtn``.  ``hidden_node``,
+``hidden_rows`` and ``hidden_states`` run ``rgtn.models._hidden``, the part
+of ``forward`` before the output head, so a test can compare the filtered
+hidden-state block against a reference.
 """
 
 import hashlib
 import json
 import struct
 
+from math import prod
+
 import numpy as np
 
-from rgtn.models import HeadConfig, ModelConfig, forward
+from rgtn import autodiff as ad
+from rgtn.models import HeadConfig, ModelConfig, _hidden, init_params
 
 
 def random_idempotent(rng, m, rank=None):
@@ -87,6 +91,10 @@ def rnn_loop(w_h, w_x, b_h, x, act=np.tanh):
     return np.array(out)
 
 
+# Adam's defaults from Kingma & Ba (2015), which every run uses
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+
 def adam_per_tensor(values, grads, state, step, config):
     """One Adam step tensor by tensor, as separate arrays; returns the new step.
 
@@ -98,12 +106,12 @@ def adam_per_tensor(values, grads, state, step, config):
         if g is None:
             continue
         m, v = state.setdefault(name, [np.zeros_like(values[name]), np.zeros_like(values[name])])
-        m = config.beta1 * m + (1.0 - config.beta1) * g
-        v = config.beta2 * v + (1.0 - config.beta2) * g**2
+        m = BETA1 * m + (1.0 - BETA1) * g
+        v = BETA2 * v + (1.0 - BETA2) * g**2
         state[name] = [m, v]
-        m_hat = m / (1.0 - config.beta1**step)
-        v_hat = v / (1.0 - config.beta2**step)
-        values[name] = values[name] - config.learning_rate * m_hat / (np.sqrt(v_hat) + config.eps)
+        m_hat = m / (1.0 - BETA1**step)
+        v_hat = v / (1.0 - BETA2**step)
+        values[name] = values[name] - config.learning_rate * m_hat / (np.sqrt(v_hat) + EPS)
     return step
 
 
@@ -118,19 +126,44 @@ def tt_head_matrix(cores):
 
 
 def headless(variant, tau, d_phys, d_feat, hidden, c=0.5, activation="identity"):
-    """A model config with no output head: it emits the flattened hidden block."""
-    block = tau * hidden if variant == "rnn" else tau * d_phys * hidden
+    """A model config for reading the hidden block: its one-output head goes unread."""
     return ModelConfig(
         variant=variant,
         tau=tau,
         d_phys=d_phys,
         d_feat=d_feat,
         hidden=hidden,
-        out_dim=block,
+        out_dim=1,
         c=c,
         activation=activation,
-        head=HeadConfig(kind="none", bias=False),
+        head=HeadConfig(ranks=(1, 1), out_modes=(1, 1, 1)),
     )
+
+
+def with_head(config, body):
+    """The body parameters ``body`` plus the freshly initialised head ``forward`` also takes."""
+    head = {k: v for k, v in init_params(config, seed=0).items() if k.startswith("head.")}
+    return {**body, **head}
+
+
+def body_params(values):
+    """The parameters ``models._hidden`` reads: all but the head's."""
+    return {k: v for k, v in values.items() if not k.startswith("head.")}
+
+
+def hidden_node(config, values, x):
+    """The block ``forward`` hands its head, flattened first mode fastest per window.
+
+    A tape node, made by a transpose and a reshape node on ``_hidden``'s output.
+    """
+    nodes = {
+        k: v if isinstance(v, ad.TapeNode) else ad.constant(np.asarray(v, float))
+        for k, v in values.items()
+    }
+    h = _hidden(config, nodes, np.asarray(x, float))
+    # the rnn's h is time-major, (tau, batch, hidden)
+    flat = ad.transpose(h, (1, 2, 0) if config.variant == "rnn" else (0, 3, 2, 1))
+    return ad.reshape(flat, (flat.shape[0], prod(config.feature_block)))
 
 
 def unflatten(flat, block):
@@ -139,9 +172,15 @@ def unflatten(flat, block):
     return rev.transpose((0,) + tuple(range(rev.ndim - 1, 0, -1)))
 
 
+def hidden_rows(config, values, x):
+    """``hidden_node``'s array, computed without a tape."""
+    with ad.no_tape():
+        return hidden_node(config, values, x).array
+
+
 def hidden_states(config, values, x):
-    """models.forward of a headless config as (batch,) + config.feature_block."""
-    return unflatten(forward(config, values, x).array, config.feature_block)
+    """The block ``forward`` hands its head, as (batch,) + config.feature_block."""
+    return unflatten(hidden_rows(config, values, x), config.feature_block)
 
 
 def raw_checkpoint(header, payload=b""):

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from rgtn.checkpoint import load_checkpoint, save_checkpoint, save_tensor
 from rgtn.cli import main
-from rgtn.config import DataConfig
+from rgtn.config import FIXED, DataConfig, run_config_from_dict
 from rgtn.models import ModelConfig
 from rgtn.training import TrainConfig
 
@@ -31,14 +31,13 @@ def base_config(out_dir, epochs=3, variant="grgtn", seed=0):
             "c": 0.5,
             "activation": "identity",
             "out_dim": 6,
-            "head": {"kind": "tt", "ranks": [2, 2], "out_modes": [1, 2, 3], "bias": True},
+            "head": {"ranks": [2, 2], "out_modes": [1, 2, 3]},
         },
         "data": {
             "kind": "synthetic_regression",
             "n_steps": 300,
             "noise": 0.1,
             "seed": 5,
-            "normalize": "zscore",
         },
         "training": {
             "epochs": epochs,
@@ -85,6 +84,20 @@ def write_config(tmp_path, cfg, name="run.yaml"):
     path = tmp_path / name
     path.write_text(yaml.safe_dump(cfg))
     return str(path)
+
+
+ROOT = Path(__file__).parents[1]
+
+# each deleted setting: the one value it now has, and values it can no longer take
+DELETED_SETTINGS = {
+    "model.head.kind": ("tt", ["none", "dense"]),
+    "model.head.bias": (True, [False]),
+    "data.normalize": ("zscore", ["minmax", "none"]),
+    "training.clip_norm": (None, [1.0]),
+    "training.beta1": (0.9, [0.95]),
+    "training.beta2": (0.999, [0.99]),
+    "training.eps": (1e-8, [1e-6]),
+}
 
 
 def read_pairs(path):
@@ -138,6 +151,28 @@ class TestTrainCommand:
         assert main(["train", "--config", str(tmp_path / "nope.yaml")]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_non_utf8_config_exits_2_naming_it(self, tmp_path, capsys):
+        path = tmp_path / "latin1.yaml"
+        path.write_bytes(yaml.safe_dump(base_config(tmp_path / "x")).encode() + b"# caf\xe9\n")
+        assert main(["train", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and "utf-8" in err
+
+    def test_directory_as_config_exits_2_naming_it(self, tmp_path, capsys):
+        assert main(["train", "--config", str(tmp_path)]) == 2
+        assert str(tmp_path) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", ["data.horizon", "model.tau"])
+    def test_series_too_short_for_the_window_exits_2(self, tmp_path, capsys, field):
+        # synth_regression.yaml has 3000 steps
+        cfg = yaml.safe_load((ROOT / "configs" / "synth_regression.yaml").read_text())
+        cfg["output"]["dir"] = str(tmp_path / "x")
+        set_field(cfg, field, 5000)
+        assert main(["train", "--config", write_config(tmp_path, cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "data.horizon" in err and "model.tau" in err
+        assert not (tmp_path / "x" / "checkpoint.rgtn").exists()
+
     def test_invalid_field_exits_2_with_field_name(self, tmp_path, capsys):
         # YAML true is a bool, which must not pass for an int or a float
         for field, value in (
@@ -183,7 +218,7 @@ class TestTrainCommand:
         cfg["training"]["loss"] = "cross_entropy"
         cfg["data"] = {
             "kind": "csv",
-            "path": str(Path(__file__).parents[1] / "data" / "example_series.csv"),
+            "path": str(ROOT / "data" / "example_series.csv"),
             "schema": {"time": "time", "phys": "site",
                        "features": ["temperature", "humidity", "pressure"]},
             "split": [0.34, 0.34, 0.32],
@@ -245,6 +280,59 @@ class TestTrainCommand:
         assert pairs["task"] == task
         assert pairs[metric] == summaries["old"][metric]
 
+    @pytest.mark.parametrize("key", sorted(DELETED_SETTINGS))
+    def test_deleted_setting_at_its_fixed_value_loads_unchanged(self, key):
+        assert DELETED_SETTINGS.keys() == FIXED.keys()
+        legacy = base_config("x")
+        set_field(legacy, key, DELETED_SETTINGS[key][0])
+        old, new = run_config_from_dict(legacy), run_config_from_dict(base_config("x"))
+        assert (old.model, old.data, old.training) == (new.model, new.data, new.training)
+
+    @pytest.mark.parametrize("key,value", [
+        (key, value) for key, (_, others) in DELETED_SETTINGS.items() for value in others
+    ])
+    def test_deleted_setting_at_another_value_exits_2(self, tmp_path, capsys, key, value):
+        cfg = base_config(tmp_path / "x")
+        set_field(cfg, key, value)
+        assert main(["train", "--config", write_config(tmp_path, cfg)]) == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("kind,code", [("tt", 0), ("dense", 0), ("none", 2)])
+    def test_rnn_head_kind(self, tmp_path, capsys, kind, code):
+        # the rnn's head is dense whatever the section says; bench snapshots say tt
+        cfg = base_config(tmp_path / "x", epochs=1, variant="rnn")
+        cfg["model"]["head"]["kind"] = kind
+        assert main(["train", "--config", write_config(tmp_path, cfg)]) == code
+        if code:
+            assert "model.head.kind" in capsys.readouterr().err
+        else:
+            params, _ = load_checkpoint(str(tmp_path / "x" / "checkpoint.rgtn"))
+            assert sorted(params) == ["b_h", "head.bias", "head.w", "w_h", "w_x"]
+
+    def test_legacy_settings_train_bit_identically(self, tmp_path, capsys):
+        # a config spelling out all seven deleted settings trains as one without them
+        summaries, params = {}, {}
+        for name in ("new", "old"):
+            cfg = base_config(tmp_path / name)
+            if name == "old":
+                for key, (fixed, _) in DELETED_SETTINGS.items():
+                    set_field(cfg, key, fixed)
+            assert main(["train", "--config", write_config(tmp_path, cfg, f"{name}.yaml")]) == 0
+            summaries[name] = read_pairs(tmp_path / name / "summary.txt")
+            summaries[name].pop("wall_time_s")
+            params[name], meta = load_checkpoint(str(tmp_path / name / "checkpoint.rgtn"))
+        assert summaries["old"] == summaries["new"]
+        assert params["old"].keys() == params["new"].keys()
+        for key, value in params["new"].items():
+            np.testing.assert_array_equal(params["old"][key], value)
+        # the snapshot keeps them, and evaluates
+        assert meta["config"]["training"]["clip_norm"] is None
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(tmp_path / "old" / "checkpoint.rgtn")]) == 0
+        pairs = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
+        assert pairs["test_mae"] == summaries["old"]["test_mae"]
+
     # output.dir is not drawn: a relative path would be created in the working directory
     @settings(derandomize=True, database=None, max_examples=50, deadline=None)
     @given(
@@ -278,6 +366,9 @@ FLOAT_FIELDS = [
     *float_fields(ModelConfig, "model"),
     *float_fields(TrainConfig, "training"),
     *float_fields(DataConfig, "data"),
+    # deleted settings, which a config may still set to their fixed value
+    *((key, None) for key in ("training.beta1", "training.beta2", "training.clip_norm",
+                              "training.eps")),
 ]
 
 
@@ -403,6 +494,34 @@ class TestBenchCommand:
         for variant in ("grgtn", "srgtn", "rnn"):
             assert (out / f"trace_{variant}.tsv").exists()
             assert (out / f"checkpoint_{variant}.rgtn").exists()
+
+    def test_every_checkpoint_evaluates(self, tmp_path, capsys):
+        # each snapshot keeps the shared model section, whose tt head the rnn
+        # ignores, and the deleted settings an older config spells out
+        out = tmp_path / "bench"
+        cfg = base_config(out, epochs=2)
+        for key, (fixed, _) in DELETED_SETTINGS.items():
+            set_field(cfg, key, fixed)
+        cfg["bench"] = {"variants": ["grgtn", "srgtn", "rnn"]}
+        assert main(["bench", "--config", write_config(tmp_path, cfg)]) == 0
+        table = (out / "bench.txt").read_text().splitlines()
+        rows = {line.split()[0]: line.split() for line in table[1:]}
+        for variant in ("grgtn", "srgtn", "rnn"):
+            capsys.readouterr()
+            assert main(["eval", "--checkpoint", str(out / f"checkpoint_{variant}.rgtn")]) == 0
+            pairs = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
+            assert pairs["variant"] == variant
+            assert f"{float(pairs['test_mae']):.6g}" == rows[variant][1]
+            assert pairs["parameter_count"] == rows[variant][2]
+
+    def test_rnn_model_section_benches_graph_variants(self, tmp_path, capsys):
+        # the graph variants read the section's tt head, which must give out_modes
+        cfg = base_config(tmp_path / "x", epochs=1, variant="rnn")
+        cfg["bench"] = {"variants": ["rnn", "grgtn"]}
+        assert main(["bench", "--config", write_config(tmp_path, cfg)]) == 0
+        del cfg["model"]["head"]["out_modes"]
+        assert main(["bench", "--config", write_config(tmp_path, cfg)]) == 2
+        assert "model.head.out_modes" in capsys.readouterr().err
 
     def test_single_variant_rejected(self, tmp_path, capsys):
         cfg = base_config(tmp_path / "x")

@@ -68,6 +68,12 @@ class TestLoadCsv:
         with pytest.raises(CsvSchemaError):
             load_csv(path, WIDE_SCHEMA)
 
+    def test_duplicated_declared_column_is_named(self, tmp_path):
+        # the first "a" would be read and the second silently ignored
+        path = write(tmp_path, "t,a,a,b\n1,1.0,9.0,2.0\n")
+        with pytest.raises(CsvSchemaError, match="'a'"):
+            load_csv(path, WIDE_SCHEMA)
+
     def test_malformed_row_reports_line(self, tmp_path):
         path = write(tmp_path, "t,a,b\n1,1.0,2.0\n2,oops,4.0\n")
         with pytest.raises(CsvFormatError, match="line 3"):
@@ -263,11 +269,6 @@ class TestNormalize:
         ds = normalize(raw)
         preds = inverse_transform_predictions(ds, ds.targets)
         np.testing.assert_allclose(preds, raw.targets, atol=1e-12)
-
-    def test_minmax_train_range(self):
-        ds = normalize(window(toy_table(t=80), tau=5), method="minmax")
-        train = ds.inputs[ds.splits.train]
-        assert train.min() >= -1e-12 and train.max() <= 1.0 + 1e-12
 
     def test_stats_ignore_test_split(self):
         table = toy_table(t=80)

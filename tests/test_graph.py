@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from oracles import headless, hidden_states
+from oracles import headless, hidden_states, with_head
 from rgtn.graph import build_time_adjacency
 from rgtn.models import forward
 
@@ -124,9 +124,9 @@ class TestSpatialFilter:
     def test_shape_errors(self):
         cfg = headless("srgtn", 3, 1, 2, 2)
         with pytest.raises(ValueError):
-            forward(cfg, {"w_x": np.eye(2)}, np.zeros((1, 4, 1, 2)))
+            forward(cfg, with_head(cfg, {"w_x": np.eye(2)}), np.zeros((1, 4, 1, 2)))
         with pytest.raises(ValueError):
-            forward(cfg, {"w_x": np.eye(2)}, np.zeros((3, 1, 2)))
+            forward(cfg, with_head(cfg, {"w_x": np.eye(2)}), np.zeros((3, 1, 2)))
 
 
 class TestAdjacencyCache:

@@ -1,8 +1,9 @@
 """The models' recurrent filtering, pinned against the references in oracles.
 
-Every test runs ``rgtn.models.forward``, mostly with no output head so the
-hidden-state block can be compared with a loop recurrence, the dense block
-map (I + A kron W_r) vec(X_hat) or another variant.
+Every test runs ``rgtn.models.forward``, or mostly the part of it before the
+output head, so the hidden-state block can be compared with a loop
+recurrence, the dense block map (I + A kron W_r) vec(X_hat) or another
+variant.
 """
 
 import numpy as np
@@ -16,9 +17,10 @@ from oracles import (
     rnn_loop,
     time_adjacency,
     unrolled_recurrence,
+    with_head,
 )
 from rgtn import autodiff as ad
-from rgtn.models import HeadConfig, ModelConfig, forward
+from rgtn.models import ModelConfig, forward
 
 
 def one_window(x):
@@ -44,18 +46,15 @@ def rnn_states(x, w_x, w_h, b_h=None, activation="identity"):
 
 
 def rnn_with_dense_head(rng, tau, n, m, out, bias=True):
-    cfg = ModelConfig(
-        "rnn", tau, 1, n, m, out, activation="identity",
-        head=HeadConfig(kind="dense", bias=bias),
-    )
+    """An rnn and its parameters; without ``bias`` its head bias is zero."""
+    cfg = ModelConfig("rnn", tau, 1, n, m, out, activation="identity")
     values = {
         "w_x": rng.standard_normal((m, n)),
         "w_h": rng.standard_normal((m, m)) * 0.4,
         "b_h": np.zeros(m),
         "head.w": rng.standard_normal((out, tau * m)),
+        "head.bias": rng.standard_normal(out) if bias else np.zeros(out),
     }
-    if bias:
-        values["head.bias"] = rng.standard_normal(out)
     return cfg, values
 
 
@@ -130,9 +129,9 @@ class TestRNN:
         cfg = headless("rnn", 4, 1, 3, 2)
         good = {"w_x": np.zeros((2, 3)), "w_h": np.zeros((2, 2)), "b_h": np.zeros(2)}
         with pytest.raises(ValueError):
-            forward(cfg, good, np.zeros((1, 4, 1, 2)))
+            forward(cfg, with_head(cfg, good), np.zeros((1, 4, 1, 2)))
         with pytest.raises(ValueError):
-            forward(cfg, dict(good, w_h=np.zeros((2, 3))), np.zeros((1, 4, 1, 3)))
+            forward(cfg, with_head(cfg, dict(good, w_h=np.zeros((2, 3)))), np.zeros((1, 4, 1, 3)))
 
 
 class TestBlockR:
@@ -370,9 +369,9 @@ class TestLayerForward:
         cfg = headless("grgtn", 2, 1, 2, 2)
         x = np.zeros((1, 2, 1, 2))
         with pytest.raises(ValueError):
-            forward(cfg, {"w_x": np.eye(2)}, x)
+            forward(cfg, with_head(cfg, {"w_x": np.eye(2)}), x)
         with pytest.raises(ValueError):
-            forward(cfg, {"w_x": np.zeros((2, 3)), "w_r": np.eye(2)}, x)
+            forward(cfg, with_head(cfg, {"w_x": np.zeros((2, 3)), "w_r": np.eye(2)}), x)
 
     def test_unknown_variant(self):
         with pytest.raises(ValueError):

@@ -1,11 +1,21 @@
 """Model assemblies: equivalence with the oracles, counts, gradients, aliasing."""
 
-from dataclasses import replace
+from math import prod
 
 import numpy as np
 import pytest
 
-from oracles import block_map, rnn_loop, time_adjacency, tt_head_matrix, unflatten
+from oracles import (
+    block_map,
+    body_params,
+    hidden_node,
+    hidden_rows,
+    hidden_states,
+    rnn_loop,
+    time_adjacency,
+    tt_head_matrix,
+    unflatten,
+)
 from rgtn import autodiff as ad
 from rgtn.graph import build_time_adjacency
 from rgtn.models import (
@@ -19,14 +29,12 @@ from rgtn.models import (
 )
 
 
-def small_config(variant, head_kind="tt", activation="tanh", tau=3, d=2, f=3, m=4, out=4):
-    if head_kind == "tt":
-        head = HeadConfig(kind="tt", ranks=(2, 2), out_modes=(1, 2, 2))
-    elif head_kind == "dense":
-        head = HeadConfig(kind="dense")
-    else:
-        head = HeadConfig(kind="none", bias=False)
-        out = tau * d * m if variant != "rnn" else tau * m
+# Tests parametrized by (variant, head) name the head the variant has, tt on
+# grgtn and srgtn and dense on the rnn, or "none": they then read the hidden
+# block forward hands its head, through ``oracles.hidden_node``.
+
+
+def small_config(variant, activation="tanh", tau=3, d=2, f=3, m=4, out=4, out_modes=(1, 2, 2)):
     return ModelConfig(
         variant=variant,
         tau=tau,
@@ -35,8 +43,25 @@ def small_config(variant, head_kind="tt", activation="tanh", tau=3, d=2, f=3, m=
         hidden=m,
         out_dim=out,
         activation=activation,
-        head=head,
+        head=HeadConfig(ranks=(2, 2), out_modes=out_modes),
     )
+
+
+def params_for(cfg, head, seed):
+    """``init_params``, less the head's parameters when no head is read."""
+    values = init_params(cfg, seed=seed)
+    return body_params(values) if head == "none" else values
+
+
+def output(cfg, values, x, head):
+    """``forward``, or with head "none" the block it hands its head, one row per window."""
+    return hidden_node(cfg, values, x) if head == "none" else forward(cfg, values, x)
+
+
+def untaped_and_taped(cfg, values, x, head):
+    """``output``'s array computed without a tape (``predict``) and on one."""
+    untaped = hidden_rows(cfg, values, x) if head == "none" else predict(cfg, values, x)
+    return untaped, output(cfg, values, x, head).array
 
 
 class TestConfigValidation:
@@ -46,45 +71,50 @@ class TestConfigValidation:
 
     def test_tt_head_requires_out_modes(self):
         with pytest.raises(ValueError):
-            ModelConfig("srgtn", 3, 2, 2, 4, 4, head=HeadConfig(kind="tt", out_modes=None))
+            ModelConfig("srgtn", 3, 2, 2, 4, 4, head=HeadConfig(out_modes=None))
 
     def test_out_modes_product_checked(self):
         with pytest.raises(ValueError):
-            ModelConfig(
-                "srgtn", 3, 2, 2, 4, 5, head=HeadConfig(kind="tt", out_modes=(1, 2, 2))
-            )
+            ModelConfig("srgtn", 3, 2, 2, 4, 5, head=HeadConfig(out_modes=(1, 2, 2)))
 
-    def test_rnn_rejects_tt_head(self):
-        with pytest.raises(ValueError):
-            ModelConfig(
-                "rnn", 3, 2, 2, 4, 4, head=HeadConfig(kind="tt", out_modes=(1, 2, 2))
-            )
-
-    def test_headless_out_dim_checked(self):
-        with pytest.raises(ValueError):
-            ModelConfig("srgtn", 3, 2, 2, 4, 5, head=HeadConfig(kind="none"))
+    def test_head_follows_the_variant(self):
+        # one head section: the graph variants read it, the rnn has a dense head
+        head = HeadConfig(ranks=(2, 3), out_modes=(1, 2, 2))
+        for variant in ("grgtn", "srgtn"):
+            shapes = param_shapes(ModelConfig(variant, 3, 2, 2, 4, 4, head=head))
+            assert [k for k in shapes if k.startswith("head.")] == [
+                "head.core0", "head.core1", "head.core2", "head.bias"
+            ]
+            assert shapes["head.core1"] == (2, 2, 2, 3)
+        shapes = param_shapes(ModelConfig("rnn", 3, 2, 2, 4, 5, head=head))
+        assert [k for k in shapes if k.startswith("head.")] == ["head.w", "head.bias"]
+        assert shapes["head.w"] == (5, 3 * 4)
+        # the rnn needs no head section, and a graph variant cannot do without one
+        ModelConfig("rnn", 3, 2, 2, 4, 5)
+        with pytest.raises(ValueError, match="head.out_modes"):
+            ModelConfig("grgtn", 3, 2, 2, 4, 5)
 
     def test_c_range_checked(self):
         with pytest.raises(ValueError):
             small_config("grgtn") and ModelConfig(
-                "grgtn", 3, 2, 2, 4, 4, c=1.0, head=HeadConfig(kind="tt", out_modes=(1, 2, 2))
+                "grgtn", 3, 2, 2, 4, 4, c=1.0, head=HeadConfig(out_modes=(1, 2, 2))
             )
 
 
 class TestParamCounts:
     def test_grgtn_minus_srgtn_is_hidden_squared(self):
         for m in (2, 5, 8):
-            head = HeadConfig(kind="tt", ranks=(2, 2), out_modes=(1, 3, 4))
+            head = HeadConfig(ranks=(2, 2), out_modes=(1, 3, 4))
             g = ModelConfig("grgtn", 6, 3, 5, m, 12, head=head)
             s = ModelConfig("srgtn", 6, 3, 5, m, 12, head=head)
             assert param_count(g)[1] - param_count(s)[1] == m * m
         assert m * m == 64
 
     def test_headless_srgtn_counts_projection_only(self):
-        cfg = small_config("srgtn", head_kind="none", tau=3, d=1, f=3, m=2)
-        counts, total = param_count(cfg)
-        assert counts == {"w_x": 6}
-        assert total == 6
+        counts, _ = param_count(small_config("srgtn", tau=3, d=1, f=3, m=2))
+        body = body_params(counts)
+        assert body == {"w_x": 6}
+        assert sum(body.values()) == 6
 
     def test_tt_head_counts_core_sizes(self):
         cfg = small_config("srgtn")
@@ -96,9 +126,9 @@ class TestParamCounts:
         assert total == sum(counts.values())
 
     def test_rnn_exceeds_srgtn_for_matched_config(self):
-        head = HeadConfig(kind="tt", ranks=(2, 2), out_modes=(1, 4, 3))
+        head = HeadConfig(ranks=(2, 2), out_modes=(1, 4, 3))
         s = ModelConfig("srgtn", 6, 4, 3, 8, 12, head=head)
-        r = ModelConfig("rnn", 6, 4, 3, 8, 12, head=HeadConfig(kind="dense"))
+        r = ModelConfig("rnn", 6, 4, 3, 8, 12, head=head)
         assert param_count(r)[1] > param_count(s)[1]
 
     def test_init_matches_shapes(self):
@@ -108,7 +138,7 @@ class TestParamCounts:
         np.testing.assert_array_equal(values["head.bias"], np.zeros(4))
 
     def test_init_deterministic(self):
-        cfg = small_config("rnn", head_kind="dense")
+        cfg = small_config("rnn")
         a = init_params(cfg, seed=7)
         b = init_params(cfg, seed=7)
         for name in a:
@@ -119,10 +149,10 @@ class TestForwardEquivalence:
     def test_filters_match_pure_layers_per_physical_slice(self):
         rng = np.random.default_rng(0)
         for variant in ("grgtn", "srgtn"):
-            cfg = small_config(variant, head_kind="none", activation="identity")
-            values = init_params(cfg, seed=1)
+            cfg = small_config(variant, activation="identity")
+            values = params_for(cfg, "none", seed=1)
             x = rng.standard_normal((5, cfg.tau, cfg.d_phys, cfg.d_feat))
-            h = unflatten(predict(cfg, values, x), cfg.feature_block)
+            h = hidden_states(cfg, values, x)
             a = time_adjacency(cfg.tau, cfg.c)
             w_r = values["w_r"] if variant == "grgtn" else np.eye(cfg.hidden)
             for b in range(5):
@@ -131,26 +161,21 @@ class TestForwardEquivalence:
                     np.testing.assert_allclose(h[b, :, d, :], expect, atol=1e-12)
 
     @pytest.mark.parametrize("variant", ["grgtn", "srgtn"])
-    @pytest.mark.parametrize("head_kind", ["tt", "dense", "none"])
+    @pytest.mark.parametrize("head_kind", ["tt", "none"])
     def test_filters_match_block_map_with_input_side_mix(self, variant, head_kind):
         # F < H, a long window and a W_r far from idempotent: the mix runs on
         # the input and W_r folds into the projection, which must not matter
         rng = np.random.default_rng(14)
         tau, d, f, m = 9, 3, 2, 5
-        head = {
-            "tt": HeadConfig(kind="tt", ranks=(2, 3), out_modes=(2, 1, 3)),
-            "dense": HeadConfig(kind="dense"),
-            "none": HeadConfig(kind="none", bias=False),
-        }[head_kind]
         cfg = ModelConfig(
-            variant=variant, tau=tau, d_phys=d, d_feat=f, hidden=m,
-            out_dim=tau * d * m if head_kind == "none" else 6, c=0.8, head=head,
+            variant=variant, tau=tau, d_phys=d, d_feat=f, hidden=m, out_dim=6, c=0.8,
+            head=HeadConfig(ranks=(2, 3), out_modes=(2, 1, 3)),
         )
-        values = init_params(cfg, seed=6)
+        values = params_for(cfg, head_kind, seed=6)
         if variant == "grgtn":
             values["w_r"] = rng.standard_normal((m, m))
             assert np.linalg.norm(values["w_r"] @ values["w_r"] - values["w_r"]) > 1.0
-        if head.bias:
+        if head_kind == "tt":
             values["head.bias"] = rng.standard_normal(cfg.out_dim)
         x = rng.standard_normal((4, tau, d, f))
         a = time_adjacency(tau, cfg.c)
@@ -162,19 +187,16 @@ class TestForwardEquivalence:
         expect = h.transpose(0, 3, 2, 1).reshape(4, -1)
         if head_kind == "tt":
             expect = expect @ tt_head_matrix([values[f"head.core{k}"] for k in range(3)])
-        elif head_kind == "dense":
-            expect = expect @ values["head.w"].T
-        if head.bias:
             expect = expect + values["head.bias"]
-        for got in (predict(cfg, values, x), forward(cfg, values, x).array):
+        for got in untaped_and_taped(cfg, values, x, head_kind):
             assert np.linalg.norm(got - expect) <= 1e-12 * np.linalg.norm(expect)
 
-    @pytest.mark.parametrize("variant,head", [("grgtn", "tt"), ("srgtn", "dense"), ("rnn", "dense")])
+    @pytest.mark.parametrize("variant,head", [("grgtn", "tt"), ("srgtn", "tt"), ("rnn", "dense")])
     def test_memory_layout_does_not_change_the_output(self, variant, head):
         # a transposed view of the window, and Fortran-ordered parameters as a
         # checkpoint loads them
         rng = np.random.default_rng(16)
-        cfg = small_config(variant, head_kind=head)
+        cfg = small_config(variant)
         values = init_params(cfg, seed=5)
         x = rng.standard_normal((2, cfg.tau, cfg.d_feat, cfg.d_phys)).transpose(0, 1, 3, 2)
         fortran = {k: np.asfortranarray(v) for k, v in values.items()}
@@ -183,12 +205,12 @@ class TestForwardEquivalence:
 
     def test_rnn_matches_pure_recurrence(self):
         rng = np.random.default_rng(1)
-        cfg = small_config("rnn", head_kind="none", activation="tanh")
-        values = init_params(cfg, seed=2)
+        cfg = small_config("rnn", activation="tanh")
+        values = params_for(cfg, "none", seed=2)
         values["b_h"] = rng.standard_normal(cfg.hidden) * 0.1
         x = rng.standard_normal((4, cfg.tau, cfg.d_phys, cfg.d_feat))
         # without a tape (predict) and on one
-        for out in (predict(cfg, values, x), forward(cfg, values, x).array):
+        for out in untaped_and_taped(cfg, values, x, "none"):
             h = unflatten(out, cfg.feature_block)
             for b in range(4):
                 # each step flattens (physical, feature) with the physical index fastest
@@ -198,37 +220,35 @@ class TestForwardEquivalence:
 
     def test_tt_head_matches_pure_layer(self):
         rng = np.random.default_rng(2)
-        cfg = small_config("srgtn", head_kind="tt", activation="identity")
+        cfg = small_config("srgtn", activation="identity")
         values = init_params(cfg, seed=3)
         values["head.bias"] = rng.standard_normal(cfg.out_dim) * 0.3
         x = rng.standard_normal((3, cfg.tau, cfg.d_phys, cfg.d_feat))
         got = predict(cfg, values, x)
-        headless = small_config("srgtn", head_kind="none", activation="identity")
-        flat = predict(headless, {"w_x": values["w_x"]}, x)
+        flat = hidden_rows(cfg, {"w_x": values["w_x"]}, x)
         w = tt_head_matrix([values[f"head.core{k}"] for k in range(3)])
         np.testing.assert_allclose(got, flat @ w + values["head.bias"], atol=1e-12)
 
     def test_dense_head_matches_flat_matmul(self):
         rng = np.random.default_rng(3)
-        cfg = small_config("rnn", head_kind="dense", activation="identity", out=5)
+        cfg = small_config("rnn", activation="identity", out=5)
         values = init_params(cfg, seed=4)
         x = rng.standard_normal((4, cfg.tau, cfg.d_phys, cfg.d_feat))
         got = predict(cfg, values, x)
-        headless = small_config("rnn", head_kind="none", activation="identity")
-        hv = {k: values[k] for k in ("w_x", "w_h", "b_h")}
-        flat = predict(headless, hv, x)
+        flat = hidden_rows(cfg, body_params(values), x)
         expect = flat @ values["head.w"].T + values["head.bias"]
         np.testing.assert_allclose(got, expect, atol=1e-12)
 
     @pytest.mark.parametrize("variant,head", [
-        (v, h) for v in ("grgtn", "srgtn") for h in ("tt", "dense", "none")
+        (v, h) for v in ("grgtn", "srgtn") for h in ("tt", "none")
     ] + [("rnn", "dense"), ("rnn", "none")])
     def test_zero_windows(self, variant, head):
-        cfg = small_config(variant, head_kind=head)
-        values = init_params(cfg, seed=0)
+        cfg = small_config(variant)
+        values = params_for(cfg, head, seed=0)
         x = np.empty((0, cfg.tau, cfg.d_phys, cfg.d_feat))
-        for got in (predict(cfg, values, x), forward(cfg, values, x).array):
-            assert got.shape == (0, cfg.out_dim)
+        width = prod(cfg.feature_block) if head == "none" else cfg.out_dim
+        for got in untaped_and_taped(cfg, values, x, head):
+            assert got.shape == (0, width)
 
     def test_bad_input_shape(self):
         cfg = small_config("srgtn")
@@ -256,7 +276,7 @@ class TestModelGradients:
     ])
     def test_all_parameters_match_finite_differences(self, variant, head):
         rng = np.random.default_rng(42)
-        cfg = small_config(variant, head_kind=head, tau=3, d=2, f=2, m=3, out=4)
+        cfg = small_config(variant, tau=3, d=2, f=2, m=3, out=4)
         values = init_params(cfg, seed=5)
         x = rng.standard_normal((4, cfg.tau, cfg.d_phys, cfg.d_feat))
         target = rng.standard_normal((4, cfg.out_dim))
@@ -296,8 +316,8 @@ class TestNoAliasing:
     ])
     def test_forward_backward_leave_inputs_unchanged(self, variant, head):
         rng = np.random.default_rng(7)
-        cfg = small_config(variant, head_kind=head)
-        values = init_params(cfg, seed=8)
+        cfg = small_config(variant)
+        values = params_for(cfg, head, seed=8)
         values = {k: v + rng.standard_normal(v.shape) * 0.1 for k, v in values.items()}
         x = rng.standard_normal((3, cfg.tau, cfg.d_phys, cfg.d_feat))
         before = {k: v.copy() for k, v in values.items()}
@@ -305,7 +325,8 @@ class TestNoAliasing:
         nodes = {name: ad.constant(v) for name, v in values.items()}
         for name, node in nodes.items():
             assert node.array is values[name]
-        ad.backward(ad.mse_loss(forward(cfg, nodes, x), rng.standard_normal((3, cfg.out_dim))))
+        out = output(cfg, nodes, x, head)
+        ad.backward(ad.mse_loss(out, rng.standard_normal(out.shape)))
         for name in values:
             assert np.array_equal(values[name], before[name]), name
             assert nodes[name].grad is not None, name
@@ -329,7 +350,7 @@ class TestTape:
     @pytest.mark.parametrize("variant,head", [("grgtn", "tt"), ("srgtn", "tt"), ("rnn", "dense")])
     def test_data_is_off_the_tape(self, variant, head):
         rng = np.random.default_rng(9)
-        cfg = small_config(variant, head_kind=head)
+        cfg = small_config(variant)
         nodes = {k: ad.constant(v) for k, v in init_params(cfg, seed=1).items()}
         x = rng.standard_normal((2, cfg.tau, cfg.d_phys, cfg.d_feat))
         adjacency = build_time_adjacency(cfg.tau, cfg.c)
@@ -340,7 +361,7 @@ class TestTape:
     @pytest.mark.parametrize("variant,head", [("grgtn", "tt"), ("srgtn", "tt"), ("rnn", "dense")])
     def test_backward_leaves_gradients_on_parameters_only(self, variant, head):
         rng = np.random.default_rng(10)
-        cfg = small_config(variant, head_kind=head)
+        cfg = small_config(variant)
         nodes = {k: ad.constant(v) for k, v in init_params(cfg, seed=2).items()}
         x = rng.standard_normal((2, cfg.tau, cfg.d_phys, cfg.d_feat))
         root = ad.mse_loss(forward(cfg, nodes, x), rng.standard_normal((2, cfg.out_dim)))
@@ -353,21 +374,20 @@ class TestTape:
             elif node.parents:
                 assert node.grad is None
 
-    @pytest.mark.parametrize("bias", [True, False])
     @pytest.mark.parametrize("variant,head", [
-        *((v, h) for v in ("grgtn", "srgtn") for h in ("tt", "dense", "none")),
+        *((v, h) for v in ("grgtn", "srgtn") for h in ("tt", "none")),
         ("rnn", "dense"),
         ("rnn", "none"),
     ])
-    def test_every_parameter_gets_a_gradient(self, variant, head, bias):
+    def test_every_parameter_gets_a_gradient(self, variant, head):
         # training updates every entry of the parameter store, so one step
         # must reach every parameter it passes to forward
         rng = np.random.default_rng(16)
-        cfg = small_config(variant, head_kind=head)
-        cfg = replace(cfg, head=replace(cfg.head, bias=bias))
-        nodes = {k: ad.constant(v) for k, v in init_params(cfg, seed=3).items()}
+        cfg = small_config(variant)
+        nodes = {k: ad.constant(v) for k, v in params_for(cfg, head, seed=3).items()}
         x = rng.standard_normal((2, cfg.tau, cfg.d_phys, cfg.d_feat))
-        ad.backward(ad.mse_loss(forward(cfg, nodes, x), rng.standard_normal((2, cfg.out_dim))))
+        out = output(cfg, nodes, x, head)
+        ad.backward(ad.mse_loss(out, rng.standard_normal(out.shape)))
         for name, node in nodes.items():
             assert node.grad is not None, name
             assert node.grad.shape == node.shape, name
@@ -385,27 +405,25 @@ class TestTape:
         assert sum(node.shape == hidden_block for node in graph) == 1
 
     # nodes per training forward+loss at the bench_synth shape, parameters included:
-    # each stage is one op, and a head without bias has one node less
+    # each stage is one op; "none" counts the body, its flatten and the loss
     @pytest.mark.parametrize("variant,head,nodes", [
         ("grgtn", "tt", 12), ("srgtn", "tt", 9), ("rnn", "dense", 12),
-        ("grgtn", "dense", 12), ("srgtn", "dense", 9),
         ("grgtn", "none", 8), ("srgtn", "none", 5), ("rnn", "none", 8),
     ])
     def test_nodes_per_step(self, variant, head, nodes):
-        cfg = small_config(variant, head_kind="dense" if head == "tt" else head,
-                           activation="identity", tau=6, d=4, f=3, m=8, out=12)
-        if head == "tt":
-            cfg = replace(cfg, head=HeadConfig(kind="tt", ranks=(2, 2), out_modes=(1, 4, 3)))
+        cfg = small_config(variant, activation="identity", tau=6, d=4, f=3, m=8, out=12,
+                           out_modes=(1, 4, 3))
         x = np.random.default_rng(17).standard_normal((64, cfg.tau, cfg.d_phys, cfg.d_feat))
-        params = {k: ad.constant(v) for k, v in init_params(cfg, seed=5).items()}
-        root = ad.mae_loss(forward(cfg, params, x), np.zeros((64, cfg.out_dim)))
+        params = {k: ad.constant(v) for k, v in params_for(cfg, head, seed=5).items()}
+        out = output(cfg, params, x, head)
+        root = ad.mae_loss(out, np.zeros(out.shape))
         assert len(_walk(root)) == nodes
 
     def test_rnn_tape_size_does_not_grow_with_tau(self):
         rng = np.random.default_rng(12)
         counts = []
         for tau in (2, 32):
-            cfg = small_config("rnn", head_kind="dense", tau=tau)
+            cfg = small_config("rnn", tau=tau)
             x = rng.standard_normal((2, tau, cfg.d_phys, cfg.d_feat))
             root = ad.mse_loss(forward(cfg, init_params(cfg, seed=1), x), np.zeros((2, 4)))
             counts.append(len(_walk(root)))
@@ -414,7 +432,7 @@ class TestTape:
     @pytest.mark.parametrize("variant,head", [("grgtn", "tt"), ("srgtn", "tt"), ("rnn", "dense")])
     def test_predict_is_forward_without_a_tape(self, variant, head):
         rng = np.random.default_rng(11)
-        cfg = small_config(variant, head_kind=head)
+        cfg = small_config(variant)
         values = init_params(cfg, seed=3)
         x = rng.standard_normal((5, cfg.tau, cfg.d_phys, cfg.d_feat))
         assert np.array_equal(predict(cfg, values, x), forward(cfg, values, x).array)
@@ -432,17 +450,13 @@ class TestTTHeadContractionOrder:
         out_modes = (2, 3, 2)
         cfg = ModelConfig(
             variant=variant, tau=tau, d_phys=d, d_feat=f, hidden=m, out_dim=12,
-            activation="tanh", head=HeadConfig(kind="tt", ranks=(2, 3), out_modes=out_modes),
+            activation="tanh", head=HeadConfig(ranks=(2, 3), out_modes=out_modes),
         )
         values = init_params(cfg, seed=4)
         values["head.bias"] = rng.standard_normal(12)
         x = rng.standard_normal((4, tau, d, f))
         got = predict(cfg, values, x)
-        body = ModelConfig(
-            variant=variant, tau=tau, d_phys=d, d_feat=f, hidden=m, out_dim=tau * d * m,
-            activation="tanh", head=HeadConfig(kind="none", bias=False),
-        )
-        flat = predict(body, {k: v for k, v in values.items() if not k.startswith("head.")}, x)
+        flat = hidden_rows(cfg, body_params(values), x)
         w = tt_head_matrix([values[f"head.core{k}"] for k in range(3)])
         np.testing.assert_allclose(got, flat @ w + values["head.bias"], atol=1e-12)
 
@@ -450,7 +464,7 @@ class TestTTHeadContractionOrder:
         rng = np.random.default_rng(13)
         cfg = ModelConfig(
             variant="grgtn", tau=3, d_phys=2, d_feat=2, hidden=2, out_dim=12,
-            activation="tanh", head=HeadConfig(kind="tt", ranks=(2, 3), out_modes=(2, 3, 2)),
+            activation="tanh", head=HeadConfig(ranks=(2, 3), out_modes=(2, 3, 2)),
         )
         values = init_params(cfg, seed=5)
         x = rng.standard_normal((3, 3, 2, 2))

@@ -3,9 +3,9 @@
 Contractions run the way the models write them, the paired axes folded
 into one GEMM with the tape's ``transpose``, ``reshape`` and ``matmul``
 (0-based axes), and are checked against nested loops; the Kronecker structure of the grgtn map
-I + A kron W_r and its powers are read off ``models.forward`` by probing
-it with unit inputs; first-mode-fastest flattening is checked on the
-models' flattened feature block and on the checkpoint payload.
+I + A kron W_r and its powers are read off the hidden block ``models.forward``
+hands its head by probing it with unit inputs; first-mode-fastest
+flattening is checked on that block and on the checkpoint payload.
 """
 
 from math import prod
@@ -16,10 +16,12 @@ import pytest
 from oracles import (
     block_map,
     headless,
+    hidden_node,
     hidden_states,
     payload_header,
     raw_checkpoint,
     time_adjacency,
+    with_head,
 )
 from rgtn import autodiff as ad
 from rgtn.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
@@ -119,7 +121,7 @@ class TestVectorizeTensorize:
         # one time step: the (physical, hidden) block flattens physical-fastest
         x = np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(1, 1, 2, 2)
         cfg = headless("srgtn", 1, 2, 2, 2)
-        out = forward(cfg, {"w_x": np.eye(2)}, x).array
+        out = hidden_node(cfg, {"w_x": np.eye(2)}, x).array
         np.testing.assert_array_equal(out, [[1, 3, 2, 4]])
 
     def test_scalar_vectorize(self, tmp_path):
@@ -134,7 +136,7 @@ class TestVectorizeTensorize:
         cfg = headless("grgtn", tau, p, 2, m)
         values = {"w_x": rng.standard_normal((m, 2)), "w_r": rng.standard_normal((m, m))}
         x = rng.standard_normal((1, tau, p, 2))
-        flat = forward(cfg, values, x).array[0]
+        flat = hidden_node(cfg, values, x).array[0]
         a = time_adjacency(tau, 0.5)
         for d in range(p):
             h = block_map(a, values["w_r"], x[0, :, d] @ values["w_x"].T)
@@ -345,7 +347,8 @@ class TestElementwiseAndPowers:
     def test_power_requires_square(self):
         cfg = headless("grgtn", 2, 1, 2, 2)
         with pytest.raises(ValueError):
-            forward(cfg, {"w_x": np.eye(2), "w_r": np.zeros((2, 3))}, np.zeros((1, 2, 1, 2)))
+            forward(cfg, with_head(cfg, {"w_x": np.eye(2), "w_r": np.zeros((2, 3))}),
+                    np.zeros((1, 2, 1, 2)))
 
 
 class TestMatrixSpecialization:

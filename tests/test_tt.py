@@ -27,7 +27,7 @@ def reconstruct_loop(tt):
     return out
 
 
-def head_config(d_phys, out_modes, ranks, bias=True):
+def head_config(d_phys, out_modes, ranks):
     """An srgtn over one step with hidden = d_feat = 2, run with W_x = I.
 
     With tau = 1 and W_x = I the body passes its input through unchanged,
@@ -35,7 +35,7 @@ def head_config(d_phys, out_modes, ranks, bias=True):
     """
     return ModelConfig(
         "srgtn", 1, d_phys, 2, 2, int(np.prod(out_modes)), activation="identity",
-        head=HeadConfig(kind="tt", ranks=ranks, out_modes=out_modes, bias=bias),
+        head=HeadConfig(ranks=ranks, out_modes=out_modes),
     )
 
 
@@ -214,8 +214,8 @@ class TestLinearLayer:
 
     def test_identity_layer(self):
         rng = np.random.default_rng(9)
-        cfg = head_config(3, (1, 3, 2), ranks=(1, 1), bias=False)
-        values = {"w_x": np.eye(2)}
+        cfg = head_config(3, (1, 3, 2), ranks=(1, 1))
+        values = {"w_x": np.eye(2), "head.bias": np.zeros(6)}
         for k, n in enumerate((1, 3, 2)):
             values[f"head.core{k}"] = np.eye(n).reshape(1, n, n, 1)
         h = rng.standard_normal((4, 1, 3, 2))
@@ -237,8 +237,9 @@ class TestLinearLayer:
 
     def test_zero_input_zero_bias(self):
         rng = np.random.default_rng(11)
-        cfg = head_config(2, (3, 2, 1), ranks=(2, 2), bias=False)
-        y = forward(cfg, head_values(rng, cfg), np.zeros((2, 1, 2, 2))).array
+        cfg = head_config(2, (3, 2, 1), ranks=(2, 2))
+        values = dict(head_values(rng, cfg), **{"head.bias": np.zeros(6)})
+        y = forward(cfg, values, np.zeros((2, 1, 2, 2))).array
         np.testing.assert_array_equal(y, np.zeros((2, 6)))
 
     def test_input_shape_mismatch(self):
