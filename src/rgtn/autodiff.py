@@ -8,14 +8,13 @@ gradients of leaves (nodes with no inputs, such as the parameters made by
 ``constant``): an inner node's gradient is dropped as soon as its pushes
 have run, so it is freed while the walk goes on.
 
-``matmul`` and ``linear`` also take a plain ndarray operand.  That operand
-is data: it gets no node, no push and no gradient, so a constant input (a
-batch of windows, the time adjacency) costs the tape nothing.  Targets and
-labels are data in the same way: each loss is one node whose only input is
-the prediction (or the logits), and its push returns the loss's gradient in
-closed form.  ``recurrence`` is one node for a whole RNN recurrence, its
-pushes backpropagation through time, so the tape does not grow with tau,
-and ``tt_head`` is one node for the three GEMMs of a tensor-train head.
+A plain ndarray operand of ``linear`` is data: it gets no node, no push
+and no gradient, so a batch of windows costs the tape nothing; ``matmul``
+takes data only.  Each loss is one node whose only input is the prediction
+(or the logits), and its push returns the loss's gradient in closed form.
+Each model stage is one node: ``filter_weight`` for grgtn's weight,
+``recurrence`` for a whole RNN recurrence, so the tape does not grow with
+tau, and ``tt_head`` for the three GEMMs of a tensor-train head.
 
 Under ``no_tape()`` operations compute the same arrays with the same
 kernels but keep no inputs or pushes, so each intermediate is freed once
@@ -29,8 +28,7 @@ activation runs in place on each row block of the GEMM's output, so the
 block is written once and not twice, and its backward writes each block's
 activation push into one scratch block that it allocates and drops, and
 the gradient of ``x`` straight into its result; ``recurrence`` writes each
-step's push straight into its gradient.  Axis arguments are 0-based numpy
-axes.
+step's push straight into its gradient.
 """
 
 from __future__ import annotations
@@ -49,9 +47,7 @@ __all__ = [
     "backward",
     "matmul",
     "linear",
-    "concat",
-    "transpose",
-    "reshape",
+    "filter_weight",
     "add_bias",
     "recurrence",
     "tt_head",
@@ -157,32 +153,18 @@ def _shared(first: Callable[[np.ndarray], np.ndarray], consumers) -> tuple[Calla
     return tuple(make(c, i == len(consumers) - 1) for i, c in enumerate(consumers))
 
 
-def matmul(a: TapeNode | np.ndarray, b: TapeNode | np.ndarray) -> TapeNode:
-    """``a @ b`` with numpy semantics, where one operand is 2-D.
+def matmul(a: np.ndarray, b: np.ndarray) -> TapeNode:
+    """``a @ b`` on data only, the time adjacency ``(M, K)`` times a batch ``(..., K, N)``.
 
-    With a 2-D right operand the left one's leading axes fold into the rows
-    of one GEMM.  A 2-D left operand times a batched right one takes data
-    only, such as the time adjacency times a batch of windows: it records no
-    push.  A plain ndarray operand is data and gets no gradient.
+    It stays an op, not a bare ``@``, so that the time mix is one stage the
+    tracer can see.
     """
+    if isinstance(a, TapeNode) or isinstance(b, TapeNode):
+        raise ShapeError("matmul takes data only, got a node operand")
     av, bv = _value(a), _value(b)
-    if min(av.ndim, bv.ndim) < 2 or 2 not in (av.ndim, bv.ndim):
-        raise ShapeError(f"matmul needs a 2-D operand and no 1-D one, got {av.shape} @ {bv.shape}")
-    if av.shape[-1] != bv.shape[-2]:
-        raise ShapeError(f"matmul extents differ: {av.shape} @ {bv.shape}")
-    if bv.ndim != 2:
-        if isinstance(a, TapeNode) or isinstance(b, TapeNode):
-            raise ShapeError(f"a batched matmul takes data only, got a node in "
-                             f"{av.shape} @ {bv.shape}")
-        return TapeNode(av @ bv)
-    k, n = bv.shape
-    a2 = av.reshape(-1, k)
-    out = (a2 @ bv).reshape(av.shape[:-1] + (n,))
-    inputs = [(node, push) for node, push in (
-        (a, lambda g: (g.reshape(-1, n) @ bv.T).reshape(av.shape)),
-        (b, lambda g: a2.T @ g.reshape(-1, n)),
-    ) if isinstance(node, TapeNode)]
-    return TapeNode(out, tuple(node for node, _ in inputs), tuple(push for _, push in inputs))
+    if av.ndim != 2 or bv.ndim < 2 or av.shape[1] != bv.shape[-2]:
+        raise ShapeError(f"matmul needs a (M, K) @ (..., K, N), got {av.shape} @ {bv.shape}")
+    return TapeNode(av @ bv)
 
 
 def linear(
@@ -243,31 +225,14 @@ def linear(
     return TapeNode(z.reshape(xv.shape[:-1] + (n,)), tuple(node for node, _ in inputs), pushes)
 
 
-def concat(nodes: Sequence[TapeNode], axis: int) -> TapeNode:
-    """Join nodes along an existing axis; each one's gradient is its slice of ``g``."""
-    try:
-        out = np.concatenate([node.array for node in nodes], axis=axis)
-    except ValueError as exc:
-        raise ShapeError(f"concat: {exc}") from None
-    lead, pushes, lo = (slice(None),) * (axis % out.ndim), [], 0
-    for node in nodes:
-        hi = lo + node.shape[axis]
-        pushes.append(lambda g, cut=lead + (slice(lo, hi),): g[cut])
-        lo = hi
-    return TapeNode(out, tuple(nodes), tuple(pushes))
-
-
-def transpose(a: TapeNode, axes: Sequence[int]) -> TapeNode:
-    axes = tuple(int(i) for i in axes)
-    inverse = tuple(int(i) for i in np.argsort(axes))
-    out = np.transpose(a.array, axes)
-    return TapeNode(out, (a,), (lambda g: np.transpose(g, inverse),))
-
-
-def reshape(a: TapeNode, shape: Sequence[int]) -> TapeNode:
-    shape = tuple(int(d) for d in shape)
-    old = a.shape
-    return TapeNode(a.array.reshape(shape), (a,), (lambda g: g.reshape(old),))
+def filter_weight(w_r: TapeNode, w_x: TapeNode) -> TapeNode:
+    """grgtn's projection weight ``[W_x | W_r W_x]``, ``(H, 2F)``, as one node."""
+    if len(w_x.shape) != 2 or w_r.shape != (w_x.shape[0],) * 2:
+        raise ShapeError(f"filter_weight needs w_r (H, H) and w_x (H, F), "
+                         f"got {w_r.shape} and {w_x.shape}")
+    wr, wx, f = w_r.array, w_x.array, w_x.shape[1]
+    pushes = (lambda g: g[:, f:] @ wx.T, lambda g: g[:, :f] + wr.T @ g[:, f:])
+    return TapeNode(np.concatenate((wx, wr @ wx), axis=1), (w_r, w_x), pushes)
 
 
 def add_bias(x: TapeNode, b: TapeNode) -> TapeNode:
@@ -332,23 +297,26 @@ _SHORT_K = 48
 def recurrence(u: TapeNode, w_h: TapeNode, b_h: TapeNode, activation: str) -> TapeNode:
     """``h_t = act(u_t + h_{t-1} w_h^T + b_h)`` from ``h_{-1} = 0``, as one node.
 
-    ``u`` and the result are time-major, ``(tau, batch, hidden)``.  The three
-    pushes share one reverse loop of backpropagation through time, which
-    gives the pre-activation gradients: these are ``u``'s gradient, ``w_h``'s
-    is one GEMM of them over all steps and ``b_h``'s is their sum.
+    ``u`` is time-major, ``(tau, batch, hidden)``; the result is the dense
+    head's rows ``(batch, hidden * tau)``, time fastest.  The three pushes
+    share one reverse loop of backpropagation through time, which gives the
+    pre-activation gradients: these are ``u``'s gradient, ``w_h``'s is one
+    GEMM of them over all steps and ``b_h``'s is their sum.
     """
     if len(u.shape) != 3 or w_h.shape != u.shape[2:] * 2 or b_h.shape != u.shape[2:]:
         raise ShapeError(f"recurrence needs (tau, batch, H), (H, H), (H,), got "
                          f"{u.shape}, {w_h.shape}, {b_h.shape}")
     fn, push = _ACTIVATIONS[activation]
     uv, w = u.array, w_h.array
+    tau, batch, hidden = uv.shape  # sizes, not -1: numpy cannot infer one for 0 windows
     h = np.empty_like(uv)
-    for t in range(len(uv)):
+    for t in range(tau):
         h[t] = fn((uv[t] if t == 0 else uv[t] + h[t - 1] @ w.T) + b_h.array)
 
     def bptt(g: np.ndarray) -> np.ndarray:
+        g = g.reshape(batch, hidden, tau).transpose(2, 0, 1)
         dz, dh, buf = np.empty_like(h), g[-1], np.empty_like(h[0])
-        for t in range(len(h) - 1, -1, -1):
+        for t in range(tau - 1, -1, -1):
             # a no-op assignment unless the push returned dh itself (identity)
             dz[t] = push(dh, h[t], out=dz[t])
             if t:
@@ -356,10 +324,10 @@ def recurrence(u: TapeNode, w_h: TapeNode, b_h: TapeNode, activation: str) -> Ta
         return dz
 
     def push_w(dz: np.ndarray) -> np.ndarray:
-        return dz[1:].reshape(-1, len(w)).T @ h[:-1].reshape(-1, len(w))
+        return dz[1:].reshape(-1, hidden).T @ h[:-1].reshape(-1, hidden)
 
     pushes = _shared(bptt, (lambda dz: dz, push_w, lambda dz: dz.sum(axis=(0, 1))))
-    return TapeNode(h, (u, w_h, b_h), pushes)
+    return TapeNode(h.transpose(1, 2, 0).reshape(batch, hidden * tau), (u, w_h, b_h), pushes)
 
 
 def tt_head(h: TapeNode, cores: Sequence[TapeNode]) -> TapeNode:

@@ -86,9 +86,10 @@ def _train_one(run: RunConfig, model: ModelConfig, dataset, out_dir: str, suffix
 
 def cmd_train(args) -> int:
     run = load_run_config(args.config, seed_override=args.seed)
+    dataset = build_dataset(run)  # its checks run before the run directory is made
     out_dir = args.out or run.output_dir
     os.makedirs(out_dir, exist_ok=True)
-    metrics, wall = _train_one(run, run.model, build_dataset(run), out_dir)
+    metrics, wall = _train_one(run, run.model, dataset, out_dir)
     pairs = [
         ("variant", run.model.variant),
         ("task", metrics["task"]),
@@ -109,9 +110,9 @@ def cmd_eval(args) -> int:
     if meta.get("kind") != "model":
         raise CheckpointError(f"{args.checkpoint}: not a model checkpoint")
     if args.config:
-        run = load_run_config(args.config, seed_override=args.seed)
+        run = load_run_config(args.config)
     elif isinstance(meta.get("config"), dict):
-        run = run_config_from_dict(meta["config"], args.seed)
+        run = run_config_from_dict(meta["config"])
     else:
         raise CheckpointError(f"{args.checkpoint}: model checkpoint has no config snapshot")
     dataset = build_dataset(run)
@@ -135,15 +136,16 @@ def cmd_bench(args) -> int:
     run = load_run_config(args.config, seed_override=args.seed)
     if run.bench_variants is None:
         raise ConfigError("bench: config needs a bench.variants list (>= 2 variants)")
+    # every config check runs before the run directory is made
+    dataset = build_dataset(run)
+    models = [model_for_variant(run, variant) for variant in run.bench_variants]
     out_dir = args.out or run.output_dir
     os.makedirs(out_dir, exist_ok=True)
-    dataset = build_dataset(run)
     rows = []
-    for variant in run.bench_variants:
-        model = model_for_variant(run, variant)
-        metrics, wall = _train_one(run, model, dataset, out_dir, f"_{variant}")
+    for model in models:
+        metrics, wall = _train_one(run, model, dataset, out_dir, f"_{model.variant}")
         metric_name, value = _metric_pair(metrics)
-        rows.append((variant, value, metrics["parameter_count"], wall))
+        rows.append((model.variant, value, metrics["parameter_count"], wall))
     header = f"{'variant':<10} {metric_name:>14} {'parameters':>12} {'wall_time_s':>12}"
     lines = [header]
     for variant, value, params, wall in rows:
@@ -252,7 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--checkpoint", required=True)
     p_eval.add_argument("--config", default=None)
     p_eval.add_argument("--out", default=None)
-    p_eval.add_argument("--seed", type=int, default=None)
     p_eval.set_defaults(func=cmd_eval)
 
     p_bench = sub.add_parser("bench", help="train and compare several variants")

@@ -119,14 +119,18 @@ def load_csv(path: str, schema: dict) -> SeriesTable:
     column; without it there is a single physical slot), ``features``
     (list of value columns), ``missing`` ("drop" or "ffill").
     """
-    time_col = schema.get("time")
-    feat_cols = list(schema.get("features", []))
-    phys_col = schema.get("phys")
+    time_col, phys_col, feat_cols = schema.get("time"), schema.get("phys"), schema.get("features")
     missing = schema.get("missing", "drop")
-    if not time_col or not feat_cols:
-        raise CsvSchemaError("schema needs a 'time' column and a 'features' list")
+    if not time_col or not isinstance(feat_cols, list) or not feat_cols:
+        raise CsvSchemaError(f"schema needs a 'time' column and a non-empty 'features' list, "
+                             f"got time {time_col!r} and features {feat_cols!r}")
     if missing not in ("drop", "ffill"):
         raise CsvSchemaError(f"unknown missing-value policy {missing!r}")
+    declared = [time_col] + ([phys_col] if phys_col else []) + feat_cols
+    for col in declared:
+        if declared.count(col) > 1:
+            raise CsvSchemaError(f"column {col!r} is declared more than once: time, phys "
+                                 f"and the features must be distinct columns")
 
     # utf-8-sig drops the byte-order mark spreadsheet programs write
     try:
@@ -137,7 +141,6 @@ def load_csv(path: str, schema: dict) -> SeriesTable:
     if not records:
         raise CsvFormatError("line 1: file is empty, header row required")
     header = [h.strip() for h in records[0]]
-    declared = [time_col] + ([phys_col] if phys_col else []) + feat_cols
     for col in declared:
         if col not in header:
             raise CsvSchemaError(f"declared column {col!r} not in header {header}")

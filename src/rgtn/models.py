@@ -20,9 +20,10 @@ block flattens with the time index varying fastest, as a checkpoint
 payload does.
 
 Each stage is one tape op: ``linear`` (projection), a data ``matmul``
-(time mix), ``matmul`` (grgtn's W_r W_x), ``tt_head`` or ``linear`` (head).
-The window x and the time adjacency A are plain arrays, so neither is a
-tape node and no gradient is computed for them.
+(time mix), ``filter_weight`` (grgtn's [W_x | W_r W_x]), ``recurrence``
+(the rnn's steps and their flatten), ``tt_head`` or ``linear`` (head), then
+``add_bias``.  The window x and the time adjacency A are plain arrays, so
+neither is a tape node and no gradient is computed for them.
 
 * time mix, on the input: A acts on time and W_x on features, so
   ``A (x W_x^T) = (A x) W_x^T``, one GEMM on x as (batch, tau, phys * feat);
@@ -42,9 +43,9 @@ tape node and no gradient is computed for them.
 
 The rnn projects the inputs of all steps in one ``linear`` on a time-major
 copy of x and runs the recurrence as one ``autodiff.recurrence`` node, so
-its tape does not grow with tau; its time-major h reaches the dense head
-through one transposing flatten.  ``predict`` runs this same code under
-``autodiff.no_tape``, so it returns exactly ``forward(...).array``.
+its tape does not grow with tau; that node emits the dense head's rows.
+``predict`` runs this same code under ``autodiff.no_tape``, so it returns
+exactly ``forward(...).array``.
 """
 
 from __future__ import annotations
@@ -197,7 +198,7 @@ def _check_param_shapes(config: ModelConfig, nodes: Mapping[str, ad.TapeNode]) -
 
 
 def _hidden(config: ModelConfig, nodes: Mapping[str, ad.TapeNode], x: np.ndarray) -> ad.TapeNode:
-    """The head's input: (batch, tau, physical, hidden), or the rnn's (tau, batch, hidden)."""
+    """The head's input: (batch, tau, physical, hidden), or the rnn's (batch, hidden * tau) rows."""
     batch, tau, phys, feat = x.shape  # sizes, not -1: numpy cannot infer one for 0 windows
     if config.variant == "rnn":
         # time-major, physical index fastest within a step; one GEMM for all steps
@@ -207,7 +208,7 @@ def _hidden(config: ModelConfig, nodes: Mapping[str, ad.TapeNode], x: np.ndarray
     a_asc = build_time_adjacency(config.tau, config.c)
     ax = ad.matmul(a_asc, x.reshape(batch, tau, phys * feat)).array.reshape(x.shape)  # off the tape
     if config.variant == "grgtn":
-        w = ad.concat((nodes["w_x"], ad.matmul(nodes["w_r"], nodes["w_x"])), axis=1)
+        w = ad.filter_weight(nodes["w_r"], nodes["w_x"])
         x = _join_features(x, ax)
     else:
         x, w = x + ax, nodes["w_x"]
@@ -231,9 +232,7 @@ def forward(
     _check_param_shapes(config, nodes)
     h = _hidden(config, nodes, x)
     if config.variant == "rnn":
-        # each window's (tau, hidden) block, flattened with time fastest
-        flat = ad.reshape(ad.transpose(h, (1, 2, 0)), (x.shape[0], prod(config.feature_block)))
-        out = ad.linear(flat, nodes["head.w"])
+        out = ad.linear(h, nodes["head.w"])
     else:
         out = ad.tt_head(h, [nodes[f"head.core{k}"] for k in range(3)])
     return ad.add_bias(out, nodes["head.bias"])

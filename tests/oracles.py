@@ -5,7 +5,8 @@ building the dense matrix, and ``raw_checkpoint`` writes the checkpoint
 layout byte by byte; none of them calls ``rgtn``.  ``hidden_node``,
 ``hidden_rows`` and ``hidden_states`` run ``rgtn.models._hidden``, the part
 of ``forward`` before the output head, so a test can compare the filtered
-hidden-state block against a reference.
+hidden-state block against a reference; ``head_rows`` flattens that block
+in NumPy, without tape ops.
 """
 
 import hashlib
@@ -152,18 +153,23 @@ def body_params(values):
 
 
 def hidden_node(config, values, x):
-    """The block ``forward`` hands its head, flattened first mode fastest per window.
+    """The block ``forward`` hands its head: the tape node ``_hidden`` returns.
 
-    A tape node, made by a transpose and a reshape node on ``_hidden``'s output.
+    (batch, tau, physical, hidden) for the graph variants; the rnn's
+    recurrence already emits its rows, (batch, hidden * tau), time fastest.
     """
     nodes = {
         k: v if isinstance(v, ad.TapeNode) else ad.constant(np.asarray(v, float))
         for k, v in values.items()
     }
-    h = _hidden(config, nodes, np.asarray(x, float))
-    # the rnn's h is time-major, (tau, batch, hidden)
-    flat = ad.transpose(h, (1, 2, 0) if config.variant == "rnn" else (0, 3, 2, 1))
-    return ad.reshape(flat, (flat.shape[0], prod(config.feature_block)))
+    return _hidden(config, nodes, np.asarray(x, float))
+
+
+def head_rows(config, h):
+    """``hidden_node``'s array as one row per window, flattened first mode fastest."""
+    if config.variant == "rnn":
+        return h
+    return h.transpose(0, 3, 2, 1).reshape(len(h), prod(config.feature_block))
 
 
 def unflatten(flat, block):
@@ -173,9 +179,9 @@ def unflatten(flat, block):
 
 
 def hidden_rows(config, values, x):
-    """``hidden_node``'s array, computed without a tape."""
+    """``hidden_node``'s array computed without a tape, as ``head_rows``."""
     with ad.no_tape():
-        return hidden_node(config, values, x).array
+        return head_rows(config, hidden_node(config, values, x).array)
 
 
 def hidden_states(config, values, x):

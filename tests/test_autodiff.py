@@ -74,21 +74,22 @@ class TestBackwardMechanics:
 
     def test_node_reused_twice(self):
         rng = np.random.default_rng(1)
-        x = rng.standard_normal(4)
+        x = rng.standard_normal((1, 4))
         node = ad.constant(x)
-        # mean over 8 entries of [x, x]^2: each copy pushes 2x / 8 into x
-        loss = square_mean(ad.concat((node, node), axis=0))
-        ad.backward(loss)
-        np.testing.assert_allclose(node.grad, 0.5 * x, atol=1e-12)
+        # |x|^2 as x x^T with the node as both operands: each use pushes x into x
+        y = ad.linear(node, node)
+        # a target below the output: the loss's gradient is 1
+        ad.backward(ad.mae_loss(y, y.array - 1.0))
+        np.testing.assert_allclose(node.grad, 2.0 * x, atol=1e-12)
 
     def test_diamond_graph(self):
         x = ad.constant(np.array([[2.0]]))
-        a = ad.matmul(x, np.array([[3.0]]))
-        b = ad.matmul(x, x)
-        # mean(|3x|, |x^2|) has gradient (3 + 2x) / 2
-        loss = ad.mae_loss(ad.concat((a, b), axis=1), np.zeros((1, 2)))
+        a = ad.linear(x, np.array([[3.0]]))
+        b = ad.linear(x, x)
+        # |3x + x^2| has gradient 3 + 2x
+        loss = ad.mae_loss(ad.add_bias(a, b), np.zeros((1, 1)))
         ad.backward(loss)
-        np.testing.assert_allclose(x.grad, (3.0 + 4.0) / 2, atol=1e-12)
+        np.testing.assert_allclose(x.grad, 3.0 + 4.0, atol=1e-12)
 
 
 class TestElementwiseOps:
@@ -100,53 +101,8 @@ class TestElementwiseOps:
 
 
 class TestTensordot:
-    """Contractions over paired axes, written as the models write them: the
-    paired axes folded into one with ``transpose``/``reshape``, then one
-    ``matmul`` or ``linear``."""
-
-    def test_matmul_pattern(self):
-        rng = np.random.default_rng(8)
-        a = rng.standard_normal((3, 4))
-        b = rng.standard_normal((4, 2))
-        check_gradients(lambda x, y: square_mean(ad.matmul(x, y)), [a, b])
-
-    def test_double_contraction(self):
-        rng = np.random.default_rng(9)
-        a = rng.standard_normal((3, 2, 3, 2))
-        b = rng.standard_normal((3, 2))
-
-        def build(x, y):
-            return ad.matmul(ad.reshape(x, (3, 2, 6)), ad.reshape(y, (6, 1)))
-
-        check_gradients(lambda x, y: square_mean(build(x, y)), [a, b])
-        got = build(ad.constant(a), ad.constant(b)).array[..., 0]
-        np.testing.assert_allclose(got, np.tensordot(a, b, axes=((2, 3), (0, 1))), atol=1e-12)
-
-    def test_out_of_order_axes(self):
-        # a's axes (2, 1) against b's axes (0, 2)
-        rng = np.random.default_rng(10)
-        a = rng.standard_normal((2, 3, 4))
-        b = rng.standard_normal((4, 5, 3))
-
-        def build(x, y):
-            left = ad.reshape(ad.transpose(x, (0, 2, 1)), (2, 12))
-            right = ad.reshape(ad.transpose(y, (0, 2, 1)), (12, 5))
-            return ad.matmul(left, right)
-
-        check_gradients(lambda x, y: square_mean(build(x, y)), [a, b])
-        got = build(ad.constant(a), ad.constant(b)).array
-        np.testing.assert_allclose(got, np.tensordot(a, b, axes=((2, 1), (0, 2))), atol=1e-12)
-
-    def test_full_contraction_to_scalar(self):
-        rng = np.random.default_rng(11)
-        a = rng.standard_normal((3, 4))
-        b = rng.standard_normal((3, 4))
-
-        def build(x, y):
-            return ad.reshape(ad.matmul(ad.reshape(x, (1, 12)), ad.reshape(y, (12, 1))), ())
-
-        check_gradients(build, [a, b])
-        assert abs(float(build(ad.constant(a), ad.constant(b)).array) - (a * b).sum()) < 1e-12
+    """A contraction of one axis pair as the models write it: ``linear`` over
+    every leading axis of x."""
 
     def test_batched_feature_projection(self):
         rng = np.random.default_rng(12)
@@ -160,14 +116,7 @@ class TestTensordot:
 
 
 class TestMatmul:
-    """The GEMM op: numpy semantics, one operand 2-D, ndarray operands as data."""
-
-    def test_right_operand_2d(self):
-        rng = np.random.default_rng(30)
-        a = rng.standard_normal((2, 3, 4))
-        b = rng.standard_normal((4, 5))
-        check_gradients(lambda x, y: square_mean(ad.matmul(x, y)), [a, b])
-        np.testing.assert_allclose(ad.matmul(a, b).array, a @ b, atol=1e-12)
+    """The GEMM ops: ``matmul`` on data only, ``linear`` with an ndarray operand as data."""
 
     def test_batched_right_operand_under_2d_left(self):
         # data only, as the time adjacency meets a batch of windows: no push
@@ -189,9 +138,8 @@ class TestMatmul:
         out = ad.linear(a.T, b).array
         np.testing.assert_allclose(out, a.T @ b.T, atol=1e-12)
         assert out.flags.c_contiguous
-        check_gradients(
-            lambda x, y: square_mean(ad.linear(ad.transpose(x, (1, 0)), y)), [a, b]
-        )
+        # constant() keeps the view, so the node's array is the transposed one too
+        check_gradients(lambda x, y: square_mean(ad.linear(x, y)), [a.T, b])
 
     def test_linear_is_product_with_transpose(self):
         rng = np.random.default_rng(33)
@@ -203,17 +151,18 @@ class TestMatmul:
     @pytest.mark.parametrize("data_left", [True, False])
     @pytest.mark.parametrize("left,right", [((2, 3), (3, 5)), ((3, 2, 4), (4, 5))])
     def test_ndarray_operand_is_data(self, data_left, left, right):
+        # linear's x or its (N, K) weight as a plain array: no node, no push
         rng = np.random.default_rng(34)
-        a, b = rng.standard_normal(left), rng.standard_normal(right)
+        a, b = rng.standard_normal(left), rng.standard_normal(right[::-1])
         data, value = (a, b) if data_left else (b, a)
 
         def product(node):
-            return ad.matmul(data, node) if data_left else ad.matmul(node, data)
+            return ad.linear(data, node) if data_left else ad.linear(node, data)
 
         check_gradients(lambda node: square_mean(product(node)), [value])
         node = ad.constant(value)
         out = product(node)
-        np.testing.assert_allclose(out.array, a @ b, atol=1e-12)
+        np.testing.assert_allclose(out.array, a @ b.T, atol=1e-12)
         assert out.parents == (node,) and len(out.pushes) == 1
 
     def test_non_contiguous_input(self):
@@ -400,34 +349,27 @@ class TestBlockedLinear:
         assert peak < g.nbytes  # x's gradient and one scratch block, not a (rows, N) array
 
 
-class TestConcat:
-    @pytest.mark.parametrize("shape,axis", [((2, 3), 0), ((2, 3), 1), ((2, 3), -1),
-                                            ((2, 3, 4), 0), ((2, 3, 4), 1), ((2, 3, 4), 2)])
-    def test_gradients_along_each_axis(self, shape, axis):
-        rng = np.random.default_rng(44)
-        other = list(shape)
-        other[axis] += 1
-        a, b = rng.standard_normal(shape), rng.standard_normal(other)
-        check_gradients(lambda u, v: square_mean(ad.concat((u, v), axis)), [a, b])
-        out = ad.concat((ad.constant(a), ad.constant(b)), axis)
-        np.testing.assert_array_equal(out.array, np.concatenate((a, b), axis))
+class TestFilterWeight:
+    """grgtn's projection weight ``[W_x | W_r W_x]`` as one node."""
 
-    def test_pushes_are_slices_of_the_gradient(self):
-        nodes = [ad.constant(np.ones((2, k))) for k in (1, 3, 2)]
-        out = ad.concat(nodes, axis=1)
-        g = np.arange(12.0).reshape(2, 6)
-        pieces = [push(g) for push in out.pushes]
-        for piece, (lo, hi) in zip(pieces, ((0, 1), (1, 4), (4, 6))):
-            np.testing.assert_array_equal(piece, g[:, lo:hi])
-            assert np.shares_memory(piece, g)
+    def test_equals_the_joined_product(self):
+        rng = np.random.default_rng(44)
+        w_r, w_x = rng.standard_normal((4, 4)), rng.standard_normal((4, 3))
+        r, x = ad.constant(w_r), ad.constant(w_x)
+        out = ad.filter_weight(r, x)
+        np.testing.assert_array_equal(out.array, np.concatenate((w_x, w_r @ w_x), 1))
+        # w_r first: the op belongs to W_r's stage
+        assert out.parents == (r, x)
+
+    def test_gradients_match_finite_differences(self):
+        rng = np.random.default_rng(45)
+        w_r, w_x = rng.standard_normal((3, 3)), rng.standard_normal((3, 2))
+        check_gradients(lambda r, x: square_mean(ad.filter_weight(r, x)), [w_r, w_x])
 
     def test_shape_errors(self):
-        for nodes, axis in (((np.ones((2, 3)), np.ones((3, 3))), 1),
-                            ((np.ones((2, 3)), np.ones((2, 3))), 2),
-                            ((np.ones(2), np.ones((1, 2))), 0),
-                            ((), 0)):
+        for w_r, w_x in (((3, 3), (4, 2)), ((4, 3), (4, 2)), ((4, 4), (4,))):
             with pytest.raises(ShapeError):
-                ad.concat([ad.constant(a) for a in nodes], axis)
+                ad.filter_weight(ad.constant(np.ones(w_r)), ad.constant(np.ones(w_x)))
 
 
 class TestTapeLifetime:
@@ -450,18 +392,6 @@ class TestTapeLifetime:
 
 
 class TestStructuralOps:
-    def test_transpose(self):
-        rng = np.random.default_rng(13)
-        a = rng.standard_normal((2, 3, 4))
-        check_gradients(lambda x: square_mean(ad.transpose(x, (1, 2, 0))), [a])
-        got = ad.transpose(ad.constant(a), (1, 2, 0)).array
-        np.testing.assert_array_equal(got, np.moveaxis(a, 0, 2))
-
-    def test_reshape(self):
-        rng = np.random.default_rng(14)
-        a = rng.standard_normal((2, 6))
-        check_gradients(lambda x: square_mean(ad.reshape(x, (3, 4))), [a])
-
     def test_add_bias(self):
         rng = np.random.default_rng(16)
         x = rng.standard_normal((4, 2, 3))
@@ -500,6 +430,19 @@ class TestRecurrence:
         du = node.pushes[0](g)
         assert node.pushes[0](g) is du
         np.testing.assert_array_equal(node.pushes[2](g), du.sum(axis=(0, 1)))
+
+    @pytest.mark.parametrize("batch", [0, 3])
+    def test_rows_are_the_states_flattened_time_fastest(self, batch):
+        # the flatten the dense head reads: time-major states, transposed and reshaped
+        rng = np.random.default_rng(40)
+        u = rng.standard_normal((5, batch, 4))
+        w, b = rng.standard_normal((4, 4)) * 0.5, rng.standard_normal(4)
+        h = np.empty_like(u)
+        for t in range(5):
+            h[t] = np.tanh(u[t] + (h[t - 1] @ w.T if t else 0.0) + b)
+        node = ad.recurrence(ad.constant(u), ad.constant(w), ad.constant(b), "tanh")
+        np.testing.assert_array_equal(node.array, h.transpose(1, 2, 0).reshape(batch, 4 * 5))
+        assert node.pushes[0](np.ones(node.shape)).shape == u.shape
 
     def test_shape_errors(self):
         u, w, b = np.ones((3, 2, 4)), np.ones((4, 4)), np.ones(4)

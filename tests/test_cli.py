@@ -171,7 +171,8 @@ class TestTrainCommand:
         assert main(["train", "--config", write_config(tmp_path, cfg)]) == 2
         err = capsys.readouterr().err
         assert "data.horizon" in err and "model.tau" in err
-        assert not (tmp_path / "x" / "checkpoint.rgtn").exists()
+        # the data's checks run before the run directory is made
+        assert not (tmp_path / "x").exists()
 
     def test_invalid_field_exits_2_with_field_name(self, tmp_path, capsys):
         # YAML true is a bool, which must not pass for an int or a float
@@ -241,7 +242,7 @@ class TestTrainCommand:
             cfg["model"]["head"]["out_modes"] = [1, 1, value]
         assert main(["train", "--config", write_config(tmp_path, cfg)]) == 2
         assert field in capsys.readouterr().err
-        assert not (tmp_path / "x" / "checkpoint.rgtn").exists()
+        assert not (tmp_path / "x").exists()
 
     def test_classifier_with_spare_outputs_trains(self, tmp_path):
         cfg = classification_config(tmp_path / "x")
@@ -395,20 +396,25 @@ def test_int_beyond_float_range_exits_2(tmp_path, capsys):
     assert "training.learning_rate" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize(
-    "command,with_config", [("train", True), ("eval", False), ("eval", True), ("bench", True)]
-)
+@pytest.mark.parametrize("command,with_config", [("train", True), ("bench", True)])
 def test_negative_seed_flag_exits_2_naming_the_field(tmp_path, capsys, command, with_config):
     cfg = base_config(tmp_path / "x")
     cfg["bench"] = {"variants": ["grgtn", "srgtn"]}
     path = write_config(tmp_path, cfg)
-    checkpoint = str(tmp_path / "model.rgtn")
-    save_checkpoint(checkpoint, {"w_x": np.zeros((8, 3))}, {"kind": "model", "config": cfg})
-    source = ["--checkpoint", checkpoint] if command == "eval" else []
-    if with_config:
-        source += ["--config", path]
+    source = ["--config", path] if with_config else []
     assert main([command, *source, "--seed", "-1"]) == 2
     assert "training.seed" in capsys.readouterr().err
+
+
+def test_eval_has_no_seed_flag(tmp_path, capsys):
+    # evaluation reads no training seed, so the flag would change nothing
+    checkpoint = str(tmp_path / "model.rgtn")
+    save_checkpoint(checkpoint, {"w_x": np.zeros((8, 3))},
+                    {"kind": "model", "config": base_config(tmp_path / "x")})
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--checkpoint", checkpoint, "--seed", "5"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
 
 
 class TestEvalCommand:
@@ -522,6 +528,15 @@ class TestBenchCommand:
         del cfg["model"]["head"]["out_modes"]
         assert main(["bench", "--config", write_config(tmp_path, cfg)]) == 2
         assert "model.head.out_modes" in capsys.readouterr().err
+
+    def test_model_error_exits_2_before_the_run_directory(self, tmp_path, capsys):
+        # grgtn's head is checked before the rnn trains and writes its files
+        cfg = base_config(tmp_path / "x", epochs=1, variant="rnn")
+        del cfg["model"]["head"]["out_modes"]
+        cfg["bench"] = {"variants": ["rnn", "grgtn"]}
+        assert main(["bench", "--config", write_config(tmp_path, cfg)]) == 2
+        assert "model.head.out_modes" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_single_variant_rejected(self, tmp_path, capsys):
         cfg = base_config(tmp_path / "x")

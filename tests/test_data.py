@@ -74,6 +74,27 @@ class TestLoadCsv:
         with pytest.raises(CsvSchemaError, match="'a'"):
             load_csv(path, WIDE_SCHEMA)
 
+    def test_features_string_is_not_split_into_letters(self, tmp_path):
+        path = write(tmp_path, "t,temperature\n1,1.0\n")
+        with pytest.raises(CsvSchemaError, match="features 'temperature'"):
+            load_csv(path, {"time": "t", "features": "temperature"})
+
+    def test_feature_declared_twice_is_named(self, tmp_path):
+        # it would read the same column twice, as two features
+        path = write(tmp_path, "t,temperature\n1,1.0\n")
+        with pytest.raises(CsvSchemaError, match="'temperature'"):
+            load_csv(path, {"time": "t", "features": ["temperature", "temperature"]})
+
+    def test_phys_column_that_is_the_time_column_is_named(self, tmp_path):
+        path = write(tmp_path, "time,a\n1,1.0\n2,2.0\n")
+        with pytest.raises(CsvSchemaError, match="'time'"):
+            load_csv(path, {"time": "time", "phys": "time", "features": ["a"]})
+
+    def test_feature_that_is_the_phys_column_is_named(self, tmp_path):
+        path = write(tmp_path, "t,site,a\n1,north,1.0\n")
+        with pytest.raises(CsvSchemaError, match="'site'"):
+            load_csv(path, {"time": "t", "phys": "site", "features": ["site"]})
+
     def test_malformed_row_reports_line(self, tmp_path):
         path = write(tmp_path, "t,a,b\n1,1.0,2.0\n2,oops,4.0\n")
         with pytest.raises(CsvFormatError, match="line 3"):

@@ -8,6 +8,7 @@ import pytest
 from oracles import (
     block_map,
     body_params,
+    head_rows,
     hidden_node,
     hidden_rows,
     hidden_states,
@@ -19,6 +20,7 @@ from oracles import (
 from rgtn import autodiff as ad
 from rgtn.graph import build_time_adjacency
 from rgtn.models import (
+    VARIANTS,
     HeadConfig,
     ModelConfig,
     forward,
@@ -27,6 +29,7 @@ from rgtn.models import (
     param_shapes,
     predict,
 )
+from rgtn.training import LOSS_TASKS, _loss_node
 
 
 # Tests parametrized by (variant, head) name the head the variant has, tt on
@@ -54,14 +57,15 @@ def params_for(cfg, head, seed):
 
 
 def output(cfg, values, x, head):
-    """``forward``, or with head "none" the block it hands its head, one row per window."""
+    """``forward``, or with head "none" the node it hands its head."""
     return hidden_node(cfg, values, x) if head == "none" else forward(cfg, values, x)
 
 
 def untaped_and_taped(cfg, values, x, head):
-    """``output``'s array computed without a tape (``predict``) and on one."""
-    untaped = hidden_rows(cfg, values, x) if head == "none" else predict(cfg, values, x)
-    return untaped, output(cfg, values, x, head).array
+    """``output``'s rows computed without a tape (``predict``) and on one."""
+    if head == "none":
+        return hidden_rows(cfg, values, x), head_rows(cfg, output(cfg, values, x, head).array)
+    return predict(cfg, values, x), output(cfg, values, x, head).array
 
 
 class TestConfigValidation:
@@ -405,10 +409,10 @@ class TestTape:
         assert sum(node.shape == hidden_block for node in graph) == 1
 
     # nodes per training forward+loss at the bench_synth shape, parameters included:
-    # each stage is one op; "none" counts the body, its flatten and the loss
+    # each stage is one op; "none" counts the body and the loss
     @pytest.mark.parametrize("variant,head,nodes", [
-        ("grgtn", "tt", 12), ("srgtn", "tt", 9), ("rnn", "dense", 12),
-        ("grgtn", "none", 8), ("srgtn", "none", 5), ("rnn", "none", 8),
+        ("grgtn", "tt", 11), ("srgtn", "tt", 9), ("rnn", "dense", 10),
+        ("grgtn", "none", 5), ("srgtn", "none", 3), ("rnn", "none", 6),
     ])
     def test_nodes_per_step(self, variant, head, nodes):
         cfg = small_config(variant, activation="identity", tau=6, d=4, f=3, m=8, out=12,
@@ -438,6 +442,30 @@ class TestTape:
         assert np.array_equal(predict(cfg, values, x), forward(cfg, values, x).array)
         with ad.no_tape():
             assert forward(cfg, values, x).parents == ()
+
+
+def test_every_public_op_is_called_by_a_training_step(monkeypatch):
+    # no public API that no entry point uses: a step of every variant under
+    # every loss must call each op, so an op left without a caller fails here
+    ops, called = set(ad.__all__) - {"TapeNode", "no_tape", "constant", "backward"}, set()
+    for name in ops:
+        def wrapped(*args, _op=getattr(ad, name), _name=name, **kwargs):
+            called.add(_name)
+            return _op(*args, **kwargs)
+
+        monkeypatch.setattr(ad, name, wrapped)
+    rng = np.random.default_rng(18)
+    for variant in VARIANTS:
+        cfg = small_config(variant)
+        x = rng.standard_normal((3, cfg.tau, cfg.d_phys, cfg.d_feat))
+        for loss, task in LOSS_TASKS.items():
+            nodes = {k: ad.constant(v) for k, v in init_params(cfg, seed=6).items()}
+            out = forward(cfg, nodes, x)
+            target = (rng.integers(0, cfg.out_dim, 3) if task == "classification"
+                      else rng.standard_normal(out.shape))
+            ad.backward(_loss_node(loss, out, target))
+            assert all(node.grad is not None for node in nodes.values()), (variant, loss)
+    assert called == ops, f"public ops no training step calls: {sorted(ops - called)}"
 
 
 class TestTTHeadContractionOrder:

@@ -1,11 +1,12 @@
 """Array conventions the package relies on, against independent oracles.
 
 Contractions run the way the models write them, the paired axes folded
-into one GEMM with the tape's ``transpose``, ``reshape`` and ``matmul``
-(0-based axes), and are checked against nested loops; the Kronecker structure of the grgtn map
-I + A kron W_r and its powers are read off the hidden block ``models.forward``
-hands its head by probing it with unit inputs; first-mode-fastest
-flattening is checked on that block and on the checkpoint payload.
+into one axis with NumPy views and contracted by one ``linear`` (0-based
+axes), and are checked against nested loops; the Kronecker structure of the
+grgtn map I + A kron W_r and its powers are read off the hidden block
+``models.forward`` hands its head by probing it with unit inputs;
+first-mode-fastest flattening is checked on that block and on the
+checkpoint payload.
 """
 
 from math import prod
@@ -16,7 +17,7 @@ import pytest
 from oracles import (
     block_map,
     headless,
-    hidden_node,
+    hidden_rows,
     hidden_states,
     payload_header,
     raw_checkpoint,
@@ -63,16 +64,16 @@ def contract_oracle(a, b, ax_a, ax_b):
 
 
 def contract(a, b, axes_a, axes_b):
-    """Contraction of plain arrays on the tape: a's paired axes moved last and
-    b's first, each side folded to a matrix, then one GEMM."""
+    """Contraction of plain arrays by ``linear``: a's paired axes moved last and
+    b's first, each side folded to a matrix, then one GEMM against b's transpose."""
     free_a = [i for i in range(a.ndim) if i not in axes_a]
     free_b = [j for j in range(b.ndim) if j not in axes_b]
-    left = ad.transpose(ad.constant(a), free_a + list(axes_a))
-    right = ad.transpose(ad.constant(b), list(axes_b) + free_b)
     rows = prod(a.shape[i] for i in free_a)
     cols = prod(b.shape[j] for j in free_b)
-    product = ad.matmul(ad.reshape(left, (rows, -1)), ad.reshape(right, (-1, cols)))
-    return ad.reshape(product, [a.shape[i] for i in free_a] + [b.shape[j] for j in free_b]).array
+    left = np.transpose(a, free_a + list(axes_a)).reshape(rows, -1)
+    right = np.transpose(b, list(axes_b) + free_b).reshape(-1, cols)
+    product = ad.linear(left, right.T).array
+    return product.reshape([a.shape[i] for i in free_a] + [b.shape[j] for j in free_b])
 
 
 def grgtn_states(x, w_r, c=0.5):
@@ -121,7 +122,7 @@ class TestVectorizeTensorize:
         # one time step: the (physical, hidden) block flattens physical-fastest
         x = np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(1, 1, 2, 2)
         cfg = headless("srgtn", 1, 2, 2, 2)
-        out = hidden_node(cfg, {"w_x": np.eye(2)}, x).array
+        out = hidden_rows(cfg, {"w_x": np.eye(2)}, x)
         np.testing.assert_array_equal(out, [[1, 3, 2, 4]])
 
     def test_scalar_vectorize(self, tmp_path):
@@ -136,7 +137,7 @@ class TestVectorizeTensorize:
         cfg = headless("grgtn", tau, p, 2, m)
         values = {"w_x": rng.standard_normal((m, 2)), "w_r": rng.standard_normal((m, m))}
         x = rng.standard_normal((1, tau, p, 2))
-        flat = hidden_node(cfg, values, x).array[0]
+        flat = hidden_rows(cfg, values, x)[0]
         a = time_adjacency(tau, 0.5)
         for d in range(p):
             h = block_map(a, values["w_r"], x[0, :, d] @ values["w_x"].T)
