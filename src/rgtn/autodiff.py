@@ -18,7 +18,8 @@ tau, and ``tt_head`` for the three GEMMs of a tensor-train head.
 
 Under ``no_tape()`` operations compute the same arrays with the same
 kernels but keep no inputs or pushes, so each intermediate is freed once
-its consumer returns; ``backward`` then has nothing to walk.
+its consumer returns; ``backward`` then has nothing to walk.  ``linear``
+and ``tt_head`` return before they build their backward closures.
 
 Nodes hold their arrays without copying, and a node's gradient may be the
 very array its child received, so value and gradient arrays are shared:
@@ -198,6 +199,9 @@ def linear(
         zb = z[lo : lo + step]
         np.matmul(x2[lo : lo + step], wt, out=zb)
         fn(zb, out=zb)
+    out = z.reshape(xv.shape[:-1] + (n,))
+    if not _recording:
+        return TapeNode(out)
     x_is_node = isinstance(x, TapeNode)
 
     def grads(g: np.ndarray) -> tuple[np.ndarray | None, np.ndarray]:
@@ -222,7 +226,7 @@ def linear(
         (w, lambda d: d[1]),
     ) if isinstance(node, TapeNode)]
     pushes = _shared(grads, [c for _, c in inputs])
-    return TapeNode(z.reshape(xv.shape[:-1] + (n,)), tuple(node for node, _ in inputs), pushes)
+    return TapeNode(out, tuple(node for node, _ in inputs), pushes)
 
 
 def filter_weight(w_r: TapeNode, w_x: TapeNode) -> TapeNode:
@@ -354,6 +358,8 @@ def tt_head(h: TapeNode, cores: Sequence[TapeNode]) -> TapeNode:
     if not _recording:
         del z1  # no push reads it
     out = (z2 @ a2).reshape(batch, o0, o1, o2).transpose(0, 3, 2, 1).reshape(batch, o2 * o1 * o0)
+    if not _recording:
+        return TapeNode(out)
 
     def grads(g: np.ndarray) -> tuple[np.ndarray, ...]:
         g3 = g.reshape(batch, o2, o1, o0).transpose(0, 3, 2, 1).reshape(batch * o0 * o1, o2)

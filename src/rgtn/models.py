@@ -44,8 +44,10 @@ neither is a tape node and no gradient is computed for them.
 The rnn projects the inputs of all steps in one ``linear`` on a time-major
 copy of x and runs the recurrence as one ``autodiff.recurrence`` node, so
 its tape does not grow with tau; that node emits the dense head's rows.
-``predict`` runs this same code under ``autodiff.no_tape``, so it returns
-exactly ``forward(...).array``.
+``predict`` is ``forward`` of each block of whole windows under
+``autodiff.no_tape``, written into one output: it equals
+``forward(...).array`` exactly for any batch of at most one block, and
+its memory is bounded by the block, not by the batch.
 """
 
 from __future__ import annotations
@@ -216,12 +218,10 @@ def _hidden(config: ModelConfig, nodes: Mapping[str, ad.TapeNode], x: np.ndarray
     return ad.linear(x, w, config.activation)
 
 
-def forward(
-    config: ModelConfig,
-    values: Mapping[str, ad.TapeNode | np.ndarray],
-    x: np.ndarray,
-) -> ad.TapeNode:
-    """Batched forward pass returning (batch, out_dim) predictions or logits."""
+def _checked(
+    config: ModelConfig, values: Mapping[str, ad.TapeNode | np.ndarray], x: np.ndarray
+) -> tuple[dict[str, ad.TapeNode], np.ndarray]:
+    """The window batch as float64 and the parameters as nodes, each checked against config."""
     x = np.asarray(x, float)
     if x.ndim != 4 or x.shape[1:] != (config.tau, config.d_phys, config.d_feat):
         raise ValueError(
@@ -230,6 +230,11 @@ def forward(
         )
     nodes = _as_nodes(values)
     _check_param_shapes(config, nodes)
+    return nodes, x
+
+
+def _body(config: ModelConfig, nodes: Mapping[str, ad.TapeNode], x: np.ndarray) -> ad.TapeNode:
+    """The (batch, out_dim) output node of checked windows: hidden block, head, bias."""
     h = _hidden(config, nodes, x)
     if config.variant == "rnn":
         out = ad.linear(h, nodes["head.w"])
@@ -238,11 +243,45 @@ def forward(
     return ad.add_bias(out, nodes["head.bias"])
 
 
+def forward(
+    config: ModelConfig,
+    values: Mapping[str, ad.TapeNode | np.ndarray],
+    x: np.ndarray,
+) -> ad.TapeNode:
+    """Batched forward pass returning (batch, out_dim) predictions or logits."""
+    return _body(config, *_checked(config, values, x))
+
+
+# Bytes of the head's input per ``predict`` block, which holds as many whole
+# windows of ``prod(feature_block)`` float64s as fit.  Swept at 1, 2, 4, 8 and
+# 16 MiB and at one block per batch, for each variant at predict-stream's
+# shape (1024 windows) and wide-train's (256), on one OpenBLAS thread (process
+# CPU, best of 7): 1-4 MiB tie within noise (grgtn 38-47 and 51-53 ms); 8 MiB
+# is up to 35% slower (rnn) and 16 MiB up to 40%; one block per batch is
+# 50-85% slower (grgtn, srgtn) and takes 15x the memory of 4 MiB blocks.
+# From 2 MiB up, wide-train's 8-window predicts and small-train's whole test
+# split are one block each.
+WINDOW_BLOCK_BYTES = 16 * ad._BLOCK_BYTES
+
+
 def predict(
     config: ModelConfig,
     values: Mapping[str, np.ndarray],
     x: np.ndarray,
 ) -> np.ndarray:
-    """``forward(...).array``, computed without a tape."""
+    """``forward(...).array`` of each block of windows in turn, computed without a tape.
+
+    A block is as many whole windows as fill ``WINDOW_BLOCK_BYTES`` of the
+    head's input, so memory is bounded by the block and not by the batch.
+    A batch of one block is returned as its block's array, with no output
+    buffer alive under the block's peak.
+    """
+    nodes, x = _checked(config, values, x)
+    step = max(1, WINDOW_BLOCK_BYTES // (8 * prod(config.feature_block)))
     with ad.no_tape():
-        return forward(config, values, x).array
+        if len(x) <= step:
+            return _body(config, nodes, x).array
+        out = np.empty((len(x), config.out_dim))
+        for lo in range(0, len(x), step):
+            out[lo : lo + step] = _body(config, nodes, x[lo : lo + step]).array
+    return out

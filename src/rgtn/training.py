@@ -120,7 +120,7 @@ def _split_loss(
     targets: np.ndarray,
 ) -> float:
     with ad.no_tape():
-        return float(_loss_node(loss, forward(model, values, inputs), targets).array)
+        return float(_loss_node(loss, ad.constant(predict(model, values, inputs)), targets).array)
 
 
 def train(

@@ -1,5 +1,6 @@
 """Model assemblies: equivalence with the oracles, counts, gradients, aliasing."""
 
+import re
 from math import prod
 
 import numpy as np
@@ -18,6 +19,7 @@ from oracles import (
     unflatten,
 )
 from rgtn import autodiff as ad
+from rgtn import models
 from rgtn.graph import build_time_adjacency
 from rgtn.models import (
     VARIANTS,
@@ -442,6 +444,61 @@ class TestTape:
         assert np.array_equal(predict(cfg, values, x), forward(cfg, values, x).array)
         with ad.no_tape():
             assert forward(cfg, values, x).parents == ()
+
+
+def two_window_blocks(monkeypatch, cfg):
+    """Make ``predict`` walk ``cfg``'s windows two at a time."""
+    monkeypatch.setattr(models, "WINDOW_BLOCK_BYTES", 2 * 8 * prod(cfg.feature_block))
+
+
+class TestPredictBlocks:
+    """``predict`` is ``forward`` of each block of whole windows, written into one output."""
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_rows_are_forward_of_each_block(self, variant, monkeypatch):
+        rng = np.random.default_rng(19)
+        cfg = small_config(variant)
+        two_window_blocks(monkeypatch, cfg)
+        values = init_params(cfg, seed=7)
+        x = rng.standard_normal((5, cfg.tau, cfg.d_phys, cfg.d_feat))
+        got = predict(cfg, values, x)
+        expect = np.concatenate([forward(cfg, values, x[lo:hi]).array
+                                 for lo, hi in ((0, 2), (2, 4), (4, 5))])
+        assert np.array_equal(got, expect)
+        assert np.array_equal(got[2:4], predict(cfg, values, x[2:4]))
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_zero_windows(self, variant, monkeypatch):
+        cfg = small_config(variant)
+        two_window_blocks(monkeypatch, cfg)
+        x = np.empty((0, cfg.tau, cfg.d_phys, cfg.d_feat))
+        assert predict(cfg, init_params(cfg, seed=0), x).shape == (0, cfg.out_dim)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("shape", ["3-D", "wrong tau"])
+    def test_bad_input_raises_as_forward_does(self, variant, shape, monkeypatch):
+        cfg = small_config(variant)
+        two_window_blocks(monkeypatch, cfg)
+        values = init_params(cfg, seed=0)
+        x = np.zeros((5, cfg.tau, cfg.d_phys, cfg.d_feat))
+        x = x[:, :, :, 0] if shape == "3-D" else x[:, 1:]
+        with pytest.raises(ValueError) as taped:
+            forward(cfg, values, x)
+        with pytest.raises(ValueError, match=re.escape(str(taped.value))):
+            predict(cfg, values, x)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_batch_one_matches_batched(self, variant):
+        # Within rounding only: OpenBLAS does not give the same bits for a row
+        # of a GEMM run alone as within a taller one, for every shape.
+        rng = np.random.default_rng(20)
+        cfg = small_config(variant, tau=8, d=4, m=6)
+        values = init_params(cfg, seed=8)
+        x = rng.standard_normal((9, cfg.tau, cfg.d_phys, cfg.d_feat))
+        batched = predict(cfg, values, x)
+        for i in range(len(x)):
+            np.testing.assert_allclose(predict(cfg, values, x[i : i + 1])[0], batched[i],
+                                       rtol=1e-12)
 
 
 def test_every_public_op_is_called_by_a_training_step(monkeypatch):

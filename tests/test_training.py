@@ -1,15 +1,21 @@
 """Optimizer oracle, training determinism, convergence, and metrics tests."""
 
+from math import prod
+
 import numpy as np
 import pytest
 
 from oracles import adam_per_tensor
+from rgtn import autodiff as ad
+from rgtn import models
 from rgtn.data import normalize, synth_classification, synth_linear_dynamics, window
 from rgtn.models import HeadConfig, ModelConfig, forward, init_params, predict
 from rgtn.training import (
     ParamStore,
     TrainConfig,
     TrainingDiverged,
+    _loss_node,
+    _split_loss,
     adam_step,
     evaluate,
     train,
@@ -198,11 +204,34 @@ class TestTrainLoop:
     def test_divergence_aborts_with_trace(self):
         # Adam steps are bounded by the learning rate, so overflow needs an
         # absurd one; the loop must abort rather than emit non-finite records.
+        # The overflow it provokes is expected here, so its warnings are not errors.
         model, ds, _ = regression_setup()
         config = TrainConfig(epochs=5, learning_rate=1e120, batch_size=16, seed=0, loss="mse")
-        with pytest.raises(TrainingDiverged) as excinfo:
-            train(model, ds, config)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(TrainingDiverged) as excinfo:
+                train(model, ds, config)
         assert isinstance(excinfo.value.trace, list)
+
+
+class TestSplitLoss:
+    @pytest.mark.parametrize("loss", ["mae", "mse"])
+    def test_is_the_loss_of_blocked_predict(self, loss, monkeypatch):
+        model, ds, _ = regression_setup()
+        monkeypatch.setattr(models, "WINDOW_BLOCK_BYTES", 3 * 8 * prod(model.feature_block))
+        values = init_params(model, seed=1)
+        x, y = ds.subset(ds.splits.val)
+        blocks, body = [], models._body
+
+        def counted(config, nodes, xb):
+            blocks.append(len(xb))
+            return body(config, nodes, xb)
+
+        monkeypatch.setattr(models, "_body", counted)
+        got = _split_loss(model, values, loss, x, y)
+        assert len(blocks) > 1 and set(blocks[:-1]) == {3} and sum(blocks) == len(x)
+        assert got == float(_loss_node(loss, ad.constant(predict(model, values, x)), y).array)
+        whole = float(_loss_node(loss, forward(model, values, x), y).array)
+        np.testing.assert_allclose(got, whole, rtol=1e-12)
 
 
 class TestEvaluate:
