@@ -9,17 +9,19 @@ gradients of leaves (nodes with no inputs, such as the parameters made by
 have run, so it is freed while the walk goes on.
 
 A plain ndarray operand of ``linear`` is data: it gets no node, no push
-and no gradient, so a batch of windows costs the tape nothing; ``matmul``
-takes data only.  Each loss is one node whose only input is the prediction
-(or the logits), and its push returns the loss's gradient in closed form.
-Each model stage is one node: ``filter_weight`` for grgtn's weight,
-``recurrence`` for a whole RNN recurrence, so the tape does not grow with
-tau, and ``tt_head`` for the three GEMMs of a tensor-train head.
+and no gradient, so a batch of windows costs the tape nothing; ``graph_tt``
+takes its windows and the time adjacency as data only.  Each loss is one
+node whose only input is the prediction (or the logits), and its push
+returns the loss's gradient in closed form.  Each model stage is one node:
+``filter_weight`` for grgtn's weight, ``graph_tt`` for the time mix, the
+projection, its activation and the tensor-train head of grgtn and srgtn,
+and ``recurrence`` for a whole RNN recurrence, so the tape does not grow
+with tau.
 
 Under ``no_tape()`` operations compute the same arrays with the same
 kernels but keep no inputs or pushes, so each intermediate is freed once
 its consumer returns; ``backward`` then has nothing to walk.  ``linear``
-and ``tt_head`` return before they build their backward closures.
+and ``graph_tt`` return before they build their backward closures.
 
 Nodes hold their arrays without copying, and a node's gradient may be the
 very array its child received, so value and gradient arrays are shared:
@@ -28,8 +30,12 @@ are arrays an op has just allocated and no other node holds: ``linear``'s
 activation runs in place on each row block of the GEMM's output, so the
 block is written once and not twice, and its backward writes each block's
 activation push into one scratch block that it allocates and drops, and
-the gradient of ``x`` straight into its result; ``recurrence`` writes each
-step's push straight into its gradient.
+the gradient of ``x`` straight into its result.  ``graph_tt`` does the
+same into the hidden block ``h`` that it keeps for its backward (one
+reused block without a tape); its backward writes each block's ``a0 @ dz``
+into one scratch block and the activation push into a second, since a
+push may not write into its own input.  ``recurrence`` writes each step's
+push straight into its gradient.
 """
 
 from __future__ import annotations
@@ -46,12 +52,11 @@ __all__ = [
     "no_tape",
     "constant",
     "backward",
-    "matmul",
     "linear",
     "filter_weight",
+    "graph_tt",
     "add_bias",
     "recurrence",
-    "tt_head",
     "mae_loss",
     "mse_loss",
     "cross_entropy_loss",
@@ -75,7 +80,7 @@ def no_tape() -> Iterator[None]:
 class TapeNode:
     """One value in the computation graph, with its local gradient rules."""
 
-    __slots__ = ("array", "parents", "pushes", "grad")
+    __slots__ = ("array", "parents", "pushes", "grad", "__weakref__")
 
     def __init__(
         self,
@@ -152,20 +157,6 @@ def _shared(first: Callable[[np.ndarray], np.ndarray], consumers) -> tuple[Calla
         return push
 
     return tuple(make(c, i == len(consumers) - 1) for i, c in enumerate(consumers))
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> TapeNode:
-    """``a @ b`` on data only, the time adjacency ``(M, K)`` times a batch ``(..., K, N)``.
-
-    It stays an op, not a bare ``@``, so that the time mix is one stage the
-    tracer can see.
-    """
-    if isinstance(a, TapeNode) or isinstance(b, TapeNode):
-        raise ShapeError("matmul takes data only, got a node operand")
-    av, bv = _value(a), _value(b)
-    if av.ndim != 2 or bv.ndim < 2 or av.shape[1] != bv.shape[-2]:
-        raise ShapeError(f"matmul needs a (M, K) @ (..., K, N), got {av.shape} @ {bv.shape}")
-    return TapeNode(av @ bv)
 
 
 def linear(
@@ -287,10 +278,12 @@ _ACTIVATIONS = {
     "identity": (lambda z, out=None: z, lambda g, y, out=None: g),
 }
 
-# Output bytes per row block of ``linear``: the block of the output, of its
-# gradient and the push scratch (three arrays this size) fit in a 2 MB L2.
-# Timed from 32 KiB to 2 MiB: 128-512 KiB were fastest, smaller blocks pay
-# the per-block calls and larger ones spill out of L2.
+# Output bytes per row block of ``linear`` and hidden-block bytes per block
+# of whole windows of ``graph_tt`` (at least one window): the block of the
+# output, of its gradient and the push scratch (three arrays this size) fit
+# in a 2 MB L2.  Timed for ``linear`` from 32 KiB to 2 MiB: 128-512 KiB were
+# fastest, smaller blocks pay the per-block calls and larger ones spill out
+# of L2.
 _BLOCK_BYTES = 1 << 18
 # ``linear`` copies a weight with fewer columns than this into the layout
 # BLAS reads fastest (timed on one OpenBLAS thread: K <= 36 faster copied,
@@ -334,31 +327,87 @@ def recurrence(u: TapeNode, w_h: TapeNode, b_h: TapeNode, activation: str) -> Ta
     return TapeNode(h.transpose(1, 2, 0).reshape(batch, hidden * tau), (u, w_h, b_h), pushes)
 
 
-def tt_head(h: TapeNode, cores: Sequence[TapeNode]) -> TapeNode:
-    """The three-core tensor-train map of each ``(tau, P, H)`` block of ``h``, as one node.
+def _join_features(x: np.ndarray, ax: np.ndarray) -> np.ndarray:
+    """``concatenate((x, ax), -1)``, copying F-float rows as single items (2x faster)."""
+    row = np.dtype((np.void, x.shape[-1] * x.itemsize))
+    out = np.empty(x.shape[:-1] + (2 * x.shape[-1],))
+    halves = out.view(row)
+    halves[..., :1], halves[..., 1:] = np.ascontiguousarray(x).view(row), ax.view(row)
+    return out
 
+
+def graph_tt(
+    x: np.ndarray,
+    a: np.ndarray,
+    w: TapeNode,
+    cores: Sequence[TapeNode],
+    activation: str = "identity",
+) -> TapeNode:
+    """grgtn's and srgtn's graph filter and tensor-train head, as one node.
+
+    ``x`` (batch, tau, P, F) and the time adjacency ``a`` (tau, tau) are
+    data.  A acts on time and the weight on features, so the mix runs on
+    the input: ``h = act([x | A x] w^T)`` for an ``(H, 2F)`` weight (grgtn's
+    ``[W_x | W_r W_x]``, joined at the narrow width, not summed after two
+    hidden-width GEMMs) and ``act((x + A x) w^T)`` for an ``(H, F)`` one.
     Core k, ``(r_k, n_k, o_k, r_k+1)`` with ``r_0 = r_3 = 1``, is the matrix
-    ``(r_k n_k, o_k r_k+1)``.  Three GEMMs contract the time mode first, as a
-    left product on h viewed as ``(batch, tau, P H)``, then ``(r1, P)`` and
-    then ``(r2, H)``.  The result is ``(batch, o0 o1 o2)``, first output mode
-    fastest.  The four pushes share one backward: the same GEMMs in reverse.
+    ``(r_k n_k, o_k r_k+1)``; the result is ``(batch, o0 o1 o2)``, first
+    output mode fastest.
+
+    The op walks blocks of ``_BLOCK_BYTES // (8 tau P H)`` whole windows (at
+    least one): the mix, the GEMM with the activation in place, then core
+    0's left product on the block as (windows, tau, P H), so only the small
+    ``z1`` rows outlive it.  Contracting time first shrinks h the most
+    (Novikov et al. 2015, arXiv:1509.06569) and copies no layout of it;
+    cores 1 and 2 then contract (r1, P) and (r2, H) on all of ``z1``.  A
+    tape keeps ``h`` and each block's input; without one, one block of ``h``
+    is reused.  The five pushes share one backward: cores 2 and 1 on all
+    rows, then per block ``a0 @ dz``, the activation push and the block's
+    terms of the ``w`` and core-0 gradients, so the whole hidden block's
+    gradient never exists.  Core 0's terms add up window after window, as
+    one sum over all windows does.  ``w`` enters the GEMM as ``linear``'s.
     """
+    if isinstance(x, TapeNode) or isinstance(a, TapeNode):
+        raise ShapeError("graph_tt takes x and a as data only, got a node operand")
+    xv, av = np.asarray(x, float), np.asarray(a, float)
     shapes = [c.shape for c in cores]
-    if (len(h.shape) != 4 or len(shapes) != 3 or any(len(s) != 4 for s in shapes)
-            or tuple(s[1] for s in shapes) != h.shape[1:]
+    if (xv.ndim != 4 or av.shape != (xv.shape[1],) * 2 or len(w.shape) != 2
+            or w.shape[1] not in (xv.shape[3], 2 * xv.shape[3])
+            or len(shapes) != 3 or any(len(s) != 4 for s in shapes)
+            or tuple(s[1] for s in shapes) != xv.shape[1:3] + w.shape[:1]
             or [1] + [s[3] for s in shapes] != [s[0] for s in shapes] + [1]):
-        raise ShapeError(f"tt_head needs h (batch, tau, P, H) and cores (r_k, n_k, o_k, r_k+1) "
-                         f"chained from rank 1 to rank 1, got {h.shape} and {shapes}")
-    (batch, tau, phys, hidden), (o0, o1, o2) = h.shape, (s[2] for s in shapes)
-    r1, r2 = shapes[1][0], shapes[2][0]
+        raise ShapeError(f"graph_tt needs x (batch, tau, P, F), a (tau, tau), w (H, F) or "
+                         f"(H, 2F) and cores (r_k, n_k, o_k, r_k+1) over (tau, P, H) chained "
+                         f"from rank 1 to rank 1, got {xv.shape}, {av.shape}, {w.shape} "
+                         f"and {shapes}")
+    (batch, tau, phys, feat), (hidden, width) = xv.shape, w.shape
+    (o0, o1, o2), r1, r2 = (s[2] for s in shapes), shapes[1][0], shapes[2][0]
     a0, a1, a2 = (c.array.reshape(n, -1) for c, n in zip(cores, (tau, r1 * phys, r2 * hidden)))
-    h3 = h.array.reshape(batch, tau, phys * hidden)
-    z1 = (a0.T @ h3).reshape(batch * o0, r1 * phys, hidden)
+    fn, act_push = _ACTIVATIONS[activation]
+    wc = np.ascontiguousarray(w.array)
+    wt = np.ascontiguousarray(wc.T) if width < _SHORT_K else wc.T
+    step, keep = max(1, _BLOCK_BYTES // (8 * tau * phys * hidden)), _recording
+    starts = range(0, batch, step)
+    h = np.empty((batch if keep else min(batch, step), tau, phys, hidden))
+    z1 = np.empty((batch, o0 * r1, phys * hidden))
+    inputs = []
+    for lo in starts:
+        xb = xv[lo : lo + step]
+        k = len(xb)
+        ax = (av @ xb.reshape(k, tau, phys * feat)).reshape(xb.shape)
+        xin = _join_features(xb, ax) if width == 2 * feat else xb + ax
+        del ax
+        hb = h[lo : lo + k] if keep else h[:k]
+        rows = hb.reshape(-1, hidden)
+        np.matmul(xin.reshape(-1, width), wt, out=rows)
+        fn(rows, out=rows)
+        np.matmul(a0.T, hb.reshape(k, tau, phys * hidden), out=z1[lo : lo + k])
+        if keep:
+            inputs.append(xin)
+    z1 = z1.reshape(batch * o0, r1 * phys, hidden)
     z2 = (a1.T @ z1).reshape(batch * o0 * o1, r2 * hidden)
-    if not _recording:
-        del z1  # no push reads it
     out = (z2 @ a2).reshape(batch, o0, o1, o2).transpose(0, 3, 2, 1).reshape(batch, o2 * o1 * o0)
-    if not _recording:
+    if not keep:
         return TapeNode(out)
 
     def grads(g: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -368,12 +417,25 @@ def tt_head(h: TapeNode, cores: Sequence[TapeNode]) -> TapeNode:
         del g3
         d1 = (z1 @ np.swapaxes(dz, -1, -2)).sum(axis=0)
         dz = (a1 @ dz).reshape(batch, o0 * r1, phys * hidden)
-        d0 = (h3 @ np.swapaxes(dz, -1, -2)).sum(axis=0)
-        return (a0 @ dz).reshape(h.shape), d0, d1, d2
+        n = min(batch, step)
+        # terms[0] holds core 0's sum over the windows so far, ahead of the block's
+        terms, dw = np.zeros((n + 1, tau, o0 * r1)), np.zeros((hidden, width))
+        dh, push_out = np.empty((n, tau, phys * hidden)), np.empty((n * tau * phys, hidden))
+        for lo, xin in zip(starts, inputs):
+            k = len(xin)
+            hb, dzb = h[lo : lo + k], dz[lo : lo + k]
+            np.matmul(hb.reshape(k, tau, phys * hidden), np.swapaxes(dzb, -1, -2),
+                      out=terms[1 : k + 1])
+            terms[0] = terms[: k + 1].sum(axis=0)
+            np.matmul(a0, dzb, out=dh[:k])
+            d = act_push(dh[:k].reshape(-1, hidden), hb.reshape(-1, hidden),
+                         out=push_out[: k * tau * phys])
+            dw += d.T @ xin.reshape(-1, width)
+        return dw, terms[0], d1, d2
 
     pushes = _shared(grads, [lambda d, k=k, s=s: d[k].reshape(s) for k, s in
-                             enumerate([h.shape] + shapes)])
-    return TapeNode(out, (h, *cores), pushes)
+                             enumerate([w.shape] + shapes)])
+    return TapeNode(out, (w, *cores), pushes)
 
 
 def _residual(pred: TapeNode, target: np.ndarray, name: str) -> tuple[np.ndarray, float]:

@@ -19,27 +19,15 @@ Flattened vectors put the first mode fastest: a (tau, physical, hidden)
 block flattens with the time index varying fastest, as a checkpoint
 payload does.
 
-Each stage is one tape op: ``linear`` (projection), a data ``matmul``
-(time mix), ``filter_weight`` (grgtn's [W_x | W_r W_x]), ``recurrence``
-(the rnn's steps and their flatten), ``tt_head`` or ``linear`` (head), then
-``add_bias``.  The window x and the time adjacency A are plain arrays, so
-neither is a tape node and no gradient is computed for them.
-
-* time mix, on the input: A acts on time and W_x on features, so
-  ``A (x W_x^T) = (A x) W_x^T``, one GEMM on x as (batch, tau, phys * feat);
-* projection: one ``linear`` node, whose GEMM writes the hidden block once
-  and whose activation runs in place, one cache-sized row block at a time:
-  ``act((x + A x) W_x^T)`` for srgtn, ``act([x | A x] [W_x | W_r W_x]^T)``
-  for grgtn, data joined at the narrow feature width, not summed after two
-  hidden-width GEMMs.  A weight as short as K = F or 2F enters as a
-  C-contiguous copy of its transpose: OpenBLAS is slower on a ``.T`` view
-  with so short an inner dimension;
-* TT head: the time mode first, as a left product of core 0 on h viewed as
-  (batch, tau, physical * hidden); then (rank, physical) with core 1 and
-  (rank, hidden) with core 2.  Contracting the mode that shrinks the block
-  most first (Novikov et al. 2015, arXiv:1509.06569) means h itself is
-  never copied and cores 1 and 2 see a block tau / (o0 r1) times smaller.
-  Contracting the hidden mode first would copy h into a transposed layout.
+Each stage is one tape op.  grgtn and srgtn: ``filter_weight`` (grgtn's
+[W_x | W_r W_x]), then ``graph_tt`` (the time mix on the input, the
+projection with its activation and the TT head, over blocks of whole
+windows, so the hidden block's gradient never exists whole), then
+``add_bias``.  rnn: ``linear`` (projection), ``recurrence`` (the steps
+and their flatten), ``linear`` (head), then ``add_bias``.  The window x
+and the time adjacency A are plain arrays, so neither is a tape node and
+no gradient is computed for them.  ``autodiff.graph_tt`` gives the order
+in which the graph variants contract and why.
 
 The rnn projects the inputs of all steps in one ``linear`` on a time-major
 copy of x and runs the recurrence as one ``autodiff.recurrence`` node, so
@@ -177,15 +165,6 @@ def _as_nodes(values: Mapping[str, ad.TapeNode | np.ndarray]) -> dict[str, ad.Ta
     }
 
 
-def _join_features(x: np.ndarray, ax: np.ndarray) -> np.ndarray:
-    """``concatenate((x, ax), -1)``, copying F-float rows as single items (2x faster)."""
-    row = np.dtype((np.void, x.shape[-1] * x.itemsize))
-    out = np.empty(x.shape[:-1] + (2 * x.shape[-1],))
-    halves = out.view(row)
-    halves[..., :1], halves[..., 1:] = np.ascontiguousarray(x).view(row), ax.view(row)
-    return out
-
-
 def _check_param_shapes(config: ModelConfig, nodes: Mapping[str, ad.TapeNode]) -> None:
     expected = param_shapes(config)
     if nodes.keys() != expected.keys():
@@ -200,22 +179,12 @@ def _check_param_shapes(config: ModelConfig, nodes: Mapping[str, ad.TapeNode]) -
 
 
 def _hidden(config: ModelConfig, nodes: Mapping[str, ad.TapeNode], x: np.ndarray) -> ad.TapeNode:
-    """The head's input: (batch, tau, physical, hidden), or the rnn's (batch, hidden * tau) rows."""
+    """The rnn's dense head input: its hidden states as rows (batch, hidden * tau), time fastest."""
     batch, tau, phys, feat = x.shape  # sizes, not -1: numpy cannot infer one for 0 windows
-    if config.variant == "rnn":
-        # time-major, physical index fastest within a step; one GEMM for all steps
-        flat = x.transpose(1, 0, 3, 2).reshape(tau, batch, phys * feat)
-        u = ad.linear(flat, nodes["w_x"])
-        return ad.recurrence(u, nodes["w_h"], nodes["b_h"], config.activation)
-    a_asc = build_time_adjacency(config.tau, config.c)
-    ax = ad.matmul(a_asc, x.reshape(batch, tau, phys * feat)).array.reshape(x.shape)  # off the tape
-    if config.variant == "grgtn":
-        w = ad.filter_weight(nodes["w_r"], nodes["w_x"])
-        x = _join_features(x, ax)
-    else:
-        x, w = x + ax, nodes["w_x"]
-    del ax  # freed before the GEMM writes the hidden block
-    return ad.linear(x, w, config.activation)
+    # time-major, physical index fastest within a step; one GEMM for all steps
+    flat = x.transpose(1, 0, 3, 2).reshape(tau, batch, phys * feat)
+    u = ad.linear(flat, nodes["w_x"])
+    return ad.recurrence(u, nodes["w_h"], nodes["b_h"], config.activation)
 
 
 def _checked(
@@ -235,11 +204,14 @@ def _checked(
 
 def _body(config: ModelConfig, nodes: Mapping[str, ad.TapeNode], x: np.ndarray) -> ad.TapeNode:
     """The (batch, out_dim) output node of checked windows: hidden block, head, bias."""
-    h = _hidden(config, nodes, x)
     if config.variant == "rnn":
-        out = ad.linear(h, nodes["head.w"])
+        out = ad.linear(_hidden(config, nodes, x), nodes["head.w"])
     else:
-        out = ad.tt_head(h, [nodes[f"head.core{k}"] for k in range(3)])
+        w = nodes["w_x"]
+        if config.variant == "grgtn":
+            w = ad.filter_weight(nodes["w_r"], w)
+        out = ad.graph_tt(x, build_time_adjacency(config.tau, config.c), w,
+                          [nodes[f"head.core{k}"] for k in range(3)], config.activation)
     return ad.add_bias(out, nodes["head.bias"])
 
 
@@ -252,16 +224,29 @@ def forward(
     return _body(config, *_checked(config, values, x))
 
 
-# Bytes of the head's input per ``predict`` block, which holds as many whole
-# windows of ``prod(feature_block)`` float64s as fit.  Swept at 1, 2, 4, 8 and
-# 16 MiB and at one block per batch, for each variant at predict-stream's
-# shape (1024 windows) and wide-train's (256), on one OpenBLAS thread (process
-# CPU, best of 7): 1-4 MiB tie within noise (grgtn 38-47 and 51-53 ms); 8 MiB
-# is up to 35% slower (rnn) and 16 MiB up to 40%; one block per batch is
-# 50-85% slower (grgtn, srgtn) and takes 15x the memory of 4 MiB blocks.
-# From 2 MiB up, wide-train's 8-window predicts and small-train's whole test
-# split are one block each.
+# Bytes of a ``predict`` block's working set, which holds as many whole
+# windows as fit (``_window_bytes``).  Swept, with every variant's window
+# then sized by its hidden block alone, at 1, 2, 4, 8 and 16 MiB and at
+# one block per batch, for each variant at predict-stream's shape (1024
+# windows) and wide-train's (256), on one OpenBLAS thread (process CPU, best
+# of 7): 1-4 MiB tie within noise (grgtn 38-47 and 51-53 ms); 8 MiB is up to
+# 35% slower (rnn) and 16 MiB up to 40%; one block per batch is 50-85% slower
+# (grgtn, srgtn) and takes 15x the memory of 4 MiB blocks.  From 2 MiB up,
+# wide-train's 8-window predicts and small-train's whole test split are one
+# block each.
 WINDOW_BLOCK_BYTES = 16 * ad._BLOCK_BYTES
+
+
+def _window_bytes(config: ModelConfig) -> int:
+    """Bytes of one window in a ``predict`` block, from the shapes.
+
+    The rnn holds at once the time-major copy of x, the projection u, the
+    states h and the head's rows.  The graph variants count their hidden
+    block, which ``graph_tt`` writes a few windows at a time.
+    """
+    if config.variant == "rnn":
+        return 8 * config.tau * (config.d_phys * config.d_feat + 3 * config.hidden)
+    return 8 * prod(config.feature_block)
 
 
 def predict(
@@ -271,13 +256,13 @@ def predict(
 ) -> np.ndarray:
     """``forward(...).array`` of each block of windows in turn, computed without a tape.
 
-    A block is as many whole windows as fill ``WINDOW_BLOCK_BYTES`` of the
-    head's input, so memory is bounded by the block and not by the batch.
-    A batch of one block is returned as its block's array, with no output
-    buffer alive under the block's peak.
+    A block is as many whole windows as fit in ``WINDOW_BLOCK_BYTES`` by
+    ``_window_bytes``, so memory is bounded by the block and not by the
+    batch.  A batch of one block is returned as its block's array, with no
+    output buffer alive under the block's peak.
     """
     nodes, x = _checked(config, values, x)
-    step = max(1, WINDOW_BLOCK_BYTES // (8 * prod(config.feature_block)))
+    step = max(1, WINDOW_BLOCK_BYTES // _window_bytes(config))
     with ad.no_tape():
         if len(x) <= step:
             return _body(config, nodes, x).array

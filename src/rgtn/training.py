@@ -149,6 +149,8 @@ def train(
             ad.backward(loss)
             for name, node in nodes.items():
                 store.grad_views[name][...] = node.grad
+            # drop this step's tape now, not when the next forward returns
+            del loss, nodes
             adam_step(store, config)
             loss_sum += value * len(batch)
             seen += len(batch)

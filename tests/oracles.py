@@ -3,22 +3,23 @@
 The model references evaluate what the paper defines by plain loops or by
 building the dense matrix, and ``raw_checkpoint`` writes the checkpoint
 layout byte by byte; none of them calls ``rgtn``.  ``hidden_node``,
-``hidden_rows`` and ``hidden_states`` run ``rgtn.models._hidden``, the part
-of ``forward`` before the output head, so a test can compare the filtered
-hidden-state block against a reference; ``head_rows`` flattens that block
-in NumPy, without tape ops.
+``hidden_rows`` and ``hidden_states`` read the block a model's head reads,
+so a test can compare the filtered hidden-state block against a reference:
+the graph variants' through ``forward`` with an identity tensor-train head,
+the rnn's through ``rgtn.models._hidden``, the part of its forward before
+the dense head.
 """
 
 import hashlib
 import json
 import struct
-
+from dataclasses import replace
 from math import prod
 
 import numpy as np
 
 from rgtn import autodiff as ad
-from rgtn.models import HeadConfig, ModelConfig, _hidden, init_params
+from rgtn.models import HeadConfig, ModelConfig, _hidden, forward, init_params
 
 
 def random_idempotent(rng, m, rank=None):
@@ -148,28 +149,43 @@ def with_head(config, body):
 
 
 def body_params(values):
-    """The parameters ``models._hidden`` reads: all but the head's."""
+    """The parameters of a model's body: all but the head's."""
     return {k: v for k, v in values.items() if not k.startswith("head.")}
 
 
-def hidden_node(config, values, x):
-    """The block ``forward`` hands its head: the tape node ``_hidden`` returns.
+def identity_head(config, values):
+    """The graph config and parameters whose head passes the hidden block through unchanged.
 
-    (batch, tau, physical, hidden) for the graph variants; the rnn's
-    recurrence already emits its rows, (batch, hidden * tau), time fastest.
+    Ranks (1, 1), out_modes = (tau, physical, hidden), identity cores and a
+    zero bias: ``forward`` then returns the block flattened first mode
+    fastest, exactly, as one row per window.
     """
-    nodes = {
-        k: v if isinstance(v, ad.TapeNode) else ad.constant(np.asarray(v, float))
-        for k, v in values.items()
-    }
-    return _hidden(config, nodes, np.asarray(x, float))
+    block = config.feature_block
+    cfg = replace(config, out_dim=prod(block), head=HeadConfig(ranks=(1, 1), out_modes=block))
+    head = {f"head.core{k}": np.eye(n)[None, :, :, None] for k, n in enumerate(block)}
+    return cfg, {**values, **head, "head.bias": np.zeros(cfg.out_dim)}
 
 
-def head_rows(config, h):
-    """``hidden_node``'s array as one row per window, flattened first mode fastest."""
+def hidden_node(config, values, x):
+    """The block the head reads, one row per window, flattened first mode fastest, as a node.
+
+    (batch, tau * physical * hidden) for the graph variants, read through
+    ``identity_head``; (batch, hidden * tau) for the rnn, whose recurrence
+    already emits its rows.
+    """
     if config.variant == "rnn":
-        return h
-    return h.transpose(0, 3, 2, 1).reshape(len(h), prod(config.feature_block))
+        nodes = {
+            k: v if isinstance(v, ad.TapeNode) else ad.constant(np.asarray(v, float))
+            for k, v in values.items()
+        }
+        return _hidden(config, nodes, np.asarray(x, float))
+    return forward(*identity_head(config, values), x)
+
+
+def hidden_rows(config, values, x):
+    """``hidden_node``'s array computed without a tape."""
+    with ad.no_tape():
+        return hidden_node(config, values, x).array
 
 
 def unflatten(flat, block):
@@ -178,14 +194,8 @@ def unflatten(flat, block):
     return rev.transpose((0,) + tuple(range(rev.ndim - 1, 0, -1)))
 
 
-def hidden_rows(config, values, x):
-    """``hidden_node``'s array computed without a tape, as ``head_rows``."""
-    with ad.no_tape():
-        return head_rows(config, hidden_node(config, values, x).array)
-
-
 def hidden_states(config, values, x):
-    """The block ``forward`` hands its head, as (batch,) + config.feature_block."""
+    """The block the head reads, as (batch,) + config.feature_block."""
     return unflatten(hidden_rows(config, values, x), config.feature_block)
 
 

@@ -10,6 +10,7 @@ import pytest
 
 from oracles import tt_head_matrix
 from rgtn import autodiff as ad
+from rgtn.models import HeadConfig, ModelConfig, forward, init_params
 from rgtn.tensor import ShapeError
 
 
@@ -116,19 +117,25 @@ class TestTensordot:
 
 
 class TestMatmul:
-    """The GEMM ops: ``matmul`` on data only, ``linear`` with an ndarray operand as data."""
+    """The GEMM ops: ``linear`` with an ndarray operand as data, and ``graph_tt``'s
+    product of the time adjacency and a window batch, on data only."""
 
     def test_batched_right_operand_under_2d_left(self):
-        # data only, as the time adjacency meets a batch of windows: no push
+        # data only, as the time adjacency meets a batch of windows: no push;
+        # an identity weight and head read the mixed windows x + A x back out
         rng = np.random.default_rng(31)
-        a = rng.standard_normal((3, 4))
-        b = rng.standard_normal((2, 2, 4, 5))
-        out = ad.matmul(a, b)
-        np.testing.assert_array_equal(out.array, a @ b)
-        assert out.parents == () and out.pushes == ()
+        a = rng.standard_normal((3, 3))
+        b = rng.standard_normal((2, 3, 2, 4))
+        w, cores = ad.constant(np.eye(4)), [ad.constant(np.eye(n)[None, :, :, None])
+                                            for n in (3, 2, 4)]
+        out = ad.graph_tt(b, a, w, cores)
+        expect = b + (a @ b.reshape(2, 3, 8)).reshape(b.shape)
+        np.testing.assert_allclose(out.array, expect.transpose(0, 3, 2, 1).reshape(2, -1),
+                                   atol=1e-12)
+        assert out.parents == (w, *cores)
         for left, right in ((ad.constant(a), b), (a, ad.constant(b))):
             with pytest.raises(ShapeError, match="data only"):
-                ad.matmul(left, right)
+                ad.graph_tt(right, left, w, cores)
 
     def test_both_operands_transposed(self):
         # a.T @ b.T as linear on a transposed view: the weight enters transposed too
@@ -178,14 +185,14 @@ class TestMatmul:
         np.testing.assert_allclose(x.grad, np.broadcast_to(w.sum(0) / 30.0, a.shape), atol=1e-12)
 
     def test_shape_errors(self):
-        with pytest.raises(ShapeError):
-            ad.matmul(np.ones((2, 3)), np.ones((4, 2)))
-        with pytest.raises(ShapeError):
-            ad.matmul(np.ones((2, 2, 3)), np.ones((2, 3, 4)))
-        with pytest.raises(ShapeError):
-            ad.matmul(np.ones(3), np.ones((3, 4)))
-        with pytest.raises(ShapeError):
-            ad.matmul(ad.constant(np.ones((4, 2))), np.ones((3, 2, 5)))
+        # the adjacency must be (tau, tau) for the window's tau, and x a 4-D batch
+        w, cores = ad.constant(np.eye(4)), [ad.constant(np.eye(n)[None, :, :, None])
+                                            for n in (3, 2, 4)]
+        x = np.ones((2, 3, 2, 4))
+        for bad_x, bad_a in ((x, np.ones((3, 2))), (x, np.ones((2, 2))), (x, np.ones(3)),
+                             (x[0], np.ones((3, 3))), (x[:, :2], np.ones((3, 3)))):
+            with pytest.raises(ShapeError):
+                ad.graph_tt(bad_x, bad_a, w, cores)
 
 
 ACTIVATIONS = ["tanh", "sigmoid", "relu", "identity"]
@@ -451,43 +458,57 @@ class TestRecurrence:
                 ad.recurrence(*(ad.constant(a) for a in bad), "tanh")
 
 
+def graph_arrays(rng, batch, joined=True):
+    """``graph_tt``'s inputs: windows, adjacency, weight (grgtn's width if joined) and cores."""
+    (tau, phys, hidden), out, full, feat = (3, 2, 4), (2, 3, 2), (1, 2, 3, 1), 2
+    cores = [rng.standard_normal((full[k], n, o, full[k + 1])) * 0.5
+             for k, (n, o) in enumerate(zip((tau, phys, hidden), out))]
+    x = rng.standard_normal((batch, tau, phys, feat))
+    a = np.tril(rng.standard_normal((tau, tau)), -1) * 0.5
+    w = rng.standard_normal((hidden, 2 * feat if joined else feat)) * 0.5
+    return x, a, w, cores
+
+
+def graph_input(x, a, w):
+    """The GEMM input ``graph_tt`` builds: ``[x | A x]`` or ``x + A x`` by the weight's width."""
+    ax = np.einsum("ts,bspf->btpf", a, x)
+    return np.concatenate((x, ax), -1) if w.shape[1] == 2 * x.shape[-1] else x + ax
+
+
+def graph_reference(x, a, w, cores, activation):
+    """``graph_tt``'s rows: the hidden block flattened first mode fastest, times the head's matrix."""
+    h = ad._ACTIVATIONS[activation][0](graph_input(x, a, w) @ w.T)
+    return h.transpose(0, 3, 2, 1).reshape(len(x), -1) @ tt_head_matrix(cores)
+
+
 class TestTTHead:
-    """``tt_head``: every mode > 1 and unequal ranks, so no reshape can pass by accident."""
-
-    BLOCK, OUT, RANKS = (3, 2, 4), (2, 3, 2), (2, 3)
-
-    def arrays(self, rng, batch):
-        full = (1,) + self.RANKS + (1,)
-        cores = [rng.standard_normal((full[k], n, o, full[k + 1]))
-                 for k, (n, o) in enumerate(zip(self.BLOCK, self.OUT))]
-        return rng.standard_normal((batch,) + self.BLOCK), cores
+    """The tensor-train head inside ``graph_tt``: every mode > 1 and unequal ranks,
+    so no reshape can pass by accident."""
 
     def test_forward_equals_the_dense_matrix(self):
-        h, cores = self.arrays(np.random.default_rng(50), batch=5)
-        out = ad.tt_head(ad.constant(h), [ad.constant(c) for c in cores]).array
-        flat = h.transpose(0, 3, 2, 1).reshape(5, -1)  # first mode fastest
-        np.testing.assert_allclose(out, flat @ tt_head_matrix(cores), atol=1e-12)
+        x, a, w, cores = graph_arrays(np.random.default_rng(50), batch=5)
+        out = ad.graph_tt(x, a, ad.constant(w), [ad.constant(c) for c in cores], "tanh").array
+        np.testing.assert_allclose(out, graph_reference(x, a, w, cores, "tanh"), atol=1e-12)
 
     def test_gradients_match_finite_differences(self):
-        h, cores = self.arrays(np.random.default_rng(51), batch=2)
-        check_gradients(lambda u, *c: square_mean(ad.tt_head(u, c)), [h, *cores])
+        x, a, w, cores = graph_arrays(np.random.default_rng(51), batch=2)
+        check_gradients(lambda v, *c: square_mean(ad.graph_tt(x, a, v, c, "tanh")), [w, *cores])
 
     def test_zero_windows(self):
-        h, cores = self.arrays(np.random.default_rng(52), batch=0)
-        u, c = ad.constant(h), [ad.constant(a) for a in cores]
-        out = ad.tt_head(u, c)
-        assert out.shape == (0, 12) and out.parents == (u, *c)
+        x, a, w, cores = graph_arrays(np.random.default_rng(52), batch=0)
+        v, c = ad.constant(w), [ad.constant(arr) for arr in cores]
+        out = ad.graph_tt(x, a, v, c, "tanh")
+        assert out.shape == (0, 12) and out.parents == (v, *c)
         grads = [push(np.zeros(out.shape)) for push in out.pushes]
-        assert grads[0].shape == h.shape
-        for got, core in zip(grads[1:], cores):
-            np.testing.assert_array_equal(got, np.zeros(core.shape))
+        for got, value in zip(grads, [w, *cores]):
+            np.testing.assert_array_equal(got, np.zeros(value.shape))
 
     def test_pushes_share_one_backward_and_release_it(self):
-        h, cores = self.arrays(np.random.default_rng(53), batch=3)
-        out = ad.tt_head(ad.constant(h), [ad.constant(c) for c in cores])
+        x, a, w, cores = graph_arrays(np.random.default_rng(53), batch=3)
+        out = ad.graph_tt(x, a, ad.constant(w), [ad.constant(c) for c in cores], "tanh")
         g = np.ones(out.shape)
-        dh = out.pushes[0](g)
-        assert np.shares_memory(out.pushes[0](g), dh)  # computed once for this g
+        dw = out.pushes[0](g)
+        assert np.shares_memory(out.pushes[0](g), dw)  # computed once for this g
         for push in out.pushes[1:]:
             push(g)
         ref = weakref.ref(g)  # the last push dropped the shared result
@@ -495,20 +516,70 @@ class TestTTHead:
         assert ref() is None
 
     def test_no_tape_keeps_no_inputs(self):
-        h, cores = self.arrays(np.random.default_rng(54), batch=2)
-        nodes = [ad.constant(c) for c in cores]
+        x, a, w, cores = graph_arrays(np.random.default_rng(54), batch=2)
+        v, nodes = ad.constant(w), [ad.constant(c) for c in cores]
         with ad.no_tape():
-            out = ad.tt_head(ad.constant(h), nodes)
+            out = ad.graph_tt(x, a, v, nodes, "tanh")
         assert out.parents == () and out.pushes == ()
-        np.testing.assert_array_equal(out.array, ad.tt_head(ad.constant(h), nodes).array)
+        np.testing.assert_array_equal(out.array, ad.graph_tt(x, a, v, nodes, "tanh").array)
 
     def test_shape_errors(self):
-        h, cores = self.arrays(np.random.default_rng(55), batch=2)
-        for bad_h, bad_cores in ((h[0], cores), (h, cores[:2]), (h[:, :2], cores),
-                                 (h, [cores[0], cores[1][:1], cores[2]]),
-                                 (h, [cores[0][0], *cores[1:]])):
+        x, a, w, cores = graph_arrays(np.random.default_rng(55), batch=2)
+        for bad_w, bad_cores in ((w, cores[:2]), (w[:, :3], cores), (w[:3], cores),
+                                 (w, [cores[0], cores[1][:1], cores[2]]),
+                                 (w, [cores[0][0], *cores[1:]]),
+                                 (w, [cores[0], cores[1][:, :1], cores[2]])):
             with pytest.raises(ShapeError):
-                ad.tt_head(ad.constant(bad_h), [ad.constant(c) for c in bad_cores])
+                ad.graph_tt(x, a, ad.constant(bad_w), [ad.constant(c) for c in bad_cores])
+
+
+class TestGraphTT:
+    """``graph_tt`` over blocks of whole windows, for both weight widths."""
+
+    @pytest.mark.parametrize("activation", ACTIVATIONS)
+    @pytest.mark.parametrize("joined", [True, False], ids=["grgtn", "srgtn"])
+    def test_gradients_match_finite_differences(self, joined, activation):
+        x, a, w, cores = graph_arrays(np.random.default_rng(58), batch=2, joined=joined)
+        # relu's kink is beyond the finite-difference step
+        assert np.abs(graph_input(x, a, w) @ w.T).min() > 0.01
+        check_gradients(lambda v, *c: square_mean(ad.graph_tt(x, a, v, c, activation)),
+                        [w, *cores])
+        np.testing.assert_allclose(
+            ad.graph_tt(x, a, ad.constant(w), [ad.constant(c) for c in cores], activation).array,
+            graph_reference(x, a, w, cores, activation), atol=1e-12)
+
+    @pytest.mark.parametrize("activation", ACTIVATIONS)
+    @pytest.mark.parametrize("joined", [True, False], ids=["grgtn", "srgtn"])
+    def test_blocks_of_two_windows_match_one_block(self, joined, activation, monkeypatch):
+        x, a, w, cores = graph_arrays(np.random.default_rng(57), batch=7, joined=joined)
+        g = np.random.default_rng(56).standard_normal((7, 12))
+        results = []
+        for block_bytes in (ad._BLOCK_BYTES, 2 * 8 * np.prod(x.shape[1:3]) * w.shape[0]):
+            monkeypatch.setattr(ad, "_BLOCK_BYTES", int(block_bytes))
+            out = ad.graph_tt(x, a, ad.constant(w), [ad.constant(c) for c in cores], activation)
+            results.append([out.array] + [push(g) for push in out.pushes])
+        for one, blocked in zip(*results):
+            np.testing.assert_allclose(blocked, one, rtol=1e-12, atol=0)
+
+    def test_backward_keeps_no_gradient_of_the_hidden_block(self):
+        # wide-train's grgtn step: the kept h, the kept inputs [x | A x] and the
+        # small head rows, but no hidden-sized gradient
+        cfg = ModelConfig(variant="grgtn", tau=64, d_phys=16, d_feat=8, hidden=32, out_dim=2,
+                          activation="tanh", head=HeadConfig(ranks=(4, 4), out_modes=(1, 1, 2)))
+        rng = np.random.default_rng(59)
+        x = rng.standard_normal((64, cfg.tau, cfg.d_phys, cfg.d_feat))
+        labels = rng.integers(0, 2, 64)
+        values = init_params(cfg, seed=1)
+        hidden_bytes = 8 * len(x) * cfg.tau * cfg.d_phys * cfg.hidden
+        tracemalloc.start()
+        try:
+            nodes = {k: ad.constant(v) for k, v in values.items()}
+            ad.backward(ad.cross_entropy_loss(forward(cfg, nodes, x), labels))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(node.grad is not None for node in nodes.values())
+        assert peak < 2 * hidden_bytes
 
 
 class TestLosses:

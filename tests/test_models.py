@@ -1,6 +1,7 @@
 """Model assemblies: equivalence with the oracles, counts, gradients, aliasing."""
 
 import re
+import tracemalloc
 from math import prod
 
 import numpy as np
@@ -9,7 +10,6 @@ import pytest
 from oracles import (
     block_map,
     body_params,
-    head_rows,
     hidden_node,
     hidden_rows,
     hidden_states,
@@ -36,7 +36,7 @@ from rgtn.training import LOSS_TASKS, _loss_node
 
 # Tests parametrized by (variant, head) name the head the variant has, tt on
 # grgtn and srgtn and dense on the rnn, or "none": they then read the hidden
-# block forward hands its head, through ``oracles.hidden_node``.
+# block the head reads, through ``oracles.hidden_node``.
 
 
 def small_config(variant, activation="tanh", tau=3, d=2, f=3, m=4, out=4, out_modes=(1, 2, 2)):
@@ -59,14 +59,14 @@ def params_for(cfg, head, seed):
 
 
 def output(cfg, values, x, head):
-    """``forward``, or with head "none" the node it hands its head."""
+    """``forward``, or with head "none" the hidden block's rows as a node."""
     return hidden_node(cfg, values, x) if head == "none" else forward(cfg, values, x)
 
 
 def untaped_and_taped(cfg, values, x, head):
     """``output``'s rows computed without a tape (``predict``) and on one."""
     if head == "none":
-        return hidden_rows(cfg, values, x), head_rows(cfg, output(cfg, values, x, head).array)
+        return hidden_rows(cfg, values, x), output(cfg, values, x, head).array
     return predict(cfg, values, x), output(cfg, values, x, head).array
 
 
@@ -399,22 +399,21 @@ class TestTape:
             assert node.grad.shape == node.shape, name
 
     @pytest.mark.parametrize("variant", ["grgtn", "srgtn"])
-    def test_one_hidden_width_node_per_forward(self, variant):
-        # the projection and its activation are one node; the mix runs on the
-        # input, off the tape
+    def test_no_hidden_width_node_per_forward(self, variant):
+        # the mix, the projection, its activation and the head are one node,
+        # which keeps the hidden block inside its backward
         rng = np.random.default_rng(15)
         cfg = small_config(variant, tau=7, d=2, f=3, m=5)
         x = rng.standard_normal((6, cfg.tau, cfg.d_phys, cfg.d_feat))
         nodes = {k: ad.constant(v) for k, v in init_params(cfg, seed=4).items()}
         graph = _walk(forward(cfg, nodes, x))
         hidden_block = (6, cfg.tau, cfg.d_phys, cfg.hidden)
-        assert sum(node.shape == hidden_block for node in graph) == 1
+        assert sum(node.shape == hidden_block for node in graph) == 0
 
     # nodes per training forward+loss at the bench_synth shape, parameters included:
-    # each stage is one op; "none" counts the body and the loss
+    # each stage is one op; the rnn's "none" counts its body and the loss
     @pytest.mark.parametrize("variant,head,nodes", [
-        ("grgtn", "tt", 11), ("srgtn", "tt", 9), ("rnn", "dense", 10),
-        ("grgtn", "none", 5), ("srgtn", "none", 3), ("rnn", "none", 6),
+        ("grgtn", "tt", 10), ("srgtn", "tt", 8), ("rnn", "dense", 10), ("rnn", "none", 6),
     ])
     def test_nodes_per_step(self, variant, head, nodes):
         cfg = small_config(variant, activation="identity", tau=6, d=4, f=3, m=8, out=12,
@@ -448,7 +447,7 @@ class TestTape:
 
 def two_window_blocks(monkeypatch, cfg):
     """Make ``predict`` walk ``cfg``'s windows two at a time."""
-    monkeypatch.setattr(models, "WINDOW_BLOCK_BYTES", 2 * 8 * prod(cfg.feature_block))
+    monkeypatch.setattr(models, "WINDOW_BLOCK_BYTES", 2 * models._window_bytes(cfg))
 
 
 class TestPredictBlocks:
@@ -486,6 +485,23 @@ class TestPredictBlocks:
             forward(cfg, values, x)
         with pytest.raises(ValueError, match=re.escape(str(taped.value))):
             predict(cfg, values, x)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_memory_is_bounded_by_the_block(self, variant):
+        # predict-stream's shape over many blocks: the block's working set,
+        # the rnn's time-major copy of x, u, h and rows included, sizes them
+        cfg = ModelConfig(variant=variant, tau=64, d_phys=8, d_feat=4, hidden=16, out_dim=32,
+                          head=HeadConfig(ranks=(2, 2), out_modes=(1, 8, 4)))
+        x = np.random.default_rng(21).standard_normal((512, cfg.tau, cfg.d_phys, cfg.d_feat))
+        assert len(x) >= 4 * (models.WINDOW_BLOCK_BYTES // models._window_bytes(cfg))
+        values = init_params(cfg, seed=9)
+        tracemalloc.start()
+        try:
+            predict(cfg, values, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * models.WINDOW_BLOCK_BYTES
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_batch_one_matches_batched(self, variant):

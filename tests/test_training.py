@@ -1,5 +1,6 @@
 """Optimizer oracle, training determinism, convergence, and metrics tests."""
 
+import weakref
 from math import prod
 
 import numpy as np
@@ -200,6 +201,28 @@ class TestTrainLoop:
         model, ds, config = regression_setup(epochs=1)
         with pytest.raises(FloatingPointError, match="head.bias"):
             train(model, ds, config)
+
+    def test_previous_step_tape_is_freed_before_the_next_forward(self, monkeypatch):
+        # the last step's tape holds the hidden block: it must not stay alive
+        # through the next forward, which writes one of its own
+        from rgtn import training
+
+        refs, all_dead = [], []
+
+        def forward_checked(*args):
+            all_dead.append(all(ref() is None for ref in refs))
+            return forward(*args)
+
+        def loss_recorded(*args):
+            node = _loss_node(*args)
+            refs.append(weakref.ref(node))
+            return node
+
+        monkeypatch.setattr(training, "forward", forward_checked)
+        monkeypatch.setattr(training, "_loss_node", loss_recorded)
+        model, ds, config = regression_setup(epochs=2)
+        train(model, ds, config)
+        assert len(all_dead) > 3 and all(all_dead)
 
     def test_divergence_aborts_with_trace(self):
         # Adam steps are bounded by the learning rate, so overflow needs an
