@@ -26,13 +26,12 @@ and ``graph_tt`` return before they build their backward closures.
 Nodes hold their arrays without copying, and a node's gradient may be the
 very array its child received, so value and gradient arrays are shared:
 no operation, push or caller may write into one in place.  The exceptions
-are arrays an op has just allocated and no other node holds: ``linear``'s
-activation runs in place on each row block of the GEMM's output, so the
-block is written once and not twice, and its backward writes each block's
-activation push into one scratch block that it allocates and drops, and
-the gradient of ``x`` straight into its result.  ``graph_tt`` does the
-same into the hidden block ``h`` that it keeps for its backward (one
-reused block without a tape); its backward writes each block's ``a0 @ dz``
+are arrays an op has just allocated and no other node holds: ``linear``
+writes each row block's GEMM into its output and its backward writes the
+gradient of ``x`` straight into its result.  ``graph_tt`` runs its
+activation in place on each block of the hidden block ``h`` that it keeps
+for its backward (one reused block without a tape), so the block is
+written once and not twice; its backward writes each block's ``a0 @ dz``
 into one scratch block and the activation push into a second, since a
 push may not write into its own input.  ``recurrence`` writes each step's
 push straight into its gradient.
@@ -159,37 +158,30 @@ def _shared(first: Callable[[np.ndarray], np.ndarray], consumers) -> tuple[Calla
     return tuple(make(c, i == len(consumers) - 1) for i, c in enumerate(consumers))
 
 
-def linear(
-    x: TapeNode | np.ndarray, w: TapeNode | np.ndarray, activation: str = "identity"
-) -> TapeNode:
-    """``act(x @ w.T)`` for a 2-D ``w``, over all leading axes of ``x`` as rows.
+def linear(x: TapeNode | np.ndarray, w: TapeNode | np.ndarray) -> TapeNode:
+    """``x @ w.T`` for a 2-D ``w``, over all leading axes of ``x`` as rows.
 
     The output is allocated once and filled one row block of ``_BLOCK_BYTES``
-    at a time: the block's GEMM writes it and the activation, named as for
-    ``recurrence``, runs in place on it while it is still in cache.  The
-    backward walks the same blocks with one scratch block: the activation
-    push of the block's gradient goes into it, ``w``'s gradient adds up its
-    GEMM against the block of ``x`` and ``x``'s gradient block is written in
-    place, so no output-sized temporary is made.  Both pushes share that
-    walk.  The layout of ``w`` follows from its shape alone: below
-    ``_SHORT_K`` columns it enters as a C-contiguous copy of ``w.T``, since
-    OpenBLAS multiplies by a ``.T`` view with a short inner dimension about
-    twice as slowly, and from there on as that view, which saves the copy.
+    at a time.  The backward walks the same blocks: ``w``'s gradient adds up
+    the GEMM of each block's gradient against the block of ``x``, and ``x``'s
+    gradient block is written in place, so no output-sized temporary is
+    made.  Both pushes share that walk.  The layout of ``w`` follows from its
+    shape alone: below ``_SHORT_K`` columns it enters as a C-contiguous copy
+    of ``w.T``, since OpenBLAS multiplies by a ``.T`` view with a short inner
+    dimension about twice as slowly, and from there on as that view, which
+    saves the copy.
     """
     xv, wv = _value(x), _value(w)
     if wv.ndim != 2 or xv.ndim < 2 or xv.shape[-1] != wv.shape[1]:
         raise ShapeError(f"linear needs x (..., K) of 2 or more axes and w (N, K), "
                          f"got {xv.shape} and {wv.shape}")
     n, k = wv.shape
-    fn, act_push = _ACTIVATIONS[activation]
     x2, wc = xv.reshape(-1, k), np.ascontiguousarray(wv)
     wt = np.ascontiguousarray(wc.T) if k < _SHORT_K else wc.T
     rows, step = len(x2), max(1, _BLOCK_BYTES // (8 * max(n, 1)))
     z = np.empty((rows, n))
     for lo in range(0, rows, step):
-        zb = z[lo : lo + step]
-        np.matmul(x2[lo : lo + step], wt, out=zb)
-        fn(zb, out=zb)
+        np.matmul(x2[lo : lo + step], wt, out=z[lo : lo + step])
     out = z.reshape(xv.shape[:-1] + (n,))
     if not _recording:
         return TapeNode(out)
@@ -197,15 +189,12 @@ def linear(
 
     def grads(g: np.ndarray) -> tuple[np.ndarray | None, np.ndarray]:
         g2, dx = g.reshape(-1, n), np.empty((rows, k)) if x_is_node else None
-        scratch = np.empty((min(rows, step), n))
 
         def block(lo: int) -> np.ndarray:
             blk = slice(lo, lo + step)
-            zb = z[blk]
-            d = act_push(g2[blk], zb, out=scratch[: len(zb)])
             if x_is_node:
-                np.matmul(d, wc, out=dx[blk])
-            return d.T @ x2[blk]
+                np.matmul(g2[blk], wc, out=dx[blk])
+            return g2[blk].T @ x2[blk]
 
         dw = block(0)  # also the (N, K) zeros of an empty x
         for lo in range(step, rows, step):
@@ -280,10 +269,10 @@ _ACTIVATIONS = {
 
 # Output bytes per row block of ``linear`` and hidden-block bytes per block
 # of whole windows of ``graph_tt`` (at least one window): the block of the
-# output, of its gradient and the push scratch (three arrays this size) fit
-# in a 2 MB L2.  Timed for ``linear`` from 32 KiB to 2 MiB: 128-512 KiB were
-# fastest, smaller blocks pay the per-block calls and larger ones spill out
-# of L2.
+# output, of its gradient and a push scratch (three arrays this size) fit
+# in a 2 MB L2.  Timed for ``linear``, when it still ran an activation, from
+# 32 KiB to 2 MiB: 128-512 KiB were fastest, smaller blocks pay the
+# per-block calls and larger ones spill out of L2.
 _BLOCK_BYTES = 1 << 18
 # ``linear`` copies a weight with fewer columns than this into the layout
 # BLAS reads fastest (timed on one OpenBLAS thread: K <= 36 faster copied,

@@ -109,6 +109,10 @@ def cmd_eval(args) -> int:
     arrays, meta = load_checkpoint(args.checkpoint)
     if meta.get("kind") != "model":
         raise CheckpointError(f"{args.checkpoint}: not a model checkpoint")
+    # here and not in the models, so that predict does not pay for the check
+    for name, arr in arrays.items():
+        if not np.all(np.isfinite(arr)):
+            raise CheckpointError(f"{args.checkpoint}: params {name}: holds a NaN or infinity")
     if args.config:
         run = load_run_config(args.config)
     elif isinstance(meta.get("config"), dict):

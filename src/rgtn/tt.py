@@ -5,6 +5,11 @@ cores G_n of shape (R_{n-1}, I_n, R_n) with boundary ranks R_0 = R_N = 1.
 Entry counts drop from prod(I_n) for the dense tensor to
 sum(R_{n-1} I_n R_n) for the chain.  The models' trainable TT head uses
 the same chain with one (in, out) mode pair per core; see ``models``.
+
+``tt_svd`` is the TT-SVD of Oseledets (2011, SIAM J. Sci. Comput. 33(5)).
+It takes no Gram-matrix shortcut: the eigenvalues of ``mat mat^T`` are the
+squared singular values, so rounding swamps those below about 1e-8 of the
+largest and the ``tol`` bound fails for small ``tol``.
 """
 
 from __future__ import annotations
@@ -17,13 +22,7 @@ import numpy as np
 
 from .tensor import DenseTensor, Shape, ShapeError, from_array
 
-__all__ = [
-    "TTNetwork",
-    "tt_svd",
-    "tt_reconstruct",
-    "tt_param_count",
-    "dense_param_count",
-]
+__all__ = ["TTNetwork", "tt_svd", "tt_reconstruct", "tt_param_count", "dense_param_count"]
 
 
 @dataclass(frozen=True)
@@ -72,13 +71,20 @@ def tt_svd(
     max_ranks: int | Sequence[int] | None = None,
     rel_tolerance: float | None = None,
 ) -> TTNetwork:
-    """Sequential-SVD tensor-train decomposition.
+    """TT-SVD: the kept left singular vectors of each unfolding, left to right.
 
     With ``rel_tolerance`` t, each unfolding is truncated at threshold
     t * ||x||_F / sqrt(N - 1), which bounds the relative reconstruction
     error by t.  ``max_ranks`` (an int or one cap per interior rank)
     additionally caps the kept ranks.  With neither given the chain is
     exact up to floating-point rounding.
+
+    Step k unfolds what is left in C order, last index fastest (a view of a
+    C-contiguous tensor), as ``mat`` (R_{k-1} I_k, rest).  As ``mat^T = Q R``
+    gives ``mat = R^T Q^T``, the SVD of the small ``R^T`` has the singular
+    values and left vectors of ``mat``, and ``V^T`` is never built (Chan's
+    R-SVD, 1982, ACM TOMS 8(1)).  Core k is the kept vectors in that order;
+    ``U_kept^T mat``, ``s V^T`` in exact arithmetic, goes on to step k + 1.
     """
     if x.order < 1 or 0 in x.shape:
         raise ShapeError(f"tt_svd needs an order >= 1 tensor with no empty mode, got {x.shape}")
@@ -86,14 +92,10 @@ def tt_svd(
         raise ValueError("tt_svd input contains non-finite entries")
     dims = x.shape
     n = len(dims)
-    if max_ranks is None:
-        caps = [None] * (n - 1)
-    elif isinstance(max_ranks, int):
-        caps = [max_ranks] * (n - 1)
-    else:
-        caps = list(max_ranks)
-        if len(caps) != n - 1:
-            raise ShapeError(f"need {n - 1} interior rank caps, got {len(caps)}")
+    single = max_ranks is None or isinstance(max_ranks, int)
+    caps = [max_ranks] * (n - 1) if single else list(max_ranks)
+    if len(caps) != n - 1:
+        raise ShapeError(f"need {n - 1} interior rank caps, got {len(caps)}")
 
     tol = 0.0
     if rel_tolerance is not None and n > 1:
@@ -103,8 +105,8 @@ def tt_svd(
     current = x.array
     rank = 1
     for k in range(n - 1):
-        mat = current.reshape(rank * dims[k], -1, order="F")
-        u, s, vt = np.linalg.svd(mat, full_matrices=False)
+        mat = current.reshape(rank * dims[k], -1)
+        u, s, _ = np.linalg.svd(np.linalg.qr(mat.T, mode="r").T, full_matrices=False)
         keep = len(s)
         if tol > 0.0:
             tail = np.cumsum(s[::-1] ** 2)[::-1]
@@ -119,10 +121,8 @@ def tt_svd(
         # Columns kept past the numerical rank carry zero weight; zero them so
         # a zero tensor yields all-zero cores.
         u_kept = u[:, :keep] * (s[:keep] > 0.0)
-        cores.append(from_array(u_kept.reshape(rank, dims[k], keep, order="F")))
-        current = (s[:keep, None] * vt[:keep]).reshape(
-            (keep,) + tuple(dims[k + 1 :]), order="F"
-        )
+        cores.append(from_array(u_kept.reshape(rank, dims[k], keep)))
+        current = u_kept.T @ mat
         rank = keep
     cores.append(from_array(current.reshape(rank, dims[-1])[:, :, None]))
     return TTNetwork(tuple(cores))

@@ -1,7 +1,8 @@
 """Independent references for the tests, and helpers to read a model's hidden block.
 
 The model references evaluate what the paper defines by plain loops or by
-building the dense matrix, and ``raw_checkpoint`` writes the checkpoint
+building the dense matrix, ``tt_svd_reference`` is the TT-SVD by a full
+SVD of each unfolding, and ``raw_checkpoint`` writes the checkpoint
 layout byte by byte; none of them calls ``rgtn``.  ``hidden_node``,
 ``hidden_rows`` and ``hidden_states`` read the block a model's head reads,
 so a test can compare the filtered hidden-state block against a reference:
@@ -125,6 +126,49 @@ def tt_head_matrix(cores):
     full = np.einsum("aipb,bjqc,ckrd->ijkpqr", *cores)
     n_in = full.shape[0] * full.shape[1] * full.shape[2]
     return full.reshape(n_in, -1, order="F")
+
+
+def tt_svd_reference(x, max_ranks=None, rel_tolerance=None):
+    """TT-SVD cores of ``x`` by a full SVD of each first-mode-fastest unfolding.
+
+    The sequential SVD of Oseledets (2011) as ``rgtn.tt.tt_svd`` computed it
+    before the R-SVD step, with the same truncation rule: ``s V^T`` of the
+    kept singular pairs goes on to the next unfolding.
+    """
+    dims, n = x.shape, x.ndim
+    caps = list(max_ranks) if isinstance(max_ranks, (list, tuple)) else [max_ranks] * (n - 1)
+    tol = 0.0
+    if rel_tolerance is not None and n > 1:
+        tol = float(rel_tolerance) * float(np.linalg.norm(x)) / np.sqrt(n - 1)
+    cores, current, rank = [], x, 1
+    for k in range(n - 1):
+        mat = current.reshape(rank * dims[k], -1, order="F")
+        u, s, vt = np.linalg.svd(mat, full_matrices=False)
+        keep = len(s)
+        if tol > 0.0:
+            tail = np.cumsum(s[::-1] ** 2)[::-1]
+            below = np.nonzero(tail <= tol**2)[0]
+            if below.size:
+                keep = int(below[0])
+        else:
+            keep = int(np.count_nonzero(s > 0.0))
+        if caps[k] is not None:
+            keep = min(keep, int(caps[k]))
+        keep = max(keep, 1)
+        u_kept = u[:, :keep] * (s[:keep] > 0.0)
+        cores.append(u_kept.reshape(rank, dims[k], keep, order="F"))
+        current = (s[:keep, None] * vt[:keep]).reshape((keep,) + dims[k + 1 :], order="F")
+        rank = keep
+    cores.append(current.reshape(rank, dims[-1])[:, :, None])
+    return cores
+
+
+def tt_dense(cores):
+    """The dense tensor of a chain of (r, n, r') cores, contracted left to right."""
+    full = cores[0]
+    for core in cores[1:]:
+        full = np.tensordot(full, core, axes=(full.ndim - 1, 0))
+    return full[0, ..., 0]
 
 
 def headless(variant, tau, d_phys, d_feat, hidden, c=0.5, activation="identity"):

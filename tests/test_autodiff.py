@@ -198,8 +198,18 @@ class TestMatmul:
 ACTIVATIONS = ["tanh", "sigmoid", "relu", "identity"]
 
 
+def activated(z, activation):
+    """``act(z)`` of a 3-D node the way the rnn activates ``linear``'s output.
+
+    ``recurrence`` with zero feedback and zero bias, as ``(batch, hidden * tau)``
+    rows: one step of tau is ``act(z[0])`` itself.
+    """
+    n = z.shape[-1]
+    return ad.recurrence(z, ad.constant(np.zeros((n, n))), ad.constant(np.zeros(n)), activation)
+
+
 class TestLinear:
-    """``linear(x, w, activation)``: one GEMM, the activation in place on its output."""
+    """``linear(x, w)``: ``x @ w.T`` as one node, and its output under each activation."""
 
     @pytest.mark.parametrize("activation", ACTIVATIONS)
     @pytest.mark.parametrize("x_is_node", [True, False])
@@ -209,47 +219,29 @@ class TestLinear:
         x = rng.standard_normal((2, 3, 4))
         assert np.abs(x @ w.T).min() > 0.05  # relu's kink is beyond the finite-difference step
         if x_is_node:
-            check_gradients(lambda u, v: square_mean(ad.linear(u, v, activation)), [x, w])
+            check_gradients(lambda u, v: square_mean(activated(ad.linear(u, v), activation)),
+                            [x, w])
         else:
-            check_gradients(lambda v: square_mean(ad.linear(x, v, activation)), [w])
+            check_gradients(lambda v: square_mean(activated(ad.linear(x, v), activation)), [w])
 
     @pytest.mark.parametrize("activation", ACTIVATIONS)
     def test_equals_the_activation_of_a_plain_linear(self, activation):
         rng = np.random.default_rng(41)
-        x, w = rng.standard_normal((6, 3)), rng.standard_normal((4, 3))
+        x, w = rng.standard_normal((1, 6, 3)), rng.standard_normal((4, 3))
         target = rng.standard_normal((6, 4))
         u, v = ad.constant(x), ad.constant(w)
-        out = ad.linear(u, v, activation)
+        out = activated(ad.linear(u, v), activation)
         ad.backward(ad.mse_loss(out, target))
-        # the same steps composed: a plain linear, then the activation and its push
+        # the same steps by hand: the GEMM, the activation of it plus the zero bias,
+        # the activation's push and linear's pushes
         fn, push = ad._ACTIVATIONS[activation]
         plain = ad.linear(ad.constant(x), ad.constant(w))
-        y = ad.constant(fn(plain.array.copy()))
+        y = ad.constant(fn(plain.array[0] + 0.0))
         ad.backward(ad.mse_loss(y, target))
-        dz = push(y.grad, y.array)
+        dz = push(y.grad, y.array)[None]
         composed = (y.array, *(node_push(dz) for node_push in plain.pushes))
-        for fused, expect in zip((out.array, u.grad, v.grad), composed):
-            np.testing.assert_array_equal(fused, expect)
-
-    def test_pushes_share_one_activation_push_and_release_it(self, monkeypatch):
-        rng = np.random.default_rng(42)
-        fn, push = ad._ACTIVATIONS["tanh"]
-        calls = []
-
-        def counted(g, y, out=None):
-            calls.append(1)
-            return push(g, y, out=out)
-
-        monkeypatch.setitem(ad._ACTIVATIONS, "tanh", (fn, counted))
-        node = ad.linear(ad.constant(rng.standard_normal((3, 2))),
-                         ad.constant(rng.standard_normal((4, 2))), "tanh")
-        g = rng.standard_normal(node.shape)
-        for node_push in node.pushes:
-            node_push(g)
-        assert len(node.pushes) == 2 and len(calls) == 1  # one row block, one push
-        ref = weakref.ref(g)
-        del g
-        assert ref() is None  # the last push dropped the shared gradient
+        for chained, expect in zip((out.array, u.grad, v.grad), composed):
+            np.testing.assert_array_equal(chained, expect)
 
     @pytest.mark.parametrize("layout", ["fortran", "transposed_view"])
     def test_weight_layout_does_not_change_the_result(self, layout):
@@ -263,7 +255,7 @@ class TestLinear:
             results = []
             for weight in (w, other):
                 u, v = ad.constant(x), ad.constant(weight)
-                out = ad.linear(u, v, "tanh")
+                out = ad.linear(u, v)
                 ad.backward(square_mean(out))
                 results.append((out.array, u.grad, v.grad))
             for c_order, other_order in zip(*results):
@@ -290,16 +282,20 @@ class TestBlockedLinear:
     @pytest.mark.parametrize("x_is_node", [True, False])
     @pytest.mark.parametrize("blocks,extra", [(0, 1), (1, -1), (1, 0), (1, 1), (2, 3)],
                              ids=["1", "R-1", "R", "R+1", "2R+3"])
-    def test_gradients_match_finite_differences(self, blocks, extra, x_is_node, activation):
+    def test_gradients_match_finite_differences(self, blocks, extra, x_is_node, activation,
+                                                monkeypatch):
+        # blocks of 16 rows, so that each finite difference is cheap; the
+        # full block size is checked against one GEMM below
+        monkeypatch.setattr(ad, "_BLOCK_BYTES", 8 * self.N * 16)
         rows = blocks * block_rows(self.N) + extra
         rng = np.random.default_rng(45)
         # rows of w of one sign each, so every |x @ w.T| >= 0.01 K: far from relu's kink
         w = rng.uniform(0.1, 0.5, (self.N, self.K)) * np.where(np.arange(self.N) % 2, -1, 1)[:, None]
-        x = rng.uniform(0.1, 0.5, (rows, self.K))
+        x = rng.uniform(0.1, 0.5, (1, rows, self.K))
         target = rng.standard_normal((rows, self.N))
 
         def loss(xv, wv):
-            return ad.mse_loss(ad.linear(xv, wv, activation), target)
+            return ad.mse_loss(activated(ad.linear(xv, wv), activation), target)
 
         u, v = ad.constant(x), ad.constant(w)
         ad.backward(loss(u if x_is_node else x, v))
@@ -310,7 +306,7 @@ class TestBlockedLinear:
         if x_is_node:
             step = block_rows(self.N)
             edges = {r for lo in range(0, rows, step) for r in (lo, min(lo + step, rows) - 1)}
-            coords += [(0, (r, j)) for r in sorted(edges) for j in range(self.K)]
+            coords += [(0, (0, r, j)) for r in sorted(edges) for j in range(self.K)]
         for which, idx in coords:
             value = (x, w)[which]
             shifted = []
@@ -329,11 +325,12 @@ class TestBlockedLinear:
         w = rng.standard_normal((self.N, 16))
         x = rng.standard_normal((3 * block_rows(self.N) + 5, 16))
         fn = ad._ACTIVATIONS[activation][0]
-        np.testing.assert_allclose(ad.linear(x, w, activation).array, fn(x @ w.T), rtol=1e-14)
+        np.testing.assert_allclose(activated(ad.linear(x[None], w), activation).array,
+                                   fn(x @ w.T), rtol=1e-14)
 
     def test_zero_rows(self):
         u, w = ad.constant(np.empty((0, self.K))), ad.constant(np.ones((self.N, self.K)))
-        out = ad.linear(u, w, "tanh")
+        out = ad.linear(u, w)
         assert out.shape == (0, self.N)
         dx, dw = (push(np.empty((0, self.N))) for push in out.pushes)
         assert dx.shape == (0, self.K)
@@ -343,7 +340,7 @@ class TestBlockedLinear:
         rows = 8 * block_rows(self.N) + 1
         rng = np.random.default_rng(47)
         u = ad.constant(rng.standard_normal((rows, 8)))
-        node = ad.linear(u, ad.constant(rng.standard_normal((self.N, 8))), "tanh")
+        node = ad.linear(u, ad.constant(rng.standard_normal((self.N, 8))))
         g = rng.standard_normal(node.shape)
         tracemalloc.start()
         try:
@@ -352,8 +349,9 @@ class TestBlockedLinear:
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        assert grads[0].shape == u.shape
-        assert peak < g.nbytes  # x's gradient and one scratch block, not a (rows, N) array
+        assert peak < g.nbytes  # x's gradient, not a (rows, N) array
+        np.testing.assert_allclose(grads[0], g @ node.parents[1].array, rtol=1e-12, atol=1e-10)
+        np.testing.assert_allclose(grads[1], g.T @ u.array, rtol=1e-12, atol=1e-10)
 
 
 class TestFilterWeight:
@@ -383,7 +381,7 @@ class TestTapeLifetime:
     def test_backward_keeps_only_leaf_gradients(self):
         rng = np.random.default_rng(35)
         w = ad.constant(rng.standard_normal((3, 4)))
-        inner = ad.linear(rng.standard_normal((5, 4)), w, "tanh")
+        inner = ad.linear(rng.standard_normal((5, 4)), w)
         root = square_mean(inner)
         ad.backward(root)
         assert w.grad is not None
@@ -392,9 +390,9 @@ class TestTapeLifetime:
     def test_no_tape_keeps_no_inputs(self):
         w = ad.constant(np.ones((2, 2)))
         with ad.no_tape():
-            out = ad.linear(np.ones((3, 2)), w, "tanh")
+            out = ad.linear(np.ones((3, 2)), w)
         assert out.parents == () and out.pushes == ()
-        again = ad.linear(np.ones((3, 2)), w, "tanh")
+        again = ad.linear(np.ones((3, 2)), w)
         assert again.parents and np.array_equal(again.array, out.array)
 
 
@@ -560,6 +558,25 @@ class TestGraphTT:
             results.append([out.array] + [push(g) for push in out.pushes])
         for one, blocked in zip(*results):
             np.testing.assert_allclose(blocked, one, rtol=1e-12, atol=0)
+
+    def test_pushes_share_one_activation_push_and_release_it(self, monkeypatch):
+        fn, push = ad._ACTIVATIONS["tanh"]
+        calls = []
+
+        def counted(g, y, out=None):
+            calls.append(1)
+            return push(g, y, out=out)
+
+        monkeypatch.setitem(ad._ACTIVATIONS, "tanh", (fn, counted))
+        x, a, w, cores = graph_arrays(np.random.default_rng(42), batch=3)
+        node = ad.graph_tt(x, a, ad.constant(w), [ad.constant(c) for c in cores], "tanh")
+        g = np.random.default_rng(43).standard_normal(node.shape)
+        for node_push in node.pushes:
+            node_push(g)
+        assert len(node.pushes) == 4 and len(calls) == 1  # one block of windows, one push
+        ref = weakref.ref(g)
+        del g
+        assert ref() is None  # the last push dropped the shared gradient
 
     def test_backward_keeps_no_gradient_of_the_hidden_block(self):
         # wide-train's grgtn step: the kept h, the kept inputs [x | A x] and the

@@ -465,6 +465,20 @@ class TestEvalCommand:
         assert code == 1
         assert "w_r" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name,value", [("w_x", np.nan), ("head.core1", -np.inf)])
+    def test_non_finite_parameter_exits_1_naming_it(self, tmp_path, capsys, name, value):
+        out = tmp_path / "run"
+        main(["train", "--config", write_config(tmp_path, base_config(out))])
+        arrays, meta = load_checkpoint(str(out / "checkpoint.rgtn"))
+        arrays[name].flat[0] = value
+        save_checkpoint(str(out / "checkpoint.rgtn"), arrays, meta)  # with a valid digest
+        capsys.readouterr()
+        code = main(["eval", "--checkpoint", str(out / "checkpoint.rgtn"),
+                     "--out", str(tmp_path / "eval")])
+        captured = capsys.readouterr()
+        assert code == 1 and f"params {name}:" in captured.err
+        assert captured.out == "" and not (tmp_path / "eval").exists()
+
     def test_rejects_non_model_checkpoint(self, tmp_path, capsys):
         path = tmp_path / "t.rgtn"
         save_tensor(str(path), np.ones((2, 2)))

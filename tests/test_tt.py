@@ -4,7 +4,10 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import tt_dense, tt_svd_reference
 from rgtn.models import HeadConfig, ModelConfig, forward, param_shapes
 from rgtn.tensor import ShapeError, from_array
 from rgtn.tt import TTNetwork, dense_param_count, tt_param_count, tt_reconstruct, tt_svd
@@ -148,6 +151,65 @@ class TestSVD:
             tt = tt_svd(x, max_ranks=cap)
             errs.append(np.linalg.norm(tt_reconstruct(tt).array - x.array))
         assert all(a >= b - 1e-12 for a, b in zip(errs, errs[1:]))
+
+
+def chain_tensor(rng, shape, rank, noise):
+    """A random rank-``rank`` TT tensor plus Gaussian noise of ``noise`` times its norm."""
+    full = np.ones((1, 1))
+    for k, dim in enumerate(shape):
+        core = rng.standard_normal((1 if k == 0 else rank, dim, 1 if k == len(shape) - 1 else rank))
+        full = np.tensordot(full, core, axes=(full.ndim - 1, 0))
+    full = full.reshape(shape)
+    extra = rng.standard_normal(shape)
+    return full + extra * (noise * np.linalg.norm(full) / np.linalg.norm(extra))
+
+
+@st.composite
+def svd_cases(draw):
+    """A tensor of order 1-5 and modes 1-8 in C or Fortran order, a tolerance and rank caps."""
+    shape = tuple(draw(st.lists(st.integers(1, 8), min_size=1, max_size=5)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = chain_tensor(rng, shape, draw(st.integers(1, 3)), draw(st.sampled_from([0.0, 1e-9, 1e-3])))
+    if draw(st.booleans()):
+        # from_array copies a float64 array into C order, but keeps the layout it converts
+        x = np.asfortranarray(x).astype(np.float32)
+    tol = draw(st.sampled_from([None, 0.0, 1e-12, 1e-6, 1e-2, 0.3]))
+    n = len(shape) - 1
+    caps = None
+    if draw(st.booleans()):
+        caps = draw(st.integers(1, 8) | st.lists(st.integers(1, 8), min_size=n, max_size=n))
+    return x, tol, caps
+
+
+class TestSVDAgainstReference:
+    """``tt_svd`` against the full SVD of each unfolding (``oracles.tt_svd_reference``)."""
+
+    @settings(derandomize=True, database=None, max_examples=80, deadline=None)
+    @given(case=svd_cases())
+    def test_ranks_and_error_match_the_full_svd(self, case):
+        values, tol, caps = case
+        x = from_array(values)
+        assert x.array.flags.c_contiguous or values.dtype == np.float32
+        tt = tt_svd(x, max_ranks=caps, rel_tolerance=tol)
+        ref = tt_svd_reference(x.array, max_ranks=caps, rel_tolerance=tol)
+        assert tt.ranks == (1,) + tuple(core.shape[2] for core in ref)
+        norm = np.linalg.norm(x.array)
+        err = np.linalg.norm(tt_reconstruct(tt).array - x.array)
+        assert abs(err - np.linalg.norm(tt_dense(ref) - x.array)) <= 1e-12 * norm
+        if caps is None:
+            assert err <= ((tol or 0.0) + 1e-14) * norm
+
+    def test_singular_values_down_to_1e_14(self):
+        # the first unfolding's singular values fall from 1 to 1e-14; squared
+        # in a Gram matrix, all below about 1e-8 would be lost to rounding
+        rng = np.random.default_rng(8)
+        left = np.linalg.qr(rng.standard_normal((20, 20)))[0]
+        right = np.linalg.qr(rng.standard_normal((400, 20)))[0]
+        x = ((left * np.logspace(0, -14, 20)) @ right.T).reshape(20, 20, 20)
+        tt = tt_svd(from_array(x), rel_tolerance=1e-13)
+        ref = tt_svd_reference(x, rel_tolerance=1e-13)
+        assert tt.ranks == (1,) + tuple(core.shape[2] for core in ref) == (1, 18, 20, 1)
+        assert np.linalg.norm(tt_reconstruct(tt).array - x) <= 1e-13 * np.linalg.norm(x)
 
 
 class TestReconstruct:
