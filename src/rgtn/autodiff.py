@@ -8,33 +8,37 @@ gradients of leaves (nodes with no inputs, such as the parameters made by
 ``constant``): an inner node's gradient is dropped as soon as its pushes
 have run, so it is freed while the walk goes on.
 
-A plain ndarray operand of ``linear`` is data: it gets no node, no push
-and no gradient, so a batch of windows costs the tape nothing; ``graph_tt``
-takes its windows and the time adjacency as data only.  Each loss is one
-node whose only input is the prediction (or the logits), and its push
+The windows and the time adjacency are data: ``graph_tt`` and
+``recurrence`` take them as plain arrays, which get no node, no push and
+no gradient, so a batch of windows costs the tape nothing.  Each loss is
+one node whose only input is the prediction (or the logits), and its push
 returns the loss's gradient in closed form.  Each model stage is one node:
 ``filter_weight`` for grgtn's weight, ``graph_tt`` for the time mix, the
 projection, its activation and the tensor-train head of grgtn and srgtn,
-and ``recurrence`` for a whole RNN recurrence, so the tape does not grow
-with tau.
+and ``recurrence`` for the rnn's projection, its whole recurrence and its
+dense head, so the tape does not grow with tau.  ``graph_tt`` and
+``recurrence`` each walk blocks of whole windows that they size
+themselves, in training and without a tape alike, so the same windows
+give the same bits either way.
 
 Under ``no_tape()`` operations compute the same arrays with the same
 kernels but keep no inputs or pushes, so each intermediate is freed once
-its consumer returns; ``backward`` then has nothing to walk.  ``linear``
-and ``graph_tt`` return before they build their backward closures.
+its consumer returns; ``backward`` then has nothing to walk.  ``graph_tt``
+and ``recurrence`` then hold one block of their intermediates at a time and return
+before they build their backward closures, so only their output is
+batch-sized.
 
 Nodes hold their arrays without copying, and a node's gradient may be the
 very array its child received, so value and gradient arrays are shared:
 no operation, push or caller may write into one in place.  The exceptions
-are arrays an op has just allocated and no other node holds: ``linear``
-writes each row block's GEMM into its output and its backward writes the
-gradient of ``x`` straight into its result.  ``graph_tt`` runs its
-activation in place on each block of the hidden block ``h`` that it keeps
-for its backward (one reused block without a tape), so the block is
-written once and not twice; its backward writes each block's ``a0 @ dz``
-into one scratch block and the activation push into a second, since a
-push may not write into its own input.  ``recurrence`` writes each step's
-push straight into its gradient.
+are arrays an op has just allocated and no other node holds: ``graph_tt``
+runs its activation in place on each block of the hidden block ``h`` that
+it keeps for its backward, so the block is written once and not twice, and
+writes each block's head products into its kept ``z1`` and ``z2``; its
+backward writes each block's ``a0 @ dz`` into one scratch block and the
+activation push into a second, since a push may not write into its own
+input.  ``recurrence`` writes each block's states over its projection and
+each step's push straight into its gradient.
 """
 
 from __future__ import annotations
@@ -51,7 +55,6 @@ __all__ = [
     "no_tape",
     "constant",
     "backward",
-    "linear",
     "filter_weight",
     "graph_tt",
     "add_bias",
@@ -132,10 +135,6 @@ def backward(root: TapeNode) -> None:
             node.grad = None
 
 
-def _value(a: TapeNode | np.ndarray) -> np.ndarray:
-    return a.array if isinstance(a, TapeNode) else np.asarray(a, float)
-
-
 def _shared(first: Callable[[np.ndarray], np.ndarray], consumers) -> tuple[Callable, ...]:
     """One push per consumer, each applied to ``first(g)``, which runs once per ``g``.
 
@@ -156,57 +155,6 @@ def _shared(first: Callable[[np.ndarray], np.ndarray], consumers) -> tuple[Calla
         return push
 
     return tuple(make(c, i == len(consumers) - 1) for i, c in enumerate(consumers))
-
-
-def linear(x: TapeNode | np.ndarray, w: TapeNode | np.ndarray) -> TapeNode:
-    """``x @ w.T`` for a 2-D ``w``, over all leading axes of ``x`` as rows.
-
-    The output is allocated once and filled one row block of ``_BLOCK_BYTES``
-    at a time.  The backward walks the same blocks: ``w``'s gradient adds up
-    the GEMM of each block's gradient against the block of ``x``, and ``x``'s
-    gradient block is written in place, so no output-sized temporary is
-    made.  Both pushes share that walk.  The layout of ``w`` follows from its
-    shape alone: below ``_SHORT_K`` columns it enters as a C-contiguous copy
-    of ``w.T``, since OpenBLAS multiplies by a ``.T`` view with a short inner
-    dimension about twice as slowly, and from there on as that view, which
-    saves the copy.
-    """
-    xv, wv = _value(x), _value(w)
-    if wv.ndim != 2 or xv.ndim < 2 or xv.shape[-1] != wv.shape[1]:
-        raise ShapeError(f"linear needs x (..., K) of 2 or more axes and w (N, K), "
-                         f"got {xv.shape} and {wv.shape}")
-    n, k = wv.shape
-    x2, wc = xv.reshape(-1, k), np.ascontiguousarray(wv)
-    wt = np.ascontiguousarray(wc.T) if k < _SHORT_K else wc.T
-    rows, step = len(x2), max(1, _BLOCK_BYTES // (8 * max(n, 1)))
-    z = np.empty((rows, n))
-    for lo in range(0, rows, step):
-        np.matmul(x2[lo : lo + step], wt, out=z[lo : lo + step])
-    out = z.reshape(xv.shape[:-1] + (n,))
-    if not _recording:
-        return TapeNode(out)
-    x_is_node = isinstance(x, TapeNode)
-
-    def grads(g: np.ndarray) -> tuple[np.ndarray | None, np.ndarray]:
-        g2, dx = g.reshape(-1, n), np.empty((rows, k)) if x_is_node else None
-
-        def block(lo: int) -> np.ndarray:
-            blk = slice(lo, lo + step)
-            if x_is_node:
-                np.matmul(g2[blk], wc, out=dx[blk])
-            return g2[blk].T @ x2[blk]
-
-        dw = block(0)  # also the (N, K) zeros of an empty x
-        for lo in range(step, rows, step):
-            dw += block(lo)
-        return dx, dw
-
-    inputs = [(node, consume) for node, consume in (
-        (x, lambda d: d[0].reshape(xv.shape)),
-        (w, lambda d: d[1]),
-    ) if isinstance(node, TapeNode)]
-    pushes = _shared(grads, [c for _, c in inputs])
-    return TapeNode(out, tuple(node for node, _ in inputs), pushes)
 
 
 def filter_weight(w_r: TapeNode, w_x: TapeNode) -> TapeNode:
@@ -267,53 +215,28 @@ _ACTIVATIONS = {
     "identity": (lambda z, out=None: z, lambda g, y, out=None: g),
 }
 
-# Output bytes per row block of ``linear`` and hidden-block bytes per block
-# of whole windows of ``graph_tt`` (at least one window): the block of the
-# output, of its gradient and a push scratch (three arrays this size) fit
-# in a 2 MB L2.  Timed for ``linear``, when it still ran an activation, from
-# 32 KiB to 2 MiB: 128-512 KiB were fastest, smaller blocks pay the
-# per-block calls and larger ones spill out of L2.
+# Hidden-block bytes per block of whole windows of ``graph_tt`` (at least
+# one window): the block, its gradient and a push scratch (three arrays this
+# size) fit in a 2 MB L2.  Timed for the rnn's projection GEMM with its
+# activation, from 32 KiB to 2 MiB: 128-512 KiB were fastest, smaller blocks
+# pay the per-block calls and larger ones spill out of L2.
 _BLOCK_BYTES = 1 << 18
-# ``linear`` copies a weight with fewer columns than this into the layout
+# A weight with fewer columns than this enters a GEMM as a copy in the layout
 # BLAS reads fastest (timed on one OpenBLAS thread: K <= 36 faster copied,
 # K >= 48 mostly faster read through the transposed flag)
 _SHORT_K = 48
 
 
-def recurrence(u: TapeNode, w_h: TapeNode, b_h: TapeNode, activation: str) -> TapeNode:
-    """``h_t = act(u_t + h_{t-1} w_h^T + b_h)`` from ``h_{-1} = 0``, as one node.
+def _gemm_weight(w: np.ndarray) -> np.ndarray:
+    """An (N, K) weight, in any layout, as the right operand of ``x @ w.T``.
 
-    ``u`` is time-major, ``(tau, batch, hidden)``; the result is the dense
-    head's rows ``(batch, hidden * tau)``, time fastest.  The three pushes
-    share one reverse loop of backpropagation through time, which gives the
-    pre-activation gradients: these are ``u``'s gradient, ``w_h``'s is one
-    GEMM of them over all steps and ``b_h``'s is their sum.
+    Below ``_SHORT_K`` columns it is a C-contiguous copy of ``w.T``, since
+    OpenBLAS multiplies by a ``.T`` view with a short inner dimension about
+    twice as slowly; from there on it is that view of a C-contiguous ``w``,
+    which saves the copy.
     """
-    if len(u.shape) != 3 or w_h.shape != u.shape[2:] * 2 or b_h.shape != u.shape[2:]:
-        raise ShapeError(f"recurrence needs (tau, batch, H), (H, H), (H,), got "
-                         f"{u.shape}, {w_h.shape}, {b_h.shape}")
-    fn, push = _ACTIVATIONS[activation]
-    uv, w = u.array, w_h.array
-    tau, batch, hidden = uv.shape  # sizes, not -1: numpy cannot infer one for 0 windows
-    h = np.empty_like(uv)
-    for t in range(tau):
-        h[t] = fn((uv[t] if t == 0 else uv[t] + h[t - 1] @ w.T) + b_h.array)
-
-    def bptt(g: np.ndarray) -> np.ndarray:
-        g = g.reshape(batch, hidden, tau).transpose(2, 0, 1)
-        dz, dh, buf = np.empty_like(h), g[-1], np.empty_like(h[0])
-        for t in range(tau - 1, -1, -1):
-            # a no-op assignment unless the push returned dh itself (identity)
-            dz[t] = push(dh, h[t], out=dz[t])
-            if t:
-                dh = np.add(g[t - 1], np.matmul(dz[t], w, out=buf), out=buf)
-        return dz
-
-    def push_w(dz: np.ndarray) -> np.ndarray:
-        return dz[1:].reshape(-1, hidden).T @ h[:-1].reshape(-1, hidden)
-
-    pushes = _shared(bptt, (lambda dz: dz, push_w, lambda dz: dz.sum(axis=(0, 1))))
-    return TapeNode(h.transpose(1, 2, 0).reshape(batch, hidden * tau), (u, w_h, b_h), pushes)
+    wc = np.ascontiguousarray(w)
+    return np.ascontiguousarray(wc.T) if wc.shape[1] < _SHORT_K else wc.T
 
 
 def _join_features(x: np.ndarray, ax: np.ndarray) -> np.ndarray:
@@ -344,17 +267,18 @@ def graph_tt(
     output mode fastest.
 
     The op walks blocks of ``_BLOCK_BYTES // (8 tau P H)`` whole windows (at
-    least one): the mix, the GEMM with the activation in place, then core
-    0's left product on the block as (windows, tau, P H), so only the small
-    ``z1`` rows outlive it.  Contracting time first shrinks h the most
-    (Novikov et al. 2015, arXiv:1509.06569) and copies no layout of it;
-    cores 1 and 2 then contract (r1, P) and (r2, H) on all of ``z1``.  A
-    tape keeps ``h`` and each block's input; without one, one block of ``h``
-    is reused.  The five pushes share one backward: cores 2 and 1 on all
-    rows, then per block ``a0 @ dz``, the activation push and the block's
-    terms of the ``w`` and core-0 gradients, so the whole hidden block's
-    gradient never exists.  Core 0's terms add up window after window, as
-    one sum over all windows does.  ``w`` enters the GEMM as ``linear``'s.
+    least one): the mix, the GEMM with the activation in place, core 0's
+    left product on the block as (windows, tau, P H), then cores 1 and 2,
+    which contract (r1, P) and (r2, H), and the block's output rows.
+    Contracting time first shrinks h the most (Novikov et al. 2015,
+    arXiv:1509.06569) and copies no layout of it.  A tape keeps ``h``, the
+    head's ``z1`` and ``z2`` whole and each block's input; without one, one
+    block of each is reused, so only the output is batch-sized.  The five
+    pushes share one backward: cores 2 and 1 on all rows, then per block
+    ``a0 @ dz``, the activation push and the block's terms of the ``w`` and
+    core-0 gradients, so the whole hidden block's gradient never exists.
+    Core 0's terms add up window after window, as one sum over all windows
+    does.  ``w`` enters the GEMM by ``_gemm_weight``.
     """
     if isinstance(x, TapeNode) or isinstance(a, TapeNode):
         raise ShapeError("graph_tt takes x and a as data only, got a node operand")
@@ -373,31 +297,33 @@ def graph_tt(
     (o0, o1, o2), r1, r2 = (s[2] for s in shapes), shapes[1][0], shapes[2][0]
     a0, a1, a2 = (c.array.reshape(n, -1) for c, n in zip(cores, (tau, r1 * phys, r2 * hidden)))
     fn, act_push = _ACTIVATIONS[activation]
-    wc = np.ascontiguousarray(w.array)
-    wt = np.ascontiguousarray(wc.T) if width < _SHORT_K else wc.T
+    wt = _gemm_weight(w.array)
     step, keep = max(1, _BLOCK_BYTES // (8 * tau * phys * hidden)), _recording
-    starts = range(0, batch, step)
-    h = np.empty((batch if keep else min(batch, step), tau, phys, hidden))
-    z1 = np.empty((batch, o0 * r1, phys * hidden))
-    inputs = []
+    starts, held = range(0, batch, step), batch if keep else min(batch, step)
+    h = np.empty((held, tau, phys, hidden))
+    z1, z2 = np.empty((held, o0 * r1, phys * hidden)), np.empty((held * o0, o1 * r2, hidden))
+    # core 2's products, (windows o0 o1, o2), turned first output mode fastest at the end
+    y, inputs = np.empty((batch * o0 * o1, o2)), []
     for lo in starts:
         xb = xv[lo : lo + step]
-        k = len(xb)
+        k, at = len(xb), lo if keep else 0
         ax = (av @ xb.reshape(k, tau, phys * feat)).reshape(xb.shape)
         xin = _join_features(xb, ax) if width == 2 * feat else xb + ax
         del ax
-        hb = h[lo : lo + k] if keep else h[:k]
+        hb, z1b, z2b = h[at : at + k], z1[at : at + k], z2[at * o0 : (at + k) * o0]
         rows = hb.reshape(-1, hidden)
         np.matmul(xin.reshape(-1, width), wt, out=rows)
         fn(rows, out=rows)
-        np.matmul(a0.T, hb.reshape(k, tau, phys * hidden), out=z1[lo : lo + k])
+        np.matmul(a0.T, hb.reshape(k, tau, phys * hidden), out=z1b)
+        np.matmul(a1.T, z1b.reshape(k * o0, r1 * phys, hidden), out=z2b)
+        np.matmul(z2b.reshape(k * o0 * o1, r2 * hidden), a2,
+                  out=y[lo * o0 * o1 : (lo + k) * o0 * o1])
         if keep:
             inputs.append(xin)
-    z1 = z1.reshape(batch * o0, r1 * phys, hidden)
-    z2 = (a1.T @ z1).reshape(batch * o0 * o1, r2 * hidden)
-    out = (z2 @ a2).reshape(batch, o0, o1, o2).transpose(0, 3, 2, 1).reshape(batch, o2 * o1 * o0)
+    out = y.reshape(batch, o0, o1, o2).transpose(0, 3, 2, 1).reshape(batch, o2 * o1 * o0)
     if not keep:
         return TapeNode(out)
+    z1, z2 = z1.reshape(batch * o0, r1 * phys, hidden), z2.reshape(batch * o0 * o1, r2 * hidden)
 
     def grads(g: np.ndarray) -> tuple[np.ndarray, ...]:
         g3 = g.reshape(batch, o2, o1, o0).transpose(0, 3, 2, 1).reshape(batch * o0 * o1, o2)
@@ -425,6 +351,101 @@ def graph_tt(
     pushes = _shared(grads, [lambda d, k=k, s=s: d[k].reshape(s) for k, s in
                              enumerate([w.shape] + shapes)])
     return TapeNode(out, (w, *cores), pushes)
+
+
+# ``recurrence`` walks blocks of whole windows (at least one) sized by 16
+# times ``_BLOCK_BYTES`` over ``8 tau (P F + 3 H)`` bytes a window: the
+# time-major copy of x, the projection, the states and the head's rows, as
+# when the rule was swept (the states now overwrite the projection).  Swept
+# as ``predict``'s blocks for every variant at 1, 2, 4, 8 and 16 MiB and at
+# one block per batch, at predict-stream's shape (1024 windows) and
+# wide-train's (256), on one OpenBLAS thread (process CPU, best of 7): 1-4
+# MiB tie within noise; 8 MiB is up to 35% slower (rnn) and 16 MiB up to
+# 40%; one block per batch is 50-85% slower (grgtn, srgtn) and takes 15x the
+# memory of 4 MiB blocks.  A wide-train training batch of 64 windows runs as
+# blocks of 36 and 28, and bench_synth's as one.
+
+
+def recurrence(
+    x: np.ndarray,
+    w_x: TapeNode,
+    w_h: TapeNode,
+    b_h: TapeNode,
+    w: TapeNode,
+    activation: str,
+) -> TapeNode:
+    """The rnn's projection, recurrence and dense head, as one node.
+
+    ``x`` (batch, tau, P, F) is data.  Step t reads its (P, F) slice
+    flattened physical index fastest, ``h_t = act(W_x x_t + W_h h_{t-1} +
+    b_h)`` from ``h_{-1} = 0``, and the result is ``rows @ w^T``,
+    ``(batch, N)``, for the dense head's rows ``(batch, H tau)``, time
+    fastest.
+
+    The op walks blocks of whole windows (sized above): per block one
+    GEMM projects a time-major copy of x for all steps, the steps write
+    their states over it, and one GEMM maps the block's rows to its output
+    rows.  A tape keeps each block's copy of x, states and rows; without
+    one, only the output is batch-sized.  The four pushes share one
+    backward, which walks the same blocks: the rows' gradient, one reverse
+    loop of backpropagation through time for the pre-activation gradients
+    ``dz``, then the block's terms of every weight gradient: ``dz`` against
+    x for ``w_x``, against the previous states for ``w_h``, their sum for
+    ``b_h`` and the output gradient against the rows for ``w``.
+    """
+    if isinstance(x, TapeNode):
+        raise ShapeError("recurrence takes x as data only, got a node operand")
+    xv = np.asarray(x, float)
+    if (xv.ndim != 4 or len(w_x.shape) != 2 or len(w.shape) != 2
+            or w_x.shape[1] != xv.shape[2] * xv.shape[3]
+            or w_h.shape != w_x.shape[:1] * 2 or b_h.shape != w_x.shape[:1]
+            or w.shape[1] != w_x.shape[0] * xv.shape[1]):
+        raise ShapeError(f"recurrence needs x (batch, tau, P, F), w_x (H, P F), w_h (H, H), "
+                         f"b_h (H,) and w (N, H tau), got {xv.shape}, {w_x.shape}, "
+                         f"{w_h.shape}, {b_h.shape} and {w.shape}")
+    (batch, tau, _, _), (hidden, pf), n = xv.shape, w_x.shape, w.shape[0]
+    fn, act_push = _ACTIVATIONS[activation]
+    wxt, wh, bh = _gemm_weight(w_x.array), w_h.array, b_h.array
+    wc = np.ascontiguousarray(w.array)
+    wt = _gemm_weight(wc)
+    step = max(1, 16 * _BLOCK_BYTES // (8 * tau * (pf + 3 * hidden)))
+    # one block of no windows gives zero gradients of the right shapes
+    starts, out, kept = range(0, max(batch, 1), step), np.empty((batch, n)), []
+    for lo in starts:
+        xb = xv[lo : lo + step]
+        k = len(xb)  # sizes, not -1: numpy cannot infer one for 0 windows
+        flat = xb.transpose(1, 0, 3, 2).reshape(tau * k, pf)
+        h = (flat @ wxt).reshape(tau, k, hidden)
+        for t in range(tau):
+            h[t] = fn((h[t] if t == 0 else h[t] + h[t - 1] @ wh.T) + bh)
+        rows = h.transpose(1, 2, 0).reshape(k, hidden * tau)
+        np.matmul(rows, wt, out=out[lo : lo + k])
+        if _recording:
+            kept.append((flat, h, rows))
+        del flat, h, rows  # before the next block's are made
+    if not _recording:
+        return TapeNode(out)
+
+    def grads(g: np.ndarray) -> list[np.ndarray]:
+        d = None
+        for lo, (flat, h, rows) in zip(starts, kept):
+            k = len(rows)
+            gb = g[lo : lo + k]
+            dr = (gb @ wc).reshape(k, hidden, tau).transpose(2, 0, 1)
+            dz, dh, buf = np.empty_like(h), dr[-1], np.empty_like(h[0])
+            for t in range(tau - 1, -1, -1):
+                # a no-op assignment unless the push returned dh itself (identity)
+                dz[t] = act_push(dh, h[t], out=dz[t])
+                if t:
+                    dh = np.add(dr[t - 1], np.matmul(dz[t], wh, out=buf), out=buf)
+            terms = [dz.reshape(-1, hidden).T @ flat,
+                     dz[1:].reshape(-1, hidden).T @ h[:-1].reshape(-1, hidden),
+                     dz.sum(axis=(0, 1)), gb.T @ rows]
+            d = terms if d is None else [a + b for a, b in zip(d, terms)]
+        return d
+
+    pushes = _shared(grads, [lambda d, i=i: d[i] for i in range(4)])
+    return TapeNode(out, (w_x, w_h, b_h, w), pushes)
 
 
 def _residual(pred: TapeNode, target: np.ndarray, name: str) -> tuple[np.ndarray, float]:

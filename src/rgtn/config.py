@@ -7,12 +7,14 @@ dataclass that consumes it, taking keys, types and defaults from its fields.
 to ``DataConfig`` (consumed by ``build_dataset``); ``output.dir`` and the
 optional ``bench.variants`` are read here.  Each value is checked once: its
 type on reading (a float must also be finite), its range in
-``__post_init__``.  Errors name the dotted field; unknown keys are ignored.
+``__post_init__``.  Errors name the dotted field, and a key that no field
+reads is an error naming its dotted path.
 The dataset decides the task, so the checks between sections live in
 ``build_dataset``: window shape, series length, ``training.loss`` and
 ``model.out_dim``.  A deleted setting keeps the one value ``FIXED`` gives
 it: a config or checkpoint snapshot may still set it to that value, and
-any other value is an error naming the key.
+any other value is an error naming the key.  ``model.task``, which the
+data now decides, may still be set to anything and is not read.
 """
 
 from __future__ import annotations
@@ -54,6 +56,10 @@ FIXED = {
     "training.clip_norm": None, "training.beta1": BETA1, "training.beta2": BETA2,
     "training.eps": EPS,
 }
+
+# Keys no field reads that a config may still carry: older checkpoint snapshots
+# and the benchmark's workloads set them
+LEGACY_KEYS = {*FIXED, "model.task"}
 
 
 class ConfigError(ValueError):
@@ -155,8 +161,17 @@ def _check(value, hint, path: str):
     raise ConfigError(f"{path}: expected {hint.__name__}, got {value!r}")
 
 
+def _known(section: dict, keys, path: str) -> None:
+    """Reject a key of the mapping at ``path`` that is not in ``keys``."""
+    for key in section:
+        dotted = f"{path}.{key}" if path else str(key)
+        if key not in keys and dotted not in LEGACY_KEYS:
+            raise ConfigError(f"{dotted}: unknown key")
+
+
 def _read(cls, section: dict, path: str):
-    """Build the dataclass ``cls`` from a YAML mapping; unknown keys are ignored."""
+    """Build the dataclass ``cls`` from a YAML mapping; an unknown key is an error."""
+    _known(section, {name for name, _, _ in _fields(cls)}, path)
     kwargs = {}
     for name, hint, required in _fields(cls):
         if name in section:
@@ -188,6 +203,7 @@ def run_config_from_dict(raw, seed_override: int | None = None) -> RunConfig:
     """Validate a parsed config document, such as a checkpoint's snapshot."""
     if not isinstance(raw, dict):
         raise ConfigError("top level of the config must be a mapping")
+    _known(raw, {"model", "data", "training", "output", "bench"}, "")
     model = raw.get("model")
     # variant leads ModelConfig's positional fields, so the class cannot default it
     model = {"variant": "grgtn", **model} if isinstance(model, dict) else model
@@ -210,11 +226,13 @@ def run_config_from_dict(raw, seed_override: int | None = None) -> RunConfig:
     output = raw.get("output", {})
     if not isinstance(output, dict):
         raise ConfigError("output: must be a mapping")
+    _known(output, {"dir"}, "output")
     output_dir = _check(output.get("dir", "runs/latest"), str, "output.dir")
     bench_variants = None
     if "bench" in raw:
-        bench = raw["bench"]
-        variants = bench.get("variants") if isinstance(bench, dict) else None
+        bench = raw["bench"] if isinstance(raw["bench"], dict) else {}
+        _known(bench, {"variants"}, "bench")
+        variants = bench.get("variants")
         if not isinstance(variants, list) or len(variants) < 2:
             raise ConfigError("bench.variants: need a list of at least two variants")
         for v in variants:

@@ -21,21 +21,19 @@ payload does.
 
 Each stage is one tape op.  grgtn and srgtn: ``filter_weight`` (grgtn's
 [W_x | W_r W_x]), then ``graph_tt`` (the time mix on the input, the
-projection with its activation and the TT head, over blocks of whole
-windows, so the hidden block's gradient never exists whole), then
-``add_bias``.  rnn: ``linear`` (projection), ``recurrence`` (the steps
-and their flatten), ``linear`` (head), then ``add_bias``.  The window x
-and the time adjacency A are plain arrays, so neither is a tape node and
-no gradient is computed for them.  ``autodiff.graph_tt`` gives the order
-in which the graph variants contract and why.
+projection with its activation and the TT head), then ``add_bias``.  rnn:
+``recurrence`` (the projection, the steps and the dense head), then
+``add_bias``.  The window x and the time adjacency A are plain arrays, so
+neither is a tape node and no gradient is computed for them.
+``autodiff.graph_tt`` gives the order in which the graph variants
+contract and why.
 
-The rnn projects the inputs of all steps in one ``linear`` on a time-major
-copy of x and runs the recurrence as one ``autodiff.recurrence`` node, so
-its tape does not grow with tau; that node emits the dense head's rows.
-``predict`` is ``forward`` of each block of whole windows under
-``autodiff.no_tape``, written into one output: it equals
-``forward(...).array`` exactly for any batch of at most one block, and
-its memory is bounded by the block, not by the batch.
+``graph_tt`` and ``recurrence`` each walk blocks of whole windows that
+they size themselves, so the hidden block's gradient never exists whole
+and the rnn's tape does not grow with tau.  ``predict`` is ``forward``
+under ``autodiff.no_tape``: it equals ``forward(...).array`` bit for bit,
+and its memory is bounded by the ops' blocks and the output, not by the
+batch.
 """
 
 from __future__ import annotations
@@ -178,19 +176,16 @@ def _check_param_shapes(config: ModelConfig, nodes: Mapping[str, ad.TapeNode]) -
             )
 
 
-def _hidden(config: ModelConfig, nodes: Mapping[str, ad.TapeNode], x: np.ndarray) -> ad.TapeNode:
-    """The rnn's dense head input: its hidden states as rows (batch, hidden * tau), time fastest."""
-    batch, tau, phys, feat = x.shape  # sizes, not -1: numpy cannot infer one for 0 windows
-    # time-major, physical index fastest within a step; one GEMM for all steps
-    flat = x.transpose(1, 0, 3, 2).reshape(tau, batch, phys * feat)
-    u = ad.linear(flat, nodes["w_x"])
-    return ad.recurrence(u, nodes["w_h"], nodes["b_h"], config.activation)
+def forward(
+    config: ModelConfig,
+    values: Mapping[str, ad.TapeNode | np.ndarray],
+    x: np.ndarray,
+) -> ad.TapeNode:
+    """Batched forward pass returning (batch, out_dim) predictions or logits.
 
-
-def _checked(
-    config: ModelConfig, values: Mapping[str, ad.TapeNode | np.ndarray], x: np.ndarray
-) -> tuple[dict[str, ad.TapeNode], np.ndarray]:
-    """The window batch as float64 and the parameters as nodes, each checked against config."""
+    The windows and the parameters are checked against ``config``, then run
+    through the variant's ops and the head's bias.
+    """
     x = np.asarray(x, float)
     if x.ndim != 4 or x.shape[1:] != (config.tau, config.d_phys, config.d_feat):
         raise ValueError(
@@ -199,13 +194,9 @@ def _checked(
         )
     nodes = _as_nodes(values)
     _check_param_shapes(config, nodes)
-    return nodes, x
-
-
-def _body(config: ModelConfig, nodes: Mapping[str, ad.TapeNode], x: np.ndarray) -> ad.TapeNode:
-    """The (batch, out_dim) output node of checked windows: hidden block, head, bias."""
     if config.variant == "rnn":
-        out = ad.linear(_hidden(config, nodes, x), nodes["head.w"])
+        out = ad.recurrence(x, nodes["w_x"], nodes["w_h"], nodes["b_h"], nodes["head.w"],
+                            config.activation)
     else:
         w = nodes["w_x"]
         if config.variant == "grgtn":
@@ -215,58 +206,16 @@ def _body(config: ModelConfig, nodes: Mapping[str, ad.TapeNode], x: np.ndarray) 
     return ad.add_bias(out, nodes["head.bias"])
 
 
-def forward(
-    config: ModelConfig,
-    values: Mapping[str, ad.TapeNode | np.ndarray],
-    x: np.ndarray,
-) -> ad.TapeNode:
-    """Batched forward pass returning (batch, out_dim) predictions or logits."""
-    return _body(config, *_checked(config, values, x))
-
-
-# Bytes of a ``predict`` block's working set, which holds as many whole
-# windows as fit (``_window_bytes``).  Swept, with every variant's window
-# then sized by its hidden block alone, at 1, 2, 4, 8 and 16 MiB and at
-# one block per batch, for each variant at predict-stream's shape (1024
-# windows) and wide-train's (256), on one OpenBLAS thread (process CPU, best
-# of 7): 1-4 MiB tie within noise (grgtn 38-47 and 51-53 ms); 8 MiB is up to
-# 35% slower (rnn) and 16 MiB up to 40%; one block per batch is 50-85% slower
-# (grgtn, srgtn) and takes 15x the memory of 4 MiB blocks.  From 2 MiB up,
-# wide-train's 8-window predicts and small-train's whole test split are one
-# block each.
-WINDOW_BLOCK_BYTES = 16 * ad._BLOCK_BYTES
-
-
-def _window_bytes(config: ModelConfig) -> int:
-    """Bytes of one window in a ``predict`` block, from the shapes.
-
-    The rnn holds at once the time-major copy of x, the projection u, the
-    states h and the head's rows.  The graph variants count their hidden
-    block, which ``graph_tt`` writes a few windows at a time.
-    """
-    if config.variant == "rnn":
-        return 8 * config.tau * (config.d_phys * config.d_feat + 3 * config.hidden)
-    return 8 * prod(config.feature_block)
-
-
 def predict(
     config: ModelConfig,
     values: Mapping[str, np.ndarray],
     x: np.ndarray,
 ) -> np.ndarray:
-    """``forward(...).array`` of each block of windows in turn, computed without a tape.
+    """``forward(...).array``, computed without a tape.
 
-    A block is as many whole windows as fit in ``WINDOW_BLOCK_BYTES`` by
-    ``_window_bytes``, so memory is bounded by the block and not by the
-    batch.  A batch of one block is returned as its block's array, with no
-    output buffer alive under the block's peak.
+    Each body op walks blocks of whole windows with the same kernels as
+    under a tape, so the result is the same bits, and only the
+    (batch, out_dim) output is batch-sized.
     """
-    nodes, x = _checked(config, values, x)
-    step = max(1, WINDOW_BLOCK_BYTES // _window_bytes(config))
     with ad.no_tape():
-        if len(x) <= step:
-            return _body(config, nodes, x).array
-        out = np.empty((len(x), config.out_dim))
-        for lo in range(0, len(x), step):
-            out[lo : lo + step] = _body(config, nodes, x[lo : lo + step]).array
-    return out
+        return forward(config, values, x).array

@@ -2,8 +2,11 @@
 
 A :class:`DenseTensor` is an order-N array of float64 entries that cannot
 be written to; ``tt_svd`` takes one and ``tt_reconstruct`` returns one, and
-each tensor-train core is one.  :class:`ShapeError` is the package's error
-for operands whose shapes or axes do not conform.
+each tensor-train core is one.  ``from_array`` copies a caller's array;
+the class itself wraps an array it is handed, read-only in place, so an
+array just computed and held nowhere else is not copied.
+:class:`ShapeError` is the package's error for operands whose shapes or
+axes do not conform.
 """
 
 from __future__ import annotations
@@ -23,13 +26,16 @@ class ShapeError(ValueError):
 
 @dataclass(frozen=True)
 class DenseTensor:
-    """Immutable order-N array of 64-bit reals, held in ``array``."""
+    """Immutable order-N array of 64-bit reals, held in ``array``.
+
+    A float64 array is wrapped without a copy and made read-only: only hand
+    it an array that nothing else writes to, and ``from_array`` otherwise.
+    """
 
     array: np.ndarray
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.array, dtype=np.float64)
-        arr = arr.copy() if arr is self.array else arr
         arr.flags.writeable = False
         object.__setattr__(self, "array", arr)
 
@@ -51,4 +57,5 @@ class DenseTensor:
 
 def from_array(array: np.ndarray | float) -> DenseTensor:
     """Wrap a numpy array (copied) as a DenseTensor."""
-    return DenseTensor(array)
+    arr = np.asarray(array, dtype=np.float64)
+    return DenseTensor(arr.copy() if arr is array else arr)

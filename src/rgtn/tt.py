@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .tensor import DenseTensor, Shape, ShapeError, from_array
+from .tensor import DenseTensor, Shape, ShapeError
 
 __all__ = ["TTNetwork", "tt_svd", "tt_reconstruct", "tt_param_count", "dense_param_count"]
 
@@ -121,10 +121,10 @@ def tt_svd(
         # Columns kept past the numerical rank carry zero weight; zero them so
         # a zero tensor yields all-zero cores.
         u_kept = u[:, :keep] * (s[:keep] > 0.0)
-        cores.append(from_array(u_kept.reshape(rank, dims[k], keep)))
+        cores.append(DenseTensor(u_kept.reshape(rank, dims[k], keep)))
         current = u_kept.T @ mat
         rank = keep
-    cores.append(from_array(current.reshape(rank, dims[-1])[:, :, None]))
+    cores.append(DenseTensor(current.reshape(rank, dims[-1])[:, :, None]))
     return TTNetwork(tuple(cores))
 
 
@@ -133,5 +133,5 @@ def tt_reconstruct(tt: TTNetwork) -> DenseTensor:
     result = tt.cores[0].array
     for core in tt.cores[1:]:
         result = np.tensordot(result, core.array, axes=(result.ndim - 1, 0))
-    return from_array(result[0, ..., 0])
+    return DenseTensor(result[0, ..., 0])
 

@@ -6,9 +6,8 @@ SVD of each unfolding, and ``raw_checkpoint`` writes the checkpoint
 layout byte by byte; none of them calls ``rgtn``.  ``hidden_node``,
 ``hidden_rows`` and ``hidden_states`` read the block a model's head reads,
 so a test can compare the filtered hidden-state block against a reference:
-the graph variants' through ``forward`` with an identity tensor-train head,
-the rnn's through ``rgtn.models._hidden``, the part of its forward before
-the dense head.
+through ``forward`` with an identity head, tensor-train for the graph
+variants and dense for the rnn.
 """
 
 import hashlib
@@ -20,7 +19,7 @@ from math import prod
 import numpy as np
 
 from rgtn import autodiff as ad
-from rgtn.models import HeadConfig, ModelConfig, _hidden, forward, init_params
+from rgtn.models import HeadConfig, ModelConfig, forward, init_params
 
 
 def random_idempotent(rng, m, rank=None):
@@ -198,31 +197,28 @@ def body_params(values):
 
 
 def identity_head(config, values):
-    """The graph config and parameters whose head passes the hidden block through unchanged.
+    """The config and parameters whose head passes the hidden block through unchanged.
 
-    Ranks (1, 1), out_modes = (tau, physical, hidden), identity cores and a
-    zero bias: ``forward`` then returns the block flattened first mode
-    fastest, exactly, as one row per window.
+    The graph variants get ranks (1, 1), out_modes = (tau, physical, hidden)
+    and identity cores, the rnn an identity dense weight, and each a zero
+    bias: ``forward`` then returns the block flattened first mode fastest,
+    exactly, as one row per window.
     """
     block = config.feature_block
-    cfg = replace(config, out_dim=prod(block), head=HeadConfig(ranks=(1, 1), out_modes=block))
-    head = {f"head.core{k}": np.eye(n)[None, :, :, None] for k, n in enumerate(block)}
+    if config.variant == "rnn":
+        cfg, head = replace(config, out_dim=prod(block)), {"head.w": np.eye(prod(block))}
+    else:
+        cfg = replace(config, out_dim=prod(block), head=HeadConfig(ranks=(1, 1), out_modes=block))
+        head = {f"head.core{k}": np.eye(n)[None, :, :, None] for k, n in enumerate(block)}
     return cfg, {**values, **head, "head.bias": np.zeros(cfg.out_dim)}
 
 
 def hidden_node(config, values, x):
     """The block the head reads, one row per window, flattened first mode fastest, as a node.
 
-    (batch, tau * physical * hidden) for the graph variants, read through
-    ``identity_head``; (batch, hidden * tau) for the rnn, whose recurrence
-    already emits its rows.
+    (batch, tau * physical * hidden) for the graph variants and
+    (batch, hidden * tau) for the rnn, read through ``identity_head``.
     """
-    if config.variant == "rnn":
-        nodes = {
-            k: v if isinstance(v, ad.TapeNode) else ad.constant(np.asarray(v, float))
-            for k, v in values.items()
-        }
-        return _hidden(config, nodes, np.asarray(x, float))
     return forward(*identity_head(config, values), x)
 
 

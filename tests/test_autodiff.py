@@ -57,10 +57,12 @@ class TestBackwardMechanics:
             ad.backward(node)
 
     def test_linear_map_gradient_pattern(self):
+        # the rnn's dense head after one step of an identity projection: x w^T
         rng = np.random.default_rng(0)
         w = ad.constant(rng.standard_normal((3, 4)))
         x = rng.standard_normal(4)
-        y = ad.linear(x[None], w)
+        y = ad.recurrence(x.reshape(1, 1, 1, 4), ad.constant(np.eye(4)),
+                          ad.constant(np.zeros((4, 4))), ad.constant(np.zeros(4)), w, "identity")
         # a target below every output: the loss's gradient is 1/3 on each
         ad.backward(ad.mae_loss(y, y.array - 1.0))
         np.testing.assert_allclose(w.grad, np.tile(x, (3, 1)) / 3.0, atol=1e-12)
@@ -75,22 +77,25 @@ class TestBackwardMechanics:
 
     def test_node_reused_twice(self):
         rng = np.random.default_rng(1)
-        x = rng.standard_normal((1, 4))
+        x = rng.standard_normal((3, 3))
         node = ad.constant(x)
-        # |x|^2 as x x^T with the node as both operands: each use pushes x into x
-        y = ad.linear(node, node)
-        # a target below the output: the loss's gradient is 1
+        # [W | W W] with the node as both operands: each use pushes into the node
+        y = ad.filter_weight(node, node)
+        # a target below every output: the loss's gradient is 1/18 on each
         ad.backward(ad.mae_loss(y, y.array - 1.0))
-        np.testing.assert_allclose(node.grad, 2.0 * x, atol=1e-12)
+        ones = np.ones((3, 3))
+        np.testing.assert_allclose(node.grad, (ones + ones @ x.T + x.T @ ones) / 18.0,
+                                   atol=1e-12)
 
     def test_diamond_graph(self):
         x = ad.constant(np.array([[2.0]]))
-        a = ad.linear(x, np.array([[3.0]]))
-        b = ad.linear(x, x)
-        # |3x + x^2| has gradient 3 + 2x
-        loss = ad.mae_loss(ad.add_bias(a, b), np.zeros((1, 1)))
+        a = ad.add_bias(x, x)
+        b = ad.filter_weight(a, x)
+        # x reaches [x | 2x x] directly and through 2x: (|x| + |2x^2|) / 2 has
+        # gradient (1 + 4x) / 2
+        loss = ad.mae_loss(b, np.zeros((1, 2)))
         ad.backward(loss)
-        np.testing.assert_allclose(x.grad, 3.0 + 4.0, atol=1e-12)
+        np.testing.assert_allclose(x.grad, (1.0 + 8.0) / 2.0, atol=1e-12)
 
 
 class TestElementwiseOps:
@@ -101,24 +106,74 @@ class TestElementwiseOps:
         check_gradients(lambda x: ad.mae_loss(x, np.zeros(a.shape)), [a])
 
 
+ACTIVATIONS = ["tanh", "sigmoid", "relu", "identity"]
+
+
+def rnn_arrays(rng, batch, tau=2, phys=2, feat=2, hidden=3, n=2, feedback=True):
+    """``recurrence``'s windows and weights ``w_x``, ``w_h``, ``b_h`` and ``w``.
+
+    Without feedback ``w_h`` is zero, so each step is the projection alone.
+    """
+    x = rng.standard_normal((batch, tau, phys, feat))
+    w_x = rng.standard_normal((hidden, phys * feat)) * 0.6
+    w_h = rng.standard_normal((hidden, hidden)) * (0.5 if feedback else 0.0)
+    b_h = rng.standard_normal(hidden) * 0.3
+    w = rng.standard_normal((n, hidden * tau)) * 0.5
+    return x, [w_x, w_h, b_h, w]
+
+
+def rnn_states(x, w_x, w_h, b_h, activation):
+    """The pre-activations and states ``(tau, batch, H)``, one step at a time."""
+    fn = ad._ACTIVATIONS[activation][0]
+    batch, tau, phys, feat = x.shape
+    # each step's (P, F) slice flattened physical index fastest
+    steps = x.transpose(1, 0, 3, 2).reshape(tau, batch, phys * feat)
+    pre, states, h = [], [], np.zeros((batch, len(b_h)))
+    for t in range(tau):
+        pre.append(steps[t] @ w_x.T + h @ w_h.T + b_h)
+        h = fn(pre[-1].copy())
+        states.append(h)
+    return np.array(pre), np.array(states)
+
+
+def rnn_reference(x, w_x, w_h, b_h, w, activation):
+    """``recurrence``'s output: the states as rows, time fastest, times ``w^T``."""
+    _, h = rnn_states(x, w_x, w_h, b_h, activation)
+    return h.transpose(1, 2, 0).reshape(len(x), -1) @ w.T
+
+
+def rnn_loss(x, activation, target=None):
+    """A scalar root over ``recurrence``'s output for nodes of its four weights."""
+    def build(*weights):
+        out = ad.recurrence(x, *weights, activation)
+        return square_mean(out) if target is None else ad.mse_loss(out, target)
+    return build
+
+
+def rnn_node(x, weights, activation):
+    """``recurrence`` over constants of ``weights``, and those nodes."""
+    nodes = [ad.constant(v) for v in weights]
+    return ad.recurrence(x, *nodes, activation), nodes
+
+
 class TestTensordot:
-    """A contraction of one axis pair as the models write it: ``linear`` over
-    every leading axis of x."""
+    """A contraction of one axis pair as the models write it: the rnn's
+    feature projection over every window and step, inside ``recurrence``."""
 
     def test_batched_feature_projection(self):
         rng = np.random.default_rng(12)
-        x = rng.standard_normal((2, 3, 2, 3))
-        w = rng.standard_normal((4, 3))
-        check_gradients(lambda a, b: square_mean(ad.linear(a, b)), [x, w])
+        x, weights = rnn_arrays(rng, batch=2, tau=3, phys=2, feat=3, hidden=4)
+        check_gradients(rnn_loss(x, "tanh"), weights)
 
     def test_extent_mismatch(self):
+        x, (w_x, w_h, b_h, w) = rnn_arrays(np.random.default_rng(13), batch=2)
         with pytest.raises(ShapeError):
-            ad.linear(ad.constant(np.ones((2, 3))), ad.constant(np.ones((2, 4))))
+            rnn_node(x, [w_x[:, :-1], w_h, b_h, w], "tanh")
 
 
 class TestMatmul:
-    """The GEMM ops: ``linear`` with an ndarray operand as data, and ``graph_tt``'s
-    product of the time adjacency and a window batch, on data only."""
+    """The GEMM ops with windows as data: ``recurrence``'s projection and dense
+    head, and ``graph_tt``'s product of the time adjacency and a window batch."""
 
     def test_batched_right_operand_under_2d_left(self):
         # data only, as the time adjacency meets a batch of windows: no push;
@@ -138,51 +193,58 @@ class TestMatmul:
                 ad.graph_tt(right, left, w, cores)
 
     def test_both_operands_transposed(self):
-        # a.T @ b.T as linear on a transposed view: the weight enters transposed too
+        # the windows and both GEMM weights as transposed views
         rng = np.random.default_rng(35)
-        a = rng.standard_normal((4, 3))
-        b = rng.standard_normal((5, 4))
-        out = ad.linear(a.T, b).array
-        np.testing.assert_allclose(out, a.T @ b.T, atol=1e-12)
+        x, (w_x, w_h, b_h, w) = rnn_arrays(rng, batch=3, tau=2, phys=2, feat=2, hidden=3)
+        x = np.ascontiguousarray(x.transpose(3, 2, 1, 0)).transpose(3, 2, 1, 0)
+        weights = [np.ascontiguousarray(w_x.T).T, w_h, b_h, np.ascontiguousarray(w.T).T]
+        assert not any(v.flags.c_contiguous for v in (x, weights[0], weights[3]))
+        out = rnn_node(x, weights, "tanh")[0].array
+        np.testing.assert_allclose(out, rnn_reference(x, *weights, "tanh"), atol=1e-12)
         assert out.flags.c_contiguous
-        # constant() keeps the view, so the node's array is the transposed one too
-        check_gradients(lambda x, y: square_mean(ad.linear(x, y)), [a.T, b])
+        # constant() keeps the views, so the nodes' arrays are the transposed ones too
+        check_gradients(rnn_loss(x, "tanh"), weights)
 
     def test_linear_is_product_with_transpose(self):
+        # one step, no feedback, no bias: (x W_x^T) w^T
         rng = np.random.default_rng(33)
-        x = rng.standard_normal((2, 4, 3))
-        w = rng.standard_normal((5, 3))
-        np.testing.assert_allclose(ad.linear(x, w).array, x @ w.T, atol=1e-12)
-        check_gradients(lambda u, v: square_mean(ad.linear(u, v)), [x, w])
+        x, (w_x, w_h, b_h, w) = rnn_arrays(rng, batch=4, tau=1, phys=1, feat=3, hidden=5,
+                                           feedback=False)
+        weights = [w_x, w_h, np.zeros_like(b_h), w]
+        out = rnn_node(x, weights, "identity")[0].array
+        np.testing.assert_allclose(out, (x.reshape(4, 3) @ w_x.T) @ w.T, atol=1e-12)
+        check_gradients(rnn_loss(x, "identity"), weights)
 
-    @pytest.mark.parametrize("data_left", [True, False])
+    @pytest.mark.parametrize("float64", [True, False])
     @pytest.mark.parametrize("left,right", [((2, 3), (3, 5)), ((3, 2, 4), (4, 5))])
-    def test_ndarray_operand_is_data(self, data_left, left, right):
-        # linear's x or its (N, K) weight as a plain array: no node, no push
+    def test_ndarray_operand_is_data(self, float64, left, right):
+        # the windows (1, 2, 3) or (3, 2, 4), as float64 or as integers, and a
+        # head of H = 3 or 4 and N = 5: plain data, so no node and no push
         rng = np.random.default_rng(34)
-        a, b = rng.standard_normal(left), rng.standard_normal(right[::-1])
-        data, value = (a, b) if data_left else (b, a)
-
-        def product(node):
-            return ad.linear(data, node) if data_left else ad.linear(node, data)
-
-        check_gradients(lambda node: square_mean(product(node)), [value])
-        node = ad.constant(value)
-        out = product(node)
-        np.testing.assert_allclose(out.array, a @ b.T, atol=1e-12)
-        assert out.parents == (node,) and len(out.pushes) == 1
+        (tau, phys, feat), (hidden, n) = (1,) * (3 - len(left)) + left, right
+        x, weights = rnn_arrays(rng, batch=2, tau=tau, phys=phys, feat=feat, hidden=hidden, n=n)
+        if not float64:
+            x = np.round(3 * x).astype(int)
+        check_gradients(rnn_loss(x, "tanh"), weights)
+        out, nodes = rnn_node(x, weights, "tanh")
+        np.testing.assert_allclose(out.array, rnn_reference(x, *weights, "tanh"), atol=1e-12)
+        assert out.parents == tuple(nodes) and len(out.pushes) == 4
+        with pytest.raises(ShapeError, match="data only"):
+            ad.recurrence(ad.constant(np.asarray(x, float)), *nodes, "tanh")
 
     def test_non_contiguous_input(self):
         rng = np.random.default_rng(34)
-        a = rng.standard_normal((4, 3, 2)).transpose(2, 1, 0)  # (2, 3, 4), not contiguous
-        w = rng.standard_normal((5, 4))
-        assert not a.flags.c_contiguous
-        check_gradients(lambda x, y: square_mean(ad.linear(x, y)), [a, w])
-        x = ad.constant(a)
-        y = ad.linear(x, ad.constant(w))
-        # a target below every output: the loss's gradient is 1/30 on each
-        ad.backward(ad.mae_loss(y, y.array - 1.0))
-        np.testing.assert_allclose(x.grad, np.broadcast_to(w.sum(0) / 30.0, a.shape), atol=1e-12)
+        x, weights = rnn_arrays(rng, batch=3, tau=3, phys=2, feat=2, hidden=3)
+        view = np.ascontiguousarray(x.transpose(2, 1, 0, 3)).transpose(2, 1, 0, 3)
+        assert not view.flags.c_contiguous and np.array_equal(view, x)
+        check_gradients(rnn_loss(view, "tanh"), weights)
+        results = []
+        for windows in (x, view):
+            out, nodes = rnn_node(windows, weights, "tanh")
+            ad.backward(square_mean(out))
+            results.append([out.array] + [node.grad for node in nodes])
+        for contiguous, strided in zip(*results):
+            np.testing.assert_array_equal(contiguous, strided)
 
     def test_shape_errors(self):
         # the adjacency must be (tau, tau) for the window's tau, and x a 4-D batch
@@ -195,152 +257,126 @@ class TestMatmul:
                 ad.graph_tt(bad_x, bad_a, w, cores)
 
 
-ACTIVATIONS = ["tanh", "sigmoid", "relu", "identity"]
-
-
-def activated(z, activation):
-    """``act(z)`` of a 3-D node the way the rnn activates ``linear``'s output.
-
-    ``recurrence`` with zero feedback and zero bias, as ``(batch, hidden * tau)``
-    rows: one step of tau is ``act(z[0])`` itself.
-    """
-    n = z.shape[-1]
-    return ad.recurrence(z, ad.constant(np.zeros((n, n))), ad.constant(np.zeros(n)), activation)
-
-
 class TestLinear:
-    """``linear(x, w)``: ``x @ w.T`` as one node, and its output under each activation."""
+    """The rnn's two linear maps, the projection of each step and the dense
+    head, inside ``recurrence``, under each activation."""
 
     @pytest.mark.parametrize("activation", ACTIVATIONS)
-    @pytest.mark.parametrize("x_is_node", [True, False])
-    def test_gradients_match_finite_differences(self, activation, x_is_node):
-        rng = np.random.default_rng(43)
-        w = rng.standard_normal((5, 4))
-        x = rng.standard_normal((2, 3, 4))
-        assert np.abs(x @ w.T).min() > 0.05  # relu's kink is beyond the finite-difference step
-        if x_is_node:
-            check_gradients(lambda u, v: square_mean(activated(ad.linear(u, v), activation)),
-                            [x, w])
-        else:
-            check_gradients(lambda v: square_mean(activated(ad.linear(x, v), activation)), [w])
+    @pytest.mark.parametrize("feedback", [True, False])
+    def test_gradients_match_finite_differences(self, activation, feedback):
+        rng = np.random.default_rng(40)
+        x, weights = rnn_arrays(rng, batch=2, tau=3, feedback=feedback)
+        # relu's kink is beyond the finite-difference step
+        assert np.abs(rnn_states(x, *weights[:3], activation)[0]).min() > 0.05
+        check_gradients(rnn_loss(x, activation), weights)
 
     @pytest.mark.parametrize("activation", ACTIVATIONS)
     def test_equals_the_activation_of_a_plain_linear(self, activation):
+        # one step: act(x W_x^T + b_h) w^T, and its gradients by hand
         rng = np.random.default_rng(41)
-        x, w = rng.standard_normal((1, 6, 3)), rng.standard_normal((4, 3))
-        target = rng.standard_normal((6, 4))
-        u, v = ad.constant(x), ad.constant(w)
-        out = activated(ad.linear(u, v), activation)
+        x, weights = rnn_arrays(rng, batch=6, tau=1, phys=1, feat=3, hidden=4, n=2)
+        w_x, _, b_h, w = weights
+        target = rng.standard_normal((6, 2))
+        out, nodes = rnn_node(x, weights, activation)
         ad.backward(ad.mse_loss(out, target))
-        # the same steps by hand: the GEMM, the activation of it plus the zero bias,
-        # the activation's push and linear's pushes
         fn, push = ad._ACTIVATIONS[activation]
-        plain = ad.linear(ad.constant(x), ad.constant(w))
-        y = ad.constant(fn(plain.array[0] + 0.0))
-        ad.backward(ad.mse_loss(y, target))
-        dz = push(y.grad, y.array)[None]
-        composed = (y.array, *(node_push(dz) for node_push in plain.pushes))
-        for chained, expect in zip((out.array, u.grad, v.grad), composed):
-            np.testing.assert_array_equal(chained, expect)
+        h = fn(x.reshape(6, 3) @ w_x.T + b_h)
+        y = h @ w.T
+        g = 2.0 * (y - target) / y.size
+        dz = push(g @ w, h)
+        expect = (y, dz.T @ x.reshape(6, 3), np.zeros((4, 4)), dz.sum(axis=0), g.T @ h)
+        for got, want in zip([out.array] + [node.grad for node in nodes], expect):
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-15)
 
     @pytest.mark.parametrize("layout", ["fortran", "transposed_view"])
     def test_weight_layout_does_not_change_the_result(self, layout):
         rng = np.random.default_rng(43)
-        # (N, K) weights read through BLAS's transposed flag (K >= _SHORT_K) and copied
-        for shape in ((3, 5), (2, ad._SHORT_K), (16, 4)):
-            w = rng.standard_normal(shape)
-            x = rng.standard_normal((7, shape[1]))
-            other = np.asfortranarray(w) if layout == "fortran" else np.ascontiguousarray(w.T).T
-            assert not other.flags.c_contiguous and np.array_equal(other, w)
+        # the projection's and the head's K on both sides of _SHORT_K
+        for tau, phys, feat, hidden in ((2, 2, 3, 4), (2, 4, ad._SHORT_K // 4, 3),
+                                        (4, 1, 2, ad._SHORT_K // 4)):
+            x, weights = rnn_arrays(rng, batch=5, tau=tau, phys=phys, feat=feat, hidden=hidden)
             results = []
-            for weight in (w, other):
-                u, v = ad.constant(x), ad.constant(weight)
-                out = ad.linear(u, v)
+            for relaid in (False, True):
+                values = list(weights)
+                if relaid:
+                    for i in (0, 3):
+                        v = values[i]
+                        values[i] = (np.asfortranarray(v) if layout == "fortran"
+                                     else np.ascontiguousarray(v.T).T)
+                        assert not values[i].flags.c_contiguous and np.array_equal(values[i], v)
+                out, nodes = rnn_node(x, values, "tanh")
                 ad.backward(square_mean(out))
-                results.append((out.array, u.grad, v.grad))
+                results.append([out.array] + [node.grad for node in nodes])
             for c_order, other_order in zip(*results):
                 np.testing.assert_array_equal(c_order, other_order)
 
     def test_shape_errors(self):
-        for x, w in ((np.ones(3), np.ones((2, 3))), (np.ones((2, 3)), np.ones((1, 2, 3))),
-                     (np.ones((2, 3)), np.ones((2, 4)))):
+        x, (w_x, w_h, b_h, w) = rnn_arrays(np.random.default_rng(44), batch=2)
+        for bad_x, bad_wx, bad_w in ((x[0], w_x, w), (x, w_x[:, :3], w), (x, w_x[None], w),
+                                     (x, w_x, w[:, :-1]), (x, w_x, w[0])):
             with pytest.raises(ShapeError):
-                ad.linear(x, ad.constant(w))
+                rnn_node(bad_x, [bad_wx, w_h, b_h, bad_w], "tanh")
 
 
-def block_rows(n):
-    """Rows per block of ``linear`` with N outputs, from the module constant."""
-    return max(1, ad._BLOCK_BYTES // (8 * n))
+def block_windows(x, weights):
+    """Windows per block of ``recurrence``, from the module constant and the shapes."""
+    tau, pf, hidden = x.shape[1], weights[0].shape[1], weights[0].shape[0]
+    return max(1, 16 * ad._BLOCK_BYTES // (8 * tau * (pf + 3 * hidden)))
+
+
+def set_block_windows(monkeypatch, tau, pf, hidden, windows):
+    """Make ``recurrence`` walk ``windows`` whole windows a block."""
+    monkeypatch.setattr(ad, "_BLOCK_BYTES", -(-windows * 8 * tau * (pf + 3 * hidden) // 16))
 
 
 class TestBlockedLinear:
-    """``linear`` over more rows than one block: the blocks stitch into one product."""
+    """``recurrence`` over more windows than one block: the blocks stitch into one result."""
 
-    N, K = 32, 3
+    R = 3  # windows per block
 
     @pytest.mark.parametrize("activation", ACTIVATIONS)
-    @pytest.mark.parametrize("x_is_node", [True, False])
+    @pytest.mark.parametrize("feedback", [True, False])
     @pytest.mark.parametrize("blocks,extra", [(0, 1), (1, -1), (1, 0), (1, 1), (2, 3)],
                              ids=["1", "R-1", "R", "R+1", "2R+3"])
-    def test_gradients_match_finite_differences(self, blocks, extra, x_is_node, activation,
+    def test_gradients_match_finite_differences(self, blocks, extra, feedback, activation,
                                                 monkeypatch):
-        # blocks of 16 rows, so that each finite difference is cheap; the
-        # full block size is checked against one GEMM below
-        monkeypatch.setattr(ad, "_BLOCK_BYTES", 8 * self.N * 16)
-        rows = blocks * block_rows(self.N) + extra
-        rng = np.random.default_rng(45)
-        # rows of w of one sign each, so every |x @ w.T| >= 0.01 K: far from relu's kink
-        w = rng.uniform(0.1, 0.5, (self.N, self.K)) * np.where(np.arange(self.N) % 2, -1, 1)[:, None]
-        x = rng.uniform(0.1, 0.5, (1, rows, self.K))
-        target = rng.standard_normal((rows, self.N))
-
-        def loss(xv, wv):
-            return ad.mse_loss(activated(ad.linear(xv, wv), activation), target)
-
-        u, v = ad.constant(x), ad.constant(w)
-        ad.backward(loss(u if x_is_node else x, v))
-        assert (u.grad is not None) == x_is_node
-        h = 1e-6
-        # every weight, and x at the first and last row of each block
-        coords = [(1, idx) for idx in np.ndindex(w.shape)]
-        if x_is_node:
-            step = block_rows(self.N)
-            edges = {r for lo in range(0, rows, step) for r in (lo, min(lo + step, rows) - 1)}
-            coords += [(0, (0, r, j)) for r in sorted(edges) for j in range(self.K)]
-        for which, idx in coords:
-            value = (x, w)[which]
-            shifted = []
-            for sign in (1.0, -1.0):
-                trial = value.copy()
-                trial[idx] += sign * h
-                args = (trial, w) if which == 0 else (x, trial)
-                shifted.append(float(loss(*args).array))
-            fd = (shifted[0] - shifted[1]) / (2 * h)
-            got = (u, v)[which].grad[idx]
-            assert abs(got - fd) <= 1e-8 + 1e-5 * abs(fd), (which, idx)
+        rng = np.random.default_rng(49)
+        windows = blocks * self.R + extra
+        x, weights = rnn_arrays(rng, batch=2 * self.R + 3, feedback=feedback)
+        x = x[:windows]
+        set_block_windows(monkeypatch, 2, 4, 3, self.R)
+        assert block_windows(x, weights) == self.R
+        # relu's kink is beyond the finite-difference step
+        assert np.abs(rnn_states(x, *weights[:3], activation)[0]).min() > 0.01
+        check_gradients(rnn_loss(x, activation), weights)
+        blocked = rnn_node(x, weights, activation)[0].array
+        monkeypatch.setattr(ad, "_BLOCK_BYTES", 1 << 18)
+        np.testing.assert_allclose(blocked, rnn_node(x, weights, activation)[0].array,
+                                   rtol=1e-12, atol=1e-15)
 
     @pytest.mark.parametrize("activation", ACTIVATIONS)
-    def test_forward_equals_one_gemm(self, activation):
+    def test_forward_equals_one_gemm(self, activation, monkeypatch):
         rng = np.random.default_rng(46)
-        w = rng.standard_normal((self.N, 16))
-        x = rng.standard_normal((3 * block_rows(self.N) + 5, 16))
-        fn = ad._ACTIVATIONS[activation][0]
-        np.testing.assert_allclose(activated(ad.linear(x[None], w), activation).array,
-                                   fn(x @ w.T), rtol=1e-14)
+        x, weights = rnn_arrays(rng, batch=3 * self.R + 2, tau=4, phys=2, feat=3, hidden=5)
+        set_block_windows(monkeypatch, 4, 6, 5, self.R)
+        assert block_windows(x, weights) == self.R
+        np.testing.assert_allclose(rnn_node(x, weights, activation)[0].array,
+                                   rnn_reference(x, *weights, activation), rtol=1e-12,
+                                   atol=1e-14)
 
     def test_zero_rows(self):
-        u, w = ad.constant(np.empty((0, self.K))), ad.constant(np.ones((self.N, self.K)))
-        out = ad.linear(u, w)
-        assert out.shape == (0, self.N)
-        dx, dw = (push(np.empty((0, self.N))) for push in out.pushes)
-        assert dx.shape == (0, self.K)
-        np.testing.assert_array_equal(dw, np.zeros((self.N, self.K)))
+        x, weights = rnn_arrays(np.random.default_rng(47), batch=0)
+        out, nodes = rnn_node(x, weights, "tanh")
+        assert out.shape == (0, 2)
+        for push, value in zip(out.pushes, weights):
+            np.testing.assert_array_equal(push(np.empty((0, 2))), np.zeros(value.shape))
 
-    def test_backward_makes_no_output_sized_temporary(self):
-        rows = 8 * block_rows(self.N) + 1
+    def test_backward_makes_no_output_sized_temporary(self, monkeypatch):
+        # no gradient of all the states: each block's only
         rng = np.random.default_rng(47)
-        u = ad.constant(rng.standard_normal((rows, 8)))
-        node = ad.linear(u, ad.constant(rng.standard_normal((self.N, 8))))
+        x, weights = rnn_arrays(rng, batch=8 * 16 + 1, tau=4, phys=2, feat=2, hidden=8, n=3)
+        set_block_windows(monkeypatch, 4, 4, 8, 16)
+        node, nodes = rnn_node(x, weights, "tanh")
         g = rng.standard_normal(node.shape)
         tracemalloc.start()
         try:
@@ -349,9 +385,11 @@ class TestBlockedLinear:
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        assert peak < g.nbytes  # x's gradient, not a (rows, N) array
-        np.testing.assert_allclose(grads[0], g @ node.parents[1].array, rtol=1e-12, atol=1e-10)
-        np.testing.assert_allclose(grads[1], g.T @ u.array, rtol=1e-12, atol=1e-10)
+        assert peak < 8 * x.shape[1] * len(x) * 8  # the states of every window
+        monkeypatch.setattr(ad, "_BLOCK_BYTES", 1 << 18)
+        whole = rnn_node(x, weights, "tanh")[0]
+        for got, expect in zip(grads, (push(g) for push in whole.pushes)):
+            np.testing.assert_allclose(got, expect, rtol=1e-12, atol=1e-12)
 
 
 class TestFilterWeight:
@@ -377,22 +415,24 @@ class TestFilterWeight:
                 ad.filter_weight(ad.constant(np.ones(w_r)), ad.constant(np.ones(w_x)))
 
 
+
 class TestTapeLifetime:
     def test_backward_keeps_only_leaf_gradients(self):
         rng = np.random.default_rng(35)
-        w = ad.constant(rng.standard_normal((3, 4)))
-        inner = ad.linear(rng.standard_normal((5, 4)), w)
+        r, w = ad.constant(rng.standard_normal((3, 3))), ad.constant(rng.standard_normal((3, 4)))
+        inner = ad.filter_weight(r, w)
         root = square_mean(inner)
         ad.backward(root)
-        assert w.grad is not None
+        assert r.grad is not None and w.grad is not None
         assert inner.grad is None and root.grad is None
 
     def test_no_tape_keeps_no_inputs(self):
-        w = ad.constant(np.ones((2, 2)))
+        x, weights = rnn_arrays(np.random.default_rng(36), batch=3)
+        nodes = [ad.constant(v) for v in weights]
         with ad.no_tape():
-            out = ad.linear(np.ones((3, 2)), w)
+            out = ad.recurrence(x, *nodes, "tanh")
         assert out.parents == () and out.pushes == ()
-        again = ad.linear(np.ones((3, 2)), w)
+        again = ad.recurrence(x, *nodes, "tanh")
         assert again.parents and np.array_equal(again.array, out.array)
 
 
@@ -414,46 +454,58 @@ class TestStructuralOps:
             ad.add_bias(ad.constant(np.ones((2, 3))), ad.constant(np.ones(2)))
 
 
+
 class TestRecurrence:
     @pytest.mark.parametrize("activation", ["tanh", "sigmoid", "relu", "identity"])
     @pytest.mark.parametrize("tau", [1, 2, 7])
     @pytest.mark.parametrize("batch", [1, 3])
     def test_gradients_match_finite_differences(self, activation, tau, batch):
         rng = np.random.default_rng(37)
-        u = rng.standard_normal((tau, batch, 3))
-        w = rng.standard_normal((3, 3)) * 0.6
-        b = rng.standard_normal(3) * 0.3
-        check_gradients(
-            lambda u, w, b: square_mean(ad.recurrence(u, w, b, activation)), [u, w, b]
-        )
+        x, weights = rnn_arrays(rng, batch=batch, tau=tau, phys=1, feat=2, hidden=3)
+        check_gradients(rnn_loss(x, activation), weights)
 
-    def test_one_loop_serves_all_three_pushes(self):
+    def test_one_loop_serves_all_three_pushes(self, monkeypatch):
+        # all four pushes, over one block: one reverse loop of tau steps
+        fn, push = ad._ACTIVATIONS["tanh"]
+        calls = []
+
+        def counted(g, y, out=None):
+            calls.append(1)
+            return push(g, y, out=out)
+
+        monkeypatch.setitem(ad._ACTIVATIONS, "tanh", (fn, counted))
         rng = np.random.default_rng(39)
-        u, w, b = (ad.constant(rng.standard_normal(s)) for s in ((3, 2, 4), (4, 4), (4,)))
-        node = ad.recurrence(u, w, b, "tanh")
+        x, weights = rnn_arrays(rng, batch=2, tau=3)
+        node = rnn_node(x, weights, "tanh")[0]
         g = rng.standard_normal(node.shape)
-        du = node.pushes[0](g)
-        assert node.pushes[0](g) is du
-        np.testing.assert_array_equal(node.pushes[2](g), du.sum(axis=(0, 1)))
+        dw_x = node.pushes[0](g)
+        assert node.pushes[0](g) is dw_x
+        for node_push in node.pushes[1:]:
+            node_push(g)
+        assert len(calls) == 3
 
     @pytest.mark.parametrize("batch", [0, 3])
     def test_rows_are_the_states_flattened_time_fastest(self, batch):
-        # the flatten the dense head reads: time-major states, transposed and reshaped
+        # through an identity dense head, the rows the head reads: time-major
+        # states, transposed and reshaped
         rng = np.random.default_rng(40)
-        u = rng.standard_normal((5, batch, 4))
-        w, b = rng.standard_normal((4, 4)) * 0.5, rng.standard_normal(4)
-        h = np.empty_like(u)
+        x, (w_x, w_h, b_h, _) = rnn_arrays(rng, batch=batch, tau=5, hidden=4)
+        h = np.empty((5, batch, 4))
+        steps = x.transpose(1, 0, 3, 2).reshape(5, batch, 4)
         for t in range(5):
-            h[t] = np.tanh(u[t] + (h[t - 1] @ w.T if t else 0.0) + b)
-        node = ad.recurrence(ad.constant(u), ad.constant(w), ad.constant(b), "tanh")
+            h[t] = np.tanh(steps[t] @ w_x.T + (h[t - 1] @ w_h.T if t else 0.0) + b_h)
+        node = rnn_node(x, [w_x, w_h, b_h, np.eye(4 * 5)], "tanh")[0]
         np.testing.assert_array_equal(node.array, h.transpose(1, 2, 0).reshape(batch, 4 * 5))
-        assert node.pushes[0](np.ones(node.shape)).shape == u.shape
+        assert node.pushes[0](np.ones(node.shape)).shape == w_x.shape
 
     def test_shape_errors(self):
-        u, w, b = np.ones((3, 2, 4)), np.ones((4, 4)), np.ones(4)
-        for bad in ((np.ones((2, 4)), w, b), (u, np.ones((4, 3)), b), (u, w, np.ones(3))):
+        x, (w_x, w_h, b_h, w) = rnn_arrays(np.random.default_rng(38), batch=2)
+        for bad_wh, bad_bh in ((w_h[:, :2], b_h), (w_h[:2], b_h), (w_h, b_h[:2]),
+                               (w_h, b_h[None])):
             with pytest.raises(ShapeError):
-                ad.recurrence(*(ad.constant(a) for a in bad), "tanh")
+                rnn_node(x, [w_x, bad_wh, bad_bh, w], "tanh")
+        with pytest.raises(ShapeError, match="data only"):
+            ad.recurrence(ad.constant(x), *(ad.constant(v) for v in (w_x, w_h, b_h, w)), "tanh")
 
 
 def graph_arrays(rng, batch, joined=True):

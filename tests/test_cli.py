@@ -212,6 +212,17 @@ class TestTrainCommand:
             assert main(["train", "--config", write_config(tmp_path, cfg)]) == 2, key
             assert f"model.head.{key}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["trainin", "model.hiden", "model.head.rank", "data.nosie",
+                                     "training.learning_rte", "output.dri", "bench.variant"])
+    def test_unknown_key_exits_2_naming_it(self, tmp_path, capsys, key):
+        # not ignored: training.learning_rte would otherwise train at the default rate
+        cfg = base_config(tmp_path / "x")
+        cfg["bench"] = {"variants": ["grgtn", "rnn"]}
+        set_field(cfg, key, 0.5)
+        assert main(["train", "--config", write_config(tmp_path, cfg)]) == 2
+        assert f"{key}: unknown key" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_classification_on_csv_exits_2(self, tmp_path, capsys):
         # the model fits the csv (4 complete steps, 2 sites, 3 features): only the loss is wrong
         cfg = base_config(tmp_path / "x")

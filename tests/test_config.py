@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 import yaml
 
-from rgtn.config import DataConfig, build_dataset, run_config_from_dict
+from rgtn.config import ConfigError, DataConfig, build_dataset, run_config_from_dict
 from rgtn.data import _chronological_split, _stratified_split
 
 ROOT = Path(__file__).parents[1]
@@ -42,6 +42,14 @@ def test_parses_and_builds(name, raw):
     run = run_config_from_dict(raw)
     ds = build_dataset(run)
     assert ds.window_shape == (run.model.tau, run.model.d_phys, run.model.d_feat)
+
+
+@pytest.mark.parametrize("name,raw", list(documents()))
+def test_misspelled_key_is_named(name, raw):
+    # an error, not a run at the default learning rate
+    bad = {**raw, "training": {**raw["training"], "learning_rte": 0.5}}
+    with pytest.raises(ConfigError, match=r"^training\.learning_rte: unknown key"):
+        run_config_from_dict(bad)
 
 
 def csv_document(path):

@@ -19,7 +19,6 @@ from oracles import (
     unflatten,
 )
 from rgtn import autodiff as ad
-from rgtn import models
 from rgtn.graph import build_time_adjacency
 from rgtn.models import (
     VARIANTS,
@@ -411,9 +410,10 @@ class TestTape:
         assert sum(node.shape == hidden_block for node in graph) == 0
 
     # nodes per training forward+loss at the bench_synth shape, parameters included:
-    # each stage is one op; the rnn's "none" counts its body and the loss
+    # each stage is one op; the rnn's "none" reads its rows through an identity
+    # dense head, whose weight and bias it counts too
     @pytest.mark.parametrize("variant,head,nodes", [
-        ("grgtn", "tt", 10), ("srgtn", "tt", 8), ("rnn", "dense", 10), ("rnn", "none", 6),
+        ("grgtn", "tt", 10), ("srgtn", "tt", 8), ("rnn", "dense", 8), ("rnn", "none", 8),
     ])
     def test_nodes_per_step(self, variant, head, nodes):
         cfg = small_config(variant, activation="identity", tau=6, d=4, f=3, m=8, out=12,
@@ -445,19 +445,34 @@ class TestTape:
             assert forward(cfg, values, x).parents == ()
 
 
-def two_window_blocks(monkeypatch, cfg):
-    """Make ``predict`` walk ``cfg``'s windows two at a time."""
-    monkeypatch.setattr(models, "WINDOW_BLOCK_BYTES", 2 * models._window_bytes(cfg))
+def block_budget(cfg):
+    """The bytes of a block of ``cfg``'s blocked body op, and what a window counts in it.
+
+    ``recurrence`` (the rnn) counts its copy of x, projection, states and
+    rows against 16 ``_BLOCK_BYTES``; ``graph_tt`` counts its hidden block
+    against ``_BLOCK_BYTES``.
+    """
+    if cfg.variant == "rnn":
+        return 16 * ad._BLOCK_BYTES, 8 * cfg.tau * (cfg.d_phys * cfg.d_feat + 3 * cfg.hidden)
+    return ad._BLOCK_BYTES, 8 * prod(cfg.feature_block)
+
+
+def set_block_windows(monkeypatch, cfg, windows):
+    """Make the blocked body op of ``cfg`` walk ``windows`` whole windows a block."""
+    budget, window = block_budget(cfg)
+    monkeypatch.setattr(ad, "_BLOCK_BYTES", -(-windows * window // (budget // ad._BLOCK_BYTES)))
+    assert block_budget(cfg)[0] // window == windows
 
 
 class TestPredictBlocks:
-    """``predict`` is ``forward`` of each block of whole windows, written into one output."""
+    """``predict`` is ``forward`` without a tape, and each body op walks blocks of
+    whole windows: a block's rows are the forward of its windows alone."""
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_rows_are_forward_of_each_block(self, variant, monkeypatch):
         rng = np.random.default_rng(19)
         cfg = small_config(variant)
-        two_window_blocks(monkeypatch, cfg)
+        set_block_windows(monkeypatch, cfg, 2)
         values = init_params(cfg, seed=7)
         x = rng.standard_normal((5, cfg.tau, cfg.d_phys, cfg.d_feat))
         got = predict(cfg, values, x)
@@ -469,7 +484,7 @@ class TestPredictBlocks:
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_zero_windows(self, variant, monkeypatch):
         cfg = small_config(variant)
-        two_window_blocks(monkeypatch, cfg)
+        set_block_windows(monkeypatch, cfg, 2)
         x = np.empty((0, cfg.tau, cfg.d_phys, cfg.d_feat))
         assert predict(cfg, init_params(cfg, seed=0), x).shape == (0, cfg.out_dim)
 
@@ -477,7 +492,7 @@ class TestPredictBlocks:
     @pytest.mark.parametrize("shape", ["3-D", "wrong tau"])
     def test_bad_input_raises_as_forward_does(self, variant, shape, monkeypatch):
         cfg = small_config(variant)
-        two_window_blocks(monkeypatch, cfg)
+        set_block_windows(monkeypatch, cfg, 2)
         values = init_params(cfg, seed=0)
         x = np.zeros((5, cfg.tau, cfg.d_phys, cfg.d_feat))
         x = x[:, :, :, 0] if shape == "3-D" else x[:, 1:]
@@ -488,12 +503,17 @@ class TestPredictBlocks:
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_memory_is_bounded_by_the_block(self, variant):
-        # predict-stream's shape over many blocks: the block's working set,
-        # the rnn's time-major copy of x, u, h and rows included, sizes them
+        # predict-stream's shape over many blocks of the body op: its block,
+        # not the batch, bounds the peak beside the output
         cfg = ModelConfig(variant=variant, tau=64, d_phys=8, d_feat=4, hidden=16, out_dim=32,
                           head=HeadConfig(ranks=(2, 2), out_modes=(1, 8, 4)))
         x = np.random.default_rng(21).standard_normal((512, cfg.tau, cfg.d_phys, cfg.d_feat))
-        assert len(x) >= 4 * (models.WINDOW_BLOCK_BYTES // models._window_bytes(cfg))
+        budget, window = block_budget(cfg)
+        assert len(x) >= 4 * (budget // window)
+        if variant != "rnn":
+            # beside its hidden block a block of graph_tt holds its input
+            # [x | A x] or x + A x, and A x: up to 3 F / H of it more
+            budget *= 1 + 3 * cfg.d_feat / cfg.hidden
         values = init_params(cfg, seed=9)
         tracemalloc.start()
         try:
@@ -501,7 +521,19 @@ class TestPredictBlocks:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.5 * models.WINDOW_BLOCK_BYTES
+        # the op's output and add_bias's
+        assert peak <= 1.5 * budget + 2 * 8 * len(x) * cfg.out_dim
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_predict_is_forward_over_many_blocks(self, variant, monkeypatch):
+        # the invariant: every body op runs at least 3 blocks, with a ragged last
+        # one, and predict still gives forward's bits
+        rng = np.random.default_rng(22)
+        cfg = small_config(variant, tau=5, d=3, f=2, m=4)
+        set_block_windows(monkeypatch, cfg, 3)
+        values = init_params(cfg, seed=10)
+        x = rng.standard_normal((3 * 3 + 2, cfg.tau, cfg.d_phys, cfg.d_feat))
+        assert np.array_equal(predict(cfg, values, x), forward(cfg, values, x).array)
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_batch_one_matches_batched(self, variant):

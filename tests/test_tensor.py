@@ -1,8 +1,8 @@
 """Array conventions the package relies on, against independent oracles.
 
 Contractions run the way the models write them, the paired axes folded
-into one axis with NumPy views and contracted by one ``linear`` (0-based
-axes), and are checked against nested loops; the Kronecker structure of the
+into one axis with NumPy views and contracted by one GEMM (0-based axes),
+and are checked against nested loops; the Kronecker structure of the
 grgtn map I + A kron W_r and its powers are read off the hidden block
 ``models.forward`` hands its head by probing it with unit inputs;
 first-mode-fastest flattening is checked on that block and on the
@@ -24,10 +24,9 @@ from oracles import (
     time_adjacency,
     with_head,
 )
-from rgtn import autodiff as ad
 from rgtn.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from rgtn.models import forward
-from rgtn.tensor import ShapeError, from_array
+from rgtn.tensor import from_array
 
 
 def le_position(index, shape):
@@ -64,15 +63,15 @@ def contract_oracle(a, b, ax_a, ax_b):
 
 
 def contract(a, b, axes_a, axes_b):
-    """Contraction of plain arrays by ``linear``: a's paired axes moved last and
-    b's first, each side folded to a matrix, then one GEMM against b's transpose."""
+    """Contraction of plain arrays: a's paired axes moved last and b's first,
+    each side folded to a matrix, then one GEMM."""
     free_a = [i for i in range(a.ndim) if i not in axes_a]
     free_b = [j for j in range(b.ndim) if j not in axes_b]
     rows = prod(a.shape[i] for i in free_a)
     cols = prod(b.shape[j] for j in free_b)
     left = np.transpose(a, free_a + list(axes_a)).reshape(rows, -1)
     right = np.transpose(b, list(axes_b) + free_b).reshape(-1, cols)
-    product = ad.linear(left, right.T).array
+    product = left @ right
     return product.reshape([a.shape[i] for i in free_a] + [b.shape[j] for j in free_b])
 
 
@@ -198,7 +197,7 @@ class TestContract:
         np.testing.assert_allclose(c, contract_oracle(a, b, [2], [0]), atol=1e-12)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(ValueError):
             contract(np.ones((2, 3)), np.ones((4, 2)), (1,), (0,))
 
     def test_random_shapes_vs_oracle(self):
@@ -270,7 +269,7 @@ class TestContractMulti:
             contract(np.ones((2, 2)), np.ones((2, 2)), (0, 0), (0, 1))
 
     def test_length_mismatch_error(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(ValueError):
             contract(np.ones((2, 2)), np.ones((2, 2)), (0, 1), (0,))
 
 

@@ -8,7 +8,6 @@ import pytest
 
 from oracles import adam_per_tensor
 from rgtn import autodiff as ad
-from rgtn import models
 from rgtn.data import normalize, synth_classification, synth_linear_dynamics, window
 from rgtn.models import HeadConfig, ModelConfig, forward, init_params, predict
 from rgtn.training import (
@@ -239,22 +238,24 @@ class TestTrainLoop:
 class TestSplitLoss:
     @pytest.mark.parametrize("loss", ["mae", "mse"])
     def test_is_the_loss_of_blocked_predict(self, loss, monkeypatch):
+        # graph_tt walks the validation windows 3 at a time, and the loss is
+        # forward's to the bit
         model, ds, _ = regression_setup()
-        monkeypatch.setattr(models, "WINDOW_BLOCK_BYTES", 3 * 8 * prod(model.feature_block))
+        monkeypatch.setattr(ad, "_BLOCK_BYTES", 3 * 8 * prod(model.feature_block))
         values = init_params(model, seed=1)
         x, y = ds.subset(ds.splits.val)
-        blocks, body = [], models._body
+        fn, push = ad._ACTIVATIONS[model.activation]
+        blocks = []
 
-        def counted(config, nodes, xb):
-            blocks.append(len(xb))
-            return body(config, nodes, xb)
+        def counted(z, out=None):
+            blocks.append(len(z) // (model.tau * model.d_phys))
+            return fn(z, out=out)
 
-        monkeypatch.setattr(models, "_body", counted)
+        monkeypatch.setitem(ad._ACTIVATIONS, model.activation, (counted, push))
         got = _split_loss(model, values, loss, x, y)
         assert len(blocks) > 1 and set(blocks[:-1]) == {3} and sum(blocks) == len(x)
         assert got == float(_loss_node(loss, ad.constant(predict(model, values, x)), y).array)
-        whole = float(_loss_node(loss, forward(model, values, x), y).array)
-        np.testing.assert_allclose(got, whole, rtol=1e-12)
+        assert got == float(_loss_node(loss, forward(model, values, x), y).array)
 
 
 class TestEvaluate:

@@ -1,6 +1,7 @@
 """Tensor-train tests: decomposition accuracy, counting, the models' TT head."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -238,6 +239,27 @@ class TestReconstruct:
         )
         tt = TTNetwork(cores)
         np.testing.assert_allclose(tt_reconstruct(tt).array, reconstruct_loop(tt), atol=1e-12)
+
+    def test_result_is_not_copied(self):
+        # the 16^4 chain rgtn decompose meets: the contraction's own array, read-only
+        rng = np.random.default_rng(9)
+        ranks = (1, 3, 3, 3, 1)
+        tt = TTNetwork(tuple(from_array(rng.standard_normal((ranks[k], 16, ranks[k + 1])))
+                             for k in range(4)))
+        tracemalloc.start()
+        try:
+            dense = tt_reconstruct(tt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * dense.array.nbytes
+        assert not dense.array.flags.writeable
+
+    def test_svd_cores_are_read_only(self):
+        x = from_array(np.random.default_rng(10).standard_normal((3, 4, 5)))
+        for core in tt_svd(x, max_ranks=2).cores:
+            with pytest.raises(ValueError):
+                core.array[(0,) * 3] = 1.0
 
 
 class TestParamCount:
