@@ -1,22 +1,21 @@
 """Reverse-mode differentiation tape over plain numpy arrays.
 
-Each operation records its inputs and one gradient-push closure per input;
-``backward`` walks the graph in reverse topological order from a scalar
-root and accumulates gradients into the reachable nodes.  A node can
-appear as input to any number of operations.  ``backward`` keeps only the
-gradients of leaves (nodes with no inputs, such as the parameters made by
-``constant``): an inner node's gradient is dropped as soon as its pushes
-have run, so it is freed while the walk goes on.
+Each operation records its inputs and one gradient-push closure per input.
+Every model is one body op and its loss: ``graph_tt`` for grgtn and srgtn
+(the time mix, grgtn's ``[W_x | W_r W_x]``, the projection, its
+activation, the tensor-train head and the bias) and ``recurrence`` for the
+rnn (the projection, the whole recurrence, the dense head and the bias),
+so the tape does not grow with tau.  The chain a step records is thus
+``loss -> body op -> parameters``, and ``backward`` walks it with a stack
+from a scalar root: each node runs its pushes on its output gradient, and
+each parameter (a leaf, made by ``constant``) adds what reaches it to its
+``grad``.  No inner node keeps a gradient.
 
 The windows and the time adjacency are data: ``graph_tt`` and
 ``recurrence`` take them as plain arrays, which get no node, no push and
 no gradient, so a batch of windows costs the tape nothing.  Each loss is
 one node whose only input is the prediction (or the logits), and its push
-returns the loss's gradient in closed form.  Each model stage is one node:
-``filter_weight`` for grgtn's weight, ``graph_tt`` for the time mix, the
-projection, its activation and the tensor-train head of grgtn and srgtn,
-and ``recurrence`` for the rnn's projection, its whole recurrence and its
-dense head, so the tape does not grow with tau.  ``graph_tt`` and
+returns the loss's gradient in closed form.  ``graph_tt`` and
 ``recurrence`` each walk blocks of whole windows that they size
 themselves, in training and without a tape alike, so the same windows
 give the same bits either way.
@@ -55,9 +54,7 @@ __all__ = [
     "no_tape",
     "constant",
     "backward",
-    "filter_weight",
     "graph_tt",
-    "add_bias",
     "recurrence",
     "mae_loss",
     "mse_loss",
@@ -106,33 +103,20 @@ def constant(value: np.ndarray | float) -> TapeNode:
 
 
 def backward(root: TapeNode) -> None:
-    """Populate ``grad`` on every leaf reachable from a scalar root."""
+    """Populate ``grad`` on every leaf reachable from a scalar root, by a stack walk.
+
+    Pushes are linear in the gradient, so a node reached twice (a leaf in two
+    slots of an op) gets the sum of its contributions, as from one visit.
+    """
     if root.array.size != 1:
         raise ShapeError(f"backward needs a scalar root, got shape {root.shape}")
-    order: list[TapeNode] = []
-    seen: set[int] = set()
-    stack: list[tuple[TapeNode, bool]] = [(root, False)]
+    stack = [(root, np.ones_like(root.array))]
     while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            order.append(node)
-            continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for parent in node.parents:
-            if id(parent) not in seen:
-                stack.append((parent, False))
-    root.grad = np.ones_like(root.array)
-    for node in reversed(order):
-        if node.grad is None:
-            continue
+        node, g = stack.pop()
+        if not node.parents:
+            node.grad = g if node.grad is None else node.grad + g
         for parent, push in zip(node.parents, node.pushes):
-            contribution = push(node.grad)
-            parent.grad = contribution if parent.grad is None else parent.grad + contribution
-        if node.parents:
-            node.grad = None
+            stack.append((parent, push(g)))
 
 
 def _shared(first: Callable[[np.ndarray], np.ndarray], consumers) -> tuple[Callable, ...]:
@@ -155,29 +139,6 @@ def _shared(first: Callable[[np.ndarray], np.ndarray], consumers) -> tuple[Calla
         return push
 
     return tuple(make(c, i == len(consumers) - 1) for i, c in enumerate(consumers))
-
-
-def filter_weight(w_r: TapeNode, w_x: TapeNode) -> TapeNode:
-    """grgtn's projection weight ``[W_x | W_r W_x]``, ``(H, 2F)``, as one node."""
-    if len(w_x.shape) != 2 or w_r.shape != (w_x.shape[0],) * 2:
-        raise ShapeError(f"filter_weight needs w_r (H, H) and w_x (H, F), "
-                         f"got {w_r.shape} and {w_x.shape}")
-    wr, wx, f = w_r.array, w_x.array, w_x.shape[1]
-    pushes = (lambda g: g[:, f:] @ wx.T, lambda g: g[:, :f] + wr.T @ g[:, f:])
-    return TapeNode(np.concatenate((wx, wr @ wx), axis=1), (w_r, w_x), pushes)
-
-
-def add_bias(x: TapeNode, b: TapeNode) -> TapeNode:
-    """Add a bias over the trailing axes of x, summing its gradient back."""
-    k = len(b.shape)
-    if k == 0 or x.shape[x.array.ndim - k :] != b.shape:
-        raise ShapeError(f"bias {b.shape} does not match trailing axes of {x.shape}")
-    lead = tuple(range(x.array.ndim - k))
-    return TapeNode(
-        x.array + b.array,
-        (x, b),
-        (lambda g: g, lambda g: g.sum(axis=lead) if lead else g),
-    )
 
 
 def _tanh_push(g: np.ndarray, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -251,20 +212,22 @@ def _join_features(x: np.ndarray, ax: np.ndarray) -> np.ndarray:
 def graph_tt(
     x: np.ndarray,
     a: np.ndarray,
-    w: TapeNode,
+    w_x: TapeNode,
+    w_r: TapeNode | None,
     cores: Sequence[TapeNode],
+    bias: TapeNode,
     activation: str = "identity",
 ) -> TapeNode:
-    """grgtn's and srgtn's graph filter and tensor-train head, as one node.
+    """grgtn's and srgtn's graph filter, tensor-train head and bias, as one node.
 
     ``x`` (batch, tau, P, F) and the time adjacency ``a`` (tau, tau) are
     data.  A acts on time and the weight on features, so the mix runs on
-    the input: ``h = act([x | A x] w^T)`` for an ``(H, 2F)`` weight (grgtn's
-    ``[W_x | W_r W_x]``, joined at the narrow width, not summed after two
-    hidden-width GEMMs) and ``act((x + A x) w^T)`` for an ``(H, F)`` one.
-    Core k, ``(r_k, n_k, o_k, r_k+1)`` with ``r_0 = r_3 = 1``, is the matrix
-    ``(r_k n_k, o_k r_k+1)``; the result is ``(batch, o0 o1 o2)``, first
-    output mode fastest.
+    the input: grgtn (``w_r`` given) is ``h = act([x | A x] W^T)`` for its
+    ``(H, 2F)`` weight ``W = [W_x | W_r W_x]``, joined at the narrow width,
+    not summed after two hidden-width GEMMs; srgtn (``w_r`` None) is
+    ``act((x + A x) W_x^T)``.  Core k, ``(r_k, n_k, o_k, r_k+1)`` with
+    ``r_0 = r_3 = 1``, is the matrix ``(r_k n_k, o_k r_k+1)``; the result is
+    the head's ``(batch, o0 o1 o2)``, first output mode fastest, plus ``bias``.
 
     The op walks blocks of ``_BLOCK_BYTES // (8 tau P H)`` whole windows (at
     least one): the mix, the GEMM with the activation in place, core 0's
@@ -273,31 +236,37 @@ def graph_tt(
     Contracting time first shrinks h the most (Novikov et al. 2015,
     arXiv:1509.06569) and copies no layout of it.  A tape keeps ``h``, the
     head's ``z1`` and ``z2`` whole and each block's input; without one, one
-    block of each is reused, so only the output is batch-sized.  The five
-    pushes share one backward: cores 2 and 1 on all rows, then per block
-    ``a0 @ dz``, the activation push and the block's terms of the ``w`` and
+    block of each is reused, so only the output is batch-sized.  The pushes
+    share one backward: cores 2 and 1 on all rows, then per block
+    ``a0 @ dz``, the activation push and the block's terms of the ``W`` and
     core-0 gradients, so the whole hidden block's gradient never exists.
     Core 0's terms add up window after window, as one sum over all windows
-    does.  ``w`` enters the GEMM by ``_gemm_weight``.
+    does.  grgtn's ``dW`` gives ``dW_r = dW[:, F:] W_x^T`` and ``dW_x =
+    dW[:, :F] + W_r^T dW[:, F:]``, and ``bias`` the output gradient summed
+    over the windows.  ``W`` enters the GEMM by ``_gemm_weight``.
     """
     if isinstance(x, TapeNode) or isinstance(a, TapeNode):
         raise ShapeError("graph_tt takes x and a as data only, got a node operand")
     xv, av = np.asarray(x, float), np.asarray(a, float)
     shapes = [c.shape for c in cores]
-    if (xv.ndim != 4 or av.shape != (xv.shape[1],) * 2 or len(w.shape) != 2
-            or w.shape[1] not in (xv.shape[3], 2 * xv.shape[3])
+    if (xv.ndim != 4 or av.shape != (xv.shape[1],) * 2 or w_x.shape[1:] != xv.shape[3:]
+            or (w_r is not None and w_r.shape != w_x.shape[:1] * 2)
             or len(shapes) != 3 or any(len(s) != 4 for s in shapes)
-            or tuple(s[1] for s in shapes) != xv.shape[1:3] + w.shape[:1]
-            or [1] + [s[3] for s in shapes] != [s[0] for s in shapes] + [1]):
-        raise ShapeError(f"graph_tt needs x (batch, tau, P, F), a (tau, tau), w (H, F) or "
-                         f"(H, 2F) and cores (r_k, n_k, o_k, r_k+1) over (tau, P, H) chained "
-                         f"from rank 1 to rank 1, got {xv.shape}, {av.shape}, {w.shape} "
-                         f"and {shapes}")
-    (batch, tau, phys, feat), (hidden, width) = xv.shape, w.shape
+            or tuple(s[1] for s in shapes) != xv.shape[1:3] + w_x.shape[:1]
+            or [1] + [s[3] for s in shapes] != [s[0] for s in shapes] + [1]
+            or bias.shape != (shapes[0][2] * shapes[1][2] * shapes[2][2],)):
+        raise ShapeError(f"graph_tt needs x (batch, tau, P, F), a (tau, tau), w_x (H, F), w_r "
+                         f"(H, H) or None, cores (r_k, n_k, o_k, r_k+1) over (tau, P, H) from "
+                         f"rank 1 to 1 and bias (o0 o1 o2,), got {xv.shape}, {av.shape}, "
+                         f"{w_x.shape}, {w_r and w_r.shape}, {shapes} and {bias.shape}")
+    (batch, tau, phys, feat), hidden = xv.shape, w_x.shape[0]
     (o0, o1, o2), r1, r2 = (s[2] for s in shapes), shapes[1][0], shapes[2][0]
     a0, a1, a2 = (c.array.reshape(n, -1) for c, n in zip(cores, (tau, r1 * phys, r2 * hidden)))
     fn, act_push = _ACTIVATIONS[activation]
-    wt = _gemm_weight(w.array)
+    wx, wr = w_x.array, None if w_r is None else w_r.array
+    w = wx if wr is None else np.concatenate((wx, wr @ wx), axis=1)
+    width = w.shape[1]
+    wt = _gemm_weight(w)
     step, keep = max(1, _BLOCK_BYTES // (8 * tau * phys * hidden)), _recording
     starts, held = range(0, batch, step), batch if keep else min(batch, step)
     h = np.empty((held, tau, phys, hidden))
@@ -308,7 +277,7 @@ def graph_tt(
         xb = xv[lo : lo + step]
         k, at = len(xb), lo if keep else 0
         ax = (av @ xb.reshape(k, tau, phys * feat)).reshape(xb.shape)
-        xin = _join_features(xb, ax) if width == 2 * feat else xb + ax
+        xin = xb + ax if wr is None else _join_features(xb, ax)
         del ax
         hb, z1b, z2b = h[at : at + k], z1[at : at + k], z2[at * o0 : (at + k) * o0]
         rows = hb.reshape(-1, hidden)
@@ -321,11 +290,14 @@ def graph_tt(
         if keep:
             inputs.append(xin)
     out = y.reshape(batch, o0, o1, o2).transpose(0, 3, 2, 1).reshape(batch, o2 * o1 * o0)
+    # a new array: in place ran 5% slower on predict-stream's training and predicts,
+    # though not in-process, so from the heap state one allocation fewer leaves
+    out = out + bias.array
     if not keep:
         return TapeNode(out)
     z1, z2 = z1.reshape(batch * o0, r1 * phys, hidden), z2.reshape(batch * o0 * o1, r2 * hidden)
 
-    def grads(g: np.ndarray) -> tuple[np.ndarray, ...]:
+    def grads(g: np.ndarray) -> list[np.ndarray]:
         g3 = g.reshape(batch, o2, o1, o0).transpose(0, 3, 2, 1).reshape(batch * o0 * o1, o2)
         dz = (g3 @ a2.T).reshape(batch * o0, o1 * r2, hidden)
         d2 = z2.T @ g3
@@ -346,11 +318,14 @@ def graph_tt(
             d = act_push(dh[:k].reshape(-1, hidden), hb.reshape(-1, hidden),
                          out=push_out[: k * tau * phys])
             dw += d.T @ xin.reshape(-1, width)
-        return dw, terms[0], d1, d2
+        weights = [dw] if wr is None else [dw[:, :feat] + wr.T @ dw[:, feat:],
+                                           dw[:, feat:] @ wx.T]
+        return weights + [terms[0], d1, d2, g.sum(axis=0)]
 
+    params = [w_x, *([] if w_r is None else [w_r]), *cores, bias]
     pushes = _shared(grads, [lambda d, k=k, s=s: d[k].reshape(s) for k, s in
-                             enumerate([w.shape] + shapes)])
-    return TapeNode(out, (w, *cores), pushes)
+                             enumerate(p.shape for p in params)])
+    return TapeNode(out, tuple(params), pushes)
 
 
 # ``recurrence`` walks blocks of whole windows (at least one) sized by 16
@@ -372,13 +347,14 @@ def recurrence(
     w_h: TapeNode,
     b_h: TapeNode,
     w: TapeNode,
+    bias: TapeNode,
     activation: str,
 ) -> TapeNode:
-    """The rnn's projection, recurrence and dense head, as one node.
+    """The rnn's projection, recurrence, dense head and bias, as one node.
 
     ``x`` (batch, tau, P, F) is data.  Step t reads its (P, F) slice
     flattened physical index fastest, ``h_t = act(W_x x_t + W_h h_{t-1} +
-    b_h)`` from ``h_{-1} = 0``, and the result is ``rows @ w^T``,
+    b_h)`` from ``h_{-1} = 0``, and the result is ``rows @ w^T + bias``,
     ``(batch, N)``, for the dense head's rows ``(batch, H tau)``, time
     fastest.
 
@@ -386,12 +362,13 @@ def recurrence(
     GEMM projects a time-major copy of x for all steps, the steps write
     their states over it, and one GEMM maps the block's rows to its output
     rows.  A tape keeps each block's copy of x, states and rows; without
-    one, only the output is batch-sized.  The four pushes share one
+    one, only the output is batch-sized.  The five pushes share one
     backward, which walks the same blocks: the rows' gradient, one reverse
     loop of backpropagation through time for the pre-activation gradients
     ``dz``, then the block's terms of every weight gradient: ``dz`` against
     x for ``w_x``, against the previous states for ``w_h``, their sum for
-    ``b_h`` and the output gradient against the rows for ``w``.
+    ``b_h``, the output gradient against the rows for ``w`` and its sum
+    over the windows for ``bias``.
     """
     if isinstance(x, TapeNode):
         raise ShapeError("recurrence takes x as data only, got a node operand")
@@ -399,10 +376,10 @@ def recurrence(
     if (xv.ndim != 4 or len(w_x.shape) != 2 or len(w.shape) != 2
             or w_x.shape[1] != xv.shape[2] * xv.shape[3]
             or w_h.shape != w_x.shape[:1] * 2 or b_h.shape != w_x.shape[:1]
-            or w.shape[1] != w_x.shape[0] * xv.shape[1]):
+            or w.shape[1] != w_x.shape[0] * xv.shape[1] or bias.shape != w.shape[:1]):
         raise ShapeError(f"recurrence needs x (batch, tau, P, F), w_x (H, P F), w_h (H, H), "
-                         f"b_h (H,) and w (N, H tau), got {xv.shape}, {w_x.shape}, "
-                         f"{w_h.shape}, {b_h.shape} and {w.shape}")
+                         f"b_h (H,), w (N, H tau) and bias (N,), got {xv.shape}, {w_x.shape}, "
+                         f"{w_h.shape}, {b_h.shape}, {w.shape} and {bias.shape}")
     (batch, tau, _, _), (hidden, pf), n = xv.shape, w_x.shape, w.shape[0]
     fn, act_push = _ACTIVATIONS[activation]
     wxt, wh, bh = _gemm_weight(w_x.array), w_h.array, b_h.array
@@ -423,6 +400,7 @@ def recurrence(
         if _recording:
             kept.append((flat, h, rows))
         del flat, h, rows  # before the next block's are made
+    out = out + bias.array
     if not _recording:
         return TapeNode(out)
 
@@ -442,10 +420,10 @@ def recurrence(
                      dz[1:].reshape(-1, hidden).T @ h[:-1].reshape(-1, hidden),
                      dz.sum(axis=(0, 1)), gb.T @ rows]
             d = terms if d is None else [a + b for a, b in zip(d, terms)]
-        return d
+        return d + [g.sum(axis=0)]
 
-    pushes = _shared(grads, [lambda d, i=i: d[i] for i in range(4)])
-    return TapeNode(out, (w_x, w_h, b_h, w), pushes)
+    pushes = _shared(grads, [lambda d, i=i: d[i] for i in range(5)])
+    return TapeNode(out, (w_x, w_h, b_h, w, bias), pushes)
 
 
 def _residual(pred: TapeNode, target: np.ndarray, name: str) -> tuple[np.ndarray, float]:

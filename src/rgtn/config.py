@@ -36,7 +36,7 @@ from .data import (
     synth_linear_dynamics,
     window,
 )
-from .models import VARIANTS, ModelConfig
+from .models import VARIANTS, ModelConfig, param_count
 from .training import BETA1, BETA2, EPS, LOSS_TASKS, TrainConfig
 
 __all__ = [
@@ -187,6 +187,21 @@ def _read(cls, section: dict, path: str):
         raise ConfigError(f"{path}.{exc}") from None
 
 
+def _check_size(model: ModelConfig) -> None:
+    """Refuse, before any allocation, a model whose parameter store exceeds memory.
+
+    ``training.ParamStore`` keeps values, gradients and two Adam moments.
+    """
+    try:
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return  # no sysconf on this platform: nothing to compare against
+    count = param_count(model)[1]
+    if 4 * 8 * count > memory:
+        raise ConfigError(f"model: {model.variant} has {count} parameters, whose store needs "
+                          f"{4 * 8 * count} bytes, more than the {memory} bytes of memory")
+
+
 def load_run_config(path: str, seed_override: int | None = None) -> RunConfig:
     """Read a YAML config file and validate it."""
     try:
@@ -208,6 +223,7 @@ def run_config_from_dict(raw, seed_override: int | None = None) -> RunConfig:
     # variant leads ModelConfig's positional fields, so the class cannot default it
     model = {"variant": "grgtn", **model} if isinstance(model, dict) else model
     model = _check(model, ModelConfig, "model")
+    _check_size(model)
     for key, fixed in FIXED.items():
         section, (*path, name) = raw, key.split(".")
         for part in path:
@@ -254,9 +270,11 @@ def run_config_from_dict(raw, seed_override: int | None = None) -> RunConfig:
 def model_for_variant(run: RunConfig, variant: str) -> ModelConfig:
     """The run's model with only the variant swapped; the head follows the variant."""
     try:
-        return replace(run.model, variant=variant)
+        model = replace(run.model, variant=variant)
     except ValueError as exc:
         raise ConfigError(f"model.{exc}") from None
+    _check_size(model)
+    return model
 
 
 def build_dataset(run: RunConfig) -> WindowedDataset:

@@ -117,8 +117,13 @@ def load_csv(path: str, schema: dict) -> SeriesTable:
 
     Schema keys: ``time`` (required column name), ``phys`` (optional key
     column; without it there is a single physical slot), ``features``
-    (list of value columns), ``missing`` ("drop" or "ffill").
+    (list of value columns), ``missing`` ("drop" or "ffill").  Any other
+    key is an error, so a misspelled one cannot drop its setting silently.
     """
+    for key in schema:
+        if key not in ("time", "phys", "features", "missing"):
+            raise CsvSchemaError(f"unknown schema key {key!r}: the keys are time, phys, "
+                                 f"features and missing")
     time_col, phys_col, feat_cols = schema.get("time"), schema.get("phys"), schema.get("features")
     missing = schema.get("missing", "drop")
     if not time_col or not isinstance(feat_cols, list) or not feat_cols:

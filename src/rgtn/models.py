@@ -19,14 +19,13 @@ Flattened vectors put the first mode fastest: a (tau, physical, hidden)
 block flattens with the time index varying fastest, as a checkpoint
 payload does.
 
-Each stage is one tape op.  grgtn and srgtn: ``filter_weight`` (grgtn's
-[W_x | W_r W_x]), then ``graph_tt`` (the time mix on the input, the
-projection with its activation and the TT head), then ``add_bias``.  rnn:
-``recurrence`` (the projection, the steps and the dense head), then
-``add_bias``.  The window x and the time adjacency A are plain arrays, so
-neither is a tape node and no gradient is computed for them.
-``autodiff.graph_tt`` gives the order in which the graph variants
-contract and why.
+Each variant is one tape op.  grgtn and srgtn: ``graph_tt`` (the time
+mix on the input, grgtn's [W_x | W_r W_x], the projection with its
+activation, the TT head and the bias; srgtn passes no W_r).  rnn:
+``recurrence`` (the projection, the steps, the dense head and the bias).
+The window x and the time adjacency A are plain arrays, so neither is a
+tape node and no gradient is computed for them.  ``autodiff.graph_tt``
+gives the order in which the graph variants contract and why.
 
 ``graph_tt`` and ``recurrence`` each walk blocks of whole windows that
 they size themselves, so the hidden block's gradient never exists whole
@@ -184,7 +183,7 @@ def forward(
     """Batched forward pass returning (batch, out_dim) predictions or logits.
 
     The windows and the parameters are checked against ``config``, then run
-    through the variant's ops and the head's bias.
+    through the variant's one body op, which ends in the head's bias.
     """
     x = np.asarray(x, float)
     if x.ndim != 4 or x.shape[1:] != (config.tau, config.d_phys, config.d_feat):
@@ -195,15 +194,11 @@ def forward(
     nodes = _as_nodes(values)
     _check_param_shapes(config, nodes)
     if config.variant == "rnn":
-        out = ad.recurrence(x, nodes["w_x"], nodes["w_h"], nodes["b_h"], nodes["head.w"],
-                            config.activation)
-    else:
-        w = nodes["w_x"]
-        if config.variant == "grgtn":
-            w = ad.filter_weight(nodes["w_r"], w)
-        out = ad.graph_tt(x, build_time_adjacency(config.tau, config.c), w,
-                          [nodes[f"head.core{k}"] for k in range(3)], config.activation)
-    return ad.add_bias(out, nodes["head.bias"])
+        return ad.recurrence(x, nodes["w_x"], nodes["w_h"], nodes["b_h"], nodes["head.w"],
+                             nodes["head.bias"], config.activation)
+    return ad.graph_tt(x, build_time_adjacency(config.tau, config.c), nodes["w_x"],
+                       nodes.get("w_r"), [nodes[f"head.core{k}"] for k in range(3)],
+                       nodes["head.bias"], config.activation)
 
 
 def predict(

@@ -1,6 +1,7 @@
 """Tape gradients verified against central finite differences."""
 
 import ast
+import contextlib
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -62,7 +63,8 @@ class TestBackwardMechanics:
         w = ad.constant(rng.standard_normal((3, 4)))
         x = rng.standard_normal(4)
         y = ad.recurrence(x.reshape(1, 1, 1, 4), ad.constant(np.eye(4)),
-                          ad.constant(np.zeros((4, 4))), ad.constant(np.zeros(4)), w, "identity")
+                          ad.constant(np.zeros((4, 4))), ad.constant(np.zeros(4)), w,
+                          ad.constant(np.zeros(3)), "identity")
         # a target below every output: the loss's gradient is 1/3 on each
         ad.backward(ad.mae_loss(y, y.array - 1.0))
         np.testing.assert_allclose(w.grad, np.tile(x, (3, 1)) / 3.0, atol=1e-12)
@@ -76,26 +78,28 @@ class TestBackwardMechanics:
         assert unused.grad is None
 
     def test_node_reused_twice(self):
-        rng = np.random.default_rng(1)
-        x = rng.standard_normal((3, 3))
-        node = ad.constant(x)
-        # [W | W W] with the node as both operands: each use pushes into the node
-        y = ad.filter_weight(node, node)
-        # a target below every output: the loss's gradient is 1/18 on each
-        ad.backward(ad.mae_loss(y, y.array - 1.0))
-        ones = np.ones((3, 3))
-        np.testing.assert_allclose(node.grad, (ones + ones @ x.T + x.T @ ones) / 18.0,
-                                   atol=1e-12)
+        # one leaf as both W_x and W_r of [W_x | W_r W_x] (F = H): each slot
+        # pushes into it, and it gets the sum of what two leaves would get
+        x, a, w, _, cores, bias = graph_arrays(np.random.default_rng(1), batch=2, feat=4)
+        check_gradients(lambda v, *rest: square_mean(
+            ad.graph_tt(x, a, v, v, rest[:3], rest[3], "tanh")), [w, *cores, bias])
+        node = ad.constant(w)
+        ad.backward(square_mean(graph_node(x, a, node, node, cores, bias, "tanh")[0]))
+        apart = [ad.constant(w), ad.constant(w)]
+        ad.backward(square_mean(graph_node(x, a, *apart, cores, bias, "tanh")[0]))
+        np.testing.assert_array_equal(node.grad, apart[0].grad + apart[1].grad)
 
     def test_diamond_graph(self):
-        x = ad.constant(np.array([[2.0]]))
-        a = ad.add_bias(x, x)
-        b = ad.filter_weight(a, x)
-        # x reaches [x | 2x x] directly and through 2x: (|x| + |2x^2|) / 2 has
-        # gradient (1 + 4x) / 2
-        loss = ad.mae_loss(b, np.zeros((1, 2)))
-        ad.backward(loss)
-        np.testing.assert_allclose(x.grad, (1.0 + 8.0) / 2.0, atol=1e-12)
+        # one leaf v as both W_x and W_h of a scalar rnn over x = (1, 1), with an
+        # all-ones head: v reaches h_1 = v x_1 + v (v x_0) directly and through
+        # h_0, so the output v + v + v^2 = 8 at v = 2 has gradient 2 + 2 v = 6
+        v = ad.constant(np.array([[2.0]]))
+        zeros = [ad.constant(np.zeros(1)) for _ in range(2)]
+        out = ad.recurrence(np.ones((1, 2, 1, 1)), v, v, zeros[0], ad.constant(np.ones((1, 2))),
+                            zeros[1], "identity")
+        assert out.array.item() == 8.0
+        ad.backward(ad.mae_loss(out, np.zeros((1, 1))))
+        np.testing.assert_array_equal(v.grad, [[6.0]])
 
 
 class TestElementwiseOps:
@@ -110,7 +114,7 @@ ACTIVATIONS = ["tanh", "sigmoid", "relu", "identity"]
 
 
 def rnn_arrays(rng, batch, tau=2, phys=2, feat=2, hidden=3, n=2, feedback=True):
-    """``recurrence``'s windows and weights ``w_x``, ``w_h``, ``b_h`` and ``w``.
+    """``recurrence``'s windows and parameters ``w_x``, ``w_h``, ``b_h``, ``w`` and ``bias``.
 
     Without feedback ``w_h`` is zero, so each step is the projection alone.
     """
@@ -119,7 +123,8 @@ def rnn_arrays(rng, batch, tau=2, phys=2, feat=2, hidden=3, n=2, feedback=True):
     w_h = rng.standard_normal((hidden, hidden)) * (0.5 if feedback else 0.0)
     b_h = rng.standard_normal(hidden) * 0.3
     w = rng.standard_normal((n, hidden * tau)) * 0.5
-    return x, [w_x, w_h, b_h, w]
+    bias = rng.standard_normal(n) * 0.3
+    return x, [w_x, w_h, b_h, w, bias]
 
 
 def rnn_states(x, w_x, w_h, b_h, activation):
@@ -136,14 +141,14 @@ def rnn_states(x, w_x, w_h, b_h, activation):
     return np.array(pre), np.array(states)
 
 
-def rnn_reference(x, w_x, w_h, b_h, w, activation):
-    """``recurrence``'s output: the states as rows, time fastest, times ``w^T``."""
+def rnn_reference(x, w_x, w_h, b_h, w, bias, activation):
+    """``recurrence``'s output: the states as rows, time fastest, times ``w^T``, plus the bias."""
     _, h = rnn_states(x, w_x, w_h, b_h, activation)
-    return h.transpose(1, 2, 0).reshape(len(x), -1) @ w.T
+    return h.transpose(1, 2, 0).reshape(len(x), -1) @ w.T + bias
 
 
 def rnn_loss(x, activation, target=None):
-    """A scalar root over ``recurrence``'s output for nodes of its four weights."""
+    """A scalar root over ``recurrence``'s output for nodes of its five parameters."""
     def build(*weights):
         out = ad.recurrence(x, *weights, activation)
         return square_mean(out) if target is None else ad.mse_loss(out, target)
@@ -166,9 +171,9 @@ class TestTensordot:
         check_gradients(rnn_loss(x, "tanh"), weights)
 
     def test_extent_mismatch(self):
-        x, (w_x, w_h, b_h, w) = rnn_arrays(np.random.default_rng(13), batch=2)
+        x, (w_x, *rest) = rnn_arrays(np.random.default_rng(13), batch=2)
         with pytest.raises(ShapeError):
-            rnn_node(x, [w_x[:, :-1], w_h, b_h, w], "tanh")
+            rnn_node(x, [w_x[:, :-1], *rest], "tanh")
 
 
 class TestMatmul:
@@ -183,21 +188,22 @@ class TestMatmul:
         b = rng.standard_normal((2, 3, 2, 4))
         w, cores = ad.constant(np.eye(4)), [ad.constant(np.eye(n)[None, :, :, None])
                                             for n in (3, 2, 4)]
-        out = ad.graph_tt(b, a, w, cores)
+        bias = ad.constant(np.zeros(24))
+        out = ad.graph_tt(b, a, w, None, cores, bias)
         expect = b + (a @ b.reshape(2, 3, 8)).reshape(b.shape)
         np.testing.assert_allclose(out.array, expect.transpose(0, 3, 2, 1).reshape(2, -1),
                                    atol=1e-12)
-        assert out.parents == (w, *cores)
+        assert out.parents == (w, *cores, bias)
         for left, right in ((ad.constant(a), b), (a, ad.constant(b))):
             with pytest.raises(ShapeError, match="data only"):
-                ad.graph_tt(right, left, w, cores)
+                ad.graph_tt(right, left, w, None, cores, bias)
 
     def test_both_operands_transposed(self):
         # the windows and both GEMM weights as transposed views
         rng = np.random.default_rng(35)
-        x, (w_x, w_h, b_h, w) = rnn_arrays(rng, batch=3, tau=2, phys=2, feat=2, hidden=3)
+        x, (w_x, w_h, b_h, w, bias) = rnn_arrays(rng, batch=3, tau=2, phys=2, feat=2, hidden=3)
         x = np.ascontiguousarray(x.transpose(3, 2, 1, 0)).transpose(3, 2, 1, 0)
-        weights = [np.ascontiguousarray(w_x.T).T, w_h, b_h, np.ascontiguousarray(w.T).T]
+        weights = [np.ascontiguousarray(w_x.T).T, w_h, b_h, np.ascontiguousarray(w.T).T, bias]
         assert not any(v.flags.c_contiguous for v in (x, weights[0], weights[3]))
         out = rnn_node(x, weights, "tanh")[0].array
         np.testing.assert_allclose(out, rnn_reference(x, *weights, "tanh"), atol=1e-12)
@@ -206,13 +212,13 @@ class TestMatmul:
         check_gradients(rnn_loss(x, "tanh"), weights)
 
     def test_linear_is_product_with_transpose(self):
-        # one step, no feedback, no bias: (x W_x^T) w^T
+        # one step, no feedback, no b_h: (x W_x^T) w^T + bias
         rng = np.random.default_rng(33)
-        x, (w_x, w_h, b_h, w) = rnn_arrays(rng, batch=4, tau=1, phys=1, feat=3, hidden=5,
-                                           feedback=False)
-        weights = [w_x, w_h, np.zeros_like(b_h), w]
+        x, (w_x, w_h, b_h, w, bias) = rnn_arrays(rng, batch=4, tau=1, phys=1, feat=3, hidden=5,
+                                                 feedback=False)
+        weights = [w_x, w_h, np.zeros_like(b_h), w, bias]
         out = rnn_node(x, weights, "identity")[0].array
-        np.testing.assert_allclose(out, (x.reshape(4, 3) @ w_x.T) @ w.T, atol=1e-12)
+        np.testing.assert_allclose(out, (x.reshape(4, 3) @ w_x.T) @ w.T + bias, atol=1e-12)
         check_gradients(rnn_loss(x, "identity"), weights)
 
     @pytest.mark.parametrize("float64", [True, False])
@@ -228,7 +234,7 @@ class TestMatmul:
         check_gradients(rnn_loss(x, "tanh"), weights)
         out, nodes = rnn_node(x, weights, "tanh")
         np.testing.assert_allclose(out.array, rnn_reference(x, *weights, "tanh"), atol=1e-12)
-        assert out.parents == tuple(nodes) and len(out.pushes) == 4
+        assert out.parents == tuple(nodes) and len(out.pushes) == 5
         with pytest.raises(ShapeError, match="data only"):
             ad.recurrence(ad.constant(np.asarray(x, float)), *nodes, "tanh")
 
@@ -250,11 +256,12 @@ class TestMatmul:
         # the adjacency must be (tau, tau) for the window's tau, and x a 4-D batch
         w, cores = ad.constant(np.eye(4)), [ad.constant(np.eye(n)[None, :, :, None])
                                             for n in (3, 2, 4)]
+        bias = ad.constant(np.zeros(24))
         x = np.ones((2, 3, 2, 4))
         for bad_x, bad_a in ((x, np.ones((3, 2))), (x, np.ones((2, 2))), (x, np.ones(3)),
                              (x[0], np.ones((3, 3))), (x[:, :2], np.ones((3, 3)))):
             with pytest.raises(ShapeError):
-                ad.graph_tt(bad_x, bad_a, w, cores)
+                ad.graph_tt(bad_x, bad_a, w, None, cores, bias)
 
 
 class TestLinear:
@@ -272,19 +279,20 @@ class TestLinear:
 
     @pytest.mark.parametrize("activation", ACTIVATIONS)
     def test_equals_the_activation_of_a_plain_linear(self, activation):
-        # one step: act(x W_x^T + b_h) w^T, and its gradients by hand
+        # one step: act(x W_x^T + b_h) w^T + bias, and its gradients by hand
         rng = np.random.default_rng(41)
         x, weights = rnn_arrays(rng, batch=6, tau=1, phys=1, feat=3, hidden=4, n=2)
-        w_x, _, b_h, w = weights
+        w_x, _, b_h, w, bias = weights
         target = rng.standard_normal((6, 2))
         out, nodes = rnn_node(x, weights, activation)
         ad.backward(ad.mse_loss(out, target))
         fn, push = ad._ACTIVATIONS[activation]
         h = fn(x.reshape(6, 3) @ w_x.T + b_h)
-        y = h @ w.T
+        y = h @ w.T + bias
         g = 2.0 * (y - target) / y.size
         dz = push(g @ w, h)
-        expect = (y, dz.T @ x.reshape(6, 3), np.zeros((4, 4)), dz.sum(axis=0), g.T @ h)
+        expect = (y, dz.T @ x.reshape(6, 3), np.zeros((4, 4)), dz.sum(axis=0), g.T @ h,
+                  g.sum(axis=0))
         for got, want in zip([out.array] + [node.grad for node in nodes], expect):
             np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-15)
 
@@ -311,11 +319,11 @@ class TestLinear:
                 np.testing.assert_array_equal(c_order, other_order)
 
     def test_shape_errors(self):
-        x, (w_x, w_h, b_h, w) = rnn_arrays(np.random.default_rng(44), batch=2)
+        x, (w_x, w_h, b_h, w, bias) = rnn_arrays(np.random.default_rng(44), batch=2)
         for bad_x, bad_wx, bad_w in ((x[0], w_x, w), (x, w_x[:, :3], w), (x, w_x[None], w),
                                      (x, w_x, w[:, :-1]), (x, w_x, w[0])):
             with pytest.raises(ShapeError):
-                rnn_node(bad_x, [bad_wx, w_h, b_h, bad_w], "tanh")
+                rnn_node(bad_x, [bad_wx, w_h, b_h, bad_w, bias], "tanh")
 
 
 def block_windows(x, weights):
@@ -392,69 +400,6 @@ class TestBlockedLinear:
             np.testing.assert_allclose(got, expect, rtol=1e-12, atol=1e-12)
 
 
-class TestFilterWeight:
-    """grgtn's projection weight ``[W_x | W_r W_x]`` as one node."""
-
-    def test_equals_the_joined_product(self):
-        rng = np.random.default_rng(44)
-        w_r, w_x = rng.standard_normal((4, 4)), rng.standard_normal((4, 3))
-        r, x = ad.constant(w_r), ad.constant(w_x)
-        out = ad.filter_weight(r, x)
-        np.testing.assert_array_equal(out.array, np.concatenate((w_x, w_r @ w_x), 1))
-        # w_r first: the op belongs to W_r's stage
-        assert out.parents == (r, x)
-
-    def test_gradients_match_finite_differences(self):
-        rng = np.random.default_rng(45)
-        w_r, w_x = rng.standard_normal((3, 3)), rng.standard_normal((3, 2))
-        check_gradients(lambda r, x: square_mean(ad.filter_weight(r, x)), [w_r, w_x])
-
-    def test_shape_errors(self):
-        for w_r, w_x in (((3, 3), (4, 2)), ((4, 3), (4, 2)), ((4, 4), (4,))):
-            with pytest.raises(ShapeError):
-                ad.filter_weight(ad.constant(np.ones(w_r)), ad.constant(np.ones(w_x)))
-
-
-
-class TestTapeLifetime:
-    def test_backward_keeps_only_leaf_gradients(self):
-        rng = np.random.default_rng(35)
-        r, w = ad.constant(rng.standard_normal((3, 3))), ad.constant(rng.standard_normal((3, 4)))
-        inner = ad.filter_weight(r, w)
-        root = square_mean(inner)
-        ad.backward(root)
-        assert r.grad is not None and w.grad is not None
-        assert inner.grad is None and root.grad is None
-
-    def test_no_tape_keeps_no_inputs(self):
-        x, weights = rnn_arrays(np.random.default_rng(36), batch=3)
-        nodes = [ad.constant(v) for v in weights]
-        with ad.no_tape():
-            out = ad.recurrence(x, *nodes, "tanh")
-        assert out.parents == () and out.pushes == ()
-        again = ad.recurrence(x, *nodes, "tanh")
-        assert again.parents and np.array_equal(again.array, out.array)
-
-
-class TestStructuralOps:
-    def test_add_bias(self):
-        rng = np.random.default_rng(16)
-        x = rng.standard_normal((4, 2, 3))
-        b = rng.standard_normal((3,))
-        check_gradients(lambda u, v: square_mean(ad.add_bias(u, v)), [x, b])
-
-    def test_add_bias_full_shape(self):
-        rng = np.random.default_rng(17)
-        x = rng.standard_normal((2, 3))
-        b = rng.standard_normal((2, 3))
-        check_gradients(lambda u, v: square_mean(ad.add_bias(u, v)), [x, b])
-
-    def test_add_bias_shape_error(self):
-        with pytest.raises(ShapeError):
-            ad.add_bias(ad.constant(np.ones((2, 3))), ad.constant(np.ones(2)))
-
-
-
 class TestRecurrence:
     @pytest.mark.parametrize("activation", ["tanh", "sigmoid", "relu", "identity"])
     @pytest.mark.parametrize("tau", [1, 2, 7])
@@ -465,7 +410,7 @@ class TestRecurrence:
         check_gradients(rnn_loss(x, activation), weights)
 
     def test_one_loop_serves_all_three_pushes(self, monkeypatch):
-        # all four pushes, over one block: one reverse loop of tau steps
+        # all five pushes, over one block: one reverse loop of tau steps
         fn, push = ad._ACTIVATIONS["tanh"]
         calls = []
 
@@ -489,34 +434,67 @@ class TestRecurrence:
         # through an identity dense head, the rows the head reads: time-major
         # states, transposed and reshaped
         rng = np.random.default_rng(40)
-        x, (w_x, w_h, b_h, _) = rnn_arrays(rng, batch=batch, tau=5, hidden=4)
+        x, (w_x, w_h, b_h, _, _) = rnn_arrays(rng, batch=batch, tau=5, hidden=4)
         h = np.empty((5, batch, 4))
         steps = x.transpose(1, 0, 3, 2).reshape(5, batch, 4)
         for t in range(5):
             h[t] = np.tanh(steps[t] @ w_x.T + (h[t - 1] @ w_h.T if t else 0.0) + b_h)
-        node = rnn_node(x, [w_x, w_h, b_h, np.eye(4 * 5)], "tanh")[0]
+        node = rnn_node(x, [w_x, w_h, b_h, np.eye(4 * 5), np.zeros(4 * 5)], "tanh")[0]
         np.testing.assert_array_equal(node.array, h.transpose(1, 2, 0).reshape(batch, 4 * 5))
         assert node.pushes[0](np.ones(node.shape)).shape == w_x.shape
 
     def test_shape_errors(self):
-        x, (w_x, w_h, b_h, w) = rnn_arrays(np.random.default_rng(38), batch=2)
+        x, (w_x, w_h, b_h, w, bias) = rnn_arrays(np.random.default_rng(38), batch=2)
         for bad_wh, bad_bh in ((w_h[:, :2], b_h), (w_h[:2], b_h), (w_h, b_h[:2]),
                                (w_h, b_h[None])):
             with pytest.raises(ShapeError):
-                rnn_node(x, [w_x, bad_wh, bad_bh, w], "tanh")
+                rnn_node(x, [w_x, bad_wh, bad_bh, w, bias], "tanh")
         with pytest.raises(ShapeError, match="data only"):
-            ad.recurrence(ad.constant(x), *(ad.constant(v) for v in (w_x, w_h, b_h, w)), "tanh")
+            ad.recurrence(ad.constant(x), *(ad.constant(v) for v in (w_x, w_h, b_h, w, bias)),
+                          "tanh")
 
 
-def graph_arrays(rng, batch, joined=True):
-    """``graph_tt``'s inputs: windows, adjacency, weight (grgtn's width if joined) and cores."""
-    (tau, phys, hidden), out, full, feat = (3, 2, 4), (2, 3, 2), (1, 2, 3, 1), 2
+def graph_arrays(rng, batch, joined=True, feat=2):
+    """``graph_tt``'s inputs: windows, adjacency, ``w_x``, ``w_r`` (None unless joined),
+    cores and bias."""
+    (tau, phys, hidden), out, full = (3, 2, 4), (2, 3, 2), (1, 2, 3, 1)
     cores = [rng.standard_normal((full[k], n, o, full[k + 1])) * 0.5
              for k, (n, o) in enumerate(zip((tau, phys, hidden), out))]
     x = rng.standard_normal((batch, tau, phys, feat))
     a = np.tril(rng.standard_normal((tau, tau)), -1) * 0.5
-    w = rng.standard_normal((hidden, 2 * feat if joined else feat)) * 0.5
-    return x, a, w, cores
+    w_x = rng.standard_normal((hidden, feat)) * 0.5
+    w_r = rng.standard_normal((hidden, hidden)) * 0.5 if joined else None
+    bias = rng.standard_normal(12) * 0.3
+    return x, a, w_x, w_r, cores, bias
+
+
+def graph_params(w_x, w_r, cores, bias):
+    """``graph_tt``'s parameters in the order of its node's parents."""
+    return [w_x] + ([] if w_r is None else [w_r]) + [*cores, bias]
+
+
+def graph_node(x, a, w_x, w_r, cores, bias, activation):
+    """``graph_tt`` over constants of the arrays among its parameters, and its parameter nodes."""
+    nodes = [v if isinstance(v, ad.TapeNode) else ad.constant(v)
+             for v in graph_params(w_x, w_r, cores, bias)]
+    joined = w_r is not None
+    node = ad.graph_tt(x, a, nodes[0], nodes[1] if joined else None, nodes[1 + joined : -1],
+                       nodes[-1], activation)
+    return node, nodes
+
+
+def graph_loss(x, a, joined, activation):
+    """A scalar root over ``graph_tt``'s output for nodes of its parameters, in ``graph_params``'s order."""
+    def build(*nodes):
+        w_r = nodes[1] if joined else None
+        return square_mean(ad.graph_tt(x, a, nodes[0], w_r, nodes[1 + joined : -1], nodes[-1],
+                                       activation))
+    return build
+
+
+def graph_weight(w_x, w_r):
+    """The projection weight: ``[W_x | W_r W_x]`` with ``w_r`` (grgtn), else ``W_x``."""
+    return w_x if w_r is None else np.concatenate((w_x, w_r @ w_x), 1)
 
 
 def graph_input(x, a, w):
@@ -525,10 +503,12 @@ def graph_input(x, a, w):
     return np.concatenate((x, ax), -1) if w.shape[1] == 2 * x.shape[-1] else x + ax
 
 
-def graph_reference(x, a, w, cores, activation):
-    """``graph_tt``'s rows: the hidden block flattened first mode fastest, times the head's matrix."""
+def graph_reference(x, a, w_x, w_r, cores, bias, activation):
+    """``graph_tt``'s rows: the hidden block flattened first mode fastest, times the head's
+    matrix, plus the bias."""
+    w = graph_weight(w_x, w_r)
     h = ad._ACTIVATIONS[activation][0](graph_input(x, a, w) @ w.T)
-    return h.transpose(0, 3, 2, 1).reshape(len(x), -1) @ tt_head_matrix(cores)
+    return h.transpose(0, 3, 2, 1).reshape(len(x), -1) @ tt_head_matrix(cores) + bias
 
 
 class TestTTHead:
@@ -536,26 +516,24 @@ class TestTTHead:
     so no reshape can pass by accident."""
 
     def test_forward_equals_the_dense_matrix(self):
-        x, a, w, cores = graph_arrays(np.random.default_rng(50), batch=5)
-        out = ad.graph_tt(x, a, ad.constant(w), [ad.constant(c) for c in cores], "tanh").array
-        np.testing.assert_allclose(out, graph_reference(x, a, w, cores, "tanh"), atol=1e-12)
+        arrays = graph_arrays(np.random.default_rng(50), batch=5)
+        out = graph_node(*arrays, "tanh")[0].array
+        np.testing.assert_allclose(out, graph_reference(*arrays, "tanh"), atol=1e-12)
 
     def test_gradients_match_finite_differences(self):
-        x, a, w, cores = graph_arrays(np.random.default_rng(51), batch=2)
-        check_gradients(lambda v, *c: square_mean(ad.graph_tt(x, a, v, c, "tanh")), [w, *cores])
+        x, a, *params = graph_arrays(np.random.default_rng(51), batch=2)
+        check_gradients(graph_loss(x, a, True, "tanh"), graph_params(*params))
 
     def test_zero_windows(self):
-        x, a, w, cores = graph_arrays(np.random.default_rng(52), batch=0)
-        v, c = ad.constant(w), [ad.constant(arr) for arr in cores]
-        out = ad.graph_tt(x, a, v, c, "tanh")
-        assert out.shape == (0, 12) and out.parents == (v, *c)
+        arrays = graph_arrays(np.random.default_rng(52), batch=0)
+        out, nodes = graph_node(*arrays, "tanh")
+        assert out.shape == (0, 12) and out.parents == tuple(nodes)
         grads = [push(np.zeros(out.shape)) for push in out.pushes]
-        for got, value in zip(grads, [w, *cores]):
+        for got, value in zip(grads, graph_params(*arrays[2:])):
             np.testing.assert_array_equal(got, np.zeros(value.shape))
 
     def test_pushes_share_one_backward_and_release_it(self):
-        x, a, w, cores = graph_arrays(np.random.default_rng(53), batch=3)
-        out = ad.graph_tt(x, a, ad.constant(w), [ad.constant(c) for c in cores], "tanh")
+        out = graph_node(*graph_arrays(np.random.default_rng(53), batch=3), "tanh")[0]
         g = np.ones(out.shape)
         dw = out.pushes[0](g)
         assert np.shares_memory(out.pushes[0](g), dw)  # computed once for this g
@@ -566,47 +544,127 @@ class TestTTHead:
         assert ref() is None
 
     def test_no_tape_keeps_no_inputs(self):
-        x, a, w, cores = graph_arrays(np.random.default_rng(54), batch=2)
-        v, nodes = ad.constant(w), [ad.constant(c) for c in cores]
+        x, a, *params = graph_arrays(np.random.default_rng(54), batch=2)
+        nodes = [ad.constant(v) for v in graph_params(*params)]
         with ad.no_tape():
-            out = ad.graph_tt(x, a, v, nodes, "tanh")
+            out = graph_node(x, a, nodes[0], nodes[1], nodes[2:5], nodes[5], "tanh")[0]
         assert out.parents == () and out.pushes == ()
-        np.testing.assert_array_equal(out.array, ad.graph_tt(x, a, v, nodes, "tanh").array)
+        again = graph_node(x, a, nodes[0], nodes[1], nodes[2:5], nodes[5], "tanh")[0]
+        np.testing.assert_array_equal(out.array, again.array)
 
     def test_shape_errors(self):
-        x, a, w, cores = graph_arrays(np.random.default_rng(55), batch=2)
-        for bad_w, bad_cores in ((w, cores[:2]), (w[:, :3], cores), (w[:3], cores),
-                                 (w, [cores[0], cores[1][:1], cores[2]]),
-                                 (w, [cores[0][0], *cores[1:]]),
-                                 (w, [cores[0], cores[1][:, :1], cores[2]])):
+        x, a, w_x, w_r, cores, bias = graph_arrays(np.random.default_rng(55), batch=2)
+        for bad_cores in (cores[:2], [cores[0], cores[1][:1], cores[2]],
+                          [cores[0][0], *cores[1:]], [cores[0], cores[1][:, :1], cores[2]]):
             with pytest.raises(ShapeError):
-                ad.graph_tt(x, a, ad.constant(bad_w), [ad.constant(c) for c in bad_cores])
+                graph_node(x, a, w_x, w_r, bad_cores, bias, "identity")
+
+
+class TestFilterWeight:
+    """grgtn's projection weight ``[W_x | W_r W_x]``, built inside ``graph_tt``."""
+
+    def test_equals_the_joined_product(self):
+        x, a, w_x, w_r, cores, bias = graph_arrays(np.random.default_rng(44), batch=4)
+        out, nodes = graph_node(x, a, w_x, w_r, cores, bias, "identity")
+        np.testing.assert_allclose(out.array,
+                                   graph_reference(x, a, w_x, w_r, cores, bias, "identity"),
+                                   atol=1e-12)
+        # w_x first, then w_r: the tracer books the op by its first parameter
+        assert out.parents == tuple(nodes)
+
+    def test_gradients_match_finite_differences(self):
+        x, a, *params = graph_arrays(np.random.default_rng(45), batch=2)
+        check_gradients(graph_loss(x, a, True, "identity"), graph_params(*params))
+
+    def test_shape_errors(self):
+        x, a, w_x, w_r, cores, bias = graph_arrays(np.random.default_rng(46), batch=2)
+        for bad_wx, bad_wr in ((w_x, w_r[:3]), (w_x, w_r[:, :3]), (w_x, w_r[0]),
+                               (w_x[:3], w_r), (w_x[:, :1], w_r), (w_x[:, 0], w_r),
+                               (graph_weight(w_x, w_r), None)):
+            with pytest.raises(ShapeError):
+                graph_node(x, a, bad_wx, bad_wr, cores, bias, "identity")
+
+
+class TestTapeLifetime:
+    def test_backward_keeps_only_leaf_gradients(self):
+        inner, nodes = graph_node(*graph_arrays(np.random.default_rng(35), batch=2), "tanh")
+        root = square_mean(inner)
+        ad.backward(root)
+        assert all(node.grad is not None for node in nodes)
+        assert inner.grad is None and root.grad is None
+
+    def test_no_tape_keeps_no_inputs(self):
+        x, weights = rnn_arrays(np.random.default_rng(36), batch=3)
+        nodes = [ad.constant(v) for v in weights]
+        with ad.no_tape():
+            out = ad.recurrence(x, *nodes, "tanh")
+        assert out.parents == () and out.pushes == ()
+        again = ad.recurrence(x, *nodes, "tanh")
+        assert again.parents and np.array_equal(again.array, out.array)
+
+
+class TestStructuralOps:
+    """The output bias, added by each body op to its own output."""
+
+    def test_add_bias(self):
+        rng = np.random.default_rng(16)
+        x, weights = rnn_arrays(rng, batch=3)
+        check_gradients(rnn_loss(x, "tanh"), weights)
+        x, a, *params = graph_arrays(rng, batch=3, joined=False)
+        check_gradients(graph_loss(x, a, False, "tanh"), graph_params(*params))
+
+    def test_add_bias_full_shape(self):
+        # the bias adds to every window's row, bit for bit, with a tape and without
+        rng = np.random.default_rng(17)
+        x, weights = rnn_arrays(rng, batch=3)
+        graph = graph_arrays(rng, batch=3)
+        for taped in (True, False):
+            with contextlib.nullcontext() if taped else ad.no_tape():
+                rnn = [rnn_node(x, weights[:4] + [b], "tanh")[0].array
+                       for b in (np.zeros(2), weights[4])]
+                tt = [graph_node(*graph[:5], b, "tanh")[0].array
+                      for b in (np.zeros(12), graph[5])]
+            np.testing.assert_array_equal(rnn[1], rnn[0] + weights[4])
+            np.testing.assert_array_equal(tt[1], tt[0] + graph[5])
+
+    def test_add_bias_shape_error(self):
+        x, weights = rnn_arrays(np.random.default_rng(18), batch=2)
+        graph = graph_arrays(np.random.default_rng(19), batch=2)
+        for bad in (np.ones(3), np.ones((1, 2)), np.ones(())):
+            with pytest.raises(ShapeError):
+                rnn_node(x, weights[:4] + [bad], "tanh")
+        for bad in (np.ones(11), np.ones((1, 12)), np.ones(())):
+            with pytest.raises(ShapeError):
+                graph_node(*graph[:5], bad, "tanh")
 
 
 class TestGraphTT:
-    """``graph_tt`` over blocks of whole windows, for both weight widths."""
+    """``graph_tt`` over blocks of whole windows, with and without ``w_r``."""
 
     @pytest.mark.parametrize("activation", ACTIVATIONS)
     @pytest.mark.parametrize("joined", [True, False], ids=["grgtn", "srgtn"])
     def test_gradients_match_finite_differences(self, joined, activation):
-        x, a, w, cores = graph_arrays(np.random.default_rng(58), batch=2, joined=joined)
+        x, a, w_x, w_r, cores, bias = graph_arrays(np.random.default_rng(58), batch=2,
+                                                   joined=joined)
         # relu's kink is beyond the finite-difference step
+        w = graph_weight(w_x, w_r)
         assert np.abs(graph_input(x, a, w) @ w.T).min() > 0.01
-        check_gradients(lambda v, *c: square_mean(ad.graph_tt(x, a, v, c, activation)),
-                        [w, *cores])
-        np.testing.assert_allclose(
-            ad.graph_tt(x, a, ad.constant(w), [ad.constant(c) for c in cores], activation).array,
-            graph_reference(x, a, w, cores, activation), atol=1e-12)
+        params = graph_params(w_x, w_r, cores, bias)
+        check_gradients(graph_loss(x, a, joined, activation), params)
+        np.testing.assert_allclose(graph_node(x, a, w_x, w_r, cores, bias, activation)[0].array,
+                                   graph_reference(x, a, w_x, w_r, cores, bias, activation),
+                                   atol=1e-12)
 
     @pytest.mark.parametrize("activation", ACTIVATIONS)
     @pytest.mark.parametrize("joined", [True, False], ids=["grgtn", "srgtn"])
     def test_blocks_of_two_windows_match_one_block(self, joined, activation, monkeypatch):
-        x, a, w, cores = graph_arrays(np.random.default_rng(57), batch=7, joined=joined)
+        arrays = graph_arrays(np.random.default_rng(57), batch=7, joined=joined)
+        x, hidden = arrays[0], arrays[2].shape[0]
         g = np.random.default_rng(56).standard_normal((7, 12))
         results = []
-        for block_bytes in (ad._BLOCK_BYTES, 2 * 8 * np.prod(x.shape[1:3]) * w.shape[0]):
+        for block_bytes in (ad._BLOCK_BYTES, 2 * 8 * np.prod(x.shape[1:3]) * hidden):
             monkeypatch.setattr(ad, "_BLOCK_BYTES", int(block_bytes))
-            out = ad.graph_tt(x, a, ad.constant(w), [ad.constant(c) for c in cores], activation)
+            out = graph_node(*arrays, activation)[0]
             results.append([out.array] + [push(g) for push in out.pushes])
         for one, blocked in zip(*results):
             np.testing.assert_allclose(blocked, one, rtol=1e-12, atol=0)
@@ -620,12 +678,11 @@ class TestGraphTT:
             return push(g, y, out=out)
 
         monkeypatch.setitem(ad._ACTIVATIONS, "tanh", (fn, counted))
-        x, a, w, cores = graph_arrays(np.random.default_rng(42), batch=3)
-        node = ad.graph_tt(x, a, ad.constant(w), [ad.constant(c) for c in cores], "tanh")
+        node = graph_node(*graph_arrays(np.random.default_rng(42), batch=3), "tanh")[0]
         g = np.random.default_rng(43).standard_normal(node.shape)
         for node_push in node.pushes:
             node_push(g)
-        assert len(node.pushes) == 4 and len(calls) == 1  # one block of windows, one push
+        assert len(node.pushes) == 6 and len(calls) == 1  # one block of windows, one push
         ref = weakref.ref(g)
         del g
         assert ref() is None  # the last push dropped the shared gradient

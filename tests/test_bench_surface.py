@@ -71,3 +71,50 @@ def test_tt_round_trip_on_a_small_tensor():
     back = tt.tt_reconstruct(cores).array
     assert np.linalg.norm(back - t) <= 1e-2 * np.linalg.norm(t)
     assert tt.tt_param_count(cores) == sum(core.size for core in cores.cores)
+
+
+
+def _counted(push, key, calls):
+    """``push``, counting its calls under ``key``, as the tracer's timing wrapper wraps it."""
+    def wrapper(g):
+        calls[key] = calls.get(key, 0) + 1
+        return push(g)
+    return wrapper
+
+
+@pytest.mark.parametrize("variant", ["grgtn", "srgtn", "rnn"])
+def test_backward_runs_every_swapped_push_once(variant):
+    # perfbench/tracing.py times each push by replacing a node's ``pushes``
+    # tuple, reached through ``.parents``, with wrappers; backward must run the
+    # tuple the node holds when it is walked, each push once, and give the
+    # leaves the same gradient bits as without the wrappers
+    from rgtn import autodiff
+    from rgtn.models import HeadConfig, ModelConfig, forward, init_params
+
+    cfg = ModelConfig(variant=variant, tau=4, d_phys=2, d_feat=3, hidden=5, out_dim=6,
+                      activation="tanh", head=HeadConfig(ranks=(2, 3), out_modes=(1, 2, 3)))
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((7, cfg.tau, cfg.d_phys, cfg.d_feat))
+    target = rng.standard_normal((7, cfg.out_dim))
+    values = init_params(cfg, seed=1)
+    grads, calls = [], {}
+    for wrapped in (False, True):
+        leaves = {k: autodiff.constant(v) for k, v in values.items()}
+        root = autodiff.mse_loss(forward(cfg, leaves, x), target)
+        stack, seen = [root], set()
+        while stack:
+            node = stack.pop()
+            if id(node) in seen:
+                continue
+            seen.add(id(node))
+            stack.extend(node.parents)
+            if wrapped and node.pushes:
+                node.pushes = tuple(_counted(push, (id(node), i), calls)
+                                    for i, push in enumerate(node.pushes))
+        autodiff.backward(root)
+        grads.append({k: leaf.grad for k, leaf in leaves.items()})
+    # the loss's one push and one per parameter of the body op
+    assert len(calls) == 1 + len(values)
+    assert set(calls.values()) == {1}
+    for name, grad in grads[0].items():
+        assert grad is not None and grads[1][name].tobytes() == grad.tobytes(), name

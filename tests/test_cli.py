@@ -223,6 +223,39 @@ class TestTrainCommand:
         assert f"{key}: unknown key" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    def test_misspelled_csv_schema_key_exits_2_naming_it(self, tmp_path, capsys):
+        cfg = base_config(tmp_path / "x")
+        cfg["model"]["tau"] = 1
+        cfg["data"] = {
+            "kind": "csv",
+            "path": str(ROOT / "data" / "example_series.csv"),
+            "schema": {"time": "time", "phys": "site", "mising": "ffill",
+                       "features": ["temperature", "humidity", "pressure"]},
+        }
+        assert main(["train", "--config", write_config(tmp_path, cfg)]) == 2
+        assert "'mising'" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_parameter_store_beyond_memory_exits_2(self, tmp_path, capsys):
+        # refused from the shapes: nothing of the model is allocated
+        cfg = base_config(tmp_path / "x")
+        cfg["model"]["hidden"] = 1_000_000_000
+        assert main(["train", "--config", write_config(tmp_path, cfg)]) == 2
+        err = capsys.readouterr().err
+        # w_r H^2, w_x 3 H, core2 2 H 3, and 30 in core0, core1 and the bias
+        assert "model:" in err and f"{10**18 + 9 * 10**9 + 30} parameters" in err
+        assert not (tmp_path / "x").exists()
+
+    def test_out_of_memory_exits_1(self, tmp_path, capsys, monkeypatch):
+        from rgtn import cli
+
+        def exhausted(*args):
+            raise MemoryError("Unable to allocate 8.00 EiB")
+
+        monkeypatch.setattr(cli, "train", exhausted)
+        assert main(["train", "--config", write_config(tmp_path, base_config(tmp_path / "x"))]) == 1
+        assert "out of memory: Unable to allocate" in capsys.readouterr().err
+
     def test_classification_on_csv_exits_2(self, tmp_path, capsys):
         # the model fits the csv (4 complete steps, 2 sites, 3 features): only the loss is wrong
         cfg = base_config(tmp_path / "x")
@@ -489,6 +522,19 @@ class TestEvalCommand:
         captured = capsys.readouterr()
         assert code == 1 and f"params {name}:" in captured.err
         assert captured.out == "" and not (tmp_path / "eval").exists()
+
+    def test_snapshot_beyond_memory_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        main(["train", "--config", write_config(tmp_path, base_config(out))])
+        arrays, meta = load_checkpoint(str(out / "checkpoint.rgtn"))
+        meta["config"]["model"]["hidden"] = 1_000_000_000
+        save_checkpoint(str(out / "checkpoint.rgtn"), arrays, meta)
+        capsys.readouterr()
+        code = main(["eval", "--checkpoint", str(out / "checkpoint.rgtn"),
+                     "--out", str(tmp_path / "eval")])
+        captured = capsys.readouterr()
+        assert code == 2 and "model:" in captured.err and "parameters" in captured.err
+        assert not (tmp_path / "eval").exists()
 
     def test_rejects_non_model_checkpoint(self, tmp_path, capsys):
         path = tmp_path / "t.rgtn"

@@ -63,6 +63,14 @@ class TestLoadCsv:
         assert table.values.shape[0] == 2
         np.testing.assert_array_equal(table.timestamps, [1, 3])
 
+    @pytest.mark.parametrize("key", ["mising", "phy", "Time", 0])
+    def test_unknown_schema_key_is_named(self, tmp_path, key):
+        # "mising": "ffill" would otherwise drop the row with the blank cell
+        path = write(tmp_path, "t,a,b\n1,1.0,2.0\n2,,4.0\n3,5.0,6.0\n")
+        schema = {"time": "t", "features": ["a", "b"], key: "ffill"}
+        with pytest.raises(CsvSchemaError, match=f"unknown schema key {key!r}"):
+            load_csv(path, schema)
+
     def test_missing_declared_column(self, tmp_path):
         path = write(tmp_path, "t,a\n1,1.0\n")
         with pytest.raises(CsvSchemaError):

@@ -410,10 +410,10 @@ class TestTape:
         assert sum(node.shape == hidden_block for node in graph) == 0
 
     # nodes per training forward+loss at the bench_synth shape, parameters included:
-    # each stage is one op; the rnn's "none" reads its rows through an identity
-    # dense head, whose weight and bias it counts too
+    # each variant is one body op and the loss; the rnn's "none" reads its rows
+    # through an identity dense head, whose weight and bias it counts too
     @pytest.mark.parametrize("variant,head,nodes", [
-        ("grgtn", "tt", 10), ("srgtn", "tt", 8), ("rnn", "dense", 8), ("rnn", "none", 8),
+        ("grgtn", "tt", 8), ("srgtn", "tt", 7), ("rnn", "dense", 7), ("rnn", "none", 7),
     ])
     def test_nodes_per_step(self, variant, head, nodes):
         cfg = small_config(variant, activation="identity", tau=6, d=4, f=3, m=8, out=12,
@@ -521,7 +521,7 @@ class TestPredictBlocks:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the op's output and add_bias's
+        # the op's output before and after its bias
         assert peak <= 1.5 * budget + 2 * 8 * len(x) * cfg.out_dim
 
     @pytest.mark.parametrize("variant", VARIANTS)
