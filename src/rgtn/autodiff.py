@@ -15,17 +15,19 @@ The windows and the time adjacency are data: ``graph_tt`` and
 ``recurrence`` take them as plain arrays, which get no node, no push and
 no gradient, so a batch of windows costs the tape nothing.  Each loss is
 one node whose only input is the prediction (or the logits), and its push
-returns the loss's gradient in closed form.  ``graph_tt`` and
-``recurrence`` each walk blocks of whole windows that they size
-themselves, in training and without a tape alike, so the same windows
-give the same bits either way.
+returns the loss's gradient in closed form.
 
-Under ``no_tape()`` operations compute the same arrays with the same
-kernels but keep no inputs or pushes, so each intermediate is freed once
-its consumer returns; ``backward`` then has nothing to walk.  ``graph_tt``
-and ``recurrence`` then hold one block of their intermediates at a time and return
-before they build their backward closures, so only their output is
-batch-sized.
+Each body op is a forward kernel over plain arrays plus a backward:
+``graph_tt_kernel`` and ``recurrence_kernel`` compute the output, and
+return what the backward reads only when asked to keep it.  ``graph_tt``
+and ``recurrence`` check their operands' shapes, call the kernel with
+``keep`` and build the pushes over what it kept.  ``models.predict`` calls
+the kernels alone, so a prediction builds no node and each kernel holds
+one block of its intermediates at a time.  The kernels walk blocks of
+whole windows that they size themselves, taped or not, so the same
+windows give the same bits either way.  They are not in ``__all__``:
+it lists the tape's ops, each of which returns a node, and
+``perfbench/tracing.py`` times every callable in it as one.
 
 Nodes hold their arrays without copying, and a node's gradient may be the
 very array its child received, so value and gradient arrays are shared:
@@ -42,8 +44,7 @@ each step's push straight into its gradient.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -51,7 +52,6 @@ from .tensor import ShapeError
 
 __all__ = [
     "TapeNode",
-    "no_tape",
     "constant",
     "backward",
     "graph_tt",
@@ -60,20 +60,6 @@ __all__ = [
     "mse_loss",
     "cross_entropy_loss",
 ]
-
-
-_recording = True
-
-
-@contextmanager
-def no_tape() -> Iterator[None]:
-    """Run operations without recording their inputs or gradient rules."""
-    global _recording
-    outer, _recording = _recording, False
-    try:
-        yield
-    finally:
-        _recording = outer
 
 
 class TapeNode:
@@ -88,8 +74,8 @@ class TapeNode:
         pushes: tuple[Callable[[np.ndarray], np.ndarray], ...] = (),
     ) -> None:
         self.array = array
-        self.parents = parents if _recording else ()
-        self.pushes = pushes if _recording else ()
+        self.parents = parents
+        self.pushes = pushes
         self.grad: np.ndarray | None = None
 
     @property
@@ -209,6 +195,82 @@ def _join_features(x: np.ndarray, ax: np.ndarray) -> np.ndarray:
     return out
 
 
+def graph_tt_kernel(
+    x: np.ndarray,
+    a: np.ndarray,
+    w_x: np.ndarray,
+    w_r: np.ndarray | None,
+    cores: Sequence[np.ndarray],
+    bias: np.ndarray,
+    activation: str,
+    keep: bool = False,
+) -> np.ndarray | tuple[np.ndarray, tuple]:
+    """``graph_tt``'s forward over plain arrays, whose shapes the caller has checked.
+
+    ``x`` (batch, tau, P, F) and the time adjacency ``a`` (tau, tau) are
+    data.  A acts on time and the weight on features, so the mix runs on
+    the input: grgtn (``w_r`` given) is ``h = act([x | A x] W^T)`` for its
+    ``(H, 2F)`` weight ``W = [W_x | W_r W_x]``, joined at the narrow width,
+    not summed after two hidden-width GEMMs; srgtn (``w_r`` None) is
+    ``act((x + A x) W_x^T)``.  Core k, ``(r_k, n_k, o_k, r_k+1)`` with
+    ``r_0 = r_3 = 1``, is the matrix ``(r_k n_k, o_k r_k+1)``; the result is
+    the head's ``(batch, o0 o1 o2)``, first output mode fastest, plus ``bias``.
+
+    The kernel walks blocks of ``_BLOCK_BYTES // (8 tau P H)`` whole windows
+    (at least one): the mix, the GEMM with the activation in place, core 0's
+    left product on the block as (windows, tau, P H), then cores 1 and 2,
+    which contract (r1, P) and (r2, H), and the block's output rows.
+    Contracting time first shrinks h the most (Novikov et al. 2015,
+    arXiv:1509.06569) and copies no layout of it.  ``W`` enters the GEMM by
+    ``_gemm_weight``.  One block of ``h``, ``z1`` and ``z2`` is reused, so
+    only the output is batch-sized; with ``keep`` they are kept whole and
+    the result is ``(out, (h, z1, z2, inputs))``, what the backward reads,
+    with ``inputs`` each block's mixed input.
+    """
+    (batch, tau, phys, _), hidden = x.shape, w_x.shape[0]
+    (o0, o1, o2), r1, r2 = (c.shape[2] for c in cores), cores[1].shape[0], cores[2].shape[0]
+    a0, a1, a2 = (c.reshape(c.shape[0] * c.shape[1], -1) for c in cores)
+    fn = _ACTIVATIONS[activation][0]
+    w = w_x if w_r is None else np.concatenate((w_x, w_r @ w_x), axis=1)
+    width = w.shape[1]
+    wt = _gemm_weight(w)
+    step = _graph_block(tau, phys, hidden)
+    held = batch if keep else min(batch, step)
+    h = np.empty((held, tau, phys, hidden))
+    z1, z2 = np.empty((held, o0 * r1, phys * hidden)), np.empty((held * o0, o1 * r2, hidden))
+    # core 2's products, (windows o0 o1, o2), turned first output mode fastest at the end
+    y, inputs = np.empty((batch * o0 * o1, o2)), []
+    for lo in range(0, batch, step):
+        xb = x[lo : lo + step]
+        k, at = len(xb), lo if keep else 0
+        ax = (a @ xb.reshape(k, tau, phys * xb.shape[3])).reshape(xb.shape)
+        xin = xb + ax if w_r is None else _join_features(xb, ax)
+        del ax
+        hb, z1b, z2b = h[at : at + k], z1[at : at + k], z2[at * o0 : (at + k) * o0]
+        rows = hb.reshape(-1, hidden)
+        np.matmul(xin.reshape(-1, width), wt, out=rows)
+        fn(rows, out=rows)
+        np.matmul(a0.T, hb.reshape(k, tau, phys * hidden), out=z1b)
+        np.matmul(a1.T, z1b.reshape(k * o0, r1 * phys, hidden), out=z2b)
+        np.matmul(z2b.reshape(k * o0 * o1, r2 * hidden), a2,
+                  out=y[lo * o0 * o1 : (lo + k) * o0 * o1])
+        if keep:
+            inputs.append(xin)
+    out = y.reshape(batch, o0, o1, o2).transpose(0, 3, 2, 1).reshape(batch, o2 * o1 * o0)
+    # a new array: in place ran 5% slower on predict-stream's training and predicts,
+    # though not in-process, so from the heap state one allocation fewer leaves
+    out = out + bias
+    if not keep:
+        return out
+    return out, (h, z1.reshape(batch * o0, r1 * phys, hidden),
+                 z2.reshape(batch * o0 * o1, r2 * hidden), inputs)
+
+
+def _graph_block(tau: int, phys: int, hidden: int) -> int:
+    """Windows in a block of ``graph_tt``: its hidden block fits ``_BLOCK_BYTES``."""
+    return max(1, _BLOCK_BYTES // (8 * tau * phys * hidden))
+
+
 def graph_tt(
     x: np.ndarray,
     a: np.ndarray,
@@ -220,30 +282,15 @@ def graph_tt(
 ) -> TapeNode:
     """grgtn's and srgtn's graph filter, tensor-train head and bias, as one node.
 
-    ``x`` (batch, tau, P, F) and the time adjacency ``a`` (tau, tau) are
-    data.  A acts on time and the weight on features, so the mix runs on
-    the input: grgtn (``w_r`` given) is ``h = act([x | A x] W^T)`` for its
-    ``(H, 2F)`` weight ``W = [W_x | W_r W_x]``, joined at the narrow width,
-    not summed after two hidden-width GEMMs; srgtn (``w_r`` None) is
-    ``act((x + A x) W_x^T)``.  Core k, ``(r_k, n_k, o_k, r_k+1)`` with
-    ``r_0 = r_3 = 1``, is the matrix ``(r_k n_k, o_k r_k+1)``; the result is
-    the head's ``(batch, o0 o1 o2)``, first output mode fastest, plus ``bias``.
-
-    The op walks blocks of ``_BLOCK_BYTES // (8 tau P H)`` whole windows (at
-    least one): the mix, the GEMM with the activation in place, core 0's
-    left product on the block as (windows, tau, P H), then cores 1 and 2,
-    which contract (r1, P) and (r2, H), and the block's output rows.
-    Contracting time first shrinks h the most (Novikov et al. 2015,
-    arXiv:1509.06569) and copies no layout of it.  A tape keeps ``h``, the
-    head's ``z1`` and ``z2`` whole and each block's input; without one, one
-    block of each is reused, so only the output is batch-sized.  The pushes
-    share one backward: cores 2 and 1 on all rows, then per block
+    The shapes are checked, then ``graph_tt_kernel`` computes the output and
+    keeps ``h``, the head's ``z1`` and ``z2`` and each block's input.  The
+    pushes share one backward: cores 2 and 1 on all rows, then per block
     ``a0 @ dz``, the activation push and the block's terms of the ``W`` and
     core-0 gradients, so the whole hidden block's gradient never exists.
     Core 0's terms add up window after window, as one sum over all windows
     does.  grgtn's ``dW`` gives ``dW_r = dW[:, F:] W_x^T`` and ``dW_x =
     dW[:, :F] + W_r^T dW[:, F:]``, and ``bias`` the output gradient summed
-    over the windows.  ``W`` enters the GEMM by ``_gemm_weight``.
+    over the windows.
     """
     if isinstance(x, TapeNode) or isinstance(a, TapeNode):
         raise ShapeError("graph_tt takes x and a as data only, got a node operand")
@@ -261,41 +308,12 @@ def graph_tt(
                          f"{w_x.shape}, {w_r and w_r.shape}, {shapes} and {bias.shape}")
     (batch, tau, phys, feat), hidden = xv.shape, w_x.shape[0]
     (o0, o1, o2), r1, r2 = (s[2] for s in shapes), shapes[1][0], shapes[2][0]
-    a0, a1, a2 = (c.array.reshape(n, -1) for c, n in zip(cores, (tau, r1 * phys, r2 * hidden)))
-    fn, act_push = _ACTIVATIONS[activation]
-    wx, wr = w_x.array, None if w_r is None else w_r.array
-    w = wx if wr is None else np.concatenate((wx, wr @ wx), axis=1)
-    width = w.shape[1]
-    wt = _gemm_weight(w)
-    step, keep = max(1, _BLOCK_BYTES // (8 * tau * phys * hidden)), _recording
-    starts, held = range(0, batch, step), batch if keep else min(batch, step)
-    h = np.empty((held, tau, phys, hidden))
-    z1, z2 = np.empty((held, o0 * r1, phys * hidden)), np.empty((held * o0, o1 * r2, hidden))
-    # core 2's products, (windows o0 o1, o2), turned first output mode fastest at the end
-    y, inputs = np.empty((batch * o0 * o1, o2)), []
-    for lo in starts:
-        xb = xv[lo : lo + step]
-        k, at = len(xb), lo if keep else 0
-        ax = (av @ xb.reshape(k, tau, phys * feat)).reshape(xb.shape)
-        xin = xb + ax if wr is None else _join_features(xb, ax)
-        del ax
-        hb, z1b, z2b = h[at : at + k], z1[at : at + k], z2[at * o0 : (at + k) * o0]
-        rows = hb.reshape(-1, hidden)
-        np.matmul(xin.reshape(-1, width), wt, out=rows)
-        fn(rows, out=rows)
-        np.matmul(a0.T, hb.reshape(k, tau, phys * hidden), out=z1b)
-        np.matmul(a1.T, z1b.reshape(k * o0, r1 * phys, hidden), out=z2b)
-        np.matmul(z2b.reshape(k * o0 * o1, r2 * hidden), a2,
-                  out=y[lo * o0 * o1 : (lo + k) * o0 * o1])
-        if keep:
-            inputs.append(xin)
-    out = y.reshape(batch, o0, o1, o2).transpose(0, 3, 2, 1).reshape(batch, o2 * o1 * o0)
-    # a new array: in place ran 5% slower on predict-stream's training and predicts,
-    # though not in-process, so from the heap state one allocation fewer leaves
-    out = out + bias.array
-    if not keep:
-        return TapeNode(out)
-    z1, z2 = z1.reshape(batch * o0, r1 * phys, hidden), z2.reshape(batch * o0 * o1, r2 * hidden)
+    wx, wr, arrays = w_x.array, None if w_r is None else w_r.array, [c.array for c in cores]
+    out, (h, z1, z2, inputs) = graph_tt_kernel(xv, av, wx, wr, arrays, bias.array, activation,
+                                               keep=True)
+    a0, a1, a2 = (c.reshape(c.shape[0] * c.shape[1], -1) for c in arrays)
+    act_push, width = _ACTIVATIONS[activation][1], feat if wr is None else 2 * feat
+    step = _graph_block(tau, phys, hidden)
 
     def grads(g: np.ndarray) -> list[np.ndarray]:
         g3 = g.reshape(batch, o2, o1, o0).transpose(0, 3, 2, 1).reshape(batch * o0 * o1, o2)
@@ -308,7 +326,7 @@ def graph_tt(
         # terms[0] holds core 0's sum over the windows so far, ahead of the block's
         terms, dw = np.zeros((n + 1, tau, o0 * r1)), np.zeros((hidden, width))
         dh, push_out = np.empty((n, tau, phys * hidden)), np.empty((n * tau * phys, hidden))
-        for lo, xin in zip(starts, inputs):
+        for lo, xin in zip(range(0, batch, step), inputs):
             k = len(xin)
             hb, dzb = h[lo : lo + k], dz[lo : lo + k]
             np.matmul(hb.reshape(k, tau, phys * hidden), np.swapaxes(dzb, -1, -2),
@@ -328,7 +346,7 @@ def graph_tt(
     return TapeNode(out, tuple(params), pushes)
 
 
-# ``recurrence`` walks blocks of whole windows (at least one) sized by 16
+# ``recurrence_kernel`` walks blocks of whole windows (at least one) sized by 16
 # times ``_BLOCK_BYTES`` over ``8 tau (P F + 3 H)`` bytes a window: the
 # time-major copy of x, the projection, the states and the head's rows, as
 # when the rule was swept (the states now overwrite the projection).  Swept
@@ -339,6 +357,53 @@ def graph_tt(
 # 40%; one block per batch is 50-85% slower (grgtn, srgtn) and takes 15x the
 # memory of 4 MiB blocks.  A wide-train training batch of 64 windows runs as
 # blocks of 36 and 28, and bench_synth's as one.
+
+
+def recurrence_kernel(
+    x: np.ndarray,
+    w_x: np.ndarray,
+    w_h: np.ndarray,
+    b_h: np.ndarray,
+    w: np.ndarray,
+    bias: np.ndarray,
+    activation: str,
+    keep: bool = False,
+) -> np.ndarray | tuple[np.ndarray, list]:
+    """``recurrence``'s forward over plain arrays, whose shapes the caller has checked.
+
+    ``x`` (batch, tau, P, F) is data.  Step t reads its (P, F) slice
+    flattened physical index fastest, ``h_t = act(W_x x_t + W_h h_{t-1} +
+    b_h)`` from ``h_{-1} = 0``, and the result is ``rows @ w^T + bias``,
+    ``(batch, N)``, for the dense head's rows ``(batch, H tau)``, time
+    fastest.
+
+    The kernel walks blocks of whole windows (sized above): per block one
+    GEMM projects a time-major copy of x for all steps, the steps write
+    their states over it, and one GEMM maps the block's rows to its output
+    rows.  Only the output is batch-sized; with ``keep`` the result is
+    ``(out, kept)``, ``kept`` holding each block's copy of x, states and
+    rows for the backward.
+    """
+    (batch, tau, _, _), (hidden, pf), n = x.shape, w_x.shape, w.shape[0]
+    fn = _ACTIVATIONS[activation][0]
+    wxt, wt = _gemm_weight(w_x), _gemm_weight(w)
+    step = max(1, 16 * _BLOCK_BYTES // (8 * tau * (pf + 3 * hidden)))
+    out, kept = np.empty((batch, n)), []
+    # one block of no windows gives zero gradients of the right shapes
+    for lo in range(0, max(batch, 1), step):
+        xb = x[lo : lo + step]
+        k = len(xb)  # sizes, not -1: numpy cannot infer one for 0 windows
+        flat = xb.transpose(1, 0, 3, 2).reshape(tau * k, pf)
+        h = (flat @ wxt).reshape(tau, k, hidden)
+        for t in range(tau):
+            h[t] = fn((h[t] if t == 0 else h[t] + h[t - 1] @ w_h.T) + b_h)
+        rows = h.transpose(1, 2, 0).reshape(k, hidden * tau)
+        np.matmul(rows, wt, out=out[lo : lo + k])
+        if keep:
+            kept.append((flat, h, rows))
+        del flat, h, rows  # before the next block's are made
+    out = out + bias
+    return (out, kept) if keep else out
 
 
 def recurrence(
@@ -352,23 +417,14 @@ def recurrence(
 ) -> TapeNode:
     """The rnn's projection, recurrence, dense head and bias, as one node.
 
-    ``x`` (batch, tau, P, F) is data.  Step t reads its (P, F) slice
-    flattened physical index fastest, ``h_t = act(W_x x_t + W_h h_{t-1} +
-    b_h)`` from ``h_{-1} = 0``, and the result is ``rows @ w^T + bias``,
-    ``(batch, N)``, for the dense head's rows ``(batch, H tau)``, time
-    fastest.
-
-    The op walks blocks of whole windows (sized above): per block one
-    GEMM projects a time-major copy of x for all steps, the steps write
-    their states over it, and one GEMM maps the block's rows to its output
-    rows.  A tape keeps each block's copy of x, states and rows; without
-    one, only the output is batch-sized.  The five pushes share one
-    backward, which walks the same blocks: the rows' gradient, one reverse
-    loop of backpropagation through time for the pre-activation gradients
-    ``dz``, then the block's terms of every weight gradient: ``dz`` against
-    x for ``w_x``, against the previous states for ``w_h``, their sum for
-    ``b_h``, the output gradient against the rows for ``w`` and its sum
-    over the windows for ``bias``.
+    The shapes are checked, then ``recurrence_kernel`` computes the output
+    and keeps each block's copy of x, states and rows.  The five pushes
+    share one backward, which walks the same blocks: the rows' gradient,
+    one reverse loop of backpropagation through time for the
+    pre-activation gradients ``dz``, then the block's terms of every weight
+    gradient: ``dz`` against x for ``w_x``, against the previous states for
+    ``w_h``, their sum for ``b_h``, the output gradient against the rows
+    for ``w`` and its sum over the windows for ``bias``.
     """
     if isinstance(x, TapeNode):
         raise ShapeError("recurrence takes x as data only, got a node operand")
@@ -380,35 +436,18 @@ def recurrence(
         raise ShapeError(f"recurrence needs x (batch, tau, P, F), w_x (H, P F), w_h (H, H), "
                          f"b_h (H,), w (N, H tau) and bias (N,), got {xv.shape}, {w_x.shape}, "
                          f"{w_h.shape}, {b_h.shape}, {w.shape} and {bias.shape}")
-    (batch, tau, _, _), (hidden, pf), n = xv.shape, w_x.shape, w.shape[0]
-    fn, act_push = _ACTIVATIONS[activation]
-    wxt, wh, bh = _gemm_weight(w_x.array), w_h.array, b_h.array
-    wc = np.ascontiguousarray(w.array)
-    wt = _gemm_weight(wc)
-    step = max(1, 16 * _BLOCK_BYTES // (8 * tau * (pf + 3 * hidden)))
-    # one block of no windows gives zero gradients of the right shapes
-    starts, out, kept = range(0, max(batch, 1), step), np.empty((batch, n)), []
-    for lo in starts:
-        xb = xv[lo : lo + step]
-        k = len(xb)  # sizes, not -1: numpy cannot infer one for 0 windows
-        flat = xb.transpose(1, 0, 3, 2).reshape(tau * k, pf)
-        h = (flat @ wxt).reshape(tau, k, hidden)
-        for t in range(tau):
-            h[t] = fn((h[t] if t == 0 else h[t] + h[t - 1] @ wh.T) + bh)
-        rows = h.transpose(1, 2, 0).reshape(k, hidden * tau)
-        np.matmul(rows, wt, out=out[lo : lo + k])
-        if _recording:
-            kept.append((flat, h, rows))
-        del flat, h, rows  # before the next block's are made
-    out = out + bias.array
-    if not _recording:
-        return TapeNode(out)
+    tau, hidden = xv.shape[1], w_x.shape[0]
+    wh, wc = w_h.array, np.ascontiguousarray(w.array)
+    out, kept = recurrence_kernel(xv, w_x.array, wh, b_h.array, wc, bias.array, activation,
+                                  keep=True)
+    act_push = _ACTIVATIONS[activation][1]
 
     def grads(g: np.ndarray) -> list[np.ndarray]:
-        d = None
-        for lo, (flat, h, rows) in zip(starts, kept):
+        d, lo = None, 0
+        for flat, h, rows in kept:
             k = len(rows)
             gb = g[lo : lo + k]
+            lo += k
             dr = (gb @ wc).reshape(k, hidden, tau).transpose(2, 0, 1)
             dz, dh, buf = np.empty_like(h), dr[-1], np.empty_like(h[0])
             for t in range(tau - 1, -1, -1):

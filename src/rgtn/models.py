@@ -29,16 +29,23 @@ gives the order in which the graph variants contract and why.
 
 ``graph_tt`` and ``recurrence`` each walk blocks of whole windows that
 they size themselves, so the hidden block's gradient never exists whole
-and the rnn's tape does not grow with tau.  ``predict`` is ``forward``
-under ``autodiff.no_tape``: it equals ``forward(...).array`` bit for bit,
-and its memory is bounded by the ops' blocks and the output, not by the
+and the rnn's tape does not grow with tau.  ``forward`` and ``predict``
+check the windows and the parameters against ``param_shapes``, a
+read-only table cached per configuration.  ``forward`` then runs the
+variant's tape op; ``predict`` calls that op's forward kernel
+(``autodiff.graph_tt_kernel`` or ``autodiff.recurrence_kernel``) on the
+arrays directly, building no tape node.  The tape op runs the same
+kernel, so ``predict`` equals ``forward(...).array`` bit for bit, and its
+memory is bounded by the kernel's blocks and the output, not by the
 batch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import prod
+from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
@@ -114,8 +121,14 @@ class ModelConfig:
         return (self.tau, self.d_phys, self.hidden)
 
 
-def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
-    """Ordered trainable parameter shapes for a configuration."""
+@lru_cache(maxsize=64)
+def param_shapes(config: ModelConfig) -> Mapping[str, tuple[int, ...]]:
+    """Ordered trainable parameter shapes for a configuration, read-only.
+
+    Cached per configuration, so ``forward`` and ``predict`` check their
+    parameters without building the table again; every caller gets the
+    same mapping, which none can change.
+    """
     shapes: dict[str, tuple[int, ...]] = {}
     if config.variant == "rnn":
         shapes["w_x"] = (config.hidden, config.d_phys * config.d_feat)
@@ -130,7 +143,7 @@ def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
         for k, (i, o) in enumerate(zip(config.feature_block, config.head.out_modes)):
             shapes[f"head.core{k}"] = (full[k], i, o, full[k + 1])
     shapes["head.bias"] = (config.out_dim,)
-    return shapes
+    return MappingProxyType(shapes)
 
 
 def param_count(config: ModelConfig) -> tuple[dict[str, int], int]:
@@ -155,24 +168,38 @@ def init_params(config: ModelConfig, seed: int) -> dict[str, np.ndarray]:
     return values
 
 
-def _as_nodes(values: Mapping[str, ad.TapeNode | np.ndarray]) -> dict[str, ad.TapeNode]:
-    return {
-        name: v if isinstance(v, ad.TapeNode) else ad.constant(np.asarray(v, float))
-        for name, v in values.items()
-    }
-
-
-def _check_param_shapes(config: ModelConfig, nodes: Mapping[str, ad.TapeNode]) -> None:
-    expected = param_shapes(config)
-    if nodes.keys() != expected.keys():
+def _checked_input(config: ModelConfig, x: np.ndarray) -> np.ndarray:
+    x = np.asarray(x, float)
+    if x.ndim != 4 or x.shape[1:] != (config.tau, config.d_phys, config.d_feat):
         raise ValueError(
-            f"{config.variant} takes parameters {sorted(expected)}, got {sorted(nodes)}"
+            f"input must be (batch, {config.tau}, {config.d_phys}, {config.d_feat}), "
+            f"got {x.shape}"
+        )
+    return x
+
+
+def _check_param_shapes(
+    config: ModelConfig, params: Mapping[str, ad.TapeNode | np.ndarray]
+) -> None:
+    expected = param_shapes(config)
+    if params.keys() != expected.keys():
+        raise ValueError(
+            f"{config.variant} takes parameters {sorted(expected)}, got {sorted(params)}"
         )
     for name, shape in expected.items():
-        if nodes[name].shape != shape:
+        if params[name].shape != shape:
             raise ValueError(
-                f"parameter {name!r} has shape {nodes[name].shape}, expected {shape}"
+                f"parameter {name!r} has shape {params[name].shape}, expected {shape}"
             )
+
+
+def _body(config: ModelConfig, graph, rnn, x: np.ndarray, p: Mapping):
+    """The variant's body op, ``graph`` or ``rnn``, on the windows and parameters ``p``."""
+    if config.variant == "rnn":
+        return rnn(x, p["w_x"], p["w_h"], p["b_h"], p["head.w"], p["head.bias"],
+                   config.activation)
+    return graph(x, build_time_adjacency(config.tau, config.c), p["w_x"], p.get("w_r"),
+                 [p[f"head.core{k}"] for k in range(3)], p["head.bias"], config.activation)
 
 
 def forward(
@@ -185,20 +212,11 @@ def forward(
     The windows and the parameters are checked against ``config``, then run
     through the variant's one body op, which ends in the head's bias.
     """
-    x = np.asarray(x, float)
-    if x.ndim != 4 or x.shape[1:] != (config.tau, config.d_phys, config.d_feat):
-        raise ValueError(
-            f"input must be (batch, {config.tau}, {config.d_phys}, {config.d_feat}), "
-            f"got {x.shape}"
-        )
-    nodes = _as_nodes(values)
+    x = _checked_input(config, x)
+    nodes = {name: v if isinstance(v, ad.TapeNode) else ad.constant(v)
+             for name, v in values.items()}
     _check_param_shapes(config, nodes)
-    if config.variant == "rnn":
-        return ad.recurrence(x, nodes["w_x"], nodes["w_h"], nodes["b_h"], nodes["head.w"],
-                             nodes["head.bias"], config.activation)
-    return ad.graph_tt(x, build_time_adjacency(config.tau, config.c), nodes["w_x"],
-                       nodes.get("w_r"), [nodes[f"head.core{k}"] for k in range(3)],
-                       nodes["head.bias"], config.activation)
+    return _body(config, ad.graph_tt, ad.recurrence, x, nodes)
 
 
 def predict(
@@ -206,11 +224,13 @@ def predict(
     values: Mapping[str, np.ndarray],
     x: np.ndarray,
 ) -> np.ndarray:
-    """``forward(...).array``, computed without a tape.
+    """``forward(...).array``, computed by the body op's forward kernel alone.
 
-    Each body op walks blocks of whole windows with the same kernels as
-    under a tape, so the result is the same bits, and only the
-    (batch, out_dim) output is batch-sized.
+    The kernel is the one the tape op calls, on the same arrays, so the
+    result is the same bits; it builds no node and keeps nothing for a
+    backward, so only the (batch, out_dim) output is batch-sized.
     """
-    with ad.no_tape():
-        return forward(config, values, x).array
+    x = _checked_input(config, x)
+    params = {name: np.asarray(v, float) for name, v in values.items()}
+    _check_param_shapes(config, params)
+    return _body(config, ad.graph_tt_kernel, ad.recurrence_kernel, x, params)

@@ -119,8 +119,7 @@ def _split_loss(
     inputs: np.ndarray,
     targets: np.ndarray,
 ) -> float:
-    with ad.no_tape():
-        return float(_loss_node(loss, ad.constant(predict(model, values, inputs)), targets).array)
+    return float(_loss_node(loss, ad.constant(predict(model, values, inputs)), targets).array)
 
 
 def train(
@@ -130,8 +129,7 @@ def train(
     seeds = np.random.SeedSequence(config.seed).generate_state(2)
     store = ParamStore(init_params(model, int(seeds[0])))
     shuffle_rng = np.random.default_rng(int(seeds[1]))
-    train_idx = dataset.splits.train
-    val_inputs, val_targets = dataset.subset(dataset.splits.val)
+    train_idx, val_idx = dataset.splits.train, dataset.splits.val
     trace: list[dict] = []
     for epoch in range(1, config.epochs + 1):
         order = train_idx[shuffle_rng.permutation(len(train_idx))]
@@ -157,9 +155,11 @@ def train(
         record = {
             "epoch": epoch,
             "train_loss": loss_sum / max(seen, 1),
+            # the validation windows are gathered for this call alone, so the
+            # training steps do not hold them
             "val_loss": (
-                _split_loss(model, store.values(), config.loss, val_inputs, val_targets)
-                if len(val_inputs)
+                _split_loss(model, store.values(), config.loss, *dataset.subset(val_idx))
+                if len(val_idx)
                 else float("nan")
             ),
         }

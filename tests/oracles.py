@@ -18,8 +18,7 @@ from math import prod
 
 import numpy as np
 
-from rgtn import autodiff as ad
-from rgtn.models import HeadConfig, ModelConfig, forward, init_params
+from rgtn.models import HeadConfig, ModelConfig, forward, init_params, predict
 
 
 def random_idempotent(rng, m, rank=None):
@@ -223,9 +222,8 @@ def hidden_node(config, values, x):
 
 
 def hidden_rows(config, values, x):
-    """``hidden_node``'s array computed without a tape."""
-    with ad.no_tape():
-        return hidden_node(config, values, x).array
+    """``hidden_node``'s array, computed by ``predict``: the body op's kernel with no tape."""
+    return predict(*identity_head(config, values), x)
 
 
 def unflatten(flat, block):

@@ -1,7 +1,6 @@
 """Tape gradients verified against central finite differences."""
 
 import ast
-import contextlib
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -543,14 +542,15 @@ class TestTTHead:
         del g
         assert ref() is None
 
-    def test_no_tape_keeps_no_inputs(self):
+    def test_kernel_keeps_nothing_unless_asked(self):
+        # the kernel alone returns a plain array, the tape op's output to the bit
         x, a, *params = graph_arrays(np.random.default_rng(54), batch=2)
-        nodes = [ad.constant(v) for v in graph_params(*params)]
-        with ad.no_tape():
-            out = graph_node(x, a, nodes[0], nodes[1], nodes[2:5], nodes[5], "tanh")[0]
-        assert out.parents == () and out.pushes == ()
-        again = graph_node(x, a, nodes[0], nodes[1], nodes[2:5], nodes[5], "tanh")[0]
-        np.testing.assert_array_equal(out.array, again.array)
+        out = ad.graph_tt_kernel(x, a, *params, "tanh")
+        assert type(out) is np.ndarray
+        again = graph_node(x, a, *params, "tanh")[0]
+        assert again.parents and np.array_equal(again.array, out)
+        kept_out, kept = ad.graph_tt_kernel(x, a, *params, "tanh", keep=True)
+        assert np.array_equal(kept_out, out) and len(kept) == 4
 
     def test_shape_errors(self):
         x, a, w_x, w_r, cores, bias = graph_arrays(np.random.default_rng(55), batch=2)
@@ -593,14 +593,14 @@ class TestTapeLifetime:
         assert all(node.grad is not None for node in nodes)
         assert inner.grad is None and root.grad is None
 
-    def test_no_tape_keeps_no_inputs(self):
+    def test_kernel_keeps_nothing_unless_asked(self):
         x, weights = rnn_arrays(np.random.default_rng(36), batch=3)
-        nodes = [ad.constant(v) for v in weights]
-        with ad.no_tape():
-            out = ad.recurrence(x, *nodes, "tanh")
-        assert out.parents == () and out.pushes == ()
-        again = ad.recurrence(x, *nodes, "tanh")
-        assert again.parents and np.array_equal(again.array, out.array)
+        out = ad.recurrence_kernel(x, *weights, "tanh")
+        assert type(out) is np.ndarray
+        again = rnn_node(x, weights, "tanh")[0]
+        assert again.parents and np.array_equal(again.array, out)
+        kept_out, kept = ad.recurrence_kernel(x, *weights, "tanh", keep=True)
+        assert np.array_equal(kept_out, out) and len(kept) == 1
 
 
 class TestStructuralOps:
@@ -614,18 +614,18 @@ class TestStructuralOps:
         check_gradients(graph_loss(x, a, False, "tanh"), graph_params(*params))
 
     def test_add_bias_full_shape(self):
-        # the bias adds to every window's row, bit for bit, with a tape and without
+        # the bias adds to every window's row, bit for bit, in the tape op and
+        # in its kernel alone
         rng = np.random.default_rng(17)
         x, weights = rnn_arrays(rng, batch=3)
         graph = graph_arrays(rng, batch=3)
-        for taped in (True, False):
-            with contextlib.nullcontext() if taped else ad.no_tape():
-                rnn = [rnn_node(x, weights[:4] + [b], "tanh")[0].array
-                       for b in (np.zeros(2), weights[4])]
-                tt = [graph_node(*graph[:5], b, "tanh")[0].array
-                      for b in (np.zeros(12), graph[5])]
-            np.testing.assert_array_equal(rnn[1], rnn[0] + weights[4])
-            np.testing.assert_array_equal(tt[1], tt[0] + graph[5])
+        runs = [(lambda b: rnn_node(x, weights[:4] + [b], "tanh")[0].array,
+                 lambda b: graph_node(*graph[:5], b, "tanh")[0].array),
+                (lambda b: ad.recurrence_kernel(x, *weights[:4], b, "tanh"),
+                 lambda b: ad.graph_tt_kernel(*graph[:5], b, "tanh"))]
+        for rnn, tt in runs:
+            np.testing.assert_array_equal(rnn(weights[4]), rnn(np.zeros(2)) + weights[4])
+            np.testing.assert_array_equal(tt(graph[5]), tt(np.zeros(12)) + graph[5])
 
     def test_add_bias_shape_error(self):
         x, weights = rnn_arrays(np.random.default_rng(18), batch=2)

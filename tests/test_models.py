@@ -435,14 +435,19 @@ class TestTape:
         assert counts[0] == counts[1]
 
     @pytest.mark.parametrize("variant,head", [("grgtn", "tt"), ("srgtn", "tt"), ("rnn", "dense")])
-    def test_predict_is_forward_without_a_tape(self, variant, head):
+    def test_predict_is_forward_without_a_tape(self, variant, head, monkeypatch):
         rng = np.random.default_rng(11)
         cfg = small_config(variant)
         values = init_params(cfg, seed=3)
         x = rng.standard_normal((5, cfg.tau, cfg.d_phys, cfg.d_feat))
-        assert np.array_equal(predict(cfg, values, x), forward(cfg, values, x).array)
-        with ad.no_tape():
-            assert forward(cfg, values, x).parents == ()
+        want = forward(cfg, values, x).array
+
+        def no_node(*args, **kwargs):
+            raise AssertionError("predict built a tape node")
+
+        # predict calls the body op's kernel alone: not one node, not even a leaf
+        monkeypatch.setattr(ad.TapeNode, "__init__", no_node)
+        assert np.array_equal(predict(cfg, values, x), want)
 
 
 def block_budget(cfg):
@@ -549,10 +554,63 @@ class TestPredictBlocks:
                                        rtol=1e-12)
 
 
+def wide_config(variant):
+    """wide-train's shape, at which one window fills a block of ``graph_tt``."""
+    return ModelConfig(variant=variant, tau=64, d_phys=16, d_feat=8, hidden=32, out_dim=2,
+                       head=HeadConfig(ranks=(4, 4), out_modes=(1, 1, 2)))
+
+
+class TestPredictPath:
+    """``predict`` checks against the cached shape table and calls the kernel alone."""
+
+    @pytest.mark.parametrize("variant,batch,blocks", [
+        *((v, 1, 1) for v in VARIANTS), ("grgtn", 3, 3), ("srgtn", 4, 4), ("rnn", 37, 2),
+    ])
+    def test_is_forward_bit_for_bit(self, variant, batch, blocks):
+        cfg = wide_config(variant)
+        budget, window = block_budget(cfg)
+        assert -(-batch // (budget // window)) == blocks
+        values = init_params(cfg, seed=12)
+        x = np.random.default_rng(23).standard_normal((batch, cfg.tau, cfg.d_phys, cfg.d_feat))
+        assert predict(cfg, values, x).tobytes() == forward(cfg, values, x).array.tobytes()
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("fault,match", [
+        ("x shape", "input must be"), ("missing", "takes parameters"),
+        ("extra", "takes parameters"), ("parameter shape", "has shape"),
+    ])
+    def test_bad_arguments_raise_named_errors(self, variant, fault, match):
+        cfg = small_config(variant)
+        values = init_params(cfg, seed=0)
+        x = np.zeros((2, cfg.tau, cfg.d_phys, cfg.d_feat))
+        if fault == "x shape":
+            x = x[:, :, :1]
+        elif fault == "missing":
+            values.pop("head.bias")
+        elif fault == "extra":
+            values["w_extra"] = np.zeros(1)
+        else:
+            values["w_x"] = values["w_x"][:, :1]
+        for fn in (predict, forward):
+            with pytest.raises(ValueError, match=match):
+                fn(cfg, values, x)
+
+    def test_shape_table_is_cached_and_read_only(self):
+        cfg = small_config("grgtn")
+        table = param_shapes(cfg)
+        assert param_shapes(small_config("grgtn")) is table
+        with pytest.raises(TypeError):
+            table["w_x"] = (1, 1)
+        with pytest.raises(TypeError):
+            del table["w_r"]
+        assert table["w_x"] == (cfg.hidden, cfg.d_feat) and len(table) == 6
+        predict(cfg, init_params(cfg, seed=0), np.zeros((1, cfg.tau, cfg.d_phys, cfg.d_feat)))
+
+
 def test_every_public_op_is_called_by_a_training_step(monkeypatch):
     # no public API that no entry point uses: a step of every variant under
     # every loss must call each op, so an op left without a caller fails here
-    ops, called = set(ad.__all__) - {"TapeNode", "no_tape", "constant", "backward"}, set()
+    ops, called = set(ad.__all__) - {"TapeNode", "constant", "backward"}, set()
     for name in ops:
         def wrapped(*args, _op=getattr(ad, name), _name=name, **kwargs):
             called.add(_name)
