@@ -20,14 +20,16 @@ returns the loss's gradient in closed form.
 Each body op is a forward kernel over plain arrays plus a backward:
 ``graph_tt_kernel`` and ``recurrence_kernel`` compute the output, and
 return what the backward reads only when asked to keep it.  ``graph_tt``
-and ``recurrence`` check their operands' shapes, call the kernel with
-``keep`` and build the pushes over what it kept.  ``models.predict`` calls
-the kernels alone, so a prediction builds no node and each kernel holds
-one block of its intermediates at a time.  The kernels walk blocks of
-whole windows that they size themselves, taped or not, so the same
-windows give the same bits either way.  They are not in ``__all__``:
-it lists the tape's ops, each of which returns a node, and
-``perfbench/tracing.py`` times every callable in it as one.
+and ``recurrence`` take their operands as ``models.forward`` passes them,
+float64 windows and parameter nodes whose shapes it has checked against
+``models.param_shapes``; each calls its kernel with ``keep`` and builds
+its pushes over what the kernel kept.  ``models.predict`` calls the
+kernels alone, so a prediction builds no node and each kernel holds one
+block of its intermediates at a time.  The kernels walk blocks of whole
+windows that they size themselves, taped or not, so the same windows
+give the same bits either way.  They are not in ``__all__``: it lists the
+tape's ops, each of which returns a node, and ``perfbench/tracing.py``
+times every callable in it as one.
 
 Nodes hold their arrays without copying, and a node's gradient may be the
 very array its child received, so value and gradient arrays are shared:
@@ -105,26 +107,26 @@ def backward(root: TapeNode) -> None:
             stack.append((parent, push(g)))
 
 
-def _shared(first: Callable[[np.ndarray], np.ndarray], consumers) -> tuple[Callable, ...]:
-    """One push per consumer, each applied to ``first(g)``, which runs once per ``g``.
+def _shared(grads: Callable[[np.ndarray], list], count: int) -> tuple[Callable, ...]:
+    """``count`` pushes, push i returning ``grads(g)[i]``; ``grads`` runs once per ``g``.
 
     ``backward`` runs a node's pushes one after another on the same ``g``;
     the last push drops the shared result, so a finished node keeps none.
     """
-    memo: list = [None, None]  # the output gradient of the last call and first() of it
+    memo: list = [None, None]  # the output gradient of the last call and grads() of it
 
-    def make(consume, last: bool) -> Callable[[np.ndarray], np.ndarray]:
+    def make(i: int) -> Callable[[np.ndarray], np.ndarray]:
         def push(g: np.ndarray) -> np.ndarray:
             if memo[0] is not g:
-                memo[:] = g, first(g)
-            shared = memo[1]
-            if last:
+                memo[:] = g, grads(g)
+            d = memo[1][i]
+            if i == count - 1:
                 memo[:] = None, None
-            return consume(shared)
+            return d
 
         return push
 
-    return tuple(make(c, i == len(consumers) - 1) for i, c in enumerate(consumers))
+    return tuple(make(i) for i in range(count))
 
 
 def _tanh_push(g: np.ndarray, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -278,38 +280,25 @@ def graph_tt(
     w_r: TapeNode | None,
     cores: Sequence[TapeNode],
     bias: TapeNode,
-    activation: str = "identity",
+    activation: str,
 ) -> TapeNode:
     """grgtn's and srgtn's graph filter, tensor-train head and bias, as one node.
 
-    The shapes are checked, then ``graph_tt_kernel`` computes the output and
-    keeps ``h``, the head's ``z1`` and ``z2`` and each block's input.  The
-    pushes share one backward: cores 2 and 1 on all rows, then per block
-    ``a0 @ dz``, the activation push and the block's terms of the ``W`` and
-    core-0 gradients, so the whole hidden block's gradient never exists.
-    Core 0's terms add up window after window, as one sum over all windows
-    does.  grgtn's ``dW`` gives ``dW_r = dW[:, F:] W_x^T`` and ``dW_x =
-    dW[:, :F] + W_r^T dW[:, F:]``, and ``bias`` the output gradient summed
-    over the windows.
+    ``graph_tt_kernel`` computes the output and keeps ``h``, the head's
+    ``z1`` and ``z2`` and each block's input.  The pushes share one
+    backward: cores 2 and 1 on all rows, then per block ``a0 @ dz``, the
+    activation push and the block's terms of the ``W`` and core-0
+    gradients, so the whole hidden block's gradient never exists.  Core 0's
+    terms add up window after window, as one sum over all windows does.
+    grgtn's ``dW`` gives ``dW_r = dW[:, F:] W_x^T`` and ``dW_x = dW[:, :F] +
+    W_r^T dW[:, F:]``, and ``bias`` the output gradient summed over the
+    windows.  The backward returns each gradient in its parameter's shape,
+    in the order of the node's parents.
     """
-    if isinstance(x, TapeNode) or isinstance(a, TapeNode):
-        raise ShapeError("graph_tt takes x and a as data only, got a node operand")
-    xv, av = np.asarray(x, float), np.asarray(a, float)
-    shapes = [c.shape for c in cores]
-    if (xv.ndim != 4 or av.shape != (xv.shape[1],) * 2 or w_x.shape[1:] != xv.shape[3:]
-            or (w_r is not None and w_r.shape != w_x.shape[:1] * 2)
-            or len(shapes) != 3 or any(len(s) != 4 for s in shapes)
-            or tuple(s[1] for s in shapes) != xv.shape[1:3] + w_x.shape[:1]
-            or [1] + [s[3] for s in shapes] != [s[0] for s in shapes] + [1]
-            or bias.shape != (shapes[0][2] * shapes[1][2] * shapes[2][2],)):
-        raise ShapeError(f"graph_tt needs x (batch, tau, P, F), a (tau, tau), w_x (H, F), w_r "
-                         f"(H, H) or None, cores (r_k, n_k, o_k, r_k+1) over (tau, P, H) from "
-                         f"rank 1 to 1 and bias (o0 o1 o2,), got {xv.shape}, {av.shape}, "
-                         f"{w_x.shape}, {w_r and w_r.shape}, {shapes} and {bias.shape}")
-    (batch, tau, phys, feat), hidden = xv.shape, w_x.shape[0]
-    (o0, o1, o2), r1, r2 = (s[2] for s in shapes), shapes[1][0], shapes[2][0]
+    (batch, tau, phys, feat), hidden = x.shape, w_x.shape[0]
+    (o0, o1, o2), r1, r2 = (c.shape[2] for c in cores), cores[1].shape[0], cores[2].shape[0]
     wx, wr, arrays = w_x.array, None if w_r is None else w_r.array, [c.array for c in cores]
-    out, (h, z1, z2, inputs) = graph_tt_kernel(xv, av, wx, wr, arrays, bias.array, activation,
+    out, (h, z1, z2, inputs) = graph_tt_kernel(x, a, wx, wr, arrays, bias.array, activation,
                                                keep=True)
     a0, a1, a2 = (c.reshape(c.shape[0] * c.shape[1], -1) for c in arrays)
     act_push, width = _ACTIVATIONS[activation][1], feat if wr is None else 2 * feat
@@ -338,12 +327,11 @@ def graph_tt(
             dw += d.T @ xin.reshape(-1, width)
         weights = [dw] if wr is None else [dw[:, :feat] + wr.T @ dw[:, feat:],
                                            dw[:, feat:] @ wx.T]
-        return weights + [terms[0], d1, d2, g.sum(axis=0)]
+        head = [t.reshape(c.shape) for t, c in zip((terms[0], d1, d2), arrays)]
+        return weights + head + [g.sum(axis=0)]
 
-    params = [w_x, *([] if w_r is None else [w_r]), *cores, bias]
-    pushes = _shared(grads, [lambda d, k=k, s=s: d[k].reshape(s) for k, s in
-                             enumerate(p.shape for p in params)])
-    return TapeNode(out, tuple(params), pushes)
+    params = (w_x, *([] if w_r is None else [w_r]), *cores, bias)
+    return TapeNode(out, params, _shared(grads, len(params)))
 
 
 # ``recurrence_kernel`` walks blocks of whole windows (at least one) sized by 16
@@ -417,28 +405,18 @@ def recurrence(
 ) -> TapeNode:
     """The rnn's projection, recurrence, dense head and bias, as one node.
 
-    The shapes are checked, then ``recurrence_kernel`` computes the output
-    and keeps each block's copy of x, states and rows.  The five pushes
-    share one backward, which walks the same blocks: the rows' gradient,
-    one reverse loop of backpropagation through time for the
-    pre-activation gradients ``dz``, then the block's terms of every weight
-    gradient: ``dz`` against x for ``w_x``, against the previous states for
-    ``w_h``, their sum for ``b_h``, the output gradient against the rows
-    for ``w`` and its sum over the windows for ``bias``.
+    ``recurrence_kernel`` computes the output and keeps each block's copy
+    of x, states and rows.  The five pushes share one backward, which walks
+    the same blocks: the rows' gradient, one reverse loop of
+    backpropagation through time for the pre-activation gradients ``dz``,
+    then the block's terms of every weight gradient: ``dz`` against x for
+    ``w_x``, against the previous states for ``w_h``, their sum for
+    ``b_h``, the output gradient against the rows for ``w`` and its sum
+    over the windows for ``bias``.
     """
-    if isinstance(x, TapeNode):
-        raise ShapeError("recurrence takes x as data only, got a node operand")
-    xv = np.asarray(x, float)
-    if (xv.ndim != 4 or len(w_x.shape) != 2 or len(w.shape) != 2
-            or w_x.shape[1] != xv.shape[2] * xv.shape[3]
-            or w_h.shape != w_x.shape[:1] * 2 or b_h.shape != w_x.shape[:1]
-            or w.shape[1] != w_x.shape[0] * xv.shape[1] or bias.shape != w.shape[:1]):
-        raise ShapeError(f"recurrence needs x (batch, tau, P, F), w_x (H, P F), w_h (H, H), "
-                         f"b_h (H,), w (N, H tau) and bias (N,), got {xv.shape}, {w_x.shape}, "
-                         f"{w_h.shape}, {b_h.shape}, {w.shape} and {bias.shape}")
-    tau, hidden = xv.shape[1], w_x.shape[0]
+    tau, hidden = x.shape[1], w_x.shape[0]
     wh, wc = w_h.array, np.ascontiguousarray(w.array)
-    out, kept = recurrence_kernel(xv, w_x.array, wh, b_h.array, wc, bias.array, activation,
+    out, kept = recurrence_kernel(x, w_x.array, wh, b_h.array, wc, bias.array, activation,
                                   keep=True)
     act_push = _ACTIVATIONS[activation][1]
 
@@ -461,8 +439,8 @@ def recurrence(
             d = terms if d is None else [a + b for a, b in zip(d, terms)]
         return d + [g.sum(axis=0)]
 
-    pushes = _shared(grads, [lambda d, i=i: d[i] for i in range(5)])
-    return TapeNode(out, (w_x, w_h, b_h, w, bias), pushes)
+    params = (w_x, w_h, b_h, w, bias)
+    return TapeNode(out, params, _shared(grads, len(params)))
 
 
 def _residual(pred: TapeNode, target: np.ndarray, name: str) -> tuple[np.ndarray, float]:

@@ -31,13 +31,13 @@ gives the order in which the graph variants contract and why.
 they size themselves, so the hidden block's gradient never exists whole
 and the rnn's tape does not grow with tau.  ``forward`` and ``predict``
 check the windows and the parameters against ``param_shapes``, a
-read-only table cached per configuration.  ``forward`` then runs the
-variant's tape op; ``predict`` calls that op's forward kernel
-(``autodiff.graph_tt_kernel`` or ``autodiff.recurrence_kernel``) on the
-arrays directly, building no tape node.  The tape op runs the same
-kernel, so ``predict`` equals ``forward(...).array`` bit for bit, and its
-memory is bounded by the kernel's blocks and the output, not by the
-batch.
+read-only table cached per configuration; neither the tape ops nor the
+kernels check them again.  ``forward`` then runs the variant's tape op;
+``predict`` calls that op's forward kernel (``autodiff.graph_tt_kernel``
+or ``autodiff.recurrence_kernel``) on the arrays directly, building no
+tape node.  The tape op runs the same kernel, so ``predict`` equals
+``forward(...).array`` bit for bit, and its memory is bounded by the
+kernel's blocks and the output, not by the batch.
 """
 
 from __future__ import annotations

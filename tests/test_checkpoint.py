@@ -2,6 +2,7 @@
 
 import os
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -45,7 +46,7 @@ class TestRoundTrip:
         loaded, meta = load_checkpoint(p1)
         meta.pop("format_version")
         save_checkpoint(p2, loaded, meta)
-        assert open(p1, "rb").read() == open(p2, "rb").read()
+        assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
     def test_tensor_file(self, tmp_path):
         rng = np.random.default_rng(2)
@@ -76,9 +77,9 @@ class TestIntegrity:
     def test_corrupted_payload(self, tmp_path):
         path = str(tmp_path / "model.rgtn")
         save_checkpoint(path, {"w": np.ones(4)}, {"kind": "model"})
-        blob = bytearray(open(path, "rb").read())
+        blob = bytearray(Path(path).read_bytes())
         blob[-3] ^= 0xFF
-        open(path, "wb").write(bytes(blob))
+        Path(path).write_bytes(bytes(blob))
         with pytest.raises(CheckpointError, match="digest"):
             load_checkpoint(path)
 
@@ -87,9 +88,9 @@ class TestIntegrity:
 
         path = str(tmp_path / "model.rgtn")
         save_checkpoint(path, {"w": np.ones(2)}, {"kind": "model"})
-        blob = bytearray(open(path, "rb").read())
+        blob = bytearray(Path(path).read_bytes())
         blob[8:12] = struct.pack("<I", 99)
-        open(path, "wb").write(bytes(blob))
+        Path(path).write_bytes(bytes(blob))
         with pytest.raises(CheckpointError, match="version"):
             load_checkpoint(path)
 

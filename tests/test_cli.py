@@ -102,7 +102,7 @@ DELETED_SETTINGS = {
 
 def read_pairs(path):
     pairs = {}
-    for line in open(path):
+    for line in Path(path).read_text().splitlines():
         key, _, value = line.partition(": ")
         pairs[key] = value.strip()
     return pairs

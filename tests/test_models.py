@@ -578,22 +578,62 @@ class TestPredictPath:
     @pytest.mark.parametrize("fault,match", [
         ("x shape", "input must be"), ("missing", "takes parameters"),
         ("extra", "takes parameters"), ("parameter shape", "has shape"),
+        # forward and predict alone check the body ops' operands: every window
+        # and parameter shape graph_tt and recurrence are not built for
+        ("x without batch axis", "input must be"), ("x tau", "input must be"),
+        ("x features", "input must be"),
+        ("parameter without last axis", "has shape"),
+        ("parameter with leading axis", "has shape"),
+        ("parameter axis shorter", "has shape"), ("parameter axis longer", "has shape"),
     ])
     def test_bad_arguments_raise_named_errors(self, variant, fault, match):
         cfg = small_config(variant)
         values = init_params(cfg, seed=0)
         x = np.zeros((2, cfg.tau, cfg.d_phys, cfg.d_feat))
+        table, cases = param_shapes(cfg), []
         if fault == "x shape":
-            x = x[:, :, :1]
+            cases = [(x[:, :, :1], values)]
         elif fault == "missing":
-            values.pop("head.bias")
+            # a missing w_r is also grgtn's joined weight [W_x | W_r W_x] without W_r
+            cases = [(x, {k: v for k, v in values.items() if k != name}) for name in table]
         elif fault == "extra":
-            values["w_extra"] = np.zeros(1)
+            cases = [(x, {**values, "w_extra": np.zeros(1)})]
+        elif fault == "parameter shape":
+            cases = [(x, {**values, "w_x": values["w_x"][:, :1]})]
+        elif fault.startswith("x "):
+            bad = {"x without batch axis": x[0], "x tau": x[:, 1:], "x features": x[..., 1:]}
+            cases = [(bad[fault], values)]
         else:
-            values["w_x"] = values["w_x"][:, :1]
-        for fn in (predict, forward):
-            with pytest.raises(ValueError, match=match):
-                fn(cfg, values, x)
+            for name, shape in table.items():
+                if fault == "parameter without last axis":
+                    bad = [shape[:-1]]
+                elif fault == "parameter with leading axis":
+                    bad = [(1, *shape)]
+                else:
+                    step = -1 if fault == "parameter axis shorter" else 1
+                    bad = [shape[:i] + (n + step,) + shape[i + 1 :] for i, n in enumerate(shape)]
+                cases += [(x, {**values, name: np.zeros(b)}) for b in bad]
+        for windows, params in cases:
+            for fn in (predict, forward):
+                with pytest.raises(ValueError, match=match):
+                    fn(cfg, params, windows)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_integer_windows_are_read_as_float64(self, variant):
+        # the body ops take float64 windows; forward and predict convert
+        # integer windows, so both give the float64 windows' bits, gradients too
+        cfg = small_config(variant)
+        values = init_params(cfg, seed=7)
+        x = np.random.default_rng(25).integers(-3, 4, (2, cfg.tau, cfg.d_phys, cfg.d_feat))
+        results = []
+        for windows in (x, x.astype(float)):
+            nodes = {k: ad.constant(v) for k, v in values.items()}
+            out = forward(cfg, nodes, windows)
+            ad.backward(ad.mse_loss(out, np.ones(out.shape)))
+            results.append([predict(cfg, values, windows), out.array,
+                            *(node.grad for node in nodes.values())])
+        for got, want in zip(*results):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     def test_shape_table_is_cached_and_read_only(self):
         cfg = small_config("grgtn")

@@ -10,6 +10,7 @@ checkpoint payload.
 """
 
 from math import prod
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -91,7 +92,7 @@ def grgtn_matrix(w_r, tau, c=0.5):
 
 def checkpoint_payload(path):
     """The float64 payload of a checkpoint with a single entry."""
-    blob = open(path, "rb").read()
+    blob = Path(path).read_bytes()
     (head_len,) = np.frombuffer(blob[12:20], dtype="<u8")
     return np.frombuffer(blob[20 + int(head_len) :], dtype="<f8")
 
