@@ -2,10 +2,10 @@
 
 Each operation records its inputs and one gradient-push closure per input.
 Every model is one body op and its loss: ``graph_tt`` for grgtn and srgtn
-(the time mix, grgtn's ``[W_x | W_r W_x]``, the projection, its
-activation, the tensor-train head and the bias) and ``recurrence`` for the
-rnn (the projection, the whole recurrence, the dense head and the bias),
-so the tape does not grow with tau.  The chain a step records is thus
+(the time mix, the projection, grgtn's ``W_r``, the activation, the
+tensor-train head and the bias) and ``recurrence`` for the rnn (the
+projection, the whole recurrence, the dense head and the bias), so the
+tape does not grow with tau.  The chain a step records is thus
 ``loss -> body op -> parameters``, and ``backward`` walks it with a stack
 from a scalar root: each node runs its pushes on its output gradient, and
 each parameter (a leaf, made by ``constant``) adds what reaches it to its
@@ -13,9 +13,10 @@ each parameter (a leaf, made by ``constant``) adds what reaches it to its
 
 The windows and the time adjacency are data: ``graph_tt`` and
 ``recurrence`` take them as plain arrays, which get no node, no push and
-no gradient, so a batch of windows costs the tape nothing.  Each loss is
-one node whose only input is the prediction (or the logits), and its push
-returns the loss's gradient in closed form.
+no gradient, so a batch of windows costs the tape nothing; ``graph_tt``'s
+backward reads its windows again.  Each loss is one node whose only input
+is the prediction (or the logits), and its push returns the loss's
+gradient in closed form.
 
 Each body op is a forward kernel over plain arrays plus a backward:
 ``graph_tt_kernel`` and ``recurrence_kernel`` compute the output, and
@@ -35,13 +36,14 @@ Nodes hold their arrays without copying, and a node's gradient may be the
 very array its child received, so value and gradient arrays are shared:
 no operation, push or caller may write into one in place.  The exceptions
 are arrays an op has just allocated and no other node holds: ``graph_tt``
-runs its activation in place on each block of the hidden block ``h`` that
-it keeps for its backward, so the block is written once and not twice, and
-writes each block's head products into its kept ``z1`` and ``z2``; its
-backward writes each block's ``a0 @ dz`` into one scratch block and the
-activation push into a second, since a push may not write into its own
-input.  ``recurrence`` writes each block's states over its projection and
-each step's push straight into its gradient.
+adds srgtn's x into each block's ``A x``, and runs its activation in place
+on each block of the hidden block ``h`` that it keeps for its backward, so
+the block is written once and not twice, and writes each block's head
+products into its kept ``z1`` and ``z2``; its backward writes each
+block's ``a0 @ dz`` into one scratch block and the activation push into a
+second, since a push may not write into its own input.  ``recurrence``
+writes each block's states over its projection and each step's push
+straight into its gradient.
 """
 
 from __future__ import annotations
@@ -188,15 +190,6 @@ def _gemm_weight(w: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(wc.T) if wc.shape[1] < _SHORT_K else wc.T
 
 
-def _join_features(x: np.ndarray, ax: np.ndarray) -> np.ndarray:
-    """``concatenate((x, ax), -1)``, copying F-float rows as single items (2x faster)."""
-    row = np.dtype((np.void, x.shape[-1] * x.itemsize))
-    out = np.empty(x.shape[:-1] + (2 * x.shape[-1],))
-    halves = out.view(row)
-    halves[..., :1], halves[..., 1:] = np.ascontiguousarray(x).view(row), ax.view(row)
-    return out
-
-
 def graph_tt_kernel(
     x: np.ndarray,
     a: np.ndarray,
@@ -210,32 +203,32 @@ def graph_tt_kernel(
     """``graph_tt``'s forward over plain arrays, whose shapes the caller has checked.
 
     ``x`` (batch, tau, P, F) and the time adjacency ``a`` (tau, tau) are
-    data.  A acts on time and the weight on features, so the mix runs on
-    the input: grgtn (``w_r`` given) is ``h = act([x | A x] W^T)`` for its
-    ``(H, 2F)`` weight ``W = [W_x | W_r W_x]``, joined at the narrow width,
-    not summed after two hidden-width GEMMs; srgtn (``w_r`` None) is
-    ``act((x + A x) W_x^T)``.  Core k, ``(r_k, n_k, o_k, r_k+1)`` with
-    ``r_0 = r_3 = 1``, is the matrix ``(r_k n_k, o_k r_k+1)``; the result is
-    the head's ``(batch, o0 o1 o2)``, first output mode fastest, plus ``bias``.
+    data.  A acts on time and the weights on features, so the mix runs on
+    the input: grgtn (``w_r`` given) is ``h = act((A x) M^T + x W_x^T)``
+    for ``M = W_r W_x``, srgtn (``w_r`` None) ``act((x + A x) M^T)`` for
+    ``M = W_x``.  Core k, ``(r_k, n_k, o_k, r_k+1)`` with ``r_0 = r_3 =
+    1``, is the matrix ``(r_k n_k, o_k r_k+1)``; the result is the head's
+    ``(batch, o0 o1 o2)``, first output mode fastest, plus ``bias``.
 
     The kernel walks blocks of ``_BLOCK_BYTES // (8 tau P H)`` whole windows
-    (at least one): the mix, the GEMM with the activation in place, core 0's
-    left product on the block as (windows, tau, P H), then cores 1 and 2,
-    which contract (r1, P) and (r2, H), and the block's output rows.
+    (at least one): the mix, the GEMM by ``M`` and grgtn's ``x W_x^T`` as a
+    temporary of the block, each weight by ``_gemm_weight``, the activation
+    in place, core 0's left product on the block as (windows, tau, P H),
+    then cores 1 and 2, which contract (r1, P) and (r2, H), and the block's
+    output rows.
     Contracting time first shrinks h the most (Novikov et al. 2015,
-    arXiv:1509.06569) and copies no layout of it.  ``W`` enters the GEMM by
-    ``_gemm_weight``.  One block of ``h``, ``z1`` and ``z2`` is reused, so
-    only the output is batch-sized; with ``keep`` they are kept whole and
-    the result is ``(out, (h, z1, z2, inputs))``, what the backward reads,
-    with ``inputs`` each block's mixed input.
+    arXiv:1509.06569) and copies no layout of it.  One block of ``h``,
+    ``z1`` and ``z2`` is reused, so only the output is batch-sized; with
+    ``keep`` they are kept whole and the result is ``(out, (h, z1, z2,
+    inputs))``, what the backward reads, with ``inputs`` each block's
+    input to ``M``, as wide as x.
     """
-    (batch, tau, phys, _), hidden = x.shape, w_x.shape[0]
+    (batch, tau, phys, feat), hidden = x.shape, w_x.shape[0]
     (o0, o1, o2), r1, r2 = (c.shape[2] for c in cores), cores[1].shape[0], cores[2].shape[0]
     a0, a1, a2 = (c.reshape(c.shape[0] * c.shape[1], -1) for c in cores)
     fn = _ACTIVATIONS[activation][0]
-    w = w_x if w_r is None else np.concatenate((w_x, w_r @ w_x), axis=1)
-    width = w.shape[1]
-    wt = _gemm_weight(w)
+    wt = _gemm_weight(w_x)
+    mt = wt if w_r is None else _gemm_weight(w_r @ w_x)
     step = _graph_block(tau, phys, hidden)
     held = batch if keep else min(batch, step)
     h = np.empty((held, tau, phys, hidden))
@@ -245,19 +238,21 @@ def graph_tt_kernel(
     for lo in range(0, batch, step):
         xb = x[lo : lo + step]
         k, at = len(xb), lo if keep else 0
-        ax = (a @ xb.reshape(k, tau, phys * xb.shape[3])).reshape(xb.shape)
-        xin = xb + ax if w_r is None else _join_features(xb, ax)
-        del ax
+        ax = (a @ xb.reshape(k, tau, phys * feat)).reshape(-1, feat)
         hb, z1b, z2b = h[at : at + k], z1[at : at + k], z2[at * o0 : (at + k) * o0]
         rows = hb.reshape(-1, hidden)
-        np.matmul(xin.reshape(-1, width), wt, out=rows)
+        if w_r is None:
+            ax += xb.reshape(-1, feat)
+        np.matmul(ax, mt, out=rows)
+        if w_r is not None:  # a scratch block held for the call would raise predict's peak
+            rows += xb.reshape(-1, feat) @ wt
         fn(rows, out=rows)
         np.matmul(a0.T, hb.reshape(k, tau, phys * hidden), out=z1b)
         np.matmul(a1.T, z1b.reshape(k * o0, r1 * phys, hidden), out=z2b)
         np.matmul(z2b.reshape(k * o0 * o1, r2 * hidden), a2,
                   out=y[lo * o0 * o1 : (lo + k) * o0 * o1])
         if keep:
-            inputs.append(xin)
+            inputs.append(ax)
     out = y.reshape(batch, o0, o1, o2).transpose(0, 3, 2, 1).reshape(batch, o2 * o1 * o0)
     # a new array: in place ran 5% slower on predict-stream's training and predicts,
     # though not in-process, so from the heap state one allocation fewer leaves
@@ -285,15 +280,16 @@ def graph_tt(
     """grgtn's and srgtn's graph filter, tensor-train head and bias, as one node.
 
     ``graph_tt_kernel`` computes the output and keeps ``h``, the head's
-    ``z1`` and ``z2`` and each block's input.  The pushes share one
-    backward: cores 2 and 1 on all rows, then per block ``a0 @ dz``, the
-    activation push and the block's terms of the ``W`` and core-0
-    gradients, so the whole hidden block's gradient never exists.  Core 0's
-    terms add up window after window, as one sum over all windows does.
-    grgtn's ``dW`` gives ``dW_r = dW[:, F:] W_x^T`` and ``dW_x = dW[:, :F] +
-    W_r^T dW[:, F:]``, and ``bias`` the output gradient summed over the
-    windows.  The backward returns each gradient in its parameter's shape,
-    in the order of the node's parents.
+    ``z1`` and ``z2`` and each block's input to ``M``.  The pushes share
+    one backward: cores 2 and 1 on all rows, then per block ``a0 @ dz``,
+    the activation push ``d`` and the block's terms of ``dM`` (``d^T``
+    times the kept input), grgtn's ``d^T x`` (from the windows) and core 0,
+    so the whole hidden block's gradient never exists.  Core 0's terms add
+    up window after window, as one sum over all windows does.  grgtn gets
+    ``dW_x = d^T x + W_r^T dM`` and ``dW_r = dM W_x^T``, srgtn ``dW_x =
+    dM``, and ``bias`` the output gradient summed over the windows.  The
+    backward returns each gradient in its parameter's shape, in the order
+    of the node's parents.
     """
     (batch, tau, phys, feat), hidden = x.shape, w_x.shape[0]
     (o0, o1, o2), r1, r2 = (c.shape[2] for c in cores), cores[1].shape[0], cores[2].shape[0]
@@ -301,8 +297,7 @@ def graph_tt(
     out, (h, z1, z2, inputs) = graph_tt_kernel(x, a, wx, wr, arrays, bias.array, activation,
                                                keep=True)
     a0, a1, a2 = (c.reshape(c.shape[0] * c.shape[1], -1) for c in arrays)
-    act_push, width = _ACTIVATIONS[activation][1], feat if wr is None else 2 * feat
-    step = _graph_block(tau, phys, hidden)
+    act_push, step = _ACTIVATIONS[activation][1], _graph_block(tau, phys, hidden)
 
     def grads(g: np.ndarray) -> list[np.ndarray]:
         g3 = g.reshape(batch, o2, o1, o0).transpose(0, 3, 2, 1).reshape(batch * o0 * o1, o2)
@@ -313,10 +308,11 @@ def graph_tt(
         dz = (a1 @ dz).reshape(batch, o0 * r1, phys * hidden)
         n = min(batch, step)
         # terms[0] holds core 0's sum over the windows so far, ahead of the block's
-        terms, dw = np.zeros((n + 1, tau, o0 * r1)), np.zeros((hidden, width))
+        terms = np.zeros((n + 1, tau, o0 * r1))
+        dm, dx = np.zeros((hidden, feat)), np.zeros((hidden, feat))
         dh, push_out = np.empty((n, tau, phys * hidden)), np.empty((n * tau * phys, hidden))
-        for lo, xin in zip(range(0, batch, step), inputs):
-            k = len(xin)
+        for lo, ax in zip(range(0, batch, step), inputs):
+            k = min(step, batch - lo)
             hb, dzb = h[lo : lo + k], dz[lo : lo + k]
             np.matmul(hb.reshape(k, tau, phys * hidden), np.swapaxes(dzb, -1, -2),
                       out=terms[1 : k + 1])
@@ -324,9 +320,10 @@ def graph_tt(
             np.matmul(a0, dzb, out=dh[:k])
             d = act_push(dh[:k].reshape(-1, hidden), hb.reshape(-1, hidden),
                          out=push_out[: k * tau * phys])
-            dw += d.T @ xin.reshape(-1, width)
-        weights = [dw] if wr is None else [dw[:, :feat] + wr.T @ dw[:, feat:],
-                                           dw[:, feat:] @ wx.T]
+            dm += d.T @ ax
+            if wr is not None:
+                dx += d.T @ x[lo : lo + k].reshape(-1, feat)
+        weights = [dm] if wr is None else [dx + wr.T @ dm, dm @ wx.T]
         head = [t.reshape(c.shape) for t, c in zip((terms[0], d1, d2), arrays)]
         return weights + head + [g.sum(axis=0)]
 

@@ -14,7 +14,10 @@ The dataset decides the task, so the checks between sections live in
 ``model.out_dim``.  A deleted setting keeps the one value ``FIXED`` gives
 it: a config or checkpoint snapshot may still set it to that value, and
 any other value is an error naming the key.  ``model.task``, which the
-data now decides, may still be set to anything and is not read.
+data now decides, may still be set to any JSON value and is not read.
+Every value in the document must be one JSON can hold, since a checkpoint
+stores the config as JSON: a YAML date, timestamp, set or binary is an
+error naming its dotted key, wherever it sits.
 """
 
 from __future__ import annotations
@@ -161,6 +164,22 @@ def _check(value, hint, path: str):
     raise ConfigError(f"{path}: expected {hint.__name__}, got {value!r}")
 
 
+def _check_json(value, path: str) -> None:
+    """Refuse a value or mapping key that JSON cannot hold, naming its dotted path."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            dotted = f"{path}.{key}" if path else str(key)
+            if not isinstance(key, str):
+                raise ConfigError(f"{dotted}: a key must be a string, got {key!r}")
+            _check_json(item, dotted)
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            _check_json(item, f"{path}[{i}]")
+    elif not isinstance(value, (str, int, float, type(None))):
+        raise ConfigError(f"{path}: expected a string, number, boolean, null, list or "
+                          f"mapping, got {value!r}")
+
+
 def _known(section: dict, keys, path: str) -> None:
     """Reject a key of the mapping at ``path`` that is not in ``keys``."""
     for key in section:
@@ -218,6 +237,8 @@ def run_config_from_dict(raw, seed_override: int | None = None) -> RunConfig:
     """Validate a parsed config document, such as a checkpoint's snapshot."""
     if not isinstance(raw, dict):
         raise ConfigError("top level of the config must be a mapping")
+    # the checkpoint stores the document as JSON, after the whole run has trained
+    _check_json(raw, "")
     _known(raw, {"model", "data", "training", "output", "bench"}, "")
     model = raw.get("model")
     # variant leads ModelConfig's positional fields, so the class cannot default it

@@ -20,8 +20,8 @@ block flattens with the time index varying fastest, as a checkpoint
 payload does.
 
 Each variant is one tape op.  grgtn and srgtn: ``graph_tt`` (the time
-mix on the input, grgtn's [W_x | W_r W_x], the projection with its
-activation, the TT head and the bias; srgtn passes no W_r).  rnn:
+mix on the input, the projection, grgtn's W_r, the activation, the TT
+head and the bias; srgtn passes no W_r).  rnn:
 ``recurrence`` (the projection, the steps, the dense head and the bias).
 The window x and the time adjacency A are plain arrays, so neither is a
 tape node and no gradient is computed for them.  ``autodiff.graph_tt``

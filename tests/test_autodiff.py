@@ -77,8 +77,8 @@ class TestBackwardMechanics:
         assert unused.grad is None
 
     def test_node_reused_twice(self):
-        # one leaf as both W_x and W_r of [W_x | W_r W_x] (F = H): each slot
-        # pushes into it, and it gets the sum of what two leaves would get
+        # one leaf as both W_x and W_r of x W_x^T + (A x)(W_r W_x)^T (F = H): each
+        # slot pushes into it, and it gets the sum of what two leaves would get
         x, a, w, _, cores, bias = graph_arrays(np.random.default_rng(1), batch=2, feat=4)
         check_gradients(lambda v, *rest: square_mean(
             ad.graph_tt(x, a, v, v, rest[:3], rest[3], "tanh")), [w, *cores, bias])
@@ -451,12 +451,16 @@ def graph_loss(x, a, joined, activation):
 
 
 def graph_weight(w_x, w_r):
-    """The projection weight: ``[W_x | W_r W_x]`` with ``w_r`` (grgtn), else ``W_x``."""
+    """The reference's joined weight: ``[W_x | W_r W_x]`` with ``w_r`` (grgtn), else ``W_x``."""
     return w_x if w_r is None else np.concatenate((w_x, w_r @ w_x), 1)
 
 
 def graph_input(x, a, w):
-    """The GEMM input ``graph_tt`` builds: ``[x | A x]`` or ``x + A x`` by the weight's width."""
+    """The reference's joined input, ``[x | A x]``, or ``x + A x``, by the weight's width.
+
+    Joined, one product gives grgtn's ``x W_x^T + (A x)(W_r W_x)^T``, which
+    ``graph_tt`` computes as two GEMMs: the oracle shares no layout with it.
+    """
     ax = np.einsum("ts,bspf->btpf", a, x)
     return np.concatenate((x, ax), -1) if w.shape[1] == 2 * x.shape[-1] else x + ax
 
@@ -511,9 +515,19 @@ class TestTTHead:
         kept_out, kept = ad.graph_tt_kernel(x, a, *params, "tanh", keep=True)
         assert np.array_equal(kept_out, out) and len(kept) == 4
 
+    @pytest.mark.parametrize("joined", [True, False], ids=["grgtn", "srgtn"])
+    def test_kernel_keeps_inputs_as_wide_as_x(self, joined, monkeypatch):
+        # each block keeps A x (grgtn) or x + A x (srgtn), over blocks of two windows
+        x, a, *params = graph_arrays(np.random.default_rng(55), batch=5, joined=joined)
+        hidden = params[0].shape[0]
+        monkeypatch.setattr(ad, "_BLOCK_BYTES", 2 * 8 * int(np.prod(x.shape[1:3])) * hidden)
+        inputs = ad.graph_tt_kernel(x, a, *params, "tanh", keep=True)[1][3]
+        assert len(inputs) == 3 and sum(b.nbytes for b in inputs) == x.nbytes
+
 
 class TestFilterWeight:
-    """grgtn's projection weight ``[W_x | W_r W_x]``, built inside ``graph_tt``."""
+    """grgtn's filter ``x W_x^T + (A x)(W_r W_x)^T`` inside ``graph_tt``, against the
+    joined product of the reference."""
 
     def test_equals_the_joined_product(self):
         x, a, w_x, w_r, cores, bias = graph_arrays(np.random.default_rng(44), batch=4)
@@ -622,8 +636,8 @@ class TestGraphTT:
         assert ref() is None  # the last push dropped the shared gradient
 
     def test_backward_keeps_no_gradient_of_the_hidden_block(self):
-        # wide-train's grgtn step: the kept h, the kept inputs [x | A x] and the
-        # small head rows, but no hidden-sized gradient
+        # wide-train's grgtn step: the kept h, the kept A x and the small head
+        # rows, but no hidden-sized gradient
         cfg = ModelConfig(variant="grgtn", tau=64, d_phys=16, d_feat=8, hidden=32, out_dim=2,
                           activation="tanh", head=HeadConfig(ranks=(4, 4), out_modes=(1, 1, 2)))
         rng = np.random.default_rng(59)

@@ -1,6 +1,7 @@
 """End-to-end command-line tests: every command, exit codes, round trips."""
 
 import dataclasses
+import datetime
 import math
 import tempfile
 import types
@@ -272,6 +273,20 @@ class TestTrainCommand:
         assert main(["train", "--config", path]) == 2
         assert "training.loss" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error::UserWarning")
+    def test_example_csv_config_trains_evaluates_and_inspects(self, tmp_path):
+        cfg = yaml.safe_load((ROOT / "configs" / "example_csv.yaml").read_text())
+        cfg["data"]["path"] = str(ROOT / "data" / "example_series.csv")
+        path = write_config(tmp_path, cfg)
+        for run in ("a", "b"):
+            assert main(["train", "--config", path, "--out", str(tmp_path / run)]) == 0
+        checkpoint = str(tmp_path / "a" / "checkpoint.rgtn")
+        assert main(["eval", "--checkpoint", checkpoint]) == 0
+        assert main(["inspect", "--checkpoint", checkpoint]) == 0
+        # the same seed gives the same bits
+        for name in ("checkpoint.rgtn", "trace.tsv"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
     @pytest.mark.parametrize("make,field,value", [
         (base_config, "training.loss", "cross_entropy"),
         (classification_config, "training.loss", "mae"),
@@ -324,6 +339,23 @@ class TestTrainCommand:
         metric = "test_mae" if task == "regression" else "test_accuracy"
         assert pairs["task"] == task
         assert pairs[metric] == summaries["old"][metric]
+
+    @pytest.mark.parametrize("value", [
+        datetime.date(2020, 1, 2), datetime.datetime(2020, 1, 2, 3, 4, 5), {"a", "b"}, b"\x00\x01",
+        {datetime.date(2020, 1, 2): 1},
+    ], ids=["date", "timestamp", "set", "binary", "date_key"])
+    @pytest.mark.parametrize("key", ["model.task", "data.schema.x"])
+    @pytest.mark.parametrize("command", ["train", "bench"])
+    def test_value_json_cannot_hold_exits_2_naming_it(self, tmp_path, capsys, command, key,
+                                                      value):
+        # keys no field types: the checkpoint's JSON snapshot would fail after training
+        cfg = base_config(tmp_path / "x", epochs=1)
+        cfg["data"]["schema"] = {}
+        cfg["bench"] = {"variants": ["grgtn", "srgtn"]}
+        set_field(cfg, key, value)
+        assert main([command, "--config", write_config(tmp_path, cfg)]) == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("key", sorted(DELETED_SETTINGS))
     def test_deleted_setting_at_its_fixed_value_loads_unchanged(self, key):

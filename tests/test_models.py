@@ -516,8 +516,9 @@ class TestPredictBlocks:
         budget, window = block_budget(cfg)
         assert len(x) >= 4 * (budget // window)
         if variant != "rnn":
-            # beside its hidden block a block of graph_tt holds its input
-            # [x | A x] or x + A x, and A x: up to 3 F / H of it more
+            # beside its hidden block a block of graph_tt holds A x (srgtn:
+            # x + A x), F / H of it, and grgtn's temporary x W_x^T, one hidden
+            # block more: at F / H = 1/4 that is 2.25 blocks against 2.625 here
             budget *= 1 + 3 * cfg.d_feat / cfg.hidden
         values = init_params(cfg, seed=9)
         tracemalloc.start()
@@ -594,7 +595,7 @@ class TestPredictPath:
         if fault == "x shape":
             cases = [(x[:, :, :1], values)]
         elif fault == "missing":
-            # a missing w_r is also grgtn's joined weight [W_x | W_r W_x] without W_r
+            # a missing w_r is also grgtn's filter x W_x^T + (A x)(W_r W_x)^T without W_r
             cases = [(x, {k: v for k, v in values.items() if k != name}) for name in table]
         elif fault == "extra":
             cases = [(x, {**values, "w_extra": np.zeros(1)})]
