@@ -222,7 +222,11 @@ def _check_size(model: ModelConfig) -> None:
 
 
 def load_run_config(path: str, seed_override: int | None = None) -> RunConfig:
-    """Read a YAML config file and validate it."""
+    """Read a YAML config file and validate it.
+
+    A relative ``data.path`` is read from the config file's directory, not the
+    working directory, and the snapshot a checkpoint keeps holds it resolved.
+    """
     try:
         with open(path, encoding="utf-8") as fh:
             raw = yaml.safe_load(fh)
@@ -230,6 +234,11 @@ def load_run_config(path: str, seed_override: int | None = None) -> RunConfig:
         raise ConfigError(f"cannot parse {path!r}: {exc}") from None
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path!r}: {exc}") from None
+    data = raw.get("data") if isinstance(raw, dict) else None
+    # any other value of data.path is left for validation to refuse
+    if isinstance(data, dict) and isinstance(data.get("path"), str):
+        resolved = os.path.join(os.path.dirname(os.path.abspath(path)), data["path"])
+        raw = {**raw, "data": {**data, "path": resolved}}
     return run_config_from_dict(raw, seed_override)
 
 

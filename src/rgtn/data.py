@@ -15,6 +15,7 @@ from dataclasses import dataclass, replace
 from math import prod
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "SeriesTable",
@@ -248,14 +249,13 @@ def window(
     t_total = table.values.shape[0]
     n = t_total - tau - horizon + 1
     if n < 3:
-        raise ValueError(
-            f"series of length {t_total} is too short for tau={tau}, horizon={horizon}"
-        )
-    # C order whatever the table's layout, so no batch of windows needs a copy to reshape
+        raise ValueError(f"series of length {t_total} is too short for tau={tau}, "
+                         f"horizon={horizon}")
+    # C order whatever the table's layout: both copies read it in order, and no batch
+    # of windows needs a copy to reshape; the targets flatten physical index fastest
     values = np.ascontiguousarray(table.values)
-    inputs = np.stack([values[i : i + tau] for i in range(n)], axis=0)
-    target_rows = np.arange(n) + tau + horizon - 1
-    targets = np.stack([values[r].ravel(order="F") for r in target_rows], axis=0)
+    inputs = sliding_window_view(values, tau, axis=0)[:n].transpose(0, 3, 1, 2).copy()
+    targets = values[tau + horizon - 1 :].transpose(0, 2, 1).copy().reshape(n, -1)
     splits = _chronological_split(n, split)
     return WindowedDataset(inputs=inputs, targets=targets, task="regression", splits=splits)
 
@@ -275,7 +275,8 @@ def normalize(ds: WindowedDataset) -> WindowedDataset:
         )
         scale = np.where(flat_zero, 1.0, scale)
     stats = NormStats(mean=mean, scale=scale)
-    inputs = (ds.inputs - mean) / scale
+    inputs = ds.inputs - mean
+    inputs /= scale
     if ds.task == "regression":
         targets = (ds.targets - mean.ravel(order="F")) / scale.ravel(order="F")
     else:
@@ -317,12 +318,11 @@ def synth_linear_dynamics(
     dim = d_phys * d_feat
     state = rng.standard_normal(dim)
     burn_in = 200
-    rows = np.empty((n_steps, dim))
+    # one draw reads the stream a draw per step would; dot skips matmul's ufunc dispatch
+    rows = noise * rng.standard_normal((burn_in + n_steps, dim))
     for t in range(burn_in + n_steps):
-        state = g @ state + noise * rng.standard_normal(dim)
-        if t >= burn_in:
-            rows[t - burn_in] = state
-    values = rows.reshape(n_steps, d_feat, d_phys).transpose(0, 2, 1)
+        state = rows[t] = g.dot(state) + rows[t]
+    values = rows[burn_in:].reshape(n_steps, d_feat, d_phys).transpose(0, 2, 1)
     return SeriesTable(
         timestamps=np.arange(n_steps, dtype=float),
         values=values,

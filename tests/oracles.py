@@ -39,12 +39,32 @@ def linear_dynamics_matrix(d_phys, d_feat, seed, spectral_radius=0.85):
     rescaled to spectral radius sqrt(spectral_radius); their Kronecker
     product acts on states flattened physical-index-fastest.
     """
-    rng = np.random.default_rng(seed)
+    return _dynamics(np.random.default_rng(seed), d_phys, d_feat, spectral_radius)
+
+
+def _dynamics(rng, d_phys, d_feat, spectral_radius):
     factors = []
     for n in (d_phys, d_feat):
         m = rng.standard_normal((n, n))
         factors.append(m * (np.sqrt(spectral_radius) / np.max(np.abs(np.linalg.eigvals(m)))))
     return np.kron(factors[1], factors[0])
+
+
+def linear_dynamics_states(d_phys, d_feat, n_steps, noise, seed, spectral_radius=0.85):
+    """The states ``synth_linear_dynamics`` keeps, drawing one noise vector per step.
+
+    After the state matrix it draws the start state, then runs
+    s <- G s + noise * eps for 200 burn-in steps and ``n_steps`` kept ones.
+    Rows are states flattened physical-index-fastest.
+    """
+    rng = np.random.default_rng(seed)
+    g = _dynamics(rng, d_phys, d_feat, spectral_radius)
+    state = rng.standard_normal(d_phys * d_feat)
+    states = []
+    for _ in range(200 + n_steps):
+        state = g @ state + noise * rng.standard_normal(d_phys * d_feat)
+        states.append(state)
+    return np.array(states[200:])
 
 
 def time_adjacency(tau, c):

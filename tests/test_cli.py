@@ -1,5 +1,6 @@
 """End-to-end command-line tests: every command, exit codes, round trips."""
 
+import copy
 import dataclasses
 import datetime
 import math
@@ -286,6 +287,26 @@ class TestTrainCommand:
         # the same seed gives the same bits
         for name in ("checkpoint.rgtn", "trace.tsv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_relative_csv_path_is_read_from_the_config_directory(self, tmp_path, monkeypatch):
+        # the shipped config names its series relative to itself; the checkpoint's
+        # snapshot keeps the resolved path, so eval works from another directory too
+        for name in ("train", "eval"):
+            (tmp_path / name).mkdir()
+        monkeypatch.chdir(tmp_path / "train")
+        config = str(ROOT / "configs" / "example_csv.yaml")
+        assert main(["train", "--config", config, "--out", str(tmp_path / "run")]) == 0
+        monkeypatch.chdir(tmp_path / "eval")
+        assert main(["eval", "--checkpoint", str(tmp_path / "run" / "checkpoint.rgtn")]) == 0
+
+    @pytest.mark.parametrize("path", [["a.csv"], 3, None])
+    def test_csv_path_that_is_not_a_string_exits_2(self, tmp_path, capsys, path):
+        cfg = yaml.safe_load((ROOT / "configs" / "example_csv.yaml").read_text())
+        cfg["data"]["path"] = path
+        assert main(["train", "--config", write_config(tmp_path, cfg), "--out",
+                     str(tmp_path / "x")]) == 2
+        assert "data.path" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("make,field,value", [
         (base_config, "training.loss", "cross_entropy"),
@@ -796,3 +817,53 @@ class TestInspectCommand:
         assert main(["inspect", "--checkpoint", path]) == 1
         captured = capsys.readouterr()
         assert field in captured.err and captured.out == ""
+
+
+def leaf_paths(node, path=()):
+    """The key or index path of every leaf of a JSON document."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        if isinstance(value, (dict, list)) and value:
+            yield from leaf_paths(value, (*path, key))
+        else:
+            yield (*path, key)
+
+
+@pytest.fixture(scope="module")
+def trained_checkpoint(tmp_path_factory):
+    """A one-epoch grgtn checkpoint's arrays and meta."""
+    tmp = tmp_path_factory.mktemp("trained")
+    assert main(["train", "--config", write_config(tmp, base_config(tmp / "run", epochs=1))]) == 0
+    return load_checkpoint(str(tmp / "run" / "checkpoint.rgtn"))
+
+
+DELETED = object()
+
+
+class TestAnyMeta:
+    """A checkpoint whose meta has one leaf changed or deleted, through eval and inspect."""
+
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_any_meta_leaf_gives_an_exit_code(self, trained_checkpoint, data):
+        arrays, meta = trained_checkpoint
+        # load_checkpoint adds format_version from the file's own header
+        meta = {name: value for name, value in meta.items() if name != "format_version"}
+        *parents, key = data.draw(st.sampled_from(sorted(leaf_paths(meta), key=repr)))
+        value = data.draw(SMALL_VALUES | st.lists(SMALL_VALUES, max_size=3) | st.just(DELETED))
+        mutant = copy.deepcopy(meta)
+        node = mutant
+        for parent in parents:
+            node = node[parent]
+        if value is DELETED:
+            del node[key]
+        else:
+            node[key] = value
+        with tempfile.TemporaryDirectory() as tmp:
+            path, out = str(Path(tmp) / "mutant.rgtn"), Path(tmp) / "eval"
+            save_checkpoint(path, arrays, mutant)
+            code = main(["eval", "--checkpoint", path, "--out", str(out)])
+            assert code in (0, 1, 2)
+            # a refused checkpoint writes nothing
+            assert out.exists() == (code == 0)
+            assert main(["inspect", "--checkpoint", path]) in (0, 1, 2)

@@ -10,9 +10,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import yaml
 
-from rgtn.config import ConfigError, DataConfig, build_dataset, run_config_from_dict
+from rgtn.config import (ConfigError, DataConfig, build_dataset, load_run_config,
+                         run_config_from_dict)
 from rgtn.data import _chronological_split, _stratified_split
 
 ROOT = Path(__file__).parents[1]
@@ -30,8 +30,9 @@ def benchmark_workloads():
 
 
 def documents():
+    # read as rgtn reads them: a relative data.path is read from the config's directory
     for path in sorted((ROOT / "configs").glob("*.yaml")):
-        yield path.name, yaml.safe_load(path.read_text())
+        yield path.name, load_run_config(str(path)).raw
     workloads = benchmark_workloads()
     for name, w in workloads.WORKLOADS.items():
         yield name, workloads.run_config(w, 1)

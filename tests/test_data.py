@@ -1,6 +1,7 @@
 """CSV ingestion, windowing, normalization, and generator tests."""
 
 import csv
+import dataclasses
 import os
 import string
 import tempfile
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import linear_dynamics_matrix
+from oracles import linear_dynamics_matrix, linear_dynamics_states
 from rgtn.data import (
     CsvFormatError,
     _chronological_split,
@@ -248,14 +249,22 @@ class TestWindowing:
         with pytest.raises(ValueError):
             window(toy_table(t=7), tau=6, horizon=1)
 
-    def test_no_leakage(self):
-        table = toy_table(t=30)
-        ds = window(table, tau=5, horizon=2)
+    # t = 8 is the shortest series tau 4 and horizon 2 allow: 3 windows
+    @pytest.mark.parametrize("t,d,tau,horizon", [(30, 2, 5, 2), (30, 2, 5, 3), (8, 2, 4, 2),
+                                                 (30, 1, 5, 1), (8, 4, 1, 3)])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_no_leakage(self, t, d, tau, horizon, order):
+        # each window and target is its per-row definition, bit for bit, whatever
+        # the layout of the table's values
+        table = toy_table(t=t, d=d)
+        table = dataclasses.replace(table, values=np.asarray(table.values, order=order))
+        ds = window(table, tau=tau, horizon=horizon)
+        assert ds.n_samples == t - tau - horizon + 1
+        assert ds.inputs.flags.c_contiguous
         for i in range(ds.n_samples):
-            np.testing.assert_array_equal(ds.inputs[i], table.values[i : i + 5])
-            np.testing.assert_array_equal(
-                ds.targets[i], table.values[i + 6].ravel(order="F")
-            )
+            assert np.array_equal(ds.inputs[i], table.values[i : i + tau])
+            row = table.values[i + tau + horizon - 1]
+            assert np.array_equal(ds.targets[i], row.ravel(order="F"))
 
     def test_windows_reversible_at_stride_one(self):
         table = toy_table(t=25)
@@ -325,6 +334,18 @@ class TestGenerators:
         a = synth_linear_dynamics(2, 3, 50, 0.1, seed=9)
         b = synth_linear_dynamics(2, 3, 50, 0.1, seed=9)
         np.testing.assert_array_equal(a.values, b.values)
+
+    @pytest.mark.parametrize("d_phys,d_feat,n_steps,noise,radius", [
+        (4, 3, 3000, 0.1, 0.85), (8, 4, 1344, 0.1, 0.3), (3, 5, 40, 0.7, 0.85), (1, 1, 5, 0.1, 0.5),
+    ])
+    def test_regression_is_its_per_step_definition(self, d_phys, d_feat, n_steps, noise, radius):
+        # one noise draw for the whole series reads the stream a draw per step does
+        table = synth_linear_dynamics(d_phys, d_feat, n_steps, noise, seed=11,
+                                      spectral_radius=radius)
+        flat = table.values.transpose(0, 2, 1).reshape(n_steps, -1)
+        states = linear_dynamics_states(d_phys, d_feat, n_steps, noise, seed=11,
+                                        spectral_radius=radius)
+        assert np.array_equal(flat, states)
 
     def test_noiseless_regression_is_exactly_linear(self):
         table = synth_linear_dynamics(3, 2, 40, 0.0, seed=3)
