@@ -34,10 +34,11 @@ import yaml
 from .data import (
     WindowedDataset,
     load_csv,
-    normalize,
+    normalize_in_place,
     synth_classification,
     synth_linear_dynamics,
-    window,
+    window_normalized,
+    window_splits,
 )
 from .models import VARIANTS, ModelConfig, param_count
 from .training import BETA1, BETA2, EPS, LOSS_TASKS, TrainConfig
@@ -227,9 +228,12 @@ def load_run_config(path: str, seed_override: int | None = None) -> RunConfig:
     A relative ``data.path`` is read from the config file's directory, not the
     working directory, and the snapshot a checkpoint keeps holds it resolved.
     """
+    # libyaml's parser, where PyYAML was built with it, reads the same mapping
+    # several times faster; libyaml is an optional part of a PyYAML build
+    loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
     try:
         with open(path, encoding="utf-8") as fh:
-            raw = yaml.safe_load(fh)
+            raw = yaml.load(fh, Loader=loader)
     except yaml.YAMLError as exc:
         raise ConfigError(f"cannot parse {path!r}: {exc}") from None
     except (OSError, UnicodeDecodeError) as exc:
@@ -308,7 +312,13 @@ def model_for_variant(run: RunConfig, variant: str) -> ModelConfig:
 
 
 def build_dataset(run: RunConfig) -> WindowedDataset:
-    """Materialize the dataset a config describes; deterministic in its seeds."""
+    """Materialize the dataset a config describes, z-scored; deterministic in its seeds.
+
+    Every check runs before the statistics are taken, so a refused config
+    costs no windows and warns of no zero-spread cell.  A regression series
+    is z-scored before it is windowed, and the windows of
+    ``synth_classification`` where they lie; both give ``normalize``'s bits.
+    """
     data = run.data
     model = run.model
     if data.kind == "synthetic_classification":
@@ -321,6 +331,7 @@ def build_dataset(run: RunConfig) -> WindowedDataset:
             seed=data.seed,
             split=data.split,
         )
+        task, shape, splits = ds.task, ds.window_shape, ds.splits
     else:
         if data.kind == "synthetic_regression":
             table = synth_linear_dynamics(
@@ -334,28 +345,31 @@ def build_dataset(run: RunConfig) -> WindowedDataset:
         else:
             table = load_csv(data.path, data.schema)
         try:
-            ds = window(table, tau=model.tau, horizon=data.horizon, split=data.split)
+            splits = window_splits(len(table.values), model.tau, data.horizon, data.split)
         except ValueError as exc:
             raise ConfigError(f"model.tau, data.horizon: {exc}") from None
-    if ds.window_shape != (model.tau, model.d_phys, model.d_feat):
+        task, shape = "regression", (model.tau, *table.values.shape[1:])
+    if shape != (model.tau, model.d_phys, model.d_feat):
         raise ConfigError(
-            f"data: windows have shape {ds.window_shape} but the model expects "
+            f"data: windows have shape {shape} but the model expects "
             f"(tau, d_phys, d_feat) = {(model.tau, model.d_phys, model.d_feat)}"
         )
-    if LOSS_TASKS[run.training.loss] != ds.task:
-        raise ConfigError(f"training.loss: {run.training.loss} does not suit {ds.task} data")
-    if ds.task == "regression" and ds.targets.shape[1] != model.out_dim:
+    if LOSS_TASKS[run.training.loss] != task:
+        raise ConfigError(f"training.loss: {run.training.loss} does not suit {task} data")
+    if task == "regression" and shape[1] * shape[2] != model.out_dim:
         raise ConfigError(
-            f"model.out_dim: targets have dimension {ds.targets.shape[1]}, "
+            f"model.out_dim: targets have dimension {shape[1] * shape[2]}, "
             f"model emits {model.out_dim}"
         )
-    if ds.task == "classification" and ds.targets.max() >= model.out_dim:
+    if task == "classification" and ds.targets.max() >= model.out_dim:
         raise ConfigError(
             f"model.out_dim: labels need {ds.targets.max() + 1} classes, model emits {model.out_dim}"
         )
     for split_name in ("train", "val", "test"):
-        if len(getattr(ds.splits, split_name)) == 0:
+        if len(getattr(splits, split_name)) == 0:
             raise ConfigError(
                 f"data.split: the {split_name} split is empty; the series is too short"
             )
-    return normalize(ds)
+    if task == "classification":
+        return normalize_in_place(ds)
+    return window_normalized(table, tau=model.tau, horizon=data.horizon, split=data.split)

@@ -5,6 +5,13 @@ them into order-4 batches (samples, tau, physical, feature) with strictly
 later targets, so no sample can see its own target time step.  Regression
 target vectors flatten the (physical, feature) block with the physical
 index fastest, matching the package-wide convention.
+
+Inputs and regression targets are z-scored with statistics of the train
+windows.  ``normalize`` z-scores a windowed dataset; ``config.build_dataset``
+z-scores a regression series before windowing it (``window_normalized``)
+and a generator's windows where they lie (``normalize_in_place``).  Every
+element still goes through the one ``(v - mean) / scale``, so the bits are
+those of ``normalize``.
 """
 
 from __future__ import annotations
@@ -25,8 +32,11 @@ __all__ = [
     "CsvSchemaError",
     "CsvFormatError",
     "load_csv",
+    "window_splits",
     "window",
+    "window_normalized",
     "normalize",
+    "normalize_in_place",
     "inverse_transform_predictions",
     "synth_linear_dynamics",
     "synth_classification",
@@ -237,51 +247,121 @@ def _stratified_split(
     )
 
 
+def _windows(values: np.ndarray, tau: int, n: int) -> np.ndarray:
+    """A C-order copy of the first ``n`` windows of the C-order series ``values``."""
+    # no batch of windows needs a copy to reshape
+    return sliding_window_view(values, tau, axis=0)[:n].transpose(0, 3, 1, 2).copy()
+
+
+def window_splits(
+    n_steps: int, tau: int, horizon: int, split: tuple[float, float, float]
+) -> SplitIndices:
+    """The time-ordered split of the windows of a series of ``n_steps`` steps.
+
+    A horizon below 1, or a series too short for three windows, raises ValueError.
+    """
+    if horizon < 1:
+        raise ValueError(f"horizon must be >= 1, got {horizon}")
+    n = n_steps - tau - horizon + 1
+    if n < 3:
+        raise ValueError(f"series of length {n_steps} is too short for tau={tau}, "
+                         f"horizon={horizon}")
+    return _chronological_split(n, split)
+
+
+def _window(
+    table: SeriesTable,
+    tau: int,
+    horizon: int,
+    split: tuple[float, float, float],
+    zscore: bool,
+) -> WindowedDataset:
+    splits = window_splits(table.values.shape[0], tau, horizon, split)
+    # C order whatever the table's layout: every copy below reads it in order
+    values = np.ascontiguousarray(table.values)
+    norm = None
+    if zscore:
+        # the train windows come first; their C-order copy is the array normalize reduces
+        norm = _train_stats(_windows(values, tau, len(splits.train)))
+        values = (values - norm.mean) / norm.scale
+    # the targets flatten physical index fastest
+    targets = values[tau + horizon - 1 :].transpose(0, 2, 1).copy()
+    n = len(targets)
+    return WindowedDataset(inputs=_windows(values, tau, n), targets=targets.reshape(n, -1),
+                           task="regression", splits=splits, norm=norm)
+
+
 def window(
     table: SeriesTable,
     tau: int,
     horizon: int = 1,
     split: tuple[float, float, float] = (0.7, 0.15, 0.15),
 ) -> WindowedDataset:
-    """Slice the series into windows with strictly later targets, split in time order."""
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
-    t_total = table.values.shape[0]
-    n = t_total - tau - horizon + 1
-    if n < 3:
-        raise ValueError(f"series of length {t_total} is too short for tau={tau}, "
-                         f"horizon={horizon}")
-    # C order whatever the table's layout: both copies read it in order, and no batch
-    # of windows needs a copy to reshape; the targets flatten physical index fastest
-    values = np.ascontiguousarray(table.values)
-    inputs = sliding_window_view(values, tau, axis=0)[:n].transpose(0, 3, 1, 2).copy()
-    targets = values[tau + horizon - 1 :].transpose(0, 2, 1).copy().reshape(n, -1)
-    splits = _chronological_split(n, split)
-    return WindowedDataset(inputs=inputs, targets=targets, task="regression", splits=splits)
+    """Slice the series into windows with strictly later targets, split in time order.
+
+    The windows and targets are C-order copies of the raw series; ``normalize``
+    z-scores them, and ``window_normalized`` gives the two steps' bits in one.
+    """
+    return _window(table, tau, horizon, split, zscore=False)
 
 
-def normalize(ds: WindowedDataset) -> WindowedDataset:
-    """Z-score inputs (and regression targets) with train-split statistics."""
-    if ds.norm is not None:
-        raise ValueError("dataset is already normalized")
-    train_inputs = ds.inputs[ds.splits.train]
+def window_normalized(
+    table: SeriesTable,
+    tau: int,
+    horizon: int = 1,
+    split: tuple[float, float, float] = (0.7, 0.15, 0.15),
+) -> WindowedDataset:
+    """``normalize(window(table, ...))``, bit for bit, z-scoring the series before windowing it.
+
+    The statistics come from the train windows, as ``normalize`` takes them.
+    Every window element and target is a copy of one series element, so
+    z-scoring the ``(T, P, F)`` series and then windowing it applies the same
+    ``(v - mean) / scale`` to every element as z-scoring the windows does, at
+    1/tau of the work and with no second array of windows.
+    """
+    return _window(table, tau, horizon, split, zscore=True)
+
+
+def _train_stats(train_inputs: np.ndarray) -> NormStats:
+    """Mean and spread of each (physical, feature) cell over the train windows and steps.
+
+    A cell with no spread gets scale 1, with one warning for all such cells.
+    """
     mean = train_inputs.mean(axis=(0, 1))
     scale = train_inputs.std(axis=(0, 1))
     flat_zero = scale <= 1e-12 * (1.0 + np.abs(mean))
     if np.any(flat_zero):
         warnings.warn(
             f"{int(flat_zero.sum())} feature cell(s) have zero spread; scale set to 1",
-            stacklevel=2,
+            stacklevel=3,
         )
         scale = np.where(flat_zero, 1.0, scale)
-    stats = NormStats(mean=mean, scale=scale)
-    inputs = ds.inputs - mean
-    inputs /= scale
+    return NormStats(mean=mean, scale=scale)
+
+
+def normalize(ds: WindowedDataset) -> WindowedDataset:
+    """Z-score inputs (and regression targets) with train-split statistics.
+
+    ``ds`` is left as it is.  ``config.build_dataset`` gets the same bits
+    without copying the windows: ``window_normalized`` z-scores a regression
+    series before windowing it, and ``normalize_in_place`` the windows a
+    generator has just made.
+    """
+    return normalize_in_place(replace(ds, inputs=ds.inputs.copy(), targets=ds.targets.copy()))
+
+
+def normalize_in_place(ds: WindowedDataset) -> WindowedDataset:
+    """``normalize(ds)``, bit for bit, overwriting ``ds.inputs`` and regression targets."""
+    if ds.norm is not None:
+        raise ValueError("dataset is already normalized")
+    inputs, targets = ds.inputs, ds.targets
+    norm = _train_stats(inputs[ds.splits.train])
+    inputs -= norm.mean
+    inputs /= norm.scale
     if ds.task == "regression":
-        targets = (ds.targets - mean.ravel(order="F")) / scale.ravel(order="F")
-    else:
-        targets = ds.targets
-    return replace(ds, inputs=inputs, targets=targets, norm=stats)
+        targets -= norm.mean.ravel(order="F")
+        targets /= norm.scale.ravel(order="F")
+    return replace(ds, norm=norm)
 
 
 def inverse_transform_predictions(ds: WindowedDataset, preds: np.ndarray) -> np.ndarray:

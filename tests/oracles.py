@@ -1,7 +1,8 @@
 """Independent references for the tests, and helpers to read a model's hidden block.
 
 The model references evaluate what the paper defines by plain loops or by
-building the dense matrix, ``tt_svd_reference`` is the TT-SVD by a full
+building the dense matrix, ``windows_first`` windows a series before
+z-scoring it, ``tt_svd_reference`` is the TT-SVD by a full
 SVD of each unfolding, and ``raw_checkpoint`` writes the checkpoint
 layout byte by byte; none of them calls ``rgtn``.  ``hidden_node``,
 ``hidden_rows`` and ``hidden_states`` read the block a model's head reads,
@@ -65,6 +66,36 @@ def linear_dynamics_states(d_phys, d_feat, n_steps, noise, seed, spectral_radius
         state = g @ state + noise * rng.standard_normal(d_phys * d_feat)
         states.append(state)
     return np.array(states[200:])
+
+
+def zscore_windows(inputs, train):
+    """Windows z-scored with the statistics of ``inputs[train]``, and those statistics.
+
+    As ``normalize`` has always taken them: mean and spread of each cell over
+    the gathered copy of the train windows, reduced over samples and steps,
+    with scale 1 for a cell of no spread.  Returns (inputs, mean, scale).
+    """
+    gathered = inputs[train]
+    mean = gathered.mean(axis=(0, 1))
+    scale = gathered.std(axis=(0, 1))
+    scale = np.where(scale <= 1e-12 * (1.0 + np.abs(mean)), 1.0, scale)
+    return (inputs - mean) / scale, mean, scale
+
+
+def windows_first(values, tau, horizon, train_fraction):
+    """``normalize(window(...))`` of a regression series: window by window, then z-score.
+
+    Window i is ``values[i : i + tau]`` and its target the step ``horizon``
+    after its last, flattened physical index fastest; the first
+    ``int(n * train_fraction)`` of the n windows are the train split.
+    Returns (inputs, targets, mean, scale).
+    """
+    n = len(values) - tau - horizon + 1
+    # C order, as ``window`` lays windows out: the statistics' rounding follows the layout
+    inputs = np.ascontiguousarray(np.stack([values[i : i + tau] for i in range(n)]))
+    targets = np.stack([values[i + tau + horizon - 1].ravel(order="F") for i in range(n)])
+    inputs, mean, scale = zscore_windows(inputs, np.arange(int(n * train_fraction)))
+    return inputs, (targets - mean.ravel(order="F")) / scale.ravel(order="F"), mean, scale
 
 
 def time_adjacency(tau, c):

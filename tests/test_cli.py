@@ -748,6 +748,57 @@ class TestDecomposeCommand:
         assert main(["decompose", "--tensor", tensor_path]) == 2
 
 
+DECOMPOSE_TENSORS = {
+    "order 3": np.random.default_rng(0).standard_normal((3, 4, 2)),
+    "order 1": np.arange(1.0, 6.0),
+    "order 0": np.array(2.0),
+    "all zero": np.zeros((2, 3, 2)),
+    "nan entry": np.array([[1.0, np.nan], [2.0, 3.0]]),
+}
+
+# spaces, signs, Unicode decimal digits (Arabic-Indic three, fullwidth one), a
+# superscript, a cap too long for int() and caps far above any rank
+RANK_CAPS = st.sampled_from(["", " ", "0", "-1", "+2", "1", "2", " 2", "3 ", "2.0", "x",
+                             "\u0663", "\uff11", "\u00b2", "9" * 30, "9" * 5000])
+TOLERANCES = st.sampled_from(["nan", "-nan", "inf", "-inf", "1e400", "-1", "-0.0", "0",
+                              "1e-12", "0.5", "1e308"])
+
+
+@pytest.fixture(scope="module")
+def tensor_files(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("tensors")
+    paths = {}
+    for name, array in DECOMPOSE_TENSORS.items():
+        paths[name] = str(tmp / f"{name.replace(' ', '_')}.rgtn")
+        save_tensor(paths[name], array)
+    return paths
+
+
+class TestAnyDecomposeFlags:
+    """Drawn --max-ranks and --tol values, on small tensors of every awkward kind."""
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(
+        tensor=st.sampled_from(sorted(DECOMPOSE_TENSORS)),
+        # none, one or too many caps for the tensor's order
+        max_ranks=st.none() | st.lists(RANK_CAPS, min_size=1, max_size=5).map(",".join),
+        tol=st.none() | TOLERANCES,
+    )
+    def test_any_flags_give_an_exit_code(self, tensor_files, tensor, max_ranks, tol):
+        argv = ["decompose", "--tensor", tensor_files[tensor]]
+        # the = form passes a value that starts with a minus sign as a value
+        if max_ranks is not None:
+            argv.append(f"--max-ranks={max_ranks}")
+        if tol is not None:
+            argv.append(f"--tol={tol}")
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "dec"
+            code = main([*argv, "--out", str(out)])
+            assert code in (0, 1, 2)
+            # a refused decomposition writes nothing
+            assert out.exists() == (code == 0)
+
+
 class TestInspectCommand:
     def test_srgtn_checkpoint_lists_no_w_r(self, tmp_path, capsys):
         out = tmp_path / "run"

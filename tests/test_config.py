@@ -6,14 +6,19 @@ the benchmark's workloads, with no tier-1 test noticing.
 
 import importlib.util
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
+from oracles import windows_first
+from rgtn.cli import main
 from rgtn.config import (ConfigError, DataConfig, build_dataset, load_run_config,
                          run_config_from_dict)
-from rgtn.data import _chronological_split, _stratified_split
+from rgtn.data import (_chronological_split, _stratified_split, load_csv, normalize,
+                       synth_classification, synth_linear_dynamics)
 
 ROOT = Path(__file__).parents[1]
 
@@ -53,13 +58,19 @@ def test_misspelled_key_is_named(name, raw):
         run_config_from_dict(bad)
 
 
-def csv_document(path):
-    """A regression run on a long-format CSV of 40 steps, 2 sites and 3 features."""
+def csv_document(path, flat_cell=False):
+    """A regression run on a long-format CSV of 40 steps, 2 sites and 3 features.
+
+    With ``flat_cell``, feature b at the north site holds one value throughout.
+    """
     rng = np.random.default_rng(0)
-    lines = ["time,site,a,b,c"] + [
-        f"{t},{site}," + ",".join(f"{v:.6f}" for v in rng.standard_normal(3))
-        for t in range(40) for site in ("north", "south")
-    ]
+    lines = ["time,site,a,b,c"]
+    for t in range(40):
+        for site in ("north", "south"):
+            values = [f"{v:.6f}" for v in rng.standard_normal(3)]
+            if flat_cell and site == "north":
+                values[1] = "2.5"
+            lines.append(f"{t},{site}," + ",".join(values))
     path.write_text("\n".join(lines) + "\n")
     schema = {"time": "time", "phys": "site", "features": ["a", "b", "c"]}
     return {
@@ -111,3 +122,183 @@ def test_shipped_splits_use_every_window(split):
         labels = rng.integers(0, 3, size=n)
         strat = _stratified_split(labels, split, seed=n)
         assert len(strat.train) + len(strat.val) + len(strat.test) == n
+
+
+def seeded_documents():
+    """Every shipped config, and each benchmark workload at several seeds."""
+    for path in sorted((ROOT / "configs").glob("*.yaml")):
+        yield path.name, load_run_config(str(path)).raw
+    workloads = benchmark_workloads()
+    for name, w in workloads.WORKLOADS.items():
+        # a copy of wide-train's windows takes 67 MB, so it runs at two seeds
+        classification = w.data["kind"] == "synthetic_classification"
+        for seed in (1, 7) if classification else (1, 7, 11, 203):
+            yield f"{name}-{seed}", workloads.run_config(w, seed)
+
+
+SEEDED = list(seeded_documents())
+REGRESSION = [doc for doc in SEEDED if doc[1]["data"]["kind"] != "synthetic_classification"]
+CLASSIFICATION = [doc for doc in SEEDED if doc[1]["data"]["kind"] == "synthetic_classification"]
+
+
+def regression_series(run):
+    """The raw (T, P, F) series a regression run windows."""
+    data, model = run.data, run.model
+    if data.kind == "csv":
+        return load_csv(data.path, data.schema).values
+    return synth_linear_dynamics(model.d_phys, model.d_feat, data.n_steps, data.noise,
+                                 data.seed, data.spectral_radius).values
+
+
+def assert_same_bits(got, want):
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+
+
+def assert_windows_first(run, ds):
+    want = windows_first(regression_series(run), run.model.tau, run.data.horizon,
+                         run.data.split[0])
+    for got, ref in zip((ds.inputs, ds.targets, ds.norm.mean, ds.norm.scale), want):
+        assert_same_bits(got, ref)
+
+
+@pytest.mark.parametrize("name,raw", REGRESSION, ids=[name for name, _ in REGRESSION])
+def test_regression_build_keeps_the_bits_of_windowing_first(name, raw):
+    # z-scoring the series and then windowing it is every element's own (v - mean) / scale
+    run = run_config_from_dict(raw)
+    ds = build_dataset(run)
+    assert_windows_first(run, ds)
+    batch = np.random.default_rng(0).permutation(ds.splits.train)[:16]
+    assert ds.inputs.flags.c_contiguous
+    assert ds.inputs[batch].flags.c_contiguous
+
+
+@pytest.mark.parametrize("name,raw", CLASSIFICATION, ids=[name for name, _ in CLASSIFICATION])
+def test_classification_build_is_normalize_on_a_copy(name, raw):
+    # z-scoring the generator's windows where they lie changes no bit
+    run = run_config_from_dict(raw)
+    ds = build_dataset(run)
+    model, data = run.model, run.data
+    windows = synth_classification(model.tau, model.d_phys, model.d_feat, data.n_samples,
+                                   data.noise, data.seed, data.split)
+    want = normalize(windows)
+    for got, ref in ((ds.inputs, want.inputs), (ds.targets, want.targets),
+                     (ds.norm.mean, want.norm.mean), (ds.norm.scale, want.norm.scale)):
+        assert_same_bits(got, ref)
+    batch = np.random.default_rng(0).permutation(ds.splits.train)[:16]
+    assert ds.inputs.flags.c_contiguous
+    assert ds.inputs[batch].flags.c_contiguous
+
+
+def test_zero_spread_cell_warns_once_and_keeps_the_bits(tmp_path):
+    run = run_config_from_dict(csv_document(tmp_path / "series.csv", flat_cell=True))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        ds = build_dataset(run)
+    assert [str(w.message) for w in caught] == [
+        "1 feature cell(s) have zero spread; scale set to 1"
+    ]
+    assert ds.norm.scale[0, 1] == 1.0
+    assert_windows_first(run, ds)
+
+
+def test_refused_config_takes_no_statistics(tmp_path):
+    # a config the data's checks refuse warns of nothing before its error
+    raw = csv_document(tmp_path / "series.csv", flat_cell=True)
+    raw["training"]["loss"] = "cross_entropy"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ConfigError, match=r"^training\.loss"):
+            build_dataset(run_config_from_dict(raw))
+    assert caught == []
+
+
+SHIPPED = sorted((ROOT / "configs").glob("*.yaml"))
+
+# YAML 1.1 forms a parser could read differently: an anchor, its alias and a
+# merge key, dates, the yes/on booleans, a float without a dot (a string in
+# YAML 1.1), integer bases, a sexagesimal and non-ASCII text
+TRICKY_YAML = """\
+base: &base {rate: 1.0e-3, name: "café, Zürich — 数据"}
+copy: *base
+merged: {<<: *base, extra: 2}
+date: 2020-01-02
+stamp: 2020-01-02 03:04:05.5+01:00
+flags: [yes, no, on, off, y, n, True, ~]
+rate: 1e-3
+ints: [017, 0x1f, 0b101, 1_000, "12", 1:20, -0]
+text: |
+  línea één
+"""
+
+
+@pytest.fixture(params=["libyaml", "pure"])
+def yaml_parser(request, monkeypatch):
+    """Each test once with PyYAML's libyaml parser and once without it."""
+    if request.param == "libyaml" and not hasattr(yaml, "CSafeLoader"):
+        pytest.skip("PyYAML was built without libyaml")
+    if request.param == "pure":
+        monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+    return request.param
+
+
+@pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML was built without libyaml")
+@pytest.mark.parametrize("text", [path.read_text(encoding="utf-8") for path in SHIPPED]
+                         + [TRICKY_YAML], ids=[path.name for path in SHIPPED] + ["tricky"])
+def test_both_parsers_read_the_same_mapping(text):
+    fast = yaml.load(text, Loader=yaml.CSafeLoader)
+    pure = yaml.load(text, Loader=yaml.SafeLoader)
+    # repr tells True from 1 and 1.0 from 1, which == does not
+    assert fast == pure and repr(fast) == repr(pure)
+
+
+TRICKY_CONFIGS = {
+    # an anchor and its alias, a merge key and non-ASCII text, all of which load
+    "anchors": ("  hidden: 8", "  hidden: &width 8\n  task: {<<: {name: café}, by: 数据}",
+                "  batch_size: 64", "  batch_size: *width"),
+    # yes loads as true, which only the deleted head.bias takes
+    "yes": ("    ranks: [2, 2]", "    ranks: [2, 2]\n    bias: yes"),
+    # on loads as true, which no int field takes
+    "on": ("  seed: 7", "  seed: on"),
+    # a float without a dot is a string in YAML 1.1
+    "1e-3": ("  learning_rate: 0.01", "  learning_rate: 1e-3"),
+    # a date, which JSON cannot hold
+    "date": ("  variant: grgtn", "  variant: grgtn\n  task: 2020-01-02"),
+}
+
+
+def run_or_error(path):
+    """The run a config file gives, or the error that refuses it."""
+    try:
+        return load_run_config(str(path))
+    except ConfigError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("name", [path.name for path in SHIPPED] + sorted(TRICKY_CONFIGS))
+def test_run_config_is_the_same_without_libyaml(tmp_path, monkeypatch, name):
+    path = ROOT / "configs" / name
+    if name in TRICKY_CONFIGS:
+        text = (ROOT / "configs" / "synth_regression.yaml").read_text(encoding="utf-8")
+        edits = TRICKY_CONFIGS[name]
+        for old, new in zip(edits[::2], edits[1::2]):
+            assert old in text
+            text = text.replace(old, new, 1)
+        path = tmp_path / f"{name}.yaml"
+        path.write_text(text, encoding="utf-8")
+    with_libyaml = run_or_error(path)
+    monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+    assert run_or_error(path) == with_libyaml
+    # the edits load as their comments say
+    assert isinstance(with_libyaml, str) == (name in ("on", "1e-3", "date"))
+
+
+@pytest.mark.parametrize("text", ["model: [1, 2\n", "model:\n  tau: 4\n tau: 5\n", "a: b: c\n",
+                                  "model: {tau: 4\n", "\tmodel: 1\n"])
+def test_syntax_error_exits_2_naming_the_file(tmp_path, capsys, yaml_parser, text):
+    path = tmp_path / "broken.yaml"
+    path.write_text(text)
+    assert main(["train", "--config", str(path), "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert "cannot parse" in err and str(path) in err
+    assert not (tmp_path / "run").exists()

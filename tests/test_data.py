@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import linear_dynamics_matrix, linear_dynamics_states
+from oracles import (linear_dynamics_matrix, linear_dynamics_states, windows_first,
+                     zscore_windows)
 from rgtn.data import (
     CsvFormatError,
     _chronological_split,
@@ -21,9 +22,11 @@ from rgtn.data import (
     inverse_transform_predictions,
     load_csv,
     normalize,
+    normalize_in_place,
     synth_classification,
     synth_linear_dynamics,
     window,
+    window_normalized,
 )
 
 WIDE_SCHEMA = {"time": "t", "features": ["a", "b"], "missing": "drop"}
@@ -297,8 +300,9 @@ class TestNormalize:
         values = table.values.copy()
         values[:, 0, 0] = 3.14
         table = SeriesTable(table.timestamps, values, table.phys_labels, table.feat_labels)
-        with pytest.warns(UserWarning, match="zero spread"):
+        with pytest.warns(UserWarning, match="zero spread") as caught:
             ds = normalize(window(table, tau=5))
+        assert len(caught) == 1
         np.testing.assert_allclose(ds.inputs[:, :, 0, 0], 0.0, atol=1e-12)
         assert ds.norm.scale[0, 0] == 1.0
 
@@ -322,6 +326,48 @@ class TestNormalize:
         ds_poisoned = normalize(poisoned)
         np.testing.assert_array_equal(ds_plain.norm.mean, ds_poisoned.norm.mean)
         np.testing.assert_array_equal(ds_plain.norm.scale, ds_poisoned.norm.scale)
+
+    # t = 8 is the shortest series tau 4 and horizon 2 allow: 3 windows
+    @pytest.mark.parametrize("t,tau,horizon", [(40, 5, 1), (40, 3, 4), (40, 1, 1), (8, 4, 2)])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_window_normalized_keeps_the_bits_of_windowing_first(self, t, tau, horizon, order):
+        table = toy_table(t=t)
+        table = dataclasses.replace(table, values=np.asarray(table.values, order=order))
+        ds = window_normalized(table, tau=tau, horizon=horizon)
+        ref = normalize(window(table, tau=tau, horizon=horizon))
+        want = windows_first(table.values, tau, horizon, 0.7)
+        for got, alt, oracle in zip((ds.inputs, ds.targets, ds.norm.mean, ds.norm.scale),
+                                    (ref.inputs, ref.targets, ref.norm.mean, ref.norm.scale),
+                                    want):
+            assert got.dtype == alt.dtype == oracle.dtype
+            assert np.array_equal(got, alt) and np.array_equal(got, oracle)
+        assert ds.inputs.flags.c_contiguous
+        np.testing.assert_array_equal(ds.splits.test, ref.splits.test)
+
+    def test_normalize_is_its_reference_on_classification_windows(self):
+        windows = synth_classification(8, 3, 2, 200, 0.5, seed=3)
+        inputs, mean, scale = zscore_windows(windows.inputs, windows.splits.train)
+        ds = normalize(windows)
+        for got, ref in ((ds.inputs, inputs), (ds.norm.mean, mean), (ds.norm.scale, scale)):
+            assert got.dtype == ref.dtype and np.array_equal(got, ref)
+
+    def test_normalize_leaves_its_input_alone(self):
+        raw = window(toy_table(t=80), tau=5)
+        inputs, targets = raw.inputs.copy(), raw.targets.copy()
+        normalize(raw)
+        assert np.array_equal(raw.inputs, inputs) and np.array_equal(raw.targets, targets)
+        assert raw.norm is None
+
+    @pytest.mark.parametrize("make", [lambda: window(toy_table(t=80), tau=5),
+                                      lambda: synth_classification(6, 2, 3, 50, 0.3, seed=2)])
+    def test_normalize_in_place_is_normalize(self, make):
+        raw = make()
+        want = normalize(raw)
+        got = normalize_in_place(raw)
+        assert got.inputs is raw.inputs
+        for a, b in ((got.inputs, want.inputs), (got.targets, want.targets),
+                     (got.norm.mean, want.norm.mean), (got.norm.scale, want.norm.scale)):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
 
     def test_double_normalize_rejected(self):
         ds = normalize(window(toy_table(t=80), tau=5))
