@@ -34,21 +34,8 @@ class CheckpointError(ValueError):
     """File is not a readable checkpoint of a supported version."""
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    return obj
-
-
 def save_checkpoint(path: str, arrays: Mapping[str, np.ndarray], meta: dict) -> None:
+    """Write ``arrays`` and ``meta``; ``meta`` enters the header as it is, so it is plain JSON."""
     entries = []
     chunks = []
     offset = 0
@@ -62,7 +49,7 @@ def save_checkpoint(path: str, arrays: Mapping[str, np.ndarray], meta: dict) -> 
     payload = b"".join(chunks)
     header = {
         "version": VERSION,
-        "meta": _jsonable(meta),
+        "meta": meta,
         "params": entries,
         "payload_sha256": hashlib.sha256(payload).hexdigest(),
     }

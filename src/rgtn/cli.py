@@ -162,6 +162,11 @@ def cmd_bench(args) -> int:
 
 
 def cmd_decompose(args) -> int:
+    array = load_tensor(args.tensor)
+    # a tensor with no mode to decompose is at fault whatever the flags
+    if array.ndim == 0 or 0 in array.shape:
+        raise CheckpointError(f"{args.tensor}: tensor of shape {array.shape} has no mode to "
+                              f"decompose: it needs order >= 1 and no empty mode")
     if args.max_ranks is None and args.tol is None:
         raise ConfigError("decompose: provide --max-ranks and/or --tol")
     if args.tol is not None and not (np.isfinite(args.tol) and args.tol >= 0):
@@ -174,14 +179,12 @@ def cmd_decompose(args) -> int:
                 f"--max-ranks: expected comma-separated integers >= 1, got {args.max_ranks!r}"
             )
         caps = [int(f) for f in fields]
-    array = load_tensor(args.tensor)
-    if caps is not None and len(caps) == 1:
-        caps = caps[0]
-    elif caps is not None and len(caps) != array.ndim - 1:
-        raise ConfigError(
-            f"--max-ranks: an order-{array.ndim} tensor takes 1 or {array.ndim - 1} "
-            f"rank caps, got {len(caps)}"
-        )
+        if len(caps) == 1:
+            caps = caps[0]
+        elif len(caps) != array.ndim - 1:
+            takes = "1 rank cap" if array.ndim == 1 else f"1 or {array.ndim - 1} rank caps"
+            raise ConfigError(f"--max-ranks: an order-{array.ndim} tensor takes {takes}, "
+                              f"got {len(caps)}")
     tt = tt_svd(from_array(array), max_ranks=caps, rel_tolerance=args.tol)
     recon = tt_reconstruct(tt).array
     denom = np.linalg.norm(array)
@@ -236,7 +239,10 @@ def cmd_inspect(args) -> int:
         pairs.append(("head_tt_ranks", tuple(c.shape[0] for c in cores) + (cores[-1].shape[-1],)))
     pairs.append(("total_parameters", sum(arr.size for arr in arrays.values())))
     if w_r is not None:
-        pairs.append(("w_r_idempotency_residual", float(np.linalg.norm(w_r @ w_r - w_r))))
+        # a non-finite or overflowing w_r has a residual of nan or inf, printed as such
+        with np.errstate(all="ignore"):
+            residual = float(np.linalg.norm(w_r @ w_r - w_r))
+        pairs.append(("w_r_idempotency_residual", residual))
     _print_pairs(pairs)
     return 0
 

@@ -34,10 +34,10 @@ import yaml
 from .data import (
     WindowedDataset,
     load_csv,
-    normalize_in_place,
+    normalize,
     synth_classification,
     synth_linear_dynamics,
-    window_normalized,
+    window,
     window_splits,
 )
 from .models import VARIANTS, ModelConfig, param_count
@@ -315,9 +315,11 @@ def build_dataset(run: RunConfig) -> WindowedDataset:
     """Materialize the dataset a config describes, z-scored; deterministic in its seeds.
 
     Every check runs before the statistics are taken, so a refused config
-    costs no windows and warns of no zero-spread cell.  A regression series
-    is z-scored before it is windowed, and the windows of
-    ``synth_classification`` where they lie; both give ``normalize``'s bits.
+    costs no windows and warns of no zero-spread cell.  ``window`` z-scores a
+    regression series before it windows it, on the split computed here for
+    the checks; ``normalize`` z-scores the windows of ``synth_classification``
+    where they lie.  Both give each element the one ``(v - mean) / scale``,
+    so the bits are those of z-scoring a copy of the windows.
     """
     data = run.data
     model = run.model
@@ -371,5 +373,5 @@ def build_dataset(run: RunConfig) -> WindowedDataset:
                 f"data.split: the {split_name} split is empty; the series is too short"
             )
     if task == "classification":
-        return normalize_in_place(ds)
-    return window_normalized(table, tau=model.tau, horizon=data.horizon, split=data.split)
+        return normalize(ds)
+    return window(table, model.tau, data.horizon, splits)

@@ -7,11 +7,11 @@ target vectors flatten the (physical, feature) block with the physical
 index fastest, matching the package-wide convention.
 
 Inputs and regression targets are z-scored with statistics of the train
-windows.  ``normalize`` z-scores a windowed dataset; ``config.build_dataset``
-z-scores a regression series before windowing it (``window_normalized``)
-and a generator's windows where they lie (``normalize_in_place``).  Every
-element still goes through the one ``(v - mean) / scale``, so the bits are
-those of ``normalize``.
+windows.  ``window`` z-scores a regression series before windowing it, and
+``normalize`` z-scores a generator's windows where they lie.  Every window
+element and target is a copy of one series element, so z-scoring the series
+applies to each the same ``(v - mean) / scale`` as z-scoring a copy of the
+windows would: the bits are those of windowing first.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from __future__ import annotations
 import csv
 import warnings
 from dataclasses import dataclass, replace
-from math import prod
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -34,9 +33,7 @@ __all__ = [
     "load_csv",
     "window_splits",
     "window",
-    "window_normalized",
     "normalize",
-    "normalize_in_place",
     "inverse_transform_predictions",
     "synth_linear_dynamics",
     "synth_classification",
@@ -269,57 +266,26 @@ def window_splits(
     return _chronological_split(n, split)
 
 
-def _window(
-    table: SeriesTable,
-    tau: int,
-    horizon: int,
-    split: tuple[float, float, float],
-    zscore: bool,
-) -> WindowedDataset:
-    splits = window_splits(table.values.shape[0], tau, horizon, split)
+def window(table: SeriesTable, tau: int, horizon: int, splits: SplitIndices) -> WindowedDataset:
+    """The z-scored windows of the series, each with the step ``horizon`` after it as target.
+
+    ``splits`` is ``window_splits``'s split of these windows.  The statistics
+    come from the C-order copy of the train windows, the array z-scoring the
+    windows would reduce.  Every window element and target is a copy of one
+    series element, so z-scoring the ``(T, P, F)`` series and then windowing
+    it gives each the same ``(v - mean) / scale`` as z-scoring the windows
+    does, at 1/tau of the work and with no second array of windows.
+    """
     # C order whatever the table's layout: every copy below reads it in order
     values = np.ascontiguousarray(table.values)
-    norm = None
-    if zscore:
-        # the train windows come first; their C-order copy is the array normalize reduces
-        norm = _train_stats(_windows(values, tau, len(splits.train)))
-        values = (values - norm.mean) / norm.scale
+    # the train windows come first
+    norm = _train_stats(_windows(values, tau, len(splits.train)))
+    values = (values - norm.mean) / norm.scale
     # the targets flatten physical index fastest
     targets = values[tau + horizon - 1 :].transpose(0, 2, 1).copy()
     n = len(targets)
     return WindowedDataset(inputs=_windows(values, tau, n), targets=targets.reshape(n, -1),
                            task="regression", splits=splits, norm=norm)
-
-
-def window(
-    table: SeriesTable,
-    tau: int,
-    horizon: int = 1,
-    split: tuple[float, float, float] = (0.7, 0.15, 0.15),
-) -> WindowedDataset:
-    """Slice the series into windows with strictly later targets, split in time order.
-
-    The windows and targets are C-order copies of the raw series; ``normalize``
-    z-scores them, and ``window_normalized`` gives the two steps' bits in one.
-    """
-    return _window(table, tau, horizon, split, zscore=False)
-
-
-def window_normalized(
-    table: SeriesTable,
-    tau: int,
-    horizon: int = 1,
-    split: tuple[float, float, float] = (0.7, 0.15, 0.15),
-) -> WindowedDataset:
-    """``normalize(window(table, ...))``, bit for bit, z-scoring the series before windowing it.
-
-    The statistics come from the train windows, as ``normalize`` takes them.
-    Every window element and target is a copy of one series element, so
-    z-scoring the ``(T, P, F)`` series and then windowing it applies the same
-    ``(v - mean) / scale`` to every element as z-scoring the windows does, at
-    1/tau of the work and with no second array of windows.
-    """
-    return _window(table, tau, horizon, split, zscore=True)
 
 
 def _train_stats(train_inputs: np.ndarray) -> NormStats:
@@ -340,27 +306,20 @@ def _train_stats(train_inputs: np.ndarray) -> NormStats:
 
 
 def normalize(ds: WindowedDataset) -> WindowedDataset:
-    """Z-score inputs (and regression targets) with train-split statistics.
+    """Z-score the inputs where they lie, with the statistics of the train windows.
 
-    ``ds`` is left as it is.  ``config.build_dataset`` gets the same bits
-    without copying the windows: ``window_normalized`` z-scores a regression
-    series before windowing it, and ``normalize_in_place`` the windows a
-    generator has just made.
+    ``ds.inputs`` is overwritten with the bits a z-scored copy would hold:
+    each element goes through the one ``(v - mean) / scale``.  Only the
+    inputs change, as a generator's classification windows need.  A dataset
+    that already has statistics, as every one ``window`` makes does, is
+    refused.
     """
-    return normalize_in_place(replace(ds, inputs=ds.inputs.copy(), targets=ds.targets.copy()))
-
-
-def normalize_in_place(ds: WindowedDataset) -> WindowedDataset:
-    """``normalize(ds)``, bit for bit, overwriting ``ds.inputs`` and regression targets."""
     if ds.norm is not None:
         raise ValueError("dataset is already normalized")
-    inputs, targets = ds.inputs, ds.targets
+    inputs = ds.inputs
     norm = _train_stats(inputs[ds.splits.train])
     inputs -= norm.mean
     inputs /= norm.scale
-    if ds.task == "regression":
-        targets -= norm.mean.ravel(order="F")
-        targets /= norm.scale.ravel(order="F")
     return replace(ds, norm=norm)
 
 

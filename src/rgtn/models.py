@@ -56,7 +56,6 @@ from .graph import build_time_adjacency
 __all__ = [
     "HeadConfig",
     "ModelConfig",
-    "param_shapes",
     "param_count",
     "init_params",
     "forward",

@@ -1,8 +1,9 @@
 """Independent references for the tests, and helpers to read a model's hidden block.
 
 The model references evaluate what the paper defines by plain loops or by
-building the dense matrix, ``windows_first`` windows a series before
-z-scoring it, ``tt_svd_reference`` is the TT-SVD by a full
+building the dense matrix; ``windows_first`` and ``zscore_windows`` are
+the raw windows of a series and their z-scored copy, which ``rgtn.data``
+never builds; ``tt_svd_reference`` is the TT-SVD by a full
 SVD of each unfolding, and ``raw_checkpoint`` writes the checkpoint
 layout byte by byte; none of them calls ``rgtn``.  ``hidden_node``,
 ``hidden_rows`` and ``hidden_states`` read the block a model's head reads,
@@ -69,11 +70,12 @@ def linear_dynamics_states(d_phys, d_feat, n_steps, noise, seed, spectral_radius
 
 
 def zscore_windows(inputs, train):
-    """Windows z-scored with the statistics of ``inputs[train]``, and those statistics.
+    """A z-scored copy of the windows, with the statistics of ``inputs[train]``.
 
-    As ``normalize`` has always taken them: mean and spread of each cell over
-    the gathered copy of the train windows, reduced over samples and steps,
-    with scale 1 for a cell of no spread.  Returns (inputs, mean, scale).
+    The statistics are the mean and spread of each cell over the gathered
+    copy of the train windows, reduced over samples and steps, with scale 1
+    for a cell of no spread.  ``inputs`` is left as it is.  Returns
+    (inputs, mean, scale).
     """
     gathered = inputs[train]
     mean = gathered.mean(axis=(0, 1))
@@ -83,15 +85,16 @@ def zscore_windows(inputs, train):
 
 
 def windows_first(values, tau, horizon, train_fraction):
-    """``normalize(window(...))`` of a regression series: window by window, then z-score.
+    """A regression series windowed window by window, then z-scored as a copy.
 
     Window i is ``values[i : i + tau]`` and its target the step ``horizon``
     after its last, flattened physical index fastest; the first
-    ``int(n * train_fraction)`` of the n windows are the train split.
-    Returns (inputs, targets, mean, scale).
+    ``int(n * train_fraction)`` of the n windows are the train split, whose
+    statistics z-score inputs and targets.  Returns (inputs, targets, mean,
+    scale).
     """
     n = len(values) - tau - horizon + 1
-    # C order, as ``window`` lays windows out: the statistics' rounding follows the layout
+    # C order, as windows are laid out: the statistics' rounding follows the layout
     inputs = np.ascontiguousarray(np.stack([values[i : i + tau] for i in range(n)]))
     targets = np.stack([values[i + tau + horizon - 1].ravel(order="F") for i in range(n)])
     inputs, mean, scale = zscore_windows(inputs, np.arange(int(n * train_fraction)))

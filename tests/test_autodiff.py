@@ -1,6 +1,10 @@
 """Tape gradients verified against central finite differences."""
 
 import ast
+import dataclasses
+import importlib
+import inspect
+import re
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -751,31 +755,106 @@ class TestLosses:
             ad.cross_entropy_loss(ad.constant(np.zeros((2, 2))), np.array([-1, 0]))
 
 
-def _package_uses_of_autodiff() -> set[str]:
-    """Names of ``autodiff`` that another module of the package refers to."""
-    used: set[str] = set()
-    for path in Path(ad.__file__).parent.glob("*.py"):
-        if path.name == "autodiff.py":
-            continue
-        tree = ast.parse(path.read_text())
-        aliases, imported = set(), {}
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom) and node.level == 1:
-                for alias in node.names:
-                    if node.module is None and alias.name == "autodiff":
-                        aliases.add(alias.asname or alias.name)
-                    elif node.module == "autodiff":
-                        imported[alias.asname or alias.name] = alias.name
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
-                if node.value.id in aliases:
-                    used.add(node.attr)
-            elif isinstance(node, ast.Name) and node.id in imported:
-                used.add(imported[node.id])
+SRC = Path(ad.__file__).parent
+ROOT = SRC.parents[1]
+MODULES = sorted(path.stem for path in SRC.glob("*.py") if path.stem != "__init__")
+DOTTED = re.compile(r"rgtn\.(\w+)\.(\w+)")
+
+
+def _module_of(node: ast.ImportFrom) -> str | None:
+    """The ``rgtn`` module ``node`` imports from, "" for the package, None for any other."""
+    if node.level == 1:
+        return node.module or ""
+    if node.level == 0 and node.module and node.module.split(".")[0] == "rgtn":
+        return node.module.partition(".")[2]
+    return None
+
+
+def _uses_in_python(path: Path, strings: bool) -> set[tuple[str, str]]:
+    """The (module, name) pairs of ``rgtn`` that a Python file refers to.
+
+    With ``strings``, a dotted ``"rgtn.module.name"`` or a ``("rgtn.module",
+    "name")`` pair counts too: the benchmark's tracer wraps names so.
+    """
+    tree = ast.parse(path.read_text())
+    aliases, imported, used = {}, {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and _module_of(node) is not None:
+            for alias in node.names:
+                local = alias.asname or alias.name
+                if _module_of(node) == "":
+                    aliases[local] = alias.name
+                else:
+                    imported[local] = (_module_of(node), alias.name)
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            used.update(DOTTED.findall(node.value))
+        elif strings and isinstance(node, ast.Tuple) and len(node.elts) == 2:
+            parts = [getattr(elt, "value", None) for elt in node.elts]
+            if all(isinstance(p, str) for p in parts) and parts[0].startswith("rgtn."):
+                used.add((parts[0][len("rgtn."):], parts[1]))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id in aliases:
+                used.add((aliases[node.value.id], node.attr))
+        elif isinstance(node, ast.Name) and node.id in imported:
+            used.add(imported[node.id])
     return used
 
 
+def _entry_point_uses() -> set[tuple[str, str]]:
+    """What the other modules, the benchmark, CI and the console script name."""
+    used: set[tuple[str, str]] = set()
+    for m in MODULES:
+        # a module's use of its own names is not a caller
+        used |= {use for use in _uses_in_python(SRC / f"{m}.py", False) if use[0] != m}
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        used |= _uses_in_python(path, True)
+    workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text()
+    for module, names in re.findall(r"from rgtn\.(\w+) import ([\w, ]+)", workflow):
+        used |= {(module, name.strip()) for name in names.split(",")}
+    used |= set(re.findall(r'"rgtn\.(\w+):(\w+)"', (ROOT / "pyproject.toml").read_text()))
+    return used
+
+
+def _named_types(obj) -> set[str]:
+    """The words in the annotations of a function's signature or a dataclass's fields."""
+    if dataclasses.is_dataclass(obj):
+        hints = [f.type for f in dataclasses.fields(obj)]
+    else:
+        # a class other than a dataclass is named by its own __init__, if it has one
+        function = vars(obj).get("__init__") if inspect.isclass(obj) else obj
+        if not inspect.isfunction(function):
+            return set()
+        sig = inspect.signature(function)
+        hints = [p.annotation for p in sig.parameters.values()] + [sig.return_annotation]
+    return set(re.findall(r"\w+", " ".join(map(str, hints))))
+
+
+def _unused_public_names() -> dict[str, list[str]]:
+    """Each module's ``__all__`` names that no entry point reaches."""
+    public = {}
+    for m in MODULES:
+        module = importlib.import_module(f"rgtn.{m}")
+        public.update({(m, name): getattr(module, name) for name in module.__all__})
+    used = _entry_point_uses() & set(public)
+    # a class a used name's signature or fields name is used with it
+    frontier = set(used)
+    while frontier:
+        m, name = frontier.pop()
+        namespace = vars(importlib.import_module(f"rgtn.{m}"))
+        for word in _named_types(public[(m, name)]):
+            for key, obj in public.items():
+                if key not in used and namespace.get(word) is obj:
+                    used.add(key)
+                    frontier.add(key)
+    unused: dict[str, list[str]] = {}
+    for m, name in sorted(set(public) - used):
+        unused.setdefault(m, []).append(name)
+    return unused
+
+
 def test_every_public_op_has_a_caller_in_the_package():
-    # a re-export from __init__ is not a use
-    unused = set(ad.__all__) - {"TapeNode"} - _package_uses_of_autodiff()
-    assert not unused, f"public tape ops that no module of the package uses: {sorted(unused)}"
+    # every module's __all__, used by another module, the benchmark, CI or the console
+    # script; a re-export from __init__ is not a use
+    unused = _unused_public_names()
+    assert not unused, f"public names that no entry point uses: {unused}"

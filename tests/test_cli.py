@@ -1,9 +1,13 @@
 """End-to-end command-line tests: every command, exit codes, round trips."""
 
+import contextlib
 import copy
 import dataclasses
 import datetime
+import io
+import json
 import math
+import struct
 import tempfile
 import types
 import typing
@@ -12,9 +16,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import payload_header, raw_checkpoint
 from rgtn.checkpoint import load_checkpoint, save_checkpoint, save_tensor
 from rgtn.cli import main
 from rgtn.config import FIXED, DataConfig, run_config_from_dict
@@ -717,21 +722,28 @@ class TestDecomposeCommand:
         path.write_bytes(b"garbage")
         assert main(["decompose", "--tensor", str(path), "--tol", "0.1"]) == 1
 
-    @pytest.mark.parametrize("flag,value", [
-        ("--max-ranks", "a"),
-        ("--max-ranks", "2,2,2"),
-        ("--max-ranks", "-3"),
-        ("--max-ranks", "0"),
-        ("--max-ranks", ""),
-        ("--tol", "-1"),
-        ("--tol", "nan"),
+    @pytest.mark.parametrize("flag,value,shape", [
+        *(pytest.param(flag, value, (2, 3, 2), id=f"{flag}-{value}") for flag, value in [
+            ("--max-ranks", "a"),
+            ("--max-ranks", "2,2,2"),
+            ("--max-ranks", "-3"),
+            ("--max-ranks", "0"),
+            ("--max-ranks", ""),
+            ("--tol", "-1"),
+            ("--tol", "nan"),
+        ]),
+        # an order-1 tensor has no interior rank, so only a single cap fits it
+        pytest.param("--max-ranks", "1,1", (5,), id="--max-ranks-1,1-order-1"),
     ])
-    def test_bad_flag_exits_2_naming_it(self, tmp_path, capsys, flag, value):
+    def test_bad_flag_exits_2_naming_it(self, tmp_path, capsys, flag, value, shape):
         tensor_path = str(tmp_path / "x.rgtn")
-        save_tensor(tensor_path, np.ones((2, 3, 2)))
+        save_tensor(tensor_path, np.ones(shape))
         out = tmp_path / "dec"
         assert main(["decompose", "--tensor", tensor_path, flag, value, "--out", str(out)]) == 2
-        assert flag in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert flag in err
+        # no count of caps is offered that no --max-ranks value can have
+        assert "0 rank caps" not in err and "-1 rank caps" not in err
         assert not out.exists()
 
     def test_empty_mode_exits_1_naming_the_shape(self, tmp_path, capsys):
@@ -752,6 +764,7 @@ DECOMPOSE_TENSORS = {
     "order 3": np.random.default_rng(0).standard_normal((3, 4, 2)),
     "order 1": np.arange(1.0, 6.0),
     "order 0": np.array(2.0),
+    "empty mode": np.zeros((2, 0)),
     "all zero": np.zeros((2, 3, 2)),
     "nan entry": np.array([[1.0, np.nan], [2.0, 3.0]]),
 }
@@ -784,6 +797,11 @@ class TestAnyDecomposeFlags:
         max_ranks=st.none() | st.lists(RANK_CAPS, min_size=1, max_size=5).map(",".join),
         tol=st.none() | TOLERANCES,
     )
+    # an order-0 file was refused for its cap count with two caps, and by tt_svd,
+    # without naming the file, with one
+    @example(tensor="order 0", max_ranks="1,1", tol=None)
+    @example(tensor="order 0", max_ranks="1", tol=None)
+    @example(tensor="empty mode", max_ranks="1,1", tol="0.5")
     def test_any_flags_give_an_exit_code(self, tensor_files, tensor, max_ranks, tol):
         argv = ["decompose", "--tensor", tensor_files[tensor]]
         # the = form passes a value that starts with a minus sign as a value
@@ -793,10 +811,14 @@ class TestAnyDecomposeFlags:
             argv.append(f"--tol={tol}")
         with tempfile.TemporaryDirectory() as tmp:
             out = Path(tmp) / "dec"
-            code = main([*argv, "--out", str(out)])
+            with contextlib.redirect_stderr(io.StringIO()) as err:
+                code = main([*argv, "--out", str(out)])
             assert code in (0, 1, 2)
             # a refused decomposition writes nothing
             assert out.exists() == (code == 0)
+        # a tensor with no mode to decompose is the file's fault, whatever the flags
+        if tensor in ("order 0", "empty mode"):
+            assert code == 1 and tensor_files[tensor] in err.getvalue()
 
 
 class TestInspectCommand:
@@ -841,6 +863,12 @@ class TestInspectCommand:
         assert "kind: tt" in lines
         params = [line.split(":")[0] for line in lines if line.startswith("param ")]
         assert params == [f"param core{k}" for k in range(4)]
+
+    def test_non_finite_w_r_reports_its_residual_as_nan(self, tmp_path, capsys):
+        path = str(tmp_path / "nan.rgtn")
+        save_checkpoint(path, {"w_r": np.array([[1.0, np.nan], [np.inf, 0.0]])}, {"kind": "model"})
+        assert main(["inspect", "--checkpoint", path]) == 0
+        assert "w_r_idempotency_residual: nan" in capsys.readouterr().out
 
     def test_corrupted_file_exits_1(self, tmp_path, capsys):
         out = tmp_path / "run"
@@ -918,3 +946,56 @@ class TestAnyMeta:
             # a refused checkpoint writes nothing
             assert out.exists() == (code == 0)
             assert main(["inspect", "--checkpoint", path]) in (0, 1, 2)
+
+
+@pytest.fixture(scope="module")
+def trained_layout(tmp_path_factory, trained_checkpoint):
+    """The trained checkpoint's header and payload, as ``save_checkpoint`` lays them out."""
+    path = tmp_path_factory.mktemp("layout") / "checkpoint.rgtn"
+    save_checkpoint(str(path), *trained_checkpoint)
+    blob = path.read_bytes()
+    # magic, version and the header's length take the first 20 bytes
+    (length,) = struct.unpack_from("<Q", blob, 12)
+    return json.loads(blob[20 : 20 + length]), blob[20 + length :]
+
+
+PAYLOAD_MUTATIONS = ("non-finite entry", "swap shapes", "swap shapes and counts",
+                     "overlap offsets", "drop a core")
+
+
+class TestAnyPayload:
+    """A checkpoint whose payload or params entries are changed under a valid digest."""
+
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_any_payload_mutation_gives_an_exit_code(self, trained_layout, data):
+        header, payload = trained_layout
+        entries, payload = copy.deepcopy(header["params"]), bytearray(payload)
+        kind = data.draw(st.sampled_from(PAYLOAD_MUTATIONS))
+        pair = st.lists(st.integers(0, len(entries) - 1), min_size=2, max_size=2, unique=True)
+        if kind == "non-finite entry":
+            entry = data.draw(st.sampled_from(entries))
+            at = entry["offset"] + data.draw(st.integers(0, entry["count"] - 1))
+            value = data.draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+            struct.pack_into("<d", payload, 8 * at, value)
+        elif kind.startswith("swap"):
+            i, j = data.draw(pair)
+            for key in ("shape", "count") if kind.endswith("counts") else ("shape",):
+                entries[i][key], entries[j][key] = entries[j][key], entries[i][key]
+        elif kind == "overlap offsets":
+            i, j = data.draw(pair)
+            entries[i]["offset"] = entries[j]["offset"] + data.draw(
+                st.integers(0, entries[j]["count"] - 1))
+        else:
+            cores = [e for e in entries if e["name"].startswith("head.core")]
+            entries.remove(data.draw(st.sampled_from(cores)))
+        blob = raw_checkpoint(payload_header(entries, bytes(payload), header["meta"]),
+                              bytes(payload))
+        with tempfile.TemporaryDirectory() as tmp:
+            path, out = Path(tmp) / "mutant.rgtn", Path(tmp) / "eval"
+            path.write_bytes(blob)
+            code = main(["eval", "--checkpoint", str(path), "--out", str(out)])
+            assert code in (0, 1, 2)
+            # a refused checkpoint writes nothing
+            assert out.exists() == (code == 0)
+            assert main(["inspect", "--checkpoint", str(path)]) in (0, 1, 2)

@@ -22,11 +22,10 @@ from rgtn.data import (
     inverse_transform_predictions,
     load_csv,
     normalize,
-    normalize_in_place,
     synth_classification,
     synth_linear_dynamics,
     window,
-    window_normalized,
+    window_splits,
 )
 
 WIDE_SCHEMA = {"time": "t", "features": ["a", "b"], "missing": "drop"}
@@ -36,6 +35,16 @@ def write(tmp_path, text, name="series.csv"):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+def windowed(table, tau, horizon=1, split=(0.7, 0.15, 0.15)):
+    """``window`` of the table on ``window_splits``'s split, as ``build_dataset`` calls it."""
+    return window(table, tau, horizon, window_splits(len(table.values), tau, horizon, split))
+
+
+def zscored(table, ds):
+    """The table's series z-scored with the statistics ``ds`` holds."""
+    return (table.values - ds.norm.mean) / ds.norm.scale
 
 
 def toy_table(t=30, d=2, f=3, seed=0):
@@ -235,48 +244,49 @@ class TestCsvRoundTrip:
 
 class TestWindowing:
     def test_sample_count(self):
-        ds = window(toy_table(t=100), tau=6, horizon=1)
+        ds = windowed(toy_table(t=100), tau=6, horizon=1)
         assert ds.n_samples == 94
 
     def test_air_quality_window_shape(self):
         table = toy_table(t=40, d=12, f=27)
-        ds = window(table, tau=6)
+        ds = windowed(table, tau=6)
         assert ds.window_shape == (6, 12, 27)
 
     def test_activity_window_shape(self):
         table = toy_table(t=60, d=3, f=3)
-        ds = window(table, tau=24)
+        ds = windowed(table, tau=24)
         assert ds.window_shape == (24, 3, 3)
 
     def test_too_short(self):
         with pytest.raises(ValueError):
-            window(toy_table(t=7), tau=6, horizon=1)
+            windowed(toy_table(t=7), tau=6, horizon=1)
 
     # t = 8 is the shortest series tau 4 and horizon 2 allow: 3 windows
     @pytest.mark.parametrize("t,d,tau,horizon", [(30, 2, 5, 2), (30, 2, 5, 3), (8, 2, 4, 2),
                                                  (30, 1, 5, 1), (8, 4, 1, 3)])
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_no_leakage(self, t, d, tau, horizon, order):
-        # each window and target is its per-row definition, bit for bit, whatever
-        # the layout of the table's values
+        # each window and target is its per-row definition of the z-scored series,
+        # bit for bit, whatever the layout of the table's values
         table = toy_table(t=t, d=d)
         table = dataclasses.replace(table, values=np.asarray(table.values, order=order))
-        ds = window(table, tau=tau, horizon=horizon)
+        ds = windowed(table, tau=tau, horizon=horizon)
+        values = zscored(table, ds)
         assert ds.n_samples == t - tau - horizon + 1
         assert ds.inputs.flags.c_contiguous
         for i in range(ds.n_samples):
-            assert np.array_equal(ds.inputs[i], table.values[i : i + tau])
-            row = table.values[i + tau + horizon - 1]
+            assert np.array_equal(ds.inputs[i], values[i : i + tau])
+            row = values[i + tau + horizon - 1]
             assert np.array_equal(ds.targets[i], row.ravel(order="F"))
 
     def test_windows_reversible_at_stride_one(self):
         table = toy_table(t=25)
-        ds = window(table, tau=4)
+        ds = windowed(table, tau=4)
         rebuilt = np.concatenate([ds.inputs[:, 0], ds.inputs[-1, 1:]], axis=0)
-        np.testing.assert_array_equal(rebuilt, table.values[: rebuilt.shape[0]])
+        np.testing.assert_array_equal(rebuilt, zscored(table, ds)[: rebuilt.shape[0]])
 
     def test_chronological_split(self):
-        ds = window(toy_table(t=100), tau=6, split=(0.7, 0.15, 0.15))
+        ds = windowed(toy_table(t=100), tau=6, split=(0.7, 0.15, 0.15))
         assert ds.splits.train.max() < ds.splits.val.min()
         assert ds.splits.val.max() < ds.splits.test.min()
         total = len(ds.splits.train) + len(ds.splits.val) + len(ds.splits.test)
@@ -286,12 +296,12 @@ class TestWindowing:
         # horizon 0 would make the target the window's own last step
         for horizon in (0, -1):
             with pytest.raises(ValueError, match="horizon"):
-                window(toy_table(), tau=4, horizon=horizon)
+                windowed(toy_table(), tau=4, horizon=horizon)
 
 
 class TestNormalize:
     def test_train_mean_zero(self):
-        ds = normalize(window(toy_table(t=80), tau=5))
+        ds = windowed(toy_table(t=80), tau=5)
         train = ds.inputs[ds.splits.train]
         np.testing.assert_allclose(train.mean(axis=(0, 1)), 0.0, atol=1e-10)
 
@@ -301,29 +311,27 @@ class TestNormalize:
         values[:, 0, 0] = 3.14
         table = SeriesTable(table.timestamps, values, table.phys_labels, table.feat_labels)
         with pytest.warns(UserWarning, match="zero spread") as caught:
-            ds = normalize(window(table, tau=5))
+            ds = windowed(table, tau=5)
         assert len(caught) == 1
         np.testing.assert_allclose(ds.inputs[:, :, 0, 0], 0.0, atol=1e-12)
         assert ds.norm.scale[0, 0] == 1.0
 
     def test_inverse_round_trip(self):
-        raw = window(toy_table(t=80), tau=5)
-        ds = normalize(raw)
+        table = toy_table(t=80)
+        ds = windowed(table, tau=5)
         preds = inverse_transform_predictions(ds, ds.targets)
-        np.testing.assert_allclose(preds, raw.targets, atol=1e-12)
+        # the target of window i is step i + 5, flattened physical index fastest
+        raw_targets = np.stack([row.ravel(order="F") for row in table.values[5:]])
+        np.testing.assert_allclose(preds, raw_targets, atol=1e-12)
 
     def test_stats_ignore_test_split(self):
         table = toy_table(t=80)
+        ds_plain = windowed(table, tau=5)
+        # poison every step no train window reaches; stats must not move
+        reach = len(ds_plain.splits.train) + 5 - 1
         values = table.values.copy()
-        ds_plain = normalize(window(table, tau=5))
-        # poison only the test windows of the raw data; stats must not move
-        raw = window(table, tau=5)
-        poisoned_inputs = raw.inputs.copy()
-        poisoned_inputs[raw.splits.test] += 100.0
-        from dataclasses import replace
-
-        poisoned = replace(raw, inputs=poisoned_inputs)
-        ds_poisoned = normalize(poisoned)
+        values[reach:] += 100.0
+        ds_poisoned = windowed(dataclasses.replace(table, values=values), tau=5)
         np.testing.assert_array_equal(ds_plain.norm.mean, ds_poisoned.norm.mean)
         np.testing.assert_array_equal(ds_plain.norm.scale, ds_poisoned.norm.scale)
 
@@ -331,47 +339,31 @@ class TestNormalize:
     @pytest.mark.parametrize("t,tau,horizon", [(40, 5, 1), (40, 3, 4), (40, 1, 1), (8, 4, 2)])
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_window_normalized_keeps_the_bits_of_windowing_first(self, t, tau, horizon, order):
+        # window z-scores the series before windowing it: the bits of z-scoring the windows
         table = toy_table(t=t)
         table = dataclasses.replace(table, values=np.asarray(table.values, order=order))
-        ds = window_normalized(table, tau=tau, horizon=horizon)
-        ref = normalize(window(table, tau=tau, horizon=horizon))
+        ds = windowed(table, tau=tau, horizon=horizon)
         want = windows_first(table.values, tau, horizon, 0.7)
-        for got, alt, oracle in zip((ds.inputs, ds.targets, ds.norm.mean, ds.norm.scale),
-                                    (ref.inputs, ref.targets, ref.norm.mean, ref.norm.scale),
-                                    want):
-            assert got.dtype == alt.dtype == oracle.dtype
-            assert np.array_equal(got, alt) and np.array_equal(got, oracle)
+        for got, oracle in zip((ds.inputs, ds.targets, ds.norm.mean, ds.norm.scale), want):
+            assert got.dtype == oracle.dtype
+            assert np.array_equal(got, oracle)
         assert ds.inputs.flags.c_contiguous
-        np.testing.assert_array_equal(ds.splits.test, ref.splits.test)
+        n = t - tau - horizon + 1
+        np.testing.assert_array_equal(ds.splits.test, np.arange(n - len(ds.splits.test), n))
 
     def test_normalize_is_its_reference_on_classification_windows(self):
         windows = synth_classification(8, 3, 2, 200, 0.5, seed=3)
         inputs, mean, scale = zscore_windows(windows.inputs, windows.splits.train)
         ds = normalize(windows)
+        # in place: the generator's windows are overwritten, not copied
+        assert ds.inputs is windows.inputs
         for got, ref in ((ds.inputs, inputs), (ds.norm.mean, mean), (ds.norm.scale, scale)):
             assert got.dtype == ref.dtype and np.array_equal(got, ref)
 
-    def test_normalize_leaves_its_input_alone(self):
-        raw = window(toy_table(t=80), tau=5)
-        inputs, targets = raw.inputs.copy(), raw.targets.copy()
-        normalize(raw)
-        assert np.array_equal(raw.inputs, inputs) and np.array_equal(raw.targets, targets)
-        assert raw.norm is None
-
-    @pytest.mark.parametrize("make", [lambda: window(toy_table(t=80), tau=5),
-                                      lambda: synth_classification(6, 2, 3, 50, 0.3, seed=2)])
-    def test_normalize_in_place_is_normalize(self, make):
-        raw = make()
-        want = normalize(raw)
-        got = normalize_in_place(raw)
-        assert got.inputs is raw.inputs
-        for a, b in ((got.inputs, want.inputs), (got.targets, want.targets),
-                     (got.norm.mean, want.norm.mean), (got.norm.scale, want.norm.scale)):
-            assert a.dtype == b.dtype and np.array_equal(a, b)
-
     def test_double_normalize_rejected(self):
-        ds = normalize(window(toy_table(t=80), tau=5))
-        with pytest.raises(ValueError):
+        # every regression dataset comes from window already z-scored
+        ds = windowed(toy_table(t=80), tau=5)
+        with pytest.raises(ValueError, match="already normalized"):
             normalize(ds)
 
 
@@ -452,7 +444,7 @@ class TestSplitFractions:
         assert len(splits.test) == 10 + 5 + 3
 
     def test_window_and_generator_read_the_test_fraction(self):
-        ds = window(toy_table(t=106), tau=6, split=(0.5, 0.1, 0.1))
+        ds = windowed(toy_table(t=106), tau=6, split=(0.5, 0.1, 0.1))
         assert (len(ds.splits.train), len(ds.splits.val), len(ds.splits.test)) == (50, 10, 10)
         ds = synth_classification(8, 2, 2, 60, 0.05, seed=5, split=(0.5, 0.1, 0.1))
         assert len(ds.splits.train) + len(ds.splits.val) + len(ds.splits.test) < 60

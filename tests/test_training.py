@@ -8,7 +8,7 @@ import pytest
 
 from oracles import adam_per_tensor
 from rgtn import autodiff as ad
-from rgtn.data import normalize, synth_classification, synth_linear_dynamics, window
+from rgtn.data import synth_classification, synth_linear_dynamics, window, window_splits
 from rgtn.models import HeadConfig, ModelConfig, forward, init_params, predict
 from rgtn.training import (
     ParamStore,
@@ -36,7 +36,7 @@ def scalar_adam_oracle(g, steps, lr=1e-3, b1=0.9, b2=0.999, eps=1e-8):
 
 def regression_setup(epochs=5, seed=0):
     table = synth_linear_dynamics(2, 2, 200, 0.1, seed=seed)
-    ds = normalize(window(table, tau=4))
+    ds = window(table, 4, 1, window_splits(len(table.values), 4, 1, (0.7, 0.15, 0.15)))
     model = ModelConfig(
         variant="srgtn",
         tau=4,
@@ -163,7 +163,7 @@ class TestTrainLoop:
             phys_labels=("p0", "p1"),
             feat_labels=("f0", "f1"),
         )
-        ds = window(table, tau=3)
+        ds = window(table, 3, 1, window_splits(t, 3, 1, (0.7, 0.15, 0.15)))
         w = rng.standard_normal((4, 3 * d * f)) * 0.5
         flat = ds.inputs.reshape(ds.inputs.shape[0], -1)
         from dataclasses import replace
