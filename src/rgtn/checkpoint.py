@@ -66,12 +66,19 @@ def _is_index(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
-def _header_problem(header) -> str | None:
-    """What makes a parsed header unreadable, or None if it is well formed."""
+def _header_problem(header, payload_bytes: int) -> str | None:
+    """What makes a parsed header unreadable, or None if it is well formed.
+
+    The entries must tile a payload of ``payload_bytes`` in order, as
+    ``save_checkpoint`` lays them out: each starts where the one before it
+    ends, the first at 0, and the last ends at the payload's end.  So no two
+    entries read the same payload values, and no payload byte goes unread.
+    """
     if not isinstance(header, dict):
         return "header is not a JSON object"
     if not isinstance(header.get("meta"), dict) or not isinstance(header.get("params"), list):
         return "header lacks its meta object or params list"
+    end = 0
     for entry in header["params"]:
         if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
             return "a params entry is not an object with a name"
@@ -85,6 +92,14 @@ def _header_problem(header) -> str | None:
             return f"entry {entry['name']!r} needs non-negative integer offset, count and shape"
         if prod(shape) != count:
             return f"entry {entry['name']!r} has count {count} but shape {shape}"
+        if entry["offset"] != end:
+            return (f"entry {entry['name']!r} starts at value {entry['offset']}, not at {end} "
+                    f"where the entry before it ends")
+        end += count
+    if 8 * end > payload_bytes:
+        return f"truncated payload: the entries need {8 * end} bytes, it holds {payload_bytes}"
+    if 8 * end < payload_bytes:
+        return f"the entries end at byte {8 * end} of a {payload_bytes}-byte payload"
     return None
 
 
@@ -106,10 +121,10 @@ def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], dict]:
         header = json.loads(blob[pos : pos + head_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"{path}: corrupted header ({exc})") from None
-    problem = _header_problem(header)
+    payload = blob[pos + head_len :]
+    problem = _header_problem(header, len(payload))
     if problem is not None:
         raise CheckpointError(f"{path}: malformed header: {problem}")
-    payload = blob[pos + head_len :]
     digest = hashlib.sha256(payload).hexdigest()
     if digest != header.get("payload_sha256"):
         raise CheckpointError(f"{path}: payload digest mismatch, file corrupted")
@@ -118,8 +133,6 @@ def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], dict]:
         start = entry["offset"] * 8
         stop = start + entry["count"] * 8
         flat = np.frombuffer(payload[start:stop], dtype="<f8").astype(np.float64)
-        if flat.size != entry["count"]:
-            raise CheckpointError(f"{path}: truncated payload for {entry['name']!r}")
         arrays[entry["name"]] = flat.reshape(entry["shape"], order="F")
     meta = dict(header["meta"])
     meta["format_version"] = version

@@ -312,14 +312,15 @@ def model_for_variant(run: RunConfig, variant: str) -> ModelConfig:
 
 
 def build_dataset(run: RunConfig) -> WindowedDataset:
-    """Materialize the dataset a config describes, z-scored; deterministic in its seeds.
+    """The dataset a config describes, z-scored; deterministic in its seeds.
 
     Every check runs before the statistics are taken, so a refused config
     costs no windows and warns of no zero-spread cell.  ``window`` z-scores a
     regression series before it windows it, on the split computed here for
-    the checks; ``normalize`` z-scores the windows of ``synth_classification``
-    where they lie.  Both give each element the one ``(v - mean) / scale``,
-    so the bits are those of z-scoring a copy of the windows.
+    the checks, and its windows are a read-only view of that one series;
+    ``normalize`` z-scores the windows of ``synth_classification`` where
+    they lie.  Both give each element the one ``(v - mean) / scale``, so the
+    bits are those of z-scoring a copy of the windows.
     """
     data = run.data
     model = run.model

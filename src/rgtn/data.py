@@ -9,9 +9,14 @@ index fastest, matching the package-wide convention.
 Inputs and regression targets are z-scored with statistics of the train
 windows.  ``window`` z-scores a regression series before windowing it, and
 ``normalize`` z-scores a generator's windows where they lie.  Every window
-element and target is a copy of one series element, so z-scoring the series
-applies to each the same ``(v - mean) / scale`` as z-scoring a copy of the
-windows would: the bits are those of windowing first.
+element and target is one series element, so z-scoring the series applies
+to each the same ``(v - mean) / scale`` as z-scoring a copy of the windows
+would: the bits are those of windowing first.
+
+A regression dataset holds its z-scored series once: its inputs are a
+read-only strided view of it, and a time-ordered split is a slice of that
+view.  A training batch, a stratified split or any other gather is a
+C-order copy, as NumPy's fancy indexing makes.
 """
 
 from __future__ import annotations
@@ -87,6 +92,14 @@ class NormStats:
 
 @dataclass(frozen=True)
 class WindowedDataset:
+    """Windows, their targets, the split and the statistics they were z-scored with.
+
+    A regression dataset's inputs and targets are read-only: the inputs are
+    a view of the z-scored series, so window ``i`` shares its last ``tau - 1``
+    steps with window ``i + 1``.  A classification dataset's are C-order
+    arrays of their own.
+    """
+
     inputs: np.ndarray            # (S, tau, D_phys, D_feat)
     targets: np.ndarray           # (S, P) reals or (S,) integer labels
     task: str                     # "regression" | "classification"
@@ -102,6 +115,21 @@ class WindowedDataset:
         return self.inputs.shape[1:]
 
     def subset(self, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The inputs and targets at ``indices``, as ``inputs[indices]`` gives them.
+
+        A run of consecutive in-range indices, as a time-ordered split is,
+        comes back as read-only slices that copy nothing; any other index
+        array is gathered into new arrays.
+        """
+        idx = np.asarray(indices)
+        if idx.ndim == 1 and idx.size and idx.dtype.kind in "iu":
+            start = int(idx[0])
+            stop = start + idx.size
+            run = np.array_equal(idx, np.arange(start, stop))
+            if run and 0 <= start and stop <= self.n_samples:
+                inputs, targets = self.inputs[start:stop], self.targets[start:stop]
+                inputs.flags.writeable = targets.flags.writeable = False
+                return inputs, targets
         return self.inputs[indices], self.targets[indices]
 
 
@@ -245,9 +273,8 @@ def _stratified_split(
 
 
 def _windows(values: np.ndarray, tau: int, n: int) -> np.ndarray:
-    """A C-order copy of the first ``n`` windows of the C-order series ``values``."""
-    # no batch of windows needs a copy to reshape
-    return sliding_window_view(values, tau, axis=0)[:n].transpose(0, 3, 1, 2).copy()
+    """The first ``n`` windows of the series ``values``: a read-only ``(n, tau, P, F)`` view."""
+    return sliding_window_view(values, tau, axis=0)[:n].transpose(0, 3, 1, 2)
 
 
 def window_splits(
@@ -271,20 +298,24 @@ def window(table: SeriesTable, tau: int, horizon: int, splits: SplitIndices) -> 
 
     ``splits`` is ``window_splits``'s split of these windows.  The statistics
     come from the C-order copy of the train windows, the array z-scoring the
-    windows would reduce.  Every window element and target is a copy of one
-    series element, so z-scoring the ``(T, P, F)`` series and then windowing
-    it gives each the same ``(v - mean) / scale`` as z-scoring the windows
-    does, at 1/tau of the work and with no second array of windows.
+    windows would reduce.  Every window element and target is one series
+    element, so z-scoring the ``(T, P, F)`` series and then windowing it gives
+    each the same ``(v - mean) / scale`` as z-scoring the windows does, at
+    1/tau of the work.  The inputs are the read-only ``(n, tau, P, F)`` view
+    of that one z-scored series, not a copy tau times its size; the targets
+    are a read-only copy.
     """
-    # C order whatever the table's layout: every copy below reads it in order
+    # C order whatever the table's layout, and so the z-scored series and its windows
     values = np.ascontiguousarray(table.values)
-    # the train windows come first
-    norm = _train_stats(_windows(values, tau, len(splits.train)))
+    # the train windows come first; the statistics reduce their C-order copy
+    norm = _train_stats(_windows(values, tau, len(splits.train)).copy())
     values = (values - norm.mean) / norm.scale
     # the targets flatten physical index fastest
     targets = values[tau + horizon - 1 :].transpose(0, 2, 1).copy()
     n = len(targets)
-    return WindowedDataset(inputs=_windows(values, tau, n), targets=targets.reshape(n, -1),
+    targets = targets.reshape(n, -1)
+    targets.flags.writeable = False
+    return WindowedDataset(inputs=_windows(values, tau, n), targets=targets,
                            task="regression", splits=splits, norm=norm)
 
 

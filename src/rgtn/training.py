@@ -155,8 +155,8 @@ def train(
         record = {
             "epoch": epoch,
             "train_loss": loss_sum / max(seen, 1),
-            # the validation windows are gathered for this call alone, so the
-            # training steps do not hold them
+            # a time-ordered validation split is a slice of the windows, and any
+            # other is gathered for this call alone, so no training step holds it
             "val_loss": (
                 _split_loss(model, store.values(), config.loss, *dataset.subset(val_idx))
                 if len(val_idx)

@@ -4,8 +4,9 @@ The model references evaluate what the paper defines by plain loops or by
 building the dense matrix; ``windows_first`` and ``zscore_windows`` are
 the raw windows of a series and their z-scored copy, which ``rgtn.data``
 never builds; ``tt_svd_reference`` is the TT-SVD by a full
-SVD of each unfolding, and ``raw_checkpoint`` writes the checkpoint
-layout byte by byte; none of them calls ``rgtn``.  ``hidden_node``,
+SVD of each unfolding, ``raw_checkpoint`` writes the checkpoint
+layout byte by byte, and ``is_series_view`` tells a read-only view of one
+series from a copy of its windows; none of them calls ``rgtn``.  ``hidden_node``,
 ``hidden_rows`` and ``hidden_states`` read the block a model's head reads,
 so a test can compare the filtered hidden-state block against a reference:
 through ``forward`` with an identity head, tensor-train for the graph
@@ -99,6 +100,15 @@ def windows_first(values, tau, horizon, train_fraction):
     targets = np.stack([values[i + tau + horizon - 1].ravel(order="F") for i in range(n)])
     inputs, mean, scale = zscore_windows(inputs, np.arange(int(n * train_fraction)))
     return inputs, (targets - mean.ravel(order="F")) / scale.ravel(order="F"), mean, scale
+
+
+def is_series_view(windows, series):
+    """Whether ``windows`` is a read-only view of one array no larger than ``series``."""
+    root = windows
+    while getattr(root, "base", None) is not None:
+        root = root.base
+    return (not windows.flags.writeable and np.shares_memory(windows, root)
+            and root.nbytes <= series.nbytes)
 
 
 def time_adjacency(tau, c):

@@ -114,6 +114,22 @@ class TestIntegrity:
         with pytest.raises(CheckpointError, match="'w' has count 6"):
             load_checkpoint(str(path))
 
+    @pytest.mark.parametrize("offsets,values,problem", [
+        ((0, 0), 6, "'b' starts at value 0, not at 4"),  # b aliases a's first two values
+        ((0, 5), 7, "'b' starts at value 5, not at 4"),  # one value between them
+        ((1, 5), 7, "'a' starts at value 1, not at 0"),
+        ((0, 4), 7, "the entries end at byte 48 of a 56-byte payload"),
+        ((0, 4), 5, "truncated payload: the entries need 48 bytes, it holds 40"),
+    ], ids=["aliased", "gap", "late start", "trailing values", "truncated"])
+    def test_entries_must_tile_the_payload(self, tmp_path, offsets, values, problem):
+        payload = np.arange(float(values)).astype("<f8").tobytes()
+        entries = [{"name": "a", "shape": [2, 2], "offset": offsets[0], "count": 4},
+                   {"name": "b", "shape": [2], "offset": offsets[1], "count": 2}]
+        path = tmp_path / "tiles.rgtn"
+        path.write_bytes(raw_checkpoint(payload_header(entries, payload), payload))
+        with pytest.raises(CheckpointError, match=problem):
+            load_checkpoint(str(path))
+
 
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers(-2, 40) | st.floats(-1e3, 1e3) | st.text(max_size=3),

@@ -995,7 +995,24 @@ class TestAnyPayload:
             path, out = Path(tmp) / "mutant.rgtn", Path(tmp) / "eval"
             path.write_bytes(blob)
             code = main(["eval", "--checkpoint", str(path), "--out", str(out)])
-            assert code in (0, 1, 2)
+            # entries that alias part of the payload do not tile it, and are refused
+            codes = (1,) if kind == "overlap offsets" else (0, 1, 2)
+            assert code in codes
             # a refused checkpoint writes nothing
             assert out.exists() == (code == 0)
-            assert main(["inspect", "--checkpoint", str(path)]) in (0, 1, 2)
+            assert main(["inspect", "--checkpoint", str(path)]) in codes
+
+    @pytest.mark.parametrize("command", ["eval", "inspect"])
+    def test_aliased_entries_exit_1_naming_the_file(self, trained_layout, tmp_path, capsys,
+                                                    command):
+        header, payload = trained_layout
+        entries = copy.deepcopy(header["params"])
+        assert [e["name"] for e in entries[:2]] == ["w_x", "w_r"]
+        # w_r reads w_x's values under a valid digest
+        entries[1]["offset"] = entries[0]["offset"]
+        path = tmp_path / "aliased.rgtn"
+        path.write_bytes(raw_checkpoint(payload_header(entries, payload, header["meta"]),
+                                        payload))
+        assert main([command, "--checkpoint", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert str(path) in err and "'w_r' starts at value 0" in err

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 import yaml
 
-from oracles import windows_first, zscore_windows
+from oracles import is_series_view, windows_first, zscore_windows
 from rgtn.cli import main
 from rgtn.config import (ConfigError, DataConfig, build_dataset, load_run_config,
                          run_config_from_dict)
@@ -84,7 +84,8 @@ def csv_document(path, flat_cell=False):
 # "zscore" spells out the deleted data.normalize at the one value it now has
 @pytest.mark.parametrize("normalize", [None, "zscore"])
 def test_every_dataset_path_gives_c_contiguous_windows(tmp_path, normalize):
-    # a batch of windows reshapes to (rows, feature) in every model without a copy
+    # a batch of windows reshapes to (rows, feature) in every model without a copy;
+    # a regression dataset's windows, and its time-ordered test split, view its series
     raws = [raw for _, raw in documents()] + [csv_document(tmp_path / "series.csv")]
     assert {raw["data"]["kind"] for raw in raws} == {
         "synthetic_regression", "synthetic_classification", "csv"
@@ -94,11 +95,17 @@ def test_every_dataset_path_gives_c_contiguous_windows(tmp_path, normalize):
         data = {k: v for k, v in raw["data"].items() if k != "normalize"}
         if normalize is not None:
             data["normalize"] = normalize
-        ds = build_dataset(run_config_from_dict({**raw, "data": data}))
+        run = run_config_from_dict({**raw, "data": data})
+        ds = build_dataset(run)
         batch = rng.permutation(ds.splits.train)[:16]
-        assert ds.inputs.flags.c_contiguous
+        if ds.task == "regression":
+            series = regression_series(run)
+            assert is_series_view(ds.inputs, series)
+            assert is_series_view(ds.subset(ds.splits.test)[0], series)
+        else:
+            assert ds.inputs.flags.c_contiguous
+            assert ds.subset(ds.splits.test)[0].flags.c_contiguous
         assert ds.inputs[batch].flags.c_contiguous
-        assert ds.subset(ds.splits.test)[0].flags.c_contiguous
 
 
 def shipped_splits():
@@ -169,7 +176,7 @@ def test_regression_build_keeps_the_bits_of_windowing_first(name, raw):
     ds = build_dataset(run)
     assert_windows_first(run, ds)
     batch = np.random.default_rng(0).permutation(ds.splits.train)[:16]
-    assert ds.inputs.flags.c_contiguous
+    assert is_series_view(ds.inputs, regression_series(run))
     assert ds.inputs[batch].flags.c_contiguous
 
 

@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (linear_dynamics_matrix, linear_dynamics_states, windows_first,
-                     zscore_windows)
+from oracles import (is_series_view, linear_dynamics_matrix, linear_dynamics_states,
+                     windows_first, zscore_windows)
 from rgtn.data import (
     CsvFormatError,
     _chronological_split,
@@ -273,7 +273,7 @@ class TestWindowing:
         ds = windowed(table, tau=tau, horizon=horizon)
         values = zscored(table, ds)
         assert ds.n_samples == t - tau - horizon + 1
-        assert ds.inputs.flags.c_contiguous
+        assert is_series_view(ds.inputs, table.values)
         for i in range(ds.n_samples):
             assert np.array_equal(ds.inputs[i], values[i : i + tau])
             row = values[i + tau + horizon - 1]
@@ -297,6 +297,84 @@ class TestWindowing:
         for horizon in (0, -1):
             with pytest.raises(ValueError, match="horizon"):
                 windowed(toy_table(), tau=4, horizon=horizon)
+
+
+# a regression dataset, whose windows view its series, and a classification one,
+# whose windows are a C-order array of their own
+SUBSET_DATASETS = {
+    "regression": windowed(toy_table(t=40), tau=5, horizon=2),
+    "classification": normalize(synth_classification(4, 2, 3, 30, 0.5, seed=2)),
+}
+INDEX_KINDS = ("run", "single", "permuted run", "repeat", "gaps", "swapped interior",
+               "negative", "past the end", "wrapped")
+
+
+@st.composite
+def index_arrays(draw, n):
+    """Index arrays into ``n`` windows: runs, and arrays that only look like one."""
+    kind = draw(st.sampled_from(INDEX_KINDS))
+    start = draw(st.integers(0, n - 1))
+    stop = draw(st.integers(start + 1, n))
+    run = np.arange(start, stop)
+    if kind == "single":
+        idx = run[:1]
+    elif kind == "permuted run":
+        idx = np.asarray(draw(st.permutations(run.tolist())), dtype=int)
+    elif kind == "repeat":
+        at = draw(st.integers(0, len(run) - 1))
+        idx = np.insert(run, at, run[at])
+    elif kind == "gaps":
+        idx = np.asarray(sorted(draw(st.sets(st.integers(0, n - 1), min_size=1))), dtype=int)
+    elif kind == "swapped interior":
+        # the endpoints and the length of a run, out of order: [a, a+2, a+1, a+3]
+        start = draw(st.integers(0, n - 4))
+        idx = start + np.array([0, 2, 1, 3])
+    elif kind == "negative":
+        idx = run - n
+    elif kind == "past the end":
+        idx = np.arange(start, n + draw(st.integers(1, 3)))
+    elif kind == "wrapped":
+        # steps of one modulo 2**32, through an index past the end
+        return np.arange(-2, draw(st.integers(-1, 3))).astype(np.uint32)
+    else:
+        idx = run
+    if idx.min() >= 0:
+        idx = idx.astype(draw(st.sampled_from([np.int64, np.int32, np.uint32])))
+    return idx
+
+
+class TestSubset:
+    """``subset`` gives ``inputs[idx]`` and ``targets[idx]``, slicing a run of windows."""
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(task=st.sampled_from(sorted(SUBSET_DATASETS)), data=st.data())
+    def test_subset_is_the_gather(self, task, data):
+        ds = SUBSET_DATASETS[task]
+        idx = data.draw(index_arrays(ds.n_samples))
+        if idx.max() >= ds.n_samples:
+            for arr in (ds.inputs, ds.targets):
+                with pytest.raises(IndexError):
+                    arr[idx]
+            with pytest.raises(IndexError):
+                ds.subset(idx)
+            return
+        got = ds.subset(idx)
+        for sub, whole in zip(got, (ds.inputs, ds.targets)):
+            want = whole[idx]
+            assert sub.dtype == want.dtype and sub.shape == want.shape
+            assert np.array_equal(sub, want)
+            # a view is read-only, whatever its dataset's own arrays are
+            assert not (np.shares_memory(sub, whole) and sub.flags.writeable)
+            if idx[0] >= 0 and np.array_equal(idx, np.arange(idx[0], idx[0] + len(idx))):
+                # a run of windows copies nothing
+                assert np.shares_memory(sub, whole)
+        # a classification dataset's own arrays stay writeable
+        assert ds.inputs.flags.writeable == (task == "classification")
+
+    def test_an_empty_subset_is_empty(self):
+        for ds in SUBSET_DATASETS.values():
+            inputs, targets = ds.subset(np.array([], dtype=int))
+            assert inputs.shape == (0, *ds.window_shape) and len(targets) == 0
 
 
 class TestNormalize:
@@ -347,7 +425,7 @@ class TestNormalize:
         for got, oracle in zip((ds.inputs, ds.targets, ds.norm.mean, ds.norm.scale), want):
             assert got.dtype == oracle.dtype
             assert np.array_equal(got, oracle)
-        assert ds.inputs.flags.c_contiguous
+        assert is_series_view(ds.inputs, table.values)
         n = t - tau - horizon + 1
         np.testing.assert_array_equal(ds.splits.test, np.arange(n - len(ds.splits.test), n))
 

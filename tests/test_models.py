@@ -19,6 +19,7 @@ from oracles import (
     unflatten,
 )
 from rgtn import autodiff as ad
+from rgtn.data import SeriesTable, window, window_splits
 from rgtn.graph import build_time_adjacency
 from rgtn.models import (
     VARIANTS,
@@ -540,6 +541,32 @@ class TestPredictBlocks:
         values = init_params(cfg, seed=10)
         x = rng.standard_normal((3 * 3 + 2, cfg.tau, cfg.d_phys, cfg.d_feat))
         assert np.array_equal(predict(cfg, values, x), forward(cfg, values, x).array)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("blocks", ["one", "several"])
+    def test_a_view_of_the_series_reads_as_its_copy(self, variant, blocks, monkeypatch):
+        # a regression dataset's windows are a strided view of its one series;
+        # every kernel and push reads a slice of it as it reads a C-order copy
+        rng = np.random.default_rng(23)
+        cfg = small_config(variant, tau=5, d=3, f=2, m=4)
+        values = rng.standard_normal((40, cfg.d_phys, cfg.d_feat))
+        table = SeriesTable(np.arange(40.0), values, ("a", "b", "c"), ("u", "v"))
+        ds = window(table, cfg.tau, 1, window_splits(40, cfg.tau, 1, (0.7, 0.15, 0.15)))
+        view = ds.inputs[3:14]
+        copy = np.ascontiguousarray(view)
+        assert not view.flags.c_contiguous and not view.flags.writeable
+        set_block_windows(monkeypatch, cfg, len(view) if blocks == "one" else 3)
+        params = init_params(cfg, seed=11)
+        assert np.array_equal(predict(cfg, params, view), predict(cfg, params, copy))
+        targets = rng.standard_normal((len(view), cfg.out_dim))
+        grads = []
+        for x in (view, copy):
+            nodes = {name: ad.constant(v) for name, v in params.items()}
+            out = forward(cfg, nodes, x)
+            ad.backward(ad.mse_loss(out, targets))
+            grads.append((out.array, *(nodes[name].grad for name in params)))
+        for got, want in zip(*grads):
+            assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_batch_one_matches_batched(self, variant):
