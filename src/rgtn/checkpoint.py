@@ -111,10 +111,8 @@ def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], dict]:
     pos = len(MAGIC)
     (version,) = struct.unpack_from("<I", blob, pos)
     pos += 4
-    if version > VERSION:
-        raise CheckpointError(
-            f"{path}: format version {version} is newer than supported {VERSION}"
-        )
+    if version != VERSION:
+        raise CheckpointError(f"{path}: format version {version} is not the supported {VERSION}")
     (head_len,) = struct.unpack_from("<Q", blob, pos)
     pos += 8
     try:

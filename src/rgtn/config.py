@@ -337,7 +337,7 @@ def build_dataset(run: RunConfig) -> WindowedDataset:
         task, shape, splits = ds.task, ds.window_shape, ds.splits
     else:
         if data.kind == "synthetic_regression":
-            table = synth_linear_dynamics(
+            series = synth_linear_dynamics(
                 d_phys=model.d_phys,
                 d_feat=model.d_feat,
                 n_steps=data.n_steps,
@@ -346,12 +346,12 @@ def build_dataset(run: RunConfig) -> WindowedDataset:
                 spectral_radius=data.spectral_radius,
             )
         else:
-            table = load_csv(data.path, data.schema)
+            series = load_csv(data.path, data.schema)
         try:
-            splits = window_splits(len(table.values), model.tau, data.horizon, data.split)
+            splits = window_splits(len(series), model.tau, data.horizon, data.split)
         except ValueError as exc:
             raise ConfigError(f"model.tau, data.horizon: {exc}") from None
-        task, shape = "regression", (model.tau, *table.values.shape[1:])
+        task, shape = "regression", (model.tau, *series.shape[1:])
     if shape != (model.tau, model.d_phys, model.d_feat):
         raise ConfigError(
             f"data: windows have shape {shape} but the model expects "
@@ -375,4 +375,4 @@ def build_dataset(run: RunConfig) -> WindowedDataset:
             )
     if task == "classification":
         return normalize(ds)
-    return window(table, model.tau, data.horizon, splits)
+    return window(series, model.tau, data.horizon, splits)

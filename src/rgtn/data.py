@@ -1,10 +1,12 @@
 """Dataset ingestion, windowing, normalization, and synthetic generators.
 
-Series are rectangular blocks (time, physical, feature).  Windowing slices
-them into order-4 batches (samples, tau, physical, feature) with strictly
-later targets, so no sample can see its own target time step.  Regression
-target vectors flatten the (physical, feature) block with the physical
-index fastest, matching the package-wide convention.
+A series is a float64 array (time, physical, feature): ``load_csv`` and
+``synth_linear_dynamics`` return one, in time order, and ``window`` takes
+one.  Windowing slices it into order-4 batches (samples, tau, physical,
+feature) with strictly later targets, so no sample can see its own target
+time step.  Regression target vectors flatten the (physical, feature)
+block with the physical index fastest, matching the package-wide
+convention.
 
 Inputs and regression targets are z-scored with statistics of the train
 windows.  ``window`` z-scores a regression series before windowing it, and
@@ -29,7 +31,6 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
-    "SeriesTable",
     "SplitIndices",
     "NormStats",
     "WindowedDataset",
@@ -54,34 +55,12 @@ class CsvFormatError(ValueError):
 
 
 @dataclass(frozen=True)
-class SeriesTable:
-    """Time-sorted rectangular multi-way series."""
-
-    timestamps: np.ndarray        # (T,), strictly increasing
-    values: np.ndarray            # (T, D_phys, D_feat)
-    phys_labels: tuple[str, ...]
-    feat_labels: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        t, d, f = self.values.shape
-        if len(self.timestamps) != t:
-            raise ValueError("timestamps and values disagree on length")
-        if len(self.phys_labels) != d or len(self.feat_labels) != f:
-            raise ValueError("labels and values disagree on mode sizes")
-        if t > 1 and not np.all(self.timestamps[1:] > self.timestamps[:-1]):
-            raise ValueError("timestamps must be strictly increasing")
-
-
-@dataclass(frozen=True)
 class SplitIndices:
+    """Disjoint, sorted window indices of each split, as both split builders make them."""
+
     train: np.ndarray
     val: np.ndarray
     test: np.ndarray
-
-    def __post_init__(self) -> None:
-        sets = [set(self.train.tolist()), set(self.val.tolist()), set(self.test.tolist())]
-        if sets[0] & sets[1] or sets[0] & sets[2] or sets[1] & sets[2]:
-            raise ValueError("split index sets must be disjoint")
 
 
 @dataclass(frozen=True)
@@ -148,8 +127,11 @@ def _parse_cell(raw: str, line_no: int, column: str) -> float:
     return value
 
 
-def load_csv(path: str, schema: dict) -> SeriesTable:
-    """Read a long- or wide-format CSV into a rectangular series block.
+def load_csv(path: str, schema: dict) -> np.ndarray:
+    """Read a long- or wide-format CSV into a ``(T, P, F)`` series.
+
+    Rows come in time order, physical slots in the sorted order of their
+    keys and features in the order the schema lists them.
 
     Schema keys: ``time`` (required column name), ``phys`` (optional key
     column; without it there is a single physical slot), ``features``
@@ -205,11 +187,9 @@ def load_csv(path: str, schema: dict) -> SeriesTable:
     if not rows:
         raise CsvFormatError("line 2: no data rows")
 
-    phys_labels = tuple(sorted({key for _, key, _ in rows}))
-    times = sorted({t for t, _, _ in rows})
-    t_index = {t: i for i, t in enumerate(times)}
-    p_index = {k: i for i, k in enumerate(phys_labels)}
-    values = np.full((len(times), len(phys_labels), len(feat_cols)), np.nan)
+    t_index = {t: i for i, t in enumerate(sorted({t for t, _, _ in rows}))}
+    p_index = {k: i for i, k in enumerate(sorted({key for _, key, _ in rows}))}
+    values = np.full((len(t_index), len(p_index), len(feat_cols)), np.nan)
     seen: set[tuple[float, str]] = set()
     for t, key, feats in rows:
         if (t, key) in seen:
@@ -218,20 +198,13 @@ def load_csv(path: str, schema: dict) -> SeriesTable:
         values[t_index[t], p_index[key]] = feats
 
     if missing == "ffill":
-        for t in range(1, len(times)):
+        for t in range(1, len(t_index)):
             mask = np.isnan(values[t])
             values[t][mask] = values[t - 1][mask]
-    keep = ~np.isnan(values).any(axis=(1, 2))
-    values = values[keep]
-    timestamps = np.asarray(times, dtype=float)[keep]
+    values = values[~np.isnan(values).any(axis=(1, 2))]
     if values.shape[0] == 0:
         raise CsvFormatError("all rows dropped while handling missing values")
-    return SeriesTable(
-        timestamps=timestamps,
-        values=values,
-        phys_labels=phys_labels,
-        feat_labels=tuple(feat_cols),
-    )
+    return values
 
 
 def _split_sizes(n: int, fractions: tuple[float, float, float]) -> tuple[int, int, int]:
@@ -282,10 +255,9 @@ def window_splits(
 ) -> SplitIndices:
     """The time-ordered split of the windows of a series of ``n_steps`` steps.
 
-    A horizon below 1, or a series too short for three windows, raises ValueError.
+    A series too short for three windows raises ValueError; ``horizon`` is
+    at least 1, as ``config.DataConfig`` checks.
     """
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
     n = n_steps - tau - horizon + 1
     if n < 3:
         raise ValueError(f"series of length {n_steps} is too short for tau={tau}, "
@@ -293,7 +265,7 @@ def window_splits(
     return _chronological_split(n, split)
 
 
-def window(table: SeriesTable, tau: int, horizon: int, splits: SplitIndices) -> WindowedDataset:
+def window(series: np.ndarray, tau: int, horizon: int, splits: SplitIndices) -> WindowedDataset:
     """The z-scored windows of the series, each with the step ``horizon`` after it as target.
 
     ``splits`` is ``window_splits``'s split of these windows.  The statistics
@@ -305,8 +277,8 @@ def window(table: SeriesTable, tau: int, horizon: int, splits: SplitIndices) -> 
     of that one z-scored series, not a copy tau times its size; the targets
     are a read-only copy.
     """
-    # C order whatever the table's layout, and so the z-scored series and its windows
-    values = np.ascontiguousarray(table.values)
+    # C order whatever the series' layout, and so the z-scored series and its windows
+    values = np.ascontiguousarray(series)
     # the train windows come first; the statistics reduce their C-order copy
     norm = _train_stats(_windows(values, tau, len(splits.train)).copy())
     values = (values - norm.mean) / norm.scale
@@ -355,9 +327,7 @@ def normalize(ds: WindowedDataset) -> WindowedDataset:
 
 
 def inverse_transform_predictions(ds: WindowedDataset, preds: np.ndarray) -> np.ndarray:
-    """Map normalized regression predictions back to original units."""
-    if ds.norm is None or ds.task != "regression":
-        return preds
+    """Map a regression dataset's z-scored predictions back to original units."""
     return preds * ds.norm.scale.ravel(order="F") + ds.norm.mean.ravel(order="F")
 
 
@@ -374,7 +344,7 @@ def synth_linear_dynamics(
     noise: float,
     seed: int,
     spectral_radius: float = 0.85,
-) -> SeriesTable:
+) -> np.ndarray:
     """Stable linear state recurrence with separable mode coupling.
 
     The state evolves as s_{t+1} = G s_t + noise * eps with separable G,
@@ -392,13 +362,7 @@ def synth_linear_dynamics(
     rows = noise * rng.standard_normal((burn_in + n_steps, dim))
     for t in range(burn_in + n_steps):
         state = rows[t] = g.dot(state) + rows[t]
-    values = rows[burn_in:].reshape(n_steps, d_feat, d_phys).transpose(0, 2, 1)
-    return SeriesTable(
-        timestamps=np.arange(n_steps, dtype=float),
-        values=values,
-        phys_labels=tuple(f"p{i}" for i in range(d_phys)),
-        feat_labels=tuple(f"f{i}" for i in range(d_feat)),
-    )
+    return rows[burn_in:].reshape(n_steps, d_feat, d_phys).transpose(0, 2, 1)
 
 
 def synth_classification(

@@ -21,11 +21,10 @@ __all__ = ["build_time_adjacency"]
 
 @lru_cache(maxsize=64)
 def build_time_adjacency(tau: int, c: float) -> np.ndarray:
-    """Ascending-time (tau, tau) adjacency with decay constant c in (0, 1), read-only."""
-    if tau < 1:
-        raise ValueError(f"tau must be >= 1, got {tau}")
-    if not 0.0 < c < 1.0:
-        raise ValueError(f"c must lie strictly between 0 and 1, got {c}")
+    """Ascending-time (tau, tau) adjacency, read-only.
+
+    ``models.ModelConfig`` checks ``tau >= 1`` and ``0 < c < 1``.
+    """
     a = np.zeros((tau, tau))
     for p in range(1, tau):
         a += np.diag(np.full(tau - p, c**p), k=-p)

@@ -24,8 +24,9 @@ mix on the input, the projection, grgtn's W_r, the activation, the TT
 head and the bias; srgtn passes no W_r).  rnn:
 ``recurrence`` (the projection, the steps, the dense head and the bias).
 The window x and the time adjacency A are plain arrays, so neither is a
-tape node and no gradient is computed for them.  ``autodiff.graph_tt``
-gives the order in which the graph variants contract and why.
+tape node and no gradient is computed for them.
+``autodiff.graph_tt_kernel`` gives the order in which the graph variants
+contract and why.
 
 ``graph_tt`` and ``recurrence`` each walk blocks of whole windows that
 they size themselves, so the hidden block's gradient never exists whole

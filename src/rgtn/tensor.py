@@ -5,8 +5,6 @@ be written to; ``tt_svd`` takes one and ``tt_reconstruct`` returns one, and
 each tensor-train core is one.  ``from_array`` copies a caller's array;
 the class itself wraps an array it is handed, read-only in place, so an
 array just computed and held nowhere else is not copied.
-:class:`ShapeError` is the package's error for operands whose shapes or
-axes do not conform.
 """
 
 from __future__ import annotations
@@ -15,13 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Shape", "ShapeError", "DenseTensor", "from_array"]
+__all__ = ["Shape", "DenseTensor", "from_array"]
 
 Shape = tuple[int, ...]
-
-
-class ShapeError(ValueError):
-    """Shapes or axes of the operands do not conform."""
 
 
 @dataclass(frozen=True)

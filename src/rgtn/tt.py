@@ -10,6 +10,11 @@ the same chain with one (in, out) mode pair per core; see ``models``.
 It takes no Gram-matrix shortcut: the eigenvalues of ``mat mat^T`` are the
 squared singular values, so rounding swamps those below about 1e-8 of the
 largest and the ``tol`` bound fails for small ``tol``.
+
+``tt_svd`` builds every ``TTNetwork`` the package makes, so nothing checks
+the chain: its boundary ranks are 1 and adjacent ranks match by
+construction.  ``rgtn decompose`` refuses a tensor file or a rank-cap
+count that ``tt_svd`` cannot take before it calls it.
 """
 
 from __future__ import annotations
@@ -20,32 +25,16 @@ from typing import Sequence
 
 import numpy as np
 
-from .tensor import DenseTensor, Shape, ShapeError
+from .tensor import DenseTensor, Shape
 
 __all__ = ["TTNetwork", "tt_svd", "tt_reconstruct", "tt_param_count", "dense_param_count"]
 
 
 @dataclass(frozen=True)
 class TTNetwork:
-    """Chain of order-3 cores linked by matching ranks."""
+    """Chain of order-3 cores linked by matching ranks, as ``tt_svd`` builds it."""
 
     cores: tuple[DenseTensor, ...]
-
-    def __post_init__(self) -> None:
-        if not self.cores:
-            raise ShapeError("a TT network needs at least one core")
-        object.__setattr__(self, "cores", tuple(self.cores))
-        for i, core in enumerate(self.cores):
-            if core.order != 3:
-                raise ShapeError(f"core {i} must be order-3, got shape {core.shape}")
-        if self.cores[0].shape[0] != 1 or self.cores[-1].shape[2] != 1:
-            raise ShapeError("boundary ranks must both be 1")
-        for i in range(len(self.cores) - 1):
-            left, right = self.cores[i].shape[2], self.cores[i + 1].shape[0]
-            if left != right:
-                raise ShapeError(
-                    f"rank mismatch between cores {i} and {i + 1}: {left} vs {right}"
-                )
 
     @property
     def ranks(self) -> tuple[int, ...]:
@@ -79,6 +68,10 @@ def tt_svd(
     additionally caps the kept ranks.  With neither given the chain is
     exact up to floating-point rounding.
 
+    ``x`` has order >= 1 and no empty mode, and ``max_ranks`` holds one cap
+    or N - 1, as ``cli.cmd_decompose`` checks; a non-finite entry raises
+    ValueError.
+
     Step k unfolds what is left in C order, last index fastest (a view of a
     C-contiguous tensor), as ``mat`` (R_{k-1} I_k, rest).  As ``mat^T = Q R``
     gives ``mat = R^T Q^T``, the SVD of the small ``R^T`` has the singular
@@ -86,16 +79,12 @@ def tt_svd(
     R-SVD, 1982, ACM TOMS 8(1)).  Core k is the kept vectors in that order;
     ``U_kept^T mat``, ``s V^T`` in exact arithmetic, goes on to step k + 1.
     """
-    if x.order < 1 or 0 in x.shape:
-        raise ShapeError(f"tt_svd needs an order >= 1 tensor with no empty mode, got {x.shape}")
     if not np.all(np.isfinite(x.array)):
         raise ValueError("tt_svd input contains non-finite entries")
     dims = x.shape
     n = len(dims)
     single = max_ranks is None or isinstance(max_ranks, int)
     caps = [max_ranks] * (n - 1) if single else list(max_ranks)
-    if len(caps) != n - 1:
-        raise ShapeError(f"need {n - 1} interior rank caps, got {len(caps)}")
 
     tol = 0.0
     if rel_tolerance is not None and n > 1:

@@ -14,8 +14,9 @@ import pytest
 
 from oracles import tt_head_matrix
 from rgtn import autodiff as ad
+from rgtn.config import ConfigError, build_dataset, run_config_from_dict
 from rgtn.models import HeadConfig, ModelConfig, forward, init_params
-from rgtn.tensor import ShapeError
+from rgtn.training import train
 
 
 def square_mean(y):
@@ -54,11 +55,61 @@ def check_gradients(build, arrays, rel_tol=1e-5, h=1e-6):
         assert np.abs(got - expect).max() / scale <= rel_tol
 
 
+# The losses and ``backward`` check none of their operands: ``build_dataset``
+# refuses the configs that would give them bad ones, and ``train`` hands them
+# only what it builds from a dataset that passed.  The tests of those checks
+# send the bad value through ``build_dataset`` and record what ``train`` hands
+# the tape for the three losses.
+REGRESSION_DOC = {
+    "model": {"variant": "grgtn", "tau": 3, "d_phys": 2, "d_feat": 2, "hidden": 3, "out_dim": 4,
+              "head": {"out_modes": [1, 2, 2]}},
+    "data": {"kind": "synthetic_regression", "n_steps": 60},
+    "training": {"epochs": 1, "batch_size": 8},
+}
+CLASSIFICATION_DOC = {
+    "model": {"variant": "srgtn", "tau": 3, "d_phys": 2, "d_feat": 2, "hidden": 3, "out_dim": 2,
+              "head": {"out_modes": [1, 1, 2]}},
+    "data": {"kind": "synthetic_classification", "n_samples": 40},
+    "training": {"epochs": 1, "batch_size": 8, "loss": "cross_entropy"},
+}
+LOSS_DOCS = [
+    {**REGRESSION_DOC, "training": {**REGRESSION_DOC["training"], "loss": loss}}
+    for loss in ("mae", "mse")
+] + [CLASSIFICATION_DOC]
+
+
+def changed(doc, section, **fields):
+    return {**doc, section: {**doc[section], **fields}}
+
+
+def assert_refused(doc, pattern):
+    with pytest.raises(ConfigError, match=pattern):
+        build_dataset(run_config_from_dict(doc))
+
+
+def tape_calls(monkeypatch):
+    """Train on each of ``LOSS_DOCS``; the (loss, prediction, target) of every loss
+    call and the shape of every ``backward`` root."""
+    calls, roots = [], []
+    for name in ("mae_loss", "mse_loss", "cross_entropy_loss"):
+        def record(pred, target, loss=getattr(ad, name), name=name):
+            calls.append((name, pred.array, np.asarray(target)))
+            return loss(pred, target)
+        monkeypatch.setattr(ad, name, record)
+    backward = ad.backward
+    monkeypatch.setattr(ad, "backward", lambda root: (roots.append(root.shape), backward(root)))
+    for doc in LOSS_DOCS:
+        run = run_config_from_dict(doc)
+        train(run.model, build_dataset(run), run.training)
+    assert {name for name, _, _ in calls} == {"mae_loss", "mse_loss", "cross_entropy_loss"}
+    return calls, roots
+
+
 class TestBackwardMechanics:
-    def test_non_scalar_root_rejected(self):
-        node = ad.constant(np.ones((2, 2)))
-        with pytest.raises(ShapeError):
-            ad.backward(node)
+    def test_non_scalar_root_rejected(self, monkeypatch):
+        # every root train hands backward is a loss node, a scalar
+        _, roots = tape_calls(monkeypatch)
+        assert roots and set(roots) == {()}
 
     def test_linear_map_gradient_pattern(self):
         # the rnn's dense head after one step of an identity projection: x w^T
@@ -718,15 +769,15 @@ class TestLosses:
             assert loss.parents == (pred,) and len(loss.pushes) == 1
             assert loss.shape == ()
 
-    def test_target_shape_mismatch_rejected(self):
-        pred = ad.constant(np.zeros((3, 2)))
-        for target in (np.zeros((2, 3)), np.zeros(6), np.zeros((3, 2, 1))):
-            with pytest.raises(ShapeError):
-                ad.mae_loss(pred, target)
-            with pytest.raises(ShapeError):
-                ad.mse_loss(pred, target)
-        with pytest.raises(ShapeError):
-            ad.cross_entropy_loss(pred, np.zeros(2, dtype=int))
+    def test_target_shape_mismatch_rejected(self, monkeypatch):
+        # a model whose outputs do not match the targets is refused by the config
+        bad = changed(REGRESSION_DOC, "model", out_dim=6, head={"out_modes": [1, 2, 3]})
+        assert_refused(bad, r"^model\.out_dim: targets have dimension 4, model emits 6")
+        # and every loss train calls gets targets of its prediction's shape, or one label a row
+        calls, _ = tape_calls(monkeypatch)
+        for name, pred, target in calls:
+            want = (len(pred),) if name == "cross_entropy_loss" else pred.shape
+            assert target.shape == want, name
 
     def test_cross_entropy_uniform_logits(self):
         logits = np.zeros((5, 4))
@@ -740,19 +791,26 @@ class TestLosses:
         labels = rng.integers(0, 3, size=6)
         check_gradients(lambda z: ad.cross_entropy_loss(z, labels), [logits])
 
-    def test_empty_batch_rejected(self):
-        with pytest.raises(ValueError):
-            ad.mae_loss(ad.constant(np.zeros((0, 2))), np.zeros((0, 2)))
-        with pytest.raises(ValueError):
-            ad.mse_loss(ad.constant(np.zeros((0, 2))), np.zeros((0, 2)))
-        with pytest.raises(ValueError):
-            ad.cross_entropy_loss(ad.constant(np.zeros((0, 2))), np.zeros(0, dtype=int))
+    def test_empty_batch_rejected(self, monkeypatch):
+        # an empty train or validation split is refused by the config, for either task
+        for doc in (REGRESSION_DOC, CLASSIFICATION_DOC):
+            for split, name in (([0.0, 0.5, 0.5], "train"), ([0.5, 0.0, 0.5], "val")):
+                assert_refused(changed(doc, "data", split=split),
+                               rf"^data\.split: the {name} split is empty")
+        # and every loss train calls gets a non-empty batch
+        calls, _ = tape_calls(monkeypatch)
+        assert all(len(pred) > 0 for _, pred, _ in calls)
 
-    def test_bad_labels_rejected(self):
-        with pytest.raises(ValueError):
-            ad.cross_entropy_loss(ad.constant(np.zeros((2, 2))), np.array([0, 2]))
-        with pytest.raises(ValueError):
-            ad.cross_entropy_loss(ad.constant(np.zeros((2, 2))), np.array([-1, 0]))
+    def test_bad_labels_rejected(self, monkeypatch):
+        # a model with fewer outputs than the data has classes is refused by the config
+        bad = changed(CLASSIFICATION_DOC, "model", out_dim=1, head={"out_modes": [1, 1, 1]})
+        assert_refused(bad, r"^model\.out_dim: labels need 2 classes, model emits 1")
+        # and every label train hands cross_entropy_loss indexes a logit
+        calls, _ = tape_calls(monkeypatch)
+        for name, logits, labels in calls:
+            if name == "cross_entropy_loss":
+                assert labels.dtype.kind == "i"
+                assert 0 <= labels.min() and labels.max() < logits.shape[1]
 
 
 SRC = Path(ad.__file__).parent

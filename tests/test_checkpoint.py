@@ -86,13 +86,15 @@ class TestIntegrity:
     def test_future_version_rejected(self, tmp_path):
         import struct
 
+        # every version but the one this reader writes, older or newer, is named
         path = str(tmp_path / "model.rgtn")
         save_checkpoint(path, {"w": np.ones(2)}, {"kind": "model"})
-        blob = bytearray(Path(path).read_bytes())
-        blob[8:12] = struct.pack("<I", 99)
-        Path(path).write_bytes(bytes(blob))
-        with pytest.raises(CheckpointError, match="version"):
-            load_checkpoint(path)
+        for version in (99, 0):
+            blob = bytearray(Path(path).read_bytes())
+            blob[8:12] = struct.pack("<I", version)
+            Path(path).write_bytes(bytes(blob))
+            with pytest.raises(CheckpointError, match=f"format version {version} is not"):
+                load_checkpoint(path)
 
     def test_wrong_kind_helpers(self, tmp_path):
         path = str(tmp_path / "t.rgtn")

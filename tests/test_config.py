@@ -152,9 +152,9 @@ def regression_series(run):
     """The raw (T, P, F) series a regression run windows."""
     data, model = run.data, run.model
     if data.kind == "csv":
-        return load_csv(data.path, data.schema).values
+        return load_csv(data.path, data.schema)
     return synth_linear_dynamics(model.d_phys, model.d_feat, data.n_steps, data.noise,
-                                 data.seed, data.spectral_radius).values
+                                 data.seed, data.spectral_radius)
 
 
 def assert_same_bits(got, want):

@@ -1,10 +1,10 @@
 """CSV ingestion, windowing, normalization, and generator tests."""
 
 import csv
-import dataclasses
 import os
 import string
 import tempfile
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -13,12 +13,13 @@ from hypothesis import strategies as st
 
 from oracles import (is_series_view, linear_dynamics_matrix, linear_dynamics_states,
                      windows_first, zscore_windows)
+from rgtn.config import ConfigError, run_config_from_dict
 from rgtn.data import (
     CsvFormatError,
     _chronological_split,
+    _split_sizes,
     _stratified_split,
     CsvSchemaError,
-    SeriesTable,
     inverse_transform_predictions,
     load_csv,
     normalize,
@@ -37,44 +38,38 @@ def write(tmp_path, text, name="series.csv"):
     return str(path)
 
 
-def windowed(table, tau, horizon=1, split=(0.7, 0.15, 0.15)):
-    """``window`` of the table on ``window_splits``'s split, as ``build_dataset`` calls it."""
-    return window(table, tau, horizon, window_splits(len(table.values), tau, horizon, split))
+def windowed(series, tau, horizon=1, split=(0.7, 0.15, 0.15)):
+    """``window`` of the series on ``window_splits``'s split, as ``build_dataset`` calls it."""
+    return window(series, tau, horizon, window_splits(len(series), tau, horizon, split))
 
 
-def zscored(table, ds):
-    """The table's series z-scored with the statistics ``ds`` holds."""
-    return (table.values - ds.norm.mean) / ds.norm.scale
+def zscored(series, ds):
+    """The series z-scored with the statistics ``ds`` holds."""
+    return (series - ds.norm.mean) / ds.norm.scale
 
 
-def toy_table(t=30, d=2, f=3, seed=0):
-    rng = np.random.default_rng(seed)
-    return SeriesTable(
-        timestamps=np.arange(t, dtype=float),
-        values=rng.standard_normal((t, d, f)),
-        phys_labels=tuple(f"p{i}" for i in range(d)),
-        feat_labels=tuple(f"f{i}" for i in range(f)),
-    )
+def toy_series(t=30, d=2, f=3, seed=0):
+    return np.random.default_rng(seed).standard_normal((t, d, f))
 
 
 class TestLoadCsv:
     def test_well_formed(self, tmp_path):
         path = write(tmp_path, "t,a,b\n1,1.0,2.0\n2,3.0,4.0\n3,5.0,6.0\n")
-        table = load_csv(path, WIDE_SCHEMA)
-        assert table.values.shape == (3, 1, 2)
-        np.testing.assert_array_equal(table.timestamps, [1, 2, 3])
-        np.testing.assert_array_equal(table.values[:, 0, 0], [1, 3, 5])
+        series = load_csv(path, WIDE_SCHEMA)
+        assert series.shape == (3, 1, 2) and series.dtype == np.float64
+        np.testing.assert_array_equal(series[:, 0, 0], [1, 3, 5])
+        np.testing.assert_array_equal(series[:, 0, 1], [2, 4, 6])
 
     def test_forward_fill_copies_previous(self, tmp_path):
         path = write(tmp_path, "t,a,b\n1,1.0,2.0\n2,,4.0\n3,5.0,6.0\n")
-        table = load_csv(path, {**WIDE_SCHEMA, "missing": "ffill"})
-        assert table.values[1, 0, 0] == 1.0
+        series = load_csv(path, {**WIDE_SCHEMA, "missing": "ffill"})
+        assert series[1, 0, 0] == 1.0
 
     def test_drop_removes_incomplete_rows(self, tmp_path):
         path = write(tmp_path, "t,a,b\n1,1.0,2.0\n2,,4.0\n3,5.0,6.0\n")
-        table = load_csv(path, WIDE_SCHEMA)
-        assert table.values.shape[0] == 2
-        np.testing.assert_array_equal(table.timestamps, [1, 3])
+        series = load_csv(path, WIDE_SCHEMA)
+        assert series.shape[0] == 2
+        np.testing.assert_array_equal(series[:, 0], [[1, 2], [5, 6]])
 
     @pytest.mark.parametrize("key", ["mising", "phy", "Time", 0])
     def test_unknown_schema_key_is_named(self, tmp_path, key):
@@ -135,16 +130,18 @@ class TestLoadCsv:
                 load_csv(path, schema)
 
     def test_long_format_pivot(self, tmp_path):
+        # the sites are written out of order; the physical slots take the sorted keys
         rows = ["t,site,a,b"]
         for t in (1, 2):
-            for site in ("s1", "s2", "s3"):
-                rows.append(f"{t},{site},{t}.5,{t}.25")
+            for site in ("s3", "s1", "s2"):
+                rows.append(f"{t},{site},{t}.{site[1]},{t}.25")
         path = write(tmp_path, "\n".join(rows) + "\n")
-        table = load_csv(
+        series = load_csv(
             path, {"time": "t", "phys": "site", "features": ["a", "b"]}
         )
-        assert table.values.shape == (2, 3, 2)
-        assert table.phys_labels == ("s1", "s2", "s3")
+        assert series.shape == (2, 3, 2)
+        np.testing.assert_array_equal(series[:, :, 0], [[1.1, 1.2, 1.3], [2.1, 2.2, 2.3]])
+        np.testing.assert_array_equal(series[:, :, 1], [[1.25] * 3, [2.25] * 3])
 
     def test_empty_file(self, tmp_path):
         path = write(tmp_path, "")
@@ -160,8 +157,8 @@ class TestLoadCsv:
     def test_byte_order_mark_is_not_part_of_the_header(self, tmp_path):
         path = tmp_path / "series.csv"
         path.write_bytes(b"\xef\xbb\xbft,a,b\n1,1.0,2.0\n2,3.0,4.0\n")
-        table = load_csv(str(path), WIDE_SCHEMA)
-        np.testing.assert_array_equal(table.timestamps, [1, 2])
+        series = load_csv(str(path), WIDE_SCHEMA)
+        np.testing.assert_array_equal(series, [[[1, 2]], [[3, 4]]])
 
     def test_non_utf8_bytes_name_the_file(self, tmp_path):
         path = tmp_path / "series.csv"
@@ -175,9 +172,18 @@ class TestLoadCsv:
 LABELS = st.text(alphabet=string.ascii_uppercase + string.digits + ',"', min_size=1, max_size=4)
 
 
+class Table(NamedTuple):
+    """A series as a CSV holds it: rows at their timestamps, slots under their keys."""
+
+    timestamps: np.ndarray        # (T,), distinct, in any order
+    values: np.ndarray            # (T, P, F), row i at timestamps[i]
+    phys_labels: tuple[str, ...]  # in any order
+    feat_labels: tuple[str, ...]
+
+
 @st.composite
 def series_tables(draw, phys_labels=None):
-    """A small SeriesTable with finite values and any distinct labels."""
+    """A small table with finite values, any distinct timestamps and any distinct labels."""
     t = draw(st.integers(1, 5))
     if phys_labels is None:
         phys_labels = draw(st.lists(LABELS, min_size=1, max_size=3, unique=True))
@@ -186,8 +192,8 @@ def series_tables(draw, phys_labels=None):
     cells = t * len(phys_labels) * len(feat_labels)
     values = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
                            min_size=cells, max_size=cells))
-    return SeriesTable(
-        timestamps=np.array(sorted(stamps)),
+    return Table(
+        timestamps=np.array(stamps),
         values=np.array(values).reshape(t, len(phys_labels), len(feat_labels)),
         phys_labels=tuple(phys_labels),
         feat_labels=tuple(feat_labels),
@@ -212,15 +218,17 @@ def round_trip(table, rows, schema):
 
 
 def assert_same_series(got, table):
-    order = np.argsort(table.phys_labels)
-    assert got.phys_labels == tuple(sorted(table.phys_labels))
-    assert got.feat_labels == table.feat_labels
-    np.testing.assert_array_equal(got.timestamps, table.timestamps)
-    np.testing.assert_array_equal(got.values, table.values[:, order])
+    """``got`` holds the table's rows in time order, its slots in sorted key order."""
+    times = np.argsort(table.timestamps)
+    keys = np.argsort(table.phys_labels)
+    assert got.dtype == np.float64
+    np.testing.assert_array_equal(got, table.values[times][:, keys])
 
 
 class TestCsvRoundTrip:
-    """A table written to CSV reads back with its shape, values and labels."""
+    """A table written to CSV, its rows in any order, reads back as its series: the
+    rows in time order, the physical slots in the sorted order of their keys and
+    the features as the schema lists them."""
 
     @settings(derandomize=True, database=None, max_examples=60, deadline=None)
     @given(table=series_tables(), missing=st.sampled_from(["drop", "ffill"]), data=st.data())
@@ -244,22 +252,20 @@ class TestCsvRoundTrip:
 
 class TestWindowing:
     def test_sample_count(self):
-        ds = windowed(toy_table(t=100), tau=6, horizon=1)
+        ds = windowed(toy_series(t=100), tau=6, horizon=1)
         assert ds.n_samples == 94
 
     def test_air_quality_window_shape(self):
-        table = toy_table(t=40, d=12, f=27)
-        ds = windowed(table, tau=6)
+        ds = windowed(toy_series(t=40, d=12, f=27), tau=6)
         assert ds.window_shape == (6, 12, 27)
 
     def test_activity_window_shape(self):
-        table = toy_table(t=60, d=3, f=3)
-        ds = windowed(table, tau=24)
+        ds = windowed(toy_series(t=60, d=3, f=3), tau=24)
         assert ds.window_shape == (24, 3, 3)
 
     def test_too_short(self):
         with pytest.raises(ValueError):
-            windowed(toy_table(t=7), tau=6, horizon=1)
+            windowed(toy_series(t=7), tau=6, horizon=1)
 
     # t = 8 is the shortest series tau 4 and horizon 2 allow: 3 windows
     @pytest.mark.parametrize("t,d,tau,horizon", [(30, 2, 5, 2), (30, 2, 5, 3), (8, 2, 4, 2),
@@ -267,42 +273,46 @@ class TestWindowing:
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_no_leakage(self, t, d, tau, horizon, order):
         # each window and target is its per-row definition of the z-scored series,
-        # bit for bit, whatever the layout of the table's values
-        table = toy_table(t=t, d=d)
-        table = dataclasses.replace(table, values=np.asarray(table.values, order=order))
-        ds = windowed(table, tau=tau, horizon=horizon)
-        values = zscored(table, ds)
+        # bit for bit, whatever the layout of the series
+        series = np.asarray(toy_series(t=t, d=d), order=order)
+        ds = windowed(series, tau=tau, horizon=horizon)
+        values = zscored(series, ds)
         assert ds.n_samples == t - tau - horizon + 1
-        assert is_series_view(ds.inputs, table.values)
+        assert is_series_view(ds.inputs, series)
         for i in range(ds.n_samples):
             assert np.array_equal(ds.inputs[i], values[i : i + tau])
             row = values[i + tau + horizon - 1]
             assert np.array_equal(ds.targets[i], row.ravel(order="F"))
 
     def test_windows_reversible_at_stride_one(self):
-        table = toy_table(t=25)
-        ds = windowed(table, tau=4)
+        series = toy_series(t=25)
+        ds = windowed(series, tau=4)
         rebuilt = np.concatenate([ds.inputs[:, 0], ds.inputs[-1, 1:]], axis=0)
-        np.testing.assert_array_equal(rebuilt, zscored(table, ds)[: rebuilt.shape[0]])
+        np.testing.assert_array_equal(rebuilt, zscored(series, ds)[: rebuilt.shape[0]])
 
     def test_chronological_split(self):
-        ds = windowed(toy_table(t=100), tau=6, split=(0.7, 0.15, 0.15))
+        ds = windowed(toy_series(t=100), tau=6, split=(0.7, 0.15, 0.15))
         assert ds.splits.train.max() < ds.splits.val.min()
         assert ds.splits.val.max() < ds.splits.test.min()
         total = len(ds.splits.train) + len(ds.splits.val) + len(ds.splits.test)
         assert total == ds.n_samples
 
     def test_horizon_below_one_rejected(self):
-        # horizon 0 would make the target the window's own last step
+        # horizon 0 would make the target the window's own last step; the config
+        # refuses it, and window_splits and window take what it lets through
         for horizon in (0, -1):
-            with pytest.raises(ValueError, match="horizon"):
-                windowed(toy_table(), tau=4, horizon=horizon)
+            doc = {"model": {"variant": "rnn", "tau": 4, "d_phys": 2, "d_feat": 3,
+                             "hidden": 2, "out_dim": 6},
+                   "data": {"kind": "synthetic_regression", "n_steps": 30, "horizon": horizon},
+                   "training": {"epochs": 1}}
+            with pytest.raises(ConfigError, match=r"^data\.horizon: must be >= 1"):
+                run_config_from_dict(doc)
 
 
 # a regression dataset, whose windows view its series, and a classification one,
 # whose windows are a C-order array of their own
 SUBSET_DATASETS = {
-    "regression": windowed(toy_table(t=40), tau=5, horizon=2),
+    "regression": windowed(toy_series(t=40), tau=5, horizon=2),
     "classification": normalize(synth_classification(4, 2, 3, 30, 0.5, seed=2)),
 }
 INDEX_KINDS = ("run", "single", "permuted run", "repeat", "gaps", "swapped interior",
@@ -379,37 +389,35 @@ class TestSubset:
 
 class TestNormalize:
     def test_train_mean_zero(self):
-        ds = windowed(toy_table(t=80), tau=5)
+        ds = windowed(toy_series(t=80), tau=5)
         train = ds.inputs[ds.splits.train]
         np.testing.assert_allclose(train.mean(axis=(0, 1)), 0.0, atol=1e-10)
 
     def test_constant_feature_unchanged(self):
-        table = toy_table(t=40)
-        values = table.values.copy()
-        values[:, 0, 0] = 3.14
-        table = SeriesTable(table.timestamps, values, table.phys_labels, table.feat_labels)
+        series = toy_series(t=40)
+        series[:, 0, 0] = 3.14
         with pytest.warns(UserWarning, match="zero spread") as caught:
-            ds = windowed(table, tau=5)
+            ds = windowed(series, tau=5)
         assert len(caught) == 1
         np.testing.assert_allclose(ds.inputs[:, :, 0, 0], 0.0, atol=1e-12)
         assert ds.norm.scale[0, 0] == 1.0
 
     def test_inverse_round_trip(self):
-        table = toy_table(t=80)
-        ds = windowed(table, tau=5)
+        series = toy_series(t=80)
+        ds = windowed(series, tau=5)
         preds = inverse_transform_predictions(ds, ds.targets)
         # the target of window i is step i + 5, flattened physical index fastest
-        raw_targets = np.stack([row.ravel(order="F") for row in table.values[5:]])
+        raw_targets = np.stack([row.ravel(order="F") for row in series[5:]])
         np.testing.assert_allclose(preds, raw_targets, atol=1e-12)
 
     def test_stats_ignore_test_split(self):
-        table = toy_table(t=80)
-        ds_plain = windowed(table, tau=5)
+        series = toy_series(t=80)
+        ds_plain = windowed(series, tau=5)
         # poison every step no train window reaches; stats must not move
         reach = len(ds_plain.splits.train) + 5 - 1
-        values = table.values.copy()
+        values = series.copy()
         values[reach:] += 100.0
-        ds_poisoned = windowed(dataclasses.replace(table, values=values), tau=5)
+        ds_poisoned = windowed(values, tau=5)
         np.testing.assert_array_equal(ds_plain.norm.mean, ds_poisoned.norm.mean)
         np.testing.assert_array_equal(ds_plain.norm.scale, ds_poisoned.norm.scale)
 
@@ -418,14 +426,13 @@ class TestNormalize:
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_window_normalized_keeps_the_bits_of_windowing_first(self, t, tau, horizon, order):
         # window z-scores the series before windowing it: the bits of z-scoring the windows
-        table = toy_table(t=t)
-        table = dataclasses.replace(table, values=np.asarray(table.values, order=order))
-        ds = windowed(table, tau=tau, horizon=horizon)
-        want = windows_first(table.values, tau, horizon, 0.7)
+        series = np.asarray(toy_series(t=t), order=order)
+        ds = windowed(series, tau=tau, horizon=horizon)
+        want = windows_first(series, tau, horizon, 0.7)
         for got, oracle in zip((ds.inputs, ds.targets, ds.norm.mean, ds.norm.scale), want):
             assert got.dtype == oracle.dtype
             assert np.array_equal(got, oracle)
-        assert is_series_view(ds.inputs, table.values)
+        assert is_series_view(ds.inputs, series)
         n = t - tau - horizon + 1
         np.testing.assert_array_equal(ds.splits.test, np.arange(n - len(ds.splits.test), n))
 
@@ -440,7 +447,7 @@ class TestNormalize:
 
     def test_double_normalize_rejected(self):
         # every regression dataset comes from window already z-scored
-        ds = windowed(toy_table(t=80), tau=5)
+        ds = windowed(toy_series(t=80), tau=5)
         with pytest.raises(ValueError, match="already normalized"):
             normalize(ds)
 
@@ -449,32 +456,32 @@ class TestGenerators:
     def test_regression_deterministic_under_seed(self):
         a = synth_linear_dynamics(2, 3, 50, 0.1, seed=9)
         b = synth_linear_dynamics(2, 3, 50, 0.1, seed=9)
-        np.testing.assert_array_equal(a.values, b.values)
+        np.testing.assert_array_equal(a, b)
 
     @pytest.mark.parametrize("d_phys,d_feat,n_steps,noise,radius", [
         (4, 3, 3000, 0.1, 0.85), (8, 4, 1344, 0.1, 0.3), (3, 5, 40, 0.7, 0.85), (1, 1, 5, 0.1, 0.5),
     ])
     def test_regression_is_its_per_step_definition(self, d_phys, d_feat, n_steps, noise, radius):
         # one noise draw for the whole series reads the stream a draw per step does
-        table = synth_linear_dynamics(d_phys, d_feat, n_steps, noise, seed=11,
-                                      spectral_radius=radius)
-        flat = table.values.transpose(0, 2, 1).reshape(n_steps, -1)
+        series = synth_linear_dynamics(d_phys, d_feat, n_steps, noise, seed=11,
+                                       spectral_radius=radius)
+        flat = series.transpose(0, 2, 1).reshape(n_steps, -1)
         states = linear_dynamics_states(d_phys, d_feat, n_steps, noise, seed=11,
                                         spectral_radius=radius)
         assert np.array_equal(flat, states)
 
     def test_noiseless_regression_is_exactly_linear(self):
-        table = synth_linear_dynamics(3, 2, 40, 0.0, seed=3)
+        series = synth_linear_dynamics(3, 2, 40, 0.0, seed=3)
         g = linear_dynamics_matrix(3, 2, seed=3)
-        flat = np.stack([row.ravel(order="F") for row in table.values])
+        flat = np.stack([row.ravel(order="F") for row in series])
         for t in range(flat.shape[0] - 1):
             np.testing.assert_allclose(flat[t + 1], g @ flat[t], atol=1e-10)
 
     def test_noise_floor_matches_analytic_value(self):
         sigma = 0.1
-        table = synth_linear_dynamics(4, 3, 3000, sigma, seed=7)
+        series = synth_linear_dynamics(4, 3, 3000, sigma, seed=7)
         g = linear_dynamics_matrix(4, 3, seed=7)
-        flat = np.stack([row.ravel(order="F") for row in table.values])
+        flat = np.stack([row.ravel(order="F") for row in series])
         residuals = flat[1:] - flat[:-1] @ g.T
         mc = np.abs(residuals).mean()
         analytic = sigma * np.sqrt(2.0 / np.pi)
@@ -522,7 +529,44 @@ class TestSplitFractions:
         assert len(splits.test) == 10 + 5 + 3
 
     def test_window_and_generator_read_the_test_fraction(self):
-        ds = windowed(toy_table(t=106), tau=6, split=(0.5, 0.1, 0.1))
+        ds = windowed(toy_series(t=106), tau=6, split=(0.5, 0.1, 0.1))
         assert (len(ds.splits.train), len(ds.splits.val), len(ds.splits.test)) == (50, 10, 10)
         ds = synth_classification(8, 2, 2, 60, 0.05, seed=5, split=(0.5, 0.1, 0.1))
         assert len(ds.splits.train) + len(ds.splits.val) + len(ds.splits.test) < 60
+
+
+# fractions a DataConfig accepts: each >= 0, summing to at most 1
+FRACTIONS = st.tuples(*[st.floats(0.0, 1.0)] * 3).filter(lambda f: sum(f) <= 1.0)
+
+
+def assert_split_sets(splits, n, sizes):
+    """Disjoint, sorted, in-range index sets of the given sizes."""
+    sets = (splits.train, splits.val, splits.test)
+    assert tuple(len(s) for s in sets) == sizes
+    for s in sets:
+        assert s.dtype.kind == "i"
+        assert np.all(np.diff(s) > 0)
+        assert s.size == 0 or (0 <= s.min() and s.max() < n)
+    joined = np.concatenate(sets)
+    assert len(np.unique(joined)) == len(joined)
+
+
+class TestSplitBuilders:
+    """Both split builders give what ``SplitIndices`` holds without checking it:
+    disjoint, sorted, in-range index sets of the sizes ``_split_sizes`` gives."""
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(n=st.integers(0, 300), fractions=FRACTIONS)
+    def test_chronological(self, n, fractions):
+        assert_split_sets(_chronological_split(n, fractions), n, _split_sizes(n, fractions))
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    # synth_classification draws at least one label
+    @given(labels=st.lists(st.integers(0, 3), min_size=1, max_size=120), fractions=FRACTIONS,
+           seed=st.integers(0, 2**32 - 1))
+    def test_stratified(self, labels, fractions, seed):
+        labels = np.array(labels, dtype=int)
+        splits = _stratified_split(labels, fractions, seed)
+        counts = [_split_sizes(int((labels == c).sum()), fractions) for c in np.unique(labels)]
+        sizes = tuple(sum(c[i] for c in counts) for i in range(3))
+        assert_split_sets(splits, len(labels), sizes)

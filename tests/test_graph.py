@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+import yaml
 
 from oracles import headless, hidden_states, with_head
+from rgtn.cli import main
+from rgtn.config import ConfigError, run_config_from_dict
 from rgtn.graph import build_time_adjacency
 from rgtn.models import forward
 
@@ -13,6 +16,20 @@ def srgtn_states(x, w_x, c=0.5):
     _, tau, p, n = x.shape
     cfg = headless("srgtn", tau, p, n, w_x.shape[0], c=c)
     return hidden_states(cfg, {"w_x": w_x}, x)
+
+
+def graph_document(tau, c):
+    """A config document whose grgtn has window ``tau`` and decay ``c``."""
+    return {"model": {"variant": "grgtn", "tau": tau, "d_phys": 1, "d_feat": 1, "hidden": 1,
+                      "out_dim": 1, "c": c, "head": {"out_modes": [1, 1, 1]}},
+            "data": {"kind": "synthetic_regression"}, "training": {"epochs": 1}}
+
+
+def assert_config_refuses(tau, c):
+    """The config names the field, so no adjacency is built for (tau, c)."""
+    field = "tau" if tau < 1 else "c"
+    with pytest.raises(ConfigError, match=rf"^model\.{field}: must"):
+        run_config_from_dict(graph_document(tau, c))
 
 
 def rnn_states(x, w_x, w_h):
@@ -59,14 +76,9 @@ class TestTimeAdjacency:
             np.testing.assert_allclose(np.diag(a, k=-p), c**p)
 
     def test_invalid_arguments(self):
-        with pytest.raises(ValueError):
-            build_time_adjacency(0, 0.5)
-        with pytest.raises(ValueError):
-            build_time_adjacency(3, 0.0)
-        with pytest.raises(ValueError):
-            build_time_adjacency(3, 1.0)
-        with pytest.raises(ValueError):
-            build_time_adjacency(3, -0.2)
+        # build_time_adjacency takes what ModelConfig lets through
+        for tau, c in ((0, 0.5), (3, 0.0), (3, 1.0), (3, -0.2)):
+            assert_config_refuses(tau, c)
 
 
 class TestSpatialFilter:
@@ -139,7 +151,12 @@ class TestAdjacencyCache:
             a[1, 0] = 1.0
         np.testing.assert_allclose(np.diag(build_time_adjacency(7, 0.6), k=-1), 0.6)
 
-    def test_bad_arguments_still_raise(self):
+    def test_bad_arguments_still_raise(self, tmp_path, capsys):
+        # rgtn train exits 2 naming the field, and makes no run directory
         for tau, c in ((0, 0.5), (3, 1.0), (3, 0.0)):
-            with pytest.raises(ValueError):
-                build_time_adjacency(tau, c)
+            path = tmp_path / "run.yaml"
+            path.write_text(yaml.safe_dump(graph_document(tau, c)))
+            out = tmp_path / "run"
+            assert main(["train", "--config", str(path), "--out", str(out)]) == 2
+            assert ("model.tau:" if tau < 1 else "model.c:") in capsys.readouterr().err
+            assert not out.exists()

@@ -6,6 +6,8 @@ from math import prod
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     block_map,
@@ -19,7 +21,7 @@ from oracles import (
     unflatten,
 )
 from rgtn import autodiff as ad
-from rgtn.data import SeriesTable, window, window_splits
+from rgtn.data import window, window_splits
 from rgtn.graph import build_time_adjacency
 from rgtn.models import (
     VARIANTS,
@@ -549,9 +551,8 @@ class TestPredictBlocks:
         # every kernel and push reads a slice of it as it reads a C-order copy
         rng = np.random.default_rng(23)
         cfg = small_config(variant, tau=5, d=3, f=2, m=4)
-        values = rng.standard_normal((40, cfg.d_phys, cfg.d_feat))
-        table = SeriesTable(np.arange(40.0), values, ("a", "b", "c"), ("u", "v"))
-        ds = window(table, cfg.tau, 1, window_splits(40, cfg.tau, 1, (0.7, 0.15, 0.15)))
+        series = rng.standard_normal((40, cfg.d_phys, cfg.d_feat))
+        ds = window(series, cfg.tau, 1, window_splits(40, cfg.tau, 1, (0.7, 0.15, 0.15)))
         view = ds.inputs[3:14]
         copy = np.ascontiguousarray(view)
         assert not view.flags.c_contiguous and not view.flags.writeable
@@ -580,6 +581,55 @@ class TestPredictBlocks:
         for i in range(len(x)):
             np.testing.assert_allclose(predict(cfg, values, x[i : i + 1])[0], batched[i],
                                        rtol=1e-12)
+
+
+@st.composite
+def block_cases(draw):
+    """A model of any variant and activation, windows for it, and a block size."""
+    variant = draw(st.sampled_from(VARIANTS))
+    tau, p, f, h = (draw(st.integers(1, hi)) for hi in (6, 4, 4, 4))
+    out_modes = tuple(draw(st.integers(1, 4)) for _ in range(3))
+    cfg = ModelConfig(
+        variant=variant, tau=tau, d_phys=p, d_feat=f, hidden=h, out_dim=prod(out_modes),
+        c=draw(st.floats(0.05, 0.95)), activation=draw(st.sampled_from(sorted(ad._ACTIVATIONS))),
+        head=HeadConfig(ranks=(draw(st.integers(1, 3)), draw(st.integers(1, 3))),
+                        out_modes=out_modes),
+    )
+    batch = draw(st.integers(1, 9))
+    return cfg, batch, draw(st.integers(1, batch)), draw(st.integers(0, 2**32 - 1))
+
+
+def blocked_run(cfg, values, x, target, windows):
+    """``predict``, and ``forward``'s output and gradients, at ``windows`` windows a block."""
+    with pytest.MonkeyPatch.context() as mp:
+        set_block_windows(mp, cfg, windows)
+        pred = predict(cfg, values, x)
+        nodes = {name: ad.constant(v) for name, v in values.items()}
+        out = forward(cfg, nodes, x)
+        ad.backward(ad.mse_loss(out, target))
+    return pred, [out.array, *(node.grad for node in nodes.values())]
+
+
+class TestBlockWalk:
+    """Each body op walks blocks of whole windows: any block size, from one window to
+    the whole batch, gives ``predict`` the bits of ``forward``, and the output and every
+    gradient of a one-block run up to rounding."""
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(case=block_cases())
+    def test_any_block_size_is_one_block(self, case):
+        cfg, batch, windows, seed = case
+        rng = np.random.default_rng(seed)
+        values = {name: rng.standard_normal(shape) * 0.5
+                  for name, shape in param_shapes(cfg).items()}
+        x = rng.standard_normal((batch, cfg.tau, cfg.d_phys, cfg.d_feat))
+        target = rng.standard_normal((batch, cfg.out_dim))
+        pred, blocked = blocked_run(cfg, values, x, target, windows)
+        whole = blocked_run(cfg, values, x, target, batch)[1]
+        assert np.array_equal(pred, blocked[0])
+        for got, want in zip(blocked, whole):
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-12 * max(np.abs(want).max(), 1e-300)
 
 
 def wide_config(variant):

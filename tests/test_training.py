@@ -35,8 +35,8 @@ def scalar_adam_oracle(g, steps, lr=1e-3, b1=0.9, b2=0.999, eps=1e-8):
 
 
 def regression_setup(epochs=5, seed=0):
-    table = synth_linear_dynamics(2, 2, 200, 0.1, seed=seed)
-    ds = window(table, 4, 1, window_splits(len(table.values), 4, 1, (0.7, 0.15, 0.15)))
+    series = synth_linear_dynamics(2, 2, 200, 0.1, seed=seed)
+    ds = window(series, 4, 1, window_splits(len(series), 4, 1, (0.7, 0.15, 0.15)))
     model = ModelConfig(
         variant="srgtn",
         tau=4,
@@ -154,16 +154,9 @@ class TestTrainLoop:
     def test_linear_task_reaches_tiny_mse(self):
         # windows -> targets given by an exactly representable linear map
         rng = np.random.default_rng(5)
-        from rgtn.data import SeriesTable
-
         t, d, f = 120, 2, 2
-        table = SeriesTable(
-            timestamps=np.arange(t, dtype=float),
-            values=rng.standard_normal((t, d, f)),
-            phys_labels=("p0", "p1"),
-            feat_labels=("f0", "f1"),
-        )
-        ds = window(table, 3, 1, window_splits(t, 3, 1, (0.7, 0.15, 0.15)))
+        series = rng.standard_normal((t, d, f))
+        ds = window(series, 3, 1, window_splits(t, 3, 1, (0.7, 0.15, 0.15)))
         w = rng.standard_normal((4, 3 * d * f)) * 0.5
         flat = ds.inputs.reshape(ds.inputs.shape[0], -1)
         from dataclasses import replace

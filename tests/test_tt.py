@@ -9,8 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import tt_dense, tt_svd_reference
+from rgtn.checkpoint import save_tensor
+from rgtn.cli import main
 from rgtn.models import HeadConfig, ModelConfig, forward, param_shapes
-from rgtn.tensor import ShapeError, from_array
+from rgtn.tensor import from_array
 from rgtn.tt import TTNetwork, dense_param_count, tt_param_count, tt_reconstruct, tt_svd
 
 
@@ -67,15 +69,35 @@ def head_matrix_via_reconstruct(values):
     return split.reshape(int(np.prod(ins)), int(np.prod(outs)), order="F")
 
 
+def assert_chain(tt, shape):
+    """Order-3 cores over ``shape``, boundary ranks 1 and adjacent ranks equal."""
+    assert all(core.order == 3 for core in tt.cores)
+    assert tt.mode_sizes == tuple(shape)
+    assert tt.cores[0].shape[0] == 1 and tt.cores[-1].shape[2] == 1
+    for left, right in zip(tt.cores, tt.cores[1:]):
+        assert left.shape[2] == right.shape[0]
+
+
+# tt_svd builds every chain, and TTNetwork checks none: orders 1 to 4, unit
+# modes, and caps absent, above, at and below the numerical ranks
+CHAIN_CASES = [((1,), None), ((5,), 2), ((2, 3), 1), ((3, 1, 4), None), ((2, 3, 2, 3), 2),
+               ((4, 4, 4), [3, 1]), ((1, 1, 1), 5)]
+
+
 class TestNetworkValidation:
     def test_boundary_rank_enforced(self):
-        with pytest.raises(ShapeError):
-            TTNetwork((from_array(np.ones((2, 3, 1))),))
+        rng = np.random.default_rng(5)
+        for shape, caps in CHAIN_CASES:
+            tt = tt_svd(from_array(rng.standard_normal(shape)), max_ranks=caps)
+            assert tt.ranks[0] == tt.ranks[-1] == 1
+            assert tt.cores[0].shape[0] == tt.cores[-1].shape[2] == 1
 
     def test_adjacent_rank_mismatch(self):
-        cores = (from_array(np.ones((1, 3, 2))), from_array(np.ones((3, 4, 1))))
-        with pytest.raises(ShapeError):
-            TTNetwork(cores)
+        rng = np.random.default_rng(6)
+        for shape, caps in CHAIN_CASES:
+            tt = tt_svd(from_array(rng.standard_normal(shape)), max_ranks=caps)
+            assert_chain(tt, shape)
+            assert tt.ranks == (1,) + tuple(core.shape[2] for core in tt.cores)
 
     def test_ranks_property(self):
         cores = (from_array(np.ones((1, 3, 2))), from_array(np.ones((2, 4, 1))))
@@ -114,9 +136,15 @@ class TestSVD:
             tt_svd(x)
 
     @pytest.mark.parametrize("shape", [(0, 3), (2, 0, 2), (0,)])
-    def test_empty_mode_rejected_naming_the_shape(self, shape):
-        with pytest.raises(ShapeError, match=re.escape(str(shape))):
-            tt_svd(from_array(np.zeros(shape)))
+    def test_empty_mode_rejected_naming_the_shape(self, shape, tmp_path, capsys):
+        # rgtn decompose refuses the file before tt_svd sees it, whatever the caps
+        tensor_path = str(tmp_path / "x.rgtn")
+        save_tensor(tensor_path, np.zeros(shape))
+        for flags in (["--tol", "0.1"], ["--max-ranks", "1"], ["--max-ranks", "1,1,1,1"]):
+            out = tmp_path / "dec"
+            assert main(["decompose", "--tensor", tensor_path, *flags, "--out", str(out)]) == 1
+            assert re.search(f"shape {re.escape(str(shape))} has no mode", capsys.readouterr().err)
+            assert not out.exists()
 
     def test_order1(self):
         x = from_array(np.array([1.0, 2.0, 3.0, 4.0]))
@@ -199,6 +227,16 @@ class TestSVDAgainstReference:
         assert abs(err - np.linalg.norm(tt_dense(ref) - x.array)) <= 1e-12 * norm
         if caps is None:
             assert err <= ((tol or 0.0) + 1e-14) * norm
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(case=svd_cases())
+    def test_every_chain_is_well_formed(self, case):
+        values, tol, caps = case
+        tt = tt_svd(from_array(values), max_ranks=caps, rel_tolerance=tol)
+        assert_chain(tt, values.shape)
+        if caps is not None:
+            interior = [caps] * (values.ndim - 1) if isinstance(caps, int) else caps
+            assert all(r <= cap for r, cap in zip(tt.ranks[1:-1], interior))
 
     def test_singular_values_down_to_1e_14(self):
         # the first unfolding's singular values fall from 1 to 1e-14; squared
