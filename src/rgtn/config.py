@@ -9,12 +9,14 @@ optional ``bench.variants`` are read here.  Each value is checked once: its
 type on reading (a float must also be finite), its range in
 ``__post_init__``.  Errors name the dotted field, and a key that no field
 reads is an error naming its dotted path.
-The dataset decides the task, so the checks between sections live in
-``build_dataset``: window shape, series length, ``training.loss`` and
-``model.out_dim``.  A deleted setting keeps the one value ``FIXED`` gives
-it: a config or checkpoint snapshot may still set it to that value, and
-any other value is an error naming the key.  ``model.task``, which the
-data now decides, may still be set to any JSON value and is not read.
+``data.kind`` decides the task, so the checks between sections live in
+``build_dataset``.  It makes those the config alone decides,
+``training.loss`` and ``model.out_dim``, before it draws any data; a CSV
+series' shape and each split's size are checked where they are made.
+A deleted setting keeps the one value ``FIXED`` gives it: a config or
+checkpoint snapshot may still set it to that value, and any other value
+is an error naming the key.  ``model.task``, which ``data.kind`` now
+decides, may still be set to any JSON value and is not read.
 Every value in the document must be one JSON can hold, since a checkpoint
 stores the config as JSON: a YAML date, timestamp, set or binary is an
 error naming its dotted key, wherever it sits.
@@ -34,7 +36,6 @@ import yaml
 from .data import (
     WindowedDataset,
     load_csv,
-    normalize,
     synth_classification,
     synth_linear_dynamics,
     window,
@@ -89,7 +90,7 @@ class DataConfig:
     def __post_init__(self) -> None:
         if self.kind not in ("csv", "synthetic_regression", "synthetic_classification"):
             raise ConfigError(f"data.kind: unknown kind {self.kind!r}")
-        if self.kind == "csv" and (self.path is None or not os.path.exists(self.path)):
+        if self.kind == "csv" and (self.path is None or not os.path.isfile(self.path)):
             raise ConfigError(f"data.path: csv data needs an existing file, got {self.path!r}")
         if self.kind == "csv" and self.schema is None:
             raise ConfigError("data.schema: required mapping missing")
@@ -278,6 +279,8 @@ def run_config_from_dict(raw, seed_override: int | None = None) -> RunConfig:
         raise ConfigError("output: must be a mapping")
     _known(output, {"dir"}, "output")
     output_dir = _check(output.get("dir", "runs/latest"), str, "output.dir")
+    if not output_dir:
+        raise ConfigError("output.dir: must name a directory, got ''")
     bench_variants = None
     if "bench" in raw:
         bench = raw["bench"] if isinstance(raw["bench"], dict) else {}
@@ -312,67 +315,46 @@ def model_for_variant(run: RunConfig, variant: str) -> ModelConfig:
 
 
 def build_dataset(run: RunConfig) -> WindowedDataset:
-    """The dataset a config describes, z-scored; deterministic in its seeds.
+    """The dataset a config describes, split and z-scored; deterministic in its seeds.
 
-    Every check runs before the statistics are taken, so a refused config
-    costs no windows and warns of no zero-spread cell.  ``window`` z-scores a
-    regression series before it windows it, on the split computed here for
-    the checks, and its windows are a read-only view of that one series;
-    ``normalize`` z-scores the windows of ``synth_classification`` where
-    they lie.  Both give each element the one ``(v - mean) / scale``, so the
-    bits are those of z-scoring a copy of the windows.
+    What the config alone decides is checked first, before any series, file
+    or window exists: the loss against the task ``data.kind`` implies, and
+    ``model.out_dim`` against the targets.  A synthetic series or window has
+    the model's shape by construction, so only a CSV series' shape is
+    checked, once it is read.  Each data source refuses an empty split where
+    it makes the split, before it takes statistics or draws a window:
+    ``window_splits`` for a series' windows, ``synth_classification`` for
+    its labels.  ``window`` z-scores a regression series before it windows
+    it, and its windows are a read-only view of that one series.
     """
-    data = run.data
-    model = run.model
-    if data.kind == "synthetic_classification":
-        ds = synth_classification(
-            tau=model.tau,
-            d_phys=model.d_phys,
-            d_feat=model.d_feat,
-            n_samples=data.n_samples,
-            noise=data.noise,
-            seed=data.seed,
-            split=data.split,
-        )
-        task, shape, splits = ds.task, ds.window_shape, ds.splits
-    else:
-        if data.kind == "synthetic_regression":
-            series = synth_linear_dynamics(
-                d_phys=model.d_phys,
-                d_feat=model.d_feat,
-                n_steps=data.n_steps,
-                noise=data.noise,
-                seed=data.seed,
-                spectral_radius=data.spectral_radius,
-            )
-        else:
-            series = load_csv(data.path, data.schema)
-        try:
-            splits = window_splits(len(series), model.tau, data.horizon, data.split)
-        except ValueError as exc:
-            raise ConfigError(f"model.tau, data.horizon: {exc}") from None
-        task, shape = "regression", (model.tau, *series.shape[1:])
-    if shape != (model.tau, model.d_phys, model.d_feat):
-        raise ConfigError(
-            f"data: windows have shape {shape} but the model expects "
-            f"(tau, d_phys, d_feat) = {(model.tau, model.d_phys, model.d_feat)}"
-        )
-    if LOSS_TASKS[run.training.loss] != task:
-        raise ConfigError(f"training.loss: {run.training.loss} does not suit {task} data")
-    if task == "regression" and shape[1] * shape[2] != model.out_dim:
-        raise ConfigError(
-            f"model.out_dim: targets have dimension {shape[1] * shape[2]}, "
-            f"model emits {model.out_dim}"
-        )
-    if task == "classification" and ds.targets.max() >= model.out_dim:
-        raise ConfigError(
-            f"model.out_dim: labels need {ds.targets.max() + 1} classes, model emits {model.out_dim}"
-        )
-    for split_name in ("train", "val", "test"):
-        if len(getattr(splits, split_name)) == 0:
-            raise ConfigError(
-                f"data.split: the {split_name} split is empty; the series is too short"
-            )
+    data, model, loss = run.data, run.model, run.training.loss
+    task = "classification" if data.kind == "synthetic_classification" else "regression"
+    if LOSS_TASKS[loss] != task:
+        raise ConfigError(f"training.loss: {loss} does not suit {task} data")
     if task == "classification":
-        return normalize(ds)
+        # the generator draws labels 0 and 1
+        if model.out_dim < 2:
+            raise ConfigError(f"model.out_dim: labels need 2 classes, model emits {model.out_dim}")
+        try:
+            return synth_classification(model.tau, model.d_phys, model.d_feat, data.n_samples,
+                                        data.noise, data.seed, data.split)
+        except ValueError as exc:
+            raise ConfigError(f"data.split: {exc}") from None
+    if model.d_phys * model.d_feat != model.out_dim:
+        raise ConfigError(f"model.out_dim: targets have dimension {model.d_phys * model.d_feat}, "
+                          f"model emits {model.out_dim}")
+    if data.kind == "synthetic_regression":
+        series = synth_linear_dynamics(model.d_phys, model.d_feat, data.n_steps, data.noise,
+                                       data.seed, data.spectral_radius)
+    else:
+        series = load_csv(data.path, data.schema)
+        if series.shape[1:] != (model.d_phys, model.d_feat):
+            raise ConfigError(
+                f"data: windows have shape {(model.tau, *series.shape[1:])} but the model "
+                f"expects (tau, d_phys, d_feat) = {(model.tau, model.d_phys, model.d_feat)}"
+            )
+    try:
+        splits = window_splits(len(series), model.tau, data.horizon, data.split)
+    except ValueError as exc:
+        raise ConfigError(f"data.split: {exc}") from None
     return window(series, model.tau, data.horizon, splits)

@@ -8,12 +8,15 @@ time step.  Regression target vectors flatten the (physical, feature)
 block with the physical index fastest, matching the package-wide
 convention.
 
-Inputs and regression targets are z-scored with statistics of the train
-windows.  ``window`` z-scores a regression series before windowing it, and
-``normalize`` z-scores a generator's windows where they lie.  Every window
-element and target is one series element, so z-scoring the series applies
-to each the same ``(v - mean) / scale`` as z-scoring a copy of the windows
-would: the bits are those of windowing first.
+Every dataset comes out split and z-scored with statistics of its train
+windows.  ``window`` z-scores a regression series before windowing it, on
+the split ``window_splits`` makes; ``synth_classification`` z-scores its
+windows where they lie, on the stratified split it makes from its labels.
+``window_splits`` and ``synth_classification`` refuse an empty split before
+any statistics are taken or any window is drawn.  Every window element and
+target is one series element, so z-scoring the series applies to each the
+same ``(v - mean) / scale`` as z-scoring a copy of the windows would: the
+bits are those of windowing first.
 
 A regression dataset holds its z-scored series once: its inputs are a
 read-only strided view of it, and a time-ordered split is a slice of that
@@ -25,7 +28,7 @@ from __future__ import annotations
 
 import csv
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -39,7 +42,6 @@ __all__ = [
     "load_csv",
     "window_splits",
     "window",
-    "normalize",
     "inverse_transform_predictions",
     "synth_linear_dynamics",
     "synth_classification",
@@ -83,15 +85,11 @@ class WindowedDataset:
     targets: np.ndarray           # (S, P) reals or (S,) integer labels
     task: str                     # "regression" | "classification"
     splits: SplitIndices
-    norm: NormStats | None = None
+    norm: NormStats
 
     @property
     def n_samples(self) -> int:
         return self.inputs.shape[0]
-
-    @property
-    def window_shape(self) -> tuple[int, int, int]:
-        return self.inputs.shape[1:]
 
     def subset(self, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The inputs and targets at ``indices``, as ``inputs[indices]`` gives them.
@@ -250,19 +248,27 @@ def _windows(values: np.ndarray, tau: int, n: int) -> np.ndarray:
     return sliding_window_view(values, tau, axis=0)[:n].transpose(0, 3, 1, 2)
 
 
+def _refuse_empty(splits: SplitIndices, why: str) -> None:
+    """Raise ValueError naming the first empty split, and ``why`` it is."""
+    for name in ("train", "val", "test"):
+        if len(getattr(splits, name)) == 0:
+            raise ValueError(f"the {name} split is empty; {why}")
+
+
 def window_splits(
     n_steps: int, tau: int, horizon: int, split: tuple[float, float, float]
 ) -> SplitIndices:
     """The time-ordered split of the windows of a series of ``n_steps`` steps.
 
-    A series too short for three windows raises ValueError; ``horizon`` is
-    at least 1, as ``config.DataConfig`` checks.
+    An empty split raises ValueError, as a series too short for three
+    windows always gives; ``horizon`` is at least 1, as
+    ``config.DataConfig`` checks.
     """
-    n = n_steps - tau - horizon + 1
-    if n < 3:
-        raise ValueError(f"series of length {n_steps} is too short for tau={tau}, "
-                         f"horizon={horizon}")
-    return _chronological_split(n, split)
+    n = max(n_steps - tau - horizon + 1, 0)
+    splits = _chronological_split(n, split)
+    _refuse_empty(splits, f"a series of {n_steps} steps has {n} windows for "
+                          f"model.tau {tau} and data.horizon {horizon}")
+    return splits
 
 
 def window(series: np.ndarray, tau: int, horizon: int, splits: SplitIndices) -> WindowedDataset:
@@ -306,24 +312,6 @@ def _train_stats(train_inputs: np.ndarray) -> NormStats:
         )
         scale = np.where(flat_zero, 1.0, scale)
     return NormStats(mean=mean, scale=scale)
-
-
-def normalize(ds: WindowedDataset) -> WindowedDataset:
-    """Z-score the inputs where they lie, with the statistics of the train windows.
-
-    ``ds.inputs`` is overwritten with the bits a z-scored copy would hold:
-    each element goes through the one ``(v - mean) / scale``.  Only the
-    inputs change, as a generator's classification windows need.  A dataset
-    that already has statistics, as every one ``window`` makes does, is
-    refused.
-    """
-    if ds.norm is not None:
-        raise ValueError("dataset is already normalized")
-    inputs = ds.inputs
-    norm = _train_stats(inputs[ds.splits.train])
-    inputs -= norm.mean
-    inputs /= norm.scale
-    return replace(ds, norm=norm)
 
 
 def inverse_transform_predictions(ds: WindowedDataset, preds: np.ndarray) -> np.ndarray:
@@ -374,11 +362,16 @@ def synth_classification(
     seed: int,
     split: tuple[float, float, float] = (0.7, 0.15, 0.15),
 ) -> WindowedDataset:
-    """Two-class windows driven by two distinct linear dynamics.
+    """Two-class windows driven by two distinct linear dynamics, z-scored.
 
     Both classes share the start state; their propagation matrices rotate
     and damp it differently, so the noiseless trajectories are distinct
-    and the classes are exactly separable at zero noise.
+    and the classes are exactly separable at zero noise.  The stratified
+    split comes from the labels, with a generator of its own, before any
+    window is drawn, and an empty split raises ValueError then.  The
+    windows are z-scored where they lie with the statistics of the train
+    windows' gathered copy: each element gets the one ``(v - mean) / scale``
+    a z-scored copy would hold.
     """
     rng = np.random.default_rng(seed)
     dim = d_phys * d_feat
@@ -400,11 +393,15 @@ def synth_classification(
             rows[t] = state
         trajectories.append(rows)
     labels = rng.integers(0, 2, size=n_samples)
+    splits = _stratified_split(labels, split, seed)
+    _refuse_empty(splits, f"{n_samples} samples, {np.count_nonzero(labels)} of class 1, "
+                          f"split by class")
     windows = np.empty((n_samples, tau, d_phys, d_feat))
     for i, cls in enumerate(labels):
         block = trajectories[cls] + noise * rng.standard_normal((tau, dim))
         windows[i] = block.reshape(tau, d_feat, d_phys).transpose(0, 2, 1)
-    splits = _stratified_split(labels, split, seed)
-    return WindowedDataset(
-        inputs=windows, targets=labels.astype(int), task="classification", splits=splits
-    )
+    norm = _train_stats(windows[splits.train])
+    windows -= norm.mean
+    windows /= norm.scale
+    return WindowedDataset(inputs=windows, targets=labels.astype(int), task="classification",
+                           splits=splits, norm=norm)

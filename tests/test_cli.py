@@ -203,6 +203,8 @@ class TestTrainCommand:
             ("data.split", [-0.1, 0.6, 0.5]),
             ("data.split", [0.7, 0.3, 0.3]),
             ("output.dir", 3),
+            # refused with the config, before any data is drawn
+            ("output.dir", ""),
             # range errors of the model and training dataclasses
             ("training.seed", -1),
             ("model.tau", 0),
@@ -304,7 +306,21 @@ class TestTrainCommand:
         monkeypatch.chdir(tmp_path / "eval")
         assert main(["eval", "--checkpoint", str(tmp_path / "run" / "checkpoint.rgtn")]) == 0
 
-    @pytest.mark.parametrize("path", [["a.csv"], 3, None])
+    @pytest.mark.parametrize("field,value", [("d_phys", 3), ("d_feat", 2)])
+    def test_csv_of_another_shape_exits_2(self, tmp_path, capsys, field, value):
+        # the series' shape is the one the config does not decide: checked once it is read
+        cfg = yaml.safe_load((ROOT / "configs" / "example_csv.yaml").read_text())
+        cfg["data"]["path"] = str(ROOT / "data" / "example_series.csv")
+        cfg["model"][field] = value
+        cfg["model"]["out_dim"] = cfg["model"]["d_phys"] * cfg["model"]["d_feat"]
+        cfg["model"]["head"]["out_modes"] = [1, cfg["model"]["d_phys"], cfg["model"]["d_feat"]]
+        assert main(["train", "--config", write_config(tmp_path, cfg), "--out",
+                     str(tmp_path / "x")]) == 2
+        assert "data: windows have shape (1, 2, 3)" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    # and strings that name no file: one missing, and the config's own directory
+    @pytest.mark.parametrize("path", [["a.csv"], 3, None, "missing.csv", "."])
     def test_csv_path_that_is_not_a_string_exits_2(self, tmp_path, capsys, path):
         cfg = yaml.safe_load((ROOT / "configs" / "example_csv.yaml").read_text())
         cfg["data"]["path"] = path

@@ -5,7 +5,9 @@ the benchmark's workloads, with no tier-1 test noticing.
 """
 
 import importlib.util
+import re
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -14,10 +16,12 @@ import pytest
 import yaml
 
 from oracles import is_series_view, windows_first, zscore_windows
+from rgtn import config as config_module
+from rgtn import data as data_module
 from rgtn.cli import main
 from rgtn.config import (ConfigError, DataConfig, build_dataset, load_run_config,
                          run_config_from_dict)
-from rgtn.data import (_chronological_split, _stratified_split, load_csv, synth_classification,
+from rgtn.data import (NormStats, _chronological_split, _stratified_split, load_csv,
                        synth_linear_dynamics)
 
 ROOT = Path(__file__).parents[1]
@@ -47,7 +51,7 @@ def documents():
 def test_parses_and_builds(name, raw):
     run = run_config_from_dict(raw)
     ds = build_dataset(run)
-    assert ds.window_shape == (run.model.tau, run.model.d_phys, run.model.d_feat)
+    assert ds.inputs.shape[1:] == (run.model.tau, run.model.d_phys, run.model.d_feat)
 
 
 @pytest.mark.parametrize("name,raw", list(documents()))
@@ -181,13 +185,14 @@ def test_regression_build_keeps_the_bits_of_windowing_first(name, raw):
 
 
 @pytest.mark.parametrize("name,raw", CLASSIFICATION, ids=[name for name, _ in CLASSIFICATION])
-def test_classification_build_is_normalize_on_a_copy(name, raw):
+def test_classification_build_is_normalize_on_a_copy(name, raw, monkeypatch):
     # z-scoring the generator's windows where they lie gives a z-scored copy's bits
     run = run_config_from_dict(raw)
     ds = build_dataset(run)
-    model, data = run.model, run.data
-    windows = synth_classification(model.tau, model.d_phys, model.d_feat, data.n_samples,
-                                   data.noise, data.seed, data.split)
+    # the raw windows: statistics of zero mean and unit scale leave every bit, (v - 0) / 1 == v
+    monkeypatch.setattr(data_module, "_train_stats", lambda inputs: NormStats(
+        np.zeros(inputs.shape[2:]), np.ones(inputs.shape[2:])))
+    windows = build_dataset(run)
     inputs, mean, scale = zscore_windows(windows.inputs, windows.splits.train)
     for got, ref in ((ds.inputs, inputs), (ds.targets, windows.targets),
                      (ds.norm.mean, mean), (ds.norm.scale, scale)):
@@ -218,6 +223,78 @@ def test_refused_config_takes_no_statistics(tmp_path):
         with pytest.raises(ConfigError, match=r"^training\.loss"):
             build_dataset(run_config_from_dict(raw))
     assert caught == []
+
+
+def spy_on_sources(monkeypatch):
+    """Record each data source ``build_dataset`` calls, and let the call through."""
+    calls = []
+    for name in ("synth_classification", "synth_linear_dynamics", "load_csv"):
+        def spy(*args, source=getattr(config_module, name), name=name, **kwargs):
+            calls.append(name)
+            return source(*args, **kwargs)
+        monkeypatch.setattr(config_module, name, spy)
+    return calls
+
+
+def config_only_refusals():
+    """(id, document, field) for each refusal the config alone decides, on every data kind."""
+    workloads = benchmark_workloads()
+    docs = {
+        "regression": load_run_config(str(ROOT / "configs" / "synth_regression.yaml")).raw,
+        # wide-train's windows take 67 MB to draw
+        "classification": workloads.run_config(workloads.WORKLOADS["wide-train"], 1),
+        "csv": load_run_config(str(ROOT / "configs" / "example_csv.yaml")).raw,
+    }
+    # a width the data does not fit, with the head modes that multiply to it
+    out_modes = {1: [1, 1, 1], 4: [1, 2, 2], 6: [1, 2, 3]}
+    changes = {
+        "regression": [("training.loss", "cross_entropy"), ("model.out_dim", 6)],
+        "classification": [("training.loss", "mae"), ("training.loss", "mse"),
+                           ("model.out_dim", 1)],
+        "csv": [("training.loss", "cross_entropy"), ("model.out_dim", 4)],
+    }
+    for kind, doc in docs.items():
+        for field, value in changes[kind]:
+            if field == "training.loss":
+                bad = {**doc, "training": {**doc["training"], "loss": value}}
+            else:
+                head = {**doc["model"]["head"], "out_modes": out_modes[value]}
+                bad = {**doc, "model": {**doc["model"], "out_dim": value, "head": head}}
+            yield f"{kind}-{field}-{value}", bad, field
+
+
+REFUSALS = list(config_only_refusals())
+
+
+@pytest.mark.parametrize("doc,field", [r[1:] for r in REFUSALS], ids=[r[0] for r in REFUSALS])
+def test_config_only_refusal_draws_no_data(monkeypatch, doc, field):
+    # the loss and the output width are the config's alone: no source is called
+    calls = spy_on_sources(monkeypatch)
+    with pytest.raises(ConfigError, match=rf"^{re.escape(field)}: "):
+        build_dataset(run_config_from_dict(doc))
+    assert calls == []
+
+
+def test_empty_split_is_refused_before_any_window_is_drawn(monkeypatch):
+    # wide-train with no validation split: its labels' split is refused before the
+    # generator's window loop allocates the 67 MB of windows or draws any of them
+    workloads = benchmark_workloads()
+    doc = workloads.run_config(workloads.WORKLOADS["wide-train"], 1)
+    doc = {**doc, "data": {**doc["data"], "split": [0.5, 0.0, 0.5]}}
+    run = run_config_from_dict(doc)
+    # a first call imports what NumPy loads lazily, so the traced one counts only its own
+    with pytest.raises(ConfigError):
+        build_dataset(run)
+    calls = spy_on_sources(monkeypatch)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match=r"^data\.split: the val split is empty"):
+            build_dataset(run)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert calls == ["synth_classification"]
+    assert peak < 2**20, peak
 
 
 SHIPPED = sorted((ROOT / "configs").glob("*.yaml"))

@@ -13,16 +13,17 @@ from hypothesis import strategies as st
 
 from oracles import (is_series_view, linear_dynamics_matrix, linear_dynamics_states,
                      windows_first, zscore_windows)
+from rgtn import data as data_module
 from rgtn.config import ConfigError, run_config_from_dict
 from rgtn.data import (
     CsvFormatError,
+    NormStats,
     _chronological_split,
     _split_sizes,
     _stratified_split,
     CsvSchemaError,
     inverse_transform_predictions,
     load_csv,
-    normalize,
     synth_classification,
     synth_linear_dynamics,
     window,
@@ -30,6 +31,9 @@ from rgtn.data import (
 )
 
 WIDE_SCHEMA = {"time": "t", "features": ["a", "b"], "missing": "drop"}
+
+# the shortest series make 3 windows, one for each split of this, and 5, two for train
+SHORT_SPLIT = (0.4, 0.35, 0.25)
 
 
 def write(tmp_path, text, name="series.csv"):
@@ -41,6 +45,14 @@ def write(tmp_path, text, name="series.csv"):
 def windowed(series, tau, horizon=1, split=(0.7, 0.15, 0.15)):
     """``window`` of the series on ``window_splits``'s split, as ``build_dataset`` calls it."""
     return window(series, tau, horizon, window_splits(len(series), tau, horizon, split))
+
+
+def raw_classification(*args, **kwargs):
+    """``synth_classification``'s windows before z-scoring: ``(v - 0) / 1`` is exactly ``v``."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(data_module, "_train_stats",
+                   lambda inputs: NormStats(np.zeros(inputs.shape[2:]), np.ones(inputs.shape[2:])))
+        return synth_classification(*args, **kwargs)
 
 
 def zscored(series, ds):
@@ -257,17 +269,21 @@ class TestWindowing:
 
     def test_air_quality_window_shape(self):
         ds = windowed(toy_series(t=40, d=12, f=27), tau=6)
-        assert ds.window_shape == (6, 12, 27)
+        assert ds.inputs.shape[1:] == (6, 12, 27)
 
     def test_activity_window_shape(self):
         ds = windowed(toy_series(t=60, d=3, f=3), tau=24)
-        assert ds.window_shape == (24, 3, 3)
+        assert ds.inputs.shape[1:] == (24, 3, 3)
 
     def test_too_short(self):
-        with pytest.raises(ValueError):
-            windowed(toy_series(t=7), tau=6, horizon=1)
+        # a series with no window, or with too few for every split to get one, is refused
+        for t, tau, horizon, split in ((7, 6, 1, SHORT_SPLIT), (8, 4, 2, (0.7, 0.15, 0.15)),
+                                       (5, 6, 1, SHORT_SPLIT), (8, 4, 2, (0.0, 0.5, 0.5))):
+            with pytest.raises(ValueError, match=r"^the (train|val|test) split is empty; a "
+                                                 rf"series of {t} steps has \d+ windows"):
+                windowed(toy_series(t=t), tau=tau, horizon=horizon, split=split)
 
-    # t = 8 is the shortest series tau 4 and horizon 2 allow: 3 windows
+    # t = 8 is the shortest series tau 4 and horizon 2 allow: 3 windows, one a split
     @pytest.mark.parametrize("t,d,tau,horizon", [(30, 2, 5, 2), (30, 2, 5, 3), (8, 2, 4, 2),
                                                  (30, 1, 5, 1), (8, 4, 1, 3)])
     @pytest.mark.parametrize("order", ["C", "F"])
@@ -275,7 +291,7 @@ class TestWindowing:
         # each window and target is its per-row definition of the z-scored series,
         # bit for bit, whatever the layout of the series
         series = np.asarray(toy_series(t=t, d=d), order=order)
-        ds = windowed(series, tau=tau, horizon=horizon)
+        ds = windowed(series, tau=tau, horizon=horizon, split=SHORT_SPLIT)
         values = zscored(series, ds)
         assert ds.n_samples == t - tau - horizon + 1
         assert is_series_view(ds.inputs, series)
@@ -313,7 +329,7 @@ class TestWindowing:
 # whose windows are a C-order array of their own
 SUBSET_DATASETS = {
     "regression": windowed(toy_series(t=40), tau=5, horizon=2),
-    "classification": normalize(synth_classification(4, 2, 3, 30, 0.5, seed=2)),
+    "classification": synth_classification(4, 2, 3, 30, 0.5, seed=2),
 }
 INDEX_KINDS = ("run", "single", "permuted run", "repeat", "gaps", "swapped interior",
                "negative", "past the end", "wrapped")
@@ -384,7 +400,7 @@ class TestSubset:
     def test_an_empty_subset_is_empty(self):
         for ds in SUBSET_DATASETS.values():
             inputs, targets = ds.subset(np.array([], dtype=int))
-            assert inputs.shape == (0, *ds.window_shape) and len(targets) == 0
+            assert inputs.shape == (0, *ds.inputs.shape[1:]) and len(targets) == 0
 
 
 class TestNormalize:
@@ -421,14 +437,15 @@ class TestNormalize:
         np.testing.assert_array_equal(ds_plain.norm.mean, ds_poisoned.norm.mean)
         np.testing.assert_array_equal(ds_plain.norm.scale, ds_poisoned.norm.scale)
 
-    # t = 8 is the shortest series tau 4 and horizon 2 allow: 3 windows
+    # t = 8 is the shortest series tau 4 and horizon 2 allow: 3 windows, one a split
     @pytest.mark.parametrize("t,tau,horizon", [(40, 5, 1), (40, 3, 4), (40, 1, 1), (8, 4, 2)])
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_window_normalized_keeps_the_bits_of_windowing_first(self, t, tau, horizon, order):
         # window z-scores the series before windowing it: the bits of z-scoring the windows
         series = np.asarray(toy_series(t=t), order=order)
-        ds = windowed(series, tau=tau, horizon=horizon)
-        want = windows_first(series, tau, horizon, 0.7)
+        split = SHORT_SPLIT if t == 8 else (0.7, 0.15, 0.15)
+        ds = windowed(series, tau=tau, horizon=horizon, split=split)
+        want = windows_first(series, tau, horizon, split[0])
         for got, oracle in zip((ds.inputs, ds.targets, ds.norm.mean, ds.norm.scale), want):
             assert got.dtype == oracle.dtype
             assert np.array_equal(got, oracle)
@@ -437,19 +454,37 @@ class TestNormalize:
         np.testing.assert_array_equal(ds.splits.test, np.arange(n - len(ds.splits.test), n))
 
     def test_normalize_is_its_reference_on_classification_windows(self):
-        windows = synth_classification(8, 3, 2, 200, 0.5, seed=3)
-        inputs, mean, scale = zscore_windows(windows.inputs, windows.splits.train)
-        ds = normalize(windows)
-        # in place: the generator's windows are overwritten, not copied
-        assert ds.inputs is windows.inputs
-        for got, ref in ((ds.inputs, inputs), (ds.norm.mean, mean), (ds.norm.scale, scale)):
+        # the generator z-scores its windows with the bits of a z-scored copy
+        ds = synth_classification(8, 3, 2, 200, 0.5, seed=3)
+        raw = raw_classification(8, 3, 2, 200, 0.5, seed=3)
+        inputs, mean, scale = zscore_windows(raw.inputs, raw.splits.train)
+        for got, ref in ((ds.inputs, inputs), (ds.norm.mean, mean), (ds.norm.scale, scale),
+                         (ds.targets, raw.targets)):
             assert got.dtype == ref.dtype and np.array_equal(got, ref)
+        for name in ("train", "val", "test"):
+            np.testing.assert_array_equal(getattr(ds.splits, name), getattr(raw.splits, name))
+        # where they lie: the windows are the array the generator filled, not a copy of it
+        assert ds.inputs.base is None and ds.inputs.flags.c_contiguous
 
-    def test_double_normalize_rejected(self):
-        # every regression dataset comes from window already z-scored
-        ds = windowed(toy_series(t=80), tau=5)
-        with pytest.raises(ValueError, match="already normalized"):
-            normalize(ds)
+    def test_double_normalize_rejected(self, monkeypatch):
+        # each data source z-scores once: it takes the statistics of its raw train windows once
+        series = toy_series(t=80)
+        n_train = int((80 - 5) * 0.7)
+        raw = raw_classification(8, 3, 2, 60, 0.5, seed=3)
+        sources = (
+            (lambda: windowed(series, tau=5),
+             np.stack([series[i : i + 5] for i in range(n_train)])),
+            (lambda: synth_classification(8, 3, 2, 60, 0.5, seed=3),
+             raw.inputs[raw.splits.train]),
+        )
+        stats = data_module._train_stats
+        for build, raw_train in sources:
+            calls = []
+            monkeypatch.setattr(data_module, "_train_stats",
+                                lambda inputs: calls.append(inputs.copy()) or stats(inputs))
+            build()
+            assert len(calls) == 1
+            np.testing.assert_array_equal(calls[0], raw_train)
 
 
 class TestGenerators:

@@ -8,6 +8,7 @@ import pytest
 
 from oracles import adam_per_tensor
 from rgtn import autodiff as ad
+from rgtn.config import ConfigError, build_dataset, run_config_from_dict
 from rgtn.data import synth_classification, synth_linear_dynamics, window, window_splits
 from rgtn.models import HeadConfig, ModelConfig, forward, init_params, predict
 from rgtn.training import (
@@ -300,17 +301,15 @@ class TestEvaluate:
         assert metrics["accuracy"] == 1.0
 
     def test_empty_split_rejected(self):
-        model, ds, _ = regression_setup()
-        from dataclasses import replace
-
-        from rgtn.data import SplitIndices
-
-        broken = replace(
-            ds,
-            splits=SplitIndices(
-                train=ds.splits.train, val=ds.splits.val, test=np.array([], dtype=int)
-            ),
-        )
-        values = init_params(model, 0)
-        with pytest.raises(ValueError):
-            evaluate(model, values, broken, split="test")
+        # the split evaluate reads is never empty: build_dataset refuses an empty one;
+        # halves leave no window to test of 200 windows, or of labels 32 and 48 of each class
+        for data, loss, out_modes in (
+            ({"kind": "synthetic_regression", "n_steps": 204}, "mae", [1, 2, 2]),
+            ({"kind": "synthetic_classification", "n_samples": 80}, "cross_entropy", [1, 1, 2]),
+        ):
+            doc = {"model": {"variant": "srgtn", "tau": 4, "d_phys": 2, "d_feat": 2, "hidden": 3,
+                             "out_dim": prod(out_modes), "head": {"out_modes": out_modes}},
+                   "data": {**data, "split": [0.5, 0.5, 0.0]},
+                   "training": {"epochs": 1, "loss": loss}}
+            with pytest.raises(ConfigError, match=r"^data\.split: the test split is empty"):
+                build_dataset(run_config_from_dict(doc))
