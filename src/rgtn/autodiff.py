@@ -5,11 +5,12 @@ Every model is one body op and its loss: ``graph_tt`` for grgtn and srgtn
 (the time mix, the projection, grgtn's ``W_r``, the activation, the
 tensor-train head and the bias) and ``recurrence`` for the rnn (the
 projection, the whole recurrence, the dense head and the bias), so the
-tape does not grow with tau.  The chain a step records is thus
-``loss -> body op -> parameters``, and ``backward`` walks it with a stack
-from a scalar root: each node runs its pushes on its output gradient, and
-each parameter (a leaf, made by ``constant``) adds what reaches it to its
-``grad``.  No inner node keeps a gradient.
+tape does not grow with tau.  The chain each chunk of a training step
+records is thus ``loss -> body op -> parameters``, and ``backward`` walks
+it with a stack from a scalar root: each node runs its pushes on its output
+gradient, and each parameter (a leaf, made by ``constant``) adds what
+reaches it to its ``grad``, so leaves shared by a step's chunks sum their
+gradients.  No inner node keeps a gradient.
 
 The windows and the time adjacency are data: ``graph_tt`` and
 ``recurrence`` take them as plain arrays, which get no node, no push and
@@ -95,7 +96,9 @@ def backward(root: TapeNode) -> None:
 
     The root is a loss node, whose value is a scalar.  Pushes are linear in
     the gradient, so a node reached twice (a leaf in two slots of an op)
-    gets the sum of its contributions, as from one visit.
+    gets the sum of its contributions, as from one visit.  A leaf keeps its
+    ``grad`` between calls, so a leaf under several roots (one per chunk of
+    a training step) gets the sum of their gradients.
     """
     stack = [(root, np.ones_like(root.array))]
     while stack:
@@ -439,37 +442,50 @@ def recurrence(
 
 # A loss takes a non-empty batch and targets of the prediction's shape (or one
 # label in range per row), as ``config.build_dataset`` and ``training.train``
-# make them; it checks none of these.
+# make them; it checks none of these.  Each is a mean over the rows of a batch:
+# ``rows``, the batch's row count, defaults to the prediction's own, and a
+# larger one makes the loss and its gradient a chunk's share of the batch's,
+# as ``training.train`` sums them chunk by chunk.
 
 
-def mae_loss(pred: TapeNode, target: np.ndarray) -> TapeNode:
-    """Mean absolute error; its gradient is ``sign(pred - target) / n``."""
-    d, inv_n = pred.array - target, 1.0 / pred.array.size
+def mae_loss(pred: TapeNode, target: np.ndarray, *, rows: int | None = None) -> TapeNode:
+    """Mean absolute error over ``rows`` rows; its gradient is ``sign(pred - target) / n``.
+
+    ``n`` is ``rows`` times the row width, the prediction's size by default.
+    """
+    d = pred.array - target
+    inv_n = 1.0 / (d.size if rows is None else d.size // len(d) * rows)
     return TapeNode(np.abs(d).sum() * inv_n, (pred,), (lambda g: np.sign(d) * (g * inv_n),))
 
 
-def mse_loss(pred: TapeNode, target: np.ndarray) -> TapeNode:
-    """Mean squared error; its gradient is ``2 (pred - target) / n``."""
-    d, inv_n = pred.array - target, 1.0 / pred.array.size
+def mse_loss(pred: TapeNode, target: np.ndarray, *, rows: int | None = None) -> TapeNode:
+    """Mean squared error over ``rows`` rows; its gradient is ``2 (pred - target) / n``.
+
+    ``n`` is ``rows`` times the row width, the prediction's size by default.
+    """
+    d = pred.array - target
+    inv_n = 1.0 / (d.size if rows is None else d.size // len(d) * rows)
     return TapeNode((d * d).sum() * inv_n, (pred,), (lambda g: d * (g * inv_n * 2.0),))
 
 
-def cross_entropy_loss(logits: TapeNode, labels: np.ndarray) -> TapeNode:
+def cross_entropy_loss(
+    logits: TapeNode, labels: np.ndarray, *, rows: int | None = None
+) -> TapeNode:
     """Mean negative log-likelihood of integer labels under row softmax.
 
-    Its gradient is ``(softmax(logits) - onehot(labels)) / n``.
+    The mean is over ``rows`` rows, the logits' own by default, and the
+    gradient is ``(softmax(logits) - onehot(labels)) / rows``.
     """
     z = logits.array
-    n = len(z)
     shifted = z - z.max(axis=-1, keepdims=True)
     log_probs = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    rows = np.arange(n)
-    scale = -1.0 / n
+    idx = np.arange(len(z))
+    scale = -1.0 / (len(z) if rows is None else rows)
 
     def push(g: np.ndarray) -> np.ndarray:
         c = g * scale
         grad = np.exp(log_probs) * -c
-        grad[rows, labels] += c
+        grad[idx, labels] += c
         return grad
 
-    return TapeNode(log_probs[rows, labels].sum() * scale, (logits,), (push,))
+    return TapeNode(log_probs[idx, labels].sum() * scale, (logits,), (push,))

@@ -206,9 +206,15 @@ def load_csv(path: str, schema: dict) -> np.ndarray:
 
 
 def _split_sizes(n: int, fractions: tuple[float, float, float]) -> tuple[int, int, int]:
-    """Train, val and test counts of n; the int(n (1 - sum)) left over go unused."""
+    """Train, val and test counts of n; the int(n (1 - sum)) left over go unused.
+
+    The test split takes what truncating the other two leaves, unless its
+    fraction is 0: then it is empty, and the remainder goes unused too.
+    """
     n_train = int(n * fractions[0])
     n_val = int(n * fractions[1])
+    if fractions[2] == 0:
+        return n_train, n_val, 0
     # a split summing to 1 leaves a float residue whose product with n truncates to 0
     n_unused = int(n * (1.0 - sum(fractions)))
     return n_train, n_val, n - n_train - n_val - n_unused

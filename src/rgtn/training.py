@@ -9,12 +9,21 @@ forward uses every parameter it is given, so each step writes every
 gradient and ``adam_step`` is one in-place update of every entry.
 ``ParamStore.values()`` returns views that the next ``adam_step`` updates
 in place: to keep them, copy.
+
+A step runs its batch through the tape in chunks of whole windows, sized by
+``_CHUNK_BYTES`` over one window's feature block.  The parameter leaves are
+made once a step; each chunk runs its forward, its loss (a mean over the
+whole batch's rows) and its backward, whose leaves add the chunk's
+gradients to the sum of the chunks before, and its tape is dropped before
+the next chunk's forward.  So only one chunk's hidden block is alive at a
+time, and the gradient is the batch's, up to the order of the sum.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from math import prod
 from typing import Mapping
 
 import numpy as np
@@ -37,6 +46,16 @@ LOSS_TASKS = {"mae": "regression", "mse": "regression", "cross_entropy": "classi
 
 # Adam's decay rates and denominator guard (Kingma & Ba 2015), fixed for every run
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+# Feature-block bytes of the windows a training step runs through the tape
+# at once (at least one window).  Timed as one epoch of grgtn in process on
+# one OpenBLAS thread (process CPU, alternated rounds), against one chunk a
+# batch of 64: at predict-stream's 64 KiB windows 2 MiB chunks took 2.5%
+# longer and 1 MiB chunks 7% (medians of 101), and in the benchmark's
+# alternated runs 2 MiB chunks left its training flat; at wide-train's 256
+# KiB windows 2 MiB chunks (8 of 8 windows) took 6% less and 1 MiB chunks
+# 2% more (medians of 7).
+_CHUNK_BYTES = 1 << 21
 
 
 class ParamStore:
@@ -104,12 +123,14 @@ def adam_step(store: ParamStore, config: TrainConfig) -> None:
     store.flat -= config.learning_rate * m_hat / (np.sqrt(v_hat) + EPS)
 
 
-def _loss_node(loss: str, preds: ad.TapeNode, targets: np.ndarray) -> ad.TapeNode:
+def _loss_node(
+    loss: str, preds: ad.TapeNode, targets: np.ndarray, rows: int | None = None
+) -> ad.TapeNode:
     if loss == "mae":
-        return ad.mae_loss(preds, targets)
+        return ad.mae_loss(preds, targets, rows=rows)
     if loss == "mse":
-        return ad.mse_loss(preds, targets)
-    return ad.cross_entropy_loss(preds, targets)
+        return ad.mse_loss(preds, targets, rows=rows)
+    return ad.cross_entropy_loss(preds, targets, rows=rows)
 
 
 def _split_loss(
@@ -128,31 +149,43 @@ def train(
     """Fit the model on the train split, tracking train/validation loss.
 
     Both splits are non-empty, as every dataset ``config.build_dataset``
-    makes has them.
+    makes has them.  Each batch runs through the tape in chunks of
+    ``max(1, _CHUNK_BYTES // (8 prod(model.feature_block)))`` whole windows,
+    gathered one chunk at a time.  Every chunk's loss is its rows' share of
+    the batch mean, so the chunks' losses and their gradients, which the
+    step's parameter leaves sum as ``backward`` sums a leaf reached twice,
+    add up to the batch's; the sum is copied into the store and one
+    ``adam_step`` runs.  A batch of one chunk takes the unchunked path's bits.
     """
     seeds = np.random.SeedSequence(config.seed).generate_state(2)
     store = ParamStore(init_params(model, int(seeds[0])))
     shuffle_rng = np.random.default_rng(int(seeds[1]))
     train_idx, val_idx = dataset.splits.train, dataset.splits.val
+    chunk = max(1, _CHUNK_BYTES // (8 * prod(model.feature_block)))
     trace: list[dict] = []
     for epoch in range(1, config.epochs + 1):
         order = train_idx[shuffle_rng.permutation(len(train_idx))]
         loss_sum = 0.0
         for start in range(0, len(order), config.batch_size):
             batch = order[start : start + config.batch_size]
-            x, y = dataset.inputs[batch], dataset.targets[batch]
             nodes = {name: ad.constant(value) for name, value in store.views.items()}
-            loss = _loss_node(config.loss, forward(model, nodes, x), y)
-            value = float(loss.array)
-            if not np.isfinite(value):
-                raise TrainingDiverged(
-                    f"non-finite loss at epoch {epoch}", trace
-                )
-            ad.backward(loss)
+            value = 0.0
+            for lo in range(0, len(batch), chunk):
+                part = batch[lo : lo + chunk]
+                loss = _loss_node(config.loss, forward(model, nodes, dataset.inputs[part]),
+                                  dataset.targets[part], rows=len(batch))
+                value += float(loss.array)
+                if not np.isfinite(value):
+                    raise TrainingDiverged(
+                        f"non-finite loss at epoch {epoch}", trace
+                    )
+                ad.backward(loss)
+                # drop this chunk's tape now, not when the next forward returns
+                del loss
             for name, node in nodes.items():
                 store.grad_views[name][...] = node.grad
-            # drop this step's tape now, not when the next forward returns
-            del loss, nodes
+            # the leaves' gradients go before Adam makes its temporaries
+            del nodes
             adam_step(store, config)
             loss_sum += value * len(batch)
         # a time-ordered validation split is a slice of the windows, and any

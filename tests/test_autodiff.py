@@ -92,9 +92,9 @@ def tape_calls(monkeypatch):
     call and the shape of every ``backward`` root."""
     calls, roots = [], []
     for name in ("mae_loss", "mse_loss", "cross_entropy_loss"):
-        def record(pred, target, loss=getattr(ad, name), name=name):
+        def record(pred, target, *, rows=None, loss=getattr(ad, name), name=name):
             calls.append((name, pred.array, np.asarray(target)))
-            return loss(pred, target)
+            return loss(pred, target, rows=rows)
         monkeypatch.setattr(ad, name, record)
     backward = ad.backward
     monkeypatch.setattr(ad, "backward", lambda root: (roots.append(root.shape), backward(root)))
@@ -758,6 +758,25 @@ class TestLosses:
         ad.backward(ad.cross_entropy_loss(node, labels))
         soft = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
         np.testing.assert_allclose(node.grad, (soft - np.eye(3)[labels]) / 4, atol=1e-15)
+
+    def test_twice_the_rows_halve_the_loss_and_its_gradient(self):
+        # a chunk of half a batch: its loss and gradient are halves of the chunk's own
+        # mean, exactly, since only the power-of-two factor changes
+        rng = np.random.default_rng(24)
+        pred, target = rng.standard_normal((5, 3)), rng.standard_normal((5, 3))
+        labels = np.array([2, 0, 1, 1, 0])
+        for loss, target in ((ad.mae_loss, target), (ad.mse_loss, target),
+                             (ad.cross_entropy_loss, labels)):
+            own, half = ad.constant(pred), ad.constant(pred)
+            own_loss, half_loss = loss(own, target), loss(half, target, rows=2 * len(pred))
+            assert float(half_loss.array) == float(own_loss.array) / 2
+            ad.backward(own_loss)
+            ad.backward(half_loss)
+            assert np.array_equal(half.grad, own.grad / 2)
+            # the default is the prediction's own rows
+            same = ad.constant(pred)
+            ad.backward(loss(same, target, rows=len(pred)))
+            assert np.array_equal(same.grad, own.grad)
 
     def test_loss_is_one_node_over_the_prediction(self):
         pred = ad.constant(np.zeros((3, 2)))

@@ -181,6 +181,15 @@ class TestTrainCommand:
         # the data's checks run before the run directory is made
         assert not (tmp_path / "x").exists()
 
+    def test_zero_test_fraction_exits_2(self, tmp_path, capsys):
+        # 197 windows split 0.7/0.3 leave one over, which is not a test split
+        cfg = yaml.safe_load((ROOT / "configs" / "synth_regression.yaml").read_text())
+        cfg["output"]["dir"] = str(tmp_path / "x")
+        cfg["data"].update(split=[0.7, 0.3, 0.0], n_steps=203)
+        assert main(["train", "--config", write_config(tmp_path, cfg)]) == 2
+        assert "data.split: the test split is empty" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_invalid_field_exits_2_with_field_name(self, tmp_path, capsys):
         # YAML true is a bool, which must not pass for an int or a float
         for field, value in (

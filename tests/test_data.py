@@ -569,6 +569,26 @@ class TestSplitFractions:
         ds = synth_classification(8, 2, 2, 60, 0.05, seed=5, split=(0.5, 0.1, 0.1))
         assert len(ds.splits.train) + len(ds.splits.val) + len(ds.splits.test) < 60
 
+    def test_a_zero_test_fraction_gives_no_test_window(self):
+        # truncating the train and val counts leaves a remainder, which goes
+        # unused rather than to a test split of one arbitrary window
+        assert _split_sizes(197, (0.7, 0.3, 0.0)) == (137, 59, 0)
+        assert _split_sizes(197, (0.5, 0.3, 0.0)) == (98, 59, 0)
+        assert len(_chronological_split(197, (0.7, 0.3, 0.0)).test) == 0
+        labels = np.repeat([0, 1], [99, 98])
+        assert len(_stratified_split(labels, (0.7, 0.3, 0.0), seed=0).test) == 0
+
+    @pytest.mark.parametrize("fractions", [
+        (0.7, 0.15, 0.15), (0.25, 0.0625, 0.6875), (0.15, 0.05, 0.8), (0.5, 0.25, 0.25),
+        (0.7, 0.3, 0.0),
+    ])
+    def test_a_split_summing_to_one_keeps_its_counts(self, fractions):
+        # the test split takes what truncating the other two leaves, if it has a share
+        for n in range(300):
+            n_train, n_val = int(n * fractions[0]), int(n * fractions[1])
+            want = n - n_train - n_val if fractions[2] else 0
+            assert _split_sizes(n, fractions) == (n_train, n_val, want), n
+
 
 # fractions a DataConfig accepts: each >= 0, summing to at most 1
 FRACTIONS = st.tuples(*[st.floats(0.0, 1.0)] * 3).filter(lambda f: sum(f) <= 1.0)

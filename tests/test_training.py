@@ -1,16 +1,19 @@
 """Optimizer oracle, training determinism, convergence, and metrics tests."""
 
+import tracemalloc
 import weakref
 from math import prod
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import adam_per_tensor
 from rgtn import autodiff as ad
 from rgtn.config import ConfigError, build_dataset, run_config_from_dict
 from rgtn.data import synth_classification, synth_linear_dynamics, window, window_splits
-from rgtn.models import HeadConfig, ModelConfig, forward, init_params, predict
+from rgtn.models import VARIANTS, HeadConfig, ModelConfig, forward, init_params, predict
 from rgtn.training import (
     ParamStore,
     TrainConfig,
@@ -197,25 +200,57 @@ class TestTrainLoop:
 
     def test_previous_step_tape_is_freed_before_the_next_forward(self, monkeypatch):
         # the last step's tape holds the hidden block: it must not stay alive
-        # through the next forward, which writes one of its own
+        # through the next forward, which writes one of its own; nor may a chunk's
+        # tape stay alive through the next chunk's forward in the same step
         from rgtn import training
 
-        refs, all_dead = [], []
-
-        def forward_checked(*args):
-            all_dead.append(all(ref() is None for ref in refs))
-            return forward(*args)
-
-        def loss_recorded(*args):
-            node = _loss_node(*args)
-            refs.append(weakref.ref(node))
-            return node
-
-        monkeypatch.setattr(training, "forward", forward_checked)
-        monkeypatch.setattr(training, "_loss_node", loss_recorded)
         model, ds, config = regression_setup(epochs=2)
-        train(model, ds, config)
-        assert len(all_dead) > 3 and all(all_dead)
+        for windows in (config.batch_size, 5):
+            refs, all_dead, forwards = [], [], []
+
+            def forward_checked(*args):
+                all_dead.append(all(ref() is None for ref in refs))
+                return forward(*args)
+
+            def loss_recorded(*args, **kwargs):
+                node = _loss_node(*args, **kwargs)
+                refs.append(weakref.ref(node))
+                return node
+
+            def adam_counted(*args):
+                forwards.append(len(all_dead))
+                adam_step(*args)
+
+            monkeypatch.setattr(training, "_CHUNK_BYTES", windows * 8 * prod(model.feature_block))
+            monkeypatch.setattr(training, "forward", forward_checked)
+            monkeypatch.setattr(training, "_loss_node", loss_recorded)
+            monkeypatch.setattr(training, "adam_step", adam_counted)
+            train(model, ds, config)
+            assert len(all_dead) > 3 and all(all_dead)
+            # a full batch of 16 windows runs as 1 chunk, or as 4 chunks of 5, 5, 5 and 1
+            per_step = np.diff([0] + forwards)
+            assert per_step.max() == -(-config.batch_size // windows)
+
+    def test_peak_memory_is_bounded_by_the_chunk_not_the_batch(self):
+        # one window's hidden block is 8 tau P H = 256 KiB, so a 2 MiB chunk holds 8
+        # windows: a batch of 64 runs as 8 chunks and must peak about as a batch of 8
+        model = ModelConfig(variant="grgtn", tau=64, d_phys=16, d_feat=1, hidden=32,
+                            out_dim=16, head=HeadConfig(ranks=(2, 2), out_modes=(1, 4, 4)))
+        assert 8 * prod(model.feature_block) == 1 << 18
+        peaks = {}
+        for batch in (8, 64):
+            # a train split of one batch, and a validation split of half a batch
+            series = synth_linear_dynamics(16, 1, 2 * batch + 64, 0.1, seed=0)
+            ds = window(series, 64, 1, window_splits(len(series), 64, 1, (0.5, 0.25, 0.25)))
+            assert len(ds.splits.train) == batch
+            config = TrainConfig(epochs=1, batch_size=batch, seed=0)
+            tracemalloc.start()
+            try:
+                train(model, ds, config)
+                peaks[batch] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[64] < 1.5 * peaks[8], peaks
 
     def test_divergence_aborts_with_trace(self):
         # Adam steps are bounded by the learning rate, so overflow needs an
@@ -227,6 +262,83 @@ class TestTrainLoop:
             with pytest.raises(TrainingDiverged) as excinfo:
                 train(model, ds, config)
         assert isinstance(excinfo.value.trace, list)
+
+
+@st.composite
+def chunk_cases(draw):
+    """A model of any variant, a loss, a one-batch train split for it, and the
+    windows a chunk: the batch runs as 1, 2 or 3 chunks, the last partial if it can."""
+    variant, loss = draw(st.sampled_from(VARIANTS)), draw(st.sampled_from(["mae", "mse",
+                                                                           "cross_entropy"]))
+    tau, p, f, h = (draw(st.integers(1, hi)) for hi in (5, 3, 3, 4))
+    seed = draw(st.integers(0, 2**32 - 1))
+    if loss == "cross_entropy":
+        ds = synth_classification(tau, p, f, 30, 0.5, seed, split=(0.3, 0.3, 0.4))
+        out_modes = (1, 1, 2)
+    else:
+        # two train windows at least: z-scoring one leaves every cell without spread
+        batch = draw(st.integers(2, 9))
+        series = synth_linear_dynamics(p, f, 4 * batch + tau, 0.1, seed=seed)
+        ds = window(series, tau, 1, window_splits(len(series), tau, 1, (0.25, 0.25, 0.5)))
+        out_modes = (1, p, f)
+    batch = len(ds.splits.train)
+    chunks = draw(st.integers(1, min(3, batch)))
+    # the fewest windows a chunk that give this many chunks: the last one is partial
+    # unless the batch divides evenly
+    windows = -(-batch // chunks)
+    cfg = ModelConfig(
+        variant=variant, tau=tau, d_phys=p, d_feat=f, hidden=h, out_dim=prod(out_modes),
+        activation=draw(st.sampled_from(sorted(ad._ACTIVATIONS))),
+        head=HeadConfig(ranks=(draw(st.integers(1, 3)), draw(st.integers(1, 3))),
+                        out_modes=out_modes),
+    )
+    config = TrainConfig(epochs=1, learning_rate=1e-2, batch_size=batch, seed=seed, loss=loss)
+    return cfg, ds, config, windows
+
+
+def chunked_step(cfg, ds, config, windows):
+    """The store and trace of one training step at ``windows`` windows a chunk."""
+    from rgtn import training
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(training, "_CHUNK_BYTES", windows * 8 * prod(cfg.feature_block))
+        return train(cfg, ds, config)
+
+
+def unchunked_step(cfg, ds, config):
+    """The gradient and trace loss of ``train``'s first step with the whole batch on one
+    tape, the loss a mean over the prediction's own rows."""
+    seeds = np.random.SeedSequence(config.seed).generate_state(2)
+    values = init_params(cfg, int(seeds[0]))
+    train_idx = ds.splits.train
+    batch = train_idx[np.random.default_rng(int(seeds[1])).permutation(len(train_idx))]
+    nodes = {name: ad.constant(v) for name, v in values.items()}
+    loss = _loss_node(config.loss, forward(cfg, nodes, ds.inputs[batch]), ds.targets[batch])
+    ad.backward(loss)
+    # the trace holds the mean of the steps' losses, each weighted by its batch
+    trace_loss = float(loss.array) * len(batch) / len(batch)
+    return np.concatenate([node.grad.ravel() for node in nodes.values()]), trace_loss
+
+
+class TestChunkWalk:
+    """``train`` runs each batch in chunks of whole windows: any chunk count gives the
+    one-chunk step's gradient and train loss up to rounding, and one chunk the bits of
+    the whole batch on one tape."""
+
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(case=chunk_cases())
+    def test_any_chunk_count_is_one_chunk(self, case):
+        cfg, ds, config, windows = case
+        batch = config.batch_size
+        store, trace = chunked_step(cfg, ds, config, windows)
+        whole, whole_trace = chunked_step(cfg, ds, config, batch)
+        assert np.abs(store.grads - whole.grads).max() <= 1e-12 * max(
+            np.abs(whole.grads).max(), 1e-300)
+        got, want = trace[0]["train_loss"], whole_trace[0]["train_loss"]
+        assert abs(got - want) <= 1e-15 * abs(want)
+        grads, loss = unchunked_step(cfg, ds, config)
+        assert np.array_equal(whole.grads, grads)
+        assert whole_trace[0]["train_loss"] == loss
 
 
 class TestSplitLoss:
