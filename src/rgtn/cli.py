@@ -81,7 +81,7 @@ def _train_one(run: RunConfig, model: ModelConfig, dataset, out_dir: str, suffix
     training_raw = {**run.raw["training"], "seed": run.training.seed}
     meta = {"kind": "model", "config": {**run.raw, "model": model_raw, "training": training_raw}}
     save_checkpoint(os.path.join(out_dir, f"checkpoint{suffix}.rgtn"), store.values(), meta)
-    return evaluate(model, store.values(), dataset, split="test"), wall
+    return evaluate(model, store.values(), dataset), wall
 
 
 def cmd_train(args) -> int:
@@ -120,7 +120,7 @@ def cmd_eval(args) -> int:
     else:
         raise CheckpointError(f"{args.checkpoint}: model checkpoint has no config snapshot")
     dataset = build_dataset(run)
-    metrics = evaluate(run.model, arrays, dataset, split="test")
+    metrics = evaluate(run.model, arrays, dataset)
     pairs = [
         ("variant", run.model.variant),
         ("task", metrics["task"]),

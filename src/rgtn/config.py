@@ -12,7 +12,8 @@ reads is an error naming its dotted path.
 ``data.kind`` decides the task, so the checks between sections live in
 ``build_dataset``.  It makes those the config alone decides,
 ``training.loss`` and ``model.out_dim``, before it draws any data; a CSV
-series' shape and each split's size are checked where they are made.
+series' shape is checked once it is read, and each split's size by the
+one data call that makes the dataset.
 A deleted setting keeps the one value ``FIXED`` gives it: a config or
 checkpoint snapshot may still set it to that value, and any other value
 is an error naming the key.  ``model.task``, which ``data.kind`` now
@@ -39,7 +40,6 @@ from .data import (
     synth_classification,
     synth_linear_dynamics,
     window,
-    window_splits,
 )
 from .models import VARIANTS, ModelConfig, param_count
 from .training import BETA1, BETA2, EPS, LOSS_TASKS, TrainConfig
@@ -321,11 +321,12 @@ def build_dataset(run: RunConfig) -> WindowedDataset:
     or window exists: the loss against the task ``data.kind`` implies, and
     ``model.out_dim`` against the targets.  A synthetic series or window has
     the model's shape by construction, so only a CSV series' shape is
-    checked, once it is read.  Each data source refuses an empty split where
-    it makes the split, before it takes statistics or draws a window:
-    ``window_splits`` for a series' windows, ``synth_classification`` for
-    its labels.  ``window`` z-scores a regression series before it windows
-    it, and its windows are a read-only view of that one series.
+    checked, once it is read.  One data call makes each dataset:
+    ``synth_classification``, or ``window`` on the series from
+    ``synth_linear_dynamics`` or ``load_csv``.  Each splits its windows and
+    refuses an empty split before it takes statistics or draws a window;
+    ``window`` then z-scores the series before it windows it, and its
+    windows are a read-only view of that one series.
     """
     data, model, loss = run.data, run.model, run.training.loss
     task = "classification" if data.kind == "synthetic_classification" else "regression"
@@ -354,7 +355,7 @@ def build_dataset(run: RunConfig) -> WindowedDataset:
                 f"expects (tau, d_phys, d_feat) = {(model.tau, model.d_phys, model.d_feat)}"
             )
     try:
-        splits = window_splits(len(series), model.tau, data.horizon, data.split)
+        # an empty split is the one ValueError window raises
+        return window(series, model.tau, data.horizon, data.split)
     except ValueError as exc:
         raise ConfigError(f"data.split: {exc}") from None
-    return window(series, model.tau, data.horizon, splits)

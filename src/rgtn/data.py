@@ -8,11 +8,11 @@ time step.  Regression target vectors flatten the (physical, feature)
 block with the physical index fastest, matching the package-wide
 convention.
 
-Every dataset comes out split and z-scored with statistics of its train
-windows.  ``window`` z-scores a regression series before windowing it, on
-the split ``window_splits`` makes; ``synth_classification`` z-scores its
-windows where they lie, on the stratified split it makes from its labels.
-``window_splits`` and ``synth_classification`` refuse an empty split before
+Every dataset comes out of one call, split and z-scored with statistics of
+its train windows.  ``window`` makes the time-ordered split of a regression
+series' windows and z-scores the series before windowing it;
+``synth_classification`` makes the stratified split of its labels and
+z-scores its windows where they lie.  Each refuses an empty split before
 any statistics are taken or any window is drawn.  Every window element and
 target is one series element, so z-scoring the series applies to each the
 same ``(v - mean) / scale`` as z-scoring a copy of the windows would: the
@@ -40,7 +40,6 @@ __all__ = [
     "CsvSchemaError",
     "CsvFormatError",
     "load_csv",
-    "window_splits",
     "window",
     "inverse_transform_predictions",
     "synth_linear_dynamics",
@@ -261,42 +260,34 @@ def _refuse_empty(splits: SplitIndices, why: str) -> None:
             raise ValueError(f"the {name} split is empty; {why}")
 
 
-def window_splits(
-    n_steps: int, tau: int, horizon: int, split: tuple[float, float, float]
-) -> SplitIndices:
-    """The time-ordered split of the windows of a series of ``n_steps`` steps.
-
-    An empty split raises ValueError, as a series too short for three
-    windows always gives; ``horizon`` is at least 1, as
-    ``config.DataConfig`` checks.
-    """
-    n = max(n_steps - tau - horizon + 1, 0)
-    splits = _chronological_split(n, split)
-    _refuse_empty(splits, f"a series of {n_steps} steps has {n} windows for "
-                          f"model.tau {tau} and data.horizon {horizon}")
-    return splits
-
-
-def window(series: np.ndarray, tau: int, horizon: int, splits: SplitIndices) -> WindowedDataset:
+def window(
+    series: np.ndarray, tau: int, horizon: int, split: tuple[float, float, float]
+) -> WindowedDataset:
     """The z-scored windows of the series, each with the step ``horizon`` after it as target.
 
-    ``splits`` is ``window_splits``'s split of these windows.  The statistics
-    come from the C-order copy of the train windows, the array z-scoring the
-    windows would reduce.  Every window element and target is one series
-    element, so z-scoring the ``(T, P, F)`` series and then windowing it gives
-    each the same ``(v - mean) / scale`` as z-scoring the windows does, at
-    1/tau of the work.  The inputs are the read-only ``(n, tau, P, F)`` view
-    of that one z-scored series, not a copy tau times its size; the targets
-    are a read-only copy.
+    The windows are split in time order by the ``split`` fractions, and an
+    empty split raises ValueError before any statistics are taken, as a
+    series too short for three windows always gives; ``horizon`` is at
+    least 1, as ``config.DataConfig`` checks.  The statistics are those of
+    the train windows.  Every window element and target is one series
+    element, so z-scoring the ``(T, P, F)`` series and then windowing it
+    gives each the same ``(v - mean) / scale`` as z-scoring the windows
+    does, at 1/tau of the work.  The inputs are the read-only
+    ``(n, tau, P, F)`` view of that one z-scored series, not a copy tau
+    times its size; the targets are a read-only copy.
     """
+    n = max(len(series) - tau - horizon + 1, 0)
+    splits = _chronological_split(n, split)
+    _refuse_empty(splits, f"a series of {len(series)} steps has {n} windows for "
+                          f"model.tau {tau} and data.horizon {horizon}")
     # C order whatever the series' layout, and so the z-scored series and its windows
     values = np.ascontiguousarray(series)
-    # the train windows come first; the statistics reduce their C-order copy
-    norm = _train_stats(_windows(values, tau, len(splits.train)).copy())
+    # the train windows come first.  NumPy reduces their view in the order it
+    # reduces their C-order copy, element by element, so no copy is needed
+    norm = _train_stats(_windows(values, tau, len(splits.train)))
     values = (values - norm.mean) / norm.scale
     # the targets flatten physical index fastest
     targets = values[tau + horizon - 1 :].transpose(0, 2, 1).copy()
-    n = len(targets)
     targets = targets.reshape(n, -1)
     targets.flags.writeable = False
     return WindowedDataset(inputs=_windows(values, tau, n), targets=targets,

@@ -38,10 +38,6 @@ class DenseTensor:
         return self.array.shape
 
     @property
-    def order(self) -> int:
-        return self.array.ndim
-
-    @property
     def size(self) -> int:
         return self.array.size
 

@@ -199,16 +199,14 @@ def evaluate(
     model: ModelConfig,
     values: Mapping[str, np.ndarray],
     dataset: WindowedDataset,
-    split: str = "test",
 ) -> dict:
-    """Single-pass metrics on one split; parameters are not touched."""
-    indices = getattr(dataset.splits, split)
+    """Single-pass metrics on the test split; parameters are not touched."""
+    indices = dataset.splits.test
     inputs, targets = dataset.subset(indices)
     started = time.perf_counter()
     preds = predict(model, values, inputs)
     metrics: dict = {
         "task": dataset.task,
-        "split": split,
         "n_samples": int(len(indices)),
         "parameter_count": param_count(model)[1],
     }

@@ -27,7 +27,6 @@ from rgtn.data import (
     synth_classification,
     synth_linear_dynamics,
     window,
-    window_splits,
 )
 
 WIDE_SCHEMA = {"time": "t", "features": ["a", "b"], "missing": "drop"}
@@ -43,8 +42,8 @@ def write(tmp_path, text, name="series.csv"):
 
 
 def windowed(series, tau, horizon=1, split=(0.7, 0.15, 0.15)):
-    """``window`` of the series on ``window_splits``'s split, as ``build_dataset`` calls it."""
-    return window(series, tau, horizon, window_splits(len(series), tau, horizon, split))
+    """``window`` of the series, by default one step ahead on a 0.7/0.15/0.15 split."""
+    return window(series, tau, horizon, split)
 
 
 def raw_classification(*args, **kwargs):
@@ -283,6 +282,15 @@ class TestWindowing:
                                                  rf"series of {t} steps has \d+ windows"):
                 windowed(toy_series(t=t), tau=tau, horizon=horizon, split=split)
 
+    def test_empty_split_is_refused_before_any_statistics(self, monkeypatch):
+        # the split is made and checked first: no train window is reduced
+        calls = []
+        monkeypatch.setattr(data_module, "_train_stats", lambda inputs: calls.append(inputs))
+        for t, split in ((7, SHORT_SPLIT), (100, (0.7, 0.3, 0.0)), (100, (0.0, 0.5, 0.5))):
+            with pytest.raises(ValueError, match=r"^the (train|val|test) split is empty"):
+                window(toy_series(t=t), 6, 1, split)
+        assert calls == []
+
     # t = 8 is the shortest series tau 4 and horizon 2 allow: 3 windows, one a split
     @pytest.mark.parametrize("t,d,tau,horizon", [(30, 2, 5, 2), (30, 2, 5, 3), (8, 2, 4, 2),
                                                  (30, 1, 5, 1), (8, 4, 1, 3)])
@@ -315,7 +323,7 @@ class TestWindowing:
 
     def test_horizon_below_one_rejected(self):
         # horizon 0 would make the target the window's own last step; the config
-        # refuses it, and window_splits and window take what it lets through
+        # refuses it, and window takes what it lets through
         for horizon in (0, -1):
             doc = {"model": {"variant": "rnn", "tau": 4, "d_phys": 2, "d_feat": 3,
                              "hidden": 2, "out_dim": 6},
@@ -437,13 +445,20 @@ class TestNormalize:
         np.testing.assert_array_equal(ds_plain.norm.mean, ds_poisoned.norm.mean)
         np.testing.assert_array_equal(ds_plain.norm.scale, ds_poisoned.norm.scale)
 
-    # t = 8 is the shortest series tau 4 and horizon 2 allow: 3 windows, one a split
-    @pytest.mark.parametrize("t,tau,horizon", [(40, 5, 1), (40, 3, 4), (40, 1, 1), (8, 4, 2)])
+    # t = 8 is the shortest series tau 4 and horizon 2 allow: 3 windows, one a split;
+    # the last is predict-stream's shape, whose 192 train windows hold 48 times the
+    # 8192 elements NumPy reduces a buffer at a time
+    @pytest.mark.parametrize("t,p,f,tau,horizon,split", [
+        (40, 2, 3, 5, 1, (0.7, 0.15, 0.15)), (40, 2, 3, 3, 4, (0.7, 0.15, 0.15)),
+        (40, 2, 3, 1, 1, (0.7, 0.15, 0.15)), (8, 2, 3, 4, 2, SHORT_SPLIT),
+        (1344, 8, 4, 64, 1, (0.15, 0.05, 0.8)),
+    ], ids=["40-5-1", "40-3-4", "40-1-1", "8-4-2", "predict-stream"])
     @pytest.mark.parametrize("order", ["C", "F"])
-    def test_window_normalized_keeps_the_bits_of_windowing_first(self, t, tau, horizon, order):
-        # window z-scores the series before windowing it: the bits of z-scoring the windows
-        series = np.asarray(toy_series(t=t), order=order)
-        split = SHORT_SPLIT if t == 8 else (0.7, 0.15, 0.15)
+    def test_window_normalized_keeps_the_bits_of_windowing_first(self, t, p, f, tau, horizon,
+                                                                 split, order):
+        # window z-scores the series before windowing it, with statistics reduced over
+        # a view of the train windows: the bits of z-scoring a copy of the windows
+        series = np.asarray(toy_series(t=t, d=p, f=f), order=order)
         ds = windowed(series, tau=tau, horizon=horizon, split=split)
         want = windows_first(series, tau, horizon, split[0])
         for got, oracle in zip((ds.inputs, ds.targets, ds.norm.mean, ds.norm.scale), want):

@@ -21,7 +21,7 @@ from oracles import (
     unflatten,
 )
 from rgtn import autodiff as ad
-from rgtn.data import window, window_splits
+from rgtn.data import window
 from rgtn.graph import build_time_adjacency
 from rgtn.models import (
     VARIANTS,
@@ -552,7 +552,7 @@ class TestPredictBlocks:
         rng = np.random.default_rng(23)
         cfg = small_config(variant, tau=5, d=3, f=2, m=4)
         series = rng.standard_normal((40, cfg.d_phys, cfg.d_feat))
-        ds = window(series, cfg.tau, 1, window_splits(40, cfg.tau, 1, (0.7, 0.15, 0.15)))
+        ds = window(series, cfg.tau, 1, (0.7, 0.15, 0.15))
         view = ds.inputs[3:14]
         copy = np.ascontiguousarray(view)
         assert not view.flags.c_contiguous and not view.flags.writeable

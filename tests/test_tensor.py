@@ -105,7 +105,7 @@ class TestConstruction:
 
     def test_scalar(self):
         t = from_array(7.0)
-        assert t.order == 0
+        assert t.array.ndim == 0
         assert t.array == 7.0
 
     def test_immutable(self):

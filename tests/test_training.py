@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from oracles import adam_per_tensor
 from rgtn import autodiff as ad
 from rgtn.config import ConfigError, build_dataset, run_config_from_dict
-from rgtn.data import synth_classification, synth_linear_dynamics, window, window_splits
+from rgtn.data import synth_classification, synth_linear_dynamics, window
 from rgtn.models import VARIANTS, HeadConfig, ModelConfig, forward, init_params, predict
 from rgtn.training import (
     ParamStore,
@@ -40,7 +40,7 @@ def scalar_adam_oracle(g, steps, lr=1e-3, b1=0.9, b2=0.999, eps=1e-8):
 
 def regression_setup(epochs=5, seed=0):
     series = synth_linear_dynamics(2, 2, 200, 0.1, seed=seed)
-    ds = window(series, 4, 1, window_splits(len(series), 4, 1, (0.7, 0.15, 0.15)))
+    ds = window(series, 4, 1, (0.7, 0.15, 0.15))
     model = ModelConfig(
         variant="srgtn",
         tau=4,
@@ -144,7 +144,7 @@ class TestTrainLoop:
         assert np.array_equal(ds.targets, targets)
         values = store.values()
         before = {k: v.copy() for k, v in values.items()}
-        evaluate(model, values, ds, split="test")
+        evaluate(model, values, ds)
         for name, arr in values.items():
             assert np.array_equal(arr, before[name]), name
 
@@ -160,7 +160,7 @@ class TestTrainLoop:
         rng = np.random.default_rng(5)
         t, d, f = 120, 2, 2
         series = rng.standard_normal((t, d, f))
-        ds = window(series, 3, 1, window_splits(t, 3, 1, (0.7, 0.15, 0.15)))
+        ds = window(series, 3, 1, (0.7, 0.15, 0.15))
         w = rng.standard_normal((4, 3 * d * f)) * 0.5
         flat = ds.inputs.reshape(ds.inputs.shape[0], -1)
         from dataclasses import replace
@@ -241,7 +241,7 @@ class TestTrainLoop:
         for batch in (8, 64):
             # a train split of one batch, and a validation split of half a batch
             series = synth_linear_dynamics(16, 1, 2 * batch + 64, 0.1, seed=0)
-            ds = window(series, 64, 1, window_splits(len(series), 64, 1, (0.5, 0.25, 0.25)))
+            ds = window(series, 64, 1, (0.5, 0.25, 0.25))
             assert len(ds.splits.train) == batch
             config = TrainConfig(epochs=1, batch_size=batch, seed=0)
             tracemalloc.start()
@@ -279,7 +279,7 @@ def chunk_cases(draw):
         # two train windows at least: z-scoring one leaves every cell without spread
         batch = draw(st.integers(2, 9))
         series = synth_linear_dynamics(p, f, 4 * batch + tau, 0.1, seed=seed)
-        ds = window(series, tau, 1, window_splits(len(series), tau, 1, (0.25, 0.25, 0.5)))
+        ds = window(series, tau, 1, (0.25, 0.25, 0.5))
         out_modes = (1, p, f)
     batch = len(ds.splits.train)
     chunks = draw(st.integers(1, min(3, batch)))
@@ -370,7 +370,7 @@ class TestEvaluate:
         values = {
             name: np.zeros_like(arr) for name, arr in init_params(model, 0).items()
         }
-        metrics = evaluate(model, values, ds, split="test")
+        metrics = evaluate(model, values, ds)
         inputs, targets = ds.subset(ds.splits.test)
         from rgtn.data import inverse_transform_predictions
 
@@ -382,8 +382,8 @@ class TestEvaluate:
     def test_metrics_match_recomputation(self):
         model, ds, config = regression_setup(epochs=2)
         store, _ = train(model, ds, config)
-        metrics = evaluate(model, store.values(), ds, split="val")
-        inputs, targets = ds.subset(ds.splits.val)
+        metrics = evaluate(model, store.values(), ds)
+        inputs, targets = ds.subset(ds.splits.test)
         preds = predict(model, store.values(), inputs)
         from rgtn.data import inverse_transform_predictions
 
@@ -409,7 +409,7 @@ class TestEvaluate:
         )
         config = TrainConfig(epochs=40, learning_rate=1e-2, batch_size=16, seed=0, loss="cross_entropy")
         store, _ = train(model, ds, config)
-        metrics = evaluate(model, store.values(), ds, split="test")
+        metrics = evaluate(model, store.values(), ds)
         assert metrics["accuracy"] == 1.0
 
     def test_empty_split_rejected(self):

@@ -71,7 +71,7 @@ def head_matrix_via_reconstruct(values):
 
 def assert_chain(tt, shape):
     """Order-3 cores over ``shape``, boundary ranks 1 and adjacent ranks equal."""
-    assert all(core.order == 3 for core in tt.cores)
+    assert all(core.array.ndim == 3 for core in tt.cores)
     assert tt.mode_sizes == tuple(shape)
     assert tt.cores[0].shape[0] == 1 and tt.cores[-1].shape[2] == 1
     for left, right in zip(tt.cores, tt.cores[1:]):
