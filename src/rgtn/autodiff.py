@@ -331,11 +331,9 @@ def graph_tt(
     return TapeNode(out, params, _shared(grads, len(params)))
 
 
-# ``recurrence_kernel`` walks blocks of whole windows (at least one) sized by 16
-# times ``_BLOCK_BYTES`` over ``8 tau (P F + 3 H)`` bytes a window: the
-# time-major copy of x, the projection, the states and the head's rows, as
-# when the rule was swept (the states now overwrite the projection).  Swept
-# as ``predict``'s blocks for every variant at 1, 2, 4, 8 and 16 MiB and at
+# ``recurrence_kernel`` walks blocks of whole windows (at least one): 16 times
+# ``_BLOCK_BYTES`` over ``8 tau (P F + 3 H)`` bytes a window.  Swept as
+# ``predict``'s blocks for every variant at 1, 2, 4, 8 and 16 MiB and at
 # one block per batch, at predict-stream's shape (1024 windows) and
 # wide-train's (256), on one OpenBLAS thread (process CPU, best of 7): 1-4
 # MiB tie within noise; 8 MiB is up to 35% slower (rnn) and 16 MiB up to

@@ -33,7 +33,7 @@ from .data import CsvFormatError, CsvSchemaError
 from .models import ModelConfig
 from .tensor import from_array
 from .training import TrainingDiverged, evaluate, train
-from .tt import dense_param_count, tt_param_count, tt_reconstruct, tt_svd
+from .tt import tt_param_count, tt_reconstruct, tt_svd
 
 __all__ = ["main"]
 
@@ -190,7 +190,6 @@ def cmd_decompose(args) -> int:
     denom = np.linalg.norm(array)
     error = float(np.linalg.norm(recon - array) / denom) if denom > 0 else 0.0
     tt_params = tt_param_count(tt)
-    dense_params = dense_param_count(array.shape)
     out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)
     cores_path = os.path.join(out_dir, "cores.rgtn")
@@ -203,8 +202,8 @@ def cmd_decompose(args) -> int:
         ("mode_sizes", ",".join(str(d) for d in tt.mode_sizes)),
         ("ranks", ",".join(str(r) for r in tt.ranks)),
         ("tt_parameters", tt_params),
-        ("dense_parameters", dense_params),
-        ("compression_ratio", dense_params / tt_params),
+        ("dense_parameters", array.size),
+        ("compression_ratio", array.size / tt_params),
         ("reconstruction_error", error),
         ("cores_file", cores_path),
     ]

@@ -19,26 +19,9 @@ Flattened vectors put the first mode fastest: a (tau, physical, hidden)
 block flattens with the time index varying fastest, as a checkpoint
 payload does.
 
-Each variant is one tape op.  grgtn and srgtn: ``graph_tt`` (the time
-mix on the input, the projection, grgtn's W_r, the activation, the TT
-head and the bias; srgtn passes no W_r).  rnn:
-``recurrence`` (the projection, the steps, the dense head and the bias).
-The window x and the time adjacency A are plain arrays, so neither is a
-tape node and no gradient is computed for them.
-``autodiff.graph_tt_kernel`` gives the order in which the graph variants
-contract and why.
-
-``graph_tt`` and ``recurrence`` each walk blocks of whole windows that
-they size themselves, so the hidden block's gradient never exists whole
-and the rnn's tape does not grow with tau.  ``forward`` and ``predict``
-check the windows and the parameters against ``param_shapes``, a
-read-only table cached per configuration; neither the tape ops nor the
-kernels check them again.  ``forward`` then runs the variant's tape op;
-``predict`` calls that op's forward kernel (``autodiff.graph_tt_kernel``
-or ``autodiff.recurrence_kernel``) on the arrays directly, building no
-tape node.  The tape op runs the same kernel, so ``predict`` equals
-``forward(...).array`` bit for bit, and its memory is bounded by the
-kernel's blocks and the output, not by the batch.
+Each variant is one body op of ``autodiff`` (``graph_tt`` for grgtn and
+srgtn, ``recurrence`` for the rnn), whose docstring describes the ops,
+their kernels and their blocks.
 """
 
 from __future__ import annotations

@@ -17,6 +17,12 @@ whole batch's rows) and its backward, whose leaves add the chunk's
 gradients to the sum of the chunks before, and its tape is dropped before
 the next chunk's forward.  So only one chunk's hidden block is alive at a
 time, and the gradient is the batch's, up to the order of the sum.
+
+``train`` looks its loss op up on ``autodiff`` by name (``mae_loss`` for
+``loss: mae``) when it runs, so a wrapper or patch put on the module before
+the call is the op it runs.  Both losses it records are checked: a
+non-finite step loss or validation loss raises ``TrainingDiverged`` before
+the epoch is recorded.
 """
 
 from __future__ import annotations
@@ -123,26 +129,6 @@ def adam_step(store: ParamStore, config: TrainConfig) -> None:
     store.flat -= config.learning_rate * m_hat / (np.sqrt(v_hat) + EPS)
 
 
-def _loss_node(
-    loss: str, preds: ad.TapeNode, targets: np.ndarray, rows: int | None = None
-) -> ad.TapeNode:
-    if loss == "mae":
-        return ad.mae_loss(preds, targets, rows=rows)
-    if loss == "mse":
-        return ad.mse_loss(preds, targets, rows=rows)
-    return ad.cross_entropy_loss(preds, targets, rows=rows)
-
-
-def _split_loss(
-    model: ModelConfig,
-    values: Mapping[str, np.ndarray],
-    loss: str,
-    inputs: np.ndarray,
-    targets: np.ndarray,
-) -> float:
-    return float(_loss_node(loss, ad.constant(predict(model, values, inputs)), targets).array)
-
-
 def train(
     model: ModelConfig, dataset: WindowedDataset, config: TrainConfig
 ) -> tuple[ParamStore, list[dict]]:
@@ -162,6 +148,7 @@ def train(
     shuffle_rng = np.random.default_rng(int(seeds[1]))
     train_idx, val_idx = dataset.splits.train, dataset.splits.val
     chunk = max(1, _CHUNK_BYTES // (8 * prod(model.feature_block)))
+    loss_op = getattr(ad, f"{config.loss}_loss")
     trace: list[dict] = []
     for epoch in range(1, config.epochs + 1):
         order = train_idx[shuffle_rng.permutation(len(train_idx))]
@@ -172,8 +159,8 @@ def train(
             value = 0.0
             for lo in range(0, len(batch), chunk):
                 part = batch[lo : lo + chunk]
-                loss = _loss_node(config.loss, forward(model, nodes, dataset.inputs[part]),
-                                  dataset.targets[part], rows=len(batch))
+                loss = loss_op(forward(model, nodes, dataset.inputs[part]), dataset.targets[part],
+                               rows=len(batch))
                 value += float(loss.array)
                 if not np.isfinite(value):
                     raise TrainingDiverged(
@@ -190,7 +177,10 @@ def train(
             loss_sum += value * len(batch)
         # a time-ordered validation split is a slice of the windows, and any
         # other is gathered for this call alone, so no training step holds it
-        val_loss = _split_loss(model, store.values(), config.loss, *dataset.subset(val_idx))
+        x, y = dataset.subset(val_idx)
+        val_loss = float(loss_op(ad.constant(predict(model, store.views, x)), y).array)
+        if not np.isfinite(val_loss):
+            raise TrainingDiverged(f"non-finite validation loss at epoch {epoch}", trace)
         trace.append({"epoch": epoch, "train_loss": loss_sum / len(order), "val_loss": val_loss})
     return store, trace
 

@@ -20,14 +20,13 @@ count that ``tt_svd`` cannot take before it calls it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import prod
 from typing import Sequence
 
 import numpy as np
 
 from .tensor import DenseTensor, Shape
 
-__all__ = ["TTNetwork", "tt_svd", "tt_reconstruct", "tt_param_count", "dense_param_count"]
+__all__ = ["TTNetwork", "tt_svd", "tt_reconstruct", "tt_param_count"]
 
 
 @dataclass(frozen=True)
@@ -48,11 +47,6 @@ class TTNetwork:
 def tt_param_count(tt: TTNetwork) -> int:
     """Total entries stored by the chain: sum of R_{n-1} I_n R_n."""
     return sum(core.size for core in tt.cores)
-
-
-def dense_param_count(shape: Sequence[int]) -> int:
-    """Entries of the dense tensor: product of the mode sizes."""
-    return prod(int(d) for d in shape)
 
 
 def tt_svd(

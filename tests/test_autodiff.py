@@ -851,7 +851,10 @@ def _uses_in_python(path: Path, strings: bool) -> set[tuple[str, str]]:
     """The (module, name) pairs of ``rgtn`` that a Python file refers to.
 
     With ``strings``, a dotted ``"rgtn.module.name"`` or a ``("rgtn.module",
-    "name")`` pair counts too: the benchmark's tracer wraps names so.
+    "name")`` pair counts too: the benchmark's tracer wraps names so.  A
+    ``getattr(module, f"...")`` refers to each of the module's public names
+    that fit the f-string's fixed head and tail, as ``training.train`` finds
+    its loss op; one with neither refers to none.
     """
     tree = ast.parse(path.read_text())
     aliases, imported, used = {}, {}, set()
@@ -875,6 +878,16 @@ def _uses_in_python(path: Path, strings: bool) -> set[tuple[str, str]]:
                 used.add((aliases[node.value.id], node.attr))
         elif isinstance(node, ast.Name) and node.id in imported:
             used.add(imported[node.id])
+        elif (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "getattr"
+              and len(node.args) == 2 and getattr(node.args[0], "id", None) in aliases
+              and isinstance(node.args[1], ast.JoinedStr)):
+            module, parts = aliases[node.args[0].id], node.args[1].values
+            head, tail = (part.value if isinstance(part, ast.Constant) else ""
+                          for part in (parts[0], parts[-1]))
+            if head or tail:
+                names = importlib.import_module(f"rgtn.{module}").__all__
+                used |= {(module, name) for name in names
+                         if name.startswith(head) and name.endswith(tail)}
     return used
 
 

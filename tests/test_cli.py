@@ -24,7 +24,7 @@ from rgtn.checkpoint import load_checkpoint, save_checkpoint, save_tensor
 from rgtn.cli import main
 from rgtn.config import FIXED, DataConfig, run_config_from_dict
 from rgtn.models import ModelConfig
-from rgtn.training import TrainConfig
+from rgtn.training import TrainConfig, TrainingDiverged
 
 
 def base_config(out_dir, epochs=3, variant="grgtn", seed=0):
@@ -273,6 +273,34 @@ class TestTrainCommand:
         monkeypatch.setattr(cli, "train", exhausted)
         assert main(["train", "--config", write_config(tmp_path, base_config(tmp_path / "x"))]) == 1
         assert "out of memory: Unable to allocate" in capsys.readouterr().err
+
+    def test_overflow_in_the_last_step_exits_1_naming_the_validation_loss(self, tmp_path,
+                                                                          capsys):
+        # one step of an absurd learning rate overflows the parameters while its own
+        # loss is finite: only the validation loss shows it, and no checkpoint is written
+        out = tmp_path / "run"
+        cfg = base_config(out, epochs=1)
+        cfg["training"].update(learning_rate=1e300, batch_size=10000)
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["train", "--config", write_config(tmp_path, cfg)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "error: non-finite validation loss at epoch 1 (0 epochs recorded)" in err
+        assert not (out / "checkpoint.rgtn").exists()
+
+    def test_divergence_exits_1_counting_the_recorded_epochs(self, tmp_path, capsys,
+                                                             monkeypatch):
+        from rgtn import cli
+
+        def diverged(model, dataset, config):
+            trace = [{"epoch": e, "train_loss": 1.0, "val_loss": 1.0} for e in (1, 2)]
+            raise TrainingDiverged("non-finite loss at epoch 3", trace)
+
+        monkeypatch.setattr(cli, "train", diverged)
+        out = tmp_path / "x"
+        assert main(["train", "--config", write_config(tmp_path, base_config(out))]) == 1
+        assert "error: non-finite loss at epoch 3 (2 epochs recorded)" in capsys.readouterr().err
+        assert not (out / "checkpoint.rgtn").exists()
 
     def test_classification_on_csv_exits_2(self, tmp_path, capsys):
         # the model fits the csv (4 complete steps, 2 sites, 3 features): only the loss is wrong
@@ -618,6 +646,16 @@ class TestEvalCommand:
         captured = capsys.readouterr()
         assert code == 2 and "model:" in captured.err and "parameters" in captured.err
         assert not (tmp_path / "eval").exists()
+
+    def test_model_checkpoint_without_a_config_snapshot_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        main(["train", "--config", write_config(tmp_path, base_config(out))])
+        arrays, meta = load_checkpoint(str(out / "checkpoint.rgtn"))
+        del meta["config"]
+        save_checkpoint(str(out / "checkpoint.rgtn"), arrays, meta)
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(out / "checkpoint.rgtn")]) == 1
+        assert "model checkpoint has no config snapshot" in capsys.readouterr().err
 
     def test_rejects_non_model_checkpoint(self, tmp_path, capsys):
         path = tmp_path / "t.rgtn"

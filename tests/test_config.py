@@ -386,3 +386,55 @@ def test_syntax_error_exits_2_naming_the_file(tmp_path, capsys, yaml_parser, tex
     err = capsys.readouterr().err
     assert "cannot parse" in err and str(path) in err
     assert not (tmp_path / "run").exists()
+
+
+def regression_document():
+    return load_run_config(str(ROOT / "configs" / "synth_regression.yaml")).raw
+
+
+def test_csv_source_without_a_schema_is_refused(tmp_path):
+    doc = csv_document(tmp_path / "series.csv")
+    del doc["data"]["schema"]
+    with pytest.raises(ConfigError, match=r"^data\.schema: required mapping missing$"):
+        run_config_from_dict(doc)
+
+
+@pytest.mark.parametrize("section", ["model", "data", "training", "output"])
+def test_section_that_is_not_a_mapping_is_named(section):
+    with pytest.raises(ConfigError, match=rf"^{section}: must be a mapping$"):
+        run_config_from_dict({**regression_document(), section: 3})
+
+
+def test_top_level_list_exits_2(tmp_path, capsys):
+    path = tmp_path / "list.yaml"
+    path.write_text("- model\n- data\n")
+    assert main(["train", "--config", str(path), "--out", str(tmp_path / "run")]) == 2
+    assert "top level of the config must be a mapping" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("error", [AttributeError, ValueError, OSError])
+def test_config_loads_where_the_memory_size_is_unknown(monkeypatch, error):
+    # with no memory size to compare against, a store beyond any memory loads
+    doc = regression_document()
+    doc = {**doc, "model": {**doc["model"], "hidden": 1_000_000_000}}
+    with pytest.raises(ConfigError, match="^model: "):
+        run_config_from_dict(doc)
+
+    def unknown(name):
+        raise error(name)
+
+    if error is AttributeError:  # no sysconf on this platform
+        monkeypatch.delattr(config_module.os, "sysconf")
+    else:
+        monkeypatch.setattr(config_module.os, "sysconf", unknown)
+    assert run_config_from_dict(doc).model.hidden == 1_000_000_000
+
+
+@pytest.mark.parametrize("variants,message", [
+    (["grgtn", "lstm"], "unknown variant 'lstm'"),
+    (["grgtn", "rnn", "grgtn"], "variants must be distinct"),
+], ids=["unknown", "repeated"])
+def test_bench_variants_are_known_and_distinct(variants, message):
+    with pytest.raises(ConfigError, match=rf"^bench\.variants: {message}$"):
+        run_config_from_dict({**regression_document(), "bench": {"variants": variants}})

@@ -159,6 +159,35 @@ class TestLoadCsv:
         with pytest.raises(CsvFormatError):
             load_csv(path, WIDE_SCHEMA)
 
+    def test_header_only_file_has_no_data_rows(self, tmp_path):
+        path = write(tmp_path, "t,a,b\n")
+        with pytest.raises(CsvFormatError, match="^line 2: no data rows$"):
+            load_csv(path, WIDE_SCHEMA)
+
+    def test_unknown_missing_policy_is_named(self, tmp_path):
+        path = write(tmp_path, "t,a,b\n1,1.0,2.0\n")
+        with pytest.raises(CsvSchemaError, match="missing-value policy 'bfill'"):
+            load_csv(path, {**WIDE_SCHEMA, "missing": "bfill"})
+
+    def test_blank_rows_are_skipped_and_still_counted(self, tmp_path):
+        # an empty line and a line of blank cells hold no entry; the next error
+        # still names its own line of the file
+        path = write(tmp_path, "t,a,b\n1,1.0,2.0\n\n , ,\n2,3.0,4.0\n")
+        np.testing.assert_array_equal(load_csv(path, WIDE_SCHEMA), [[[1, 2]], [[3, 4]]])
+        path = write(tmp_path, "t,a,b\n1,1.0,2.0\n , ,\n2,x,4.0\n")
+        with pytest.raises(CsvFormatError, match="^line 4: cannot parse 'a'"):
+            load_csv(path, WIDE_SCHEMA)
+
+    def test_empty_timestamp_reports_line(self, tmp_path):
+        path = write(tmp_path, "t,a,b\n1,1.0,2.0\n ,3.0,4.0\n")
+        with pytest.raises(CsvFormatError, match="^line 3: missing timestamp$"):
+            load_csv(path, WIDE_SCHEMA)
+
+    def test_every_row_dropped_is_refused(self, tmp_path):
+        path = write(tmp_path, "t,a,b\n1,,2.0\n2,3.0,\n")
+        with pytest.raises(CsvFormatError, match="all rows dropped while handling missing"):
+            load_csv(path, WIDE_SCHEMA)
+
     @pytest.mark.parametrize("cell", ["inf", "-inf", "Infinity", "1e400"])
     def test_infinite_cell_reports_line_and_column(self, tmp_path, cell):
         path = write(tmp_path, f"t,a,b\n1,1.0,2.0\n2,3.0,{cell}\n3,5.0,6.0\n")

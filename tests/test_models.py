@@ -33,7 +33,7 @@ from rgtn.models import (
     param_shapes,
     predict,
 )
-from rgtn.training import LOSS_TASKS, _loss_node
+from rgtn.training import LOSS_TASKS
 
 
 # Tests parametrized by (variant, head) name the head the variant has, tt on
@@ -101,6 +101,11 @@ class TestConfigValidation:
         ModelConfig("rnn", 3, 2, 2, 4, 5)
         with pytest.raises(ValueError, match="head.out_modes"):
             ModelConfig("grgtn", 3, 2, 2, 4, 5)
+
+    def test_head_of_two_modes_is_refused(self):
+        # built directly, not through the config: the model checks its own head
+        with pytest.raises(ValueError, match=r"^head\.out_modes: must pair with"):
+            ModelConfig("grgtn", 3, 2, 2, 4, 4, head=HeadConfig(out_modes=(2, 2)))
 
     def test_c_range_checked(self):
         with pytest.raises(ValueError):
@@ -744,7 +749,7 @@ def test_every_public_op_is_called_by_a_training_step(monkeypatch):
             out = forward(cfg, nodes, x)
             target = (rng.integers(0, cfg.out_dim, 3) if task == "classification"
                       else rng.standard_normal(out.shape))
-            ad.backward(_loss_node(loss, out, target))
+            ad.backward(getattr(ad, f"{loss}_loss")(out, target))
             assert all(node.grad is not None for node in nodes.values()), (variant, loss)
     assert called == ops, f"public ops no training step calls: {sorted(ops - called)}"
 

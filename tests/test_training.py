@@ -18,8 +18,6 @@ from rgtn.training import (
     ParamStore,
     TrainConfig,
     TrainingDiverged,
-    _loss_node,
-    _split_loss,
     adam_step,
     evaluate,
     train,
@@ -205,6 +203,8 @@ class TestTrainLoop:
         from rgtn import training
 
         model, ds, config = regression_setup(epochs=2)
+        loss_name = f"{config.loss}_loss"
+        loss_op = getattr(ad, loss_name)
         for windows in (config.batch_size, 5):
             refs, all_dead, forwards = [], [], []
 
@@ -213,7 +213,7 @@ class TestTrainLoop:
                 return forward(*args)
 
             def loss_recorded(*args, **kwargs):
-                node = _loss_node(*args, **kwargs)
+                node = loss_op(*args, **kwargs)
                 refs.append(weakref.ref(node))
                 return node
 
@@ -223,7 +223,7 @@ class TestTrainLoop:
 
             monkeypatch.setattr(training, "_CHUNK_BYTES", windows * 8 * prod(model.feature_block))
             monkeypatch.setattr(training, "forward", forward_checked)
-            monkeypatch.setattr(training, "_loss_node", loss_recorded)
+            monkeypatch.setattr(ad, loss_name, loss_recorded)
             monkeypatch.setattr(training, "adam_step", adam_counted)
             train(model, ds, config)
             assert len(all_dead) > 3 and all(all_dead)
@@ -262,6 +262,17 @@ class TestTrainLoop:
             with pytest.raises(TrainingDiverged) as excinfo:
                 train(model, ds, config)
         assert isinstance(excinfo.value.trace, list)
+
+    def test_overflow_in_the_last_step_aborts_before_the_epoch_is_recorded(self):
+        # one step whose update overflows the parameters: its own loss, taken before
+        # the update, is finite, so only the validation loss shows the divergence
+        model, ds, _ = regression_setup()
+        config = TrainConfig(epochs=1, learning_rate=1e300, batch_size=len(ds.splits.train))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(TrainingDiverged,
+                               match="^non-finite validation loss at epoch 1$") as excinfo:
+                train(model, ds, config)
+        assert excinfo.value.trace == []
 
 
 @st.composite
@@ -313,7 +324,8 @@ def unchunked_step(cfg, ds, config):
     train_idx = ds.splits.train
     batch = train_idx[np.random.default_rng(int(seeds[1])).permutation(len(train_idx))]
     nodes = {name: ad.constant(v) for name, v in values.items()}
-    loss = _loss_node(config.loss, forward(cfg, nodes, ds.inputs[batch]), ds.targets[batch])
+    loss = getattr(ad, f"{config.loss}_loss")(forward(cfg, nodes, ds.inputs[batch]),
+                                              ds.targets[batch])
     ad.backward(loss)
     # the trace holds the mean of the steps' losses, each weighted by its batch
     trace_loss = float(loss.array) * len(batch) / len(batch)
@@ -344,24 +356,33 @@ class TestChunkWalk:
 class TestSplitLoss:
     @pytest.mark.parametrize("loss", ["mae", "mse"])
     def test_is_the_loss_of_blocked_predict(self, loss, monkeypatch):
-        # graph_tt walks the validation windows 3 at a time, and the loss is
-        # forward's to the bit
+        # train's validation predict walks the windows 3 at a time, and the loss
+        # it records is forward's to the bit
+        from rgtn import training
+
         model, ds, _ = regression_setup()
         monkeypatch.setattr(ad, "_BLOCK_BYTES", 3 * 8 * prod(model.feature_block))
-        values = init_params(model, seed=1)
-        x, y = ds.subset(ds.splits.val)
         fn, push = ad._ACTIVATIONS[model.activation]
-        blocks = []
+        blocks, predicted = [], []
 
         def counted(z, out=None):
-            blocks.append(len(z) // (model.tau * model.d_phys))
+            if predicted:  # one epoch: validation's predict runs after every step
+                blocks.append(len(z) // (model.tau * model.d_phys))
             return fn(z, out=out)
 
+        def predict_recorded(model, values, x):
+            predicted.append(x)
+            return predict(model, values, x)
+
         monkeypatch.setitem(ad._ACTIVATIONS, model.activation, (counted, push))
-        got = _split_loss(model, values, loss, x, y)
+        monkeypatch.setattr(training, "predict", predict_recorded)
+        store, trace = train(model, ds, TrainConfig(epochs=1, seed=1, loss=loss))
+        x, y = ds.subset(ds.splits.val)
+        assert len(predicted) == 1 and np.array_equal(predicted[0], x)
         assert len(blocks) > 1 and set(blocks[:-1]) == {3} and sum(blocks) == len(x)
-        assert got == float(_loss_node(loss, ad.constant(predict(model, values, x)), y).array)
-        assert got == float(_loss_node(loss, forward(model, values, x), y).array)
+        got, values, loss_op = trace[0]["val_loss"], store.values(), getattr(ad, f"{loss}_loss")
+        assert got == float(loss_op(ad.constant(predict(model, values, x)), y).array)
+        assert got == float(loss_op(forward(model, values, x), y).array)
 
 
 class TestEvaluate:

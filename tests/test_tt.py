@@ -2,6 +2,7 @@
 
 import re
 import tracemalloc
+from math import prod
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from rgtn.checkpoint import save_tensor
 from rgtn.cli import main
 from rgtn.models import HeadConfig, ModelConfig, forward, param_shapes
 from rgtn.tensor import from_array
-from rgtn.tt import TTNetwork, dense_param_count, tt_param_count, tt_reconstruct, tt_svd
+from rgtn.tt import TTNetwork, tt_param_count, tt_reconstruct, tt_svd
 
 
 def reconstruct_loop(tt):
@@ -310,7 +311,7 @@ class TestParamCount:
         )
         tt = TTNetwork(cores)
         assert tt_param_count(tt) == 48
-        assert dense_param_count((4, 4, 4, 4)) == 256
+        assert prod((4, 4, 4, 4)) == 256
 
     def test_all_rank_one(self):
         cores = tuple(from_array(np.ones((1, i, 1))) for i in (3, 5, 2))
@@ -328,7 +329,7 @@ class TestParamCount:
         for shape in [(2, 2, 2), (3, 2, 4), (2, 3, 2, 3), (4, 4, 4), (3, 3, 3)]:
             cap = max(min(shape) - 1, 1)
             tt = tt_svd(from_array(rng.standard_normal(shape)), max_ranks=cap)
-            assert tt_param_count(tt) < dense_param_count(shape)
+            assert tt_param_count(tt) < prod(shape)
 
 
 class TestLinearLayer:
