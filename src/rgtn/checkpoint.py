@@ -13,7 +13,7 @@ import hashlib
 import json
 import struct
 from math import prod
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -148,7 +148,7 @@ def load_tensor(path: str) -> np.ndarray:
     return arrays["tensor"]
 
 
-def save_tt(path: str, cores: list[np.ndarray], meta: dict | None = None) -> None:
+def save_tt(path: str, cores: Sequence[np.ndarray], meta: dict | None = None) -> None:
     arrays = {f"core{k}": core for k, core in enumerate(cores)}
     info = {"kind": "tt", "n_cores": len(cores)}
     info.update(meta or {})

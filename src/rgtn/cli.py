@@ -31,7 +31,7 @@ from .config import (
 )
 from .data import CsvFormatError, CsvSchemaError
 from .models import ModelConfig
-from .tensor import from_array
+from .tensor import DenseTensor
 from .training import TrainingDiverged, evaluate, train
 from .tt import tt_param_count, tt_reconstruct, tt_svd
 
@@ -71,12 +71,18 @@ def _metric_pair(metrics: dict) -> tuple[str, float]:
 def _train_one(run: RunConfig, model: ModelConfig, dataset, out_dir: str, suffix: str = ""):
     """Train, write ``trace{suffix}.tsv`` and ``checkpoint{suffix}.rgtn``, then evaluate.
 
-    Returns the test metrics and the training wall time.
+    A diverged run writes the epochs it recorded to the trace, and no
+    checkpoint.  Returns the test metrics and the training wall time.
     """
+    trace_path = os.path.join(out_dir, f"trace{suffix}.tsv")
     started = time.perf_counter()
-    store, trace = train(model, dataset, run.training)
+    try:
+        store, trace = train(model, dataset, run.training)
+    except TrainingDiverged as exc:
+        _write_trace(trace_path, exc.trace)
+        raise
     wall = time.perf_counter() - started
-    _write_trace(os.path.join(out_dir, f"trace{suffix}.tsv"), trace)
+    _write_trace(trace_path, trace)
     model_raw = {**run.raw["model"], "variant": model.variant}
     training_raw = {**run.raw["training"], "seed": run.training.seed}
     meta = {"kind": "model", "config": {**run.raw, "model": model_raw, "training": training_raw}}
@@ -185,22 +191,21 @@ def cmd_decompose(args) -> int:
             takes = "1 rank cap" if array.ndim == 1 else f"1 or {array.ndim - 1} rank caps"
             raise ConfigError(f"--max-ranks: an order-{array.ndim} tensor takes {takes}, "
                               f"got {len(caps)}")
-    tt = tt_svd(from_array(array), max_ranks=caps, rel_tolerance=args.tol)
-    recon = tt_reconstruct(tt).array
+    # the loaded array is held nowhere else, so it is wrapped, not copied
+    cores = tt_svd(DenseTensor(array), max_ranks=caps, rel_tolerance=args.tol)
+    recon = tt_reconstruct(cores).array
     denom = np.linalg.norm(array)
     error = float(np.linalg.norm(recon - array) / denom) if denom > 0 else 0.0
-    tt_params = tt_param_count(tt)
+    tt_params = tt_param_count(cores)
+    ranks = [1] + [core.shape[2] for core in cores]
+    mode_sizes = [core.shape[1] for core in cores]
     out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)
     cores_path = os.path.join(out_dir, "cores.rgtn")
-    save_tt(
-        cores_path,
-        [core.array for core in tt.cores],
-        {"ranks": list(tt.ranks), "mode_sizes": list(tt.mode_sizes)},
-    )
+    save_tt(cores_path, cores, {"ranks": ranks, "mode_sizes": mode_sizes})
     pairs = [
-        ("mode_sizes", ",".join(str(d) for d in tt.mode_sizes)),
-        ("ranks", ",".join(str(r) for r in tt.ranks)),
+        ("mode_sizes", ",".join(str(d) for d in mode_sizes)),
+        ("ranks", ",".join(str(r) for r in ranks)),
         ("tt_parameters", tt_params),
         ("dense_parameters", array.size),
         ("compression_ratio", array.size / tt_params),

@@ -1,10 +1,10 @@
 """Immutable dense arrays for the tensor-train routines.
 
 A :class:`DenseTensor` is an order-N array of float64 entries that cannot
-be written to; ``tt_svd`` takes one and ``tt_reconstruct`` returns one, and
-each tensor-train core is one.  ``from_array`` copies a caller's array;
-the class itself wraps an array it is handed, read-only in place, so an
-array just computed and held nowhere else is not copied.
+be written to; ``tt_svd`` takes one and ``tt_reconstruct`` returns one.
+``from_array`` copies a caller's array; the class itself wraps an array it
+is handed, read-only in place, so an array just computed and held nowhere
+else is not copied.
 """
 
 from __future__ import annotations
@@ -13,9 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Shape", "DenseTensor", "from_array"]
-
-Shape = tuple[int, ...]
+__all__ = ["DenseTensor", "from_array"]
 
 
 @dataclass(frozen=True)
@@ -33,16 +31,8 @@ class DenseTensor:
         arr.flags.writeable = False
         object.__setattr__(self, "array", arr)
 
-    @property
-    def shape(self) -> Shape:
-        return self.array.shape
-
-    @property
-    def size(self) -> int:
-        return self.array.size
-
     def __repr__(self) -> str:  # pragma: no cover
-        return f"DenseTensor(shape={self.shape})"
+        return f"DenseTensor(shape={self.array.shape})"
 
 
 def from_array(array: np.ndarray | float) -> DenseTensor:

@@ -190,11 +190,18 @@ def evaluate(
     values: Mapping[str, np.ndarray],
     dataset: WindowedDataset,
 ) -> dict:
-    """Single-pass metrics on the test split; parameters are not touched."""
+    """Single-pass metrics on the test split; parameters are not touched.
+
+    Finite parameters can still overflow: a non-finite prediction, or a
+    regression MAE that the inverse transform overflows, raises
+    FloatingPointError.
+    """
     indices = dataset.splits.test
     inputs, targets = dataset.subset(indices)
     started = time.perf_counter()
     preds = predict(model, values, inputs)
+    if not np.isfinite(preds).all():
+        raise FloatingPointError("test predictions hold a NaN or infinity")
     metrics: dict = {
         "task": dataset.task,
         "n_samples": int(len(indices)),
@@ -204,6 +211,9 @@ def evaluate(
         preds_raw = inverse_transform_predictions(dataset, preds)
         targets_raw = inverse_transform_predictions(dataset, targets)
         metrics["mae"] = float(np.abs(preds_raw - targets_raw).mean())
+        if not np.isfinite(metrics["mae"]):
+            raise FloatingPointError(f"test MAE is {metrics['mae']!r}: the predictions "
+                                     f"overflow in the data's units")
     else:
         labels = preds.argmax(axis=1)
         metrics["accuracy"] = float((labels == targets).mean())

@@ -11,49 +11,35 @@ It takes no Gram-matrix shortcut: the eigenvalues of ``mat mat^T`` are the
 squared singular values, so rounding swamps those below about 1e-8 of the
 largest and the ``tol`` bound fails for small ``tol``.
 
-``tt_svd`` builds every ``TTNetwork`` the package makes, so nothing checks
-the chain: its boundary ranks are 1 and adjacent ranks match by
-construction.  ``rgtn decompose`` refuses a tensor file or a rank-cap
-count that ``tt_svd`` cannot take before it calls it.
+``tt_svd`` returns the chain as a tuple of read-only float64 core arrays,
+and nothing checks it: its boundary ranks are 1 and adjacent ranks match
+by construction.  ``rgtn decompose`` refuses a tensor file or a rank-cap
+count that ``tt_svd`` cannot take before it calls it.  ``tt_svd`` still
+takes a ``DenseTensor`` and ``tt_reconstruct`` still returns one, as the
+benchmark calls them; ROADMAP item 5 moves both to plain arrays.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .tensor import DenseTensor, Shape
+from .tensor import DenseTensor
 
-__all__ = ["TTNetwork", "tt_svd", "tt_reconstruct", "tt_param_count"]
-
-
-@dataclass(frozen=True)
-class TTNetwork:
-    """Chain of order-3 cores linked by matching ranks, as ``tt_svd`` builds it."""
-
-    cores: tuple[DenseTensor, ...]
-
-    @property
-    def ranks(self) -> tuple[int, ...]:
-        return (1,) + tuple(core.shape[2] for core in self.cores)
-
-    @property
-    def mode_sizes(self) -> Shape:
-        return tuple(core.shape[1] for core in self.cores)
+__all__ = ["tt_svd", "tt_reconstruct", "tt_param_count"]
 
 
-def tt_param_count(tt: TTNetwork) -> int:
+def tt_param_count(cores: Sequence[np.ndarray]) -> int:
     """Total entries stored by the chain: sum of R_{n-1} I_n R_n."""
-    return sum(core.size for core in tt.cores)
+    return sum(core.size for core in cores)
 
 
 def tt_svd(
     x: DenseTensor,
     max_ranks: int | Sequence[int] | None = None,
     rel_tolerance: float | None = None,
-) -> TTNetwork:
+) -> tuple[np.ndarray, ...]:
     """TT-SVD: the kept left singular vectors of each unfolding, left to right.
 
     With ``rel_tolerance`` t, each unfolding is truncated at threshold
@@ -67,15 +53,16 @@ def tt_svd(
     ValueError.
 
     Step k unfolds what is left in C order, last index fastest (a view of a
-    C-contiguous tensor), as ``mat`` (R_{k-1} I_k, rest).  As ``mat^T = Q R``
-    gives ``mat = R^T Q^T``, the SVD of the small ``R^T`` has the singular
-    values and left vectors of ``mat``, and ``V^T`` is never built (Chan's
-    R-SVD, 1982, ACM TOMS 8(1)).  Core k is the kept vectors in that order;
-    ``U_kept^T mat``, ``s V^T`` in exact arithmetic, goes on to step k + 1.
+    C-contiguous tensor, a copy of any other), as ``mat`` (R_{k-1} I_k,
+    rest).  As ``mat^T = Q R`` gives ``mat = R^T Q^T``, the SVD of the small
+    ``R^T`` has the singular values and left vectors of ``mat``, and ``V^T``
+    is never built (Chan's R-SVD, 1982, ACM TOMS 8(1)).  Core k is the kept
+    vectors in that order; ``U_kept^T mat``, ``s V^T`` in exact arithmetic,
+    goes on to step k + 1.
     """
     if not np.all(np.isfinite(x.array)):
         raise ValueError("tt_svd input contains non-finite entries")
-    dims = x.shape
+    dims = x.array.shape
     n = len(dims)
     single = max_ranks is None or isinstance(max_ranks, int)
     caps = [max_ranks] * (n - 1) if single else list(max_ranks)
@@ -84,7 +71,7 @@ def tt_svd(
     if rel_tolerance is not None and n > 1:
         tol = float(rel_tolerance) * float(np.linalg.norm(x.array)) / np.sqrt(n - 1)
 
-    cores: list[DenseTensor] = []
+    cores: list[np.ndarray] = []
     current = x.array
     rank = 1
     for k in range(n - 1):
@@ -104,17 +91,19 @@ def tt_svd(
         # Columns kept past the numerical rank carry zero weight; zero them so
         # a zero tensor yields all-zero cores.
         u_kept = u[:, :keep] * (s[:keep] > 0.0)
-        cores.append(DenseTensor(u_kept.reshape(rank, dims[k], keep)))
+        cores.append(u_kept.reshape(rank, dims[k], keep))
         current = u_kept.T @ mat
         rank = keep
-    cores.append(DenseTensor(current.reshape(rank, dims[-1])[:, :, None]))
-    return TTNetwork(tuple(cores))
+    cores.append(current.reshape(rank, dims[-1])[:, :, None])
+    for core in cores:
+        core.flags.writeable = False
+    return tuple(cores)
 
 
-def tt_reconstruct(tt: TTNetwork) -> DenseTensor:
+def tt_reconstruct(cores: Sequence[np.ndarray]) -> DenseTensor:
     """Contract the chain left to right back into a dense tensor."""
-    result = tt.cores[0].array
-    for core in tt.cores[1:]:
-        result = np.tensordot(result, core.array, axes=(result.ndim - 1, 0))
+    result = cores[0]
+    for core in cores[1:]:
+        result = np.tensordot(result, core, axes=(result.ndim - 1, 0))
     return DenseTensor(result[0, ..., 0])
 

@@ -70,7 +70,7 @@ def test_tt_round_trip_on_a_small_tensor():
     cores = tt.tt_svd(tensor.from_array(t), rel_tolerance=1e-2)
     back = tt.tt_reconstruct(cores).array
     assert np.linalg.norm(back - t) <= 1e-2 * np.linalg.norm(t)
-    assert tt.tt_param_count(cores) == sum(core.size for core in cores.cores)
+    assert tt.tt_param_count(cores) == sum(core.size for core in cores)
 
 
 

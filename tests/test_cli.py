@@ -301,6 +301,9 @@ class TestTrainCommand:
         assert main(["train", "--config", write_config(tmp_path, base_config(out))]) == 1
         assert "error: non-finite loss at epoch 3 (2 epochs recorded)" in capsys.readouterr().err
         assert not (out / "checkpoint.rgtn").exists()
+        # the epochs recorded before the divergence are kept
+        assert (out / "trace.tsv").read_text().splitlines() == [
+            "epoch\ttrain_loss\tval_loss", "1\t1.0\t1.0", "2\t1.0\t1.0"]
 
     def test_classification_on_csv_exits_2(self, tmp_path, capsys):
         # the model fits the csv (4 complete steps, 2 sites, 3 features): only the loss is wrong
@@ -634,6 +637,24 @@ class TestEvalCommand:
         assert code == 1 and f"params {name}:" in captured.err
         assert captured.out == "" and not (tmp_path / "eval").exists()
 
+    @pytest.mark.parametrize("config", ["synth_regression.yaml", "synth_classification.yaml"])
+    def test_overflowing_predictions_exit_1(self, tmp_path, capsys, config):
+        # every parameter but head.bias times 1e300 is finite, but its predictions are not
+        cfg = yaml.safe_load((ROOT / "configs" / config).read_text())
+        cfg["training"]["epochs"] = 1
+        cfg["output"]["dir"] = str(tmp_path / "run")
+        assert main(["train", "--config", write_config(tmp_path, cfg)]) == 0
+        path = str(tmp_path / "run" / "checkpoint.rgtn")
+        arrays, meta = load_checkpoint(path)
+        save_checkpoint(path, {name: arr if name == "head.bias" else arr * 1e300
+                               for name, arr in arrays.items()}, meta)
+        capsys.readouterr()
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["eval", "--checkpoint", path, "--out", str(tmp_path / "eval")])
+        captured = capsys.readouterr()
+        assert code == 1 and "error: test predictions hold a NaN or infinity" in captured.err
+        assert captured.out == "" and not (tmp_path / "eval").exists()
+
     def test_snapshot_beyond_memory_exits_2(self, tmp_path, capsys):
         out = tmp_path / "run"
         main(["train", "--config", write_config(tmp_path, base_config(out))])
@@ -757,6 +778,25 @@ class TestDecomposeCommand:
         assert float(pairs["reconstruction_error"]) <= 1e-12
         np.testing.assert_allclose(float(pairs["compression_ratio"]), 64 / 12, atol=1e-12)
         assert (out / "cores.rgtn").exists()
+        # the report and the cores file's meta agree with the saved cores' shapes,
+        # here, for a capped run and for a zero tensor
+        save_tensor(str(tmp_path / "y.rgtn"), rng.standard_normal((3, 4, 2)))
+        save_tensor(str(tmp_path / "z.rgtn"), np.zeros((2, 3, 2)))
+        for name, flags, ranks in (("x", ["--tol", "1e-10"], [1, 1, 1, 1]),
+                                   ("y", ["--max-ranks", "2,1"], [1, 2, 1, 1]),
+                                   ("z", ["--tol", "0.5"], [1, 1, 1, 1])):
+            out = tmp_path / f"dec_{name}"
+            assert main(["decompose", "--tensor", str(tmp_path / f"{name}.rgtn"), *flags,
+                         "--out", str(out)]) == 0
+            pairs = read_pairs(out / "decompose.txt")
+            arrays, meta = load_checkpoint(str(out / "cores.rgtn"))
+            cores = [arrays[f"core{k}"] for k in range(meta["n_cores"])]
+            assert list(arrays) == [f"core{k}" for k in range(len(cores))]
+            assert meta["ranks"] == [cores[0].shape[0]] + [c.shape[2] for c in cores] == ranks
+            assert meta["mode_sizes"] == [c.shape[1] for c in cores]
+            assert pairs["ranks"] == ",".join(map(str, meta["ranks"]))
+            assert pairs["mode_sizes"] == ",".join(map(str, meta["mode_sizes"]))
+            assert int(pairs["tt_parameters"]) == sum(c.size for c in cores)
 
     def test_full_rank_request(self, tmp_path):
         rng = np.random.default_rng(1)

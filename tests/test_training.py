@@ -2,6 +2,7 @@
 
 import tracemalloc
 import weakref
+from dataclasses import replace
 from math import prod
 
 import numpy as np
@@ -399,6 +400,16 @@ class TestEvaluate:
         mean_pred = inverse_transform_predictions(ds, np.zeros_like(targets))
         expect = float(np.abs(mean_pred - raw_targets).mean())
         np.testing.assert_allclose(metrics["mae"], expect, atol=1e-12)
+
+    def test_mae_overflowing_in_the_data_units_raises(self):
+        # finite z-scored predictions whose inverse transform overflows
+        model, ds, _ = regression_setup()
+        values = {name: np.zeros_like(arr) for name, arr in init_params(model, 0).items()}
+        values["head.bias"][:] = 1e300
+        huge = replace(ds, norm=replace(ds.norm, scale=ds.norm.scale * 1e300))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(FloatingPointError, match="test MAE is inf"):
+                evaluate(model, values, huge)
 
     def test_metrics_match_recomputation(self):
         model, ds, config = regression_setup(epochs=2)

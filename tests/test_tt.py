@@ -10,25 +10,30 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import tt_dense, tt_svd_reference
-from rgtn.checkpoint import save_tensor
+from rgtn.checkpoint import load_checkpoint, save_tensor
 from rgtn.cli import main
 from rgtn.models import HeadConfig, ModelConfig, forward, param_shapes
 from rgtn.tensor import from_array
-from rgtn.tt import TTNetwork, tt_param_count, tt_reconstruct, tt_svd
+from rgtn.tt import tt_param_count, tt_reconstruct, tt_svd
 
 
-def reconstruct_loop(tt):
+def chain_ranks(cores):
+    """R_0 = 1 and each core's right rank, as ``rgtn decompose`` reports them."""
+    return (1,) + tuple(core.shape[2] for core in cores)
+
+
+def reconstruct_loop(cores):
     """Entrywise chain product over all rank paths, by explicit loops."""
-    sizes = tt.mode_sizes
-    interior = tt.ranks[1:-1]
+    sizes = tuple(core.shape[1] for core in cores)
+    interior = chain_ranks(cores)[1:-1]
     out = np.zeros(sizes)
     for idx in np.ndindex(*sizes):
         acc = 0.0
         for path in np.ndindex(*interior):
             bounds = (0,) + tuple(path) + (0,)
             term = 1.0
-            for k, core in enumerate(tt.cores):
-                term *= core.array[bounds[k], idx[k], bounds[k + 1]]
+            for k, core in enumerate(cores):
+                term *= core[bounds[k], idx[k], bounds[k + 1]]
             acc += term
         out[idx] = acc
     return out
@@ -61,7 +66,7 @@ def head_matrix_via_reconstruct(values):
     """
     cores = [values[f"head.core{k}"] for k in range(3)]
     paired = [c.reshape(c.shape[0], -1, c.shape[3], order="F") for c in cores]
-    dense = tt_reconstruct(TTNetwork(tuple(from_array(c) for c in paired))).array
+    dense = tt_reconstruct(paired).array
     ins = [c.shape[1] for c in cores]
     outs = [c.shape[2] for c in cores]
     split = dense.reshape(
@@ -70,16 +75,16 @@ def head_matrix_via_reconstruct(values):
     return split.reshape(int(np.prod(ins)), int(np.prod(outs)), order="F")
 
 
-def assert_chain(tt, shape):
+def assert_chain(cores, shape):
     """Order-3 cores over ``shape``, boundary ranks 1 and adjacent ranks equal."""
-    assert all(core.array.ndim == 3 for core in tt.cores)
-    assert tt.mode_sizes == tuple(shape)
-    assert tt.cores[0].shape[0] == 1 and tt.cores[-1].shape[2] == 1
-    for left, right in zip(tt.cores, tt.cores[1:]):
+    assert all(core.ndim == 3 for core in cores)
+    assert tuple(core.shape[1] for core in cores) == tuple(shape)
+    assert cores[0].shape[0] == 1 and cores[-1].shape[2] == 1
+    for left, right in zip(cores, cores[1:]):
         assert left.shape[2] == right.shape[0]
 
 
-# tt_svd builds every chain, and TTNetwork checks none: orders 1 to 4, unit
+# tt_svd builds every chain, and nothing checks one: orders 1 to 4, unit
 # modes, and caps absent, above, at and below the numerical ranks
 CHAIN_CASES = [((1,), None), ((5,), 2), ((2, 3), 1), ((3, 1, 4), None), ((2, 3, 2, 3), 2),
                ((4, 4, 4), [3, 1]), ((1, 1, 1), 5)]
@@ -89,22 +94,28 @@ class TestNetworkValidation:
     def test_boundary_rank_enforced(self):
         rng = np.random.default_rng(5)
         for shape, caps in CHAIN_CASES:
-            tt = tt_svd(from_array(rng.standard_normal(shape)), max_ranks=caps)
-            assert tt.ranks[0] == tt.ranks[-1] == 1
-            assert tt.cores[0].shape[0] == tt.cores[-1].shape[2] == 1
+            cores = tt_svd(from_array(rng.standard_normal(shape)), max_ranks=caps)
+            assert len(cores) == len(shape)
+            assert cores[0].shape[0] == cores[-1].shape[2] == 1
 
     def test_adjacent_rank_mismatch(self):
         rng = np.random.default_rng(6)
         for shape, caps in CHAIN_CASES:
-            tt = tt_svd(from_array(rng.standard_normal(shape)), max_ranks=caps)
-            assert_chain(tt, shape)
-            assert tt.ranks == (1,) + tuple(core.shape[2] for core in tt.cores)
+            assert_chain(tt_svd(from_array(rng.standard_normal(shape)), max_ranks=caps), shape)
 
-    def test_ranks_property(self):
-        cores = (from_array(np.ones((1, 3, 2))), from_array(np.ones((2, 4, 1))))
-        tt = TTNetwork(cores)
-        assert tt.ranks == (1, 2, 1)
-        assert tt.mode_sizes == (3, 4)
+    def test_ranks_property(self, tmp_path):
+        # rgtn decompose reads the ranks and mode sizes it reports off the cores'
+        # shapes: a chain of (1, 3, 2) and (2, 4, 1) cores comes back as it was
+        rng = np.random.default_rng(6)
+        cores = (rng.standard_normal((1, 3, 2)), rng.standard_normal((2, 4, 1)))
+        tensor_path = str(tmp_path / "x.rgtn")
+        save_tensor(tensor_path, tt_reconstruct(cores).array)
+        out = tmp_path / "dec"
+        assert main(["decompose", "--tensor", tensor_path, "--tol", "1e-12",
+                     "--out", str(out)]) == 0
+        _, meta = load_checkpoint(str(out / "cores.rgtn"))
+        assert meta["ranks"] == [1, 2, 1]
+        assert meta["mode_sizes"] == [3, 4]
 
 
 class TestSVD:
@@ -112,24 +123,24 @@ class TestSVD:
         rng = np.random.default_rng(0)
         u, v, w = rng.standard_normal(3), rng.standard_normal(4), rng.standard_normal(5)
         x = from_array(np.einsum("i,j,k->ijk", u, v, w))
-        tt = tt_svd(x, rel_tolerance=1e-10)
-        assert tt.ranks == (1, 1, 1, 1)
-        err = np.linalg.norm(tt_reconstruct(tt).array - x.array)
+        cores = tt_svd(x, rel_tolerance=1e-10)
+        assert chain_ranks(cores) == (1, 1, 1, 1)
+        err = np.linalg.norm(tt_reconstruct(cores).array - x.array)
         assert err <= 1e-12 * np.linalg.norm(x.array)
 
     def test_full_rank_random_order4(self):
         rng = np.random.default_rng(1)
         x = from_array(rng.standard_normal((3, 4, 5, 2)))
-        tt = tt_svd(x)
-        rel = np.linalg.norm(tt_reconstruct(tt).array - x.array) / np.linalg.norm(x.array)
+        cores = tt_svd(x)
+        rel = np.linalg.norm(tt_reconstruct(cores).array - x.array) / np.linalg.norm(x.array)
         assert rel <= 1e-10
 
     def test_zero_tensor(self):
         x = from_array(np.zeros((2, 3, 2)))
-        tt = tt_svd(x)
-        for core in tt.cores:
-            np.testing.assert_array_equal(core.array, np.zeros(core.shape))
-        np.testing.assert_array_equal(tt_reconstruct(tt).array, np.zeros((2, 3, 2)))
+        cores = tt_svd(x)
+        for core in cores:
+            np.testing.assert_array_equal(core, np.zeros(core.shape))
+        np.testing.assert_array_equal(tt_reconstruct(cores).array, np.zeros((2, 3, 2)))
 
     def test_non_finite_rejected(self):
         x = from_array(np.array([[1.0, np.nan], [0.0, 1.0]]))
@@ -149,17 +160,17 @@ class TestSVD:
 
     def test_order1(self):
         x = from_array(np.array([1.0, 2.0, 3.0, 4.0]))
-        tt = tt_svd(x)
-        assert tt.ranks == (1, 1)
-        np.testing.assert_allclose(tt_reconstruct(tt).array, x.array, atol=1e-14)
+        cores = tt_svd(x)
+        assert chain_ranks(cores) == (1, 1)
+        np.testing.assert_allclose(tt_reconstruct(cores).array, x.array, atol=1e-14)
 
     def test_rank_validity_over_random_shapes(self):
         rng = np.random.default_rng(2)
         for shape in [(2, 2), (3, 4, 2), (2, 2, 2, 2), (5,)]:
-            tt = tt_svd(from_array(rng.standard_normal(shape)), max_ranks=3)
-            ranks = tt.ranks
+            cores = tt_svd(from_array(rng.standard_normal(shape)), max_ranks=3)
+            ranks = chain_ranks(cores)
             assert ranks[0] == 1 and ranks[-1] == 1
-            for i, core in enumerate(tt.cores):
+            for i, core in enumerate(cores):
                 assert core.shape == (ranks[i], shape[i], ranks[i + 1])
 
     def test_tolerance_monotonicity(self):
@@ -167,8 +178,8 @@ class TestSVD:
         x = from_array(rng.standard_normal((4, 4, 4)))
         errs = []
         for tol in [0.5, 0.1, 0.01, 1e-6]:
-            tt = tt_svd(x, rel_tolerance=tol)
-            rel = np.linalg.norm(tt_reconstruct(tt).array - x.array) / np.linalg.norm(x.array)
+            cores = tt_svd(x, rel_tolerance=tol)
+            rel = np.linalg.norm(tt_reconstruct(cores).array - x.array) / np.linalg.norm(x.array)
             assert rel <= tol + 1e-12
             errs.append(rel)
         assert all(a >= b - 1e-12 for a, b in zip(errs, errs[1:]))
@@ -178,8 +189,8 @@ class TestSVD:
         x = from_array(rng.standard_normal((4, 4, 4)))
         errs = []
         for cap in [1, 2, 3, 4]:
-            tt = tt_svd(x, max_ranks=cap)
-            errs.append(np.linalg.norm(tt_reconstruct(tt).array - x.array))
+            cores = tt_svd(x, max_ranks=cap)
+            errs.append(np.linalg.norm(tt_reconstruct(cores).array - x.array))
         assert all(a >= b - 1e-12 for a, b in zip(errs, errs[1:]))
 
 
@@ -220,11 +231,11 @@ class TestSVDAgainstReference:
         values, tol, caps = case
         x = from_array(values)
         assert x.array.flags.c_contiguous or values.dtype == np.float32
-        tt = tt_svd(x, max_ranks=caps, rel_tolerance=tol)
+        cores = tt_svd(x, max_ranks=caps, rel_tolerance=tol)
         ref = tt_svd_reference(x.array, max_ranks=caps, rel_tolerance=tol)
-        assert tt.ranks == (1,) + tuple(core.shape[2] for core in ref)
+        assert chain_ranks(cores) == chain_ranks(ref)
         norm = np.linalg.norm(x.array)
-        err = np.linalg.norm(tt_reconstruct(tt).array - x.array)
+        err = np.linalg.norm(tt_reconstruct(cores).array - x.array)
         assert abs(err - np.linalg.norm(tt_dense(ref) - x.array)) <= 1e-12 * norm
         if caps is None:
             assert err <= ((tol or 0.0) + 1e-14) * norm
@@ -233,11 +244,11 @@ class TestSVDAgainstReference:
     @given(case=svd_cases())
     def test_every_chain_is_well_formed(self, case):
         values, tol, caps = case
-        tt = tt_svd(from_array(values), max_ranks=caps, rel_tolerance=tol)
-        assert_chain(tt, values.shape)
+        cores = tt_svd(from_array(values), max_ranks=caps, rel_tolerance=tol)
+        assert_chain(cores, values.shape)
         if caps is not None:
             interior = [caps] * (values.ndim - 1) if isinstance(caps, int) else caps
-            assert all(r <= cap for r, cap in zip(tt.ranks[1:-1], interior))
+            assert all(r <= cap for r, cap in zip(chain_ranks(cores)[1:-1], interior))
 
     def test_singular_values_down_to_1e_14(self):
         # the first unfolding's singular values fall from 1 to 1e-14; squared
@@ -246,48 +257,43 @@ class TestSVDAgainstReference:
         left = np.linalg.qr(rng.standard_normal((20, 20)))[0]
         right = np.linalg.qr(rng.standard_normal((400, 20)))[0]
         x = ((left * np.logspace(0, -14, 20)) @ right.T).reshape(20, 20, 20)
-        tt = tt_svd(from_array(x), rel_tolerance=1e-13)
+        cores = tt_svd(from_array(x), rel_tolerance=1e-13)
         ref = tt_svd_reference(x, rel_tolerance=1e-13)
-        assert tt.ranks == (1,) + tuple(core.shape[2] for core in ref) == (1, 18, 20, 1)
-        assert np.linalg.norm(tt_reconstruct(tt).array - x) <= 1e-13 * np.linalg.norm(x)
+        assert chain_ranks(cores) == chain_ranks(ref) == (1, 18, 20, 1)
+        assert np.linalg.norm(tt_reconstruct(cores).array - x) <= 1e-13 * np.linalg.norm(x)
 
 
 class TestReconstruct:
     def test_single_core(self):
-        core = from_array(np.arange(3.0).reshape(1, 3, 1))
-        tt = TTNetwork((core,))
-        np.testing.assert_array_equal(tt_reconstruct(tt).array, [0, 1, 2])
+        core = np.arange(3.0).reshape(1, 3, 1)
+        np.testing.assert_array_equal(tt_reconstruct((core,)).array, [0, 1, 2])
 
     def test_all_ones_cores_count_paths(self):
         for n in [2, 3, 4]:
             ranks = (1,) + (2,) * (n - 1) + (1,)
-            cores = tuple(
-                from_array(np.ones((ranks[k], 1, ranks[k + 1]))) for k in range(n)
-            )
-            tt = TTNetwork(cores)
-            dense = tt_reconstruct(tt)
+            cores = tuple(np.ones((ranks[k], 1, ranks[k + 1])) for k in range(n))
+            dense = tt_reconstruct(cores)
             assert dense.array.ravel()[0] == 2 ** (n - 1)
-            np.testing.assert_allclose(dense.array, reconstruct_loop(tt), atol=1e-12)
+            np.testing.assert_allclose(dense.array, reconstruct_loop(cores), atol=1e-12)
 
     def test_against_loop_oracle_random(self):
         rng = np.random.default_rng(5)
         cores = (
-            from_array(rng.standard_normal((1, 3, 2))),
-            from_array(rng.standard_normal((2, 2, 3))),
-            from_array(rng.standard_normal((3, 4, 1))),
+            rng.standard_normal((1, 3, 2)),
+            rng.standard_normal((2, 2, 3)),
+            rng.standard_normal((3, 4, 1)),
         )
-        tt = TTNetwork(cores)
-        np.testing.assert_allclose(tt_reconstruct(tt).array, reconstruct_loop(tt), atol=1e-12)
+        np.testing.assert_allclose(tt_reconstruct(cores).array, reconstruct_loop(cores),
+                                   atol=1e-12)
 
     def test_result_is_not_copied(self):
         # the 16^4 chain rgtn decompose meets: the contraction's own array, read-only
         rng = np.random.default_rng(9)
         ranks = (1, 3, 3, 3, 1)
-        tt = TTNetwork(tuple(from_array(rng.standard_normal((ranks[k], 16, ranks[k + 1])))
-                             for k in range(4)))
+        cores = tuple(rng.standard_normal((ranks[k], 16, ranks[k + 1])) for k in range(4))
         tracemalloc.start()
         try:
-            dense = tt_reconstruct(tt)
+            dense = tt_reconstruct(cores)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -296,31 +302,30 @@ class TestReconstruct:
 
     def test_svd_cores_are_read_only(self):
         x = from_array(np.random.default_rng(10).standard_normal((3, 4, 5)))
-        for core in tt_svd(x, max_ranks=2).cores:
+        cores = tt_svd(x, max_ranks=2)
+        assert isinstance(cores, tuple)
+        for core in cores:
+            assert type(core) is np.ndarray and core.dtype == np.float64
             with pytest.raises(ValueError):
-                core.array[(0,) * 3] = 1.0
+                core[(0,) * 3] = 1.0
 
 
 class TestParamCount:
     def test_pinned_example(self):
         rng = np.random.default_rng(6)
         ranks = (1, 2, 2, 2, 1)
-        cores = tuple(
-            from_array(rng.standard_normal((ranks[k], 4, ranks[k + 1])))
-            for k in range(4)
-        )
-        tt = TTNetwork(cores)
-        assert tt_param_count(tt) == 48
+        cores = tuple(rng.standard_normal((ranks[k], 4, ranks[k + 1])) for k in range(4))
+        assert tt_param_count(cores) == 48
         assert prod((4, 4, 4, 4)) == 256
 
     def test_all_rank_one(self):
-        cores = tuple(from_array(np.ones((1, i, 1))) for i in (3, 5, 2))
-        assert tt_param_count(TTNetwork(cores)) == 10
+        cores = tuple(np.ones((1, i, 1)) for i in (3, 5, 2))
+        assert tt_param_count(cores) == 10
 
     def test_matches_core_sizes_after_svd(self):
         rng = np.random.default_rng(7)
-        tt = tt_svd(from_array(rng.standard_normal((3, 4, 2))), max_ranks=2)
-        assert tt_param_count(tt) == sum(c.size for c in tt.cores)
+        cores = tt_svd(from_array(rng.standard_normal((3, 4, 2))), max_ranks=2)
+        assert tt_param_count(cores) == sum(c.size for c in cores)
 
     def test_compression_grid(self):
         # Interior ranks strictly below the smallest mode size compress;
@@ -328,8 +333,8 @@ class TestParamCount:
         rng = np.random.default_rng(8)
         for shape in [(2, 2, 2), (3, 2, 4), (2, 3, 2, 3), (4, 4, 4), (3, 3, 3)]:
             cap = max(min(shape) - 1, 1)
-            tt = tt_svd(from_array(rng.standard_normal(shape)), max_ranks=cap)
-            assert tt_param_count(tt) < prod(shape)
+            cores = tt_svd(from_array(rng.standard_normal(shape)), max_ranks=cap)
+            assert tt_param_count(cores) < prod(shape)
 
 
 class TestLinearLayer:
