@@ -14,10 +14,11 @@ gradients.  No inner node keeps a gradient.
 
 The windows and the time adjacency are data: ``graph_tt`` and
 ``recurrence`` take them as plain arrays, which get no node, no push and
-no gradient, so a batch of windows costs the tape nothing; ``graph_tt``'s
-backward reads its windows again.  Each loss is one node whose only input
-is the prediction (or the logits), and its push returns the loss's
-gradient in closed form.
+no gradient, so a batch of windows costs the tape nothing; grgtn's
+``graph_tt`` backward reads its windows again, so its tape keeps them, and
+srgtn's does not.  Each loss is one node whose only input is the
+prediction (or the logits), and its push returns the loss's gradient in
+closed form.
 
 Each body op is a forward kernel over plain arrays plus a backward:
 ``graph_tt_kernel`` and ``recurrence_kernel`` compute the output, and
@@ -298,6 +299,8 @@ def graph_tt(
                                                keep=True)
     a0, a1, a2 = (c.reshape(c.shape[0] * c.shape[1], -1) for c in arrays)
     act_push, step = _ACTIVATIONS[activation][1], _graph_block(tau, phys, hidden)
+    # only grgtn's dx reads the windows again, so only its tape keeps them
+    windows = None if w_r is None else x
 
     def grads(g: np.ndarray) -> list[np.ndarray]:
         g3 = g.reshape(batch, o2, o1, o0).transpose(0, 3, 2, 1).reshape(batch * o0 * o1, o2)
@@ -322,7 +325,7 @@ def graph_tt(
                          out=push_out[: k * tau * phys])
             dm += d.T @ ax
             if wr is not None:
-                dx += d.T @ x[lo : lo + k].reshape(-1, feat)
+                dx += d.T @ windows[lo : lo + k].reshape(-1, feat)
         weights = [dm] if wr is None else [dx + wr.T @ dm, dm @ wx.T]
         head = [t.reshape(c.shape) for t, c in zip((terms[0], d1, d2), arrays)]
         return weights + head + [g.sum(axis=0)]
@@ -370,7 +373,7 @@ def recurrence_kernel(
     (batch, tau, _, _), (hidden, pf), n = x.shape, w_x.shape, w.shape[0]
     fn = _ACTIVATIONS[activation][0]
     wxt, wt = _gemm_weight(w_x), _gemm_weight(w)
-    step = max(1, 16 * _BLOCK_BYTES // (8 * tau * (pf + 3 * hidden)))
+    step = _recurrence_block(tau, pf, hidden)
     out, kept = np.empty((batch, n)), []
     # one block of no windows gives zero gradients of the right shapes
     for lo in range(0, max(batch, 1), step):
@@ -387,6 +390,11 @@ def recurrence_kernel(
         del flat, h, rows  # before the next block's are made
     out = out + bias
     return (out, kept) if keep else out
+
+
+def _recurrence_block(tau: int, pf: int, hidden: int) -> int:
+    """Windows in a block of ``recurrence_kernel``, sized as above."""
+    return max(1, 16 * _BLOCK_BYTES // (8 * tau * (pf + 3 * hidden)))
 
 
 def recurrence(

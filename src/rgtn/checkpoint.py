@@ -119,7 +119,8 @@ def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], dict]:
         header = json.loads(blob[pos : pos + head_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"{path}: corrupted header ({exc})") from None
-    payload = blob[pos + head_len :]
+    # a view, not a slice of the bytes: a slice would copy the payload
+    payload = memoryview(blob)[pos + head_len :]
     problem = _header_problem(header, len(payload))
     if problem is not None:
         raise CheckpointError(f"{path}: malformed header: {problem}")

@@ -18,6 +18,14 @@ gradients to the sum of the chunks before, and its tape is dropped before
 the next chunk's forward.  So only one chunk's hidden block is alive at a
 time, and the gradient is the batch's, up to the order of the sum.
 
+Each epoch's validation pass and ``evaluate``'s test pass walk their split
+in chunks of the same size, rounded down to whole blocks of the body op's
+kernel, each read through ``dataset.subset``: a time-ordered split is
+sliced and any other gathered one chunk at a time, so neither pass holds a
+copy of its whole split.  The chunks' predictions fill one array, and the
+loss or the metrics are taken once over it, with the bits of one
+``predict`` on the whole split.
+
 ``train`` looks its loss op up on ``autodiff`` by name (``mae_loss`` for
 ``loss: mae``) when it runs, so a wrapper or patch put on the module before
 the call is the op it runs.  Both losses it records are checked: a
@@ -29,8 +37,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import partial
 from math import prod
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -54,13 +63,14 @@ LOSS_TASKS = {"mae": "regression", "mse": "regression", "cross_entropy": "classi
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
 # Feature-block bytes of the windows a training step runs through the tape
-# at once (at least one window).  Timed as one epoch of grgtn in process on
-# one OpenBLAS thread (process CPU, alternated rounds), against one chunk a
-# batch of 64: at predict-stream's 64 KiB windows 2 MiB chunks took 2.5%
-# longer and 1 MiB chunks 7% (medians of 101), and in the benchmark's
-# alternated runs 2 MiB chunks left its training flat; at wide-train's 256
-# KiB windows 2 MiB chunks (8 of 8 windows) took 6% less and 1 MiB chunks
-# 2% more (medians of 7).
+# at once (at least one window); a validation or test pass predicts at most
+# as many at once, in whole kernel blocks.  Timed as one epoch of grgtn in
+# process on one OpenBLAS thread (process CPU, alternated rounds), against
+# one chunk a batch of 64: at predict-stream's 64 KiB windows 2 MiB chunks
+# took 2.5% longer and 1 MiB chunks 7% (medians of 101), and in the
+# benchmark's alternated runs 2 MiB chunks left its training flat; at
+# wide-train's 256 KiB windows 2 MiB chunks (8 of 8 windows) took 6% less
+# and 1 MiB chunks 2% more (medians of 7).
 _CHUNK_BYTES = 1 << 21
 
 
@@ -129,6 +139,60 @@ def adam_step(store: ParamStore, config: TrainConfig) -> None:
     store.flat -= config.learning_rate * m_hat / (np.sqrt(v_hat) + EPS)
 
 
+def _chunk_windows(model: ModelConfig) -> int:
+    """Whole windows a chunk: as many as ``_CHUNK_BYTES`` of feature block hold, at least one."""
+    return max(1, _CHUNK_BYTES // (8 * prod(model.feature_block)))
+
+
+def _walk_windows(model: ModelConfig) -> int:
+    """Whole windows a chunk of a validation or test walk.
+
+    ``_chunk_windows`` rounded down to whole blocks of the body op's kernel
+    (at least one block), so that the walk's chunks split the windows where
+    ``predict`` on the whole split splits its blocks.  Where the chunk is
+    not already a multiple of the block (at synth_classification's shape it
+    is 455 windows to a block of 56), a window's prediction would otherwise
+    round differently as its chunk ended within a block.
+    """
+    if model.variant == "rnn":
+        block = ad._recurrence_block(model.tau, model.d_phys * model.d_feat, model.hidden)
+    else:
+        block = ad._graph_block(model.tau, model.d_phys, model.hidden)
+    return max(block, _chunk_windows(model) // block * block)
+
+
+def _predict_split(
+    model: ModelConfig,
+    values: Mapping[str, np.ndarray],
+    dataset: WindowedDataset,
+    indices: np.ndarray,
+    transform: Callable[[np.ndarray], np.ndarray] | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The predictions and targets of the windows at ``indices``, one chunk at a time.
+
+    Each chunk of ``_walk_windows(model)`` windows comes from
+    ``dataset.subset``, so a time-ordered split is read as slices and any
+    other is gathered a chunk at a time, never whole.  The chunks'
+    predictions fill one ``(n, out_dim)`` array and their targets, through
+    ``transform`` if one is given, one array like ``dataset.targets``.
+    A split of one chunk takes ``predict``'s output and the subset's targets
+    as they are, with no copy.  Each window's prediction is ``predict``'s on
+    the whole split, bit for bit.
+    """
+    step = _walk_windows(model)
+    if len(indices) <= step:
+        x, y = dataset.subset(indices)
+        return predict(model, values, x), y if transform is None else transform(y)
+    preds = np.empty((len(indices), model.out_dim))
+    targets = np.empty((len(indices),) + dataset.targets.shape[1:], dataset.targets.dtype)
+    for lo in range(0, len(indices), step):
+        x, y = dataset.subset(indices[lo : lo + step])
+        preds[lo : lo + len(x)] = predict(model, values, x)
+        targets[lo : lo + len(y)] = y if transform is None else transform(y)
+        del x, y  # before the next chunk is gathered
+    return preds, targets
+
+
 def train(
     model: ModelConfig, dataset: WindowedDataset, config: TrainConfig
 ) -> tuple[ParamStore, list[dict]]:
@@ -142,12 +206,14 @@ def train(
     step's parameter leaves sum as ``backward`` sums a leaf reached twice,
     add up to the batch's; the sum is copied into the store and one
     ``adam_step`` runs.  A batch of one chunk takes the unchunked path's bits.
+    Each epoch's validation loss is taken once over the split's
+    predictions, which ``_predict_split`` makes a chunk at a time.
     """
     seeds = np.random.SeedSequence(config.seed).generate_state(2)
     store = ParamStore(init_params(model, int(seeds[0])))
     shuffle_rng = np.random.default_rng(int(seeds[1]))
     train_idx, val_idx = dataset.splits.train, dataset.splits.val
-    chunk = max(1, _CHUNK_BYTES // (8 * prod(model.feature_block)))
+    chunk = _chunk_windows(model)
     loss_op = getattr(ad, f"{config.loss}_loss")
     trace: list[dict] = []
     for epoch in range(1, config.epochs + 1):
@@ -175,10 +241,8 @@ def train(
             del nodes
             adam_step(store, config)
             loss_sum += value * len(batch)
-        # a time-ordered validation split is a slice of the windows, and any
-        # other is gathered for this call alone, so no training step holds it
-        x, y = dataset.subset(val_idx)
-        val_loss = float(loss_op(ad.constant(predict(model, store.views, x)), y).array)
+        preds, y = _predict_split(model, store.views, dataset, val_idx)
+        val_loss = float(loss_op(ad.constant(preds), y).array)
         if not np.isfinite(val_loss):
             raise TrainingDiverged(f"non-finite validation loss at epoch {epoch}", trace)
         trace.append({"epoch": epoch, "train_loss": loss_sum / len(order), "val_loss": val_loss})
@@ -192,14 +256,22 @@ def evaluate(
 ) -> dict:
     """Single-pass metrics on the test split; parameters are not touched.
 
+    The split is walked chunk by chunk, as ``train`` walks its validation
+    split, so only one chunk of its windows is read or gathered at a time;
+    the predictions and targets each fill one array, and every metric is
+    taken once over the whole split.  ``wall_time_s`` covers the walk, the
+    gathers of a stratified split's chunks included, and the metrics.
+
     Finite parameters can still overflow: a non-finite prediction, or a
     regression MAE that the inverse transform overflows, raises
     FloatingPointError.
     """
     indices = dataset.splits.test
-    inputs, targets = dataset.subset(indices)
     started = time.perf_counter()
-    preds = predict(model, values, inputs)
+    regression = dataset.task == "regression"
+    # a regression's targets go to the data's units chunk by chunk: no z-scored copy is made
+    to_raw = partial(inverse_transform_predictions, dataset) if regression else None
+    preds, targets = _predict_split(model, values, dataset, indices, to_raw)
     if not np.isfinite(preds).all():
         raise FloatingPointError("test predictions hold a NaN or infinity")
     metrics: dict = {
@@ -207,10 +279,9 @@ def evaluate(
         "n_samples": int(len(indices)),
         "parameter_count": param_count(model)[1],
     }
-    if dataset.task == "regression":
-        preds_raw = inverse_transform_predictions(dataset, preds)
-        targets_raw = inverse_transform_predictions(dataset, targets)
-        metrics["mae"] = float(np.abs(preds_raw - targets_raw).mean())
+    if regression:
+        errors = inverse_transform_predictions(dataset, preds) - targets
+        metrics["mae"] = float(np.abs(errors, out=errors).mean())
         if not np.isfinite(metrics["mae"]):
             raise FloatingPointError(f"test MAE is {metrics['mae']!r}: the predictions "
                                      f"overflow in the data's units")

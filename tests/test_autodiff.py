@@ -690,6 +690,21 @@ class TestGraphTT:
         del g
         assert ref() is None  # the last push dropped the shared gradient
 
+    @pytest.mark.parametrize("variant, kept", [("grgtn", True), ("srgtn", False)])
+    def test_only_grgtns_tape_keeps_the_windows(self, variant, kept):
+        # grgtn's dx reads the windows again in the backward; srgtn's tape holds no
+        # reference to them, so a training chunk's windows go once its forward returns
+        cfg = ModelConfig(variant=variant, tau=4, d_phys=2, d_feat=3, hidden=3, out_dim=4,
+                          head=HeadConfig(out_modes=(1, 2, 2)))
+        x = np.random.default_rng(60).standard_normal((5, 4, 2, 3))
+        ref = weakref.ref(x)
+        nodes = {k: ad.constant(v) for k, v in init_params(cfg, seed=2).items()}
+        root = ad.mse_loss(forward(cfg, nodes, x), np.zeros((5, 4)))
+        del x
+        assert (ref() is not None) == kept
+        ad.backward(root)
+        assert all(np.isfinite(node.grad).all() for node in nodes.values())
+
     def test_backward_keeps_no_gradient_of_the_hidden_block(self):
         # wide-train's grgtn step: the kept h, the kept A x and the small head
         # rows, but no hidden-sized gradient

@@ -2,6 +2,7 @@
 
 import os
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -66,6 +67,21 @@ class TestRoundTrip:
         for got, expect in zip(loaded.values(), cores):
             assert np.array_equal(got, expect)
 
+
+    def test_load_holds_the_payload_about_twice(self, tmp_path):
+        # the file's bytes and the loaded arrays, with no copy of the payload between
+        x = np.random.default_rng(4).standard_normal(1 << 19)
+        path = str(tmp_path / "x.rgtn")
+        save_tensor(path, x)
+        tracemalloc.start()
+        try:
+            loaded = load_tensor(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(loaded, x)
+        assert loaded.flags.writeable and loaded.flags.aligned
+        assert peak <= 2.1 * x.nbytes, peak / x.nbytes
 
 class TestIntegrity:
     def test_bad_magic(self, tmp_path):

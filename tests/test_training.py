@@ -386,6 +386,102 @@ class TestSplitLoss:
         assert got == float(loss_op(forward(model, values, x), y).array)
 
 
+class TestSplitWalk:
+    """Each epoch's validation pass and ``evaluate`` walk their split a chunk of whole
+    windows at a time: the peak is a chunk's, and the loss and the metrics are those
+    of one ``predict`` on the whole split, to the bit."""
+
+    # a window's inputs take 8 KiB and its hidden block 1 KiB; the patch below makes
+    # a chunk 8 windows and a kernel block one, so a stratified split's gather of all
+    # its windows outweighs everything else a chunk's pass holds
+    MODEL = ModelConfig(variant="grgtn", tau=8, d_phys=4, d_feat=32, hidden=4, out_dim=2,
+                        head=HeadConfig(ranks=(2, 2), out_modes=(1, 1, 2)))
+    CHUNK = 8
+
+    def patch(self, monkeypatch, model, windows):
+        from rgtn import training
+
+        window = 8 * prod(model.feature_block)
+        monkeypatch.setattr(ad, "_BLOCK_BYTES", window)
+        monkeypatch.setattr(training, "_CHUNK_BYTES", windows * window)
+
+    def dataset(self, split):
+        return synth_classification(8, 4, 32, 160, 0.5, seed=3, split=split)
+
+    @staticmethod
+    def traced(fn):
+        tracemalloc.start()
+        try:
+            return fn(), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_validation_peaks_as_one_chunk_and_records_the_whole_split_loss(self, monkeypatch):
+        self.patch(monkeypatch, self.MODEL, self.CHUNK)
+        config = TrainConfig(epochs=1, learning_rate=1e-2, batch_size=16, seed=0,
+                             loss="cross_entropy")
+        # the same labels and train split, with a validation split of one chunk and of ten
+        one, many = self.dataset((0.2, 0.05, 0.1)), self.dataset((0.2, 0.5, 0.1))
+        assert len(one.splits.val) <= self.CHUNK and len(many.splits.val) >= 4 * self.CHUNK
+        peaks = []
+        for ds in (one, many):
+            (store, trace), peak = self.traced(lambda: train(self.MODEL, ds, config))
+            peaks.append(peak)
+            x, y = ds.subset(ds.splits.val)
+            want = ad.cross_entropy_loss(ad.constant(predict(self.MODEL, store.values(), x)), y)
+            assert trace[0]["val_loss"] == float(want.array)
+        assert peaks[1] < 1.5 * peaks[0], peaks
+
+    def test_evaluate_peaks_as_one_chunk_and_scores_the_whole_split(self, monkeypatch):
+        self.patch(monkeypatch, self.MODEL, self.CHUNK)
+        ds = self.dataset((0.2, 0.05, 0.75))
+        values = init_params(self.MODEL, 4)
+        metrics, peak = self.traced(lambda: evaluate(self.MODEL, values, ds))
+        x, y = ds.subset(ds.splits.test)
+        chunk_bytes = self.CHUNK * x[0].nbytes
+        assert len(x) >= 10 * self.CHUNK
+        assert peak < 2 * chunk_bytes < x.nbytes / 4, (peak, chunk_bytes, x.nbytes)
+        assert metrics["accuracy"] == float((predict(self.MODEL, values, x).argmax(1) == y).mean())
+        assert metrics["n_samples"] == len(x)
+
+    def test_regression_mae_is_the_whole_split_mae(self, monkeypatch):
+        # a time-ordered split walked 3 windows at a time, through its slices
+        from rgtn.data import inverse_transform_predictions as raw
+
+        model, ds, config = regression_setup(epochs=2)
+        store, _ = train(model, ds, config)
+        self.patch(monkeypatch, model, 3)
+        x, y = ds.subset(ds.splits.test)
+        assert len(x) > 4 * 3
+        mae = float(np.abs(raw(ds, predict(model, store.values(), x)) - raw(ds, y)).mean())
+        assert evaluate(model, store.values(), ds)["mae"] == mae
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_chunks_end_on_the_kernels_block_boundaries(self, variant, monkeypatch):
+        # a chunk of 7 windows over blocks of 3 walks 6 at a time, so each window's
+        # prediction comes from the block it has in one predict on the whole split
+        from rgtn import training
+
+        model = replace(self.MODEL, variant=variant)
+        self.patch(monkeypatch, model, 7)
+        monkeypatch.setattr(ad, "_graph_block", lambda *shape: 3)
+        monkeypatch.setattr(ad, "_recurrence_block", lambda *shape: 3)
+        assert training._walk_windows(model) == 6
+        ds = self.dataset((0.2, 0.05, 0.75))
+        values = init_params(model, 5)
+        recorded = []
+
+        def predict_recorded(model, values, x):
+            recorded.append(len(x))
+            return predict(model, values, x)
+
+        monkeypatch.setattr(training, "predict", predict_recorded)
+        preds, labels = training._predict_split(model, values, ds, ds.splits.test)
+        x, y = ds.subset(ds.splits.test)
+        assert set(recorded[:-1]) == {6} and sum(recorded) == len(x)
+        assert np.array_equal(preds, predict(model, values, x)) and np.array_equal(labels, y)
+
+
 class TestEvaluate:
     def test_constant_predictor_mae(self):
         model, ds, _ = regression_setup()
