@@ -373,7 +373,7 @@ def recurrence_kernel(
     (batch, tau, _, _), (hidden, pf), n = x.shape, w_x.shape, w.shape[0]
     fn = _ACTIVATIONS[activation][0]
     wxt, wt = _gemm_weight(w_x), _gemm_weight(w)
-    step = _recurrence_block(tau, pf, hidden)
+    step = max(1, 16 * _BLOCK_BYTES // (8 * tau * (pf + 3 * hidden)))
     out, kept = np.empty((batch, n)), []
     # one block of no windows gives zero gradients of the right shapes
     for lo in range(0, max(batch, 1), step):
@@ -390,11 +390,6 @@ def recurrence_kernel(
         del flat, h, rows  # before the next block's are made
     out = out + bias
     return (out, kept) if keep else out
-
-
-def _recurrence_block(tau: int, pf: int, hidden: int) -> int:
-    """Windows in a block of ``recurrence_kernel``, sized as above."""
-    return max(1, 16 * _BLOCK_BYTES // (8 * tau * (pf + 3 * hidden)))
 
 
 def recurrence(

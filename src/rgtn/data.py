@@ -18,10 +18,12 @@ target is one series element, so z-scoring the series applies to each the
 same ``(v - mean) / scale`` as z-scoring a copy of the windows would: the
 bits are those of windowing first.
 
-A regression dataset holds its z-scored series once: its inputs are a
-read-only strided view of it, and a time-ordered split is a slice of that
-view.  A training batch, a stratified split or any other gather is a
-C-order copy, as NumPy's fancy indexing makes.
+Every dataset stores its windows train first, then val, then test, then
+any left unused, so each split is a run of indices from ``_runs`` and
+``subset`` reads it as a slice that copies nothing.  A regression dataset
+holds its z-scored series once: its inputs are a read-only strided view of
+it.  A training batch or any other gather is a C-order copy, as NumPy's
+fancy indexing makes.
 """
 
 from __future__ import annotations
@@ -57,7 +59,10 @@ class CsvFormatError(ValueError):
 
 @dataclass(frozen=True)
 class SplitIndices:
-    """Disjoint, sorted window indices of each split, as both split builders make them."""
+    """Disjoint, sorted window indices of each split.
+
+    A dataset's splits are consecutive runs from 0, in train, val, test order.
+    """
 
     train: np.ndarray
     val: np.ndarray
@@ -74,10 +79,11 @@ class NormStats:
 class WindowedDataset:
     """Windows, their targets, the split and the statistics they were z-scored with.
 
-    A regression dataset's inputs and targets are read-only: the inputs are
-    a view of the z-scored series, so window ``i`` shares its last ``tau - 1``
-    steps with window ``i + 1``.  A classification dataset's are C-order
-    arrays of their own.
+    Each split is a run of windows (see ``SplitIndices``).  A regression
+    dataset's inputs and targets are read-only: the inputs are a view of the
+    z-scored series, so window ``i`` shares its last ``tau - 1`` steps with
+    window ``i + 1``.  A classification dataset's are C-order arrays of their
+    own.
     """
 
     inputs: np.ndarray            # (S, tau, D_phys, D_feat)
@@ -93,9 +99,9 @@ class WindowedDataset:
     def subset(self, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The inputs and targets at ``indices``, as ``inputs[indices]`` gives them.
 
-        A run of consecutive in-range indices, as a time-ordered split is,
-        comes back as read-only slices that copy nothing; any other index
-        array is gathered into new arrays.
+        A run of consecutive in-range indices, as every split is, comes back
+        as read-only slices that copy nothing; any other index array is
+        gathered into new arrays.
         """
         idx = np.asarray(indices)
         if idx.ndim == 1 and idx.size and idx.dtype.kind in "iu":
@@ -219,14 +225,16 @@ def _split_sizes(n: int, fractions: tuple[float, float, float]) -> tuple[int, in
     return n_train, n_val, n - n_train - n_val - n_unused
 
 
-def _chronological_split(n: int, fractions: tuple[float, float, float]) -> SplitIndices:
-    n_train, n_val, n_test = _split_sizes(n, fractions)
-    idx = np.arange(n)
+def _runs(n_train: int, n_val: int, n_test: int) -> SplitIndices:
+    """The three splits as consecutive runs from 0: train, then val, then test."""
+    idx = np.arange(n_train + n_val + n_test)
     return SplitIndices(
-        train=idx[:n_train],
-        val=idx[n_train : n_train + n_val],
-        test=idx[n_train + n_val : n_train + n_val + n_test],
+        train=idx[:n_train], val=idx[n_train : n_train + n_val], test=idx[n_train + n_val :]
     )
+
+
+def _chronological_split(n: int, fractions: tuple[float, float, float]) -> SplitIndices:
+    return _runs(*_split_sizes(n, fractions))
 
 
 def _stratified_split(
@@ -365,10 +373,12 @@ def synth_classification(
     and damp it differently, so the noiseless trajectories are distinct
     and the classes are exactly separable at zero noise.  The stratified
     split comes from the labels, with a generator of its own, before any
-    window is drawn, and an empty split raises ValueError then.  The
-    windows are z-scored where they lie with the statistics of the train
-    windows' gathered copy: each element gets the one ``(v - mean) / scale``
-    a z-scored copy would hold.
+    window is drawn, and an empty split raises ValueError then.  Labels and
+    windows are drawn in one order from one stream, and each window is
+    written to its slot: the train split's draws first, then val's, then
+    test's, then the unused ones, each in draw order.  The windows are
+    z-scored where they lie with the statistics of the train run, so each
+    element gets the one ``(v - mean) / scale`` a z-scored copy would hold.
     """
     rng = np.random.default_rng(seed)
     dim = d_phys * d_feat
@@ -390,15 +400,19 @@ def synth_classification(
             rows[t] = state
         trajectories.append(rows)
     labels = rng.integers(0, 2, size=n_samples)
-    splits = _stratified_split(labels, split, seed)
-    _refuse_empty(splits, f"{n_samples} samples, {np.count_nonzero(labels)} of class 1, "
-                          f"split by class")
+    drawn = _stratified_split(labels, split, seed)
+    _refuse_empty(drawn, f"{n_samples} samples, {np.count_nonzero(labels)} of class 1, "
+                         f"split by class")
+    # the draws of train, val and test, then the unused ones, each in draw order
+    order = np.concatenate([drawn.train, drawn.val, drawn.test])
+    order = np.concatenate([order, np.setdiff1d(np.arange(n_samples), order)])
     windows = np.empty((n_samples, tau, d_phys, d_feat))
-    for i, cls in enumerate(labels):
+    for slot, cls in zip(np.argsort(order), labels):
         block = trajectories[cls] + noise * rng.standard_normal((tau, dim))
-        windows[i] = block.reshape(tau, d_feat, d_phys).transpose(0, 2, 1)
-    norm = _train_stats(windows[splits.train])
+        windows[slot] = block.reshape(tau, d_feat, d_phys).transpose(0, 2, 1)
+    splits = _runs(len(drawn.train), len(drawn.val), len(drawn.test))
+    norm = _train_stats(windows[: len(splits.train)])
     windows -= norm.mean
     windows /= norm.scale
-    return WindowedDataset(inputs=windows, targets=labels.astype(int), task="classification",
+    return WindowedDataset(inputs=windows, targets=labels[order], task="classification",
                            splits=splits, norm=norm)

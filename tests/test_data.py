@@ -589,6 +589,26 @@ class TestGenerators:
         for split in (a.splits.train, a.splits.val, a.splits.test):
             assert abs(a.targets[split].mean() - overall) < 0.1
 
+    # the first leaves windows unused; the second is wide-train's
+    @pytest.mark.parametrize("fractions", [(0.5, 0.1, 0.1), (0.25, 0.0625, 0.6875)])
+    def test_classification_stores_each_split_as_a_run(self, fractions):
+        ds = synth_classification(8, 2, 2, 200, 0.0, seed=6, split=fractions)
+        sets = (ds.splits.train, ds.splits.val, ds.splits.test)
+        # consecutive runs from 0, in train, val, test order
+        joined = np.concatenate(sets)
+        np.testing.assert_array_equal(joined, np.arange(len(joined)))
+        for split in sets:
+            for sub, whole in zip(ds.subset(split), (ds.inputs, ds.targets)):
+                assert np.shares_memory(sub, whole)
+        for cls in (0, 1):
+            want = _split_sizes(int((ds.targets == cls).sum()), fractions)
+            assert tuple(int((ds.targets[split] == cls).sum()) for split in sets) == want, cls
+        # at zero noise each stored window is the trajectory of its stored label
+        members = [ds.inputs[ds.targets == cls] for cls in (0, 1)]
+        for windows in members:
+            assert np.array_equal(windows, np.broadcast_to(windows[0], windows.shape))
+        assert not np.array_equal(members[0][0], members[1][0])
+
 
 class TestSplitFractions:
     """The third fraction sizes the test split; what the three leave is unused."""

@@ -387,13 +387,14 @@ class TestSplitLoss:
 
 
 class TestSplitWalk:
-    """Each epoch's validation pass and ``evaluate`` walk their split a chunk of whole
-    windows at a time: the peak is a chunk's, and the loss and the metrics are those
-    of one ``predict`` on the whole split, to the bit."""
+    """Each epoch's validation pass and ``evaluate`` run one ``predict`` on their split,
+    a slice of the windows that copies nothing, stratified or not: the peak is a kernel
+    block's and the outputs', not the split's, and the loss and the metrics are those of
+    that ``predict``, to the bit."""
 
     # a window's inputs take 8 KiB and its hidden block 1 KiB; the patch below makes
-    # a chunk 8 windows and a kernel block one, so a stratified split's gather of all
-    # its windows outweighs everything else a chunk's pass holds
+    # a training chunk 8 windows and a kernel block one, so a copy of a split's
+    # windows would outweigh everything else a pass over it holds
     MODEL = ModelConfig(variant="grgtn", tau=8, d_phys=4, d_feat=32, hidden=4, out_dim=2,
                         head=HeadConfig(ranks=(2, 2), out_modes=(1, 1, 2)))
     CHUNK = 8
@@ -438,9 +439,9 @@ class TestSplitWalk:
         values = init_params(self.MODEL, 4)
         metrics, peak = self.traced(lambda: evaluate(self.MODEL, values, ds))
         x, y = ds.subset(ds.splits.test)
-        chunk_bytes = self.CHUNK * x[0].nbytes
         assert len(x) >= 10 * self.CHUNK
-        assert peak < 2 * chunk_bytes < x.nbytes / 4, (peak, chunk_bytes, x.nbytes)
+        # the split is read in place: no copy of even 4 of its windows is made
+        assert peak < 4 * x[0].nbytes, (peak, x[0].nbytes, x.nbytes)
         assert metrics["accuracy"] == float((predict(self.MODEL, values, x).argmax(1) == y).mean())
         assert metrics["n_samples"] == len(x)
 
@@ -458,28 +459,29 @@ class TestSplitWalk:
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_chunks_end_on_the_kernels_block_boundaries(self, variant, monkeypatch):
-        # a chunk of 7 windows over blocks of 3 walks 6 at a time, so each window's
-        # prediction comes from the block it has in one predict on the whole split
+        # evaluate predicts the whole test split in one call, not in training's chunks
+        # of 7 windows, so each window's prediction comes from the kernel block it has
+        # in one predict on the split
         from rgtn import training
 
         model = replace(self.MODEL, variant=variant)
         self.patch(monkeypatch, model, 7)
-        monkeypatch.setattr(ad, "_graph_block", lambda *shape: 3)
-        monkeypatch.setattr(ad, "_recurrence_block", lambda *shape: 3)
-        assert training._walk_windows(model) == 6
         ds = self.dataset((0.2, 0.05, 0.75))
         values = init_params(model, 5)
         recorded = []
 
         def predict_recorded(model, values, x):
-            recorded.append(len(x))
-            return predict(model, values, x)
+            recorded.append((x, predict(model, values, x)))
+            return recorded[-1][1]
 
         monkeypatch.setattr(training, "predict", predict_recorded)
-        preds, labels = training._predict_split(model, values, ds, ds.splits.test)
+        metrics = evaluate(model, values, ds)
         x, y = ds.subset(ds.splits.test)
-        assert set(recorded[:-1]) == {6} and sum(recorded) == len(x)
-        assert np.array_equal(preds, predict(model, values, x)) and np.array_equal(labels, y)
+        assert len(x) > 7 and [len(got) for got, _ in recorded] == [len(x)]
+        (got, preds), = recorded
+        assert np.shares_memory(got, ds.inputs) and np.array_equal(got, x)
+        assert np.array_equal(preds, predict(model, values, x))
+        assert metrics["accuracy"] == float((preds.argmax(1) == y).mean())
 
 
 class TestEvaluate:
