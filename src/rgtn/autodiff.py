@@ -40,12 +40,14 @@ no operation, push or caller may write into one in place.  The exceptions
 are arrays an op has just allocated and no other node holds: ``graph_tt``
 adds srgtn's x into each block's ``A x``, and runs its activation in place
 on each block of the hidden block ``h`` that it keeps for its backward, so
-the block is written once and not twice, and writes each block's head
-products into its kept ``z1`` and ``z2``; its backward writes each
-block's ``a0 @ dz`` into one scratch block and the activation push into a
-second, since a push may not write into its own input.  ``recurrence``
-writes each block's states over its projection and each step's push
-straight into its gradient.
+the block is written once and not twice.  A batch of several blocks writes
+each block's ``h``, head products ``z1`` and ``z2`` and output rows into
+buffers allocated ahead, and its backward writes each block's ``a0 @ dz``
+into one scratch block and the activation push into a second, since a
+push may not write into its own input; a batch that fits one block, such
+as a batch-1 ``predict``, allocates none of these and takes each GEMM's
+and the push's own result.  ``recurrence`` writes each block's states
+over its projection and each step's push straight into its gradient.
 """
 
 from __future__ import annotations
@@ -218,11 +220,15 @@ def graph_tt_kernel(
     then cores 1 and 2, which contract (r1, P) and (r2, H), and the block's
     output rows.
     Contracting time first shrinks h the most (Novikov et al. 2015,
-    arXiv:1509.06569) and copies no layout of it.  One block of ``h``,
-    ``z1`` and ``z2`` is reused, so only the output is batch-sized; with
-    ``keep`` they are kept whole and the result is ``(out, (h, z1, z2,
-    inputs))``, what the backward reads, with ``inputs`` each block's
-    input to ``M``, as wide as x.
+    arXiv:1509.06569) and copies no layout of it.  A batch that fits one
+    block is that block: its ``h``, ``z1``, ``z2`` and output rows are the
+    GEMMs' own fresh arrays.  A larger batch writes each block into buffers
+    allocated ahead, one block of ``h``, ``z1`` and ``z2`` reused, so only
+    the output is batch-sized.  Either way a block of windows runs the same
+    calls on the same operands, and gets the same bits.  With ``keep`` they
+    are kept whole and the result is ``(out, (h, z1, z2, inputs))``, what
+    the backward reads, with ``h`` as (batch, tau, P H) and ``inputs`` each
+    block's input to ``M``, as wide as x.
     """
     (batch, tau, phys, feat), hidden = x.shape, w_x.shape[0]
     (o0, o1, o2), r1, r2 = (c.shape[2] for c in cores), cores[1].shape[0], cores[2].shape[0]
@@ -230,30 +236,40 @@ def graph_tt_kernel(
     fn = _ACTIVATIONS[activation][0]
     wt = _gemm_weight(w_x)
     mt = wt if w_r is None else _gemm_weight(w_r @ w_x)
-    step = _graph_block(tau, phys, hidden)
-    held = batch if keep else min(batch, step)
-    h = np.empty((held, tau, phys, hidden))
-    z1, z2 = np.empty((held, o0 * r1, phys * hidden)), np.empty((held * o0, o1 * r2, hidden))
-    # core 2's products, (windows o0 o1, o2), turned first output mode fastest at the end
-    y, inputs = np.empty((batch * o0 * o1, o2)), []
-    for lo in range(0, batch, step):
-        xb = x[lo : lo + step]
-        k, at = len(xb), lo if keep else 0
+    inputs: list[np.ndarray] = []
+
+    def block(xb, k, h=None, z1=None, z2=None, y=None):
+        # k windows' h, z1, z2 and output rows, into the buffers given; with keep
+        # their input to M goes to inputs, else it goes before grgtn's x W_x^T is made
         ax = (a @ xb.reshape(k, tau, phys * feat)).reshape(-1, feat)
-        hb, z1b, z2b = h[at : at + k], z1[at : at + k], z2[at * o0 : (at + k) * o0]
-        rows = hb.reshape(-1, hidden)
         if w_r is None:
             ax += xb.reshape(-1, feat)
-        np.matmul(ax, mt, out=rows)
+        rows = np.matmul(ax, mt, out=h)
+        if keep:
+            inputs.append(ax)
+        del ax
         if w_r is not None:  # a scratch block held for the call would raise predict's peak
             rows += xb.reshape(-1, feat) @ wt
         fn(rows, out=rows)
-        np.matmul(a0.T, hb.reshape(k, tau, phys * hidden), out=z1b)
-        np.matmul(a1.T, z1b.reshape(k * o0, r1 * phys, hidden), out=z2b)
-        np.matmul(z2b.reshape(k * o0 * o1, r2 * hidden), a2,
-                  out=y[lo * o0 * o1 : (lo + k) * o0 * o1])
-        if keep:
-            inputs.append(ax)
+        h = rows.reshape(k, tau, phys * hidden)
+        z1 = np.matmul(a0.T, h, out=z1)
+        z2 = np.matmul(a1.T, z1.reshape(k * o0, r1 * phys, hidden), out=z2)
+        return h, z1, z2, np.matmul(z2.reshape(k * o0 * o1, r2 * hidden), a2, out=y)
+
+    step = _graph_block(tau, phys, hidden)
+    if batch <= step:
+        h, z1, z2, y = block(x, batch)
+    else:
+        held = batch if keep else step
+        h = np.empty((held, tau, phys * hidden))
+        z1, z2 = np.empty((held, o0 * r1, phys * hidden)), np.empty((held * o0, o1 * r2, hidden))
+        # core 2's products, (windows o0 o1, o2), turned first output mode fastest at the end
+        y = np.empty((batch * o0 * o1, o2))
+        for lo in range(0, batch, step):
+            xb = x[lo : lo + step]
+            k, at = len(xb), lo if keep else 0
+            block(xb, k, h[at : at + k].reshape(-1, hidden), z1[at : at + k],
+                  z2[at * o0 : (at + k) * o0], y[lo * o0 * o1 : (lo + k) * o0 * o1])
     out = y.reshape(batch, o0, o1, o2).transpose(0, 3, 2, 1).reshape(batch, o2 * o1 * o0)
     # a new array: in place ran 5% slower on predict-stream's training and predicts,
     # though not in-process, so from the heap state one allocation fewer leaves
@@ -286,7 +302,9 @@ def graph_tt(
     the activation push ``d`` and the block's terms of ``dM`` (``d^T``
     times the kept input), grgtn's ``d^T x`` (from the windows) and core 0,
     so the whole hidden block's gradient never exists.  Core 0's terms add
-    up window after window, as one sum over all windows does.  grgtn gets
+    up window after window, as one sum over all windows does.  A batch of
+    one block takes its block's sums as they are; a larger one adds each
+    block's into sums that start at zero.  grgtn gets
     ``dW_x = d^T x + W_r^T dM`` and ``dW_r = dM W_x^T``, srgtn ``dW_x =
     dM``, and ``bias`` the output gradient summed over the windows.  The
     backward returns each gradient in its parameter's shape, in the order
@@ -309,25 +327,38 @@ def graph_tt(
         del g3
         d1 = (z1 @ np.swapaxes(dz, -1, -2)).sum(axis=0)
         dz = (a1 @ dz).reshape(batch, o0 * r1, phys * hidden)
-        n = min(batch, step)
-        # terms[0] holds core 0's sum over the windows so far, ahead of the block's
-        terms = np.zeros((n + 1, tau, o0 * r1))
-        dm, dx = np.zeros((hidden, feat)), np.zeros((hidden, feat))
-        dh, push_out = np.empty((n, tau, phys * hidden)), np.empty((n * tau * phys, hidden))
-        for lo, ax in zip(range(0, batch, step), inputs):
-            k = min(step, batch - lo)
+
+        def block(lo, k, ax, terms=None, dh=None, push_out=None):
+            # k windows' terms of core 0 (one per window), of dM and of grgtn's
+            # d^T x; the first, a0 @ dz and the push into the buffers given
             hb, dzb = h[lo : lo + k], dz[lo : lo + k]
-            np.matmul(hb.reshape(k, tau, phys * hidden), np.swapaxes(dzb, -1, -2),
-                      out=terms[1 : k + 1])
-            terms[0] = terms[: k + 1].sum(axis=0)
-            np.matmul(a0, dzb, out=dh[:k])
-            d = act_push(dh[:k].reshape(-1, hidden), hb.reshape(-1, hidden),
-                         out=push_out[: k * tau * phys])
-            dm += d.T @ ax
-            if wr is not None:
-                dx += d.T @ windows[lo : lo + k].reshape(-1, feat)
+            terms = np.matmul(hb, np.swapaxes(dzb, -1, -2), out=terms)
+            dh = np.matmul(a0, dzb, out=dh)
+            d = act_push(dh.reshape(-1, hidden), hb.reshape(-1, hidden), out=push_out)
+            dm = d.T @ ax
+            return terms, dm, None if wr is None else d.T @ windows[lo : lo + k].reshape(-1, feat)
+
+        if batch <= step:
+            terms, dm, dx = block(0, batch, inputs[0])
+            d0 = terms.sum(axis=0)
+        else:
+            # terms[0] holds core 0's sum over the windows so far, ahead of the block's
+            terms = np.zeros((step + 1, tau, o0 * r1))
+            dm, dx = np.zeros((hidden, feat)), np.zeros((hidden, feat))
+            dh = np.empty((step, tau, phys * hidden))
+            push_out = np.empty((step * tau * phys, hidden))
+            for lo, ax in zip(range(0, batch, step), inputs):
+                k = min(step, batch - lo)
+                _, dm_k, dx_k = block(lo, k, ax, terms[1 : k + 1], dh[:k],
+                                      push_out[: k * tau * phys])
+                dm += dm_k
+                if wr is not None:
+                    dx += dx_k
+                del dm_k, dx_k  # before the block's sum and the next block's terms
+                terms[0] = terms[: k + 1].sum(axis=0)
+            d0 = terms[0]
         weights = [dm] if wr is None else [dx + wr.T @ dm, dm @ wx.T]
-        head = [t.reshape(c.shape) for t, c in zip((terms[0], d1, d2), arrays)]
+        head = [t.reshape(c.shape) for t, c in zip((d0, d1, d2), arrays)]
         return weights + head + [g.sum(axis=0)]
 
     params = (w_x, *([] if w_r is None else [w_r]), *cores, bias)

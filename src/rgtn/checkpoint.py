@@ -9,8 +9,10 @@ are bit-exact.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
+import os
 import struct
 from math import prod
 from typing import Mapping, Sequence
@@ -35,7 +37,16 @@ class CheckpointError(ValueError):
 
 
 def save_checkpoint(path: str, arrays: Mapping[str, np.ndarray], meta: dict) -> None:
-    """Write ``arrays`` and ``meta``; ``meta`` enters the header as it is, so it is plain JSON."""
+    """Write ``arrays`` and ``meta``; ``meta`` enters the header as it is, so it is plain JSON.
+
+    The file is written whole to ``<path>.<pid>.tmp`` beside it, then moved
+    onto ``path`` by ``os.replace``, so a process killed or failing mid-write
+    leaves the checkpoint that was at ``path`` as it was.  On an exception
+    the temporary file is removed and the exception raised again; a killed
+    process leaves it behind.  There is no ``fsync``: this guards against a
+    killed or failing process, not a power loss, and the benchmark's set-up
+    saves three checkpoints per unit, whose time a flush to disk would add to.
+    """
     entries = []
     chunks = []
     offset = 0
@@ -54,12 +65,20 @@ def save_checkpoint(path: str, arrays: Mapping[str, np.ndarray], meta: dict) -> 
         "payload_sha256": hashlib.sha256(payload).hexdigest(),
     }
     head_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", VERSION))
-        fh.write(struct.pack("<Q", len(head_bytes)))
-        fh.write(head_bytes)
-        fh.write(payload)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<I", VERSION))
+            fh.write(struct.pack("<Q", len(head_bytes)))
+            fh.write(head_bytes)
+            fh.write(payload)
+        os.replace(tmp, path)
+    except BaseException:
+        # open may have failed before making the file
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def _is_index(value) -> bool:

@@ -27,7 +27,7 @@ their kernels and their blocks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import prod
 from types import MappingProxyType
 from typing import Mapping
@@ -103,14 +103,20 @@ class ModelConfig:
             return (self.tau, self.hidden)
         return (self.tau, self.d_phys, self.hidden)
 
+    @cached_property
+    def _shapes(self) -> dict[str, tuple[int, ...]]:
+        # param_shapes(self) kept on the instance, read without hashing the config;
+        # a dict, unlike the shared read-only table, leaves the config picklable
+        return dict(param_shapes(self))
+
 
 @lru_cache(maxsize=64)
 def param_shapes(config: ModelConfig) -> Mapping[str, tuple[int, ...]]:
     """Ordered trainable parameter shapes for a configuration, read-only.
 
-    Cached per configuration, so ``forward`` and ``predict`` check their
-    parameters without building the table again; every caller gets the
-    same mapping, which none can change.
+    Cached per configuration: every caller gets the same mapping, which
+    none can change.  ``forward`` and ``predict`` check their parameters
+    against a copy kept on the config, which is not hashed on each call.
     """
     shapes: dict[str, tuple[int, ...]] = {}
     if config.variant == "rnn":
@@ -164,7 +170,7 @@ def _checked_input(config: ModelConfig, x: np.ndarray) -> np.ndarray:
 def _check_param_shapes(
     config: ModelConfig, params: Mapping[str, ad.TapeNode | np.ndarray]
 ) -> None:
-    expected = param_shapes(config)
+    expected = config._shapes
     if params.keys() != expected.keys():
         raise ValueError(
             f"{config.variant} takes parameters {sorted(expected)}, got {sorted(params)}"

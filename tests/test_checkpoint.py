@@ -1,5 +1,6 @@
 """Binary container round trips and integrity checks."""
 
+import errno
 import os
 import tempfile
 import tracemalloc
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import payload_header, raw_checkpoint
+from rgtn import checkpoint
 from rgtn.checkpoint import (
     CheckpointError,
     load_checkpoint,
@@ -82,6 +84,49 @@ class TestRoundTrip:
         assert np.array_equal(loaded, x)
         assert loaded.flags.writeable and loaded.flags.aligned
         assert peak <= 2.1 * x.nbytes, peak / x.nbytes
+
+
+class TestAtomicSave:
+    def test_a_write_failing_mid_payload_keeps_the_old_file(self, tmp_path, monkeypatch):
+        # a full disk stops the write half-way into the payload: the checkpoint
+        # already at the path still loads bit-exact, and no temporary file is left
+        path = str(tmp_path / "model.rgtn")
+        old = {"w": np.random.default_rng(5).standard_normal((4, 3))}
+        save_checkpoint(path, old, {"kind": "model", "epoch": 1})
+        before = Path(path).read_bytes()
+        new = {"w": np.random.default_rng(6).standard_normal((64, 32))}
+        written = []
+
+        class HalfWritten:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                if len(data) == new["w"].nbytes:
+                    written.append(self.fh.write(data[: len(data) // 2]))
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+                return self.fh.write(data)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(checkpoint, "open", lambda *a, **k: HalfWritten(open(*a, **k)),
+                       raising=False)
+            with pytest.raises(OSError, match=os.strerror(errno.ENOSPC)):
+                save_checkpoint(path, new, {"kind": "model", "epoch": 2})
+        assert written == [new["w"].nbytes // 2]
+        assert os.listdir(tmp_path) == ["model.rgtn"]
+        assert Path(path).read_bytes() == before
+        loaded, meta = load_checkpoint(path)
+        assert meta["epoch"] == 1 and loaded["w"].tobytes() == old["w"].tobytes()
+        save_checkpoint(path, new, {"kind": "model", "epoch": 2})
+        assert os.listdir(tmp_path) == ["model.rgtn"]
+        assert load_checkpoint(path)[0]["w"].tobytes() == new["w"].tobytes()
+
 
 class TestIntegrity:
     def test_bad_magic(self, tmp_path):

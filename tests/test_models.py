@@ -1,5 +1,6 @@
 """Model assemblies: equivalence with the oracles, counts, gradients, aliasing."""
 
+import pickle
 import re
 import tracemalloc
 from math import prod
@@ -575,7 +576,7 @@ class TestPredictBlocks:
             assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("variant", VARIANTS)
-    def test_batch_one_matches_batched(self, variant):
+    def test_batch_one_matches_batched(self, variant, monkeypatch):
         # Within rounding only: OpenBLAS does not give the same bits for a row
         # of a GEMM run alone as within a taller one, for every shape.
         rng = np.random.default_rng(20)
@@ -586,6 +587,13 @@ class TestPredictBlocks:
         for i in range(len(x)):
             np.testing.assert_allclose(predict(cfg, values, x[i : i + 1])[0], batched[i],
                                        rtol=1e-12)
+        # a batch-1 call fits one block, which graph_tt computes as fresh arrays; a
+        # batch walked as blocks of one window runs the same calls on the same
+        # operands into its buffers, so each of its rows has the batch-1 call's bits
+        set_block_windows(monkeypatch, cfg, 1)
+        looped = predict(cfg, values, x)
+        for i in range(len(x)):
+            assert np.array_equal(predict(cfg, values, x[i : i + 1]), looped[i : i + 1])
 
 
 @st.composite
@@ -717,6 +725,15 @@ class TestPredictPath:
                             *(node.grad for node in nodes.values())])
         for got, want in zip(*results):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_a_checked_config_pickles_as_a_fresh_one(self):
+        # forward and predict read a shape table kept on the config; it leaves
+        # the config equal to, hashed as and picklable as one never checked
+        cfg = small_config("grgtn")
+        predict(cfg, init_params(cfg, seed=0), np.zeros((1, cfg.tau, cfg.d_phys, cfg.d_feat)))
+        again = pickle.loads(pickle.dumps(cfg))
+        assert again == cfg == small_config("grgtn") and hash(again) == hash(cfg)
+        assert param_shapes(again) is param_shapes(cfg)
 
     def test_shape_table_is_cached_and_read_only(self):
         cfg = small_config("grgtn")
