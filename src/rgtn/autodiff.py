@@ -372,8 +372,9 @@ def graph_tt(
 # wide-train's (256), on one OpenBLAS thread (process CPU, best of 7): 1-4
 # MiB tie within noise; 8 MiB is up to 35% slower (rnn) and 16 MiB up to
 # 40%; one block per batch is 50-85% slower (grgtn, srgtn) and takes 15x the
-# memory of 4 MiB blocks.  A wide-train training batch of 64 windows runs as
-# blocks of 36 and 28, and bench_synth's as one.
+# memory of 4 MiB blocks.  ``training.train`` runs the rnn's batch in
+# chunks of one such block: a wide-train batch of 64 windows as chunks of 36
+# and 28, and bench_synth's as one.
 
 
 def recurrence_kernel(
@@ -404,7 +405,7 @@ def recurrence_kernel(
     (batch, tau, _, _), (hidden, pf), n = x.shape, w_x.shape, w.shape[0]
     fn = _ACTIVATIONS[activation][0]
     wxt, wt = _gemm_weight(w_x), _gemm_weight(w)
-    step = max(1, 16 * _BLOCK_BYTES // (8 * tau * (pf + 3 * hidden)))
+    step = _recurrence_block(tau, pf, hidden)
     out, kept = np.empty((batch, n)), []
     # one block of no windows gives zero gradients of the right shapes
     for lo in range(0, max(batch, 1), step):
@@ -421,6 +422,11 @@ def recurrence_kernel(
         del flat, h, rows  # before the next block's are made
     out = out + bias
     return (out, kept) if keep else out
+
+
+def _recurrence_block(tau: int, pf: int, hidden: int) -> int:
+    """Windows in a block of ``recurrence``: ``16 _BLOCK_BYTES`` over a window's."""
+    return max(1, 16 * _BLOCK_BYTES // (8 * tau * (pf + 3 * hidden)))
 
 
 def recurrence(

@@ -10,13 +10,15 @@ gradient and ``adam_step`` is one in-place update of every entry.
 ``ParamStore.values()`` returns views that the next ``adam_step`` updates
 in place: to keep them, copy.
 
-A step runs its batch through the tape in chunks of whole windows, sized by
-``_CHUNK_BYTES`` over one window's feature block.  The parameter leaves are
-made once a step; each chunk runs its forward, its loss (a mean over the
-whole batch's rows) and its backward, whose leaves add the chunk's
-gradients to the sum of the chunks before, and its tape is dropped before
-the next chunk's forward.  So only one chunk's hidden block is alive at a
-time, and the gradient is the batch's, up to the order of the sum.
+A step runs its batch through the tape in chunks of whole kernel blocks:
+the rnn's chunk is one ``recurrence`` block, grgtn's and srgtn's as many
+``graph_tt`` blocks as fit in ``_CHUNK_BYTES`` of hidden block.  The
+parameter leaves are made once a step; each chunk runs its forward, its
+loss (a mean over the whole batch's rows) and its backward, whose leaves
+add the chunk's gradients to the sum of the chunks before, and its tape
+is dropped before the next chunk's forward.  So only one chunk's hidden
+block is alive at a time, and the gradient is the batch's, up to the
+order of the sum.
 
 ``train`` looks its loss op up on ``autodiff`` by name (``mae_loss`` for
 ``loss: mae``) when it runs, so a wrapper or patch put on the module before
@@ -29,7 +31,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from math import prod
 from typing import Mapping
 
 import numpy as np
@@ -53,15 +54,15 @@ LOSS_TASKS = {"mae": "regression", "mse": "regression", "cross_entropy": "classi
 # Adam's decay rates and denominator guard (Kingma & Ba 2015), fixed for every run
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
-# Feature-block bytes of the windows a training step runs through the tape
-# at once (at least one window).  Timed as one epoch of grgtn in
-# process on one OpenBLAS thread (process CPU, alternated rounds), against
-# one chunk a batch of 64: at predict-stream's 64 KiB windows 2 MiB chunks
-# took 2.5% longer and 1 MiB chunks 7% (medians of 101), and in the
-# benchmark's alternated runs 2 MiB chunks left its training flat; at
-# wide-train's 256 KiB windows 2 MiB chunks (8 of 8 windows) took 6% less
-# and 1 MiB chunks 2% more (medians of 7).
-_CHUNK_BYTES = 1 << 21
+# Hidden-block bytes of the windows a grgtn or srgtn training step runs
+# through the tape at once: as many whole ``graph_tt`` blocks as fit (at
+# least one), 4 blocks at every benchmark workload's shape.  Against 2 MiB
+# chunks of feature block, over 8 alternated 30 s benchmark pairs on one
+# OpenBLAS thread: peak_mem_mb fell 4.067 -> 2.357 MB on wide-train and
+# 3.961 -> 2.277 MB on predict-stream (8 of 8 pairs each), and
+# train_samples_per_s fell 2.8% and 3.2% (medians, no pair won), the price
+# of twice the chunks a step.
+_CHUNK_BYTES = 1 << 20
 
 
 class ParamStore:
@@ -129,6 +130,20 @@ def adam_step(store: ParamStore, config: TrainConfig) -> None:
     store.flat -= config.learning_rate * m_hat / (np.sqrt(v_hat) + EPS)
 
 
+def _chunk_windows(model: ModelConfig) -> int:
+    """Windows in a training chunk: whole blocks of the kernel ``forward`` walks.
+
+    The rnn's chunk is one ``recurrence`` block; grgtn's and srgtn's is as
+    many ``graph_tt`` blocks as ``_CHUNK_BYTES`` of hidden block hold, at
+    least one.
+    """
+    tau, phys, hidden = model.tau, model.d_phys, model.hidden
+    if model.variant == "rnn":
+        return ad._recurrence_block(tau, phys * model.d_feat, hidden)
+    block = ad._graph_block(tau, phys, hidden)
+    return block * max(1, _CHUNK_BYTES // (8 * tau * phys * hidden * block))
+
+
 def train(
     model: ModelConfig, dataset: WindowedDataset, config: TrainConfig
 ) -> tuple[ParamStore, list[dict]]:
@@ -136,20 +151,19 @@ def train(
 
     Both splits are non-empty, as every dataset ``config.build_dataset``
     makes has them.  Each batch runs through the tape in chunks of
-    ``max(1, _CHUNK_BYTES // (8 prod(model.feature_block)))`` whole windows,
-    gathered one chunk at a time.  Every chunk's loss is its rows' share of
-    the batch mean, so the chunks' losses and their gradients, which the
-    step's parameter leaves sum as ``backward`` sums a leaf reached twice,
-    add up to the batch's; the sum is copied into the store and one
-    ``adam_step`` runs.  A batch of one chunk takes the unchunked path's bits.
-    Each epoch's validation loss is that of one ``predict`` on the split's
-    slice.
+    ``_chunk_windows(model)`` whole windows, gathered one chunk at a time.
+    Every chunk's loss is its rows' share of the batch mean, so the chunks'
+    losses and their gradients, which the step's parameter leaves sum as
+    ``backward`` sums a leaf reached twice, add up to the batch's; the sum
+    is copied into the store and one ``adam_step`` runs.  A batch of one
+    chunk takes the unchunked path's bits.  Each epoch's validation loss is
+    that of one ``predict`` on the split's slice.
     """
     seeds = np.random.SeedSequence(config.seed).generate_state(2)
     store = ParamStore(init_params(model, int(seeds[0])))
     shuffle_rng = np.random.default_rng(int(seeds[1]))
     train_idx, val_idx = dataset.splits.train, dataset.splits.val
-    chunk = max(1, _CHUNK_BYTES // (8 * prod(model.feature_block)))
+    chunk = _chunk_windows(model)
     loss_op = getattr(ad, f"{config.loss}_loss")
     trace: list[dict] = []
     for epoch in range(1, config.epochs + 1):

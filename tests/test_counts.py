@@ -5,10 +5,11 @@ For each variant at the shape of each benchmark workload, one batch-1
 the loss and ``backward`` of the chunk's gathered windows, as
 ``training.train`` sizes and runs it) must make the pinned number of C
 calls and reach the pinned tracemalloc peak in bytes.  At small-train's
-shape the chunk is one block of ``graph_tt``; at the others it is
-several.  Both counts repeat exactly, so a change that adds a call or
-keeps an array alive longer shows as a diff of ``counts.json``, where a
-timing would hide it in its noise.
+shape a grgtn or srgtn chunk is one block of ``graph_tt``; at the others
+it is four.  An rnn chunk is one block of ``recurrence`` (36 windows at
+wide-train's shape).  Both counts repeat exactly, so a change that adds a
+call or keeps an array alive longer shows as a diff of ``counts.json``,
+where a timing would hide it in its noise.
 
 The C calls are the ``c_call`` events of ``sys.setprofile``, the call that
 ends the count included.  The count sees calls of builtin functions and
@@ -28,7 +29,6 @@ import gc
 import json
 import sys
 import tracemalloc
-from math import prod
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +36,7 @@ import pytest
 
 from rgtn import autodiff as ad
 from rgtn.models import VARIANTS, HeadConfig, ModelConfig, forward, init_params, predict
-from rgtn.training import _CHUNK_BYTES
+from rgtn.training import _chunk_windows
 
 PINS = Path(__file__).with_name("counts.json")
 VERSIONS = "python {}.{}, numpy {}".format(*sys.version_info[:2],
@@ -66,7 +66,7 @@ def call(case: str):
         return lambda: predict(cfg, values, x)
     inputs = rng.standard_normal((100, cfg.tau, cfg.d_phys, cfg.d_feat))
     targets = rng.standard_normal((100, cfg.out_dim))
-    part = rng.permutation(100)[: min(64, _CHUNK_BYTES // (8 * prod(cfg.feature_block)))]
+    part = rng.permutation(100)[: min(64, _chunk_windows(cfg))]
 
     def chunk():
         nodes = {name: ad.constant(value) for name, value in values.items()}

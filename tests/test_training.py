@@ -222,7 +222,7 @@ class TestTrainLoop:
                 forwards.append(len(all_dead))
                 adam_step(*args)
 
-            monkeypatch.setattr(training, "_CHUNK_BYTES", windows * 8 * prod(model.feature_block))
+            monkeypatch.setattr(training, "_chunk_windows", lambda model: windows)
             monkeypatch.setattr(training, "forward", forward_checked)
             monkeypatch.setattr(ad, loss_name, loss_recorded)
             monkeypatch.setattr(training, "adam_step", adam_counted)
@@ -233,8 +233,8 @@ class TestTrainLoop:
             assert per_step.max() == -(-config.batch_size // windows)
 
     def test_peak_memory_is_bounded_by_the_chunk_not_the_batch(self):
-        # one window's hidden block is 8 tau P H = 256 KiB, so a 2 MiB chunk holds 8
-        # windows: a batch of 64 runs as 8 chunks and must peak about as a batch of 8
+        # one window's hidden block is 8 tau P H = 256 KiB, so a 1 MiB chunk holds 4
+        # windows: a batch of 64 runs as 16 chunks and must peak about as a batch of 8
         model = ModelConfig(variant="grgtn", tau=64, d_phys=16, d_feat=1, hidden=32,
                             out_dim=16, head=HeadConfig(ranks=(2, 2), out_modes=(1, 4, 4)))
         assert 8 * prod(model.feature_block) == 1 << 18
@@ -313,7 +313,7 @@ def chunked_step(cfg, ds, config, windows):
     from rgtn import training
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(training, "_CHUNK_BYTES", windows * 8 * prod(cfg.feature_block))
+        mp.setattr(training, "_chunk_windows", lambda model: windows)
         return train(cfg, ds, config)
 
 
@@ -352,6 +352,32 @@ class TestChunkWalk:
         grads, loss = unchunked_step(cfg, ds, config)
         assert np.array_equal(whole.grads, grads)
         assert whole_trace[0]["train_loss"] == loss
+
+    def test_a_wide_train_rnn_batch_runs_as_its_two_kernel_blocks(self, monkeypatch):
+        # at wide-train's shape a recurrence block is 36 windows, and so is the rnn's
+        # chunk: a batch of 64 runs as chunks of 36 and 28, each one kernel block
+        from rgtn import training
+
+        cfg = ModelConfig(variant="rnn", tau=64, d_phys=16, d_feat=8, hidden=32, out_dim=2,
+                          activation="tanh",
+                          head=HeadConfig(ranks=(4, 4), out_modes=(1, 1, 2)))
+        ds = synth_classification(64, 16, 8, 128, 1.2, seed=5, split=(0.5, 0.25, 0.25))
+        config = TrainConfig(epochs=1, learning_rate=1e-2, batch_size=64, seed=0,
+                             loss="cross_entropy")
+        assert len(ds.splits.train) == 64
+        chunks = []
+
+        def forward_recorded(model, nodes, x):
+            chunks.append(len(x))
+            return forward(model, nodes, x)
+
+        monkeypatch.setattr(training, "forward", forward_recorded)
+        store, trace = train(cfg, ds, config)
+        assert chunks == [36, 28] and training._chunk_windows(cfg) == 36
+        whole, whole_trace = chunked_step(cfg, ds, config, 64)
+        assert np.abs(store.grads - whole.grads).max() <= 1e-12 * np.abs(whole.grads).max()
+        got, want = trace[0]["train_loss"], whole_trace[0]["train_loss"]
+        assert abs(got - want) <= 1e-15 * abs(want)
 
 
 class TestSplitLoss:
@@ -402,9 +428,8 @@ class TestSplitWalk:
     def patch(self, monkeypatch, model, windows):
         from rgtn import training
 
-        window = 8 * prod(model.feature_block)
-        monkeypatch.setattr(ad, "_BLOCK_BYTES", window)
-        monkeypatch.setattr(training, "_CHUNK_BYTES", windows * window)
+        monkeypatch.setattr(ad, "_BLOCK_BYTES", 8 * prod(model.feature_block))
+        monkeypatch.setattr(training, "_chunk_windows", lambda model: windows)
 
     def dataset(self, split):
         return synth_classification(8, 4, 32, 160, 0.5, seed=3, split=split)
