@@ -224,10 +224,15 @@ def graph_tt_kernel(
     block is that block: its ``h``, ``z1``, ``z2`` and output rows are the
     GEMMs' own fresh arrays.  A larger batch writes each block into buffers
     allocated ahead, one block of ``h``, ``z1`` and ``z2`` reused, so only
-    the output is batch-sized.  Either way a block of windows runs the same
-    calls on the same operands, and gets the same bits.  With ``keep`` they
-    are kept whole and the result is ``(out, (h, z1, z2, inputs))``, what
-    the backward reads, with ``h`` as (batch, tau, P H) and ``inputs`` each
+    the output is batch-sized: a fresh 256 KiB block can be a new mapping
+    whose every page faults.  With fresh arrays per block (``ru_minflt`` in
+    process, one OpenBLAS thread, Xeon), a taped wide-train chunk of 4
+    windows took 516 minor faults a call, not 0, and 1.8 ms, not 0.97; a
+    1,024-window predict at predict-stream's shape 28,848, not 224, and 64
+    ms, not 29.  Either way a block of windows runs the same calls on the
+    same operands, and gets the same bits.  With ``keep`` they are kept
+    whole and the result is ``(out, (h, z1, z2, inputs))``, what the
+    backward reads, with ``h`` as (batch, tau, P H) and ``inputs`` each
     block's input to ``M``, as wide as x.
     """
     (batch, tau, phys, feat), hidden = x.shape, w_x.shape[0]

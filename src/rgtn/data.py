@@ -19,11 +19,10 @@ same ``(v - mean) / scale`` as z-scoring a copy of the windows would: the
 bits are those of windowing first.
 
 Every dataset stores its windows train first, then val, then test, then
-any left unused, so each split is a run of indices from ``_runs`` and
-``subset`` reads it as a slice that copies nothing.  A regression dataset
-holds its z-scored series once: its inputs are a read-only strided view of
-it.  A training batch or any other gather is a C-order copy, as NumPy's
-fancy indexing makes.
+any left unused, so each split is a ``range`` from ``_runs`` and ``subset``
+reads it as a slice that copies nothing.  A regression dataset holds its
+z-scored series once: its inputs are a read-only strided view of it.  A
+training batch is a C-order copy, as NumPy's fancy indexing makes.
 """
 
 from __future__ import annotations
@@ -31,6 +30,7 @@ from __future__ import annotations
 import csv
 import warnings
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -59,14 +59,11 @@ class CsvFormatError(ValueError):
 
 @dataclass(frozen=True)
 class SplitIndices:
-    """Disjoint, sorted window indices of each split.
+    """The window indices of each split: consecutive runs from 0, in train, val, test order."""
 
-    A dataset's splits are consecutive runs from 0, in train, val, test order.
-    """
-
-    train: np.ndarray
-    val: np.ndarray
-    test: np.ndarray
+    train: range
+    val: range
+    test: range
 
 
 @dataclass(frozen=True)
@@ -92,27 +89,12 @@ class WindowedDataset:
     splits: SplitIndices
     norm: NormStats
 
-    @property
-    def n_samples(self) -> int:
-        return self.inputs.shape[0]
-
-    def subset(self, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The inputs and targets at ``indices``, as ``inputs[indices]`` gives them.
-
-        A run of consecutive in-range indices, as every split is, comes back
-        as read-only slices that copy nothing; any other index array is
-        gathered into new arrays.
-        """
-        idx = np.asarray(indices)
-        if idx.ndim == 1 and idx.size and idx.dtype.kind in "iu":
-            start = int(idx[0])
-            stop = start + idx.size
-            run = np.array_equal(idx, np.arange(start, stop))
-            if run and 0 <= start and stop <= self.n_samples:
-                inputs, targets = self.inputs[start:stop], self.targets[start:stop]
-                inputs.flags.writeable = targets.flags.writeable = False
-                return inputs, targets
-        return self.inputs[indices], self.targets[indices]
+    def subset(self, run: range) -> tuple[np.ndarray, np.ndarray]:
+        """The inputs and targets of ``run``, a split or a forward slice of one, read-only."""
+        inputs = self.inputs[run.start : run.stop : run.step]
+        targets = self.targets[run.start : run.stop : run.step]
+        inputs.flags.writeable = targets.flags.writeable = False
+        return inputs, targets
 
 
 def _parse_cell(raw: str, line_no: int, column: str) -> float:
@@ -227,19 +209,14 @@ def _split_sizes(n: int, fractions: tuple[float, float, float]) -> tuple[int, in
 
 def _runs(n_train: int, n_val: int, n_test: int) -> SplitIndices:
     """The three splits as consecutive runs from 0: train, then val, then test."""
-    idx = np.arange(n_train + n_val + n_test)
-    return SplitIndices(
-        train=idx[:n_train], val=idx[n_train : n_train + n_val], test=idx[n_train + n_val :]
-    )
-
-
-def _chronological_split(n: int, fractions: tuple[float, float, float]) -> SplitIndices:
-    return _runs(*_split_sizes(n, fractions))
+    n_head = n_train + n_val
+    return SplitIndices(range(n_train), range(n_train, n_head), range(n_head, n_head + n_test))
 
 
 def _stratified_split(
     labels: np.ndarray, fractions: tuple[float, float, float], seed: int
-) -> SplitIndices:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The train, val and test draws, each sorted, so in the order they were drawn."""
     rng = np.random.default_rng(seed)
     train, val, test = [], [], []
     for cls in np.unique(labels):
@@ -249,11 +226,7 @@ def _stratified_split(
         train.append(members[:n_train])
         val.append(members[n_train : n_train + n_val])
         test.append(members[n_train + n_val : n_train + n_val + n_test])
-    return SplitIndices(
-        train=np.sort(np.concatenate(train)),
-        val=np.sort(np.concatenate(val)),
-        test=np.sort(np.concatenate(test)),
-    )
+    return tuple(np.sort(np.concatenate(split)) for split in (train, val, test))
 
 
 def _windows(values: np.ndarray, tau: int, n: int) -> np.ndarray:
@@ -261,10 +234,10 @@ def _windows(values: np.ndarray, tau: int, n: int) -> np.ndarray:
     return sliding_window_view(values, tau, axis=0)[:n].transpose(0, 3, 1, 2)
 
 
-def _refuse_empty(splits: SplitIndices, why: str) -> None:
-    """Raise ValueError naming the first empty split, and ``why`` it is."""
-    for name in ("train", "val", "test"):
-        if len(getattr(splits, name)) == 0:
+def _refuse_empty(splits: Sequence, why: str) -> None:
+    """Raise ValueError naming the first of the train, val and test splits that is empty."""
+    for name, split in zip(("train", "val", "test"), splits):
+        if len(split) == 0:
             raise ValueError(f"the {name} split is empty; {why}")
 
 
@@ -285,9 +258,10 @@ def window(
     times its size; the targets are a read-only copy.
     """
     n = max(len(series) - tau - horizon + 1, 0)
-    splits = _chronological_split(n, split)
-    _refuse_empty(splits, f"a series of {len(series)} steps has {n} windows for "
-                          f"model.tau {tau} and data.horizon {horizon}")
+    splits = _runs(*_split_sizes(n, split))
+    _refuse_empty((splits.train, splits.val, splits.test),
+                  f"a series of {len(series)} steps has {n} windows for "
+                  f"model.tau {tau} and data.horizon {horizon}")
     # C order whatever the series' layout, and so the z-scored series and its windows
     values = np.ascontiguousarray(series)
     # the train windows come first.  NumPy reduces their view in the order it
@@ -404,13 +378,13 @@ def synth_classification(
     _refuse_empty(drawn, f"{n_samples} samples, {np.count_nonzero(labels)} of class 1, "
                          f"split by class")
     # the draws of train, val and test, then the unused ones, each in draw order
-    order = np.concatenate([drawn.train, drawn.val, drawn.test])
+    order = np.concatenate(drawn)
     order = np.concatenate([order, np.setdiff1d(np.arange(n_samples), order)])
     windows = np.empty((n_samples, tau, d_phys, d_feat))
     for slot, cls in zip(np.argsort(order), labels):
         block = trajectories[cls] + noise * rng.standard_normal((tau, dim))
         windows[slot] = block.reshape(tau, d_feat, d_phys).transpose(0, 2, 1)
-    splits = _runs(len(drawn.train), len(drawn.val), len(drawn.test))
+    splits = _runs(*map(len, drawn))
     norm = _train_stats(windows[: len(splits.train)])
     windows -= norm.mean
     windows /= norm.scale

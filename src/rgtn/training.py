@@ -162,12 +162,12 @@ def train(
     seeds = np.random.SeedSequence(config.seed).generate_state(2)
     store = ParamStore(init_params(model, int(seeds[0])))
     shuffle_rng = np.random.default_rng(int(seeds[1]))
-    train_idx, val_idx = dataset.splits.train, dataset.splits.val
+    n_train, val = len(dataset.splits.train), dataset.splits.val
     chunk = _chunk_windows(model)
     loss_op = getattr(ad, f"{config.loss}_loss")
     trace: list[dict] = []
     for epoch in range(1, config.epochs + 1):
-        order = train_idx[shuffle_rng.permutation(len(train_idx))]
+        order = shuffle_rng.permutation(n_train)  # the train split is range(n_train)
         loss_sum = 0.0
         for start in range(0, len(order), config.batch_size):
             batch = order[start : start + config.batch_size]
@@ -191,7 +191,7 @@ def train(
             del nodes
             adam_step(store, config)
             loss_sum += value * len(batch)
-        x, y = dataset.subset(val_idx)
+        x, y = dataset.subset(val)
         val_loss = float(loss_op(ad.constant(predict(model, store.views, x)), y).array)
         if not np.isfinite(val_loss):
             raise TrainingDiverged(f"non-finite validation loss at epoch {epoch}", trace)

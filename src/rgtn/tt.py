@@ -16,7 +16,7 @@ and nothing checks it: its boundary ranks are 1 and adjacent ranks match
 by construction.  ``rgtn decompose`` refuses a tensor file or a rank-cap
 count that ``tt_svd`` cannot take before it calls it.  ``tt_svd`` still
 takes a ``DenseTensor`` and ``tt_reconstruct`` still returns one, as the
-benchmark calls them; ROADMAP item 5 moves both to plain arrays.
+benchmark calls them; ROADMAP item 8 moves both to plain arrays.
 """
 
 from __future__ import annotations

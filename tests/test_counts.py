@@ -1,15 +1,18 @@
 """Exact per-call counts of ``predict`` and of a training chunk, pinned in ``counts.json``.
 
 For each variant at the shape of each benchmark workload, one batch-1
-``predict`` and one training chunk of a batch of 64 windows (the forward,
+``predict``, one training chunk of a batch of 64 windows (the forward,
 the loss and ``backward`` of the chunk's gathered windows, as
-``training.train`` sizes and runs it) must make the pinned number of C
-calls and reach the pinned tracemalloc peak in bytes.  At small-train's
-shape a grgtn or srgtn chunk is one block of ``graph_tt``; at the others
-it is four.  An rnn chunk is one block of ``recurrence`` (36 windows at
-wide-train's shape).  Both counts repeat exactly, so a change that adds a
-call or keeps an array alive longer shows as a diff of ``counts.json``,
-where a timing would hide it in its noise.
+``training.train`` sizes and runs it) and one ``predict`` of a 256-window
+split must make the pinned number of C calls and reach the pinned
+tracemalloc peak in bytes.  At small-train's shape a grgtn or srgtn chunk
+is one block of ``graph_tt``; at the others it is four.  An rnn chunk is
+one block of ``recurrence`` (36 windows at wide-train's shape).  The split
+is 2 ``graph_tt`` blocks at small-train's shape, 256 at wide-train's and
+64 at predict-stream's, so it takes the kernel's buffers allocated ahead.
+Both counts repeat exactly, so a change that adds a call or keeps an array
+alive longer shows as a diff of ``counts.json``, where a timing would hide
+it in its noise.
 
 The C calls are the ``c_call`` events of ``sys.setprofile``, the call that
 ends the count included.  The count sees calls of builtin functions and
@@ -51,7 +54,7 @@ SHAPES = {
     "predict-stream": dict(tau=64, d_phys=8, d_feat=4, hidden=16, out_dim=32,
                            activation="tanh", head=HeadConfig(ranks=(2, 2), out_modes=(1, 8, 4))),
 }
-CASES = [f"{kind}/{shape}/{v}" for kind in ("predict", "chunk") for shape in SHAPES
+CASES = [f"{kind}/{shape}/{v}" for kind in ("predict", "chunk", "split") for shape in SHAPES
          for v in VARIANTS]
 
 
@@ -61,8 +64,9 @@ def call(case: str):
     cfg = ModelConfig(variant=variant, **SHAPES[shape])
     values = init_params(cfg, seed=1)
     rng = np.random.default_rng(2)
-    if kind == "predict":
-        x = rng.standard_normal((1, cfg.tau, cfg.d_phys, cfg.d_feat))
+    if kind != "chunk":
+        windows = 1 if kind == "predict" else 256
+        x = rng.standard_normal((windows, cfg.tau, cfg.d_phys, cfg.d_feat))
         return lambda: predict(cfg, values, x)
     inputs = rng.standard_normal((100, cfg.tau, cfg.d_phys, cfg.d_feat))
     targets = rng.standard_normal((100, cfg.out_dim))

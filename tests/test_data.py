@@ -18,7 +18,7 @@ from rgtn.config import ConfigError, run_config_from_dict
 from rgtn.data import (
     CsvFormatError,
     NormStats,
-    _chronological_split,
+    _runs,
     _split_sizes,
     _stratified_split,
     CsvSchemaError,
@@ -293,7 +293,7 @@ class TestCsvRoundTrip:
 class TestWindowing:
     def test_sample_count(self):
         ds = windowed(toy_series(t=100), tau=6, horizon=1)
-        assert ds.n_samples == 94
+        assert len(ds.inputs) == 94
 
     def test_air_quality_window_shape(self):
         ds = windowed(toy_series(t=40, d=12, f=27), tau=6)
@@ -330,9 +330,9 @@ class TestWindowing:
         series = np.asarray(toy_series(t=t, d=d), order=order)
         ds = windowed(series, tau=tau, horizon=horizon, split=SHORT_SPLIT)
         values = zscored(series, ds)
-        assert ds.n_samples == t - tau - horizon + 1
+        assert len(ds.inputs) == t - tau - horizon + 1
         assert is_series_view(ds.inputs, series)
-        for i in range(ds.n_samples):
+        for i in range(len(ds.inputs)):
             assert np.array_equal(ds.inputs[i], values[i : i + tau])
             row = values[i + tau + horizon - 1]
             assert np.array_equal(ds.targets[i], row.ravel(order="F"))
@@ -345,10 +345,10 @@ class TestWindowing:
 
     def test_chronological_split(self):
         ds = windowed(toy_series(t=100), tau=6, split=(0.7, 0.15, 0.15))
-        assert ds.splits.train.max() < ds.splits.val.min()
-        assert ds.splits.val.max() < ds.splits.test.min()
-        total = len(ds.splits.train) + len(ds.splits.val) + len(ds.splits.test)
-        assert total == ds.n_samples
+        # train, then val, then test: consecutive runs of every window
+        assert (ds.splits.train, ds.splits.val, ds.splits.test) == (
+            range(0, 65), range(65, 79), range(79, 94))
+        assert len(ds.inputs) == 94
 
     def test_horizon_below_one_rejected(self):
         # horizon 0 would make the target the window's own last step; the config
@@ -368,75 +368,43 @@ SUBSET_DATASETS = {
     "regression": windowed(toy_series(t=40), tau=5, horizon=2),
     "classification": synth_classification(4, 2, 3, 30, 0.5, seed=2),
 }
-INDEX_KINDS = ("run", "single", "permuted run", "repeat", "gaps", "swapped interior",
-               "negative", "past the end", "wrapped")
 
 
 @st.composite
-def index_arrays(draw, n):
-    """Index arrays into ``n`` windows: runs, and arrays that only look like one."""
-    kind = draw(st.sampled_from(INDEX_KINDS))
-    start = draw(st.integers(0, n - 1))
-    stop = draw(st.integers(start + 1, n))
-    run = np.arange(start, stop)
-    if kind == "single":
-        idx = run[:1]
-    elif kind == "permuted run":
-        idx = np.asarray(draw(st.permutations(run.tolist())), dtype=int)
-    elif kind == "repeat":
-        at = draw(st.integers(0, len(run) - 1))
-        idx = np.insert(run, at, run[at])
-    elif kind == "gaps":
-        idx = np.asarray(sorted(draw(st.sets(st.integers(0, n - 1), min_size=1))), dtype=int)
-    elif kind == "swapped interior":
-        # the endpoints and the length of a run, out of order: [a, a+2, a+1, a+3]
-        start = draw(st.integers(0, n - 4))
-        idx = start + np.array([0, 2, 1, 3])
-    elif kind == "negative":
-        idx = run - n
-    elif kind == "past the end":
-        idx = np.arange(start, n + draw(st.integers(1, 3)))
-    elif kind == "wrapped":
-        # steps of one modulo 2**32, through an index past the end
-        return np.arange(-2, draw(st.integers(-1, 3))).astype(np.uint32)
-    else:
-        idx = run
-    if idx.min() >= 0:
-        idx = idx.astype(draw(st.sampled_from([np.int64, np.int32, np.uint32])))
-    return idx
+def runs(draw, ds):
+    """Runs of ``ds``'s windows: a split or the head of one, an empty range, a stepped range."""
+    kind = draw(st.sampled_from(("split", "head", "empty", "stepped")))
+    n = len(ds.inputs)
+    if kind in ("split", "head"):
+        split = getattr(ds.splits, draw(st.sampled_from(("train", "val", "test"))))
+        return split if kind == "split" else split[: draw(st.integers(0, len(split)))]
+    start = draw(st.integers(0, n))
+    if kind == "empty":
+        return range(start, start)
+    return range(start, draw(st.integers(start, n)), draw(st.integers(1, 5)))
 
 
 class TestSubset:
-    """``subset`` gives ``inputs[idx]`` and ``targets[idx]``, slicing a run of windows."""
+    """``subset`` gives ``inputs[list(run)]`` and ``targets[list(run)]``, as read-only slices."""
 
     @settings(derandomize=True, database=None, max_examples=200, deadline=None)
     @given(task=st.sampled_from(sorted(SUBSET_DATASETS)), data=st.data())
     def test_subset_is_the_gather(self, task, data):
         ds = SUBSET_DATASETS[task]
-        idx = data.draw(index_arrays(ds.n_samples))
-        if idx.max() >= ds.n_samples:
-            for arr in (ds.inputs, ds.targets):
-                with pytest.raises(IndexError):
-                    arr[idx]
-            with pytest.raises(IndexError):
-                ds.subset(idx)
-            return
-        got = ds.subset(idx)
-        for sub, whole in zip(got, (ds.inputs, ds.targets)):
-            want = whole[idx]
+        run = data.draw(runs(ds))
+        for sub, whole in zip(ds.subset(run), (ds.inputs, ds.targets)):
+            want = whole[list(run)]
             assert sub.dtype == want.dtype and sub.shape == want.shape
             assert np.array_equal(sub, want)
-            # a view is read-only, whatever its dataset's own arrays are
-            assert not (np.shares_memory(sub, whole) and sub.flags.writeable)
-            if idx[0] >= 0 and np.array_equal(idx, np.arange(idx[0], idx[0] + len(idx))):
-                # a run of windows copies nothing
-                assert np.shares_memory(sub, whole)
+            # a view that copies nothing, read-only whatever its dataset's own arrays are
+            assert not sub.flags.owndata and not sub.flags.writeable
+            assert np.shares_memory(sub, whole) or len(run) == 0
         # a classification dataset's own arrays stay writeable
         assert ds.inputs.flags.writeable == (task == "classification")
 
     def test_an_empty_subset_is_empty(self):
         for ds in SUBSET_DATASETS.values():
-            inputs, targets = ds.subset(np.array([], dtype=int))
+            inputs, targets = ds.subset(range(0))
             assert inputs.shape == (0, *ds.inputs.shape[1:]) and len(targets) == 0
 
 
@@ -614,18 +582,17 @@ class TestSplitFractions:
     """The third fraction sizes the test split; what the three leave is unused."""
 
     def test_chronological_holds_out_the_remainder(self):
-        splits = _chronological_split(100, (0.5, 0.1, 0.1))
-        np.testing.assert_array_equal(splits.train, np.arange(50))
-        np.testing.assert_array_equal(splits.val, np.arange(50, 60))
-        np.testing.assert_array_equal(splits.test, np.arange(60, 70))
+        splits = _runs(*_split_sizes(100, (0.5, 0.1, 0.1)))
+        assert (splits.train, splits.val, splits.test) == (range(50), range(50, 60),
+                                                           range(60, 70))
 
     def test_stratified_holds_out_the_remainder_per_class(self):
         labels = np.repeat([0, 1, 2], [100, 50, 30])
         splits = _stratified_split(labels, (0.5, 0.1, 0.1), seed=3)
         for cls, counts in ((0, [50, 10, 10]), (1, [25, 5, 5]), (2, [15, 3, 3])):
-            got = [int((labels[s] == cls).sum()) for s in (splits.train, splits.val, splits.test)]
+            got = [int((labels[s] == cls).sum()) for s in splits]
             assert got == counts, cls
-        assert len(splits.test) == 10 + 5 + 3
+        assert len(splits[2]) == 10 + 5 + 3
 
     def test_window_and_generator_read_the_test_fraction(self):
         ds = windowed(toy_series(t=106), tau=6, split=(0.5, 0.1, 0.1))
@@ -638,9 +605,9 @@ class TestSplitFractions:
         # unused rather than to a test split of one arbitrary window
         assert _split_sizes(197, (0.7, 0.3, 0.0)) == (137, 59, 0)
         assert _split_sizes(197, (0.5, 0.3, 0.0)) == (98, 59, 0)
-        assert len(_chronological_split(197, (0.7, 0.3, 0.0)).test) == 0
+        assert len(_runs(*_split_sizes(197, (0.7, 0.3, 0.0))).test) == 0
         labels = np.repeat([0, 1], [99, 98])
-        assert len(_stratified_split(labels, (0.7, 0.3, 0.0), seed=0).test) == 0
+        assert len(_stratified_split(labels, (0.7, 0.3, 0.0), seed=0)[2]) == 0
 
     @pytest.mark.parametrize("fractions", [
         (0.7, 0.15, 0.15), (0.25, 0.0625, 0.6875), (0.15, 0.05, 0.8), (0.5, 0.25, 0.25),
@@ -658,12 +625,11 @@ class TestSplitFractions:
 FRACTIONS = st.tuples(*[st.floats(0.0, 1.0)] * 3).filter(lambda f: sum(f) <= 1.0)
 
 
-def assert_split_sets(splits, n, sizes):
+def assert_split_sets(sets, n, sizes):
     """Disjoint, sorted, in-range index sets of the given sizes."""
-    sets = (splits.train, splits.val, splits.test)
     assert tuple(len(s) for s in sets) == sizes
-    for s in sets:
-        assert s.dtype.kind == "i"
+    for s in map(np.asarray, sets):
+        assert s.size == 0 or s.dtype.kind == "i"
         assert np.all(np.diff(s) > 0)
         assert s.size == 0 or (0 <= s.min() and s.max() < n)
     joined = np.concatenate(sets)
@@ -671,13 +637,17 @@ def assert_split_sets(splits, n, sizes):
 
 
 class TestSplitBuilders:
-    """Both split builders give what ``SplitIndices`` holds without checking it:
-    disjoint, sorted, in-range index sets of the sizes ``_split_sizes`` gives."""
+    """Both split builders give disjoint, sorted, in-range index sets of the sizes
+    ``_split_sizes`` gives, which nothing checks after them."""
 
     @settings(derandomize=True, database=None, max_examples=60, deadline=None)
     @given(n=st.integers(0, 300), fractions=FRACTIONS)
     def test_chronological(self, n, fractions):
-        assert_split_sets(_chronological_split(n, fractions), n, _split_sizes(n, fractions))
+        splits = _runs(*_split_sizes(n, fractions))
+        sets = (splits.train, splits.val, splits.test)
+        assert_split_sets(sets, n, _split_sizes(n, fractions))
+        # consecutive runs from 0
+        assert [s.start for s in sets] == [0, sets[0].stop, sets[1].stop]
 
     @settings(derandomize=True, database=None, max_examples=60, deadline=None)
     # synth_classification draws at least one label

@@ -322,7 +322,8 @@ def unchunked_step(cfg, ds, config):
     tape, the loss a mean over the prediction's own rows."""
     seeds = np.random.SeedSequence(config.seed).generate_state(2)
     values = init_params(cfg, int(seeds[0]))
-    train_idx = ds.splits.train
+    # the order train shuffled an index array into before its splits were ranges
+    train_idx = np.asarray(ds.splits.train)
     batch = train_idx[np.random.default_rng(int(seeds[1])).permutation(len(train_idx))]
     nodes = {name: ad.constant(v) for name, v in values.items()}
     loss = getattr(ad, f"{config.loss}_loss")(forward(cfg, nodes, ds.inputs[batch]),
