@@ -49,20 +49,22 @@ def save_checkpoint(path: str, arrays: Mapping[str, np.ndarray], meta: dict) -> 
     """
     entries = []
     chunks = []
+    digest = hashlib.sha256()
     offset = 0
     for name, arr in arrays.items():
-        a = np.asarray(arr, dtype=np.float64)
-        chunks.append(a.ravel(order="F").astype("<f8").tobytes())
+        a = np.asarray(arr, dtype="<f8")
+        # one byte string per tensor, written on its own, so the payload is held once
+        chunks.append(a.tobytes(order="F"))
+        digest.update(chunks[-1])
         entries.append(
             {"name": name, "shape": list(a.shape), "offset": offset, "count": int(a.size)}
         )
         offset += a.size
-    payload = b"".join(chunks)
     header = {
         "version": VERSION,
         "meta": meta,
         "params": entries,
-        "payload_sha256": hashlib.sha256(payload).hexdigest(),
+        "payload_sha256": digest.hexdigest(),
     }
     head_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
     tmp = f"{path}.{os.getpid()}.tmp"
@@ -72,7 +74,8 @@ def save_checkpoint(path: str, arrays: Mapping[str, np.ndarray], meta: dict) -> 
             fh.write(struct.pack("<I", VERSION))
             fh.write(struct.pack("<Q", len(head_bytes)))
             fh.write(head_bytes)
-            fh.write(payload)
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         # open may have failed before making the file
@@ -123,6 +126,14 @@ def _header_problem(header, payload_bytes: int) -> str | None:
 
 
 def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], dict]:
+    """The arrays and meta ``save_checkpoint`` wrote, with ``format_version`` added to meta.
+
+    Each array is a fresh, writable float64 array in C order, whatever
+    layout it was saved from: ``predict``'s last bits depend on its
+    parameters' layout, and a model trains on C-order arrays, so a loaded
+    model predicts the bits of the one that was saved.  A malformed or
+    corrupted file raises ``CheckpointError``.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < len(MAGIC) + 12 or blob[: len(MAGIC)] != MAGIC:
@@ -150,8 +161,10 @@ def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], dict]:
     for entry in header["params"]:
         start = entry["offset"] * 8
         stop = start + entry["count"] * 8
-        flat = np.frombuffer(payload[start:stop], dtype="<f8").astype(np.float64)
-        arrays[entry["name"]] = flat.reshape(entry["shape"], order="F")
+        flat = np.frombuffer(payload[start:stop], dtype="<f8")
+        # the one copy of each array, and the one that makes it C order
+        arrays[entry["name"]] = flat.reshape(entry["shape"], order="F").astype(np.float64,
+                                                                               order="C")
     meta = dict(header["meta"])
     meta["format_version"] = version
     return arrays, meta

@@ -93,7 +93,7 @@ def _train_one(run: RunConfig, model: ModelConfig, dataset, out_dir: str, suffix
 def cmd_train(args) -> int:
     run = load_run_config(args.config, seed_override=args.seed)
     dataset = build_dataset(run)  # its checks run before the run directory is made
-    out_dir = args.out or run.output_dir
+    out_dir = args.out or run.output.dir
     os.makedirs(out_dir, exist_ok=True)
     metrics, wall = _train_one(run, run.model, dataset, out_dir)
     pairs = [
@@ -144,12 +144,12 @@ def cmd_eval(args) -> int:
 
 def cmd_bench(args) -> int:
     run = load_run_config(args.config, seed_override=args.seed)
-    if run.bench_variants is None:
+    if run.bench is None:
         raise ConfigError("bench: config needs a bench.variants list (>= 2 variants)")
     # every config check runs before the run directory is made
     dataset = build_dataset(run)
-    models = [model_for_variant(run, variant) for variant in run.bench_variants]
-    out_dir = args.out or run.output_dir
+    models = [model_for_variant(run, variant) for variant in run.bench.variants]
+    out_dir = args.out or run.output.dir
     os.makedirs(out_dir, exist_ok=True)
     rows = []
     for model in models:

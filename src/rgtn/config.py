@@ -1,23 +1,25 @@
 """Run configuration: one YAML file fully determines a run.
 
-The dataclasses are the schema: one reader builds each section from the
-dataclass that consumes it, taking keys, types and defaults from its fields.
-``model`` and ``model.head`` belong to ``models.ModelConfig`` and
-``models.HeadConfig``, ``training`` to ``training.TrainConfig`` and ``data``
-to ``DataConfig`` (consumed by ``build_dataset``); ``output.dir`` and the
-optional ``bench.variants`` are read here.  Each value is checked once: its
-type on reading (a float must also be finite), its range in
-``__post_init__``.  Errors name the dotted field, and a key that no field
-reads is an error naming its dotted path.
+The dataclasses are the schema: one reader builds the whole document as a
+``RunConfig``, and each section from the dataclass that consumes it, taking
+keys, types and defaults from its fields.  ``model`` and ``model.head``
+belong to ``models.ModelConfig`` and ``models.HeadConfig``, ``training`` to
+``training.TrainConfig``, ``data`` to ``DataConfig`` (consumed by
+``build_dataset``), ``output`` to ``OutputConfig`` and the optional
+``bench`` to ``BenchConfig``.  Each value is checked once: its type on
+reading (a float must also be finite), its range in ``__post_init__``.
+Errors name the dotted field, and a key that no field reads is an error
+naming its dotted path.
 ``data.kind`` decides the task, so the checks between sections live in
 ``build_dataset``.  It makes those the config alone decides,
 ``training.loss`` and ``model.out_dim``, before it draws any data; a CSV
 series' shape is checked once it is read, and each split's size by the
 one data call that makes the dataset.
-A deleted setting keeps the one value ``FIXED`` gives it: a config or
-checkpoint snapshot may still set it to that value, and any other value
-is an error naming the key.  ``model.task``, which ``data.kind`` now
-decides, may still be set to any JSON value and is not read.
+A deleted setting is checked where the reader meets its key.  It keeps the
+one value ``FIXED`` gives it: a config or checkpoint snapshot may still set
+it to that value, and any other value is an error naming the key.
+``model.task``, which ``data.kind`` now decides, may still be set to any
+JSON value and is not read.
 Every value in the document must be one JSON can hold, since a checkpoint
 stores the config as JSON: a YAML date, timestamp, set or binary is an
 error naming its dotted key, wherever it sits.
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from functools import cache
 from types import UnionType
 from typing import Any, get_args, get_origin, get_type_hints
@@ -61,10 +63,6 @@ FIXED = {
     "training.clip_norm": None, "training.beta1": BETA1, "training.beta2": BETA2,
     "training.eps": EPS,
 }
-
-# Keys no field reads that a config may still carry: older checkpoint snapshots
-# and the benchmark's workloads set them
-LEGACY_KEYS = {*FIXED, "model.task"}
 
 
 class ConfigError(ValueError):
@@ -108,22 +106,55 @@ class DataConfig:
 
 
 @dataclass(frozen=True)
+class OutputConfig:
+    """The ``output`` section: the run directory, where ``--out`` names none."""
+
+    dir: str = "runs/latest"
+
+    def __post_init__(self) -> None:
+        if not self.dir:
+            raise ValueError("dir: must name a directory, got ''")
+
+
+@dataclass(frozen=True)
+class BenchConfig:
+    """The ``bench`` section: the distinct variants ``rgtn bench`` trains, in order."""
+
+    variants: tuple[str, ...]
+
+    def __post_init__(self) -> None:
+        if len(self.variants) < 2:
+            raise ValueError("variants: need a list of at least two variants")
+        for v in self.variants:
+            if v not in VARIANTS:
+                raise ValueError(f"variants: unknown variant {v!r}")
+        if len(set(self.variants)) != len(self.variants):
+            raise ValueError("variants: variants must be distinct")
+
+
+@dataclass(frozen=True)
 class RunConfig:
+    """The whole document; ``raw`` is the document as given, which a checkpoint stores."""
+
     model: ModelConfig
     data: DataConfig
     training: TrainConfig
-    output_dir: str
-    bench_variants: tuple[str, ...] | None
-    raw: dict
+    output: OutputConfig = field(default_factory=OutputConfig)
+    # None where the document has no bench section; a null one is refused
+    bench: BenchConfig = None
+    raw: dict = field(init=False)
+
+    def __post_init__(self) -> None:
+        _check_size(self.model)
 
 
 @cache
 def _fields(cls) -> tuple[tuple[str, Any, bool], ...]:
-    """(name, type, required) for each field of the dataclass ``cls``."""
+    """(name, type, required) for each field of the dataclass ``cls`` that a key sets."""
     hints = get_type_hints(cls)
     return tuple(
         (f.name, hints[f.name], f.default is MISSING and f.default_factory is MISSING)
-        for f in fields(cls)
+        for f in fields(cls) if f.init
     )
 
 
@@ -136,14 +167,18 @@ def _unpack(hint) -> tuple[bool, Any, tuple | None]:
     return nullable, hint, get_args(hint) if get_origin(hint) is tuple else None
 
 
-def _check(value, hint, path: str):
+def _check(value, hint, path: str, variant: str | None = None):
     """``value`` as the type ``hint`` names; a YAML list becomes a tuple."""
     nullable, hint, items = _unpack(hint)
     if value is None and nullable:
         return None
     if items is not None:
+        any_length = items[1:] == (...,)  # tuple[X, ...]
+        if any_length and isinstance(value, list):
+            items = items[:1] * len(value)
         if not isinstance(value, list) or len(value) != len(items):
-            raise ConfigError(f"{path}: expected a list of {len(items)}, got {value!r}")
+            size = "" if any_length else f" of {len(items)}"
+            raise ConfigError(f"{path}: expected a list{size}, got {value!r}")
         return tuple(
             _check(v, item, f"{path}[{i}]") for i, (v, item) in enumerate(zip(value, items))
         )
@@ -161,7 +196,7 @@ def _check(value, hint, path: str):
         return value
     if is_dataclass(hint):
         if isinstance(value, dict):
-            return _read(hint, value, path)
+            return _read(hint, value, f"{path}.", variant)
         raise ConfigError(f"{path}: must be a mapping")
     raise ConfigError(f"{path}: expected {hint.__name__}, got {value!r}")
 
@@ -182,30 +217,48 @@ def _check_json(value, path: str) -> None:
                           f"mapping, got {value!r}")
 
 
-def _known(section: dict, keys, path: str) -> None:
-    """Reject a key of the mapping at ``path`` that is not in ``keys``."""
-    for key in section:
-        dotted = f"{path}.{key}" if path else str(key)
-        if key not in keys and dotted not in LEGACY_KEYS:
+def _known(section: dict, keys, prefix: str, variant: str | None) -> None:
+    """Refuse a key of the mapping at ``prefix`` that no field in ``keys`` reads.
+
+    ``model.task`` may hold any value.  A deleted setting may hold only the
+    one ``FIXED`` gives it, or ``dense`` for an rnn's ``model.head.kind``.
+    """
+    for key, value in section.items():
+        dotted = f"{prefix}{key}"
+        if key in keys or dotted == "model.task":
+            continue
+        if dotted not in FIXED:
             raise ConfigError(f"{dotted}: unknown key")
+        rnn_kind = dotted == "model.head.kind" and variant == "rnn"
+        allowed = (FIXED[dotted], "dense") if rnn_kind else (FIXED[dotted],)
+        if not any(type(value) is type(a) and value == a for a in allowed):  # YAML's 1 is not true
+            accepted = " or ".join(map(repr, allowed))
+            raise ConfigError(f"{dotted}: deleted setting, it may only be {accepted}; "
+                              f"got {value!r}")
 
 
-def _read(cls, section: dict, path: str):
-    """Build the dataclass ``cls`` from a YAML mapping; an unknown key is an error."""
-    _known(section, {name for name, _, _ in _fields(cls)}, path)
+def _read(cls, section: dict, prefix: str, variant: str | None = None):
+    """Build the dataclass ``cls`` from a YAML mapping; an unknown key is an error.
+
+    ``prefix`` is the mapping's dotted path and a dot, empty for the document;
+    ``variant`` is the model variant in scope, which the head's deleted
+    ``kind`` depends on.
+    """
+    _known(section, {name for name, _, _ in _fields(cls)}, prefix, variant)
+    variant = section.get("variant", variant)
     kwargs = {}
     for name, hint, required in _fields(cls):
         if name in section:
-            kwargs[name] = _check(section[name], hint, f"{path}.{name}")
+            kwargs[name] = _check(section[name], hint, prefix + name, variant)
         elif required:
-            raise ConfigError(f"{path}.{name}: required field missing")
+            raise ConfigError(f"{prefix}{name}: required field missing")
     try:
         return cls(**kwargs)
     except ConfigError:
         raise
     except ValueError as exc:
         # a dataclass range error starts with the field it names
-        raise ConfigError(f"{path}.{exc}") from None
+        raise ConfigError(f"{prefix}{exc}") from None
 
 
 def _check_size(model: ModelConfig) -> None:
@@ -253,55 +306,15 @@ def run_config_from_dict(raw, seed_override: int | None = None) -> RunConfig:
         raise ConfigError("top level of the config must be a mapping")
     # the checkpoint stores the document as JSON, after the whole run has trained
     _check_json(raw, "")
-    _known(raw, {"model", "data", "training", "output", "bench"}, "")
-    model = raw.get("model")
-    # variant leads ModelConfig's positional fields, so the class cannot default it
-    model = {"variant": "grgtn", **model} if isinstance(model, dict) else model
-    model = _check(model, ModelConfig, "model")
-    _check_size(model)
-    for key, fixed in FIXED.items():
-        section, (*path, name) = raw, key.split(".")
-        for part in path:
-            section = section.get(part) if isinstance(section, dict) else None
-        value = section.get(name, fixed) if isinstance(section, dict) else fixed
-        rnn_kind = key == "model.head.kind" and model.variant == "rnn"
-        allowed = (fixed, "dense") if rnn_kind else (fixed,)
-        if not any(type(value) is type(a) and value == a for a in allowed):  # YAML's 1 is not true
-            accepted = " or ".join(map(repr, allowed))
-            raise ConfigError(f"{key}: deleted setting, it may only be {accepted}; got {value!r}")
-    data = _check(raw.get("data"), DataConfig, "data")
-    training = raw.get("training")
-    if seed_override is not None and isinstance(training, dict):
-        training = {**training, "seed": seed_override}
-    training = _check(training, TrainConfig, "training")
-    output = raw.get("output", {})
-    if not isinstance(output, dict):
-        raise ConfigError("output: must be a mapping")
-    _known(output, {"dir"}, "output")
-    output_dir = _check(output.get("dir", "runs/latest"), str, "output.dir")
-    if not output_dir:
-        raise ConfigError("output.dir: must name a directory, got ''")
-    bench_variants = None
-    if "bench" in raw:
-        bench = raw["bench"] if isinstance(raw["bench"], dict) else {}
-        _known(bench, {"variants"}, "bench")
-        variants = bench.get("variants")
-        if not isinstance(variants, list) or len(variants) < 2:
-            raise ConfigError("bench.variants: need a list of at least two variants")
-        for v in variants:
-            if v not in VARIANTS:
-                raise ConfigError(f"bench.variants: unknown variant {v!r}")
-        if len(set(variants)) != len(variants):
-            raise ConfigError("bench.variants: variants must be distinct")
-        bench_variants = tuple(variants)
-    return RunConfig(
-        model=model,
-        data=data,
-        training=training,
-        output_dir=output_dir,
-        bench_variants=bench_variants,
-        raw=raw,
-    )
+    doc = dict(raw)
+    if isinstance(raw.get("model"), dict):
+        # variant leads ModelConfig's positional fields, so the class cannot default it
+        doc["model"] = {"variant": "grgtn", **raw["model"]}
+    if seed_override is not None and isinstance(raw.get("training"), dict):
+        doc["training"] = {**raw["training"], "seed": seed_override}
+    run = _read(RunConfig, doc, "")
+    object.__setattr__(run, "raw", raw)
+    return run
 
 
 def model_for_variant(run: RunConfig, variant: str) -> ModelConfig:

@@ -21,6 +21,8 @@ from rgtn.checkpoint import (
     save_tensor,
     save_tt,
 )
+from rgtn.models import VARIANTS, ModelConfig, init_params, predict
+from test_counts import SHAPES
 
 
 class TestRoundTrip:
@@ -84,6 +86,34 @@ class TestRoundTrip:
         assert np.array_equal(loaded, x)
         assert loaded.flags.writeable and loaded.flags.aligned
         assert peak <= 2.1 * x.nbytes, peak / x.nbytes
+
+    def test_save_holds_the_payload_about_once(self, tmp_path):
+        # each tensor's bytes, made once in first-mode-fastest order, and no joined payload
+        x = np.random.default_rng(4).standard_normal((1 << 10, 1 << 9))
+        path = str(tmp_path / "x.rgtn")
+        tracemalloc.start()
+        try:
+            save_tensor(path, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(load_tensor(path), x)
+        assert peak <= 1.1 * x.nbytes, peak / x.nbytes
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_loaded_parameters_predict_the_saved_bits(self, tmp_path, shape, variant):
+        # predict's last bits follow the parameters' memory layout, so a checkpoint
+        # must give back the layout the model was trained in
+        cfg = ModelConfig(variant=variant, **SHAPES[shape])
+        values = init_params(cfg, seed=1)
+        path = str(tmp_path / "model.rgtn")
+        save_checkpoint(path, values, {"kind": "model"})
+        loaded, _ = load_checkpoint(path)
+        rng = np.random.default_rng(2)
+        for windows in (1, 64):
+            x = rng.standard_normal((windows, cfg.tau, cfg.d_phys, cfg.d_feat))
+            assert predict(cfg, loaded, x).tobytes() == predict(cfg, values, x).tobytes()
 
 
 class TestAtomicSave:

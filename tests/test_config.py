@@ -438,3 +438,22 @@ def test_config_loads_where_the_memory_size_is_unknown(monkeypatch, error):
 def test_bench_variants_are_known_and_distinct(variants, message):
     with pytest.raises(ConfigError, match=rf"^bench\.variants: {message}$"):
         run_config_from_dict({**regression_document(), "bench": {"variants": variants}})
+
+
+@pytest.mark.parametrize("section,value,named", [
+    ("bench", None, "bench"),
+    ("bench", 3, "bench"),
+    ("bench", {"variants": "grgtn"}, "bench.variants"),
+    ("bench", {"variants": ["grgtn", 3]}, "bench.variants"),
+    ("output", None, "output"),
+], ids=["bench_null", "bench_number", "variants_string", "variants_number", "output_null"])
+@pytest.mark.parametrize("command", ["train", "bench"])
+def test_output_or_bench_of_the_wrong_type_exits_2_naming_it(tmp_path, capsys, command,
+                                                              section, value, named):
+    # the document is read whole, so train refuses a bench section it does not use
+    path = tmp_path / "run.yaml"
+    path.write_text(yaml.safe_dump({**regression_document(), section: value}))
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "run")]) == 2
+    # the key itself, or a key or item inside it
+    assert re.search(rf"(^|\s){re.escape(named)}[.:\[]", capsys.readouterr().err)
+    assert not (tmp_path / "run").exists()

@@ -207,8 +207,8 @@ class TestForwardEquivalence:
 
     @pytest.mark.parametrize("variant,head", [("grgtn", "tt"), ("srgtn", "tt"), ("rnn", "dense")])
     def test_memory_layout_does_not_change_the_output(self, variant, head):
-        # a transposed view of the window, and Fortran-ordered parameters as a
-        # checkpoint loads them
+        # a transposed view of the window, and Fortran-ordered parameters: the
+        # last bits may follow the layout, which is why a checkpoint loads C order
         rng = np.random.default_rng(16)
         cfg = small_config(variant)
         values = init_params(cfg, seed=5)

@@ -11,7 +11,9 @@ block of its body op walks, and checks the model against a reference in
 - grgtn with ``W_r = I`` is srgtn;
 - the rnn is its entrywise loop;
 - grgtn has exactly ``hidden²`` more parameters than srgtn;
-- every parameter's gradient agrees with central differences.
+- every parameter's gradient agrees with central differences;
+- permuting the hidden units permutes the gradients the same way and
+  leaves ``predict`` as it was, up to the order of its sums.
 """
 
 from dataclasses import replace
@@ -24,7 +26,8 @@ from hypothesis import strategies as st
 
 from oracles import block_map, hidden_states, rnn_loop, time_adjacency, unrolled_recurrence
 from rgtn import autodiff as ad
-from rgtn.models import VARIANTS, HeadConfig, ModelConfig, forward, param_count, param_shapes
+from rgtn.models import (VARIANTS, HeadConfig, ModelConfig, forward, param_count,
+                         param_shapes, predict)
 from test_models import set_block_windows
 
 # each activation as its definition, independent of the kernels' in-place forms
@@ -155,3 +158,40 @@ class TestGradients:
                     index = np.unravel_index(flat, value.shape)
                     fd = (loss_at(name, index, eps) - loss_at(name, index, -eps)) / (2 * eps)
                     assert abs(grad[index] - fd) <= 1e-5 * max(abs(fd), 1.0), (name, index)
+
+
+def permute_hidden(cfg, values, perm):
+    """The parameters whose hidden unit i is unit ``perm[i]`` of ``values``."""
+    moved = {**values, "w_x": values["w_x"][perm]}
+    if cfg.variant == "rnn":
+        moved["w_h"] = values["w_h"][np.ix_(perm, perm)]
+        moved["b_h"] = values["b_h"][perm]
+        # the head's columns flatten (tau, H) time fastest: H blocks of tau columns
+        w = values["head.w"]
+        moved["head.w"] = w.reshape(len(w), cfg.hidden, cfg.tau)[:, perm].reshape(w.shape)
+        return moved
+    if cfg.variant == "grgtn":
+        moved["w_r"] = values["w_r"][np.ix_(perm, perm)]
+    moved["head.core2"] = values["head.core2"][:, perm]
+    return moved
+
+
+class TestSymmetries:
+    @PROPERTY
+    @given(case=cases())
+    def test_permuted_hidden_units_permute_the_gradients_and_keep_the_output(self, case):
+        cfg, values, x, windows, rng = case
+        perm = rng.permutation(cfg.hidden)
+        moved = permute_hidden(cfg, values, perm)
+        target = rng.standard_normal((len(x), cfg.out_dim))
+        grads = []
+        with pytest.MonkeyPatch.context() as mp:
+            set_block_windows(mp, cfg, windows)
+            assert_close(predict(cfg, moved, x), predict(cfg, values, x), rtol=1e-12)
+            for params in (values, moved):
+                nodes = {name: ad.constant(v) for name, v in params.items()}
+                ad.backward(ad.mse_loss(forward(cfg, nodes, x), target))
+                grads.append({name: node.grad for name, node in nodes.items()})
+        want = permute_hidden(cfg, grads[0], perm)
+        for name, grad in grads[1].items():
+            assert_close(grad, want[name], rtol=1e-12)
